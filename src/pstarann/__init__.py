@@ -29,6 +29,7 @@ from .estimate import (
 )
 from .likelihood import (
     LikelihoodWorkspace,
+    NumericalError,
     gradient,
     hessian,
     log_likelihood,
@@ -60,7 +61,7 @@ __all__ = [
     "sigmoid", "nn_component", "residuals", "residual_matrix",
     "check_causal", "psi_expansion", "canonicalize", "param_names",
     "generate_covariates", "simulate", "write_panel_csv", "read_panel_csv",
-    "LikelihoodWorkspace", "log_likelihood", "gradient", "hessian",
+    "LikelihoodWorkspace", "NumericalError", "log_likelihood", "gradient", "hessian",
     "score_outer_product",
     "FitResult", "FitError", "CovarianceUnavailableError", "default_bounds",
     "fit", "initial_points", "sandwich_covariance", "likelihood_ratio_test",

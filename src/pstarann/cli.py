@@ -21,8 +21,9 @@ The config is one JSON document with sections:
     "optim":      {"n_starts": 5, "tol": 1e-8, "max_iter": 500}
 
 Exit codes: 0 success, 2 input error (bad config, malformed CSV, non-causal
-parameters), 3 numerical non-convergence. Every command is deterministic
-under a fixed --seed, including replicate summaries across thread counts.
+parameters), 3 numerical non-convergence or a failed numerical self-check.
+Every command is deterministic under a fixed --seed, including replicate
+summaries across thread counts.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ import numpy as np
 from . import __version__
 from .densities import density_from_config
 from .diagnostics import heatmap_grid, residual_diagnostics
-from .estimate import FitError, fit, sandwich_covariance
+from .estimate import FitError, fit
+from .likelihood import NumericalError
 from .model import ModelSpec, ParameterVector, check_causal, param_names
 from .simulate import generate_covariates, read_panel_csv, simulate, write_panel_csv
 from .weights import build_queen_lattice, read_adjacency_csv
@@ -136,12 +138,7 @@ def cmd_simulate(args):
     burn_in = int(sim.get("burn_in", 200))
     columns = _require(cfg, "covariates") if spec.q else []
 
-    chk = check_causal(spec, theta)
-    if not chk.causal:
-        raise ConfigError(
-            f"theta is not causal: max root modulus {chk.max_root_modulus:.6f} >= 1"
-        )
-
+    # simulate() raises a ValueError naming the root modulus on non-causal theta
     data = simulate(spec, theta, seed=args.seed, burn_in=burn_in, T=T,
                     covariate_columns=columns)
 
@@ -219,20 +216,16 @@ def _replicate_one(payload):
     try:
         data = simulate(spec, theta, X=X_fixed, seed=sim_seed, burn_in=burn_in,
                         T=T, covariate_columns=columns)
-        res = fit(spec, data, seed=base_seed + r, covariance=False,
+        res = fit(spec, data, seed=base_seed + r, covariance=True,
                   rank_check=False, **opts)
-        se = None
-        try:
-            se = sandwich_covariance(spec, res.theta, data)["se"].tolist()
-        except Exception:
-            pass
         return {
             "replicate": r,
             "ok": True,
             "converged": res.converged,
             "estimate": res.theta.to_array().tolist(),
             "loglik": res.loglik,
-            "asymptotic_se": se,
+            "asymptotic_se": None if res.cov_note else res.std_errors.tolist(),
+            "covariance_note": res.cov_note,
         }
     except Exception as exc:  # recorded per replicate, summary over successes
         return {"replicate": r, "ok": False, "error": f"{type(exc).__name__}: {exc}"}
@@ -365,7 +358,7 @@ def main(argv=None):
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except FitError as exc:
+    except (FitError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
 

@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 from scipy import optimize, stats
 
-from .likelihood import LikelihoodWorkspace
+from .likelihood import LikelihoodWorkspace, NumericalError
 from .model import (
     CausalityCheck,
     ModelSpec,
@@ -303,8 +303,7 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
     line search's own termination status, since the one-sided gradient
     does not vanish at a kink optimum.
     """
-    data.check_against(spec, rank_check=rank_check)
-    ws = LikelihoodWorkspace(spec, data, validate=False)
+    ws = LikelihoodWorkspace(spec, data, validate=rank_check)
     if bounds is None:
         bounds = default_bounds(spec)
     else:
@@ -375,7 +374,7 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
     if canonical:
         ll_canon = ws.log_likelihood(theta_hat)
         if abs(ll_canon - ll_hat) > 1e-10 * (1.0 + abs(ll_hat)):
-            raise AssertionError(
+            raise NumericalError(
                 f"canonicalization changed the log-likelihood by {ll_canon - ll_hat:.3e}"
             )
 

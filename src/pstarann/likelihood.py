@@ -27,6 +27,10 @@ and (gamma_i, gamma_i) blocks (F' = F(1-F), F'' = F'(1-2F)). Both traces
 come from the cached eigenvalues of W, so evaluations cost O(nT) after the
 one-time spectral decomposition.
 
+The activations F(x'g_i) are computed once per theta: the residuals, F'
+and every derivative at that theta are built from the same cached array,
+so a fit pays one sigmoid evaluation per objective call.
+
 The averaged outer product of per-observation scores
 
     l_{s,t}(theta) = (1/n) ln|A0| + ln f(eps_{s,t}(theta))
@@ -41,9 +45,11 @@ import logging
 
 import numpy as np
 
-from .model import ModelSpec, PanelData, ParameterVector, residual_matrix, sigmoid
+from . import model
+from .model import ModelSpec, PanelData, ParameterVector, residual_matrix
 
 __all__ = [
+    "NumericalError",
     "LikelihoodWorkspace",
     "log_likelihood",
     "gradient",
@@ -54,6 +60,10 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
+class NumericalError(RuntimeError):
+    """Raised when a numerical self-check fails (e.g. an asymmetric Hessian)."""
+
+
 class LikelihoodWorkspace:
     """Caches everything reusable across evaluations at different theta.
 
@@ -62,11 +72,13 @@ class LikelihoodWorkspace:
     under a version stamp of the parameter array so that a likelihood call
     followed by a gradient or Hessian call at the same theta does no
     redundant work.
+
+    The data are checked against the spec once, here; ``validate=False``
+    skips only the per-slice rank check of X, for callers that made it.
     """
 
     def __init__(self, spec: ModelSpec, data: PanelData, validate=True):
-        if validate:
-            data.check_against(spec)
+        data.check_against(spec, rank_check=validate)
         self.spec = spec
         self.data = data
         self.wy = spec.W.W.dot(data.Y.T).T  # (p + T, n)
@@ -83,22 +95,35 @@ class LikelihoodWorkspace:
         return abs(phi0) * self.spec.W.tau_max < 1.0
 
     def _eval(self, theta: ParameterVector):
-        """Residuals, activations and score ratio at theta (cached)."""
+        """Activations, residuals and score ratio at theta (cached).
+
+        The one per-theta kernel: F = sigmoid(X gamma') is evaluated once
+        and both F' = F(1-F) and the residuals are built from it. The data
+        were checked at construction and theta is checked by the public
+        methods, so the residuals skip their own validation.
+        """
         key = theta.to_array().tobytes()
         if key == self._key:
             return self._c
         spec, data = self.spec, self.data
-        E = residual_matrix(spec, theta, data, wy=self.wy)
-        c = {"E": E, "V": spec.density.score(E)}
         if spec.h:
-            F = sigmoid(np.einsum("tnq,hq->tnh", data.X, theta.gamma))
-            c["F"] = F
-            c["Fp"] = F * (1.0 - F)
+            # looked up on the module at call time, so a wrapper installed
+            # on model.sigmoid sees every activation
+            F = model.sigmoid(data.X @ theta.gamma.T)
+            Fp = F * (1.0 - F)
         else:
-            c["F"] = np.zeros((data.T, data.n, 0))
-            c["Fp"] = c["F"]
+            F = Fp = np.zeros((data.T, data.n, 0))
+        E = residual_matrix(spec, theta, data, wy=self.wy, F=F, validate=False)
+        c = {"E": E, "V": spec.density.score(E), "F": F, "Fp": Fp}
         self._key, self._c = key, c
         return c
+
+    def _checked_eval(self, theta: ParameterVector):
+        """``_eval`` after the shape and phi0-domain checks of the derivatives."""
+        theta.validate(self.spec)
+        if not self._phi0_ok(theta.phi0):
+            raise ValueError(f"phi0={theta.phi0} outside the admissible interval")
+        return self._eval(theta)
 
     def _design_derivs(self, theta, c):
         """d eps / d theta stacked as a (T, n, dim) tensor."""
@@ -135,11 +160,8 @@ class LikelihoodWorkspace:
 
     def gradient(self, theta: ParameterVector):
         """Analytic dL/dtheta in canonical layout."""
-        theta.validate(self.spec)
         spec, data = self.spec, self.data
-        if not self._phi0_ok(theta.phi0):
-            raise ValueError(f"phi0={theta.phi0} outside the admissible interval")
-        c = self._eval(theta)
+        c = self._checked_eval(theta)
         V = c["V"]
         g = np.empty(spec.dim)
         g[0] = -np.sum(self.wy_lags[0] * V) - data.T * spec.W.trace_w_a0inv(theta.phi0, 1)
@@ -165,16 +187,13 @@ class LikelihoodWorkspace:
         Unavailable for the Laplace family, whose log-density has no second
         derivative at 0; use the outer-product-only covariance instead.
         """
-        theta.validate(self.spec)
         spec, data = self.spec, self.data
         if not spec.density.differentiable:
             raise ValueError(
                 "analytic Hessian is unavailable for the Laplace family "
                 "(curvature undefined at 0); use the score outer product"
             )
-        if not self._phi0_ok(theta.phi0):
-            raise ValueError(f"phi0={theta.phi0} outside the admissible interval")
-        c = self._eval(theta)
+        c = self._checked_eval(theta)
         U = spec.density.curvature(c["E"])
         D = self._design_derivs(theta, c)
         H = np.einsum("tns,tn,tnk->sk", D, U, D)
@@ -196,29 +215,22 @@ class LikelihoodWorkspace:
                 H[gi, gi] += blk
         asym = np.max(np.abs(H - H.T)) if H.size else 0.0
         if asym > 1e-9 * max(1.0, np.max(np.abs(H))):
-            raise AssertionError(f"Hessian asymmetry {asym:.3e} exceeds tolerance")
+            raise NumericalError(f"Hessian asymmetry {asym:.3e} exceeds tolerance")
         return 0.5 * (H + H.T)
 
     def score_outer_product(self, theta: ParameterVector):
-        """(1/nT) sum_{s,t} (dl_{s,t}/dtheta)(dl_{s,t}/dtheta)'.
+        """(1/nT) sum_{s,t} (dl_{s,t}/dtheta)(dl_{s,t}/dtheta)' = G'G / nT."""
+        G = self.per_observation_scores(theta).reshape(-1, self.spec.dim)
+        B = G.T @ G / G.shape[0]
+        return 0.5 * (B + B.T)
+
+    def per_observation_scores(self, theta: ParameterVector):
+        """(T, n, dim) array of dl_{s,t}/dtheta (sums to the gradient).
 
         The per-observation phi0 score is the eigenvalue term
         -(1/n) tr(W A0^{-1}) plus the data term -V_{s,t} (W Y_t)_s.
         """
-        theta.validate(self.spec)
-        spec, data = self.spec, self.data
-        if not self._phi0_ok(theta.phi0):
-            raise ValueError(f"phi0={theta.phi0} outside the admissible interval")
-        c = self._eval(theta)
-        D = self._design_derivs(theta, c)
-        G = c["V"][:, :, None] * D
-        G[:, :, 0] -= spec.W.trace_w_a0inv(theta.phi0, 1) / data.n
-        B = np.einsum("tnk,tnl->kl", G, G) / (data.n * data.T)
-        return 0.5 * (B + B.T)
-
-    def per_observation_scores(self, theta: ParameterVector):
-        """(T, n, dim) array of dl_{s,t}/dtheta (sums to the gradient)."""
-        c = self._eval(theta)
+        c = self._checked_eval(theta)
         G = c["V"][:, :, None] * self._design_derivs(theta, c)
         G[:, :, 0] -= self.spec.W.trace_w_a0inv(theta.phi0, 1) / self.data.n
         return G

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
+from scipy.special import expit
 
 from .densities import ErrorDensity
 from .weights import WeightMatrix
@@ -51,13 +52,8 @@ __all__ = [
 
 
 def sigmoid(z):
-    """Logistic function with the numerically stable two-branch form."""
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    """Logistic function F(z) = 1 / (1 + exp(-z)), overflow-free for any z."""
+    out = expit(np.asarray(z, dtype=float))
     return out if out.ndim else float(out)
 
 
@@ -299,7 +295,8 @@ def nn_component(X_t, lam, gamma):
     return sigmoid(X_t @ gamma.T) @ lam
 
 
-def residual_matrix(spec: ModelSpec, theta: ParameterVector, data: PanelData, wy=None):
+def residual_matrix(spec: ModelSpec, theta: ParameterVector, data: PanelData, wy=None,
+                    F=None, validate=True):
     """All residuals as a (T, n) matrix.
 
     eps_{s,t} = y_{s,t} - sum_{i=0..p} phi_i (W Y_{t-i})_s - x_{s,t}' beta
@@ -307,10 +304,14 @@ def residual_matrix(spec: ModelSpec, theta: ParameterVector, data: PanelData, wy
 
     ``wy`` optionally supplies the precomputed (p + T, n) stack of W Y
     slices (it does not depend on theta, so callers doing repeated
-    evaluations cache it).
+    evaluations cache it). ``F`` optionally supplies the (T, n, h)
+    activations F(x_{s,t}' gamma_i) at this theta, for callers that need
+    them anyway. ``validate=False`` skips the shape checks of theta and
+    data, for callers that have already made them.
     """
-    theta.validate(spec)
-    data.check_against(spec, rank_check=False)
+    if validate:
+        theta.validate(spec)
+        data.check_against(spec, rank_check=False)
     if wy is None:
         wy = spec.W.W.dot(data.Y.T).T
     p, T = spec.p, data.T
@@ -320,7 +321,9 @@ def residual_matrix(spec: ModelSpec, theta: ParameterVector, data: PanelData, wy
     if spec.n_beta:
         E = E - data.X @ theta.beta
     if spec.h:
-        E = E - sigmoid(np.einsum("tnq,hq->tnh", data.X, theta.gamma)) @ theta.lam
+        if F is None:
+            F = sigmoid(data.X @ theta.gamma.T)
+        E = E - F @ theta.lam
     return E
 
 
@@ -343,20 +346,27 @@ def check_causal(spec: ModelSpec, theta: ParameterVector, margin=1e-6):
         (1 - phi0 tau) z^p - phi_1 tau z^{p-1} - ... - phi_p tau,
 
     so the process is causal iff every root of every factor has modulus at
-    most 1 - margin. p = 0 is trivially causal.
+    most 1 - margin. The roots of the factor at tau are the eigenvalues of
+    its p x p companion matrix, whose first row is
+    phi_i tau / (1 - phi0 tau), i = 1..p, with ones on the subdiagonal; all
+    n companion matrices are stacked and solved in one batched ``eigvals``
+    call. p = 0 is trivially causal.
     """
     theta.validate(spec)
     if spec.p == 0:
         return CausalityCheck(True, 0.0)
-    max_mod = 0.0
-    for tau in spec.W.eigenvalues:
-        lead = 1.0 - theta.phi0 * tau
-        if abs(lead) < 1e-14:
-            raise ValueError(f"leading coefficient vanishes at eigenvalue tau={tau}")
-        coeffs = np.concatenate(([lead], -theta.phi * tau))
-        roots = np.roots(coeffs)
-        if roots.size:
-            max_mod = max(max_mod, float(np.max(np.abs(roots))))
+    tau = spec.W.eigenvalues
+    lead = 1.0 - theta.phi0 * tau
+    vanishing = np.flatnonzero(np.abs(lead) < 1e-14)
+    if vanishing.size:
+        raise ValueError(
+            f"leading coefficient vanishes at eigenvalue tau={tau[vanishing[0]]}"
+        )
+    p = spec.p
+    companion = np.zeros((tau.size, p, p))
+    companion[:, 0, :] = np.outer(tau, theta.phi) / lead[:, None]
+    companion[:, np.arange(1, p), np.arange(p - 1)] = 1.0
+    max_mod = float(np.max(np.abs(np.linalg.eigvals(companion))))
     return CausalityCheck(max_mod <= 1.0 - margin, max_mod)
 
 

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 import pstarann as pa
 from pstarann.cli import main
@@ -120,6 +121,18 @@ class TestFitCommand:
         assert (fit_out / "diagnostics.json").exists()
         capsys.readouterr()
 
+    def test_numerical_guard_exit_3_with_message(self, sim_dir, capsys, monkeypatch):
+        def failing_hessian(self, theta):
+            raise pa.NumericalError("Hessian asymmetry 1.000e-03 exceeds tolerance")
+
+        monkeypatch.setattr(pa.LikelihoodWorkspace, "hessian", failing_hessian)
+        tmp, cfg, out = sim_dir
+        code = main(["fit", "--config", cfg, "--panel", str(out / "panel.csv"),
+                     "--out", str(tmp / "fit_guard"), "--seed", "0"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "error: Hessian asymmetry" in err
+
     def test_laplace_table_without_se_columns(self, tmp_path, capsys):
         cfg_dict = json.loads(json.dumps(MODEL1_CONFIG))
         cfg_dict["model"]["density"] = "laplace"
@@ -221,6 +234,44 @@ class TestReplicateCommand:
         capsys.readouterr()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["n_success"] == 2
+
+
+class TestReplicateCovariance:
+    """Each replicate record carries the fit's covariance note."""
+
+    TINY = dict(MODEL1_CONFIG, lattice={"n1": 4, "n2": 4}, simulate={"T": 6, "burn_in": 50},
+                optim={"n_starts": 2})
+
+    def run_one(self, density, r=1, seed=4):
+        import pstarann.cli as cli
+
+        cfg = json.loads(json.dumps(self.TINY))
+        cfg["model"]["density"] = density
+        W = cli.build_weights(cfg)
+        spec = cli.build_spec(cfg, W)
+        theta = cli.build_theta(cfg, spec)
+        sim = cfg["simulate"]
+        payload = (spec, theta, sim["T"], sim["burn_in"], cfg["covariates"], None, seed, r,
+                   cli._optim_options(cfg))
+        rec = cli._replicate_one(payload)
+        # the replicate's own panel, regenerated from the same seed
+        data = pa.simulate(spec, theta, seed=np.random.SeedSequence(seed, spawn_key=(r,)),
+                           burn_in=sim["burn_in"], T=sim["T"],
+                           covariate_columns=cfg["covariates"])
+        return spec, data, rec
+
+    def test_normal_se_matches_sandwich(self):
+        spec, data, rec = self.run_one("normal")
+        assert rec["ok"] and rec["covariance_note"] is None
+        theta_hat = pa.ParameterVector.from_array(rec["estimate"], spec)
+        se = pa.sandwich_covariance(spec, theta_hat, data)["se"]
+        assert_allclose(rec["asymptotic_se"], se, rtol=0, atol=1e-12)
+
+    def test_laplace_se_null_with_note(self):
+        spec, data, rec = self.run_one("laplace")
+        assert rec["ok"]
+        assert rec["asymptotic_se"] is None
+        assert "Laplace" in rec["covariance_note"]
 
 
 class TestPureSpatialConfig:

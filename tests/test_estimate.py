@@ -104,6 +104,19 @@ class TestFit:
         assert res.canonical
         assert res.theta.is_canonical()
 
+    def test_canonicalization_guard_raises_numerical_error(self, w33, monkeypatch):
+        import pstarann.estimate as est
+
+        def shifted(theta, include_intercept):
+            out = theta.copy()
+            out.lam = out.lam + 0.5  # no longer the same residuals
+            return out
+
+        monkeypatch.setattr(est, "canonicalize", shifted)
+        spec, data = small_model1_data(w33, T=4)
+        with pytest.raises(pa.NumericalError, match="canonicalization changed"):
+            pa.fit(spec, data, n_starts=1, seed=1, covariance=False)
+
     def test_boundary_warning_on_narrow_box(self, w33):
         spec, data = small_model1_data(w33, seed=7, T=8)
         bounds = pa.default_bounds(spec)

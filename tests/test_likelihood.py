@@ -2,6 +2,7 @@
 finite differences; per-observation score decomposition."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -182,6 +183,29 @@ class TestScoreOuterProduct:
         manual = sum(np.outer(S[0, s], S[0, s]) for s in range(2)) / 2.0
         assert_allclose(B, manual, atol=1e-14)
 
+    def test_per_observation_scores_reject_phi0_outside_domain(self, w33):
+        rng = np.random.default_rng(61)
+        spec = pa.ModelSpec(W=w33, p=1, q=2, h=1, density=pa.normal())
+        data = random_panel(spec, 3, rng)
+        theta = random_causal_theta(spec, rng)
+        theta.phi0 = 1.5 / w33.tau_max
+        ws = pa.LikelihoodWorkspace(spec, data)
+        with pytest.raises(ValueError, match="admissible interval"):
+            ws.per_observation_scores(theta)
+        with pytest.raises(ValueError, match="admissible interval"):
+            ws.score_outer_product(theta)
+
+    @pytest.mark.parametrize("entry", [pa.log_likelihood, pa.gradient, pa.score_outer_product])
+    def test_one_shot_entries_check_data_against_spec(self, w33, entry):
+        # the kernel skips per-evaluation checks, so the workspace must
+        # reject data that contradict the spec when it is built
+        rng = np.random.default_rng(71)
+        spec = pa.ModelSpec(W=w33, p=1, q=2, h=1, density=pa.normal(),
+                            include_intercept=True)
+        data = random_panel(spec, 3, rng)
+        with pytest.raises(ValueError, match="intercept"):
+            entry(spec, random_causal_theta(spec, rng), data)
+
     def test_workspace_cache_consistency(self, w33):
         # same theta evaluated twice reuses the cache; a new theta refreshes it
         rng = np.random.default_rng(53)
@@ -194,6 +218,37 @@ class TestScoreOuterProduct:
         ws.log_likelihood(t2)
         assert ws.log_likelihood(t1) == ll1
         assert_allclose(pa.log_likelihood(spec, t1, data), ll1)
+
+
+class TestActivationCount:
+    def test_one_sigmoid_call_per_evaluation(self, w33, monkeypatch):
+        import pstarann.model
+
+        calls = {"n": 0}
+        real = pstarann.model.sigmoid
+
+        def counting(z):
+            calls["n"] += 1
+            return real(z)
+
+        # count through every name that binds the sigmoid, not just the
+        # model module's own
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "pstarann" and getattr(module, "sigmoid", None) is real:
+                monkeypatch.setattr(module, "sigmoid", counting)
+        rng = np.random.default_rng(67)
+        spec = pa.ModelSpec(W=w33, p=1, q=2, h=2, density=pa.scaled_t(8))
+        data = random_panel(spec, 3, rng)
+        ws = pa.LikelihoodWorkspace(spec, data)
+        thetas = [random_causal_theta(spec, rng) for _ in range(4)]
+        for k, theta in enumerate(thetas, start=1):
+            ll, g = ws.loglik_and_gradient(theta)
+            assert np.isfinite(ll) and g is not None
+            assert calls["n"] == k
+        # the Hessian and scores at the last theta reuse its activations
+        ws.hessian(thetas[-1])
+        ws.score_outer_product(thetas[-1])
+        assert calls["n"] == len(thetas)
 
 
 class TestInvariances:

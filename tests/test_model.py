@@ -29,6 +29,16 @@ class TestNNComponent:
         assert F[0] == 0.0 and F[-1] == 1.0
         assert_allclose(F[2], 0.5)
 
+    def test_sigmoid_matches_two_branch_formula(self):
+        # expit against the overflow-free two-branch form it replaced; the
+        # two round differently by at most one machine epsilon
+        z = np.concatenate((np.linspace(-40.0, 40.0, 8001),
+                            [-800.0, -30.0, 30.0, 800.0]))
+        ez = np.exp(np.minimum(z, 0.0))
+        ref = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.maximum(z, 0.0))), ez / (1.0 + ez))
+        assert_allclose(pa.sigmoid(z), ref, rtol=0, atol=np.finfo(float).eps)
+        assert pa.sigmoid(-800.0) == 0.0 and pa.sigmoid(800.0) == 1.0
+
     def test_two_neurons_sum(self):
         X = np.array([[1.0, 2.0]])
         lam = [2.0, -1.0]
@@ -122,6 +132,45 @@ class TestCheckCausal:
             roots = np.roots([1.0 - 0.4 * tau, -0.3 * tau, 0.2 * tau])
             worst = max(worst, np.abs(roots).max())
         assert_allclose(chk.max_root_modulus, worst, atol=1e-12)
+
+
+    @staticmethod
+    def roots_oracle(W, theta):
+        """Largest root modulus from one np.roots call per eigenvalue."""
+        worst = 0.0
+        for tau in W.eigenvalues:
+            roots = np.roots(np.concatenate(([1.0 - theta.phi0 * tau], -theta.phi * tau)))
+            if roots.size:
+                worst = max(worst, float(np.max(np.abs(roots))))
+        return worst
+
+    @pytest.mark.parametrize("phi0, phi", [
+        (0.6, [-0.274]),            # benchmark design, p = 1
+        (-0.3, [0.8]),              # p = 1, negative spatial lag
+        (0.0, [1.2]),               # explosive lag
+        (0.2, [0.1, -0.6]),         # p = 2, complex-conjugate roots
+        (0.4, [0.3, -0.2]),
+        (0.3, [0.0, 0.0]),          # zero phis
+        (0.5, [0.2, 0.0]),          # trailing zero phi
+        (-0.2, [0.3, -0.25, 0.15]),  # p = 3
+        (0.1, [0.0, 0.0, 0.0]),
+        (0.0, [0.5, 0.9, 0.6]),     # explosive p = 3
+    ])
+    def test_batched_roots_match_per_eigenvalue_oracle(self, w44, phi0, phi):
+        spec = pa.ModelSpec(W=w44, p=len(phi), q=0, h=0, density=pa.normal())
+        theta = pa.ParameterVector(phi0, phi, [], [], [])
+        chk = pa.check_causal(spec, theta)
+        worst = self.roots_oracle(w44, theta)
+        assert_allclose(chk.max_root_modulus, worst, rtol=0, atol=1e-12)
+        assert chk.causal == (worst <= 1.0 - 1e-6)
+        if not any(phi):
+            assert chk.max_root_modulus == 0.0
+
+    def test_complex_roots_present(self, w44):
+        # the p = 2 case above really exercises complex-conjugate pairs
+        tau = w44.eigenvalues[0]
+        roots = np.roots([1.0 - 0.2 * tau, -0.1 * tau, 0.6 * tau])
+        assert np.all(np.abs(roots.imag) > 0)
 
 
 class TestPsiExpansion:
