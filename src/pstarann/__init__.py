@@ -46,7 +46,6 @@ from .model import (
     param_names,
     psi_expansion,
     residual_matrix,
-    residuals,
     sigmoid,
 )
 from .simulate import generate_covariates, read_panel_csv, simulate, write_panel_csv
@@ -58,7 +57,7 @@ __all__ = [
     "WeightMatrix", "build_queen_lattice", "from_adjacency", "read_adjacency_csv",
     "ErrorDensity", "normal", "scaled_t", "laplace", "density_from_config",
     "ModelSpec", "ParameterVector", "PanelData", "CausalityCheck",
-    "sigmoid", "nn_component", "residuals", "residual_matrix",
+    "sigmoid", "nn_component", "residual_matrix",
     "check_causal", "psi_expansion", "canonicalize", "param_names",
     "generate_covariates", "simulate", "write_panel_csv", "read_panel_csv",
     "LikelihoodWorkspace", "NumericalError", "log_likelihood", "gradient", "hessian",

@@ -123,20 +123,31 @@ def build_theta(cfg, spec):
     return theta
 
 
-# ----------------------------------------------------------------------
-# simulate
-# ----------------------------------------------------------------------
-
-def cmd_simulate(args):
+def load_setup(args):
+    """The config and the spec it defines, with the weights built from it."""
     cfg = load_config(args.config)
-    base = Path(args.config).parent
-    W = build_weights(cfg, standardize=not args.no_standardize, base_dir=base)
-    spec = build_spec(cfg, W)
+    W = build_weights(cfg, standardize=not args.no_standardize,
+                      base_dir=Path(args.config).parent)
+    return cfg, build_spec(cfg, W)
+
+
+def simulation_inputs(cfg, spec):
+    """theta, T, burn-in and covariate columns of the simulating commands."""
     theta = build_theta(cfg, spec)
     sim = cfg.get("simulate", {})
     T = int(_require(sim, "T", "simulate"))
     burn_in = int(sim.get("burn_in", 200))
     columns = _require(cfg, "covariates") if spec.q else []
+    return theta, T, burn_in, columns
+
+
+# ----------------------------------------------------------------------
+# simulate
+# ----------------------------------------------------------------------
+
+def cmd_simulate(args):
+    cfg, spec = load_setup(args)
+    theta, T, burn_in, columns = simulation_inputs(cfg, spec)
 
     # simulate() raises a ValueError naming the root modulus on non-causal theta
     data = simulate(spec, theta, seed=args.seed, burn_in=burn_in, T=T,
@@ -147,10 +158,11 @@ def cmd_simulate(args):
     write_panel_csv(out / "panel.csv", data)
     theta.save_json(out / "theta.json")
     grids = []
-    if W.lattice_dims is not None:
+    dims = spec.W.lattice_dims
+    if dims is not None:
         for t in range(max(1, T - 2), T + 1):
             gpath = out / f"heatmap_t{t}.csv"
-            heatmap_grid(data.Y[spec.p + t - 1], W.lattice_dims, path=gpath)
+            heatmap_grid(data.Y[spec.p + t - 1], dims, path=gpath)
             grids.append(gpath.name)
     print(f"wrote {out / 'panel.csv'} ({(T + spec.p) * spec.n} data rows), theta.json"
           + (f", grids: {', '.join(grids)}" if grids else ""))
@@ -171,13 +183,8 @@ def _optim_options(cfg):
 
 
 def cmd_fit(args):
-    cfg = load_config(args.config)
-    base = Path(args.config).parent
-    W = build_weights(cfg, standardize=not args.no_standardize, base_dir=base)
-    spec = build_spec(cfg, W)
-    model = _require(cfg, "model")
-    data = read_panel_csv(args.panel, int(_require(model, "p", "model")),
-                          int(_require(model, "q", "model")))
+    cfg, spec = load_setup(args)
+    data = read_panel_csv(args.panel, spec.p, spec.q)
     if data.n != spec.n:
         raise ConfigError(f"panel has n={data.n} locations, weights have n={spec.n}")
 
@@ -232,15 +239,8 @@ def _replicate_one(payload):
 
 
 def cmd_replicate(args):
-    cfg = load_config(args.config)
-    base = Path(args.config).parent
-    W = build_weights(cfg, standardize=not args.no_standardize, base_dir=base)
-    spec = build_spec(cfg, W)
-    theta = build_theta(cfg, spec)
-    sim = cfg.get("simulate", {})
-    T = int(_require(sim, "T", "simulate"))
-    burn_in = int(sim.get("burn_in", 200))
-    columns = _require(cfg, "covariates") if spec.q else []
+    cfg, spec = load_setup(args)
+    theta, T, burn_in, columns = simulation_inputs(cfg, spec)
     opts = _optim_options(cfg)
 
     R = args.replicates if args.replicates is not None else int(

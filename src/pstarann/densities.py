@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtri, stdtrit
 
 __all__ = ["ErrorDensity", "normal", "scaled_t", "laplace", "density_from_config"]
 
@@ -127,13 +127,19 @@ class ErrorDensity:
         return rng.laplace(0.0, _LAPLACE_B, size=count)
 
     def ppf(self, u):
-        """Quantile function (used for residual QQ data)."""
+        """Quantile function (used for residual QQ data).
+
+        Built from the ``scipy.special`` kernels that ``scipy.stats`` itself
+        calls, so the values are the same without importing ``scipy.stats``.
+        """
         u = np.asarray(u, dtype=float)
         if self.family == "normal":
-            return stats.norm.ppf(u)
+            return ndtri(u)
         if self.family == "scaled_t":
-            return self.t_scale * stats.t.ppf(u, self.nu)
-        return stats.laplace.ppf(u, scale=_LAPLACE_B)
+            # stdtrit(nu, 0) is +inf; scipy.stats maps u = 0 to -inf itself
+            return self.t_scale * np.where(u == 0.0, -np.inf, stdtrit(self.nu, u))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(u > 0.5, -np.log(2.0 * (1.0 - u)), np.log(2.0 * u)) * _LAPLACE_B
 
 
 def normal():

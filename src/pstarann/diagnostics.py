@@ -24,7 +24,7 @@ import csv
 import math
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr
 
 from .model import ModelSpec, PanelData, ParameterVector, residual_matrix
 
@@ -59,7 +59,7 @@ def morans_i(W, v):
     ei = -1.0 / (n - 1.0)
     var = (n * n * s1 - n * s2 + 3.0 * s0 * s0) / ((n * n - 1.0) * s0 * s0) - ei * ei
     z = (I - ei) / math.sqrt(var)
-    p = 2.0 * stats.norm.sf(abs(z))
+    p = 2.0 * ndtr(-abs(z))
     return {"I": I, "z": z, "pvalue": p, "expected": ei, "variance": var}
 
 

@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import optimize
+from scipy.special import chdtrc
 
 from .likelihood import LikelihoodWorkspace, NumericalError
 from .model import (
@@ -191,13 +192,12 @@ def initial_points(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, ws=None
         raise ValueError("n_starts must be >= 1")
     ws = ws or LikelihoodWorkspace(spec, data)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(7,)))
-    T, n = data.T, data.n
+    T = data.T
 
-    L0 = ws.wy_lags[0].ravel()
-    cols = [ws.wy_lags[i].ravel() for i in range(1, spec.p + 1)]
-    if spec.n_beta:
-        cols += [data.X[:, :, j].ravel() for j in range(spec.q)]
-    Z = np.column_stack(cols) if cols else np.zeros((T * n, 0))
+    # the theta-free rows of the derivative matrix are -W Y_t, -W Y_{t-i}
+    # and -X: the profile regressors
+    L0 = -ws.D[0]
+    Z = -ws.D[1: 1 + spec.p + spec.n_beta].T
     y = data.Y_sample.ravel()
 
     best = None
@@ -260,8 +260,11 @@ def _newton_polish(ws, spec, x, lb, ub, tol, max_steps=25):
     Quasi-Newton line searches stall once improvements fall below the
     floating-point resolution of the objective; a few analytic-Hessian
     steps push the projected gradient well under the convergence
-    threshold. Interior points only; steps are backtracked on the
-    log-likelihood and clipped to the box.
+    threshold. Interior points only; steps are clipped to the box and
+    backtracked on the log-likelihood. Near the optimum the predicted gain
+    of a full step is below one ulp of the log-likelihood, so a step is
+    accepted unless it lowers the log-likelihood by more than four ulps:
+    rounding alone must not reject the step that zeroes the gradient.
     """
     theta = ParameterVector.from_array(x, spec)
     ll = ws.log_likelihood(theta)
@@ -282,7 +285,7 @@ def _newton_polish(ws, spec, x, lb, ub, tol, max_steps=25):
             x_new = np.clip(x + alpha * step, lb, ub)
             theta_new = ParameterVector.from_array(x_new, spec)
             ll_new = ws.log_likelihood(theta_new)
-            if np.isfinite(ll_new) and ll_new >= ll:
+            if np.isfinite(ll_new) and ll_new >= ll - 4.0 * np.spacing(abs(ll)):
                 improved = ll_new > ll or not np.array_equal(x_new, x)
                 x, theta, ll = x_new, theta_new, ll_new
                 break
@@ -292,7 +295,7 @@ def _newton_polish(ws, spec, x, lb, ub, tol, max_steps=25):
 
 
 def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
-        tol=1e-8, max_iter=500, memory=10, covariance=True, rank_check=True,
+        tol=1e-8, max_iter=500, covariance=True, rank_check=True,
         starts=None):
     """Maximize the conditional log-likelihood from multiple starts.
 
@@ -332,7 +335,7 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
             jac=True,
             method="L-BFGS-B",
             bounds=list(map(tuple, bounds)),
-            options={"maxiter": max_iter, "maxcor": memory, "ftol": 1e-14,
+            options={"maxiter": max_iter, "maxcor": 10, "ftol": 1e-14,
                      "gtol": 1e-7, "maxls": 50},
         )
         if np.isfinite(res.fun) and res.fun < _PENALTY / 2:
@@ -465,4 +468,4 @@ def likelihood_ratio_test(full: FitResult, nested: FitResult, df):
             "models do not nest or a fit did not converge"
         )
     stat = max(stat, 0.0)
-    return {"stat": stat, "df": int(df), "pvalue": float(stats.chi2.sf(stat, df))}
+    return {"stat": stat, "df": int(df), "pvalue": float(chdtrc(df, stat))}

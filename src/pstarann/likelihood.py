@@ -31,6 +31,16 @@ The activations F(x'g_i) are computed once per theta: the residuals, F'
 and every derivative at that theta are built from the same cached array,
 so a fit pays one sigmoid evaluation per objective call.
 
+The workspace holds the residual derivatives as one (dim, nT) matrix D in
+the canonical parameter order, with column s + n(t-1) for observation
+(s, t). The rows for phi0..phi_p (-W Y_{t-i}) and beta (-X) do not depend
+on theta and are written once, when the workspace is built. The network
+rows for lambda (-F) and gamma_i (-lambda_i F'_i x) are rewritten from the
+cached activations on the first derivative request at a new theta, so
+calls that only need the log-likelihood never touch them. The gradient is
+D V minus the trace term, the per-observation scores are the columns of
+D diag(V), and the Gauss-Newton part of the Hessian is D diag(U) D'.
+
 The averaged outer product of per-observation scores
 
     l_{s,t}(theta) = (1/n) ln|A0| + ln f(eps_{s,t}(theta))
@@ -67,11 +77,18 @@ class NumericalError(RuntimeError):
 class LikelihoodWorkspace:
     """Caches everything reusable across evaluations at different theta.
 
-    The W Y_t stack depends only on the data and is computed once. Per-theta
-    intermediates (residuals, score ratio, sigmoid activations) are cached
-    under a version stamp of the parameter array so that a likelihood call
-    followed by a gradient or Hessian call at the same theta does no
-    redundant work.
+    The W Y_t stack, the covariates as a contiguous (q, nT) array ``X`` and
+    the theta-free rows of the derivative matrix ``D`` depend only on the
+    data and are computed once. Per-theta intermediates (residuals, score
+    ratio, sigmoid activations) are cached under a version stamp of the
+    parameter array so that a likelihood call followed by a gradient or
+    Hessian call at the same theta does no redundant work.
+
+    ``D`` is the (dim, nT) matrix of d eps / d theta. Rows 0..p (-W Y_{t-i})
+    and the beta rows (-X) are fixed; the lambda and gamma rows are written
+    lazily, by the first derivative request at a theta, and hold that theta
+    until a derivative is requested at another. The public methods return
+    fresh arrays, never views of ``D``.
 
     The data are checked against the spec once, here; ``validate=False``
     skips only the per-slice rank check of X, for callers that made it.
@@ -82,12 +99,17 @@ class LikelihoodWorkspace:
         self.spec = spec
         self.data = data
         self.wy = spec.W.W.dot(data.Y.T).T  # (p + T, n)
-        p, T = spec.p, data.T
-        # lag stacks: L[0] = W Y_t, L[i] = W Y_{t-i}, each (T, n)
-        self.wy_lags = [self.wy[p - i: p - i + T] for i in range(p + 1)]
+        p, T, nT = spec.p, data.T, data.n * data.T
+        self.X = np.ascontiguousarray(data.X.reshape(nT, spec.q).T)  # (q, nT)
+        self.D = np.empty((spec.dim, nT))
+        for i in range(p + 1):
+            self.D[i] = -self.wy[p - i: p - i + T].ravel()
+        self._lam_off = 1 + p + spec.n_beta
+        self.D[1 + p: self._lam_off] = -self.X[: spec.n_beta]
         self.n_domain_rejections = 0
         self._key = None
         self._c = None
+        self._d_key = None
 
     # ------------------------------------------------------------------
 
@@ -114,36 +136,26 @@ class LikelihoodWorkspace:
         else:
             F = Fp = np.zeros((data.T, data.n, 0))
         E = residual_matrix(spec, theta, data, wy=self.wy, F=F, validate=False)
-        c = {"E": E, "V": spec.density.score(E), "F": F, "Fp": Fp}
+        nT = data.n * data.T
+        c = {"E": E, "V": spec.density.score(E).ravel(),
+             "F": F.reshape(nT, spec.h), "Fp": Fp.reshape(nT, spec.h)}
         self._key, self._c = key, c
         return c
 
-    def _checked_eval(self, theta: ParameterVector):
-        """``_eval`` after the shape and phi0-domain checks of the derivatives."""
+    def _derivs(self, theta: ParameterVector):
+        """Checked ``_eval`` plus ``D`` with its network rows at theta."""
         theta.validate(self.spec)
         if not self._phi0_ok(theta.phi0):
             raise ValueError(f"phi0={theta.phi0} outside the admissible interval")
-        return self._eval(theta)
-
-    def _design_derivs(self, theta, c):
-        """d eps / d theta stacked as a (T, n, dim) tensor."""
-        spec, data = self.spec, self.data
-        T, n = data.T, data.n
-        D = np.empty((T, n, spec.dim))
-        j = 0
-        for i in range(spec.p + 1):
-            D[:, :, j] = -self.wy_lags[i]
-            j += 1
-        if spec.n_beta:
-            D[:, :, j: j + spec.q] = -data.X
-            j += spec.q
-        if spec.h:
-            D[:, :, j: j + spec.h] = -c["F"]
-            j += spec.h
-            for i in range(spec.h):
-                D[:, :, j: j + spec.q] = -theta.lam[i] * c["Fp"][:, :, i, None] * data.X
-                j += spec.q
-        return D
+        c = self._eval(theta)
+        spec = self.spec
+        if spec.h and self._d_key != self._key:
+            j, h, q = self._lam_off, spec.h, spec.q
+            self.D[j: j + h] = -c["F"].T
+            gam = self.D[j + h:].reshape(h, q, -1)
+            np.multiply((-theta.lam * c["Fp"]).T[:, None, :], self.X, out=gam)
+            self._d_key = self._key
+        return c, self.D
 
     # ------------------------------------------------------------------
 
@@ -159,26 +171,10 @@ class LikelihoodWorkspace:
         return float(self.data.T * logdet + np.sum(self.spec.density.log_pdf(c["E"])))
 
     def gradient(self, theta: ParameterVector):
-        """Analytic dL/dtheta in canonical layout."""
-        spec, data = self.spec, self.data
-        c = self._checked_eval(theta)
-        V = c["V"]
-        g = np.empty(spec.dim)
-        g[0] = -np.sum(self.wy_lags[0] * V) - data.T * spec.W.trace_w_a0inv(theta.phi0, 1)
-        for i in range(1, spec.p + 1):
-            g[i] = -np.sum(self.wy_lags[i] * V)
-        j = 1 + spec.p
-        if spec.n_beta:
-            g[j: j + spec.q] = -np.einsum("tnq,tn->q", data.X, V)
-            j += spec.q
-        if spec.h:
-            g[j: j + spec.h] = -np.einsum("tnh,tn->h", c["F"], V)
-            j += spec.h
-            for i in range(spec.h):
-                g[j: j + spec.q] = -theta.lam[i] * np.einsum(
-                    "tnq,tn->q", data.X, c["Fp"][:, :, i] * V
-                )
-                j += spec.q
+        """Analytic dL/dtheta = D V - T tr(W A0^{-1}) e_phi0."""
+        c, D = self._derivs(theta)
+        g = D @ c["V"]
+        g[0] -= self.data.T * self.spec.W.trace_w_a0inv(theta.phi0, 1)
         return g
 
     def hessian(self, theta: ParameterVector):
@@ -187,32 +183,29 @@ class LikelihoodWorkspace:
         Unavailable for the Laplace family, whose log-density has no second
         derivative at 0; use the outer-product-only covariance instead.
         """
-        spec, data = self.spec, self.data
+        spec = self.spec
         if not spec.density.differentiable:
             raise ValueError(
                 "analytic Hessian is unavailable for the Laplace family "
                 "(curvature undefined at 0); use the score outer product"
             )
-        c = self._checked_eval(theta)
-        U = spec.density.curvature(c["E"])
-        D = self._design_derivs(theta, c)
-        H = np.einsum("tns,tn,tnk->sk", D, U, D)
-        H[0, 0] -= data.T * spec.W.trace_w_a0inv(theta.phi0, 2)
+        c, D = self._derivs(theta)
+        U = spec.density.curvature(c["E"]).ravel()
+        H = (D * U) @ D.T
+        H[0, 0] -= self.data.T * spec.W.trace_w_a0inv(theta.phi0, 2)
         if spec.h:
-            V = c["V"]
-            lam_off = 1 + spec.p + spec.n_beta
+            V, X, F, Fp = c["V"], self.X, c["F"], c["Fp"]
+            lam_off, q = self._lam_off, spec.q
             gam_off = lam_off + spec.h
-            X = data.X
+            # d2 eps / d lambda_i d gamma_i = -F'_i x
+            cross = -(X @ (Fp * V[:, None]))  # (q, h)
+            # d2 eps / d gamma_i d gamma_i' = -lambda_i F''_i x x'
+            wpp = Fp * (1.0 - 2.0 * F) * V[:, None]
             for i in range(spec.h):
-                gi = slice(gam_off + i * spec.q, gam_off + (i + 1) * spec.q)
-                # d2 eps / d lambda_i d gamma_i = -F'_i x
-                cross = -np.einsum("tnq,tn->q", X, c["Fp"][:, :, i] * V)
-                H[lam_off + i, gi] += cross
-                H[gi, lam_off + i] += cross
-                # d2 eps / d gamma_i d gamma_i' = -lambda_i F''_i x x'
-                Fpp = c["Fp"][:, :, i] * (1.0 - 2.0 * c["F"][:, :, i])
-                blk = -theta.lam[i] * np.einsum("tn,tnq,tnr->qr", Fpp * V, X, X)
-                H[gi, gi] += blk
+                gi = slice(gam_off + i * q, gam_off + (i + 1) * q)
+                H[lam_off + i, gi] += cross[:, i]
+                H[gi, lam_off + i] += cross[:, i]
+                H[gi, gi] -= theta.lam[i] * ((X * wpp[:, i]) @ X.T)
         asym = np.max(np.abs(H - H.T)) if H.size else 0.0
         if asym > 1e-9 * max(1.0, np.max(np.abs(H))):
             raise NumericalError(f"Hessian asymmetry {asym:.3e} exceeds tolerance")
@@ -230,8 +223,8 @@ class LikelihoodWorkspace:
         The per-observation phi0 score is the eigenvalue term
         -(1/n) tr(W A0^{-1}) plus the data term -V_{s,t} (W Y_t)_s.
         """
-        c = self._checked_eval(theta)
-        G = c["V"][:, :, None] * self._design_derivs(theta, c)
+        c, D = self._derivs(theta)
+        G = (D * c["V"]).T.reshape(self.data.T, self.data.n, self.spec.dim)
         G[:, :, 0] -= self.spec.W.trace_w_a0inv(theta.phi0, 1) / self.data.n
         return G
 

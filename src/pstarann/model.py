@@ -42,7 +42,6 @@ __all__ = [
     "CausalityCheck",
     "sigmoid",
     "nn_component",
-    "residuals",
     "residual_matrix",
     "check_causal",
     "psi_expansion",
@@ -323,13 +322,8 @@ def residual_matrix(spec: ModelSpec, theta: ParameterVector, data: PanelData, wy
     if spec.h:
         if F is None:
             F = sigmoid(data.X @ theta.gamma.T)
-        E = E - F @ theta.lam
+        E = E - np.tensordot(F, theta.lam, axes=1)
     return E
-
-
-def residuals(spec: ModelSpec, theta: ParameterVector, data: PanelData):
-    """Residual slices eps_t(theta) for t = 1..T, as a list of n-vectors."""
-    return list(residual_matrix(spec, theta, data))
 
 
 class CausalityCheck(NamedTuple):

@@ -154,15 +154,10 @@ class WeightMatrix:
         r = self.eigenvalues / (1.0 - phi0 * self.eigenvalues)
         return float(np.sum(r**power))
 
-    def a0_matrix(self, phi0, sparse=True):
-        """Assemble A0 = I - phi0 W (sparse CSC by default)."""
-        A0 = sp.identity(self.n, format="csc") - phi0 * self.W.tocsc()
-        return A0 if sparse else A0.toarray()
-
     def a0_factor(self, phi0):
         """Sparse LU factorization of A0; returns an object with .solve(b)."""
         self._check_phi0(phi0)
-        return spla.splu(self.a0_matrix(phi0))
+        return spla.splu(sp.identity(self.n, format="csc") - phi0 * self.W.tocsc())
 
     def solve_a0(self, phi0, b):
         """Solve (I - phi0 W) x = b.

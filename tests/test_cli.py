@@ -1,6 +1,10 @@
 """End-to-end command-line flows, exit codes, and reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -321,3 +325,15 @@ class TestAdjacencyInput:
                      "--out", str(tmp_path / "fit"), "--no-standardize"])
         assert code == 0
         capsys.readouterr()
+
+
+class TestStartup:
+    def test_cli_import_leaves_out_scipy_stats(self):
+        # scipy.stats takes most of a second to import; the CLI needs none of it
+        src = str(Path(pa.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = "import sys, pstarann.cli; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert out.stdout.strip() == "False"

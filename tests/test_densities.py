@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy import integrate
+from scipy import integrate, stats
 
 import pstarann as pa
 from conftest import oracle_log_pdf
@@ -156,6 +156,20 @@ class TestPpf:
         d = pa.scaled_t(8)
         x = d.sample(7, 200000)
         assert abs(np.quantile(x, 0.9) - d.ppf(0.9)) < 0.01
+
+    @pytest.mark.parametrize("d", [pa.normal(), pa.scaled_t(4), pa.scaled_t(8.5),
+                                   pa.laplace()], ids=lambda d: d.label)
+    def test_equals_scipy_stats(self, d):
+        # the special-function kernels are the ones scipy.stats calls
+        u = np.concatenate(([-0.1, 0.0, 1e-300, 0.5, 1.0 - 1e-16, 1.0, 1.1],
+                            (np.arange(1, 2001) - 0.5) / 2000))
+        if d.family == "normal":
+            expected = stats.norm.ppf(u)
+        elif d.family == "scaled_t":
+            expected = d.t_scale * stats.t.ppf(u, d.nu)
+        else:
+            expected = stats.laplace.ppf(u, scale=np.sqrt(2.0) / 2.0)
+        np.testing.assert_array_equal(d.ppf(u), expected)
 
 
 class TestConfigParsing:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import stats
 
 import pstarann as pa
 from pstarann.diagnostics import read_heatmap_csv
@@ -44,6 +45,12 @@ class TestMoransI:
         out = pa.morans_i(w2020, v)
         assert out["z"] > 10.0
         assert out["pvalue"] < 1e-20
+
+    def test_pvalue_equals_scipy_stats(self, w44):
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            out = pa.morans_i(w44, rng.standard_normal(16) + 0.3 * np.arange(16))
+            assert out["pvalue"] == 2.0 * stats.norm.sf(abs(out["z"]))
 
     def test_constant_vector_rejected(self, w22):
         with pytest.raises(ValueError, match="constant"):

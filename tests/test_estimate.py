@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import stats
 
 import pstarann as pa
 from conftest import MODEL1_COLUMNS, model1_spec, model1_theta, random_panel
@@ -162,6 +163,17 @@ class TestFit:
         assert np.all(gap <= 4.0 * res.std_errors)
         assert res.converged
 
+    def test_polish_step_within_rounding_converges(self, w2020):
+        # At this seed the full Newton step takes the gradient norm from
+        # 1.8e-4 to 1e-12 but lowers the log-likelihood (about -17515.6) by
+        # one ulp; rejecting it left the fit just above the threshold
+        # tol * (1 + |ll|) = 1.75e-4.
+        spec = model1_spec(w2020)
+        data = pa.simulate(spec, model1_theta(), seed=1622779217, burn_in=200, T=30,
+                           covariate_columns=MODEL1_COLUMNS)
+        res = pa.fit(spec, data, n_starts=5, seed=1622779217)
+        assert res.converged
+
 
 class TestSandwichCovariance:
     def test_spd_and_positive_ci_widths(self, w1010):
@@ -243,6 +255,17 @@ class TestLikelihoodRatio:
         out = pa.likelihood_ratio_test(full, nested, df=6)
         assert_allclose(out["stat"], 287.17, atol=1e-9)
         assert out["pvalue"] < 1e-10
+
+    @pytest.mark.parametrize("stat,df", [(0.0, 1), (0.7, 1), (3.84, 1), (11.3, 4),
+                                         (287.17, 6), (2000.0, 3)])
+    def test_pvalue_equals_scipy_stats(self, stat, df):
+        theta = pa.ParameterVector(0, [], [], [], [])
+        full = pa.FitResult(theta=theta, loglik=-100.0 + stat / 2, gradient_norm=0,
+                            converged=True, n_starts=1, n_iterations=0, aic=0)
+        nested = pa.FitResult(theta=theta, loglik=-100.0, gradient_norm=0,
+                              converged=True, n_starts=1, n_iterations=0, aic=0)
+        out = pa.likelihood_ratio_test(full, nested, df=df)
+        assert out["pvalue"] == float(stats.chi2.sf(out["stat"], df))
 
     def test_non_nested_rejected(self, w33):
         spec, data = small_model1_data(w33, T=4)

@@ -220,6 +220,46 @@ class TestScoreOuterProduct:
         assert_allclose(pa.log_likelihood(spec, t1, data), ll1)
 
 
+class TestDerivativeMatrix:
+    @pytest.mark.parametrize("h", [0, 2])
+    def test_revisited_theta_gives_identical_results(self, w33, h):
+        rng = np.random.default_rng(73)
+        spec = pa.ModelSpec(W=w33, p=2, q=3, h=h, density=pa.scaled_t(8))
+        data = random_panel(spec, 4, rng)
+        ws = pa.LikelihoodWorkspace(spec, data)
+        ta, tb = random_causal_theta(spec, rng), random_causal_theta(spec, rng)
+
+        def derivatives(theta, ws=ws):
+            return (ws.hessian(theta), ws.gradient(theta),
+                    ws.per_observation_scores(theta))
+
+        first = derivatives(ta)
+        kept = [a.copy() for a in first]
+        other = derivatives(tb)
+        again = derivatives(ta)
+        for a, b, k in zip(first, again, kept):
+            np.testing.assert_array_equal(a, b)
+            # an array handed out at ta must not alias the shared buffer
+            np.testing.assert_array_equal(a, k)
+        # tb saw the rows of tb, not those left over from ta
+        for a, b in zip(other, derivatives(tb, pa.LikelihoodWorkspace(spec, data))):
+            np.testing.assert_array_equal(a, b)
+
+    def test_log_likelihood_alone_leaves_network_rows(self, w33):
+        # the network rows are written by derivative requests only
+        rng = np.random.default_rng(79)
+        spec = pa.ModelSpec(W=w33, p=1, q=2, h=1, density=pa.normal())
+        data = random_panel(spec, 3, rng)
+        ws = pa.LikelihoodWorkspace(spec, data)
+        ta, tb = random_causal_theta(spec, rng), random_causal_theta(spec, rng)
+        g = ws.gradient(ta)
+        D = ws.D.copy()
+        ws.log_likelihood(tb)
+        np.testing.assert_array_equal(ws.D, D)
+        np.testing.assert_array_equal(ws.gradient(ta), g)
+        assert not np.array_equal(ws.gradient(tb), g)
+
+
 class TestActivationCount:
     def test_one_sigmoid_call_per_evaluation(self, w33, monkeypatch):
         import pstarann.model
