@@ -7,9 +7,10 @@ The pieces compose bottom-up:
 
     weights      spatial weight matrices, spectrum, A0 = I - phi0 W algebra
     densities    unit-variance error families (normal, scaled t, Laplace)
-    model        parameter vector, residuals, causality, canonical form
+    model        parameter vector, panel checks, causality, canonical form
     simulate     panel generation and the panel CSV wire format
-    likelihood   exact conditional log-likelihood, analytic score/Hessian
+    likelihood   residuals, exact conditional log-likelihood, analytic
+                 score/Hessian
     estimate     L-BFGS-B multi-start MLE, sandwich covariance, LR test
     diagnostics  Moran's I, residual diagnostics, heatmap grids
     cli          reproducible simulate / fit / replicate commands
@@ -33,6 +34,7 @@ from .likelihood import (
     gradient,
     hessian,
     log_likelihood,
+    residual_matrix,
     score_outer_product,
 )
 from .model import (
@@ -45,7 +47,6 @@ from .model import (
     nn_component,
     param_names,
     psi_expansion,
-    residual_matrix,
     sigmoid,
 )
 from .simulate import generate_covariates, read_panel_csv, simulate, write_panel_csv

@@ -185,9 +185,7 @@ def _optim_options(cfg):
 def cmd_fit(args):
     cfg, spec = load_setup(args)
     data = read_panel_csv(args.panel, spec.p, spec.q)
-    if data.n != spec.n:
-        raise ConfigError(f"panel has n={data.n} locations, weights have n={spec.n}")
-
+    # fit() checks the panel against the spec (n, intercept, rank of X_t)
     opts = _optim_options(cfg)
     result = fit(spec, data, seed=args.seed, **opts)
 
@@ -223,8 +221,7 @@ def _replicate_one(payload):
     try:
         data = simulate(spec, theta, X=X_fixed, seed=sim_seed, burn_in=burn_in,
                         T=T, covariate_columns=columns)
-        res = fit(spec, data, seed=base_seed + r, covariance=True,
-                  rank_check=False, **opts)
+        res = fit(spec, data, seed=base_seed + r, covariance=True, **opts)
         return {
             "replicate": r,
             "ok": True,

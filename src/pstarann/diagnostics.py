@@ -26,7 +26,8 @@ import math
 import numpy as np
 from scipy.special import ndtr
 
-from .model import ModelSpec, PanelData, ParameterVector, residual_matrix
+from .likelihood import residual_matrix
+from .model import ModelSpec, PanelData, ParameterVector
 
 __all__ = ["morans_i", "residual_diagnostics", "heatmap_grid", "read_heatmap_csv"]
 
@@ -46,15 +47,8 @@ def morans_i(W, v):
     if ee <= 0.0:
         raise ValueError("Moran's I is undefined for a constant vector")
 
-    Wm = W.W
-    s0 = W.s0
-    I = (n / s0) * float(e @ Wm.dot(e)) / ee
-
-    sym = Wm + Wm.T
-    s1 = 0.5 * float(sym.multiply(sym).sum())
-    rs = np.asarray(Wm.sum(axis=1)).ravel()
-    cs = np.asarray(Wm.sum(axis=0)).ravel()
-    s2 = float(np.sum((rs + cs) ** 2))
+    s0, s1, s2 = W.s0, W.s1, W.s2
+    I = (n / s0) * float(e @ W.W.dot(e)) / ee
 
     ei = -1.0 / (n - 1.0)
     var = (n * n * s1 - n * s2 + 3.0 * s0 * s0) / ((n * n - 1.0) * s0 * s0) - ei * ei

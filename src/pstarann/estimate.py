@@ -198,24 +198,18 @@ def initial_points(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, ws=None
     # and -X: the profile regressors
     L0 = -ws.D[0]
     Z = -ws.D[1: 1 + spec.p + spec.n_beta].T
-    y = data.Y_sample.ravel()
+    y = ws.y
+    # y - phi0 L0 is linear in phi0, and so are its least-squares
+    # coefficients and residuals: one solve for [y, L0] serves the grid
+    coef_y, coef_l = np.linalg.lstsq(Z, np.column_stack((y, L0)), rcond=None)[0].T
+    r_y, r_l = y - Z @ coef_y, L0 - Z @ coef_l
 
-    best = None
-    phi0_cap = 0.99 / spec.W.tau_max
-    for phi0 in np.linspace(-0.9, 0.9, 37) * (1.0 / spec.W.tau_max):
-        if abs(phi0) > phi0_cap:
-            continue
-        target = y - phi0 * L0
-        if Z.shape[1]:
-            coef, *_ = np.linalg.lstsq(Z, target, rcond=None)
-            rss = float(np.sum((target - Z @ coef) ** 2))
-        else:
-            coef = np.zeros(0)
-            rss = float(target @ target)
-        ll = T * spec.W.log_det_a0(phi0) - 0.5 * rss
-        if best is None or ll > best[0]:
-            best = (ll, phi0, coef)
-    _, phi0_hat, coef = best
+    def profile_loglik(phi0):
+        r = r_y - phi0 * r_l
+        return T * spec.W.log_det_a0(phi0) - 0.5 * float(r @ r)
+
+    phi0_hat = max(np.linspace(-0.9, 0.9, 37) * (1.0 / spec.W.tau_max), key=profile_loglik)
+    coef = coef_y - phi0_hat * coef_l
 
     base = ParameterVector(
         phi0=phi0_hat,
@@ -295,8 +289,7 @@ def _newton_polish(ws, spec, x, lb, ub, tol, max_steps=25):
 
 
 def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
-        tol=1e-8, max_iter=500, covariance=True, rank_check=True,
-        starts=None):
+        tol=1e-8, max_iter=500, covariance=True, starts=None):
     """Maximize the conditional log-likelihood from multiple starts.
 
     Returns the best local optimum (ties broken by start index) after
@@ -306,7 +299,7 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
     line search's own termination status, since the one-sided gradient
     does not vanish at a kink optimum.
     """
-    ws = LikelihoodWorkspace(spec, data, validate=rank_check)
+    ws = LikelihoodWorkspace(spec, data)
     if bounds is None:
         bounds = default_bounds(spec)
     else:
@@ -428,7 +421,7 @@ def sandwich_covariance(spec: ModelSpec, theta_hat: ParameterVector, data: Panel
             "sandwich covariance unavailable for the Laplace family: the "
             "log-density has no second derivative at 0; point estimates only"
         )
-    ws = ws or LikelihoodWorkspace(spec, data, validate=False)
+    ws = ws or LikelihoodWorkspace(spec, data)
     nT = data.n * data.T
     A = -ws.hessian(theta_hat) / nT
     B = ws.score_outer_product(theta_hat)

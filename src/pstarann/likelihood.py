@@ -27,19 +27,25 @@ and (gamma_i, gamma_i) blocks (F' = F(1-F), F'' = F'(1-2F)). Both traces
 come from the cached eigenvalues of W, so evaluations cost O(nT) after the
 one-time spectral decomposition.
 
-The activations F(x'g_i) are computed once per theta: the residuals, F'
-and every derivative at that theta are built from the same cached array,
-so a fit pays one sigmoid evaluation per objective call.
-
 The workspace holds the residual derivatives as one (dim, nT) matrix D in
 the canonical parameter order, with column s + n(t-1) for observation
 (s, t). The rows for phi0..phi_p (-W Y_{t-i}) and beta (-X) do not depend
-on theta and are written once, when the workspace is built. The network
-rows for lambda (-F) and gamma_i (-lambda_i F'_i x) are rewritten from the
-cached activations on the first derivative request at a new theta, so
-calls that only need the log-likelihood never touch them. The gradient is
-D V minus the trace term, the per-observation scores are the columns of
-D diag(V), and the Gauss-Newton part of the Hessian is D diag(U) D'.
+on theta and are written once, when the workspace is built. Given gamma
+the residuals are affine in the other parameters, and those fixed rows are
+their coefficients:
+
+    eps = y + D_lin' theta_lin - F' lambda,
+
+with y the flattened sample slices, theta_lin = (phi0, phi, beta), D_lin
+the matching rows of D and F the (h, nT) activations F(x'g_i). This is the
+one place the library forms residuals. The activations are computed once
+per theta and cached with the residuals, so a fit pays one sigmoid
+evaluation per objective call. The network rows of D for lambda (-F) and
+gamma_i (-lambda_i F'_i x) are rewritten from the cached activations on the
+first derivative request at a new theta, so calls that only need the
+log-likelihood never touch them. The gradient is D V minus the trace term,
+the per-observation scores are the columns of D diag(V), and the
+Gauss-Newton part of the Hessian is D diag(U) D'.
 
 The averaged outer product of per-observation scores
 
@@ -56,11 +62,12 @@ import logging
 import numpy as np
 
 from . import model
-from .model import ModelSpec, PanelData, ParameterVector, residual_matrix
+from .model import ModelSpec, PanelData, ParameterVector
 
 __all__ = [
     "NumericalError",
     "LikelihoodWorkspace",
+    "residual_matrix",
     "log_likelihood",
     "gradient",
     "hessian",
@@ -77,39 +84,39 @@ class NumericalError(RuntimeError):
 class LikelihoodWorkspace:
     """Caches everything reusable across evaluations at different theta.
 
-    The W Y_t stack, the covariates as a contiguous (q, nT) array ``X`` and
-    the theta-free rows of the derivative matrix ``D`` depend only on the
-    data and are computed once. Per-theta intermediates (residuals, score
-    ratio, sigmoid activations) are cached under a version stamp of the
-    parameter array so that a likelihood call followed by a gradient or
-    Hessian call at the same theta does no redundant work.
+    The flattened sample slices ``y``, the covariates as a contiguous
+    (q, nT) array ``X`` and the theta-free rows of the derivative matrix
+    ``D`` depend only on the data and are computed once. Per-theta
+    intermediates (activations, residuals, score ratio) are cached under a
+    version stamp of the parameter array so that a likelihood call followed
+    by a gradient or Hessian call at the same theta does no redundant work.
 
     ``D`` is the (dim, nT) matrix of d eps / d theta. Rows 0..p (-W Y_{t-i})
-    and the beta rows (-X) are fixed; the lambda and gamma rows are written
-    lazily, by the first derivative request at a theta, and hold that theta
-    until a derivative is requested at another. The public methods return
-    fresh arrays, never views of ``D``.
+    and the beta rows (-X) are fixed, and the residuals are read off them.
+    The lambda and gamma rows are written lazily, by the first derivative
+    request at a theta, and hold that theta until a derivative is requested
+    at another. The public methods return fresh arrays, never views of
+    ``D``.
 
-    The data are checked against the spec once, here; ``validate=False``
-    skips only the per-slice rank check of X, for callers that made it.
+    The data are checked against the spec once, here.
     """
 
-    def __init__(self, spec: ModelSpec, data: PanelData, validate=True):
-        data.check_against(spec, rank_check=validate)
+    def __init__(self, spec: ModelSpec, data: PanelData):
+        data.check_against(spec)
         self.spec = spec
         self.data = data
-        self.wy = spec.W.W.dot(data.Y.T).T  # (p + T, n)
+        wy = spec.W.W.dot(data.Y.T).T  # (p + T, n)
         p, T, nT = spec.p, data.T, data.n * data.T
+        self.y = data.Y_sample.ravel()
         self.X = np.ascontiguousarray(data.X.reshape(nT, spec.q).T)  # (q, nT)
         self.D = np.empty((spec.dim, nT))
         for i in range(p + 1):
-            self.D[i] = -self.wy[p - i: p - i + T].ravel()
+            self.D[i] = -wy[p - i: p - i + T].ravel()
         self._lam_off = 1 + p + spec.n_beta
         self.D[1 + p: self._lam_off] = -self.X[: spec.n_beta]
         self.n_domain_rejections = 0
         self._key = None
         self._c = None
-        self._d_key = None
 
     # ------------------------------------------------------------------
 
@@ -119,45 +126,55 @@ class LikelihoodWorkspace:
     def _eval(self, theta: ParameterVector):
         """Activations, residuals and score ratio at theta (cached).
 
-        The one per-theta kernel: F = sigmoid(X gamma') is evaluated once
-        and both F' = F(1-F) and the residuals are built from it. The data
-        were checked at construction and theta is checked by the public
-        methods, so the residuals skip their own validation.
+        The one per-theta kernel: F = sigmoid(gamma X) is evaluated once, in
+        the (h, nT) layout of the network rows of D, and the residuals are
+        y + D_lin' theta_lin - F' lambda. Callers check theta first.
         """
-        key = theta.to_array().tobytes()
+        x = theta.to_array()
+        key = x.tobytes()
         if key == self._key:
             return self._c
-        spec, data = self.spec, self.data
-        if spec.h:
+        j = self._lam_off
+        E = self.y + x[:j] @ self.D[:j]
+        if self.spec.h:
             # looked up on the module at call time, so a wrapper installed
             # on model.sigmoid sees every activation
-            F = model.sigmoid(data.X @ theta.gamma.T)
-            Fp = F * (1.0 - F)
+            F = model.sigmoid(theta.gamma @ self.X)
+            E -= theta.lam @ F
         else:
-            F = Fp = np.zeros((data.T, data.n, 0))
-        E = residual_matrix(spec, theta, data, wy=self.wy, F=F, validate=False)
-        nT = data.n * data.T
-        c = {"E": E, "V": spec.density.score(E).ravel(),
-             "F": F.reshape(nT, spec.h), "Fp": Fp.reshape(nT, spec.h)}
+            F = None
+        c = {"E": E, "V": self.spec.density.score(E), "F": F}
         self._key, self._c = key, c
         return c
 
     def _derivs(self, theta: ParameterVector):
-        """Checked ``_eval`` plus ``D`` with its network rows at theta."""
+        """Checked ``_eval`` plus ``D`` with its network rows at theta.
+
+        F' = F(1-F) is formed here, on the first derivative request at a
+        theta, together with the network rows, so a cache entry that holds
+        F' always matches the rows in ``D``.
+        """
         theta.validate(self.spec)
         if not self._phi0_ok(theta.phi0):
             raise ValueError(f"phi0={theta.phi0} outside the admissible interval")
         c = self._eval(theta)
         spec = self.spec
-        if spec.h and self._d_key != self._key:
+        if spec.h and "Fp" not in c:
+            F = c["F"]
+            c["Fp"] = Fp = F * (1.0 - F)
             j, h, q = self._lam_off, spec.h, spec.q
-            self.D[j: j + h] = -c["F"].T
+            self.D[j: j + h] = -F
             gam = self.D[j + h:].reshape(h, q, -1)
-            np.multiply((-theta.lam * c["Fp"]).T[:, None, :], self.X, out=gam)
-            self._d_key = self._key
+            np.multiply((-theta.lam[:, None] * Fp)[:, None, :], self.X, out=gam)
         return c, self.D
 
     # ------------------------------------------------------------------
+
+    def residuals(self, theta: ParameterVector):
+        """All residuals eps_{s,t}(theta) as a (T, n) matrix."""
+        theta.validate(self.spec)
+        E = self._eval(theta)["E"]
+        return E.reshape(self.data.T, self.data.n).copy()
 
     def log_likelihood(self, theta: ParameterVector):
         """T ln|A0| + sum ln f(eps); -inf sentinel outside the phi0 domain."""
@@ -190,7 +207,7 @@ class LikelihoodWorkspace:
                 "(curvature undefined at 0); use the score outer product"
             )
         c, D = self._derivs(theta)
-        U = spec.density.curvature(c["E"]).ravel()
+        U = spec.density.curvature(c["E"])
         H = (D * U) @ D.T
         H[0, 0] -= self.data.T * spec.W.trace_w_a0inv(theta.phi0, 2)
         if spec.h:
@@ -198,14 +215,14 @@ class LikelihoodWorkspace:
             lam_off, q = self._lam_off, spec.q
             gam_off = lam_off + spec.h
             # d2 eps / d lambda_i d gamma_i = -F'_i x
-            cross = -(X @ (Fp * V[:, None]))  # (q, h)
+            cross = -((Fp * V) @ X.T)  # (h, q)
             # d2 eps / d gamma_i d gamma_i' = -lambda_i F''_i x x'
-            wpp = Fp * (1.0 - 2.0 * F) * V[:, None]
+            wpp = Fp * (1.0 - 2.0 * F) * V
             for i in range(spec.h):
                 gi = slice(gam_off + i * q, gam_off + (i + 1) * q)
-                H[lam_off + i, gi] += cross[:, i]
-                H[gi, lam_off + i] += cross[:, i]
-                H[gi, gi] -= theta.lam[i] * ((X * wpp[:, i]) @ X.T)
+                H[lam_off + i, gi] += cross[i]
+                H[gi, lam_off + i] += cross[i]
+                H[gi, gi] -= theta.lam[i] * ((X * wpp[i]) @ X.T)
         asym = np.max(np.abs(H - H.T)) if H.size else 0.0
         if asym > 1e-9 * max(1.0, np.max(np.abs(H))):
             raise NumericalError(f"Hessian asymmetry {asym:.3e} exceeds tolerance")
@@ -239,17 +256,26 @@ class LikelihoodWorkspace:
 # One-shot module-level entry points
 # ----------------------------------------------------------------------
 
+def residual_matrix(spec, theta, data):
+    """All residuals as a (T, n) matrix.
+
+    eps_{s,t} = y_{s,t} - sum_{i=0..p} phi_i (W Y_{t-i})_s - x_{s,t}' beta
+                - sum_i lambda_i F(x_{s,t}' gamma_i)
+    """
+    return LikelihoodWorkspace(spec, data).residuals(theta)
+
+
 def log_likelihood(spec, theta, data):
-    return LikelihoodWorkspace(spec, data, validate=False).log_likelihood(theta)
+    return LikelihoodWorkspace(spec, data).log_likelihood(theta)
 
 
 def gradient(spec, theta, data):
-    return LikelihoodWorkspace(spec, data, validate=False).gradient(theta)
+    return LikelihoodWorkspace(spec, data).gradient(theta)
 
 
 def hessian(spec, theta, data):
-    return LikelihoodWorkspace(spec, data, validate=False).hessian(theta)
+    return LikelihoodWorkspace(spec, data).hessian(theta)
 
 
 def score_outer_product(spec, theta, data):
-    return LikelihoodWorkspace(spec, data, validate=False).score_outer_product(theta)
+    return LikelihoodWorkspace(spec, data).score_outer_product(theta)

@@ -42,7 +42,6 @@ __all__ = [
     "CausalityCheck",
     "sigmoid",
     "nn_component",
-    "residual_matrix",
     "check_causal",
     "psi_expansion",
     "canonicalize",
@@ -261,7 +260,13 @@ class PanelData:
     def Y_sample(self):
         return self.Y[self.p:]
 
-    def check_against(self, spec: ModelSpec, rank_check=True):
+    def check_against(self, spec: ModelSpec):
+        """Raise ValueError when the panel contradicts the spec.
+
+        Checks n, q and p, the intercept column when the spec declares one,
+        and that every X_t has full column rank (one batched rank
+        computation over the T slices; the first deficient t is named).
+        """
         if self.n != spec.n:
             raise ValueError(f"panel has n={self.n}, weights have n={spec.n}")
         if self.q != spec.q:
@@ -270,10 +275,10 @@ class PanelData:
             raise ValueError(f"panel has p={self.p} presample slices, spec.p={spec.p}")
         if spec.include_intercept and self.q and not np.allclose(self.X[:, :, 0], 1.0):
             raise ValueError("spec declares an intercept but X[:, :, 0] is not constant 1")
-        if rank_check and self.q:
-            for t in range(self.T):
-                if np.linalg.matrix_rank(self.X[t]) < self.q:
-                    raise ValueError(f"X_t is rank deficient at t={t + 1}")
+        if self.q:
+            deficient = np.flatnonzero(np.linalg.matrix_rank(self.X) < self.q)
+            if deficient.size:
+                raise ValueError(f"X_t is rank deficient at t={deficient[0] + 1}")
         return self
 
 
@@ -281,49 +286,18 @@ class PanelData:
 # Core operations
 # ----------------------------------------------------------------------
 
-def nn_component(X_t, lam, gamma):
+def nn_component(X, lam, gamma):
     """Network output per location: sum_i lambda_i * F(x_s' gamma_i).
 
-    ``X_t`` is (n, q); returns an n-vector. h = 0 yields zeros.
+    ``X`` is (n, q), or a stack (..., n, q) of such slices; returns an array
+    of shape ``X.shape[:-1]``. h = 0 yields zeros.
     """
-    X_t = np.asarray(X_t, dtype=float)
+    X = np.asarray(X, dtype=float)
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if lam.size == 0:
-        return np.zeros(X_t.shape[0])
+        return np.zeros(X.shape[:-1])
     gamma = np.asarray(gamma, dtype=float).reshape(lam.size, -1)
-    return sigmoid(X_t @ gamma.T) @ lam
-
-
-def residual_matrix(spec: ModelSpec, theta: ParameterVector, data: PanelData, wy=None,
-                    F=None, validate=True):
-    """All residuals as a (T, n) matrix.
-
-    eps_{s,t} = y_{s,t} - sum_{i=0..p} phi_i (W Y_{t-i})_s - x_{s,t}' beta
-                - sum_i lambda_i F(x_{s,t}' gamma_i)
-
-    ``wy`` optionally supplies the precomputed (p + T, n) stack of W Y
-    slices (it does not depend on theta, so callers doing repeated
-    evaluations cache it). ``F`` optionally supplies the (T, n, h)
-    activations F(x_{s,t}' gamma_i) at this theta, for callers that need
-    them anyway. ``validate=False`` skips the shape checks of theta and
-    data, for callers that have already made them.
-    """
-    if validate:
-        theta.validate(spec)
-        data.check_against(spec, rank_check=False)
-    if wy is None:
-        wy = spec.W.W.dot(data.Y.T).T
-    p, T = spec.p, data.T
-    E = data.Y_sample - theta.phi0 * wy[p:]
-    for i in range(1, p + 1):
-        E = E - theta.phi[i - 1] * wy[p - i:p - i + T]
-    if spec.n_beta:
-        E = E - data.X @ theta.beta
-    if spec.h:
-        if F is None:
-            F = sigmoid(data.X @ theta.gamma.T)
-        E = E - np.tensordot(F, theta.lam, axes=1)
-    return E
+    return sigmoid(X @ gamma.T) @ lam
 
 
 class CausalityCheck(NamedTuple):

@@ -21,6 +21,7 @@ replicates is available by generating X once and passing it in.
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
@@ -126,16 +127,18 @@ def simulate(spec: ModelSpec, theta: ParameterVector, X=None, seed=0, burn_in=20
         if eps.shape != (steps, spec.n):
             raise ValueError(f"errors have shape {eps.shape}, expected ({steps}, {spec.n})")
 
+    # the exogenous drive eps_t + X_t beta + F(X_t gamma') lambda of every step
+    drive = eps.copy()
+    if spec.n_beta:
+        drive += X @ theta.beta
+    drive += nn_component(X, theta.lam, theta.gamma)
+
     lu = spec.W.a0_factor(theta.phi0)
     W = spec.W.W
     lags = [np.zeros(spec.n) for _ in range(spec.p)]  # W Y_{t-1}, ..., W Y_{t-p}
     Y = np.empty((steps, spec.n))
     for t in range(steps):
-        rhs = eps[t].copy()
-        if spec.n_beta:
-            rhs += X[t] @ theta.beta
-        if spec.h:
-            rhs += nn_component(X[t], theta.lam, theta.gamma)
+        rhs = drive[t].copy()
         for i in range(spec.p):
             rhs += theta.phi[i] * lags[i]
         y = lu.solve(rhs)
@@ -178,9 +181,13 @@ def write_panel_csv(path, data: PanelData):
 def read_panel_csv(path, p, q):
     """Load a panel written by :func:`write_panel_csv`.
 
-    Raises ValueError naming the offending row on malformed input.
+    Raises ValueError naming the offending row on malformed input: a value
+    that does not parse or is not finite, an empty covariate field on a
+    sample row, a covariate value on a presample row, or a (t, s) pair that
+    an earlier row already gave.
     """
     rows = []
+    seen = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -194,10 +201,26 @@ def read_panel_csv(path, p, q):
                 raise ValueError(f"{path}: row {lineno} has {len(row)} fields, expected {3 + q}")
             try:
                 t, s, y = int(row[0]), int(row[1]), float(row[2])
-                xs = [float(v) if v.strip() else np.nan for v in row[3:]]
+                xs = [float(v) for v in row[3:] if v.strip()]
             except ValueError as exc:
                 raise ValueError(f"{path}: malformed value at row {lineno}") from exc
+            if not (math.isfinite(y) and all(map(math.isfinite, xs))):
+                raise ValueError(f"{path}: non-finite value at row {lineno}")
+            if t >= 1 and len(xs) != q:
+                raise ValueError(f"{path}: empty covariate field at row {lineno}")
+            if t < 1 and xs:
+                raise ValueError(
+                    f"{path}: covariate value on presample row {lineno} (t={t}); "
+                    "presample rows carry y only"
+                )
+            first = seen.setdefault((t, s), lineno)
+            if first != lineno:
+                raise ValueError(
+                    f"{path}: row {lineno} repeats (t, s) = ({t}, {s}) of row {first}"
+                )
             rows.append((t, s, y, xs))
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
 
     ts = sorted({r[0] for r in rows})
     ss = sorted({r[1] for r in rows})
@@ -212,11 +235,12 @@ def read_panel_csv(path, p, q):
     T = t_max
 
     Y = np.full((p + T, n), np.nan)
-    X = np.full((T, n, q), np.nan)
+    X = np.empty((T, n, q))
     for t, s, y, xs in rows:
         Y[t + p - 1, s] = y
         if t >= 1:
             X[t - 1, s, :] = xs
-    if np.isnan(Y).any() or np.isnan(X).any():
+    # every row is finite and (t, s) pairs are unique, so a NaN is a missing cell
+    if np.isnan(Y).any():
         raise ValueError(f"{path}: missing (t, s) cells in the panel")
     return PanelData(Y=Y, X=X, p=p)

@@ -70,6 +70,8 @@ class WeightMatrix:
         Real spectrum of W, sorted descending.
     tau_max : float
         max_i |tau_i|; the admissible phi0 interval is (-1/tau_max, 1/tau_max).
+    s0, s1, s2 : float
+        The weight sums S0, S1 and S2 of Moran's I (see ``diagnostics``).
     """
 
     def __init__(self, adjacency, lattice_dims=None, standardize=True):
@@ -123,6 +125,10 @@ class WeightMatrix:
         self.standardized = bool(standardize)
         self.tau_max = float(np.max(np.abs(eigenvalues)))
         self.s0 = float(W.sum())
+        sym = W + W.T
+        self.s1 = 0.5 * float(sym.multiply(sym).sum())
+        self.s2 = float(np.sum((np.asarray(W.sum(axis=1)).ravel()
+                                + np.asarray(W.sum(axis=0)).ravel()) ** 2))
 
     def __repr__(self):
         dims = f", lattice={self.lattice_dims}" if self.lattice_dims else ""

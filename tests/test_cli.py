@@ -112,6 +112,43 @@ class TestFitCommand:
         assert code == 2
         assert "row 6" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fault, expected", [
+        ("duplicate", "row 326 repeats (t, s) = (1, 3) of row 41"),
+        ("nan", "non-finite value at row 41"),
+        ("inf", "non-finite value at row 41"),
+        ("presample", "covariate value on presample row 4"),
+    ])
+    def test_bad_csv_row_exit_2(self, sim_dir, capsys, fault, expected):
+        # 6x6 lattice, p = 1, T = 8: rows 2-37 are presample (t = 0), row 41
+        # is (t, s) = (1, 3) and row 325 is the last
+        tmp, cfg, out = sim_dir
+        lines = (out / "panel.csv").read_text().splitlines()
+        t, s, y, x1, x2 = lines[40].split(",")
+        if fault == "duplicate":
+            lines.append(lines[40])
+        elif fault == "nan":
+            lines[40] = ",".join((t, s, "nan", x1, x2))
+        elif fault == "inf":
+            lines[40] = ",".join((t, s, y, "inf", x2))
+        else:
+            lines[3] += "0.5"
+        bad = tmp / f"bad_{fault}.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(["fit", "--config", cfg, "--panel", str(bad),
+                     "--out", str(tmp / f"fit_{fault}")])
+        assert code == 2
+        assert expected in capsys.readouterr().err
+
+    def test_panel_of_other_lattice_exit_2(self, sim_dir, capsys):
+        tmp, _, out = sim_dir
+        cfg_dict = json.loads(json.dumps(MODEL1_CONFIG))
+        cfg_dict["lattice"] = {"n1": 5, "n2": 5}
+        cfg = write_config(tmp, cfg_dict, "lattice5.json")
+        code = main(["fit", "--config", cfg, "--panel", str(out / "panel.csv"),
+                     "--out", str(tmp / "fit5")])
+        assert code == 2
+        assert "panel has n=36" in capsys.readouterr().err
+
     def test_unreachable_tolerance_exit_3_with_diagnostics(self, sim_dir, capsys):
         tmp, cfg, out = sim_dir
         cfg_dict = json.loads(json.dumps(MODEL1_CONFIG))
@@ -188,6 +225,22 @@ class TestReplicateCommand:
         ja = json.loads((a / "summary.json").read_text())
         jb = json.loads((b / "summary.json").read_text())
         assert ja["mean"] == jb["mean"] and ja["empirical_sd"] == jb["empirical_sd"]
+
+    def test_rank_deficient_design_rejected_per_replicate(self, tmp_path, capsys):
+        # two constant columns: every X_t has rank 1 < q, so each replicate's
+        # fit must refuse the data instead of fitting an unidentified model
+        cfg_dict = json.loads(json.dumps(MODEL1_CONFIG))
+        cfg_dict["covariates"] = [{"kind": "constant", "value": 1.0},
+                                  {"kind": "constant", "value": 2.0}]
+        cfg = write_config(tmp_path, cfg_dict)
+        out = tmp_path / "rep"
+        code = main(["replicate", "--config", cfg, "--out", str(out),
+                     "--seed", "5", "--replicates", "2"])
+        capsys.readouterr()
+        assert code == 3
+        records = json.loads((out / "summary.json").read_text())["records"]
+        assert [r["ok"] for r in records] == [False, False]
+        assert all("rank deficient at t=1" in r["error"] for r in records)
 
     def test_partial_failures_recorded(self, tmp_path, capsys, monkeypatch):
         import pstarann.cli as cli

@@ -72,6 +72,25 @@ class TestMoransI:
         out = pa.morans_i(w33, np.arange(9.0) ** 2)
         assert_allclose(out["variance"], var, atol=1e-14)
 
+    def test_weight_sums_cached_and_slices_unchanged(self, w44):
+        # S0, S1, S2 live on the weights; I and z per slice still follow the
+        # dense formulas
+        Wd = w44.W.toarray()
+        n = 16
+        s0 = Wd.sum()
+        s1 = 0.5 * ((Wd + Wd.T) ** 2).sum()
+        s2 = ((Wd.sum(axis=1) + Wd.sum(axis=0)) ** 2).sum()
+        assert_allclose([w44.s0, w44.s1, w44.s2], [s0, s1, s2], rtol=1e-14)
+        ei = -1.0 / (n - 1)
+        var = (n * n * s1 - n * s2 + 3 * s0 * s0) / ((n * n - 1) * s0 * s0) - ei * ei
+        E = np.random.default_rng(31).standard_normal((5, n))
+        for v in E:
+            e = v - v.mean()
+            I = (n / s0) * (e @ Wd @ e) / (e @ e)
+            out = pa.morans_i(w44, v)
+            assert_allclose(out["I"], I, rtol=1e-13)
+            assert_allclose(out["z"], (I - ei) / np.sqrt(var), rtol=1e-13)
+
     def test_wrong_length(self, w22):
         with pytest.raises(ValueError, match="length"):
             pa.morans_i(w22, np.ones(5))

@@ -338,3 +338,35 @@ class TestInitialPoints:
         start = pa.initial_points(spec, data, n_starts=1, seed=0)[0]
         assert abs(start.phi0 - 0.5) < 0.1
         assert np.max(np.abs(start.beta - theta0.beta)) < 0.15
+
+    @pytest.mark.parametrize("p, q, h, linear", [(2, 3, 2, True), (1, 2, 1, False),
+                                                 (0, 1, 1, False)])
+    def test_profile_start_matches_per_point_least_squares(self, w1010, p, q, h, linear):
+        # reference: one least-squares fit of y - phi0 W Y_t on the lags and
+        # X per grid point, keeping the best Gaussian profile likelihood
+        spec = pa.ModelSpec(W=w1010, p=p, q=q, h=h, density=pa.normal(),
+                            linear_term=linear)
+        rng = np.random.default_rng(37)
+        data = random_panel(spec, 6, rng)
+        T = data.T
+        wy = spec.W.W.dot(data.Y.T).T
+        y = data.Y_sample.ravel()
+        L0 = wy[p:].ravel()
+        cols = [wy[p - i: p - i + T].ravel() for i in range(1, p + 1)]
+        if linear:
+            cols += [data.X[:, :, j].ravel() for j in range(q)]
+        Z = np.column_stack(cols) if cols else np.zeros((y.size, 0))
+        best = None
+        for phi0 in np.linspace(-0.9, 0.9, 37) / spec.W.tau_max:
+            target = y - phi0 * L0
+            coef = np.linalg.lstsq(Z, target, rcond=None)[0]
+            r = target - Z @ coef
+            ll = T * spec.W.log_det_a0(phi0) - 0.5 * float(r @ r)
+            if best is None or ll > best[0]:
+                best = (ll, phi0, coef)
+        _, phi0, coef = best
+
+        start = pa.initial_points(spec, data, n_starts=3, seed=2)[0]
+        expected = np.concatenate(([phi0], coef))
+        got = np.concatenate(([start.phi0], start.phi, start.beta))
+        assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))

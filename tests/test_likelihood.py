@@ -260,6 +260,37 @@ class TestDerivativeMatrix:
         assert not np.array_equal(ws.gradient(tb), g)
 
 
+class TestResiduals:
+    @pytest.mark.parametrize("h, linear", [(0, True), (2, True), (1, False)])
+    def test_residuals_read_off_derivative_matrix(self, w33, h, linear):
+        # eps = y + D_lin' theta_lin - F' lambda against a formula-level loop;
+        # every theta after the first is evaluated while D holds the network
+        # rows that the gradient wrote at the previous one
+        rng = np.random.default_rng(83)
+        spec = pa.ModelSpec(W=w33, p=2, q=3, h=h, density=pa.scaled_t(8),
+                            linear_term=linear)
+        data = random_panel(spec, 4, rng)
+        Wd = spec.W.W.toarray()
+        ws = pa.LikelihoodWorkspace(spec, data)
+        for theta in (random_causal_theta(spec, rng) for _ in range(3)):
+            expected = np.empty((data.T, data.n))
+            for t in range(data.T):
+                e = data.Y[spec.p + t].copy()
+                for i in range(spec.p + 1):
+                    phi = theta.phi0 if i == 0 else theta.phi[i - 1]
+                    e -= phi * (Wd @ data.Y[spec.p + t - i])
+                X_t = data.X[t]
+                if linear:
+                    e -= X_t @ theta.beta
+                for i in range(h):
+                    e -= theta.lam[i] / (1.0 + np.exp(-X_t @ theta.gamma[i]))
+                expected[t] = e
+            assert_allclose(ws.residuals(theta), expected, rtol=0, atol=1e-13)
+            ws.gradient(theta)
+            np.testing.assert_array_equal(pa.residual_matrix(spec, theta, data),
+                                          ws.residuals(theta))
+
+
 class TestActivationCount:
     def test_one_sigmoid_call_per_evaluation(self, w33, monkeypatch):
         import pstarann.model

@@ -46,6 +46,19 @@ class TestNNComponent:
         expected = 2.0 * pa.sigmoid(0.7) - 1.0 * pa.sigmoid(0.4)
         assert_allclose(pa.nn_component(X, lam, gamma), expected, atol=1e-12)
 
+    def test_stacked_slices_match_per_slice(self):
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((4, 5, 3))
+        lam, gamma = [1.2, -0.4], rng.standard_normal((2, 3))
+        out = pa.nn_component(X, lam, gamma)
+        assert out.shape == (4, 5)
+        for t in range(4):
+            np.testing.assert_array_equal(out[t], pa.nn_component(X[t], lam, gamma))
+
+    def test_no_neurons_give_zeros_of_slice_shape(self):
+        out = pa.nn_component(np.ones((4, 5, 3)), [], np.zeros((0, 3)))
+        assert out.shape == (4, 5) and not out.any()
+
 
 class TestResiduals:
     def test_zero_theta_returns_y(self, w33):
@@ -337,6 +350,15 @@ class TestPanelData:
         X[:, :, 1] = 2.0  # collinear with column 0
         data = pa.PanelData(Y=np.zeros((1, 4)), X=X, p=0)
         with pytest.raises(ValueError, match="rank"):
+            data.check_against(spec)
+
+    def test_first_rank_deficient_slice_named(self, w22):
+        spec = pa.ModelSpec(W=w22, p=0, q=2, h=1, density=pa.normal())
+        X = np.random.default_rng(4).standard_normal((5, 4, 2))
+        for t in (2, 4):  # slices t = 3 and t = 5 lose a column
+            X[t, :, 1] = 3.0 * X[t, :, 0]
+        data = pa.PanelData(Y=np.zeros((5, 4)), X=X, p=0)
+        with pytest.raises(ValueError, match="rank deficient at t=3$"):
             data.check_against(spec)
 
     def test_model_spec_dim_formula(self, w22):

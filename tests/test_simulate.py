@@ -194,3 +194,68 @@ class TestPanelCSV:
         path.write_text("t,s,y,x1\n1,0,1.0\n")
         with pytest.raises(ValueError, match="fields"):
             pa.read_panel_csv(path, p=0, q=1)
+
+    # presample row t=0 for s=0,1, then sample rows t=1 (header is row 1)
+    GOOD_ROWS = ["0,0,0.5,", "0,1,-0.5,", "1,0,1.0,0.3", "1,1,2.0,-0.2"]
+
+    def _write(self, tmp_path, rows):
+        path = tmp_path / "panel.csv"
+        path.write_text("t,s,y,x1\n" + "\n".join(rows) + "\n")
+        return path
+
+    def test_duplicate_cell_named(self, tmp_path):
+        rows = self.GOOD_ROWS + ["1,0,9.0,0.1"]
+        with pytest.raises(ValueError, match=r"row 6 repeats \(t, s\) = \(1, 0\) of row 4"):
+            pa.read_panel_csv(self._write(tmp_path, rows), p=1, q=1)
+
+    @pytest.mark.parametrize("k, row", [(3, "1,1,nan,-0.2"), (3, "1,1,inf,-0.2"),
+                                        (3, "1,1,-inf,-0.2"), (2, "1,0,1.0,nan"),
+                                        (2, "1,0,1.0,inf")])
+    def test_nonfinite_value_named(self, tmp_path, k, row):
+        rows = list(self.GOOD_ROWS)
+        rows[k] = row
+        with pytest.raises(ValueError, match=f"non-finite value at row {k + 2}"):
+            pa.read_panel_csv(self._write(tmp_path, rows), p=1, q=1)
+
+    def test_presample_covariate_named(self, tmp_path):
+        rows = list(self.GOOD_ROWS)
+        rows[1] = "0,1,-0.5,0.7"
+        with pytest.raises(ValueError, match="covariate value on presample row 3"):
+            pa.read_panel_csv(self._write(tmp_path, rows), p=1, q=1)
+
+    def test_empty_sample_covariate_named(self, tmp_path):
+        rows = list(self.GOOD_ROWS)
+        rows[3] = "1,1,2.0, "
+        with pytest.raises(ValueError, match="empty covariate field at row 5"):
+            pa.read_panel_csv(self._write(tmp_path, rows), p=1, q=1)
+
+    def test_header_only_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="no data rows"):
+            pa.read_panel_csv(self._write(tmp_path, []), p=1, q=1)
+
+
+class TestExogenousDrive:
+    def test_matches_per_step_recursion(self, w33):
+        # the drive eps + X beta + F(X gamma') lambda is built for all steps
+        # at once; the panel must equal a loop that forms it step by step
+        spec = pa.ModelSpec(W=w33, p=2, q=3, h=2, density=pa.scaled_t(8))
+        theta = pa.ParameterVector(0.3, [0.2, -0.1], [0.5, -0.3, 0.2], [1.2, 0.4],
+                                   [[0.7, -0.3, 0.2], [0.4, 0.5, -0.6]])
+        steps, burn_in = 40, 25
+        rng = np.random.default_rng(17)
+        X = 1.5 * rng.standard_normal((steps, spec.n, spec.q))
+        eps = rng.standard_normal((steps, spec.n))
+        data = pa.simulate(spec, theta, X=X, errors=eps, burn_in=burn_in)
+
+        lu = spec.W.a0_factor(theta.phi0)
+        lags = [np.zeros(spec.n) for _ in range(spec.p)]
+        Y = np.empty((steps, spec.n))
+        for t in range(steps):
+            rhs = eps[t].copy()
+            rhs += X[t] @ theta.beta
+            rhs += pa.nn_component(X[t], theta.lam, theta.gamma)
+            for i in range(spec.p):
+                rhs += theta.phi[i] * lags[i]
+            Y[t] = lu.solve(rhs)
+            lags = [spec.W.W.dot(Y[t])] + lags[:-1]
+        assert np.array_equal(data.Y, Y[burn_in:])
