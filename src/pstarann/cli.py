@@ -261,6 +261,9 @@ def cmd_replicate(args):
     payloads = [(spec, theta, T, burn_in, columns, X_fixed, args.seed, r, opts)
                 for r in range(R)]
     if args.threads > 1:
+        # each payload reaches its worker as a fresh copy of spec; build W's
+        # spectrum here so that the copies carry it instead of rebuilding it
+        spec.W.eigenvalues
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
             records = list(pool.map(_replicate_one, payloads))
     else:

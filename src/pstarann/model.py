@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import expit
 
 from .densities import ErrorDensity
 from .weights import WeightMatrix
@@ -50,8 +49,19 @@ __all__ = [
 
 
 def sigmoid(z):
-    """Logistic function F(z) = 1 / (1 + exp(-z)), overflow-free for any z."""
-    out = expit(np.asarray(z, dtype=float))
+    """Logistic function F(z) = 1 / (1 + exp(-z)), for any z.
+
+    The same formula as ``scipy.special.expit``, computed in place on one
+    array. In the tails, |z| > 708, exp(-z) and F overflow or underflow to
+    the same inf, 0, 1 or subnormal values as in expit; that is expected
+    and not reported.
+    """
+    z = np.asarray(z, dtype=float)
+    out = np.negative(z, out=np.empty(z.shape))
+    with np.errstate(over="ignore", under="ignore"):
+        np.exp(out, out=out)
+        out += 1.0
+        np.divide(1.0, out, out=out)
     return out if out.ndim else float(out)
 
 
@@ -300,6 +310,10 @@ def nn_component(X, lam, gamma):
     return sigmoid(X @ gamma.T) @ lam
 
 
+# check_causal rejects a leading coefficient 1 - phi0 tau below this in modulus.
+LEAD_TOL = 1e-14
+
+
 class CausalityCheck(NamedTuple):
     causal: bool
     max_root_modulus: float
@@ -315,22 +329,50 @@ def check_causal(spec: ModelSpec, theta: ParameterVector, margin=1e-6):
 
     so the process is causal iff every root of every factor has modulus at
     most 1 - margin. The roots of the factor at tau are the eigenvalues of
-    its p x p companion matrix, whose first row is
-    phi_i tau / (1 - phi0 tau), i = 1..p, with ones on the subdiagonal; all
-    n companion matrices are stacked and solved in one batched ``eigvals``
-    call. p = 0 is trivially causal.
+    its p x p companion matrix, whose first row is g phi_i, i = 1..p, with
+    g = tau / (1 - phi0 tau) and ones on the subdiagonal; the companion
+    matrices are stacked and solved in one batched ``eigvals`` call. p = 0
+    is trivially causal.
+
+    For p <= 2 only the extreme eigenvalues tau_min and tau_max of W are
+    checked, with the same result as checking all of them. W has a zero
+    diagonal, so tau_min < 0 < tau_max and 1 - phi0 tau is positive at one
+    end of [tau_min, tau_max]. Where it is positive at both, it is positive
+    on the whole interval, g is increasing in tau there
+    (dg/dtau = 1 / (1 - phi0 tau)^2), and g ranges between its values at
+    the two ends. The roots of z^p - g (phi_1 z^{p-1} + ... + phi_p) all
+    have modulus below rho iff the Jury conditions hold, and for p <= 2
+    these are affine in g:
+
+        p = 1:  |g phi_1| < rho,
+        p = 2:  |g phi_2| < rho^2  and  |g phi_1| rho < rho^2 - g phi_2.
+
+    With g = s r for a fixed sign s and r >= 0, each condition reads
+    r c < rho^2 for a constant c, so the r that satisfy them form an
+    interval [0, r*). The largest root modulus therefore does not decrease
+    as |g| grows, for either sign of g, and over the spectrum it peaks at
+    tau_min or tau_max. Both ends are eigenvalues, so the maximum is the
+    same ``max_root_modulus``. For p >= 3 the conditions are not affine in
+    g and the argument fails: with phi = (2.47, -2.93, 1.18) the largest
+    root modulus falls from 1.346 at g = 1.25 to 1.255 at g = 1.4. There,
+    and where 1 - phi0 tau reaches 0 in the interval, every eigenvalue is
+    checked.
     """
     theta.validate(spec)
-    if spec.p == 0:
+    p = spec.p
+    if p == 0:
         return CausalityCheck(True, 0.0)
-    tau = spec.W.eigenvalues
+    tau = np.array([spec.W.tau_max, spec.W.tau_min]) if p <= 2 else spec.W.eigenvalues
     lead = 1.0 - theta.phi0 * tau
-    vanishing = np.flatnonzero(np.abs(lead) < 1e-14)
+    if p <= 2 and lead.min() < LEAD_TOL:
+        # 1 - phi0 tau reaches 0 on [tau_min, tau_max], so g is not monotone there
+        tau = spec.W.eigenvalues
+        lead = 1.0 - theta.phi0 * tau
+    vanishing = np.flatnonzero(np.abs(lead) < LEAD_TOL)
     if vanishing.size:
         raise ValueError(
             f"leading coefficient vanishes at eigenvalue tau={tau[vanishing[0]]}"
         )
-    p = spec.p
     companion = np.zeros((tau.size, p, p))
     companion[:, 0, :] = np.outer(tau, theta.phi) / lead[:, None]
     companion[:, np.arange(1, p), np.arange(p - 1)] = 1.0

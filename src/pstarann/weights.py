@@ -16,9 +16,18 @@ and three quantities involving A0 recur in the likelihood:
 
 where tau_1 >= ... >= tau_n are the eigenvalues of W. Because W comes from
 a symmetric adjacency A with degree matrix D, W = D^{-1} A is similar to
-the symmetric matrix D^{-1/2} A D^{-1/2}, so its spectrum is real and can
-be computed once with a stable symmetric eigensolver (Ord's device). After
-that one decomposition, every log-determinant and trace is O(n).
+the symmetric matrix S = D^{-1/2} A D^{-1/2}, so its spectrum is real and
+can be computed once with a stable symmetric eigensolver (Ord's device).
+After that one decomposition, every log-determinant and trace is O(n).
+
+The decomposition is dense, O(n^3) time and n^2 memory, so it is built
+lazily: on the first log-determinant or trace, which only a likelihood
+needs, and then cached for the life of the WeightMatrix. Simulation and
+the causality check need only the ends of the spectrum. The largest
+eigenvalue of a row-standardized W is exactly 1 (Perron-Frobenius: W is
+nonnegative with unit row sums). The smallest, and the largest of a
+non-standardized W, come from a Lanczos iteration (ARPACK) on the sparse
+S, which costs milliseconds where the dense spectrum costs seconds.
 
 A0 is strictly diagonally dominant, hence invertible, whenever
 |phi0| < 1 / max_i |tau_i| (= 1 for a row-standardized connected graph).
@@ -29,8 +38,10 @@ never materialized.
 from __future__ import annotations
 
 import csv
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -43,10 +54,16 @@ __all__ = [
 
 # Row sums of a standardized matrix must hit 1 to this tolerance.
 ROW_SUM_TOL = 1e-12
+# A row-standardized spectrum may exceed 1 in modulus by this much.
+SPECTRUM_TOL = 1e-10
 
 
 class WeightMatrix:
-    """Immutable row-standardized spatial weight matrix with cached spectrum.
+    """Immutable row-standardized spatial weight matrix with a lazy spectrum.
+
+    The full spectrum is built on first use (the first log-determinant or
+    trace) and cached; ``tau_max`` and ``tau_min`` do not need it (see the
+    module docstring).
 
     Parameters
     ----------
@@ -67,9 +84,16 @@ class WeightMatrix:
     W : scipy.sparse.csr_matrix
         The (standardized) weight matrix.
     eigenvalues : ndarray
-        Real spectrum of W, sorted descending.
+        Real spectrum of W, sorted descending and read-only. Built on first
+        access by a dense symmetric eigensolve, then cached.
     tau_max : float
-        max_i |tau_i|; the admissible phi0 interval is (-1/tau_max, 1/tau_max).
+        max_i |tau_i|, which is the largest eigenvalue (Perron-Frobenius):
+        exactly 1 when row-standardized, else from Lanczos. The admissible
+        phi0 interval is (-1/tau_max, 1/tau_max).
+    tau_min : float
+        The smallest eigenvalue, from Lanczos on first access, then cached.
+        ARPACK starts from a fixed vector, so it is the same in every
+        process; should ARPACK not converge, it is read off ``eigenvalues``.
     s0, s1, s2 : float
         The weight sums S0, S1 and S2 of Moran's I (see ``diagnostics``).
     """
@@ -101,11 +125,10 @@ class WeightMatrix:
             # tau(D^{-1} A) = tau(D^{-1/2} A D^{-1/2}); the right side is
             # symmetric, so the spectrum is real by construction.
             d = 1.0 / np.sqrt(degrees)
-            S = (A.multiply(d[:, None]).multiply(d[None, :])).toarray()
+            S = A.multiply(d[:, None]).multiply(d[None, :])
         else:
             W = A
-            S = A.toarray()
-        eigenvalues = np.linalg.eigvalsh(S)[::-1].copy()
+            S = A
 
         W = sp.csr_matrix(W)
         rowsums = np.asarray(W.sum(axis=1)).ravel()
@@ -114,21 +137,54 @@ class WeightMatrix:
                 raise ValueError("row standardization failed to reach tolerance")
             if W.data.min() < 0.0 or W.data.max() > 1.0:
                 raise ValueError("standardized weights must lie in [0, 1]")
-            if np.max(np.abs(eigenvalues)) > 1.0 + 1e-10:
-                raise ValueError("row-standardized spectrum exceeds 1 in modulus")
 
         self.n = n
         self.W = W
-        self.eigenvalues = eigenvalues
-        self.eigenvalues.setflags(write=False)
+        self._similarity = sp.csr_matrix(S)
         self.lattice_dims = tuple(lattice_dims) if lattice_dims else None
         self.standardized = bool(standardize)
-        self.tau_max = float(np.max(np.abs(eigenvalues)))
         self.s0 = float(W.sum())
         sym = W + W.T
         self.s1 = 0.5 * float(sym.multiply(sym).sum())
         self.s2 = float(np.sum((np.asarray(W.sum(axis=1)).ravel()
                                 + np.asarray(W.sum(axis=0)).ravel()) ** 2))
+
+    @cached_property
+    def eigenvalues(self):
+        # eigh on S.T, the Fortran-ordered view of the dense S, overwrites it
+        # in place where np.linalg.eigvalsh would copy it (n^2 doubles). The
+        # divide-and-conquer driver is the one eigvalsh uses.
+        tau = sla.eigh(self._similarity.toarray().T, eigvals_only=True, overwrite_a=True,
+                       check_finite=False, driver="evd")[::-1].copy()
+        if self.standardized and np.max(np.abs(tau)) > 1.0 + SPECTRUM_TOL:
+            raise ValueError("row-standardized spectrum exceeds 1 in modulus")
+        tau.setflags(write=False)
+        return tau
+
+    @cached_property
+    def tau_max(self):
+        return 1.0 if self.standardized else self._extreme_eigenvalue("LA")
+
+    @cached_property
+    def tau_min(self):
+        tau = self._extreme_eigenvalue("SA")
+        if self.standardized and tau < -1.0 - SPECTRUM_TOL:
+            raise ValueError("row-standardized spectrum exceeds 1 in modulus")
+        return tau
+
+    def _extreme_eigenvalue(self, which):
+        """The largest ("LA") or smallest ("SA") eigenvalue of W, by Lanczos.
+
+        ARPACK's own start vector depends on earlier calls in the process,
+        which moves the result in its last bits; a fixed one does not.
+        """
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, self.n)
+        try:
+            tau = spla.eigsh(self._similarity, k=1, which=which, tol=0, v0=v0,
+                             return_eigenvectors=False)[0]
+        except spla.ArpackNoConvergence:
+            tau = self.eigenvalues[0 if which == "LA" else -1]
+        return float(tau)
 
     def __repr__(self):
         dims = f", lattice={self.lattice_dims}" if self.lattice_dims else ""

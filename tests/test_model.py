@@ -1,8 +1,11 @@
 """Parameter vector, network component, residuals, causality, canonical form."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import expit
 
 import pstarann as pa
 from conftest import model1_spec, model1_theta, random_causal_theta, random_panel
@@ -38,6 +41,15 @@ class TestNNComponent:
         ref = np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.maximum(z, 0.0))), ez / (1.0 + ez))
         assert_allclose(pa.sigmoid(z), ref, rtol=0, atol=np.finfo(float).eps)
         assert pa.sigmoid(-800.0) == 0.0 and pa.sigmoid(800.0) == 1.0
+
+    def test_sigmoid_within_four_ulp_of_expit(self):
+        z = np.concatenate((np.linspace(-745.0, 745.0, 300001), [-np.inf, np.inf]))
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            F = pa.sigmoid(z)
+        ref = expit(z)
+        assert np.all(np.abs(F - ref) <= 4 * np.spacing(ref))
+        assert F[-2] == 0.0 and F[-1] == 1.0
 
     def test_two_neurons_sum(self):
         X = np.array([[1.0, 2.0]])
@@ -178,6 +190,53 @@ class TestCheckCausal:
         assert chk.causal == (worst <= 1.0 - 1e-6)
         if not any(phi):
             assert chk.max_root_modulus == 0.0
+
+    def test_p_le_2_extremes_match_oracle_on_random_draws(self, w44):
+        # check_causal reads only tau_min and tau_max when p <= 2
+        rng = np.random.default_rng(2024)
+        designs = [w44, pa.build_queen_lattice(2, 1), pa.build_queen_lattice(3, 4, standardize=False)]
+        seen = {"complex": 0, "explosive": 0, "phi0<0": 0, "phi0>0": 0}
+        for W in designs:
+            for p in (1, 2):
+                spec = pa.ModelSpec(W=W, p=p, q=0, h=0, density=pa.normal())
+                for _ in range(40):
+                    theta = pa.ParameterVector(rng.uniform(-0.95, 0.95) / W.tau_max,
+                                               rng.uniform(-1.6, 1.6, p), [], [], [])
+                    chk = pa.check_causal(spec, theta)
+                    worst = self.roots_oracle(W, theta)
+                    assert_allclose(chk.max_root_modulus, worst, rtol=1e-12, atol=1e-12)
+                    if abs(worst - (1.0 - 1e-6)) > 1e-9:
+                        assert chk.causal == (worst <= 1.0 - 1e-6)
+                    lead = 1.0 - theta.phi0 * W.tau_max
+                    seen["complex"] += p == 2 and (theta.phi[0] * W.tau_max / lead) ** 2 \
+                        + 4 * theta.phi[1] * W.tau_max / lead < 0
+                    seen["explosive"] += worst > 1.0
+                    seen["phi0<0" if theta.phi0 < 0 else "phi0>0"] += 1
+        assert sum(seen[k] for k in ("phi0<0", "phi0>0")) >= 200
+        assert min(seen.values()) >= 10, seen
+
+    def test_p3_counterexample_checks_every_eigenvalue(self, w1010):
+        # for phi = c (2.47, -2.93, 1.18) the largest root modulus falls as g
+        # grows from 1.25 to 1.4: with g(tau_max) = 1.4 the worst eigenvalue
+        # is an interior one (tau = 0.957 on the 10x10 lattice)
+        phi0 = 0.6
+        phi = 1.4 * (1.0 - phi0) * np.array([2.47, -2.93, 1.18])
+        spec = pa.ModelSpec(W=w1010, p=3, q=0, h=0, density=pa.normal())
+        theta = pa.ParameterVector(phi0, phi, [], [], [])
+        chk = pa.check_causal(spec, theta)
+        worst = self.roots_oracle(w1010, theta)
+        assert_allclose(chk.max_root_modulus, worst, rtol=1e-12)
+        ends = max(np.abs(np.roots(np.concatenate(([1.0 - phi0 * tau], -phi * tau)))).max()
+                   for tau in (w1010.tau_min, w1010.tau_max))
+        assert worst > ends + 0.05
+
+    def test_pole_inside_interval_checks_every_eigenvalue(self, w44):
+        # 1 - phi0 tau vanishes between tau_min and tau_max: the extremes do
+        # not bound g there, so the full spectrum decides, as the oracle does
+        spec = pa.ModelSpec(W=w44, p=1, q=0, h=0, density=pa.normal())
+        theta = pa.ParameterVector(1.0 / 0.5, [0.3], [], [], [])
+        chk = pa.check_causal(spec, theta)
+        assert_allclose(chk.max_root_modulus, self.roots_oracle(w44, theta), rtol=1e-12)
 
     def test_complex_roots_present(self, w44):
         # the p = 2 case above really exercises complex-conjugate pairs

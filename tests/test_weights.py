@@ -2,10 +2,42 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
+from scipy.spatial import Delaunay
 
 import pstarann as pa
+from conftest import MODEL1_COLUMNS, model1_spec, model1_theta
 from pstarann.weights import read_adjacency_csv
+
+
+def delaunay_weights(n, seed, standardize=True):
+    """Weights over the Delaunay triangulation of n seeded random points."""
+    tri = Delaunay(np.random.default_rng(seed).random((n, 2)))
+    s = tri.simplices
+    return pa.from_adjacency(np.concatenate([s[:, [0, 1]], s[:, [1, 2]], s[:, [2, 0]]]), n,
+                             standardize=standardize)
+
+
+def dense_similarity_spectrum(W):
+    """Ascending eigvalsh spectrum of D^{-1/2} A D^{-1/2}, rebuilt from W alone."""
+    M = W.W.toarray()
+    if not W.standardized:
+        return np.linalg.eigvalsh(M)
+    A = (M > 0).astype(float)  # the designs here are binary
+    d = 1.0 / np.sqrt(A.sum(axis=1))
+    return np.linalg.eigvalsh(d[:, None] * A * d[None, :])
+
+
+SPECTRUM_DESIGNS = {
+    "lattice2x1": lambda: pa.build_queen_lattice(2, 1),
+    "lattice3x3": lambda: pa.build_queen_lattice(3, 3),
+    "lattice20x20": lambda: pa.build_queen_lattice(20, 20),
+    "delaunay60": lambda: delaunay_weights(60, 4),
+    "lattice5x5-raw": lambda: pa.build_queen_lattice(5, 5, standardize=False),
+    "delaunay60-raw": lambda: delaunay_weights(60, 4, standardize=False),
+}
 
 
 class TestQueenLattice:
@@ -115,6 +147,90 @@ class TestEigenvalues:
     def test_matches_dense_eigensolve(self, w33):
         oracle = np.sort(np.linalg.eigvals(w33.W.toarray()).real)[::-1]
         assert_allclose(w33.eigenvalues, oracle, atol=1e-10)
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """A list that grows by one on every scipy.linalg.eigh call."""
+    calls = []
+    real = scipy.linalg.eigh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counting)
+    return calls
+
+
+class TestLazySpectrum:
+    @pytest.mark.parametrize("design", sorted(SPECTRUM_DESIGNS))
+    def test_extremes_match_dense_eigvalsh(self, design):
+        W = SPECTRUM_DESIGNS[design]()
+        oracle = dense_similarity_spectrum(W)
+        assert abs(W.tau_min - oracle[0]) <= 1e-12
+        assert abs(W.tau_max - np.max(np.abs(oracle))) <= 1e-12 * max(1.0, W.tau_max)
+        if W.standardized:
+            assert W.tau_max == 1.0  # Perron root of a row-stochastic matrix
+        assert "eigenvalues" not in W.__dict__  # the extremes need no spectrum
+
+    def test_tau_min_bit_identical_across_builds(self):
+        first = pa.build_queen_lattice(12, 9).tau_min
+        # ARPACK calls in between move its internal start-vector state
+        spla.eigsh(pa.build_queen_lattice(7, 7).W, k=2, which="LM")
+        second = pa.build_queen_lattice(12, 9).tau_min
+        assert first == second
+
+    def test_spectrum_built_on_first_use_sorted_read_only(self):
+        W = delaunay_weights(80, 2)
+        assert "eigenvalues" not in W.__dict__
+        tau = W.eigenvalues
+        assert W.eigenvalues is tau  # cached
+        assert np.all(np.diff(tau) <= 0.0)
+        assert not tau.flags.writeable
+        with pytest.raises(ValueError):
+            tau[0] = 0.5
+        assert_allclose(tau, dense_similarity_spectrum(W)[::-1], rtol=0, atol=1e-13)
+
+    def test_log_det_builds_the_spectrum_once(self, eigh_calls):
+        W = pa.build_queen_lattice(4, 3)
+        assert not eigh_calls
+        W.log_det_a0(0.3)
+        W.trace_w_a0inv(0.3, 2)
+        W.log_det_a0(-0.4)
+        assert len(eigh_calls) == 1
+
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_arpack_failure_reads_extremes_off_the_spectrum(self, monkeypatch, standardize):
+        def failing(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+        monkeypatch.setattr(spla, "eigsh", failing)
+        W = pa.build_queen_lattice(4, 5, standardize=standardize)
+        assert W.tau_min == W.eigenvalues[-1]
+        assert W.tau_max == (1.0 if standardize else W.eigenvalues[0])
+
+    def test_spectrum_beyond_unit_modulus_rejected(self, monkeypatch):
+        real = scipy.linalg.eigh
+        monkeypatch.setattr(scipy.linalg, "eigh",
+                            lambda *args, **kwargs: 1.5 * real(*args, **kwargs))
+        W = pa.build_queen_lattice(3, 3)
+        with pytest.raises(ValueError, match="exceeds 1 in modulus"):
+            W.log_det_a0(0.2)
+
+    def test_tau_min_below_minus_one_rejected(self, monkeypatch):
+        monkeypatch.setattr(spla, "eigsh", lambda *args, **kwargs: np.array([-1.5]))
+        W = pa.build_queen_lattice(3, 3)
+        with pytest.raises(ValueError, match="exceeds 1 in modulus"):
+            W.tau_min
+        assert pa.build_queen_lattice(3, 3, standardize=False).tau_min == -1.5
+
+    def test_simulate_needs_no_spectrum_fit_builds_it_once(self, eigh_calls):
+        spec = model1_spec(pa.build_queen_lattice(4, 4))
+        data = pa.simulate(spec, model1_theta(), seed=3, T=6, covariate_columns=MODEL1_COLUMNS)
+        assert "eigenvalues" not in spec.W.__dict__ and not eigh_calls
+        pa.fit(spec, data, n_starts=2, seed=1)
+        assert len(eigh_calls) == 1
 
 
 class TestLogDetA0:
