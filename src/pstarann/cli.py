@@ -115,11 +115,14 @@ def build_spec(cfg, W):
 
 
 def build_theta(cfg, spec):
-    theta = ParameterVector.from_json_dict(_require(cfg, "theta"))
+    theta = _require(cfg, "theta")
     try:
-        theta.validate(spec)
+        theta = ParameterVector.from_json_dict(theta).validate(spec)
     except ValueError as exc:
         raise ConfigError(f"theta: {exc}") from exc
+    bad = [f"{name} ({v})" for name, v in zip(param_names(spec), theta.x) if not np.isfinite(v)]
+    if bad:
+        raise ConfigError(f"theta: non-finite value for {', '.join(bad)}")
     return theta
 
 
@@ -226,7 +229,7 @@ def _replicate_one(payload):
             "replicate": r,
             "ok": True,
             "converged": res.converged,
-            "estimate": res.theta.to_array().tolist(),
+            "estimate": res.theta.x.tolist(),
             "loglik": res.loglik,
             "asymptotic_se": None if res.cov_note else res.std_errors.tolist(),
             "covariance_note": res.cov_note,
@@ -271,7 +274,7 @@ def cmd_replicate(args):
     records.sort(key=lambda d: d["replicate"])  # deterministic reduction order
 
     names = param_names(spec)
-    truth = theta.to_array()
+    truth = theta.x
     good = [d for d in records if d["ok"]]
     est = np.array([d["estimate"] for d in good]) if good else np.zeros((0, spec.dim))
     ses = np.array([d["asymptotic_se"] for d in good if d["asymptotic_se"] is not None])

@@ -128,7 +128,7 @@ class FitResult:
         A trailing * marks coefficients whose interval covers zero; the
         Std./C.I. columns are omitted when the covariance is unavailable.
         """
-        est = self.theta.to_array()
+        est = self.theta.x
         lines = []
         have_se = self.std_errors is not None
         if have_se:
@@ -168,13 +168,13 @@ class FitResult:
 
 def default_bounds(spec: ModelSpec):
     """Box constraints in canonical order, as an (dim, 2) array."""
-    phi0_cap = 0.995 / spec.W.tau_max
-    rows = [(-phi0_cap, phi0_cap)]
-    rows += [(-3.0, 3.0)] * spec.p
-    rows += [(-50.0, 50.0)] * spec.n_beta
-    rows += [(-50.0, 50.0)] * spec.h
-    rows += [(-25.0, 25.0)] * (spec.h * spec.q)
-    return np.array(rows)
+    lay, phi0_cap = spec.layout, 0.995 / spec.W.tau_max
+    bounds = np.empty((lay.dim, 2))
+    bounds[0] = (-phi0_cap, phi0_cap)
+    bounds[lay.phi] = (-3.0, 3.0)
+    bounds[lay.beta] = bounds[lay.lam] = (-50.0, 50.0)
+    bounds[lay.gamma] = (-25.0, 25.0)
+    return bounds
 
 
 def initial_points(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, ws=None):
@@ -193,11 +193,12 @@ def initial_points(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, ws=None
     ws = ws or LikelihoodWorkspace(spec, data)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(7,)))
     T = data.T
+    lay = spec.layout
 
     # the theta-free rows of the derivative matrix are -W Y_t, -W Y_{t-i}
     # and -X: the profile regressors
     L0 = -ws.D[0]
-    Z = -ws.D[1: 1 + spec.p + spec.n_beta].T
+    Z = -ws.D[1: lay.lam.start].T
     y = ws.y
     # y - phi0 L0 is linear in phi0, and so are its least-squares
     # coefficients and residuals: one solve for [y, L0] serves the grid
@@ -209,36 +210,25 @@ def initial_points(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, ws=None
         return T * spec.W.log_det_a0(phi0) - 0.5 * float(r @ r)
 
     phi0_hat = max(np.linspace(-0.9, 0.9, 37) * (1.0 / spec.W.tau_max), key=profile_loglik)
-    coef = coef_y - phi0_hat * coef_l
 
-    base = ParameterVector(
-        phi0=phi0_hat,
-        phi=coef[: spec.p],
-        beta=coef[spec.p:] if spec.n_beta else np.zeros(0),
-        lam=0.5 / np.arange(1, spec.h + 1) if spec.h else np.zeros(0),
-        gamma=np.zeros((spec.h, spec.q)),
-    )
-    if spec.h:
+    def draw_gamma():  # draws nothing when h = 0
         g = rng.standard_normal((spec.h, spec.q))
-        g[:, 0] = np.abs(g[:, 0])
-        base.gamma = g
+        g[:, :1] = np.abs(g[:, :1])
+        return g
 
-    bounds = default_bounds(spec)
-    starts = [_clip_start(base, bounds, spec)]
+    base = ParameterVector.from_array(np.zeros(lay.dim), spec)
+    base.x[: lay.lam.start] = np.append(phi0_hat, coef_y - phi0_hat * coef_l)  # (phi0, phi, beta)
+    base.lam = 0.5 / np.arange(1, spec.h + 1)
+    base.gamma = draw_gamma()
+    starts = [base]
     for _ in range(n_starts - 1):
-        x = base.to_array() * (1.0 + 0.3 * rng.standard_normal(spec.dim))
-        cand = ParameterVector.from_array(x, spec)
-        if spec.h:
-            g = rng.standard_normal((spec.h, spec.q))
-            g[:, 0] = np.abs(g[:, 0])
-            cand.gamma = g
-        starts.append(_clip_start(cand, bounds, spec))
+        cand = ParameterVector.from_array(base.x * (1.0 + 0.3 * rng.standard_normal(lay.dim)), spec)
+        cand.gamma = draw_gamma()
+        starts.append(cand)
+    bounds = default_bounds(spec)
+    for theta in starts:
+        np.clip(theta.x, bounds[:, 0] + 1e-6, bounds[:, 1] - 1e-6, out=theta.x)
     return starts
-
-
-def _clip_start(theta, bounds, spec):
-    x = np.clip(theta.to_array(), bounds[:, 0] + 1e-6, bounds[:, 1] - 1e-6)
-    return ParameterVector.from_array(x, spec)
 
 
 def _projected_gradient(x, g, lb, ub, tol=1e-10):
@@ -248,7 +238,7 @@ def _projected_gradient(x, g, lb, ub, tol=1e-10):
     return pg
 
 
-def _newton_polish(ws, spec, x, lb, ub, tol, max_steps=25):
+def _newton_polish(ws, theta, lb, ub, tol, max_steps=25):
     """Sharpen an L-BFGS-B optimum with damped Newton steps.
 
     Quasi-Newton line searches stall once improvements fall below the
@@ -260,11 +250,10 @@ def _newton_polish(ws, spec, x, lb, ub, tol, max_steps=25):
     accepted unless it lowers the log-likelihood by more than four ulps:
     rounding alone must not reject the step that zeroes the gradient.
     """
-    theta = ParameterVector.from_array(x, spec)
     ll = ws.log_likelihood(theta)
     for _ in range(max_steps):
         g = ws.gradient(theta)
-        pg = _projected_gradient(x, -g, lb, ub)
+        pg = _projected_gradient(theta.x, -g, lb, ub)
         if np.max(np.abs(pg)) <= 0.1 * tol * (1.0 + abs(ll)):
             break
         try:
@@ -276,16 +265,15 @@ def _newton_polish(ws, spec, x, lb, ub, tol, max_steps=25):
             break
         improved = False
         for alpha in (1.0, 0.5, 0.25, 0.1, 0.01):
-            x_new = np.clip(x + alpha * step, lb, ub)
-            theta_new = ParameterVector.from_array(x_new, spec)
-            ll_new = ws.log_likelihood(theta_new)
+            cand = ParameterVector.from_array(np.clip(theta.x + alpha * step, lb, ub), ws.spec)
+            ll_new = ws.log_likelihood(cand)
             if np.isfinite(ll_new) and ll_new >= ll - 4.0 * np.spacing(abs(ll)):
-                improved = ll_new > ll or not np.array_equal(x_new, x)
-                x, theta, ll = x_new, theta_new, ll_new
+                improved = ll_new > ll or not np.array_equal(cand.x, theta.x)
+                theta, ll = cand, ll_new
                 break
         if not improved:
             break
-    return x
+    return theta
 
 
 def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
@@ -307,8 +295,7 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
     lb, ub = bounds[:, 0], bounds[:, 1]
 
     def objective(x):
-        theta = ParameterVector.from_array(x, spec)
-        ll, g = ws.loglik_and_gradient(theta)
+        ll, g = ws.loglik_and_gradient(ParameterVector.from_array(x, spec))
         if not np.isfinite(ll):
             return _PENALTY, np.zeros(spec.dim)
         return -ll, -g
@@ -317,14 +304,13 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
         starts = initial_points(spec, data, n_starts, seed, ws=ws)
     else:
         starts = [s if isinstance(s, ParameterVector)
-                  else ParameterVector.from_array(np.asarray(s, dtype=float), spec)
-                  for s in starts]
+                  else ParameterVector.from_array(s, spec) for s in starts]
         n_starts = len(starts)
     candidates = []
     for idx, theta0 in enumerate(starts):
         res = optimize.minimize(
             objective,
-            theta0.to_array(),
+            theta0.x,
             jac=True,
             method="L-BFGS-B",
             bounds=list(map(tuple, bounds)),
@@ -343,13 +329,12 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
     start_logliks = [-float(r.fun) for _, r in candidates]
     _, best = min(candidates, key=lambda c: (c[1].fun, c[0]))
 
-    x_hat = best.x
+    theta_raw = ParameterVector.from_array(best.x, spec)
     if spec.density.differentiable:
-        x_hat = _newton_polish(ws, spec, x_hat, lb, ub, tol)
-    theta_raw = ParameterVector.from_array(x_hat, spec)
+        theta_raw = _newton_polish(ws, theta_raw, lb, ub, tol)
     ll_hat = ws.log_likelihood(theta_raw)
     g_hat = ws.gradient(theta_raw)
-    pg = _projected_gradient(x_hat, -g_hat, lb, ub)
+    pg = _projected_gradient(theta_raw.x, -g_hat, lb, ub)
     grad_norm = float(np.max(np.abs(pg))) if pg.size else 0.0
     if spec.density.differentiable:
         converged = grad_norm <= tol * (1.0 + abs(ll_hat))
@@ -374,7 +359,7 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
                 f"canonicalization changed the log-likelihood by {ll_canon - ll_hat:.3e}"
             )
 
-    boundary = bool(abs(x_hat[0] - lb[0]) < 1e-8 or abs(x_hat[0] - ub[0]) < 1e-8)
+    boundary = bool(abs(theta_raw.phi0 - lb[0]) < 1e-8 or abs(theta_raw.phi0 - ub[0]) < 1e-8)
     if boundary:
         warnings.warn("phi0 pinned at its search bound", RuntimeWarning, stacklevel=2)
 
@@ -439,8 +424,7 @@ def sandwich_covariance(spec: ModelSpec, theta_hat: ParameterVector, data: Panel
         warnings.warn("sandwich covariance is not positive definite", RuntimeWarning,
                       stacklevel=2)
     se = np.sqrt(np.diag(omega) / nT)
-    est = theta_hat.to_array()
-    ci95 = np.column_stack((est - 1.96 * se, est + 1.96 * se))
+    ci95 = np.column_stack((theta_hat.x - 1.96 * se, theta_hat.x + 1.96 * se))
     return {"omega": omega, "A": A, "B": B, "se": se, "ci95": ci95}
 
 

@@ -28,9 +28,10 @@ come from the cached eigenvalues of W, so evaluations cost O(nT) after the
 one-time spectral decomposition.
 
 The workspace holds the residual derivatives as one (dim, nT) matrix D in
-the canonical parameter order, with column s + n(t-1) for observation
-(s, t). The rows for phi0..phi_p (-W Y_{t-i}) and beta (-X) do not depend
-on theta and are written once, when the workspace is built. Given gamma
+the canonical parameter order (``model.Layout``), with column s + n(t-1)
+for observation (s, t). The rows for phi0..phi_p (-W Y_{t-i}) and beta
+(-X) do not depend on theta and are written once, when the workspace is
+built. Given gamma
 the residuals are affine in the other parameters, and those fixed rows are
 their coefficients:
 
@@ -87,16 +88,17 @@ class LikelihoodWorkspace:
     The flattened sample slices ``y``, the covariates as a contiguous
     (q, nT) array ``X`` and the theta-free rows of the derivative matrix
     ``D`` depend only on the data and are computed once. Per-theta
-    intermediates (activations, residuals, score ratio) are cached under a
-    version stamp of the parameter array so that a likelihood call followed
-    by a gradient or Hessian call at the same theta does no redundant work.
+    intermediates (activations, residuals, score ratio) are cached under
+    the bytes of the flat parameter array ``theta.x``, so that a likelihood
+    call followed by a gradient or Hessian call at the same theta does no
+    redundant work.
 
-    ``D`` is the (dim, nT) matrix of d eps / d theta. Rows 0..p (-W Y_{t-i})
-    and the beta rows (-X) are fixed, and the residuals are read off them.
-    The lambda and gamma rows are written lazily, by the first derivative
-    request at a theta, and hold that theta until a derivative is requested
-    at another. The public methods return fresh arrays, never views of
-    ``D``.
+    ``D`` is the (dim, nT) matrix of d eps / d theta, rows as in ``layout``.
+    Rows 0..p (-W Y_{t-i}) and the beta rows (-X) are fixed, and the
+    residuals are read off them. The lambda and gamma rows are written
+    lazily, by the first derivative request at a theta, and hold that theta
+    until a derivative is requested at another. The public methods return
+    fresh arrays, never views of ``D``.
 
     The data are checked against the spec once, here.
     """
@@ -109,11 +111,11 @@ class LikelihoodWorkspace:
         p, T, nT = spec.p, data.T, data.n * data.T
         self.y = data.Y_sample.ravel()
         self.X = np.ascontiguousarray(data.X.reshape(nT, spec.q).T)  # (q, nT)
-        self.D = np.empty((spec.dim, nT))
+        self.layout = lay = spec.layout
+        self.D = np.empty((lay.dim, nT))
         for i in range(p + 1):
             self.D[i] = -wy[p - i: p - i + T].ravel()
-        self._lam_off = 1 + p + spec.n_beta
-        self.D[1 + p: self._lam_off] = -self.X[: spec.n_beta]
+        self.D[lay.beta] = -self.X[: spec.n_beta]
         self.n_domain_rejections = 0
         self._key = None
         self._c = None
@@ -130,11 +132,11 @@ class LikelihoodWorkspace:
         the (h, nT) layout of the network rows of D, and the residuals are
         y + D_lin' theta_lin - F' lambda. Callers check theta first.
         """
-        x = theta.to_array()
+        x = theta.x
         key = x.tobytes()
         if key == self._key:
             return self._c
-        j = self._lam_off
+        j = self.layout.lam.start  # theta_lin = x[:j]
         E = self.y + x[:j] @ self.D[:j]
         if self.spec.h:
             # looked up on the module at call time, so a wrapper installed
@@ -162,9 +164,9 @@ class LikelihoodWorkspace:
         if spec.h and "Fp" not in c:
             F = c["F"]
             c["Fp"] = Fp = F * (1.0 - F)
-            j, h, q = self._lam_off, spec.h, spec.q
-            self.D[j: j + h] = -F
-            gam = self.D[j + h:].reshape(h, q, -1)
+            lay = self.layout
+            self.D[lay.lam] = -F
+            gam = self.D[lay.gamma].reshape(lay.h, lay.q, -1)
             np.multiply((-theta.lam[:, None] * Fp)[:, None, :], self.X, out=gam)
         return c, self.D
 
@@ -212,16 +214,15 @@ class LikelihoodWorkspace:
         H[0, 0] -= self.data.T * spec.W.trace_w_a0inv(theta.phi0, 2)
         if spec.h:
             V, X, F, Fp = c["V"], self.X, c["F"], c["Fp"]
-            lam_off, q = self._lam_off, spec.q
-            gam_off = lam_off + spec.h
+            l0, g0, q = self.layout.lam.start, self.layout.gamma.start, spec.q
             # d2 eps / d lambda_i d gamma_i = -F'_i x
             cross = -((Fp * V) @ X.T)  # (h, q)
             # d2 eps / d gamma_i d gamma_i' = -lambda_i F''_i x x'
             wpp = Fp * (1.0 - 2.0 * F) * V
             for i in range(spec.h):
-                gi = slice(gam_off + i * q, gam_off + (i + 1) * q)
-                H[lam_off + i, gi] += cross[i]
-                H[gi, lam_off + i] += cross[i]
+                gi = slice(g0 + i * q, g0 + (i + 1) * q)
+                H[l0 + i, gi] += cross[i]
+                H[gi, l0 + i] += cross[i]
                 H[gi, gi] -= theta.lam[i] * ((X * wpp[i]) @ X.T)
         asym = np.max(np.abs(H - H.T)) if H.size else 0.0
         if asym > 1e-9 * max(1.0, np.max(np.abs(H))):

@@ -13,7 +13,8 @@ layout used everywhere (gradients, Hessians, optimizer vectors) is
              gamma_11..gamma_1q, ..., gamma_h1..gamma_hq).
 
 phi0 is kept separate from the other autoregressive entries because its
-score carries the extra log-determinant trace term.
+score carries the extra log-determinant trace term. ``Layout`` places the
+blocks; ``ParameterVector`` is the flat array theta with named views.
 
 Identification conventions: lambda_1 >= ... >= lambda_h and gamma_i1 > 0
 for every neuron. The sigmoid symmetry F(x) = 1 - F(-x) makes
@@ -27,6 +28,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -65,6 +67,22 @@ def sigmoid(z):
     return out if out.ndim else float(out)
 
 
+class Layout(NamedTuple):
+    """Block sizes of theta = (phi0, phi, beta, lambda, gamma), in that order in
+    one flat array, gamma (h, q) row-major: the one definition of the layout."""
+
+    p: int
+    n_beta: int
+    h: int
+    q: int
+
+    phi = property(lambda s: slice(1, 1 + s.p))
+    beta = property(lambda s: slice(1 + s.p, 1 + s.p + s.n_beta))
+    lam = property(lambda s: slice(1 + s.p + s.n_beta, 1 + s.p + s.n_beta + s.h))
+    gamma = property(lambda s: slice(1 + s.p + s.n_beta + s.h, s.dim))
+    dim = property(lambda s: 1 + s.p + s.n_beta + s.h * (1 + s.q))
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Dimensions and ingredients of a PSTAR-ANN(p) model.
@@ -98,111 +116,105 @@ class ModelSpec:
     def n_beta(self):
         return self.q if self.linear_term else 0
 
+    @cached_property
+    def layout(self):
+        return Layout(self.p, self.n_beta, self.h, self.q)
+
     @property
     def dim(self):
-        return 1 + self.p + self.n_beta + self.h + self.h * self.q
+        return self.layout.dim
 
 
-@dataclass
+def _block(name, label):
+    """A block of ``ParameterVector.x``: reads as a view, assignment copies into it."""
+
+    def get(self):
+        view = self.x[getattr(self.layout, name)]
+        return view.reshape(self.layout.h, self.layout.q) if name == "gamma" else view
+
+    def put(self, value):
+        view, value = get(self), np.asarray(value, dtype=float)
+        if value.size != view.size:
+            raise ValueError(f"{label} has {view.size} entries; cannot assign {value.size}")
+        view[...] = value.reshape(view.shape)
+
+    return property(get, put)
+
+
 class ParameterVector:
-    """Parameters in canonical layout.
+    """Parameters in canonical layout: one flat array ``x`` with named views.
 
-    ``phi``: (p,) temporal lags; ``beta``: (n_beta,) linear coefficients;
-    ``lam``: (h,) output weights; ``gamma``: (h, q) neuron weights.
-    """
+    ``phi0`` is ``x[0]``; ``phi`` (p,), ``beta`` (n_beta,), ``lam`` (h,) and
+    ``gamma`` (h, q) are views of ``x`` at the slices of ``layout``, so writes
+    into them reach ``x``. Assigning a block must keep its size."""
 
-    phi0: float
-    phi: np.ndarray
-    beta: np.ndarray
-    lam: np.ndarray
-    gamma: np.ndarray
+    phi = _block("phi", "phi")
+    beta = _block("beta", "beta")
+    lam = _block("lam", "lambda")
+    gamma = _block("gamma", "gamma")
+    p = property(lambda self: self.layout.p)
+    h = property(lambda self: self.layout.h)
+    dim = property(lambda self: self.x.size)
 
-    def __post_init__(self):
-        self.phi = np.atleast_1d(np.asarray(self.phi, dtype=float))
-        self.beta = np.atleast_1d(np.asarray(self.beta, dtype=float)) if np.size(self.beta) else np.zeros(0)
-        self.lam = np.atleast_1d(np.asarray(self.lam, dtype=float)) if np.size(self.lam) else np.zeros(0)
-        g = np.asarray(self.gamma, dtype=float)
-        self.gamma = g.reshape(len(self.lam), -1) if g.size else np.zeros((0, 0))
-        if len(self.lam) and self.gamma.shape[0] != len(self.lam):
+    def __init__(self, phi0, phi, beta, lam, gamma):
+        phi, beta, lam = (np.ravel(np.asarray(b, dtype=float)) for b in (phi, beta, lam))
+        gamma = np.asarray(gamma, dtype=float)
+        h = lam.size
+        if gamma.size % h if h else gamma.size:
             raise ValueError("gamma must have one row per neuron")
-
-    # ------------------------------------------------------------------
-
-    @property
-    def p(self):
-        return len(self.phi)
-
-    @property
-    def h(self):
-        return len(self.lam)
-
-    @property
-    def dim(self):
-        return 1 + self.phi.size + self.beta.size + self.lam.size + self.gamma.size
-
-    def to_array(self):
-        return np.concatenate(
-            ([self.phi0], self.phi, self.beta, self.lam, self.gamma.ravel())
-        )
+        self.x = np.concatenate(([float(phi0)], phi, beta, lam, gamma.ravel()))
+        self.layout = Layout(phi.size, beta.size, h, gamma.size // h if h else 0)
 
     @classmethod
     def from_array(cls, arr, spec: ModelSpec):
-        arr = np.asarray(arr, dtype=float)
-        if arr.size != spec.dim:
-            raise ValueError(f"parameter array has length {arr.size}, expected {spec.dim}")
-        p, qb, h, q = spec.p, spec.n_beta, spec.h, spec.q
-        i = 1 + p
-        j = i + qb
-        k = j + h
-        return cls(
-            phi0=float(arr[0]),
-            phi=arr[1:i],
-            beta=arr[i:j],
-            lam=arr[j:k],
-            gamma=arr[k:].reshape(h, q) if h else np.zeros((0, q)),
-        )
+        """theta over a copy of ``arr``: an optimizer may reuse its buffer."""
+        theta = cls.__new__(cls)
+        theta.x, theta.layout = np.array(arr, dtype=float).reshape(-1), spec.layout
+        if theta.dim != spec.dim:
+            raise ValueError(f"parameter array has length {theta.dim}, expected {spec.dim}")
+        return theta
+
+    def to_array(self):
+        return self.x.copy()
 
     def copy(self):
-        return ParameterVector(self.phi0, self.phi.copy(), self.beta.copy(),
-                               self.lam.copy(), self.gamma.copy())
+        return ParameterVector(self.phi0, self.phi, self.beta, self.lam, self.gamma)
+
+    @property
+    def phi0(self):
+        return float(self.x[0])
+
+    @phi0.setter
+    def phi0(self, value):
+        self.x[0] = value
 
     def validate(self, spec: ModelSpec):
-        if self.phi.size != spec.p:
-            raise ValueError(f"phi has {self.phi.size} entries, spec.p={spec.p}")
-        if self.beta.size != spec.n_beta:
-            raise ValueError(f"beta has {self.beta.size} entries, expected {spec.n_beta}")
-        if self.lam.size != spec.h:
-            raise ValueError(f"lambda has {self.lam.size} entries, spec.h={spec.h}")
-        if spec.h and self.gamma.shape != (spec.h, spec.q):
+        lay = self.layout
+        if lay.p != spec.p:
+            raise ValueError(f"phi has {lay.p} entries, spec.p={spec.p}")
+        if lay.n_beta != spec.n_beta:
+            raise ValueError(f"beta has {lay.n_beta} entries, expected {spec.n_beta}")
+        if lay.h != spec.h:
+            raise ValueError(f"lambda has {lay.h} entries, spec.h={spec.h}")
+        if spec.h and lay.q != spec.q:
             raise ValueError(f"gamma has shape {self.gamma.shape}, expected {(spec.h, spec.q)}")
         return self
 
     def is_canonical(self):
-        if self.h == 0:
-            return True
-        desc = np.all(np.diff(self.lam) <= 0)
-        return bool(desc and np.all(self.gamma[:, 0] > 0))
+        return self.h == 0 or bool(np.all(np.diff(self.lam) <= 0)
+                                   and np.all(self.gamma[:, 0] > 0))
 
     # JSON wire format: keys phi0, phi, beta, lambda, gamma ---------------
 
     def to_json_dict(self):
-        return {
-            "phi0": self.phi0,
-            "phi": self.phi.tolist(),
-            "beta": self.beta.tolist(),
-            "lambda": self.lam.tolist(),
-            "gamma": self.gamma.tolist(),
-        }
+        return {"phi0": self.phi0, "phi": self.phi.tolist(), "beta": self.beta.tolist(),
+                "lambda": self.lam.tolist(), "gamma": self.gamma.tolist()}
 
     @classmethod
     def from_json_dict(cls, d):
-        return cls(
-            phi0=float(d.get("phi0", 0.0)),
-            phi=np.asarray(d.get("phi", []), dtype=float),
-            beta=np.asarray(d.get("beta", []), dtype=float),
-            lam=np.asarray(d.get("lambda", []), dtype=float),
-            gamma=np.asarray(d.get("gamma", []), dtype=float),
-        )
+        if "phi0" not in d:
+            raise ValueError("missing required key 'phi0'")
+        return cls(d["phi0"], *(d.get(k, []) for k in ("phi", "beta", "lambda", "gamma")))
 
     def save_json(self, path):
         with open(path, "w") as fh:

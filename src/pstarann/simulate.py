@@ -84,7 +84,6 @@ def simulate(spec: ModelSpec, theta: ParameterVector, X=None, seed=0, burn_in=20
     covariate slices, and ``eps`` holding the innovations of the sample
     window.
     """
-    theta.validate(spec)
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
     chk = check_causal(spec, theta)

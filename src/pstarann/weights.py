@@ -246,20 +246,10 @@ def build_queen_lattice(n1, n2, standardize=True):
     if n1 * n2 < 2:
         raise ValueError("1x1 lattice has an isolated location with no neighbors")
 
-    rows, cols = [], []
-    for i in range(n1):
-        for j in range(n2):
-            s = i * n2 + j
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    if di == 0 and dj == 0:
-                        continue
-                    ii, jj = i + di, j + dj
-                    if 0 <= ii < n1 and 0 <= jj < n2:
-                        rows.append(s)
-                        cols.append(ii * n2 + jj)
-    data = np.ones(len(rows))
-    A = sp.coo_matrix((data, (rows, cols)), shape=(n1 * n2, n1 * n2))
+    # I + P, P a path graph's adjacency, marks |i - i'| <= 1 on one axis; the
+    # Kronecker product marks Chebyshev distance <= 1 in row-major order.
+    I_P1, I_P2 = (sp.diags([1.0, 1.0, 1.0], [-1, 0, 1], shape=(m, m)) for m in (n1, n2))
+    A = sp.kron(I_P1, I_P2, format="csr") - sp.identity(n1 * n2)
     return WeightMatrix(A, lattice_dims=(n1, n2), standardize=standardize)
 
 
@@ -276,33 +266,43 @@ def from_adjacency(pairs, n, standardize=True):
         neighbor, otherwise the isolated nodes are reported and rejected.
     """
     n = int(n)
-    rows, cols = [], []
-    for i, j in pairs:
-        i, j = int(i), int(j)
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
-        if i == j:
-            raise ValueError(f"self-pair ({i}, {j}) not allowed")
-        rows += [i, j]
-        cols += [j, i]
-    A = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
+    return _edge_weights([_checked_edge(i, j, n) for i, j in pairs], n, standardize)
+
+
+def _checked_edge(i, j, n):
+    i, j = int(i), int(j)
+    if not (0 <= i < n and 0 <= j < n):
+        raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
+    if i == j:
+        raise ValueError(f"self-pair ({i}, {j}) not allowed")
+    return i, j
+
+
+def _edge_weights(edges, n, standardize):
+    """Weights from checked edges: each is symmetrized, duplicates collapse."""
+    e = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    A = sp.coo_matrix((np.ones(e.size), (e.ravel(), e[:, ::-1].ravel())), shape=(n, n)).tocsr()
     A.data[:] = 1.0  # collapse duplicate edges
     return WeightMatrix(A, standardize=standardize)
 
 
 def read_adjacency_csv(path, n, standardize=True):
-    """Load an edge list CSV with header ``i,j`` (0-based, one edge per line)."""
-    pairs = []
+    """Load an edge list CSV with header ``i,j`` (0-based, one edge per line).
+
+    Binary only: other columns (a weight, say) are rejected, and every row
+    error names its line."""
+    edges = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header[:2]] != ["i", "j"]:
+        if header is None or [c.strip().lower() for c in header] != ["i", "j"]:
             raise ValueError(f"{path}: expected header 'i,j'")
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             try:
-                pairs.append((int(row[0]), int(row[1])))
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"{path}: malformed edge at line {lineno}: {row}") from exc
-    return from_adjacency(pairs, n, standardize=standardize)
+                i, j = row  # exactly two fields
+                edges.append(_checked_edge(i, j, n))
+            except ValueError as exc:
+                raise ValueError(f"{path}: malformed edge at line {lineno}: {exc}") from None
+    return _edge_weights(edges, int(n), standardize)

@@ -64,6 +64,35 @@ class TestSimulateCommand:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_theta_without_phi0_exit_2(self, tmp_path, capsys):
+        cfg_dict = json.loads(json.dumps(MODEL1_CONFIG))
+        del cfg_dict["theta"]["phi0"]
+        cfg = write_config(tmp_path, cfg_dict)
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "theta: missing required key 'phi0'" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("block, entry, value, name", [
+        ("phi0", None, float("nan"), "phi0"),
+        ("lambda", 0, float("inf"), "lambda1"),
+        ("gamma", (0, 1), float("-inf"), "gamma12"),
+    ])
+    def test_nonfinite_theta_entry_named_exit_2(self, tmp_path, capsys, block, entry,
+                                                value, name):
+        cfg_dict = json.loads(json.dumps(MODEL1_CONFIG))
+        if entry is None:
+            cfg_dict["theta"][block] = value
+        elif isinstance(entry, tuple):
+            cfg_dict["theta"][block][entry[0]][entry[1]] = value
+        else:
+            cfg_dict["theta"][block][entry] = value
+        cfg = write_config(tmp_path, cfg_dict)
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "theta: non-finite value for" in err and f"{name} (" in err
+
     def test_missing_key_reported(self, tmp_path, capsys):
         cfg_dict = {"lattice": {"n1": 3, "n2": 3}, "model": {"p": 1, "q": 0,
                     "h": 0, "density": "normal"}, "covariates": []}

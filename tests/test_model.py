@@ -1,5 +1,6 @@
 """Parameter vector, network component, residuals, causality, canonical form."""
 
+import pickle
 import warnings
 
 import numpy as np
@@ -368,6 +369,22 @@ class TestParameterVector:
         spec = pa.ModelSpec(W=w33, p=1, q=2, h=1, density=pa.normal())
         with pytest.raises(ValueError, match="length"):
             pa.ParameterVector.from_array(np.zeros(3), spec)
+
+    def test_pickle_keeps_views_on_x(self):
+        theta = pa.ParameterVector(0.4, [0.3], [0.1, -0.2], [1.5, 0.5], [[0.75, -0.35], [0.2, 0.1]])
+        back = pickle.loads(pickle.dumps(theta))
+        assert np.array_equal(back.x, theta.x) and back.layout == theta.layout
+        back.gamma[1, 0] = 9.0
+        back.lam = [2.0, 1.0]
+        assert back.x[-2] == 9.0 and list(back.x[4:6]) == [2.0, 1.0]
+        assert theta.x[-2] == 0.2  # the copy is independent
+
+    def test_block_size_change_rejected(self):
+        theta = pa.ParameterVector(0.4, [0.3], [], [1.5], [[0.75, -0.35]])
+        with pytest.raises(ValueError, match="lambda has 1 entries"):
+            theta.lam = [1.5, 0.5]
+        with pytest.raises(ValueError, match="one row per neuron"):
+            pa.ParameterVector(0.4, [0.3], [], [1.5, 0.5], [[0.75, -0.35, 1.0]])
 
     def test_param_names(self, w33):
         spec = pa.ModelSpec(W=w33, p=1, q=2, h=2, density=pa.normal())

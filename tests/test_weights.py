@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 from scipy.spatial import Delaunay
@@ -80,6 +81,33 @@ class TestQueenLattice:
         assert_allclose(w44.W.diagonal(), 0.0)
 
 
+def queen_adjacency_by_loops(n1, n2):
+    """Reference: queen neighbors by walking the eight offsets of every cell."""
+    rows, cols = [], []
+    for i in range(n1):
+        for j in range(n2):
+            for di in (-1, 0, 1):
+                for dj in (-1, 0, 1):
+                    ii, jj = i + di, j + dj
+                    if (di or dj) and 0 <= ii < n1 and 0 <= jj < n2:
+                        rows.append(i * n2 + j)
+                        cols.append(ii * n2 + jj)
+    return sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n1 * n2, n1 * n2))
+
+
+class TestQueenLatticeReference:
+    @pytest.mark.parametrize("dims", [(1, 2), (2, 1), (3, 4), (5, 9), (7, 1), (20, 20)])
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_matches_loop_reference(self, dims, standardize):
+        W = pa.build_queen_lattice(*dims, standardize=standardize)
+        ref = pa.WeightMatrix(queen_adjacency_by_loops(*dims), lattice_dims=dims,
+                              standardize=standardize)
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(W.W, attr), getattr(ref.W, attr))
+        assert W.tau_min == ref.tau_min
+        assert W.lattice_dims == dims
+
+
 class TestFromAdjacency:
     def test_single_pair(self):
         W = pa.from_adjacency([(0, 1)], 2)
@@ -123,6 +151,30 @@ class TestFromAdjacency:
         path = tmp_path / "edges.csv"
         path.write_text("i,j\n0,1\nfoo,2\n")
         with pytest.raises(ValueError, match="line 3"):
+            read_adjacency_csv(path, 3)
+
+    def test_csv_weighted_header_rejected(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text("i,j,w\n0,1,0.5\n1,2,2.0\n")
+        with pytest.raises(ValueError, match="header"):
+            read_adjacency_csv(path, 3)
+
+    def test_csv_extra_field_rejected(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text("i,j\n0,1\n0,1,9\n")
+        with pytest.raises(ValueError, match="line 3: too many values"):
+            read_adjacency_csv(path, 3)
+
+    def test_csv_out_of_range_edge_names_line(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text("i,j\n0,1\n1,2\n2,5\n")
+        with pytest.raises(ValueError, match=r"line 4: .*out of range"):
+            read_adjacency_csv(path, 3)
+
+    def test_csv_self_pair_names_line(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text("i,j\n1,1\n0,1\n")
+        with pytest.raises(ValueError, match=r"line 2: .*self-pair"):
             read_adjacency_csv(path, 3)
 
 
