@@ -77,7 +77,7 @@ def _require(cfg, key, where="config"):
     return cfg[key]
 
 
-def build_weights(cfg, standardize=True, base_dir="."):
+def build_weights(cfg, base_dir="."):
     has_lattice = "lattice" in cfg
     has_adj = "adjacency" in cfg
     if has_lattice == has_adj:
@@ -85,12 +85,10 @@ def build_weights(cfg, standardize=True, base_dir="."):
     if has_lattice:
         lat = cfg["lattice"]
         return build_queen_lattice(_require(lat, "n1", "lattice"),
-                                   _require(lat, "n2", "lattice"),
-                                   standardize=standardize)
+                                   _require(lat, "n2", "lattice"))
     adj = cfg["adjacency"]
     path = Path(base_dir) / _require(adj, "file", "adjacency")
-    return read_adjacency_csv(path, _require(adj, "n", "adjacency"),
-                              standardize=standardize)
+    return read_adjacency_csv(path, _require(adj, "n", "adjacency"))
 
 
 def build_spec(cfg, W):
@@ -129,8 +127,7 @@ def build_theta(cfg, spec):
 def load_setup(args):
     """The config and the spec it defines, with the weights built from it."""
     cfg = load_config(args.config)
-    W = build_weights(cfg, standardize=not args.no_standardize,
-                      base_dir=Path(args.config).parent)
+    W = build_weights(cfg, base_dir=Path(args.config).parent)
     return cfg, build_spec(cfg, W)
 
 
@@ -195,7 +192,8 @@ def cmd_fit(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result.save_json(out / "fit.json")
-    (out / "fit.txt").write_text(result.format_table() + "\n")
+    table = result.format_table()
+    (out / "fit.txt").write_text(table + "\n")
 
     diag = residual_diagnostics(spec, result.theta, data)
     with open(out / "diagnostics.json", "w") as fh:
@@ -206,7 +204,7 @@ def cmd_fit(args):
             },
             fh,
         )
-    print(result.format_table())
+    print(table)
     if not result.converged:
         print("fit did not converge; diagnostics written", file=sys.stderr)
         return EXIT_NONCONVERGENCE
@@ -332,8 +330,6 @@ def build_parser():
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--no-standardize", action="store_true",
-                       help="keep raw symmetric weights (no row standardization)")
 
     p_sim = sub.add_parser("simulate", help="generate a panel CSV plus truth JSON")
     common(p_sim)

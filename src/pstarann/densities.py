@@ -119,7 +119,7 @@ class ErrorDensity:
         """``count`` i.i.d. draws; deterministic for a fixed seed or Generator."""
         if count < 1:
             raise ValueError("count must be >= 1")
-        rng = rng_seed if isinstance(rng_seed, np.random.Generator) else np.random.default_rng(rng_seed)
+        rng = np.random.default_rng(rng_seed)
         if self.family == "normal":
             return rng.standard_normal(count)
         if self.family == "scaled_t":

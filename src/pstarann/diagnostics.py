@@ -101,6 +101,24 @@ def heatmap_grid(Y_t, lattice_dims, path=None):
 
 
 def read_heatmap_csv(path):
-    """Load a grid written by :func:`heatmap_grid` (lossless round-trip)."""
+    """Load a grid written by :func:`heatmap_grid` (lossless round-trip).
+
+    A ragged row, a non-numeric cell or a non-finite cell is rejected with
+    an error that names the file and the line.
+    """
+    rows = []
     with open(path, newline="") as fh:
-        return np.array([[float(v) for v in row] for row in csv.reader(fh) if row])
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row:
+                continue
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(f"{path}: line {lineno} has {len(row)} values, "
+                                 f"expected {len(rows[0])}")
+            try:
+                values = [float(v) for v in row]
+            except ValueError:
+                raise ValueError(f"{path}: non-numeric value at line {lineno}") from None
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}: non-finite value at line {lineno}")
+            rows.append(values)
+    return np.array(rows)

@@ -372,7 +372,7 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
         n_iterations=int(best.nit),
         aic=2.0 * spec.dim - 2.0 * float(ll_hat),
         canonical=canonical,
-        causality=check_causal(spec, theta_hat) if spec.p else CausalityCheck(True, 0.0),
+        causality=check_causal(spec, theta_hat),
         boundary_warning=boundary,
         start_logliks=start_logliks,
         n_domain_rejections=ws.n_domain_rejections,

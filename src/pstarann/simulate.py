@@ -44,7 +44,7 @@ def generate_covariates(columns, n, T, seed):
     """
     if not columns:
         raise ValueError("need at least one covariate column spec")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     X = np.empty((T, n, len(columns)))
     for j, col in enumerate(columns):
         kind = col.get("kind", "normal")

@@ -24,13 +24,12 @@ The decomposition is dense, O(n^3) time and n^2 memory, so it is built
 lazily: on the first log-determinant or trace, which only a likelihood
 needs, and then cached for the life of the WeightMatrix. Simulation and
 the causality check need only the ends of the spectrum. The largest
-eigenvalue of a row-standardized W is exactly 1 (Perron-Frobenius: W is
-nonnegative with unit row sums). The smallest, and the largest of a
-non-standardized W, come from a Lanczos iteration (ARPACK) on the sparse
-S, which costs milliseconds where the dense spectrum costs seconds.
+eigenvalue of W is exactly 1 (Perron-Frobenius: W is nonnegative with unit
+row sums). The smallest comes from a Lanczos iteration (ARPACK) on the
+sparse S, which costs milliseconds where the dense spectrum costs seconds.
 
 A0 is strictly diagonally dominant, hence invertible, whenever
-|phi0| < 1 / max_i |tau_i| (= 1 for a row-standardized connected graph).
+|phi0| < 1 / max_i |tau_i| = 1.
 Linear solves with A0 use a sparse LU factorization; eigenvectors are
 never materialized.
 """
@@ -52,9 +51,9 @@ __all__ = [
     "read_adjacency_csv",
 ]
 
-# Row sums of a standardized matrix must hit 1 to this tolerance.
+# Row sums of W must hit 1 to this tolerance.
 ROW_SUM_TOL = 1e-12
-# A row-standardized spectrum may exceed 1 in modulus by this much.
+# The spectrum of W may exceed 1 in modulus by this much.
 SPECTRUM_TOL = 1e-10
 
 
@@ -62,8 +61,8 @@ class WeightMatrix:
     """Immutable row-standardized spatial weight matrix with a lazy spectrum.
 
     The full spectrum is built on first use (the first log-determinant or
-    trace) and cached; ``tau_max`` and ``tau_min`` do not need it (see the
-    module docstring).
+    trace) and cached; ``tau_min`` does not need it (see the module
+    docstring).
 
     Parameters
     ----------
@@ -72,24 +71,20 @@ class WeightMatrix:
         binary; weighted symmetric adjacencies are accepted.
     lattice_dims : (n1, n2) or None
         Set when the locations form a regular lattice in row-major order.
-    standardize : bool
-        Row-standardize (divide each row by its sum). The escape hatch
-        ``standardize=False`` keeps the raw symmetric weights; boundedness
-        of row sums is still validated.
 
     Attributes
     ----------
     n : int
         Number of locations.
     W : scipy.sparse.csr_matrix
-        The (standardized) weight matrix.
+        The row-standardized weight matrix D^{-1} A.
     eigenvalues : ndarray
         Real spectrum of W, sorted descending and read-only. Built on first
         access by a dense symmetric eigensolve, then cached.
     tau_max : float
-        max_i |tau_i|, which is the largest eigenvalue (Perron-Frobenius):
-        exactly 1 when row-standardized, else from Lanczos. The admissible
-        phi0 interval is (-1/tau_max, 1/tau_max).
+        max_i |tau_i|, which is the largest eigenvalue: exactly 1, the
+        Perron root of a row-stochastic W. The admissible phi0 interval is
+        (-1/tau_max, 1/tau_max).
     tau_min : float
         The smallest eigenvalue, from Lanczos on first access, then cached.
         ARPACK starts from a fixed vector, so it is the same in every
@@ -98,7 +93,9 @@ class WeightMatrix:
         The weight sums S0, S1 and S2 of Moran's I (see ``diagnostics``).
     """
 
-    def __init__(self, adjacency, lattice_dims=None, standardize=True):
+    tau_max = 1.0
+
+    def __init__(self, adjacency, lattice_dims=None):
         A = sp.csr_matrix(adjacency, dtype=float)
         if A.shape[0] != A.shape[1]:
             raise ValueError(f"adjacency must be square, got {A.shape}")
@@ -120,29 +117,22 @@ class WeightMatrix:
                 "row standardization is undefined for them"
             )
 
-        if standardize:
-            W = sp.diags(1.0 / degrees) @ A
-            # tau(D^{-1} A) = tau(D^{-1/2} A D^{-1/2}); the right side is
-            # symmetric, so the spectrum is real by construction.
-            d = 1.0 / np.sqrt(degrees)
-            S = A.multiply(d[:, None]).multiply(d[None, :])
-        else:
-            W = A
-            S = A
+        W = sp.csr_matrix(sp.diags(1.0 / degrees) @ A)
+        # tau(D^{-1} A) = tau(D^{-1/2} A D^{-1/2}); the right side is
+        # symmetric, so the spectrum is real by construction.
+        d = 1.0 / np.sqrt(degrees)
+        S = A.multiply(d[:, None]).multiply(d[None, :])
 
-        W = sp.csr_matrix(W)
         rowsums = np.asarray(W.sum(axis=1)).ravel()
-        if standardize:
-            if np.max(np.abs(rowsums - 1.0)) > ROW_SUM_TOL:
-                raise ValueError("row standardization failed to reach tolerance")
-            if W.data.min() < 0.0 or W.data.max() > 1.0:
-                raise ValueError("standardized weights must lie in [0, 1]")
+        if np.max(np.abs(rowsums - 1.0)) > ROW_SUM_TOL:
+            raise ValueError("row standardization failed to reach tolerance")
+        if W.data.min() < 0.0 or W.data.max() > 1.0:
+            raise ValueError("standardized weights must lie in [0, 1]")
 
         self.n = n
         self.W = W
         self._similarity = sp.csr_matrix(S)
         self.lattice_dims = tuple(lattice_dims) if lattice_dims else None
-        self.standardized = bool(standardize)
         self.s0 = float(W.sum())
         sym = W + W.T
         self.s1 = 0.5 * float(sym.multiply(sym).sum())
@@ -156,35 +146,24 @@ class WeightMatrix:
         # divide-and-conquer driver is the one eigvalsh uses.
         tau = sla.eigh(self._similarity.toarray().T, eigvals_only=True, overwrite_a=True,
                        check_finite=False, driver="evd")[::-1].copy()
-        if self.standardized and np.max(np.abs(tau)) > 1.0 + SPECTRUM_TOL:
+        if np.max(np.abs(tau)) > 1.0 + SPECTRUM_TOL:
             raise ValueError("row-standardized spectrum exceeds 1 in modulus")
         tau.setflags(write=False)
         return tau
 
     @cached_property
-    def tau_max(self):
-        return 1.0 if self.standardized else self._extreme_eigenvalue("LA")
-
-    @cached_property
     def tau_min(self):
-        tau = self._extreme_eigenvalue("SA")
-        if self.standardized and tau < -1.0 - SPECTRUM_TOL:
-            raise ValueError("row-standardized spectrum exceeds 1 in modulus")
-        return tau
-
-    def _extreme_eigenvalue(self, which):
-        """The largest ("LA") or smallest ("SA") eigenvalue of W, by Lanczos.
-
-        ARPACK's own start vector depends on earlier calls in the process,
-        which moves the result in its last bits; a fixed one does not.
-        """
+        # ARPACK's own start vector depends on earlier calls in the process,
+        # which moves the result in its last bits; a fixed one does not.
         v0 = np.random.default_rng(0).uniform(-1.0, 1.0, self.n)
         try:
-            tau = spla.eigsh(self._similarity, k=1, which=which, tol=0, v0=v0,
-                             return_eigenvectors=False)[0]
+            tau = float(spla.eigsh(self._similarity, k=1, which="SA", tol=0, v0=v0,
+                                   return_eigenvectors=False)[0])
         except spla.ArpackNoConvergence:
-            tau = self.eigenvalues[0 if which == "LA" else -1]
-        return float(tau)
+            tau = float(self.eigenvalues[-1])
+        if tau < -1.0 - SPECTRUM_TOL:
+            raise ValueError("row-standardized spectrum exceeds 1 in modulus")
+        return tau
 
     def __repr__(self):
         dims = f", lattice={self.lattice_dims}" if self.lattice_dims else ""
@@ -233,7 +212,7 @@ class WeightMatrix:
         return self.a0_factor(phi0).solve(b)
 
 
-def build_queen_lattice(n1, n2, standardize=True):
+def build_queen_lattice(n1, n2):
     """Queen-contiguity weights on an n1 x n2 lattice.
 
     Two cells are neighbors when their Chebyshev distance is 1, so interior
@@ -250,10 +229,10 @@ def build_queen_lattice(n1, n2, standardize=True):
     # Kronecker product marks Chebyshev distance <= 1 in row-major order.
     I_P1, I_P2 = (sp.diags([1.0, 1.0, 1.0], [-1, 0, 1], shape=(m, m)) for m in (n1, n2))
     A = sp.kron(I_P1, I_P2, format="csr") - sp.identity(n1 * n2)
-    return WeightMatrix(A, lattice_dims=(n1, n2), standardize=standardize)
+    return WeightMatrix(A, lattice_dims=(n1, n2))
 
 
-def from_adjacency(pairs, n, standardize=True):
+def from_adjacency(pairs, n):
     """Weights from an undirected edge list.
 
     Parameters
@@ -266,10 +245,16 @@ def from_adjacency(pairs, n, standardize=True):
         neighbor, otherwise the isolated nodes are reported and rejected.
     """
     n = int(n)
-    return _edge_weights([_checked_edge(i, j, n) for i, j in pairs], n, standardize)
+    return _edge_weights([_checked_edge(i, j, n) for i, j in pairs], n)
 
 
 def _checked_edge(i, j, n):
+    try:
+        integral = int(i) == i and int(j) == j
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise ValueError(f"edge ({i}, {j}) has a non-integer vertex id")
     i, j = int(i), int(j)
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
@@ -278,15 +263,15 @@ def _checked_edge(i, j, n):
     return i, j
 
 
-def _edge_weights(edges, n, standardize):
+def _edge_weights(edges, n):
     """Weights from checked edges: each is symmetrized, duplicates collapse."""
     e = np.array(edges, dtype=np.int64).reshape(-1, 2)
     A = sp.coo_matrix((np.ones(e.size), (e.ravel(), e[:, ::-1].ravel())), shape=(n, n)).tocsr()
     A.data[:] = 1.0  # collapse duplicate edges
-    return WeightMatrix(A, standardize=standardize)
+    return WeightMatrix(A)
 
 
-def read_adjacency_csv(path, n, standardize=True):
+def read_adjacency_csv(path, n):
     """Load an edge list CSV with header ``i,j`` (0-based, one edge per line).
 
     Binary only: other columns (a weight, say) are rejected, and every row
@@ -302,7 +287,7 @@ def read_adjacency_csv(path, n, standardize=True):
                 continue
             try:
                 i, j = row  # exactly two fields
-                edges.append(_checked_edge(i, j, n))
+                edges.append(_checked_edge(int(i), int(j), n))
             except ValueError as exc:
                 raise ValueError(f"{path}: malformed edge at line {lineno}: {exc}") from None
-    return _edge_weights(edges, int(n), standardize)
+    return _edge_weights(edges, int(n))

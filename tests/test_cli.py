@@ -380,7 +380,7 @@ class TestPureSpatialConfig:
 
 
 class TestAdjacencyInput:
-    def test_adjacency_flow_with_no_standardize_flag(self, tmp_path, capsys):
+    def test_adjacency_flow(self, tmp_path, capsys):
         edges = tmp_path / "edges.csv"
         lines = ["i,j"]
         for i in range(11):
@@ -397,14 +397,13 @@ class TestAdjacencyInput:
         }
         cfg = write_config(tmp_path, cfg_dict)
         out = tmp_path / "sim"
-        assert main(["simulate", "--config", cfg, "--out", str(out),
-                     "--no-standardize"]) == 0
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         capsys.readouterr()
         # no lattice: no heatmap grids, but the panel exists
         assert (out / "panel.csv").exists()
         assert not list(out.glob("heatmap_*.csv"))
         code = main(["fit", "--config", cfg, "--panel", str(out / "panel.csv"),
-                     "--out", str(tmp_path / "fit"), "--no-standardize"])
+                     "--out", str(tmp_path / "fit")])
         assert code == 0
         capsys.readouterr()
 

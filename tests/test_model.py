@@ -195,7 +195,7 @@ class TestCheckCausal:
     def test_p_le_2_extremes_match_oracle_on_random_draws(self, w44):
         # check_causal reads only tau_min and tau_max when p <= 2
         rng = np.random.default_rng(2024)
-        designs = [w44, pa.build_queen_lattice(2, 1), pa.build_queen_lattice(3, 4, standardize=False)]
+        designs = [w44, pa.build_queen_lattice(2, 1), pa.build_queen_lattice(3, 4)]
         seen = {"complex": 0, "explosive": 0, "phi0<0": 0, "phi0>0": 0}
         for W in designs:
             for p in (1, 2):

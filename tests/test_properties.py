@@ -1,4 +1,5 @@
-"""Property tests: the flat parameter layout and the panel CSV round trip.
+"""Property tests: the flat parameter layout, the panel CSV round trip,
+canonicalization and the p <= 2 causality check.
 
 Derandomized (the same examples on every run) with capped example counts,
 so the module stays deterministic and fast.
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import pstarann as pa
+import test_model
+from pstarann.likelihood import residual_matrix
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=100, deadline=None,
                              database=None)
@@ -113,3 +116,60 @@ class TestPanelCsvRoundTrip:
         assert back.p == data.p
         assert same_bits(back.Y, data.Y)
         assert same_bits(back.X, data.X)
+
+
+nonzero = st.tuples(st.floats(0.1, 3.0), st.sampled_from([-1.0, 1.0])).map(lambda t: t[0] * t[1])
+
+
+@st.composite
+def canonicalization_cases(draw):
+    """An intercept design with random neuron signs and order, and its panel.
+
+    lambda_i and gamma_i1 stay away from 0, where a neuron is degenerate.
+    """
+    h, q = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    spec = pa.ModelSpec(W=W22, p=1, q=q, h=h, density=pa.normal(), include_intercept=True)
+    gamma = np.array([[draw(nonzero)] + [draw(st.floats(-3.0, 3.0)) for _ in range(q - 1)]
+                      for _ in range(h)])
+    theta = pa.ParameterVector(draw(st.floats(-0.9, 0.9)), [draw(st.floats(-0.9, 0.9))],
+                               [draw(st.floats(-2.0, 2.0)) for _ in range(q)],
+                               [draw(nonzero) for _ in range(h)], gamma)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((3, spec.n, q))
+    X[:, :, 0] = 1.0
+    return spec, theta, pa.PanelData(Y=rng.standard_normal((4, spec.n)), X=X, p=1)
+
+
+class TestCanonicalize:
+    @PROPERTY_SETTINGS
+    @given(canonicalization_cases())
+    def test_keeps_residuals_is_canonical_and_idempotent(self, case):
+        spec, theta, data = case
+        theta_c = pa.canonicalize(theta, include_intercept=True)
+        eps = residual_matrix(spec, theta, data)
+        assert np.max(np.abs(residual_matrix(spec, theta_c, data) - eps)) \
+            <= 1e-12 * (1.0 + np.max(np.abs(eps)))
+        assert theta_c.is_canonical()
+        assert same_bits(pa.canonicalize(theta_c, include_intercept=True).x, theta_c.x)
+
+
+@st.composite
+def causality_cases(draw):
+    """A queen lattice with n >= 2, p in {1, 2} and a theta inside the phi0 domain."""
+    n1 = draw(st.integers(1, 6))
+    n2 = draw(st.integers(2 if n1 == 1 else 1, 6))
+    p = draw(st.integers(1, 2))
+    spec = pa.ModelSpec(W=pa.build_queen_lattice(n1, n2), p=p, q=0, h=0, density=pa.normal())
+    theta = pa.ParameterVector(draw(st.floats(-0.95, 0.95)),
+                               [draw(st.floats(-1.6, 1.6)) for _ in range(p)], [], [], [])
+    return spec, theta
+
+
+class TestCausalityFastPath:
+    @PROPERTY_SETTINGS
+    @given(causality_cases())
+    def test_extremes_match_every_eigenvalue_oracle(self, case):
+        spec, theta = case
+        chk = pa.check_causal(spec, theta)
+        assert abs(chk.max_root_modulus - test_model.TestCheckCausal.roots_oracle(spec.W, theta)) \
+            <= 1e-12 * (1.0 + chk.max_root_modulus)

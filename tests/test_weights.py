@@ -13,20 +13,16 @@ from conftest import MODEL1_COLUMNS, model1_spec, model1_theta
 from pstarann.weights import read_adjacency_csv
 
 
-def delaunay_weights(n, seed, standardize=True):
+def delaunay_weights(n, seed):
     """Weights over the Delaunay triangulation of n seeded random points."""
     tri = Delaunay(np.random.default_rng(seed).random((n, 2)))
     s = tri.simplices
-    return pa.from_adjacency(np.concatenate([s[:, [0, 1]], s[:, [1, 2]], s[:, [2, 0]]]), n,
-                             standardize=standardize)
+    return pa.from_adjacency(np.concatenate([s[:, [0, 1]], s[:, [1, 2]], s[:, [2, 0]]]), n)
 
 
 def dense_similarity_spectrum(W):
     """Ascending eigvalsh spectrum of D^{-1/2} A D^{-1/2}, rebuilt from W alone."""
-    M = W.W.toarray()
-    if not W.standardized:
-        return np.linalg.eigvalsh(M)
-    A = (M > 0).astype(float)  # the designs here are binary
+    A = (W.W.toarray() > 0).astype(float)  # the designs here are binary
     d = 1.0 / np.sqrt(A.sum(axis=1))
     return np.linalg.eigvalsh(d[:, None] * A * d[None, :])
 
@@ -36,8 +32,6 @@ SPECTRUM_DESIGNS = {
     "lattice3x3": lambda: pa.build_queen_lattice(3, 3),
     "lattice20x20": lambda: pa.build_queen_lattice(20, 20),
     "delaunay60": lambda: delaunay_weights(60, 4),
-    "lattice5x5-raw": lambda: pa.build_queen_lattice(5, 5, standardize=False),
-    "delaunay60-raw": lambda: delaunay_weights(60, 4, standardize=False),
 }
 
 
@@ -97,11 +91,9 @@ def queen_adjacency_by_loops(n1, n2):
 
 class TestQueenLatticeReference:
     @pytest.mark.parametrize("dims", [(1, 2), (2, 1), (3, 4), (5, 9), (7, 1), (20, 20)])
-    @pytest.mark.parametrize("standardize", [True, False])
-    def test_matches_loop_reference(self, dims, standardize):
-        W = pa.build_queen_lattice(*dims, standardize=standardize)
-        ref = pa.WeightMatrix(queen_adjacency_by_loops(*dims), lattice_dims=dims,
-                              standardize=standardize)
+    def test_matches_loop_reference(self, dims):
+        W = pa.build_queen_lattice(*dims)
+        ref = pa.WeightMatrix(queen_adjacency_by_loops(*dims), lattice_dims=dims)
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(W.W, attr), getattr(ref.W, attr))
         assert W.tau_min == ref.tau_min
@@ -130,6 +122,17 @@ class TestFromAdjacency:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             pa.from_adjacency([(0, 5)], 3)
+
+    def test_non_integer_vertex_id_rejected(self):
+        with pytest.raises(ValueError, match=r"edge \(0, 1\.7\) has a non-integer vertex id"):
+            pa.from_adjacency([(0, 1.7), (1, 2)], 3)
+        for bad in (float("nan"), float("inf"), None):
+            with pytest.raises(ValueError, match="non-integer vertex id"):
+                pa.from_adjacency([(0, 1), (1, bad)], 3)
+
+    def test_integer_valued_float_ids_accepted(self):
+        W = pa.from_adjacency(np.array([[0.0, 1.0], [1.0, 2.0]]), 3)
+        assert_allclose(W.W.toarray()[1], [0.5, 0.0, 0.5])
 
     def test_duplicate_edges_collapse(self):
         W = pa.from_adjacency([(0, 1), (1, 0), (0, 1)], 2)
@@ -222,8 +225,7 @@ class TestLazySpectrum:
         oracle = dense_similarity_spectrum(W)
         assert abs(W.tau_min - oracle[0]) <= 1e-12
         assert abs(W.tau_max - np.max(np.abs(oracle))) <= 1e-12 * max(1.0, W.tau_max)
-        if W.standardized:
-            assert W.tau_max == 1.0  # Perron root of a row-stochastic matrix
+        assert W.tau_max == 1.0  # Perron root of a row-stochastic matrix
         assert "eigenvalues" not in W.__dict__  # the extremes need no spectrum
 
     def test_tau_min_bit_identical_across_builds(self):
@@ -252,15 +254,14 @@ class TestLazySpectrum:
         W.log_det_a0(-0.4)
         assert len(eigh_calls) == 1
 
-    @pytest.mark.parametrize("standardize", [True, False])
-    def test_arpack_failure_reads_extremes_off_the_spectrum(self, monkeypatch, standardize):
+    def test_arpack_failure_reads_extremes_off_the_spectrum(self, monkeypatch):
         def failing(*args, **kwargs):
             raise spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
 
         monkeypatch.setattr(spla, "eigsh", failing)
-        W = pa.build_queen_lattice(4, 5, standardize=standardize)
+        W = pa.build_queen_lattice(4, 5)
         assert W.tau_min == W.eigenvalues[-1]
-        assert W.tau_max == (1.0 if standardize else W.eigenvalues[0])
+        assert W.tau_max == 1.0
 
     def test_spectrum_beyond_unit_modulus_rejected(self, monkeypatch):
         real = scipy.linalg.eigh
@@ -275,7 +276,6 @@ class TestLazySpectrum:
         W = pa.build_queen_lattice(3, 3)
         with pytest.raises(ValueError, match="exceeds 1 in modulus"):
             W.tau_min
-        assert pa.build_queen_lattice(3, 3, standardize=False).tau_min == -1.5
 
     def test_simulate_needs_no_spectrum_fit_builds_it_once(self, eigh_calls):
         spec = model1_spec(pa.build_queen_lattice(4, 4))
@@ -386,21 +386,3 @@ class TestValidation:
         with pytest.raises(ValueError, match="nonnegative"):
             pa.WeightMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
-
-class TestNoStandardize:
-    def test_raw_weights_kept(self):
-        W = pa.build_queen_lattice(3, 3, standardize=False)
-        assert not W.standardized
-        assert W.W.data.max() == 1.0
-        assert W.tau_max > 1.0  # binary queen adjacency has spectral radius > 1
-
-    def test_logdet_matches_dense(self):
-        W = pa.build_queen_lattice(3, 3, standardize=False)
-        phi0 = 0.5 / W.tau_max
-        dense = np.linalg.slogdet(np.eye(9) - phi0 * W.W.toarray())[1]
-        assert abs(W.log_det_a0(phi0) - dense) < 1e-10
-
-    def test_domain_scales_with_tau(self):
-        W = pa.build_queen_lattice(3, 3, standardize=False)
-        with pytest.raises(ValueError, match="admissible"):
-            W.log_det_a0(0.9 / 1.0)  # far outside (-1/tau, 1/tau)
