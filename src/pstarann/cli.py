@@ -196,14 +196,9 @@ def cmd_fit(args):
     (out / "fit.txt").write_text(table + "\n")
 
     diag = residual_diagnostics(spec, result.theta, data)
-    with open(out / "diagnostics.json", "w") as fh:
-        json.dump(
-            {
-                "moran_per_t": diag["moran_per_t"],
-                "qq": diag["qq"].tolist(),
-            },
-            fh,
-        )
+    # json.dumps, unlike json.dump, runs the C encoder
+    (out / "diagnostics.json").write_text(
+        json.dumps({"moran_per_t": diag["moran_per_t"], "qq": diag["qq"].tolist()}))
     print(table)
     if not result.converged:
         print("fit did not converge; diagnostics written", file=sys.stderr)
@@ -241,11 +236,9 @@ def cmd_replicate(args):
     theta, T, burn_in, columns = simulation_inputs(cfg, spec)
     opts = _optim_options(cfg)
 
-    R = args.replicates if args.replicates is not None else int(
-        cfg.get("replicate", {}).get("R", 0))
+    R = args.replicates
     if R < 2:
-        raise ConfigError("replicate count R must be >= 2 (flag --replicates or "
-                          "config section 'replicate')")
+        raise ConfigError(f"--replicates must be >= 2, got {R}")
 
     chk = check_causal(spec, theta)
     if not chk.causal:
@@ -269,7 +262,6 @@ def cmd_replicate(args):
             records = list(pool.map(_replicate_one, payloads))
     else:
         records = [_replicate_one(p) for p in payloads]
-    records.sort(key=lambda d: d["replicate"])  # deterministic reduction order
 
     names = param_names(spec)
     truth = theta.x
@@ -342,7 +334,7 @@ def build_parser():
 
     p_rep = sub.add_parser("replicate", help="parallel simulate+fit study")
     common(p_rep)
-    p_rep.add_argument("--replicates", type=int, default=None)
+    p_rep.add_argument("--replicates", type=int, required=True)
     p_rep.add_argument("--threads", type=int, default=1)
     p_rep.add_argument("--fixed-design", action="store_true",
                        help="hold one covariate draw fixed across replicates")

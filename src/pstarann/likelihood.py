@@ -31,22 +31,20 @@ The workspace holds the residual derivatives as one (dim, nT) matrix D in
 the canonical parameter order (``model.Layout``), with column s + n(t-1)
 for observation (s, t). The rows for phi0..phi_p (-W Y_{t-i}) and beta
 (-X) do not depend on theta and are written once, when the workspace is
-built. Given gamma
-the residuals are affine in the other parameters, and those fixed rows are
-their coefficients:
+built. Given gamma the residuals are affine in the other parameters, and
+those fixed rows are their coefficients:
 
     eps = y + D_lin' theta_lin - F' lambda,
 
 with y the flattened sample slices, theta_lin = (phi0, phi, beta), D_lin
-the matching rows of D and F the (h, nT) activations F(x'g_i). This is the
-one place the library forms residuals. The activations are computed once
-per theta and cached with the residuals, so a fit pays one sigmoid
-evaluation per objective call. The network rows of D for lambda (-F) and
-gamma_i (-lambda_i F'_i x) are rewritten from the cached activations on the
-first derivative request at a new theta, so calls that only need the
-log-likelihood never touch them. The gradient is D V minus the trace term,
-the per-observation scores are the columns of D diag(V), and the
-Gauss-Newton part of the Hessian is D diag(U) D'.
+the matching rows of D and F the (h, nT) activations F(x'g_i). One kernel
+runs per new theta, and it is the one place the library forms residuals:
+it evaluates the activations once, caches them with the residuals and
+the score ratio, and writes the network rows of D for lambda (-F) and
+gamma_i (-lambda_i F'_i x). So a fit pays one sigmoid evaluation per
+objective call, and D always describes the cached theta. The gradient is
+D V minus the trace term, the per-observation scores are the columns of
+D diag(V), and the Gauss-Newton part of the Hessian is D diag(U) D'.
 
 The averaged outer product of per-observation scores
 
@@ -95,12 +93,12 @@ class LikelihoodWorkspace:
 
     ``D`` is the (dim, nT) matrix of d eps / d theta, rows as in ``layout``.
     Rows 0..p (-W Y_{t-i}) and the beta rows (-X) are fixed, and the
-    residuals are read off them. The lambda and gamma rows are written
-    lazily, by the first derivative request at a theta, and hold that theta
-    until a derivative is requested at another. The public methods return
-    fresh arrays, never views of ``D``.
+    residuals are read off them. The lambda and gamma rows are rewritten
+    with the cache, so they always hold the cached theta. The public
+    methods return fresh arrays, never views of ``D``.
 
-    The data are checked against the spec once, here.
+    The data are checked against the spec once, here; theta is checked
+    against it on every call.
     """
 
     def __init__(self, spec: ModelSpec, data: PanelData):
@@ -120,80 +118,60 @@ class LikelihoodWorkspace:
         self._key = None
         self._c = None
 
-    # ------------------------------------------------------------------
-
-    def _phi0_ok(self, phi0):
-        return abs(phi0) * self.spec.W.tau_max < 1.0
-
     def _eval(self, theta: ParameterVector):
-        """Activations, residuals and score ratio at theta (cached).
+        """Checked theta: activations, residuals, score ratio and the network
+        rows of ``D`` (cached).
 
         The one per-theta kernel: F = sigmoid(gamma X) is evaluated once, in
-        the (h, nT) layout of the network rows of D, and the residuals are
-        y + D_lin' theta_lin - F' lambda. Callers check theta first.
+        the (h, nT) layout of the network rows of D, the residuals are
+        y + D_lin' theta_lin - F' lambda, and the rows -F and
+        -lambda_i F'_i x are written into D with F' = F(1-F).
         """
+        theta.validate(self.spec)
         x = theta.x
         key = x.tobytes()
         if key == self._key:
             return self._c
-        j = self.layout.lam.start  # theta_lin = x[:j]
-        E = self.y + x[:j] @ self.D[:j]
-        if self.spec.h:
+        lay = self.layout
+        E = self.y + x[: lay.lam.start] @ self.D[: lay.lam.start]
+        c = {"E": E}
+        if lay.h:
             # looked up on the module at call time, so a wrapper installed
             # on model.sigmoid sees every activation
-            F = model.sigmoid(theta.gamma @ self.X)
-            E -= theta.lam @ F
-        else:
-            F = None
-        c = {"E": E, "V": self.spec.density.score(E), "F": F}
-        self._key, self._c = key, c
-        return c
-
-    def _derivs(self, theta: ParameterVector):
-        """Checked ``_eval`` plus ``D`` with its network rows at theta.
-
-        F' = F(1-F) is formed here, on the first derivative request at a
-        theta, together with the network rows, so a cache entry that holds
-        F' always matches the rows in ``D``.
-        """
-        theta.validate(self.spec)
-        if not self._phi0_ok(theta.phi0):
-            raise ValueError(f"phi0={theta.phi0} outside the admissible interval")
-        c = self._eval(theta)
-        spec = self.spec
-        if spec.h and "Fp" not in c:
-            F = c["F"]
+            c["F"] = F = model.sigmoid(theta.gamma @ self.X)
             c["Fp"] = Fp = F * (1.0 - F)
-            lay = self.layout
+            E -= theta.lam @ F
             self.D[lay.lam] = -F
             gam = self.D[lay.gamma].reshape(lay.h, lay.q, -1)
             np.multiply((-theta.lam[:, None] * Fp)[:, None, :], self.X, out=gam)
-        return c, self.D
+        c["V"] = self.spec.density.score(E)
+        self._key, self._c = key, c
+        return c
 
     # ------------------------------------------------------------------
 
     def residuals(self, theta: ParameterVector):
         """All residuals eps_{s,t}(theta) as a (T, n) matrix."""
-        theta.validate(self.spec)
         E = self._eval(theta)["E"]
         return E.reshape(self.data.T, self.data.n).copy()
 
     def log_likelihood(self, theta: ParameterVector):
         """T ln|A0| + sum ln f(eps); -inf sentinel outside the phi0 domain."""
-        theta.validate(self.spec)
-        if not self._phi0_ok(theta.phi0):
+        c = self._eval(theta)
+        W = self.spec.W
+        if not W.admits(theta.phi0):
             self.n_domain_rejections += 1
             logger.debug("phi0=%g outside the admissible interval; returning -inf", theta.phi0)
             return -np.inf
-        c = self._eval(theta)
-        logdet = self.spec.W.log_det_a0(theta.phi0)
-        return float(self.data.T * logdet + np.sum(self.spec.density.log_pdf(c["E"])))
+        return float(self.data.T * W.log_det_a0(theta.phi0)
+                     + np.sum(self.spec.density.log_pdf(c["E"])))
 
     def gradient(self, theta: ParameterVector):
         """Analytic dL/dtheta = D V - T tr(W A0^{-1}) e_phi0."""
-        c, D = self._derivs(theta)
-        g = D @ c["V"]
-        g[0] -= self.data.T * self.spec.W.trace_w_a0inv(theta.phi0, 1)
+        tr = self.spec.W.trace_w_a0inv(theta.phi0, 1)
+        V = self._eval(theta)["V"]
+        g = self.D @ V
+        g[0] -= self.data.T * tr
         return g
 
     def hessian(self, theta: ParameterVector):
@@ -208,10 +186,11 @@ class LikelihoodWorkspace:
                 "analytic Hessian is unavailable for the Laplace family "
                 "(curvature undefined at 0); use the score outer product"
             )
-        c, D = self._derivs(theta)
+        tr2 = spec.W.trace_w_a0inv(theta.phi0, 2)
+        c, D = self._eval(theta), self.D
         U = spec.density.curvature(c["E"])
         H = (D * U) @ D.T
-        H[0, 0] -= self.data.T * spec.W.trace_w_a0inv(theta.phi0, 2)
+        H[0, 0] -= self.data.T * tr2
         if spec.h:
             V, X, F, Fp = c["V"], self.X, c["F"], c["Fp"]
             l0, g0, q = self.layout.lam.start, self.layout.gamma.start, spec.q
@@ -241,9 +220,10 @@ class LikelihoodWorkspace:
         The per-observation phi0 score is the eigenvalue term
         -(1/n) tr(W A0^{-1}) plus the data term -V_{s,t} (W Y_t)_s.
         """
-        c, D = self._derivs(theta)
-        G = (D * c["V"]).T.reshape(self.data.T, self.data.n, self.spec.dim)
-        G[:, :, 0] -= self.spec.W.trace_w_a0inv(theta.phi0, 1) / self.data.n
+        tr = self.spec.W.trace_w_a0inv(theta.phi0, 1)
+        V = self._eval(theta)["V"]
+        G = (self.D * V).T.reshape(self.data.T, self.data.n, self.spec.dim)
+        G[:, :, 0] -= tr / self.data.n
         return G
 
     def loglik_and_gradient(self, theta: ParameterVector):

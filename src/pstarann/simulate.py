@@ -69,9 +69,9 @@ def simulate(spec: ModelSpec, theta: ParameterVector, X=None, seed=0, burn_in=20
     X : optional (burn_in + p + T, n, q) array
         Explicit covariates for every step. When omitted, ``T`` and
         ``covariate_columns`` must be given and covariates are drawn.
-    seed : int or Generator
-        Drives covariate and error draws (two independent substreams, so
-        output is bit-identical for identical inputs).
+    seed : int or SeedSequence
+        Drives covariate and error draws through two independent substreams
+        spawned from it, so output is bit-identical for identical inputs.
     burn_in : int
         Steps discarded before the retained window.
     errors : optional (burn_in + p + T, n) array
@@ -92,12 +92,9 @@ def simulate(spec: ModelSpec, theta: ParameterVector, X=None, seed=0, burn_in=20
             f"non-causal parameters: max root modulus {chk.max_root_modulus:.6g} >= 1"
         )
 
-    if isinstance(seed, np.random.Generator):
-        rng_x = rng_e = seed
-    else:
-        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        ss_x, ss_e = ss.spawn(2)
-        rng_x, rng_e = np.random.default_rng(ss_x), np.random.default_rng(ss_e)
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    ss_x, ss_e = ss.spawn(2)
+    rng_x, rng_e = np.random.default_rng(ss_x), np.random.default_rng(ss_e)
     if X is None:
         if T is None or (covariate_columns is None and spec.q > 0):
             raise ValueError("either X or (T, covariate_columns) must be provided")

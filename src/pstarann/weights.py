@@ -173,9 +173,13 @@ class WeightMatrix:
     # A0 = I - phi0 W algebra
     # ------------------------------------------------------------------
 
+    def admits(self, phi0):
+        """Whether phi0 lies in the admissible interval (-1/tau_max, 1/tau_max)."""
+        return abs(phi0) * self.tau_max < 1.0
+
     def _check_phi0(self, phi0):
-        bound = 1.0 / self.tau_max
-        if not -bound < phi0 < bound:
+        if not self.admits(phi0):
+            bound = 1.0 / self.tau_max
             raise ValueError(
                 f"phi0={phi0} outside the admissible interval "
                 f"(-{bound:.6g}, {bound:.6g}); A0 would be singular or "

@@ -242,6 +242,13 @@ class TestReplicateCommand:
         assert code == 2
         capsys.readouterr()
 
+    def test_replicates_flag_required(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, MODEL1_CONFIG)
+        with pytest.raises(SystemExit) as exc:
+            main(["replicate", "--config", cfg, "--out", str(tmp_path / "r")])
+        assert exc.value.code == 2
+        assert "--replicates" in capsys.readouterr().err
+
     def test_thread_count_does_not_change_summary(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MODEL1_CONFIG)
         a, b = tmp_path / "t1", tmp_path / "t2"

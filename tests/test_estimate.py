@@ -128,6 +128,16 @@ class TestFit:
         assert res.boundary_warning
         assert_allclose(res.theta.phi0, 0.3, atol=1e-8)
 
+    def test_every_start_outside_phi0_domain_raises_fit_error(self, w44):
+        # a phi0 box beyond the admissible interval (-1, 1) turns every
+        # objective call into the -inf sentinel, which the optimizer sees as
+        # the penalty, so no start reaches a finite optimum
+        spec, data = small_model1_data(w44, T=6)
+        bounds = pa.default_bounds(spec)
+        bounds[0] = [1.2, 1.5]
+        with pytest.raises(pa.FitError, match="all 2 starts failed to produce a finite optimum"):
+            pa.fit(spec, data, n_starts=2, seed=0, bounds=bounds, covariance=False)
+
     def test_multistart_reaches_global_basin(self, w1010):
         # 5 default starts land within 0.5 loglik of the best over 25 starts
         spec, data = small_model1_data(w1010, seed=31, T=10)
