@@ -77,6 +77,17 @@ def _require(cfg, key, where="config"):
     return cfg[key]
 
 
+def _typed(cfg, key, where, kind, *default):
+    """``cfg[key]``, required unless a default is given, as a JSON bool or, for int,
+    an integer-valued number (30.0 passes; 1.7, true and "3" do not)."""
+    value = cfg.get(key, *default) if default else _require(cfg, key, where)
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) != (kind is bool) or not (kind is bool or integral):
+        name = "a boolean" if kind is bool else "an integer"
+        raise ConfigError(f"{where}.{key} must be {name}, got {value!r}")
+    return kind(value)
+
+
 def build_weights(cfg, base_dir="."):
     has_lattice = "lattice" in cfg
     has_adj = "adjacency" in cfg
@@ -84,26 +95,22 @@ def build_weights(cfg, base_dir="."):
         raise ConfigError("config needs exactly one of 'lattice' or 'adjacency'")
     if has_lattice:
         lat = cfg["lattice"]
-        return build_queen_lattice(_require(lat, "n1", "lattice"),
-                                   _require(lat, "n2", "lattice"))
+        return build_queen_lattice(_typed(lat, "n1", "lattice", int),
+                                   _typed(lat, "n2", "lattice", int))
     adj = cfg["adjacency"]
     path = Path(base_dir) / _require(adj, "file", "adjacency")
-    return read_adjacency_csv(path, _require(adj, "n", "adjacency"))
+    return read_adjacency_csv(path, _typed(adj, "n", "adjacency", int))
 
 
 def build_spec(cfg, W):
     model = _require(cfg, "model")
+    p, q, h = (_typed(model, key, "model", int) for key in "pqh")
+    linear_term = _typed(model, "linear_term", "model", bool, True)
+    include_intercept = _typed(model, "intercept", "model", bool, False)
+    density = _require(model, "density", "model")
     try:
-        density = density_from_config(_require(model, "density", "model"))
-        spec = ModelSpec(
-            W=W,
-            p=int(_require(model, "p", "model")),
-            q=int(_require(model, "q", "model")),
-            h=int(_require(model, "h", "model")),
-            density=density,
-            linear_term=bool(model.get("linear_term", True)),
-            include_intercept=bool(model.get("intercept", False)),
-        )
+        spec = ModelSpec(W=W, p=p, q=q, h=h, density=density_from_config(density),
+                         linear_term=linear_term, include_intercept=include_intercept)
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
     cov = cfg.get("covariates")
@@ -135,8 +142,8 @@ def simulation_inputs(cfg, spec):
     """theta, T, burn-in and covariate columns of the simulating commands."""
     theta = build_theta(cfg, spec)
     sim = cfg.get("simulate", {})
-    T = int(_require(sim, "T", "simulate"))
-    burn_in = int(sim.get("burn_in", 200))
+    T = _typed(sim, "T", "simulate", int)
+    burn_in = _typed(sim, "burn_in", "simulate", int, 200)
     columns = _require(cfg, "covariates") if spec.q else []
     return theta, T, burn_in, columns
 
@@ -176,9 +183,9 @@ def cmd_simulate(args):
 def _optim_options(cfg):
     opt = cfg.get("optim", {})
     return {
-        "n_starts": int(opt.get("n_starts", 5)),
+        "n_starts": _typed(opt, "n_starts", "optim", int, 5),
         "tol": float(opt.get("tol", 1e-8)),
-        "max_iter": int(opt.get("max_iter", 500)),
+        "max_iter": _typed(opt, "max_iter", "optim", int, 500),
     }
 
 
@@ -240,11 +247,7 @@ def cmd_replicate(args):
     if R < 2:
         raise ConfigError(f"--replicates must be >= 2, got {R}")
 
-    chk = check_causal(spec, theta)
-    if not chk.causal:
-        raise ConfigError(
-            f"theta is not causal: max root modulus {chk.max_root_modulus:.6f} >= 1"
-        )
+    check_causal(spec, theta).require()
 
     X_fixed = None
     if args.fixed_design:
@@ -264,9 +267,8 @@ def cmd_replicate(args):
         records = [_replicate_one(p) for p in payloads]
 
     names = param_names(spec)
-    truth = theta.x
     good = [d for d in records if d["ok"]]
-    est = np.array([d["estimate"] for d in good]) if good else np.zeros((0, spec.dim))
+    est = np.array([d["estimate"] for d in good])
     ses = np.array([d["asymptotic_se"] for d in good if d["asymptotic_se"] is not None])
 
     summary = {
@@ -274,8 +276,8 @@ def cmd_replicate(args):
         "n_success": len(good),
         "n_failed": R - len(good),
         "names": names,
-        "true": truth.tolist(),
-        "mean": est.mean(axis=0).tolist() if len(good) else None,
+        "true": theta.x.tolist(),
+        "mean": est.mean(axis=0).tolist() if good else None,
         "empirical_sd": est.std(axis=0, ddof=1).tolist() if len(good) >= 2 else None,
         "mean_asymptotic_se": ses.mean(axis=0).tolist() if ses.size else None,
         "records": records,
@@ -289,13 +291,12 @@ def cmd_replicate(args):
     if good:
         lines = [f"{'parameter':<10} {'true':>9} {'mean':>9} {'emp. SD':>9} "
                  f"{'asy. SD':>9} {'count':>6}"]
-        for k, name in enumerate(names):
-            asy = f"{ses.mean(axis=0)[k]:>9.4f}" if ses.size else "      n/a"
-            sd = f"{est[:, k].std(ddof=1):>9.4f}" if len(good) >= 2 else "      n/a"
-            lines.append(
-                f"{name:<10} {truth[k]:>9.4f} {est[:, k].mean():>9.4f} "
-                f"{sd} {asy} {len(good):>6d}"
-            )
+        na = [None] * len(names)
+        for name, *row in zip(names, summary["true"], summary["mean"],
+                              summary["empirical_sd"] or na,
+                              summary["mean_asymptotic_se"] or na):
+            cells = ("      n/a" if v is None else f"{v:>9.4f}" for v in row)
+            lines.append(f"{name:<10} {' '.join(cells)} {len(good):>6d}")
     else:
         lines = [f"all {R} replicates failed; see summary.json for errors"]
     table = "\n".join(lines)

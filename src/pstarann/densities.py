@@ -48,9 +48,8 @@ class ErrorDensity:
     def __post_init__(self):
         if self.family not in ("normal", "scaled_t", "laplace"):
             raise ValueError(f"unknown error family {self.family!r}")
-        if self.family == "scaled_t":
-            if self.nu is None or self.nu <= 2:
-                raise ValueError("scaled t needs degrees of freedom nu > 2 for unit variance")
+        if self.family == "scaled_t" and not (self.nu is not None and 2 < self.nu < math.inf):
+            raise ValueError(f"scaled t needs a finite nu > 2 for unit variance, got nu={self.nu}")
 
     # ------------------------------------------------------------------
 

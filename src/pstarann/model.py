@@ -322,16 +322,25 @@ def nn_component(X, lam, gamma):
     return sigmoid(X @ gamma.T) @ lam
 
 
-# check_causal rejects a leading coefficient 1 - phi0 tau below this in modulus.
+# check_causal rejects a leading coefficient 1 - phi0 tau below this.
 LEAD_TOL = 1e-14
+# A largest root modulus above 1 - CAUSAL_MARGIN is non-causal.
+CAUSAL_MARGIN = 1e-6
 
 
 class CausalityCheck(NamedTuple):
     causal: bool
     max_root_modulus: float
 
+    def require(self):
+        """Return the check if causal, else raise the one non-causal ``ValueError``."""
+        if not self.causal:
+            raise ValueError(f"non-causal parameters: max root modulus "
+                             f"{self.max_root_modulus!r} exceeds 1 - {CAUSAL_MARGIN:g}")
+        return self
 
-def check_causal(spec: ModelSpec, theta: ParameterVector, margin=1e-6):
+
+def check_causal(spec: ModelSpec, theta: ParameterVector):
     """Verify the stationarity condition of the autoregressive operator.
 
     The determinant det[z^p A0 - sum_i phi_i W z^{p-i}] factors through the
@@ -340,21 +349,21 @@ def check_causal(spec: ModelSpec, theta: ParameterVector, margin=1e-6):
         (1 - phi0 tau) z^p - phi_1 tau z^{p-1} - ... - phi_p tau,
 
     so the process is causal iff every root of every factor has modulus at
-    most 1 - margin. The roots of the factor at tau are the eigenvalues of
-    its p x p companion matrix, whose first row is g phi_i, i = 1..p, with
-    g = tau / (1 - phi0 tau) and ones on the subdiagonal; the companion
-    matrices are stacked and solved in one batched ``eigvals`` call. p = 0
-    is trivially causal.
+    most 1 - CAUSAL_MARGIN. The roots of the factor at tau are the
+    eigenvalues of its p x p companion matrix, whose first row is g phi_i,
+    i = 1..p, with g = tau / (1 - phi0 tau) and ones on the subdiagonal; the
+    companion matrices are stacked and solved in one batched ``eigvals``
+    call. p = 0 is trivially causal.
 
-    For p <= 2 only the extreme eigenvalues tau_min and tau_max of W are
-    checked, with the same result as checking all of them. W has a zero
-    diagonal, so tau_min < 0 < tau_max and 1 - phi0 tau is positive at one
-    end of [tau_min, tau_max]. Where it is positive at both, it is positive
-    on the whole interval, g is increasing in tau there
-    (dg/dtau = 1 / (1 - phi0 tau)^2), and g ranges between its values at
-    the two ends. The roots of z^p - g (phi_1 z^{p-1} + ... + phi_p) all
-    have modulus below rho iff the Jury conditions hold, and for p <= 2
-    these are affine in g:
+    phi0 is checked first, for every p and before any spectrum access, by
+    ``WeightMatrix.check_phi0``. So |phi0| < 1, and as W's spectrum lies in
+    [-1, 1], 1 - phi0 tau >= 1 - |phi0| > 0 on all of [tau_min, tau_max]:
+    g is increasing in tau there (dg/dtau = 1 / (1 - phi0 tau)^2) and
+    ranges between its values at the two ends. For p <= 2 only tau_min and
+    tau_max are checked, with the same result as checking all eigenvalues:
+    the roots of z^p - g (phi_1 z^{p-1} + ... + phi_p) all have modulus
+    below rho iff the Jury conditions hold, and for p <= 2 these are affine
+    in g:
 
         p = 1:  |g phi_1| < rho,
         p = 2:  |g phi_2| < rho^2  and  |g phi_1| rho < rho^2 - g phi_2.
@@ -366,45 +375,36 @@ def check_causal(spec: ModelSpec, theta: ParameterVector, margin=1e-6):
     tau_min or tau_max. Both ends are eigenvalues, so the maximum is the
     same ``max_root_modulus``. For p >= 3 the conditions are not affine in
     g and the argument fails: with phi = (2.47, -2.93, 1.18) the largest
-    root modulus falls from 1.346 at g = 1.25 to 1.255 at g = 1.4. There,
-    and where 1 - phi0 tau reaches 0 in the interval, every eigenvalue is
-    checked.
+    root modulus falls from 1.346 at g = 1.25 to 1.255 at g = 1.4. There
+    every eigenvalue is checked; only p >= 3 reads the dense spectrum. A
+    lead below LEAD_TOL (|phi0| within about 1e-14 of 1) raises ValueError.
     """
     theta.validate(spec)
+    spec.W.check_phi0(theta.phi0)
     p = spec.p
     if p == 0:
         return CausalityCheck(True, 0.0)
     tau = np.array([spec.W.tau_max, spec.W.tau_min]) if p <= 2 else spec.W.eigenvalues
     lead = 1.0 - theta.phi0 * tau
-    if p <= 2 and lead.min() < LEAD_TOL:
-        # 1 - phi0 tau reaches 0 on [tau_min, tau_max], so g is not monotone there
-        tau = spec.W.eigenvalues
-        lead = 1.0 - theta.phi0 * tau
-    vanishing = np.flatnonzero(np.abs(lead) < LEAD_TOL)
-    if vanishing.size:
-        raise ValueError(
-            f"leading coefficient vanishes at eigenvalue tau={tau[vanishing[0]]}"
-        )
+    if lead.min() < LEAD_TOL:
+        raise ValueError(f"leading coefficient vanishes at eigenvalue tau={tau[lead.argmin()]}")
     companion = np.zeros((tau.size, p, p))
     companion[:, 0, :] = np.outer(tau, theta.phi) / lead[:, None]
     companion[:, np.arange(1, p), np.arange(p - 1)] = 1.0
     max_mod = float(np.max(np.abs(np.linalg.eigvals(companion))))
-    return CausalityCheck(max_mod <= 1.0 - margin, max_mod)
+    return CausalityCheck(max_mod <= 1.0 - CAUSAL_MARGIN, max_mod)
 
 
-def psi_expansion(spec: ModelSpec, theta: ParameterVector, J, margin=1e-6):
+def psi_expansion(spec: ModelSpec, theta: ParameterVector, J):
     """Moving-average matrices Psi_0..Psi_J of the causal expansion.
 
     Psi_0 = I and Psi_j = sum_{k=1..min(j,p)} (A0^{-1} A_k) Psi_{j-k} with
-    A_k = phi_k W. Returned dense; intended for moderate n (the recursion
-    is a correctness oracle, not a production path).
+    A_k = phi_k W. An inadmissible phi0 (p = 0 included) or a non-causal
+    theta raises ``check_causal``'s ``ValueError`` first. Returned dense;
+    intended for moderate n (the recursion is a correctness oracle, not a
+    production path).
     """
-    chk = check_causal(spec, theta, margin=margin)
-    if not chk.causal:
-        raise ValueError(
-            f"non-causal parameters (max root modulus {chk.max_root_modulus:.6g}); "
-            "the expansion would diverge"
-        )
+    check_causal(spec, theta).require()
     n = spec.n
     psis = [np.eye(n)]
     if spec.p == 0 or J == 0:

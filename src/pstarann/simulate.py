@@ -86,11 +86,7 @@ def simulate(spec: ModelSpec, theta: ParameterVector, X=None, seed=0, burn_in=20
     """
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
-    chk = check_causal(spec, theta)
-    if not chk.causal:
-        raise ValueError(
-            f"non-causal parameters: max root modulus {chk.max_root_modulus:.6g} >= 1"
-        )
+    check_causal(spec, theta).require()
 
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     ss_x, ss_e = ss.spawn(2)

@@ -23,10 +23,11 @@ After that one decomposition, every log-determinant and trace is O(n).
 The decomposition is dense, O(n^3) time and n^2 memory, so it is built
 lazily: on the first log-determinant or trace, which only a likelihood
 needs, and then cached for the life of the WeightMatrix. Simulation and
-the causality check need only the ends of the spectrum. The largest
-eigenvalue of W is exactly 1 (Perron-Frobenius: W is nonnegative with unit
-row sums). The smallest comes from a Lanczos iteration (ARPACK) on the
-sparse S, which costs milliseconds where the dense spectrum costs seconds.
+the causality check for p <= 2 need only the ends of the spectrum. The
+largest eigenvalue of W is exactly 1 (Perron-Frobenius: W is nonnegative
+with unit row sums). The smallest comes from a Lanczos iteration (ARPACK)
+on the sparse S, which costs milliseconds where the dense spectrum costs
+seconds.
 
 A0 is strictly diagonally dominant, hence invertible, whenever
 |phi0| < 1 / max_i |tau_i| = 1.
@@ -177,7 +178,9 @@ class WeightMatrix:
         """Whether phi0 lies in the admissible interval (-1/tau_max, 1/tau_max)."""
         return abs(phi0) * self.tau_max < 1.0
 
-    def _check_phi0(self, phi0):
+    def check_phi0(self, phi0):
+        """Raise ``ValueError`` unless ``admits(phi0)``: the one phi0 domain check,
+        run first by the log-det, the traces, ``a0_factor`` and ``check_causal``."""
         if not self.admits(phi0):
             bound = 1.0 / self.tau_max
             raise ValueError(
@@ -188,12 +191,12 @@ class WeightMatrix:
 
     def log_det_a0(self, phi0):
         """ln|I - phi0 W| via the cached eigenvalues."""
-        self._check_phi0(phi0)
+        self.check_phi0(phi0)
         return float(np.sum(np.log1p(-phi0 * self.eigenvalues)))
 
     def trace_w_a0inv(self, phi0, power=1):
         """tr(W A0^{-1}) for power=1, tr((W A0^{-1})^2) for power=2."""
-        self._check_phi0(phi0)
+        self.check_phi0(phi0)
         if power not in (1, 2):
             raise ValueError("power must be 1 or 2")
         r = self.eigenvalues / (1.0 - phi0 * self.eigenvalues)
@@ -201,7 +204,7 @@ class WeightMatrix:
 
     def a0_factor(self, phi0):
         """Sparse LU factorization of A0; returns an object with .solve(b)."""
-        self._check_phi0(phi0)
+        self.check_phi0(phi0)
         return spla.splu(sp.identity(self.n, format="csc") - phi0 * self.W.tocsc())
 
     def solve_a0(self, phi0, b):
@@ -209,7 +212,6 @@ class WeightMatrix:
 
         Accepts a vector of length n or an (n, k) block of right-hand sides.
         """
-        self._check_phi0(phi0)
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.n:
             raise ValueError(f"right-hand side has length {b.shape[0]}, expected {self.n}")

@@ -57,6 +57,96 @@ class TestSimulateCommand:
         assert code == 2
         assert "root modulus" in capsys.readouterr().err
 
+    def test_noncausal_message_shared(self, tmp_path, capsys):
+        # simulate, psi_expansion and replicate raise one and the same error
+        cfg_dict = json.loads(json.dumps(MODEL1_CONFIG))
+        cfg_dict["theta"]["phi"] = [1.5]
+        cfg = write_config(tmp_path, cfg_dict)
+        spec = pa.ModelSpec(W=pa.build_queen_lattice(6, 6), p=1, q=2, h=1,
+                            density=pa.normal(), linear_term=False)
+        theta = pa.ParameterVector.from_json_dict(cfg_dict["theta"])
+        messages = []
+        for call in (lambda: pa.simulate(spec, theta, T=8,
+                                         covariate_columns=cfg_dict["covariates"]),
+                     lambda: pa.psi_expansion(spec, theta, 3)):
+            with pytest.raises(ValueError) as exc:
+                call()
+            messages.append(str(exc.value))
+        for command in (["simulate"], ["replicate", "--replicates", "2"]):
+            code = main(command + ["--config", cfg, "--out", str(tmp_path / "x")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            messages.append(err[len("error: "):].rstrip("\n"))
+        assert len(set(messages)) == 1, messages
+        assert "non-causal parameters" in messages[0] and "root modulus" in messages[0]
+        assert "exceeds 1 - 1e-06" in messages[0]
+
+    @pytest.mark.parametrize("command", [["simulate"], ["replicate", "--replicates", "2"]])
+    def test_inadmissible_phi0_exit_2(self, tmp_path, capsys, command):
+        cfg_dict = json.loads(json.dumps(MODEL1_CONFIG))
+        cfg_dict["theta"]["phi0"] = 1.5
+        cfg = write_config(tmp_path, cfg_dict)
+        code = main(command + ["--config", cfg, "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "phi0=1.5 outside the admissible interval" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("model", "p", 1.7),
+        ("model", "h", True),
+        ("model", "q", "2"),
+        ("model", "linear_term", "false"),
+        ("model", "intercept", "no"),
+        ("model", "linear_term", 0),
+        ("simulate", "T", 8.9),
+        ("simulate", "burn_in", 100.5),
+        ("lattice", "n1", 6.5),
+        ("optim", "n_starts", "3"),
+        ("optim", "max_iter", float("inf")),
+    ])
+    def test_mistyped_config_key_exit_2(self, tmp_path, capsys, section, key, value):
+        # replicate reads every section before its first simulation
+        cfg_dict = json.loads(json.dumps(MODEL1_CONFIG))
+        cfg_dict[section][key] = value
+        cfg = write_config(tmp_path, cfg_dict)
+        code = main(["replicate", "--config", cfg, "--out", str(tmp_path / "x"),
+                     "--replicates", "2"])
+        assert code == 2
+        assert f"error: {section}.{key} must be " in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_missing_density_named_once(self, tmp_path, capsys):
+        cfg_dict = json.loads(json.dumps(MODEL1_CONFIG))
+        del cfg_dict["model"]["density"]
+        code = main(["simulate", "--config", write_config(tmp_path, cfg_dict),
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: model: missing required key 'density'\n"
+
+    def test_integer_valued_floats_accepted(self, tmp_path, capsys):
+        cfg_dict = json.loads(json.dumps(MODEL1_CONFIG))
+        cfg_dict["lattice"]["n1"] = 6.0
+        cfg_dict["simulate"]["T"] = 8.0
+        a, b = tmp_path / "a", tmp_path / "b"
+        main(["simulate", "--config", write_config(tmp_path, MODEL1_CONFIG, "int.json"),
+              "--out", str(a), "--seed", "2"])
+        assert main(["simulate", "--config", write_config(tmp_path, cfg_dict),
+                     "--out", str(b), "--seed", "2"]) == 0
+        capsys.readouterr()
+        assert (a / "panel.csv").read_bytes() == (b / "panel.csv").read_bytes()
+
+    @pytest.mark.parametrize("density", ["t:nan", "t:inf"])
+    def test_non_finite_t_degrees_of_freedom_exit_2(self, sim_dir, capsys, density):
+        tmp, _, sim = sim_dir
+        cfg_dict = json.loads(json.dumps(MODEL1_CONFIG))
+        cfg_dict["model"]["density"] = density
+        cfg = write_config(tmp, cfg_dict, f"{density[2:]}.json")
+        for command in (["simulate"], ["fit", "--panel", str(sim / "panel.csv")]):
+            code = main(command + ["--config", cfg, "--out", str(tmp / "nu")])
+            assert code == 2
+            assert f"got nu={density[2:]}" in capsys.readouterr().err
+        assert not (tmp / "nu").exists()
+
     def test_bad_json_named_line(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{\n  "lattice": {,}\n}')

@@ -188,3 +188,11 @@ class TestConfigParsing:
             pa.density_from_config("t:abc")
         with pytest.raises(ValueError, match="nu > 2"):
             pa.density_from_config("t:2")
+
+    @pytest.mark.parametrize("text", ["t:nan", "t:inf", "t:1e400"])
+    def test_non_finite_nu_rejected(self, text):
+        # a non-finite nu would make every log-density, score and draw NaN
+        with pytest.raises(ValueError, match=r"finite nu > 2 .*got nu=(nan|inf)"):
+            pa.density_from_config(text)
+        with pytest.raises(ValueError, match="finite nu"):
+            pa.ErrorDensity("scaled_t", float(text[2:]))

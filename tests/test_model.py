@@ -144,10 +144,11 @@ class TestCheckCausal:
         assert chk == (True, 0.0)
 
     def test_vanishing_leading_coefficient(self):
+        # admissible, yet 1 - phi0 tau_max = 1.1e-15 is below LEAD_TOL
         W = pa.from_adjacency([(0, 1)], 2)  # spectrum {1, -1}
         spec = pa.ModelSpec(W=W, p=1, q=0, h=0, density=pa.normal())
         with pytest.raises(ValueError, match="leading coefficient"):
-            pa.check_causal(spec, pa.ParameterVector(1.0, [0.3], [], [], []))
+            pa.check_causal(spec, pa.ParameterVector(1.0 - 1e-15, [0.3], [], [], []))
 
     def test_p2_roots_against_numpy(self, w22):
         spec = pa.ModelSpec(W=w22, p=2, q=0, h=0, density=pa.normal())
@@ -231,13 +232,23 @@ class TestCheckCausal:
                    for tau in (w1010.tau_min, w1010.tau_max))
         assert worst > ends + 0.05
 
-    def test_pole_inside_interval_checks_every_eigenvalue(self, w44):
-        # 1 - phi0 tau vanishes between tau_min and tau_max: the extremes do
-        # not bound g there, so the full spectrum decides, as the oracle does
-        spec = pa.ModelSpec(W=w44, p=1, q=0, h=0, density=pa.normal())
-        theta = pa.ParameterVector(1.0 / 0.5, [0.3], [], [], [])
-        chk = pa.check_causal(spec, theta)
-        assert_allclose(chk.max_root_modulus, self.roots_oracle(w44, theta), rtol=1e-12)
+    def test_pole_inside_interval_checks_every_eigenvalue(self):
+        # phi0 = 2 puts the pole 1 - phi0 tau = 0 inside [tau_min, tau_max]:
+        # the domain check rejects it first, for every p, before the dense
+        # spectrum is built
+        for p in (0, 1, 2, 3):
+            W = pa.build_queen_lattice(4, 4)
+            spec = pa.ModelSpec(W=W, p=p, q=0, h=0, density=pa.normal())
+            with pytest.raises(ValueError, match="admissible interval"):
+                pa.check_causal(spec, pa.ParameterVector(2.0, [0.3] * p, [], [], []))
+            assert "eigenvalues" not in W.__dict__
+        # next to the pole, but admissible: p <= 2 still reads only the extremes
+        for p in (1, 2):
+            W = pa.build_queen_lattice(4, 4)
+            spec = pa.ModelSpec(W=W, p=p, q=0, h=0, density=pa.normal())
+            theta = pa.ParameterVector(1.0 - 1e-13, [0.3] * p, [], [], [])
+            assert not pa.check_causal(spec, theta).causal
+            assert "eigenvalues" not in W.__dict__
 
     def test_complex_roots_present(self, w44):
         # the p = 2 case above really exercises complex-conjugate pairs
@@ -276,6 +287,11 @@ class TestPsiExpansion:
         spec = pa.ModelSpec(W=W, p=1, q=0, h=0, density=pa.normal())
         with pytest.raises(ValueError, match="non-causal"):
             pa.psi_expansion(spec, pa.ParameterVector(0.0, [1.5], [], [], []), 5)
+
+    def test_inadmissible_phi0_rejected_without_lags(self, w22):
+        spec = pa.ModelSpec(W=w22, p=0, q=0, h=0, density=pa.normal())
+        with pytest.raises(ValueError, match="admissible interval"):
+            pa.psi_expansion(spec, pa.ParameterVector(1.5, [], [], [], []), 3)
 
     def test_p2_recursion_matches_manual(self, w22):
         spec = pa.ModelSpec(W=w22, p=2, q=0, h=0, density=pa.normal())
