@@ -11,7 +11,8 @@ The pieces compose bottom-up:
     simulate     panel generation and the panel CSV wire format
     likelihood   residuals, exact conditional log-likelihood, analytic
                  score/Hessian
-    estimate     L-BFGS-B multi-start MLE, sandwich covariance, LR test
+    estimate     multi-start MLE (trust-region Newton on the box; L-BFGS-B
+                 for Laplace errors), sandwich covariance, LR test
     diagnostics  Moran's I, residual diagnostics, heatmap grids
     cli          reproducible simulate / fit / replicate commands
 """

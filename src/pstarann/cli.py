@@ -77,14 +77,17 @@ def _require(cfg, key, where="config"):
     return cfg[key]
 
 
-def _typed(cfg, key, where, kind, *default):
+def _typed(cfg, key, where, kind, *default, minimum=None):
     """``cfg[key]``, required unless a default is given, as a JSON bool or, for int,
-    an integer-valued number (30.0 passes; 1.7, true and "3" do not)."""
+    an integer-valued number (30.0 passes; 1.7, true and "3" do not) of at least
+    ``minimum`` when one is given."""
     value = cfg.get(key, *default) if default else _require(cfg, key, where)
     integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
     if isinstance(value, bool) != (kind is bool) or not (kind is bool or integral):
         name = "a boolean" if kind is bool else "an integer"
         raise ConfigError(f"{where}.{key} must be {name}, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{where}.{key} must be >= {minimum}, got {kind(value)}")
     return kind(value)
 
 
@@ -142,8 +145,8 @@ def simulation_inputs(cfg, spec):
     """theta, T, burn-in and covariate columns of the simulating commands."""
     theta = build_theta(cfg, spec)
     sim = cfg.get("simulate", {})
-    T = _typed(sim, "T", "simulate", int)
-    burn_in = _typed(sim, "burn_in", "simulate", int, 200)
+    T = _typed(sim, "T", "simulate", int, minimum=1)
+    burn_in = _typed(sim, "burn_in", "simulate", int, 200, minimum=0)
     columns = _require(cfg, "covariates") if spec.q else []
     return theta, T, burn_in, columns
 
@@ -183,9 +186,9 @@ def cmd_simulate(args):
 def _optim_options(cfg):
     opt = cfg.get("optim", {})
     return {
-        "n_starts": _typed(opt, "n_starts", "optim", int, 5),
+        "n_starts": _typed(opt, "n_starts", "optim", int, 5, minimum=1),
         "tol": float(opt.get("tol", 1e-8)),
-        "max_iter": _typed(opt, "max_iter", "optim", int, 500),
+        "max_iter": _typed(opt, "max_iter", "optim", int, 500, minimum=1),
     }
 
 

@@ -2,8 +2,14 @@
 Maximum-likelihood fitting with box constraints, multi-start, post-hoc
 canonicalization, and sandwich covariance.
 
-The optimizer is L-BFGS-B (bound-constrained limited-memory quasi-Newton)
-driven by the analytic gradient. Default boxes keep the search compact and
+For normal and scaled-t errors the optimizer is a projected trust-region
+Newton method on the analytic gradient and Hessian (Lin & Moré 1999, TRON),
+with each subproblem solved exactly through an eigendecomposition of the
+Hessian block of the free variables (Moré & Sorensen 1983). Its stopping
+rule is the ``converged`` that ``fit`` reports: the projected gradient's
+infinity norm is at most tol * (1 + |loglik|). The Laplace family has no
+Hessian and runs L-BFGS-B on the analytic gradient. Every start leaves a
+record in ``FitResult.trace``. Default boxes keep the search compact and
 sigmoid arguments sane:
 
     phi0 in [-0.995, 0.995] / tau_max,  phi_i in [-3, 3],
@@ -27,6 +33,7 @@ estimates only.
 from __future__ import annotations
 
 import json
+import time
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -57,7 +64,7 @@ __all__ = [
     "likelihood_ratio_test",
 ]
 
-_PENALTY = 1e15  # finite stand-in for the -inf sentinel inside line searches
+_PENALTY = 1e15  # finite stand-in for the -inf sentinel inside L-BFGS-B line searches
 
 
 class FitError(RuntimeError):
@@ -86,7 +93,7 @@ class FitResult:
     canonical: bool = True
     causality: Optional[CausalityCheck] = None
     boundary_warning: bool = False
-    start_logliks: list = field(default_factory=list)
+    trace: list = field(default_factory=list)
     n_domain_rejections: int = 0
     nT: int = 0
     names: list = field(default_factory=list)
@@ -101,7 +108,7 @@ class FitResult:
             "canonical": self.canonical,
             "n_starts": self.n_starts,
             "n_iterations": self.n_iterations,
-            "start_logliks": self.start_logliks,
+            "trace": self.trace,
             "boundary_warning": self.boundary_warning,
             "n_domain_rejections": self.n_domain_rejections,
             "nT": self.nT,
@@ -231,61 +238,129 @@ def initial_points(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, ws=None
     return starts
 
 
-def _projected_gradient(x, g, lb, ub, tol=1e-10):
-    pg = g.copy()
-    pg[(x <= lb + tol) & (g > 0)] = 0.0
-    pg[(x >= ub - tol) & (g < 0)] = 0.0
-    return pg
+def _first_order(x, g, f, lb, ub, tol):
+    """The first-order test that ``fit`` reports as ``converged``.
 
-
-def _newton_polish(ws, theta, lb, ub, tol, max_steps=25):
-    """Sharpen an L-BFGS-B optimum with damped Newton steps.
-
-    Quasi-Newton line searches stall once improvements fall below the
-    floating-point resolution of the objective; a few analytic-Hessian
-    steps push the projected gradient well under the convergence
-    threshold. Interior points only; steps are clipped to the box and
-    backtracked on the log-likelihood. Near the optimum the predicted gain
-    of a full step is below one ulp of the log-likelihood, so a step is
-    accepted unless it lowers the log-likelihood by more than four ulps:
-    rounding alone must not reject the step that zeroes the gradient.
+    ``g`` is the gradient of the minimized objective ``f`` at x. A variable
+    on a bound whose descent direction -g points out of the box is held;
+    the projected gradient is g over the other variables. Returns its
+    infinity norm and whether that is <= tol * (1 + |f|).
     """
-    ll = ws.log_likelihood(theta)
-    for _ in range(max_steps):
-        g = ws.gradient(theta)
-        pg = _projected_gradient(theta.x, -g, lb, ub)
-        if np.max(np.abs(pg)) <= 0.1 * tol * (1.0 + abs(ll)):
+    held = ((x <= lb) & (g > 0)) | ((x >= ub) & (g < 0))
+    pg = np.where(held, 0.0, g)
+    norm = float(np.max(np.abs(pg))) if pg.size else 0.0
+    return norm, norm <= tol * (1.0 + abs(f)), ~held
+
+
+def _trust_region_step(g, lam, Q, delta):
+    """argmin g's + s'Bs/2 over ||s|| <= delta, with B = Q diag(lam) Q'.
+
+    Moré & Sorensen (1983) with the eigendecomposition in place of their
+    Cholesky factors: the step is -(B + sigma I)^{-1} g with sigma >= 0,
+    B + sigma I positive semidefinite, and ||s|| = delta unless sigma = 0.
+    Newton's method on 1/||s(sigma)|| - 1/delta, started left of the root,
+    increases monotonically to it. In the hard case g has no component
+    along the lowest eigenvector, and that eigenvector fills the step out
+    to the boundary.
+    """
+    a = Q.T @ g
+    if lam[0] > 0:
+        s = -Q @ (a / lam)
+        if np.linalg.norm(s) <= delta:
+            return s
+    # some component alone already reaches the boundary here, so the
+    # start is left of the root (or at -lam_1 with a_1 = 0)
+    sigma = max(0.0, -lam[0], float(np.max(np.abs(a) / delta - lam)))
+    for _ in range(100):
+        d = lam + sigma
+        pos = d > 0
+        w = np.zeros_like(a)
+        w[pos] = a[pos] / d[pos]
+        norm = np.linalg.norm(w)
+        if not pos[0] and norm < delta:  # hard case
+            return -Q @ w + np.sqrt(delta ** 2 - norm ** 2) * Q[:, 0]
+        if abs(norm - delta) <= 1e-10 * delta:
             break
-        try:
-            H = ws.hessian(theta)
-            step = np.linalg.solve(H, -g)
-        except (ValueError, np.linalg.LinAlgError):
+        sigma += norm ** 2 / np.sum(w[pos] ** 2 / d[pos]) * (norm - delta) / delta
+    return -Q @ w
+
+
+def _trust_region_newton(fun, x0, jac, hess, bounds, gtol=1e-8, maxiter=500, **_):
+    """Projected trust-region Newton on a box, a method for ``optimize.minimize``.
+
+    Lin & Moré (1999, TRON) with an exact subproblem: each iteration takes
+    the free variables (those not held on a bound by ``_first_order``),
+    solves the trust-region subproblem on their block of the Hessian
+    (``_trust_region_step``), projects the step onto the box and applies
+    the ratio test. A trial point where ``fun`` is not finite is rejected
+    and shrinks the radius. Both reductions in the ratio carry
+    10 eps max(1, |f|), so that once the predicted gain falls below the
+    objective's rounding a step is judged by its model alone (Conn, Gould
+    & Toint 2000, sec. 17.4.2). Stops when ``_first_order`` holds with
+    ``gtol``, after ``maxiter`` trials, or when the radius falls below the
+    rounding of x. ``nit`` counts trials, accepted or not; a start where
+    ``fun`` is not finite returns ``fun = inf``.
+    """
+    lb, ub = np.asarray(bounds, dtype=float).T
+    x = np.clip(x0, lb, ub)
+    f, nfev = fun(x), 1
+    if not np.isfinite(f):
+        return optimize.OptimizeResult(x=x, fun=np.inf, nit=0, nfev=nfev, success=False,
+                                       message="objective not finite at the start")
+    g, delta, nit, eig = jac(x), 1.0, 0, None
+    while True:
+        _, done, free = _first_order(x, g, f, lb, ub, gtol)
+        if done:
+            success, message = True, "projected gradient below tolerance"
             break
-        if step @ g <= 0:  # not an ascent direction (H not negative definite)
+        if nit >= maxiter:
+            success, message = False, "maximum number of iterations reached"
             break
-        improved = False
-        for alpha in (1.0, 0.5, 0.25, 0.1, 0.01):
-            cand = ParameterVector.from_array(np.clip(theta.x + alpha * step, lb, ub), ws.spec)
-            ll_new = ws.log_likelihood(cand)
-            if np.isfinite(ll_new) and ll_new >= ll - 4.0 * np.spacing(abs(ll)):
-                improved = ll_new > ll or not np.array_equal(cand.x, theta.x)
-                theta, ll = cand, ll_new
-                break
-        if not improved:
+        if delta <= np.finfo(float).eps * (1.0 + np.max(np.abs(x))):
+            success, message = False, "trust radius fell below the rounding of x"
             break
-    return theta
+        if eig is None:  # a new iterate
+            B = hess(x)
+            eig = np.linalg.eigh(B[np.ix_(free, free)])
+        nit += 1
+        s = np.zeros_like(x)
+        s[free] = _trust_region_step(g[free], *eig, delta)
+        trial = np.clip(x + s, lb, ub)
+        s = trial - x
+        step = np.linalg.norm(s)
+        pred = -(g @ s + 0.5 * s @ B @ s)
+        f_new, nfev = fun(trial), nfev + 1
+        noise = 10.0 * np.finfo(float).eps * max(1.0, abs(f))
+        rho = (f - f_new + noise) / (pred + noise) if np.isfinite(f_new) and pred > 0 else -np.inf
+        if rho < 0.25:  # a projected step can be shorter than the radius
+            delta = 0.25 * (step if 0 < step < delta else delta)
+        elif rho > 0.75 and step > 0.9 * delta:
+            delta = min(2.0 * delta, 1e3)
+        if rho > 0.15:
+            x, f, g, eig = trial, f_new, jac(trial), None
+    return optimize.OptimizeResult(x=x, fun=f, nit=nit, nfev=nfev, success=success,
+                                   message=message)
 
 
 def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
         tol=1e-8, max_iter=500, covariance=True, starts=None):
     """Maximize the conditional log-likelihood from multiple starts.
 
+    The normal and scaled-t families run ``_trust_region_newton`` from each
+    start on the analytic gradient and Hessian, for at most ``max_iter``
+    trial steps. The Laplace family has no Hessian and runs L-BFGS-B for at
+    most ``max_iter`` iterations.
+
     Returns the best local optimum (ties broken by start index) after
-    canonicalization. For twice-differentiable families ``converged``
-    means the projected-gradient infinity norm of the winner satisfies
-    ||pg|| <= tol * (1 + |loglik|); for the Laplace family it reports the
-    line search's own termination status, since the one-sided gradient
-    does not vanish at a kink optimum.
+    canonicalization. For the twice-differentiable families ``converged``
+    is the trust region's own stopping test (``_first_order``): the
+    projected-gradient infinity norm of the winner satisfies
+    ||pg|| <= tol * (1 + |loglik|). For the Laplace family it reports
+    L-BFGS-B's termination status, since the one-sided gradient does not
+    vanish at a kink optimum. ``trace`` holds one record per start: the
+    log-likelihood at the start and at the optimizer's end (None where it
+    is not finite), the optimizer's ``nit``, ``nfev`` and message, and the
+    start's wall seconds.
     """
     ws = LikelihoodWorkspace(spec, data)
     if bounds is None:
@@ -293,12 +368,27 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
     else:
         bounds = np.asarray(bounds, dtype=float).reshape(spec.dim, 2)
     lb, ub = bounds[:, 0], bounds[:, 1]
+    smooth = spec.density.differentiable
+    # the trust region rejects a non-finite trial; L-BFGS-B's line search
+    # needs a finite stand-in
+    outside = np.inf if smooth else _PENALTY
 
     def objective(x):
         ll, g = ws.loglik_and_gradient(ParameterVector.from_array(x, spec))
         if not np.isfinite(ll):
-            return _PENALTY, np.zeros(spec.dim)
+            return outside, np.zeros(spec.dim)
         return -ll, -g
+
+    def neg_hessian(x):
+        return -ws.hessian(ParameterVector.from_array(x, spec))
+
+    if smooth:
+        method, hess = _trust_region_newton, neg_hessian
+        options = {"gtol": tol, "maxiter": max_iter}
+    else:
+        method, hess = "L-BFGS-B", None
+        options = {"maxiter": max_iter, "maxcor": 10, "ftol": 1e-14, "gtol": 1e-7,
+                   "maxls": 50}
 
     if starts is None:
         starts = initial_points(spec, data, n_starts, seed, ws=ws)
@@ -306,19 +396,23 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
         starts = [s if isinstance(s, ParameterVector)
                   else ParameterVector.from_array(s, spec) for s in starts]
         n_starts = len(starts)
-    candidates = []
+    candidates, trace = [], []
     for idx, theta0 in enumerate(starts):
-        res = optimize.minimize(
-            objective,
-            theta0.x,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=list(map(tuple, bounds)),
-            options={"maxiter": max_iter, "maxcor": 10, "ftol": 1e-14,
-                     "gtol": 1e-7, "maxls": 50},
-        )
-        if np.isfinite(res.fun) and res.fun < _PENALTY / 2:
+        t0 = time.perf_counter()
+        ll0 = ws.log_likelihood(theta0)
+        res = optimize.minimize(objective, theta0.x, jac=True, hess=hess, method=method,
+                                bounds=list(map(tuple, bounds)), options=options)
+        ok = np.isfinite(res.fun) and res.fun < _PENALTY / 2
+        if ok:
             candidates.append((idx, res))
+        trace.append({
+            "start_loglik": float(ll0) if np.isfinite(ll0) else None,
+            "loglik": -float(res.fun) if ok else None,
+            "nit": int(res.nit),
+            "nfev": int(res.nfev),
+            "message": str(res.message),
+            "seconds": time.perf_counter() - t0,
+        })
 
     if not candidates:
         raise FitError(
@@ -326,19 +420,13 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
             "check data scaling and bounds"
         )
 
-    start_logliks = [-float(r.fun) for _, r in candidates]
     _, best = min(candidates, key=lambda c: (c[1].fun, c[0]))
 
     theta_raw = ParameterVector.from_array(best.x, spec)
-    if spec.density.differentiable:
-        theta_raw = _newton_polish(ws, theta_raw, lb, ub, tol)
     ll_hat = ws.log_likelihood(theta_raw)
     g_hat = ws.gradient(theta_raw)
-    pg = _projected_gradient(theta_raw.x, -g_hat, lb, ub)
-    grad_norm = float(np.max(np.abs(pg))) if pg.size else 0.0
-    if spec.density.differentiable:
-        converged = grad_norm <= tol * (1.0 + abs(ll_hat))
-    else:
+    grad_norm, converged, _ = _first_order(theta_raw.x, -g_hat, -ll_hat, lb, ub, tol)
+    if not smooth:
         # At the kink optimum of a non-smooth (Laplace) surface the
         # one-sided gradient does not vanish even though the subgradient
         # contains zero; take the line search's own termination instead.
@@ -374,7 +462,7 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
         canonical=canonical,
         causality=check_causal(spec, theta_hat),
         boundary_warning=boundary,
-        start_logliks=start_logliks,
+        trace=trace,
         n_domain_rejections=ws.n_domain_rejections,
         nT=data.n * data.T,
         names=param_names(spec),

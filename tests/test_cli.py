@@ -115,6 +115,33 @@ class TestSimulateCommand:
         assert f"error: {section}.{key} must be " in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("section, key, value, commands", [
+        ("optim", "n_starts", 0, ["fit", "replicate"]),
+        ("optim", "max_iter", 0, ["fit", "replicate"]),
+        ("simulate", "T", 0, ["simulate", "replicate"]),
+        ("simulate", "T", -2, ["simulate", "replicate"]),
+        ("simulate", "burn_in", -1, ["simulate", "replicate"]),
+    ])
+    def test_out_of_range_config_key_exit_2(self, tmp_path, capsys, section, key, value,
+                                            commands):
+        # rejected while the config is read: no replicate runs, no panel is written
+        cfg_dict = json.loads(json.dumps(MODEL1_CONFIG))
+        cfg_dict[section][key] = value
+        cfg = write_config(tmp_path, cfg_dict)
+        main(["simulate", "--config", write_config(tmp_path, MODEL1_CONFIG, "ok.json"),
+              "--out", str(tmp_path / "sim")])
+        extra = {"fit": ["--panel", str(tmp_path / "sim" / "panel.csv")],
+                 "replicate": ["--replicates", "2"], "simulate": []}
+        capsys.readouterr()
+        for command in commands:
+            out = tmp_path / command
+            code = main([command, "--config", cfg, "--out", str(out)] + extra[command])
+            assert code == 2
+            minimum = 0 if key == "burn_in" else 1
+            assert capsys.readouterr().err == (
+                f"error: {section}.{key} must be >= {minimum}, got {value}\n")
+            assert not out.exists()
+
     def test_missing_density_named_once(self, tmp_path, capsys):
         cfg_dict = json.loads(json.dumps(MODEL1_CONFIG))
         del cfg_dict["model"]["density"]

@@ -173,16 +173,79 @@ class TestFit:
         assert np.all(gap <= 4.0 * res.std_errors)
         assert res.converged
 
-    def test_polish_step_within_rounding_converges(self, w2020):
-        # At this seed the full Newton step takes the gradient norm from
-        # 1.8e-4 to 1e-12 but lowers the log-likelihood (about -17515.6) by
-        # one ulp; rejecting it left the fit just above the threshold
-        # tol * (1 + |ll|) = 1.75e-4.
+    def test_step_within_rounding_converges(self, w2020):
+        # a design where a step that takes the gradient norm from 1.8e-4 to
+        # 1e-12 can lower the log-likelihood (about -17515.6) by one ulp;
+        # rejecting such a step leaves the fit just above the threshold
+        # tol * (1 + |ll|) = 1.75e-4
         spec = model1_spec(w2020)
         data = pa.simulate(spec, model1_theta(), seed=1622779217, burn_in=200, T=30,
                            covariate_columns=MODEL1_COLUMNS)
         res = pa.fit(spec, data, n_starts=5, seed=1622779217)
         assert res.converged
+
+
+class TestTrustRegionNewton:
+    # reference optima from an independent optimizer (L-BFGS-B followed by
+    # damped Newton steps) on model 1 at 10x10, T = 10, 4 starts
+    QUASI_NEWTON = {
+        ("normal", 3): -1473.428523232486,
+        ("normal", 17): -1466.410097250302,
+        ("normal", 31): -1460.3717516665217,
+        ("t:8", 3): -1424.9293018484395,
+        ("t:8", 17): -1451.6689221325219,
+        ("t:8", 31): -1422.5711684650023,
+    }
+
+    @pytest.mark.parametrize("density, seed", list(QUASI_NEWTON))
+    def test_matches_quasi_newton_optimum(self, w1010, density, seed):
+        spec, data = small_model1_data(w1010, seed=seed, T=10,
+                                       density=pa.density_from_config(density))
+        res = pa.fit(spec, data, n_starts=4, seed=seed, covariance=False)
+        assert res.converged
+        assert_allclose(res.loglik, self.QUASI_NEWTON[density, seed], rtol=1e-9, atol=0)
+
+    def test_gains_below_rounding_reach_a_tight_tolerance(self, w1010):
+        # with tol = 1e-12 the last steps predict gains far below one ulp of
+        # the log-likelihood; the ratio test must judge them by the model,
+        # not by the rounding of the objective
+        spec, data = small_model1_data(w1010, seed=2, T=10)
+        res = pa.fit(spec, data, n_starts=2, seed=2, tol=1e-12, covariance=False)
+        assert res.converged
+        assert {t["message"] for t in res.trace} == {"projected gradient below tolerance"}
+
+    def test_iteration_cap_reported_as_not_converged(self, w1010):
+        spec, data = small_model1_data(w1010, seed=3, T=10)
+        res = pa.fit(spec, data, n_starts=2, seed=3, max_iter=1, covariance=False)
+        assert not res.converged
+        assert res.gradient_norm > 1e-8 * (1 + abs(res.loglik))
+        assert [t["nit"] for t in res.trace] == [1, 1]
+        assert {t["message"] for t in res.trace} == {"maximum number of iterations reached"}
+
+    @pytest.mark.parametrize("index, bound", [(2, (-50.0, 1.0)), (4, (-0.2, 25.0))])
+    def test_binding_box_converges_on_the_bound(self, w1010, index, bound):
+        # index 2 is lambda_1 (1.5 at truth), index 4 gamma_12 (-0.35)
+        spec, data = small_model1_data(w1010, seed=3, T=10)
+        free = pa.fit(spec, data, n_starts=2, seed=3, covariance=False)
+        assert not bound[0] <= free.theta.x[index] <= bound[1]
+        bounds = pa.default_bounds(spec)
+        bounds[index] = bound
+        res = pa.fit(spec, data, n_starts=2, seed=3, bounds=bounds, covariance=False)
+        assert res.converged
+        assert res.gradient_norm <= 1e-8 * (1 + abs(res.loglik))
+        assert res.theta.x[index] in bound
+        assert res.loglik < free.loglik
+
+    def test_trace_has_one_record_per_start(self, w1010):
+        spec, data = small_model1_data(w1010, seed=17, T=10)
+        res = pa.fit(spec, data, n_starts=3, seed=1, covariance=False)
+        assert len(res.trace) == res.n_starts == 3
+        assert sum(t["nfev"] for t in res.trace) > 0
+        assert max(t["loglik"] for t in res.trace) == res.loglik
+        for t in res.trace:
+            assert t["loglik"] >= t["start_loglik"]
+            assert t["nit"] >= 1 and t["seconds"] > 0
+        assert res.to_json_dict()["trace"] == res.trace
 
 
 class TestSandwichCovariance:
