@@ -5,7 +5,8 @@ autoregressive panels with an additive sigmoid neural-network component
 
 The pieces compose bottom-up:
 
-    weights      spatial weight matrices, spectrum, A0 = I - phi0 W algebra
+    weights      spatial weight matrices, the log-det backends (spectrum,
+                 Chebyshev series), A0 = I - phi0 W algebra
     densities    unit-variance error families (normal, scaled t, Laplace)
     model        parameter vector, panel checks, causality, canonical form
     simulate     panel generation and the panel CSV wire format

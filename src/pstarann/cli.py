@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -78,13 +79,19 @@ def _require(cfg, key, where="config"):
 
 
 def _typed(cfg, key, where, kind, *default, minimum=None):
-    """``cfg[key]``, required unless a default is given, as a JSON bool or, for int,
-    an integer-valued number (30.0 passes; 1.7, true and "3" do not) of at least
-    ``minimum`` when one is given."""
+    """``cfg[key]``, required unless a default is given, as a JSON bool, an int
+    (an integer-valued number: 30.0 passes; 1.7, true and "3" do not) or a
+    float (a finite number: 0 passes; NaN, true and "1e-8" do not), of at
+    least ``minimum`` when one is given."""
     value = cfg.get(key, *default) if default else _require(cfg, key, where)
-    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    if isinstance(value, bool) != (kind is bool) or not (kind is bool or integral):
-        name = "a boolean" if kind is bool else "an integer"
+    if isinstance(value, bool) or kind is bool:
+        ok = isinstance(value, bool) and kind is bool
+    elif isinstance(value, float):
+        ok = value.is_integer() if kind is int else math.isfinite(value)
+    else:
+        ok = isinstance(value, int)
+    if not ok:
+        name = {bool: "a boolean", int: "an integer", float: "a finite number"}[kind]
         raise ConfigError(f"{where}.{key} must be {name}, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{where}.{key} must be >= {minimum}, got {kind(value)}")
@@ -187,7 +194,7 @@ def _optim_options(cfg):
     opt = cfg.get("optim", {})
     return {
         "n_starts": _typed(opt, "n_starts", "optim", int, 5, minimum=1),
-        "tol": float(opt.get("tol", 1e-8)),
+        "tol": _typed(opt, "tol", "optim", float, 1e-8, minimum=0),
         "max_iter": _typed(opt, "max_iter", "optim", int, 500, minimum=1),
     }
 
@@ -201,7 +208,13 @@ def cmd_fit(args):
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    result.save_json(out / "fit.json")
+    record = result.to_json_dict()
+    # the W precomputation the fit paid for, first touched by its starts
+    W = spec.W
+    record["log_det"] = {"backend": W.log_det_backend,
+                         "build_s": W.log_det_build_s.get(W.log_det_backend)}
+    with open(out / "fit.json", "w") as fh:
+        json.dump(record, fh, indent=2)
     table = result.format_table()
     (out / "fit.txt").write_text(table + "\n")
 
@@ -262,8 +275,9 @@ def cmd_replicate(args):
                 for r in range(R)]
     if args.threads > 1:
         # each payload reaches its worker as a fresh copy of spec; build W's
-        # spectrum here so that the copies carry it instead of rebuilding it
-        spec.W.eigenvalues
+        # log-det backend here so that the copies carry it instead of
+        # rebuilding it
+        spec.W.log_det_a0(0.0)
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
             records = list(pool.map(_replicate_one, payloads))
     else:

@@ -23,9 +23,10 @@ with the residual derivatives
     d eps / d gamma_i = -lambda_i F'(x'g_i) x_{s,t},
 
 and the only nonzero second derivatives of eps are the (lambda_i, gamma_i)
-and (gamma_i, gamma_i) blocks (F' = F(1-F), F'' = F'(1-2F)). Both traces
-come from the cached eigenvalues of W, so evaluations cost O(nT) after the
-one-time spectral decomposition.
+and (gamma_i, gamma_i) blocks (F' = F(1-F), F'' = F'(1-2F)). ln|A0| and
+both traces come from W's cached log-det backend (its spectrum, or for
+large n a Chebyshev series in phi0; see ``weights``), so evaluations cost
+O(nT) after that backend's one-time build.
 
 The workspace holds the residual derivatives as one (dim, nT) matrix D in
 the canonical parameter order (``model.Layout``), with column s + n(t-1)

@@ -103,6 +103,8 @@ class TestSimulateCommand:
         ("lattice", "n1", 6.5),
         ("optim", "n_starts", "3"),
         ("optim", "max_iter", float("inf")),
+        ("optim", "tol", float("nan")),
+        ("optim", "tol", True),
     ])
     def test_mistyped_config_key_exit_2(self, tmp_path, capsys, section, key, value):
         # replicate reads every section before its first simulation
@@ -121,6 +123,8 @@ class TestSimulateCommand:
         ("simulate", "T", 0, ["simulate", "replicate"]),
         ("simulate", "T", -2, ["simulate", "replicate"]),
         ("simulate", "burn_in", -1, ["simulate", "replicate"]),
+        ("optim", "tol", -1.0, ["fit", "replicate"]),
+        ("optim", "tol", "abc", ["fit", "replicate"]),
     ])
     def test_out_of_range_config_key_exit_2(self, tmp_path, capsys, section, key, value,
                                             commands):
@@ -137,9 +141,10 @@ class TestSimulateCommand:
             out = tmp_path / command
             code = main([command, "--config", cfg, "--out", str(out)] + extra[command])
             assert code == 2
-            minimum = 0 if key == "burn_in" else 1
-            assert capsys.readouterr().err == (
-                f"error: {section}.{key} must be >= {minimum}, got {value}\n")
+            minimum = 0 if key in ("burn_in", "tol") else 1
+            expected = (f"a finite number, got {value!r}" if isinstance(value, str)
+                        else f">= {minimum}, got {value}")
+            assert capsys.readouterr().err == f"error: {section}.{key} must be {expected}\n"
             assert not out.exists()
 
     def test_missing_density_named_once(self, tmp_path, capsys):
@@ -246,6 +251,23 @@ class TestFitCommand:
         assert (fit_out / "diagnostics.json").exists()
         diag = json.loads((fit_out / "diagnostics.json").read_text())
         assert len(diag["moran_per_t"]) == 8
+
+    def test_fit_json_records_log_det_build(self, sim_dir, capsys):
+        tmp, cfg, out = sim_dir
+        runs = []
+        for name in ("a", "b"):
+            main(["fit", "--config", cfg, "--panel", str(out / "panel.csv"),
+                  "--out", str(tmp / name), "--seed", "2"])
+            runs.append(json.loads((tmp / name / "fit.json").read_text()))
+        capsys.readouterr()
+        for run in runs:
+            assert run["log_det"]["backend"] == "spectrum"  # n = 36
+            assert run["log_det"]["build_s"] > 0.0
+            run["log_det"].pop("build_s")
+            for start in run["trace"]:
+                start.pop("seconds")
+        assert runs[0] == runs[1]
+        assert (tmp / "a" / "fit.txt").read_bytes() == (tmp / "b" / "fit.txt").read_bytes()
 
     def test_malformed_csv_row_exit_2(self, sim_dir, capsys):
         tmp, cfg, out = sim_dir

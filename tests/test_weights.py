@@ -1,4 +1,7 @@
-"""Weight-matrix construction, spectrum, and A0 algebra."""
+"""Weight-matrix construction, spectrum, log-det series, and A0 algebra."""
+
+import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +13,8 @@ from scipy.spatial import Delaunay
 
 import pstarann as pa
 from conftest import MODEL1_COLUMNS, model1_spec, model1_theta
-from pstarann.weights import read_adjacency_csv
+from pstarann import weights
+from pstarann.weights import LogDetSeries, read_adjacency_csv
 
 
 def delaunay_weights(n, seed):
@@ -341,6 +345,111 @@ class TestTraces:
     def test_power_validated(self, w22):
         with pytest.raises(ValueError, match="power"):
             w22.trace_w_a0inv(0.5, 3)
+
+
+def spectrum_log_det(W, phi0):
+    """(f, f', f'') of f = ln|I - phi0 W| from the cached eigenvalues."""
+    tau = W.eigenvalues
+    r = tau / (1.0 - phi0 * tau)
+    return float(np.sum(np.log1p(-phi0 * tau))), -float(np.sum(r)), -float(np.sum(r * r))
+
+
+def series_lattice():
+    """The smallest queen lattice on the series side of N_SERIES, p = 1 model."""
+    k = int(np.ceil(np.sqrt(weights.N_SERIES)))
+    return pa.build_queen_lattice(k, k)
+
+
+SERIES_DESIGNS = {
+    "lattice3x40": lambda: pa.build_queen_lattice(3, 40),
+    "lattice20x20": lambda: pa.build_queen_lattice(20, 20),
+    "delaunay1000": lambda: delaunay_weights(1000, 5),
+}
+
+
+class TestLogDetSeries:
+    @pytest.mark.parametrize("design", sorted(SERIES_DESIGNS))
+    def test_matches_spectrum_oracle(self, design):
+        # built directly: these n are below N_SERIES, where the log-det reads the spectrum
+        W = SERIES_DESIGNS[design]()
+        series = LogDetSeries(W._similarity)
+        worst = np.zeros(3)
+        for phi0 in np.linspace(-0.995, 0.995, 399):
+            exact = spectrum_log_det(W, phi0)
+            got = [series(phi0, order) for order in range(3)]
+            worst = np.maximum(worst, [abs(g - e) / (1.0 + abs(e)) for g, e in zip(got, exact)])
+        assert np.all(worst <= 1e-8), worst
+
+    def test_derivatives_match_central_differences(self, w2020):
+        series = LogDetSeries(w2020._similarity)
+        h = 1e-5
+        for phi0 in (-0.99, -0.6, -0.1, 0.05, 0.5, 0.98):
+            for order in (1, 2):
+                fd = (series(phi0 + h, order - 1) - series(phi0 - h, order - 1)) / (2 * h)
+                exact = series(phi0, order)
+                assert abs(fd - exact) <= 1e-6 * (1.0 + abs(exact))
+
+    def test_continuous_at_the_seam(self, w2020):
+        series = LogDetSeries(w2020._similarity)
+        left = -5e-324  # the last float on the [-a, 0] piece
+        for order in range(3):
+            right = series(0.0, order)
+            assert abs(series(left, order) - right) <= 1e-10 * (1.0 + abs(right))
+
+    def test_backend_chosen_from_n(self, monkeypatch):
+        path = lambda n: pa.from_adjacency([(i, i + 1) for i in range(n - 1)], n)  # noqa: E731
+        assert path(weights.N_SERIES - 1).log_det_backend == "spectrum"
+        assert path(weights.N_SERIES).log_det_backend == "series"
+
+        monkeypatch.setattr(weights, "N_SERIES", 20)
+        below, above = pa.build_queen_lattice(4, 4), pa.build_queen_lattice(4, 5)
+        for W in (below, above):
+            W.log_det_a0(0.3)
+            W.trace_w_a0inv(-0.995, 2)
+        assert "eigenvalues" in below.__dict__ and "log_det_series" not in below.__dict__
+        assert "log_det_series" in above.__dict__ and "eigenvalues" not in above.__dict__
+        assert set(above.log_det_build_s) == {"series"}
+        assert_allclose(above.log_det_a0(0.3), spectrum_log_det(above, 0.3)[0], rtol=1e-12)
+        # beyond the series' box the spectrum answers, on either side of N_SERIES
+        assert above.log_det_a0(0.999) == spectrum_log_det(above, 0.999)[0]
+        assert set(above.log_det_build_s) == {"series", "spectrum"}
+
+    def test_fit_above_threshold_makes_no_eigh_call(self, eigh_calls):
+        spec = model1_spec(series_lattice())
+        assert spec.W.log_det_backend == "series"
+        data = pa.simulate(spec, model1_theta(), seed=5, T=2, burn_in=20,
+                           covariate_columns=MODEL1_COLUMNS)
+        res = pa.fit(spec, data, n_starts=2, seed=1)
+        assert np.isfinite(res.loglik) and res.std_errors is not None
+        assert not eigh_calls and "eigenvalues" not in spec.W.__dict__
+
+    def test_pickled_copy_carries_the_series(self, monkeypatch):
+        W = series_lattice()
+        W.log_det_a0(0.0)  # as replicate --threads builds it before the workers start
+        copy = pickle.loads(pickle.dumps(W))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the copy rebuilt its log-det")
+
+        monkeypatch.setattr(spla, "splu", forbidden)
+        monkeypatch.setattr(scipy.linalg, "eigh", forbidden)
+        for phi0 in (-0.7, 0.0, 0.4, 0.995):
+            assert copy.log_det_a0(phi0) == W.log_det_a0(phi0)
+            assert copy.trace_w_a0inv(phi0, 2) == W.trace_w_a0inv(phi0, 2)
+
+    @pytest.mark.parametrize("fault", ["row permutation", "pivot sign"])
+    def test_lu_guard_raises_numerical_error(self, monkeypatch, fault):
+        real = spla.splu
+
+        def tampered(*args, **kwargs):
+            lu = real(*args, **kwargs)
+            if fault == "row permutation":
+                return SimpleNamespace(perm_r=lu.perm_r[::-1], perm_c=lu.perm_c, U=lu.U)
+            return SimpleNamespace(perm_r=lu.perm_r, perm_c=lu.perm_c, U=-lu.U)
+
+        monkeypatch.setattr(spla, "splu", tampered)
+        with pytest.raises(pa.NumericalError, match="symmetric ordering"):
+            LogDetSeries(pa.build_queen_lattice(4, 4)._similarity)
 
 
 class TestSolveA0:
