@@ -64,34 +64,34 @@ class ConfigError(ValueError):
 def load_config(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
                           f"{exc.msg}") from exc
-
-
-def _require(cfg, key, where="config"):
-    if key not in cfg:
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    return cfg[key]
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: the config must be a JSON object")
+    return cfg
 
 
 def _typed(cfg, key, where, kind, *default, minimum=None):
-    """``cfg[key]``, required unless a default is given, as a JSON bool, an int
-    (an integer-valued number: 30.0 passes; 1.7, true and "3" do not) or a
-    float (a finite number: 0 passes; NaN, true and "1e-8" do not), of at
-    least ``minimum`` when one is given."""
-    value = cfg.get(key, *default) if default else _require(cfg, key, where)
-    if isinstance(value, bool) or kind is bool:
-        ok = isinstance(value, bool) and kind is bool
+    """``cfg[key]``, required unless a default is given, as a JSON bool, string,
+    object (dict), array (list), int (an integer-valued number: 30.0 passes;
+    1.7, true and "3" do not) or float (a finite number: 0 passes; NaN, true
+    and "1e-8" do not), of at least ``minimum`` when one is given."""
+    if not (default or key in cfg):
+        raise ConfigError(f"{where}: missing required key {key!r}")
+    value = cfg.get(key, *default)
+    if isinstance(value, bool) or kind in (bool, str, dict, list):
+        ok = type(value) is kind
     elif isinstance(value, float):
         ok = value.is_integer() if kind is int else math.isfinite(value)
     else:
         ok = isinstance(value, int)
     if not ok:
-        name = {bool: "a boolean", int: "an integer", float: "a finite number"}[kind]
+        name = {bool: "a boolean", str: "a string", dict: "a JSON object",
+                list: "a JSON array", int: "an integer", float: "a finite number"}[kind]
         raise ConfigError(f"{where}.{key} must be {name}, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{where}.{key} must be >= {minimum}, got {kind(value)}")
@@ -104,33 +104,48 @@ def build_weights(cfg, base_dir="."):
     if has_lattice == has_adj:
         raise ConfigError("config needs exactly one of 'lattice' or 'adjacency'")
     if has_lattice:
-        lat = cfg["lattice"]
+        lat = _typed(cfg, "lattice", "config", dict)
         return build_queen_lattice(_typed(lat, "n1", "lattice", int),
                                    _typed(lat, "n2", "lattice", int))
-    adj = cfg["adjacency"]
-    path = Path(base_dir) / _require(adj, "file", "adjacency")
+    adj = _typed(cfg, "adjacency", "config", dict)
+    path = Path(base_dir) / _typed(adj, "file", "adjacency", str)
     return read_adjacency_csv(path, _typed(adj, "n", "adjacency", int))
 
 
 def build_spec(cfg, W):
-    model = _require(cfg, "model")
+    model = _typed(cfg, "model", "config", dict)
     p, q, h = (_typed(model, key, "model", int) for key in "pqh")
     linear_term = _typed(model, "linear_term", "model", bool, True)
     include_intercept = _typed(model, "intercept", "model", bool, False)
-    density = _require(model, "density", "model")
+    density = _typed(model, "density", "model", str)
     try:
         spec = ModelSpec(W=W, p=p, q=q, h=h, density=density_from_config(density),
                          linear_term=linear_term, include_intercept=include_intercept)
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
-    cov = cfg.get("covariates")
-    if cov is not None and len(cov) != spec.q:
-        raise ConfigError(f"covariates: {len(cov)} column specs but model.q={spec.q}")
+    if "covariates" in cfg:
+        covariate_columns(cfg, spec.q)
     return spec
 
 
+def covariate_columns(cfg, q):
+    """The q covariate specs: objects of kind normal or constant, finite mean/sd/value."""
+    columns = _typed(cfg, "covariates", "config", list)
+    if len(columns) != q:
+        raise ConfigError(f"covariates: {len(columns)} column specs but model.q={q}")
+    for j, col in enumerate(columns):
+        where = f"covariates[{j}]"
+        if not isinstance(col, dict):
+            raise ConfigError(f"{where} must be a JSON object, got {col!r}")
+        if _typed(col, "kind", where, str, "normal") not in ("normal", "constant"):
+            raise ConfigError(f"{where}.kind must be 'normal' or 'constant', got {col['kind']!r}")
+        for key in ("mean", "sd", "value"):
+            _typed(col, key, where, float, 0.0)
+    return columns
+
+
 def build_theta(cfg, spec):
-    theta = _require(cfg, "theta")
+    theta = _typed(cfg, "theta", "config", dict)
     try:
         theta = ParameterVector.from_json_dict(theta).validate(spec)
     except ValueError as exc:
@@ -151,10 +166,10 @@ def load_setup(args):
 def simulation_inputs(cfg, spec):
     """theta, T, burn-in and covariate columns of the simulating commands."""
     theta = build_theta(cfg, spec)
-    sim = cfg.get("simulate", {})
+    sim = _typed(cfg, "simulate", "config", dict, {})
     T = _typed(sim, "T", "simulate", int, minimum=1)
     burn_in = _typed(sim, "burn_in", "simulate", int, 200, minimum=0)
-    columns = _require(cfg, "covariates") if spec.q else []
+    columns = covariate_columns(cfg, spec.q) if spec.q else []
     return theta, T, burn_in, columns
 
 
@@ -191,7 +206,7 @@ def cmd_simulate(args):
 # ----------------------------------------------------------------------
 
 def _optim_options(cfg):
-    opt = cfg.get("optim", {})
+    opt = _typed(cfg, "optim", "config", dict, {})
     return {
         "n_starts": _typed(opt, "n_starts", "optim", int, 5, minimum=1),
         "tol": _typed(opt, "tol", "optim", float, 1e-8, minimum=0),

@@ -1,6 +1,6 @@
 """
 Residual and data diagnostics: Moran's I with a standardized statistic,
-per-slice residual tests, QQ-plot data, and lattice heatmap grids.
+per-slice residual tests, QQ-plot data, and lattice heatmap grids as CSV.
 
 Moran's I for a vector v with centered e = v - mean(v) is
 
@@ -20,16 +20,16 @@ the parametric-error modeling frame used everywhere else in this package.
 
 from __future__ import annotations
 
-import csv
 import math
 
 import numpy as np
 from scipy.special import ndtr
 
+from ._csv import write_rows
 from .likelihood import residual_matrix
 from .model import ModelSpec, PanelData, ParameterVector
 
-__all__ = ["morans_i", "residual_diagnostics", "heatmap_grid", "read_heatmap_csv"]
+__all__ = ["morans_i", "residual_diagnostics", "heatmap_grid"]
 
 
 def morans_i(W, v):
@@ -93,32 +93,5 @@ def heatmap_grid(Y_t, lattice_dims, path=None):
         raise ValueError(f"vector has length {Y_t.size}, lattice is {n1}x{n2}")
     grid = Y_t.reshape(n1, n2)
     if path is not None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in grid:
-                writer.writerow([repr(float(v)) for v in row])
+        write_rows(path, (map(repr, row) for row in grid.tolist()))
     return grid
-
-
-def read_heatmap_csv(path):
-    """Load a grid written by :func:`heatmap_grid` (lossless round-trip).
-
-    A ragged row, a non-numeric cell or a non-finite cell is rejected with
-    an error that names the file and the line.
-    """
-    rows = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            if rows and len(row) != len(rows[0]):
-                raise ValueError(f"{path}: line {lineno} has {len(row)} values, "
-                                 f"expected {len(rows[0])}")
-            try:
-                values = [float(v) for v in row]
-            except ValueError:
-                raise ValueError(f"{path}: non-numeric value at line {lineno}") from None
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"{path}: non-finite value at line {lineno}")
-            rows.append(values)
-    return np.array(rows)

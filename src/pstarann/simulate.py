@@ -16,15 +16,18 @@ Covariates are drawn i.i.d. across locations and time per column
 (``normal`` with a mean/sd, or a ``constant`` intercept column), matching
 the random-design reading of the experiments; a fixed design across
 replicates is available by generating X once and passing it in.
+
+A panel travels as CSV with header t,s,y,x1..xq and one line per (t, s)
+cell; presample lines have t <= 0 and empty covariate fields.
 """
 
 from __future__ import annotations
 
-import csv
-import math
+from itertools import chain, compress, repeat
 
 import numpy as np
 
+from ._csv import parse_column, read_columns, write_rows
 from .model import ModelSpec, PanelData, ParameterVector, check_causal, nn_component
 
 __all__ = [
@@ -147,92 +150,66 @@ def simulate(spec: ModelSpec, theta: ParameterVector, X=None, seed=0, burn_in=20
     )
 
 
-# ----------------------------------------------------------------------
-# Panel CSV wire format: header t,s,y,x1..xq; presample rows have t <= 0
-# and empty covariate fields.
-# ----------------------------------------------------------------------
+def _panel_header(q):
+    return ["t", "s", "y"] + [f"x{j}" for j in range(1, q + 1)]
+
 
 def write_panel_csv(path, data: PanelData):
     """Write a panel to CSV with schema ``t,s,y,x1..xq``."""
-    q = data.q
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "s", "y"] + [f"x{j}" for j in range(1, q + 1)])
-        for r in range(data.p):
-            t = r - data.p + 1  # 1-p .. 0
-            for s in range(data.n):
-                writer.writerow([t, s, repr(float(data.Y[r, s]))] + [""] * q)
-        for t in range(1, data.T + 1):
-            for s in range(data.n):
-                writer.writerow(
-                    [t, s, repr(float(data.Y[data.p + t - 1, s]))]
-                    + [repr(float(data.X[t - 1, s, j])) for j in range(q)]
-                )
+    p, n, q = data.p, data.n, data.q
+    columns = [map(str, np.repeat(np.arange(1 - p, data.T + 1), n).tolist()),
+               map(str, np.tile(np.arange(n), p + data.T).tolist()),
+               map(repr, data.Y.ravel().tolist())]
+    columns += [chain(repeat("", p * n), map(repr, data.X[:, :, j].ravel().tolist()))
+                for j in range(q)]
+    write_rows(path, chain([_panel_header(q)], zip(*columns)))
 
 
 def read_panel_csv(path, p, q):
     """Load a panel written by :func:`write_panel_csv`.
 
-    Raises ValueError naming the offending row on malformed input: a value
-    that does not parse or is not finite, an empty covariate field on a
-    sample row, a covariate value on a presample row, or a (t, s) pair that
-    an earlier row already gave.
+    Raises ValueError on malformed input, naming the first offending line of
+    the first check to fail, in this order: field count, a value that does
+    not parse, a non-finite value, an empty covariate on a sample row, a
+    covariate on a presample row, a (t, s) pair an earlier line gave.
     """
-    rows = []
-    seen = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = ["t", "s", "y"] + [f"x{j}" for j in range(1, q + 1)]
-        if header is None or [c.strip() for c in header] != expected:
-            raise ValueError(f"{path}: expected header {','.join(expected)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3 + q:
-                raise ValueError(f"{path}: row {lineno} has {len(row)} fields, expected {3 + q}")
-            try:
-                t, s, y = int(row[0]), int(row[1]), float(row[2])
-                xs = [float(v) for v in row[3:] if v.strip()]
-            except ValueError as exc:
-                raise ValueError(f"{path}: malformed value at row {lineno}") from exc
-            if not (math.isfinite(y) and all(map(math.isfinite, xs))):
-                raise ValueError(f"{path}: non-finite value at row {lineno}")
-            if t >= 1 and len(xs) != q:
-                raise ValueError(f"{path}: empty covariate field at row {lineno}")
-            if t < 1 and xs:
-                raise ValueError(
-                    f"{path}: covariate value on presample row {lineno} (t={t}); "
-                    "presample rows carry y only"
-                )
-            first = seen.setdefault((t, s), lineno)
-            if first != lineno:
-                raise ValueError(
-                    f"{path}: row {lineno} repeats (t, s) = ({t}, {s}) of row {first}"
-                )
-            rows.append((t, s, y, xs))
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
+    lines, columns = read_columns(path, _panel_header(q))
+    t, s = (parse_column(path, lines, c, np.int64) for c in columns[:2])
+    y = parse_column(path, lines, columns[2], float)
+    filled = np.empty((lines.size, q), dtype=bool)  # presample rows leave x empty
+    x = np.zeros((lines.size, q))
+    for j, fields in enumerate(columns[3:]):
+        filled[:, j] = np.fromiter(map(bool, map(str.strip, fields)), bool, lines.size)
+        x[filled[:, j], j] = parse_column(path, lines[filled[:, j]],
+                                          list(compress(fields, filled[:, j].tolist())), float)
+    sample = t >= 1
+    again = np.ones(lines.size, dtype=bool)
+    again[np.unique(np.column_stack((t, s)), axis=0, return_index=True)[1]] = False
+    for bad, message in (
+            (~(np.isfinite(y) & np.isfinite(x).all(axis=1)), "non-finite value at line {}"),
+            (sample & ~filled.all(axis=1), "empty covariate field at line {}"),
+            (~sample & filled.any(axis=1), "covariate value on presample line {} (t={t}); "
+                                           "presample rows carry y only"),
+            (again, "line {} repeats (t, s) = ({t}, {s}) of line {first}")):
+        if bad.any():
+            k = int(np.argmax(bad))
+            first = lines[np.argmax((t == t[k]) & (s == s[k]))]
+            raise ValueError(f"{path}: " + message.format(lines[k], t=t[k], s=s[k], first=first))
+    if not sample.any():
+        raise ValueError(f"{path}: no data rows with t >= 1")
 
-    ts = sorted({r[0] for r in rows})
-    ss = sorted({r[1] for r in rows})
-    n = len(ss)
-    if ss != list(range(n)):
+    ts, ss = np.unique(t), np.unique(s)
+    n, T = ss.size, int(ts[-1])
+    if ss[0] != 0 or ss[-1] != n - 1:
         raise ValueError(f"{path}: location ids must be 0..n-1")
-    t_min, t_max = ts[0], ts[-1]
-    if t_min != 1 - p:
-        raise ValueError(f"{path}: presample starts at t={t_min}, expected {1 - p}")
-    if ts != list(range(t_min, t_max + 1)):
+    if ts[0] != 1 - p:
+        raise ValueError(f"{path}: presample starts at t={ts[0]}, expected {1 - p}")
+    if ts.size != p + T:
         raise ValueError(f"{path}: time index has gaps")
-    T = t_max
-
-    Y = np.full((p + T, n), np.nan)
-    X = np.empty((T, n, q))
-    for t, s, y, xs in rows:
-        Y[t + p - 1, s] = y
-        if t >= 1:
-            X[t - 1, s, :] = xs
-    # every row is finite and (t, s) pairs are unique, so a NaN is a missing cell
-    if np.isnan(Y).any():
+    # the (t, s) pairs are unique and in range, so fewer rows leave a cell empty
+    if lines.size != n * (p + T):
         raise ValueError(f"{path}: missing (t, s) cells in the panel")
+    Y, X = np.empty((p + T, n)), np.empty((T, n, q))
+    Y[t + p - 1, s] = y
+    X[t[sample] - 1, s[sample]] = x[sample]
     return PanelData(Y=Y, X=X, p=p)

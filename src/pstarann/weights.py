@@ -2,9 +2,9 @@
 Spatial weight matrices and the contemporaneous spatial operator.
 
 A weight matrix W encodes neighbor influence between n locations. We build
-it from a symmetric binary adjacency (queen contiguity on a lattice, or a
-user-supplied edge list), zero the diagonal, and row-standardize so every
-row sums to 1. The model's contemporaneous operator is
+it from a symmetric binary adjacency (queen contiguity on a lattice, or an
+edge list given as pairs or as an ``i,j`` CSV file), zero the diagonal, and
+row-standardize so every row sums to 1. The contemporaneous operator is
 
     A0 = I - phi0 * W
 
@@ -50,7 +50,6 @@ never materialized.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from functools import cached_property
@@ -60,6 +59,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.polynomial import Chebyshev
+
+from ._csv import parse_column, read_columns
 
 __all__ = [
     "LogDetSeries",
@@ -377,28 +378,23 @@ def from_adjacency(pairs, n):
         Number of locations. Every location must gain at least one
         neighbor, otherwise the isolated nodes are reported and rejected.
     """
-    n = int(n)
-    return _edge_weights([_checked_edge(i, j, n) for i, j in pairs], n)
+    return _edge_weights(np.array(list(pairs), dtype=float).reshape(-1, 2), int(n))
 
 
-def _checked_edge(i, j, n):
-    try:
-        integral = int(i) == i and int(j) == j
-    except (TypeError, ValueError, OverflowError):
-        integral = False
-    if not integral:
-        raise ValueError(f"edge ({i}, {j}) has a non-integer vertex id")
-    i, j = int(i), int(j)
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
-    if i == j:
-        raise ValueError(f"self-pair ({i}, {j}) not allowed")
-    return i, j
-
-
-def _edge_weights(edges, n):
-    """Weights from checked edges: each is symmetrized, duplicates collapse."""
-    e = np.array(edges, dtype=np.int64).reshape(-1, 2)
+def _edge_weights(edges, n, where=lambda k: ""):
+    """Weights from an (m, 2) edge array. A non-integer id, then one out of
+    range, then a self-pair raises ValueError prefixed by ``where(its index)``."""
+    e = np.asarray(edges, dtype=float)
+    integral = (np.isfinite(e) & (e == np.trunc(e))).all(axis=1)
+    for bad, message in ((~integral, "edge ({}, {}) has a non-integer vertex id"),
+                         (((e < 0) | (e >= n)).any(axis=1),
+                          "edge ({}, {}) out of range for n=" + str(n)),
+                         (e[:, 0] == e[:, 1], "self-pair ({}, {}) not allowed")):
+        if bad.any():
+            k = int(np.argmax(bad))
+            ids = (int(v) if v.is_integer() else v for v in e[k].tolist())
+            raise ValueError(where(k) + message.format(*ids))
+    e = e.astype(np.int64)
     A = sp.coo_matrix((np.ones(e.size), (e.ravel(), e[:, ::-1].ravel())), shape=(n, n)).tocsr()
     A.data[:] = 1.0  # collapse duplicate edges
     return WeightMatrix(A)
@@ -409,18 +405,6 @@ def read_adjacency_csv(path, n):
 
     Binary only: other columns (a weight, say) are rejected, and every row
     error names its line."""
-    edges = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header] != ["i", "j"]:
-            raise ValueError(f"{path}: expected header 'i,j'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            try:
-                i, j = row  # exactly two fields
-                edges.append(_checked_edge(int(i), int(j), n))
-            except ValueError as exc:
-                raise ValueError(f"{path}: malformed edge at line {lineno}: {exc}") from None
-    return _edge_weights(edges, int(n))
+    lines, columns = read_columns(path, ["i", "j"])
+    edges = np.column_stack([parse_column(path, lines, c, np.int64) for c in columns])
+    return _edge_weights(edges, int(n), lambda k: f"{path}: malformed edge at line {lines[k]}: ")

@@ -6,6 +6,8 @@ log-densities come from scipy.stats, log-determinants from dense LU
 central finite differences.
 """
 
+import csv
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -74,6 +76,24 @@ def fd_jacobian(vf, x0, rel=1e-6):
         xm[i] -= h
         rows.append((vf(xp) - vf(xm)) / (2.0 * h))
     return np.array(rows)
+
+
+def reference_write_panel_csv(path, data):
+    """The panel CSV bytes, written row by row through ``csv.writer``."""
+    q = data.q
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "s", "y"] + [f"x{j}" for j in range(1, q + 1)])
+        for r in range(data.p):
+            t = r - data.p + 1  # 1-p .. 0
+            for s in range(data.n):
+                writer.writerow([t, s, repr(float(data.Y[r, s]))] + [""] * q)
+        for t in range(1, data.T + 1):
+            for s in range(data.n):
+                writer.writerow(
+                    [t, s, repr(float(data.Y[data.p + t - 1, s]))]
+                    + [repr(float(data.X[t - 1, s, j])) for j in range(q)]
+                )
 
 
 def random_causal_theta(spec, rng, phi0_range=0.5):

@@ -167,6 +167,44 @@ class TestSimulateCommand:
         capsys.readouterr()
         assert (a / "panel.csv").read_bytes() == (b / "panel.csv").read_bytes()
 
+    @pytest.mark.parametrize("section, value, commands, expected", [
+        ("optim", [1], ["fit", "replicate"], "config.optim must be a JSON object, got [1]"),
+        ("simulate", 8, ["simulate", "replicate"], "config.simulate must be a JSON object, got 8"),
+        ("theta", [0.6], ["simulate"], "config.theta must be a JSON object, got [0.6]"),
+        ("lattice", "6x6", ["simulate", "fit"], "config.lattice must be a JSON object, got '6x6'"),
+        ("model", {**MODEL1_CONFIG["model"], "density": 5}, ["simulate", "fit"],
+         "model.density must be a string, got 5"),
+        ("covariates", ["normal", "normal"], ["simulate", "fit", "replicate"],
+         "covariates[0] must be a JSON object, got 'normal'"),
+        ("covariates", {"a": 1, "b": 2}, ["simulate", "fit"],
+         "config.covariates must be a JSON array, got {'a': 1, 'b': 2}"),
+        ("covariates", [{"sd": "abc"}, {"sd": 3.0}], ["simulate", "replicate"],
+         "covariates[0].sd must be a finite number, got 'abc'"),
+        ("covariates", [{"sd": 1.5}, {"kind": "constant", "value": None}], ["simulate"],
+         "covariates[1].value must be a finite number, got None"),
+        ("covariates", [{"kind": 1}, {"sd": 3.0}], ["simulate"],
+         "covariates[0].kind must be a string, got 1"),
+        ("covariates", [{"sd": 1.5}, {"kind": "poisson"}], ["simulate", "replicate"],
+         "covariates[1].kind must be 'normal' or 'constant', got 'poisson'"),
+    ])
+    def test_mistyped_config_section_exit_2(self, sim_dir, capsys, section, value, commands,
+                                            expected):
+        # a section or covariate spec of the wrong JSON type is rejected while
+        # the config is read, naming it; no output directory is written
+        tmp, _, sim = sim_dir
+        cfg_dict = json.loads(json.dumps(MODEL1_CONFIG))
+        cfg_dict[section] = value
+        cfg = write_config(tmp, cfg_dict, "mistyped.json")
+        extra = {"fit": ["--panel", str(sim / "panel.csv")],
+                 "replicate": ["--replicates", "2"], "simulate": []}
+        capsys.readouterr()
+        for command in commands:
+            out = tmp / f"mistyped_{command}"
+            code = main([command, "--config", cfg, "--out", str(out)] + extra[command])
+            assert code == 2
+            assert capsys.readouterr().err == f"error: {expected}\n"
+            assert not out.exists()
+
     @pytest.mark.parametrize("density", ["t:nan", "t:inf"])
     def test_non_finite_t_degrees_of_freedom_exit_2(self, sim_dir, capsys, density):
         tmp, _, sim = sim_dir
@@ -185,6 +223,14 @@ class TestSimulateCommand:
         code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")])
         assert code == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["5", "null", "[1, 2]"])
+    def test_config_not_an_object_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "scalar.json"
+        path.write_text(text)
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "scalar.json: the config must be a JSON object" in capsys.readouterr().err
 
     def test_theta_without_phi0_exit_2(self, tmp_path, capsys):
         cfg_dict = json.loads(json.dumps(MODEL1_CONFIG))
@@ -278,17 +324,20 @@ class TestFitCommand:
         code = main(["fit", "--config", cfg, "--panel", str(bad),
                      "--out", str(tmp / "fitbad")])
         assert code == 2
-        assert "row 6" in capsys.readouterr().err
+        assert "line 6" in capsys.readouterr().err
 
+    # the ids name each injected fault by its row, which is its line
     @pytest.mark.parametrize("fault, expected", [
-        ("duplicate", "row 326 repeats (t, s) = (1, 3) of row 41"),
-        ("nan", "non-finite value at row 41"),
-        ("inf", "non-finite value at row 41"),
-        ("presample", "covariate value on presample row 4"),
+        pytest.param("duplicate", "line 326 repeats (t, s) = (1, 3) of line 41",
+                     id="duplicate-row 326 repeats (t, s) = (1, 3) of row 41"),
+        pytest.param("nan", "non-finite value at line 41", id="nan-non-finite value at row 41"),
+        pytest.param("inf", "non-finite value at line 41", id="inf-non-finite value at row 41"),
+        pytest.param("presample", "covariate value on presample line 4",
+                     id="presample-covariate value on presample row 4"),
     ])
     def test_bad_csv_row_exit_2(self, sim_dir, capsys, fault, expected):
-        # 6x6 lattice, p = 1, T = 8: rows 2-37 are presample (t = 0), row 41
-        # is (t, s) = (1, 3) and row 325 is the last
+        # 6x6 lattice, p = 1, T = 8: lines 2-37 are presample (t = 0), line 41
+        # is (t, s) = (1, 3) and line 325 is the last
         tmp, cfg, out = sim_dir
         lines = (out / "panel.csv").read_text().splitlines()
         t, s, y, x1, x2 = lines[40].split(",")

@@ -17,6 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 import pstarann as pa
 import test_model
+from conftest import reference_write_panel_csv
 from pstarann.likelihood import residual_matrix
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=100, deadline=None,
@@ -107,15 +108,30 @@ def panels(draw):
 
 class TestPanelCsvRoundTrip:
     @PROPERTY_SETTINGS
-    @given(panels())
-    def test_write_then_read_is_bit_identical(self, data):
+    @given(panels(), st.randoms(use_true_random=False))
+    def test_write_then_read_is_bit_identical(self, data, random):
+        # the data rows may come in any order
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "panel.csv"
             pa.write_panel_csv(path, data)
             back = pa.read_panel_csv(path, data.p, data.q)
-        assert back.p == data.p
-        assert same_bits(back.Y, data.Y)
-        assert same_bits(back.X, data.X)
+            header, *rows = path.read_text().splitlines()
+            random.shuffle(rows)
+            path.write_text("\n".join([header] + rows) + "\n")
+            shuffled = pa.read_panel_csv(path, data.p, data.q)
+        for panel in (back, shuffled):
+            assert panel.p == data.p
+            assert same_bits(panel.Y, data.Y)
+            assert same_bits(panel.X, data.X)
+
+    @PROPERTY_SETTINGS
+    @given(panels())
+    def test_write_matches_csv_writer_bytes(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, reference = Path(tmp) / "panel.csv", Path(tmp) / "reference.csv"
+            pa.write_panel_csv(path, data)
+            reference_write_panel_csv(reference, data)
+            assert path.read_bytes() == reference.read_bytes()
 
 
 nonzero = st.tuples(st.floats(0.1, 3.0), st.sampled_from([-1.0, 1.0])).map(lambda t: t[0] * t[1])

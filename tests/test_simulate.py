@@ -174,7 +174,7 @@ class TestPanelCSV:
     def test_malformed_row_named(self, tmp_path):
         path = tmp_path / "panel.csv"
         path.write_text("t,s,y,x1\n1,0,1.0,0.5\n1,1,oops,0.5\n")
-        with pytest.raises(ValueError, match="row 3"):
+        with pytest.raises(ValueError, match="line 3"):
             pa.read_panel_csv(path, p=0, q=1)
 
     def test_header_checked(self, tmp_path):
@@ -195,7 +195,7 @@ class TestPanelCSV:
         with pytest.raises(ValueError, match="fields"):
             pa.read_panel_csv(path, p=0, q=1)
 
-    # presample row t=0 for s=0,1, then sample rows t=1 (header is row 1)
+    # presample row t=0 for s=0,1, then sample rows t=1 (header is line 1)
     GOOD_ROWS = ["0,0,0.5,", "0,1,-0.5,", "1,0,1.0,0.3", "1,1,2.0,-0.2"]
 
     def _write(self, tmp_path, rows):
@@ -205,7 +205,7 @@ class TestPanelCSV:
 
     def test_duplicate_cell_named(self, tmp_path):
         rows = self.GOOD_ROWS + ["1,0,9.0,0.1"]
-        with pytest.raises(ValueError, match=r"row 6 repeats \(t, s\) = \(1, 0\) of row 4"):
+        with pytest.raises(ValueError, match=r"line 6 repeats \(t, s\) = \(1, 0\) of line 4"):
             pa.read_panel_csv(self._write(tmp_path, rows), p=1, q=1)
 
     @pytest.mark.parametrize("k, row", [(3, "1,1,nan,-0.2"), (3, "1,1,inf,-0.2"),
@@ -214,24 +214,45 @@ class TestPanelCSV:
     def test_nonfinite_value_named(self, tmp_path, k, row):
         rows = list(self.GOOD_ROWS)
         rows[k] = row
-        with pytest.raises(ValueError, match=f"non-finite value at row {k + 2}"):
+        with pytest.raises(ValueError, match=f"non-finite value at line {k + 2}"):
             pa.read_panel_csv(self._write(tmp_path, rows), p=1, q=1)
 
     def test_presample_covariate_named(self, tmp_path):
         rows = list(self.GOOD_ROWS)
         rows[1] = "0,1,-0.5,0.7"
-        with pytest.raises(ValueError, match="covariate value on presample row 3"):
+        with pytest.raises(ValueError, match="covariate value on presample line 3"):
             pa.read_panel_csv(self._write(tmp_path, rows), p=1, q=1)
 
     def test_empty_sample_covariate_named(self, tmp_path):
         rows = list(self.GOOD_ROWS)
         rows[3] = "1,1,2.0, "
-        with pytest.raises(ValueError, match="empty covariate field at row 5"):
+        with pytest.raises(ValueError, match="empty covariate field at line 5"):
+            pa.read_panel_csv(self._write(tmp_path, rows), p=1, q=1)
+
+    # line 5 repeats line 4's (t, s) and line 7 holds a non-finite y
+    SEVERAL_FAULTS = GOOD_ROWS[:3] + ["1,0,9.0,0.1", "1,1,2.0,-0.2", "2,0,nan,0.1"]
+
+    @pytest.mark.parametrize("last, message", [
+        ("2,1,1.0,0.2", "non-finite value at line 7"),
+        ("2,1,oops,0.2", "malformed value at line 8"),
+        ("2,1,1.0", "line 8 has 3 fields, expected 4"),
+    ], ids=["non-finite-before-repeat", "malformed-first", "field-count-first"])
+    def test_several_faults_name_first_check_that_fails(self, tmp_path, last, message):
+        # the checks run over the whole file one after another (field count,
+        # parse, non-finite, empty covariate, presample covariate, repeated
+        # cell), and the first that fails names its first line, even when a
+        # later check would fail on an earlier line
+        rows = self.SEVERAL_FAULTS + [last]
+        with pytest.raises(ValueError, match=f"panel.csv: {message}"):
             pa.read_panel_csv(self._write(tmp_path, rows), p=1, q=1)
 
     def test_header_only_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no data rows"):
             pa.read_panel_csv(self._write(tmp_path, []), p=1, q=1)
+
+    def test_presample_only_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="no data rows with t >= 1"):
+            pa.read_panel_csv(self._write(tmp_path, self.GOOD_ROWS[:2]), p=1, q=1)
 
 
 class TestExogenousDrive:

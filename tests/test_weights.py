@@ -169,7 +169,7 @@ class TestFromAdjacency:
     def test_csv_extra_field_rejected(self, tmp_path):
         path = tmp_path / "edges.csv"
         path.write_text("i,j\n0,1\n0,1,9\n")
-        with pytest.raises(ValueError, match="line 3: too many values"):
+        with pytest.raises(ValueError, match="line 3 has 3 fields, expected 2"):
             read_adjacency_csv(path, 3)
 
     def test_csv_out_of_range_edge_names_line(self, tmp_path):
