@@ -33,8 +33,12 @@ the life of the WeightMatrix; ``log_det_build_s`` records the build time.
   x = atanh(phi0), f is analytic in the strip |Im x| < pi/2 whatever the
   spectrum, so a Chebyshev interpolant converges geometrically at a rate
   that does not depend on n (Trefethen 2013, ch. 8). The build takes one
-  complex-step sparse LU of I - (phi0 + ih) S per Chebyshev node and never
-  forms a dense n x n matrix; after it an evaluation costs O(1).
+  complex-step sparse LU of I - (phi0 + ih) S per Chebyshev node. Every
+  node shares the pattern of I - S, so only the first LU chooses a
+  symmetric fill-reducing ordering; I - S is renumbered by it once, and
+  every other node is factored in NATURAL order on that pattern. The
+  build never forms a dense n x n matrix; after it an evaluation costs
+  O(1).
 
 Simulation and the causality check for p <= 2 need only the ends of the
 spectrum. The largest eigenvalue of W is exactly 1 (Perron-Frobenius: W
@@ -75,10 +79,10 @@ ROW_SUM_TOL = 1e-12
 # The spectrum of W may exceed 1 in modulus by this much.
 SPECTRUM_TOL = 1e-10
 # From this many locations on, the log-det and traces come from the series:
-# the measured crossover of its build (2 x 40 sparse LUs) and the dense
-# eigensolve, both about 0.4-0.5 s at n = 1600-1800 on queen lattices and
-# Delaunay designs with one BLAS thread.
-N_SERIES = 1700
+# the measured crossover of its build (2 x 40 sparse LUs in one ordering)
+# and the dense eigensolve, both about 0.25-0.35 s at n = 1300-1450 on
+# queen lattices and Delaunay designs with one BLAS thread.
+N_SERIES = 1400
 # The series covers |phi0| <= SERIES_PHI0_MAX, the default phi0 search box.
 SERIES_PHI0_MAX = 0.995
 # Chebyshev points of the first kind per piece of the series.
@@ -103,26 +107,40 @@ class LogDetSeries:
 
     so f' and f'' are the exact derivatives of the f that is returned.
     Against the spectrum, relative to 1 + |value|, two pieces of 40 nodes
-    reach 1e-13 on f and f' and 3e-10 to 7e-10 on f'' over |phi0| <= 0.995
+    reach 2.5e-13 on f and f' and 3e-10 to 7e-10 on f'' over |phi0| <= 0.995
     (queen lattices up to 70x70, Delaunay designs up to n = 3107); one
     piece of 80 nodes reaches only 2e-8 to 3e-8 on f''.
 
     Each node costs one sparse LU of I - (phi0 + ih) S with h =
     ``COMPLEX_STEP``. For |phi0| < 1 the real part is symmetric positive
-    definite, so a symmetric ordering with diagonal pivots factors it; the
+    definite, so a symmetric ordering with diagonal pivots factors it; each
     factorization is checked to be one (equal row and column permutations,
     pivots with positive real part), and then Im sum ln U_ii = h f'(phi0)
-    to rounding.
+    to rounding. Every node has the pattern of I - S, so the first node's
+    LU takes the minimum-degree ordering of that pattern (MMD on S + S^T),
+    I - S is renumbered by it once, and each other node only fills in the
+    values of the renumbered pattern and is factored in its NATURAL order.
+    The ordering, the pattern and the factors are discarded after the
+    build; the series keeps only its coefficients.
     """
 
     def __init__(self, S):
         S = sp.csc_matrix(S)
         eye = sp.identity(S.shape[0], format="csc")
+        renumbered = None  # z -> I - z S in the first node's ordering
+
+        def derivative(phi0):  # Im ln|I - (phi0 + ih) S| / h
+            nonlocal renumbered
+            z = phi0 + 1j * COMPLEX_STEP
+            if renumbered:
+                return _complex_step_derivative(renumbered(z), "NATURAL")[0]
+            d1, perm = _complex_step_derivative(eye - z * S, "MMD_AT_PLUS_A")
+            renumbered = _renumbered(S, perm)
+            return d1
 
         def scaled_derivative(xs):  # u at the nodes xs
             phi0 = np.tanh(xs)
-            d1 = [_complex_step_derivative(eye - (c + 1j * COMPLEX_STEP) * S) for c in phi0]
-            return (1.0 - phi0) * (1.0 + phi0) * np.array(d1)
+            return (1.0 - phi0) * (1.0 + phi0) * np.array([derivative(c) for c in phi0])
 
         a = math.atanh(SERIES_PHI0_MAX)
         self._pieces = []
@@ -141,9 +159,14 @@ class LogDetSeries:
         return d1 if order == 1 else (float(u_x(x)) / s + 2.0 * phi0 * d1) / s
 
 
-def _complex_step_derivative(A):
-    """Im ln|A| / h for A = I - (phi0 + ih) S, from one symmetric sparse LU."""
-    lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+def _complex_step_derivative(A, permc_spec):
+    """(Im ln|A| / h, the column ordering) for A = I - (phi0 + ih) S, from one
+    symmetric sparse LU: diagonal pivots in SuperLU's symmetric mode, one
+    column per panel."""
+    # options={"Fact": "SamePattern"} would reuse the ordering inside SuperLU,
+    # but it crashes the interpreter in scipy 1.17; a prepermuted pattern
+    # factored in its NATURAL order does the same.
+    lu = spla.splu(A, permc_spec=permc_spec, diag_pivot_thresh=0.0, panel_size=1,
                    options={"SymmetricMode": True})
     pivots = lu.U.diagonal()
     if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(pivots.real > 0.0)):
@@ -151,7 +174,22 @@ def _complex_step_derivative(A):
 
         raise NumericalError("sparse LU of I - phi0 S left its symmetric ordering or "
                              "met a nonpositive pivot; the log-det series needs both")
-    return float(np.sum(np.log(pivots)).imag) / COMPLEX_STEP
+    return float(np.sum(np.log(pivots)).imag) / COMPLEX_STEP, lu.perm_c
+
+
+def _renumbered(S, perm):
+    """z -> I - z S with index i renumbered perm[i], as a canonical CSC matrix
+    on one pattern that is built here, once."""
+    n = S.shape[0]
+    C = S.tocoo()
+    k = np.arange(n)
+    # S real, the identity imaginary: one duplicate-summing conversion puts
+    # both on their union pattern and keeps them apart.
+    B = sp.csc_matrix((np.concatenate([C.data, np.full(n, 1j)]),
+                       (perm[np.concatenate([C.row, k])], perm[np.concatenate([C.col, k])])),
+                      shape=(n, n))
+    eye, s = B.data.imag.copy(), B.data.real.copy()
+    return lambda z: sp.csc_matrix((eye - z * s, B.indices, B.indptr), shape=(n, n))
 
 
 class WeightMatrix:

@@ -2,14 +2,17 @@
 
 The oracles here deliberately avoid the library's computational paths:
 log-densities come from scipy.stats, log-determinants from dense LU
-(slogdet), residuals from direct formula-level loops, and derivatives from
-central finite differences.
+(slogdet), the log-det series' node values from one freshly ordered sparse
+LU per node, residuals from direct formula-level loops, and derivatives
+from central finite differences.
 """
 
 import csv
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy import stats
 
 import pstarann as pa
@@ -76,6 +79,22 @@ def fd_jacobian(vf, x0, rel=1e-6):
         xm[i] -= h
         rows.append((vf(xp) - vf(xm)) / (2.0 * h))
     return np.array(rows)
+
+
+def oracle_series_node_values(S, xs):
+    """u = (1 - phi0^2) d ln|I - phi0 S| / d phi0 at x = atanh(phi0) for each
+    x in xs, each from its own complex-step sparse LU ordered afresh by
+    MMD_AT_PLUS_A (the per-node routine of the first log-det series)."""
+    S = sp.csc_matrix(S)
+    eye = sp.identity(S.shape[0], format="csc")
+    h = 1e-30
+    values = []
+    for phi0 in np.tanh(xs):
+        lu = spla.splu(eye - (phi0 + 1j * h) * S, permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        values.append((1.0 - phi0 * phi0) * np.sum(np.log(lu.U.diagonal())).imag / h)
+    return np.array(values)
 
 
 def reference_write_panel_csv(path, data):

@@ -1,5 +1,6 @@
 """Weight-matrix construction, spectrum, log-det series, and A0 algebra."""
 
+import io
 import pickle
 from types import SimpleNamespace
 
@@ -8,11 +9,12 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from numpy.polynomial.chebyshev import chebpts1
 from numpy.testing import assert_allclose
 from scipy.spatial import Delaunay
 
 import pstarann as pa
-from conftest import MODEL1_COLUMNS, model1_spec, model1_theta
+from conftest import MODEL1_COLUMNS, model1_spec, model1_theta, oracle_series_node_values
 from pstarann import weights
 from pstarann.weights import LogDetSeries, read_adjacency_csv
 
@@ -426,7 +428,16 @@ class TestLogDetSeries:
     def test_pickled_copy_carries_the_series(self, monkeypatch):
         W = series_lattice()
         W.log_det_a0(0.0)  # as replicate --threads builds it before the workers start
-        copy = pickle.loads(pickle.dumps(W))
+        assert list(vars(W.log_det_series)) == ["_pieces"]
+        pickled, seen = io.BytesIO(), set()
+
+        class Recorder(pickle.Pickler):
+            def persistent_id(self, obj):
+                seen.add(type(obj))
+
+        Recorder(pickled).dump(W)
+        assert LogDetSeries in seen and spla.SuperLU not in seen
+        copy = pickle.loads(pickled.getvalue())
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the copy rebuilt its log-det")
@@ -437,19 +448,50 @@ class TestLogDetSeries:
             assert copy.log_det_a0(phi0) == W.log_det_a0(phi0)
             assert copy.trace_w_a0inv(phi0, 2) == W.trace_w_a0inv(phi0, 2)
 
+    def test_one_ordering_serves_every_node(self, monkeypatch):
+        real, orderings, fills = spla.splu, [], set()
+
+        def counting(*args, **kwargs):
+            orderings.append(kwargs["permc_spec"])
+            lu = real(*args, **kwargs)
+            fills.add(lu.L.nnz + lu.U.nnz)
+            return lu
+
+        monkeypatch.setattr(spla, "splu", counting)
+        LogDetSeries(pa.build_queen_lattice(6, 7)._similarity)
+        assert orderings.count("MMD_AT_PLUS_A") == 1
+        assert orderings.count("NATURAL") == 2 * weights.SERIES_NODES - 1
+        assert len(orderings) == 2 * weights.SERIES_NODES
+        assert len(fills) == 1  # the renumbered pattern fills in as the ordered one
+
+    @pytest.mark.parametrize("design", ["delaunay1000", "lattice20x20"])
+    def test_node_values_match_fresh_orderings(self, design):
+        S = SERIES_DESIGNS[design]()._similarity
+        series = LogDetSeries(S)
+        for _, u, _ in series._pieces:
+            xs = np.polynomial.polyutils.mapdomain(chebpts1(weights.SERIES_NODES), u.window, u.domain)
+            assert_allclose(u(xs), oracle_series_node_values(S, xs), rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("fault", ["row permutation", "pivot sign"])
     def test_lu_guard_raises_numerical_error(self, monkeypatch, fault):
         real = spla.splu
+        # call 1 orders the pattern; call 10 factors a node that reuses it
+        for bad_call, ordering in ((1, "MMD_AT_PLUS_A"), (10, "NATURAL")):
+            calls = []
 
-        def tampered(*args, **kwargs):
-            lu = real(*args, **kwargs)
-            if fault == "row permutation":
-                return SimpleNamespace(perm_r=lu.perm_r[::-1], perm_c=lu.perm_c, U=lu.U)
-            return SimpleNamespace(perm_r=lu.perm_r, perm_c=lu.perm_c, U=-lu.U)
+            def tampered(*args, **kwargs):
+                lu = real(*args, **kwargs)
+                calls.append(kwargs["permc_spec"])
+                if len(calls) < bad_call:
+                    return lu
+                if fault == "row permutation":
+                    return SimpleNamespace(perm_r=lu.perm_r[::-1], perm_c=lu.perm_c, U=lu.U)
+                return SimpleNamespace(perm_r=lu.perm_r, perm_c=lu.perm_c, U=-lu.U)
 
-        monkeypatch.setattr(spla, "splu", tampered)
-        with pytest.raises(pa.NumericalError, match="symmetric ordering"):
-            LogDetSeries(pa.build_queen_lattice(4, 4)._similarity)
+            monkeypatch.setattr(spla, "splu", tampered)
+            with pytest.raises(pa.NumericalError, match="symmetric ordering"):
+                LogDetSeries(pa.build_queen_lattice(4, 4)._similarity)
+            assert (len(calls), calls[-1]) == (bad_call, ordering)
 
 
 class TestSolveA0:
