@@ -65,6 +65,13 @@ __all__ = [
 ]
 
 _PENALTY = 1e15  # finite stand-in for the -inf sentinel inside L-BFGS-B line searches
+# A trust-region start ends once this many trials in a row have not lowered
+# the objective by more than its rounding. That is more than the at most 31
+# rejections that shrink the largest radius, 1e3, to the rounding of x, so a
+# run of rejections still ends at the radius test. It ends a cycle on a
+# valley that is flat to rounding, where steps along a near-null Hessian
+# direction are accepted on the model alone and the iterate only wanders.
+_FLAT_TRIALS = 40
 
 
 class FitError(RuntimeError):
@@ -297,9 +304,10 @@ def _trust_region_newton(fun, x0, jac, hess, bounds, gtol=1e-8, maxiter=500, **_
     10 eps max(1, |f|), so that once the predicted gain falls below the
     objective's rounding a step is judged by its model alone (Conn, Gould
     & Toint 2000, sec. 17.4.2). Stops when ``_first_order`` holds with
-    ``gtol``, after ``maxiter`` trials, or when the radius falls below the
-    rounding of x. ``nit`` counts trials, accepted or not; a start where
-    ``fun`` is not finite returns ``fun = inf``.
+    ``gtol``, after ``maxiter`` trials, when the radius falls below the
+    rounding of x, or after ``_FLAT_TRIALS`` trials in a row that lowered f
+    by no more than its rounding. ``nit`` counts trials, accepted or not; a
+    start where ``fun`` is not finite returns ``fun = inf``.
     """
     lb, ub = np.asarray(bounds, dtype=float).T
     x = np.clip(x0, lb, ub)
@@ -307,7 +315,7 @@ def _trust_region_newton(fun, x0, jac, hess, bounds, gtol=1e-8, maxiter=500, **_
     if not np.isfinite(f):
         return optimize.OptimizeResult(x=x, fun=np.inf, nit=0, nfev=nfev, success=False,
                                        message="objective not finite at the start")
-    g, delta, nit, eig = jac(x), 1.0, 0, None
+    g, delta, nit, eig, flat = jac(x), 1.0, 0, None, 0
     while True:
         _, done, free = _first_order(x, g, f, lb, ub, gtol)
         if done:
@@ -318,6 +326,10 @@ def _trust_region_newton(fun, x0, jac, hess, bounds, gtol=1e-8, maxiter=500, **_
             break
         if delta <= np.finfo(float).eps * (1.0 + np.max(np.abs(x))):
             success, message = False, "trust radius fell below the rounding of x"
+            break
+        if flat >= _FLAT_TRIALS:
+            success = False
+            message = f"no progress: {flat} trials gained less than the rounding of f"
             break
         if eig is None:  # a new iterate
             B = hess(x)
@@ -336,6 +348,7 @@ def _trust_region_newton(fun, x0, jac, hess, bounds, gtol=1e-8, maxiter=500, **_
             delta = 0.25 * (step if 0 < step < delta else delta)
         elif rho > 0.75 and step > 0.9 * delta:
             delta = min(2.0 * delta, 1e3)
+        flat = 0 if rho > 0.15 and f_new < f - noise else flat + 1
         if rho > 0.15:
             x, f, g, eig = trial, f_new, jac(trial), None
     return optimize.OptimizeResult(x=x, fun=f, nit=nit, nfev=nfev, success=success,

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 import pstarann as pa
+from pstarann import estimate
 from conftest import MODEL1_COLUMNS, model1_spec, model1_theta, random_panel
 
 
@@ -221,6 +222,18 @@ class TestTrustRegionNewton:
         assert res.gradient_norm > 1e-8 * (1 + abs(res.loglik))
         assert [t["nit"] for t in res.trace] == [1, 1]
         assert {t["message"] for t in res.trace} == {"maximum number of iterations reached"}
+
+    def test_objective_flat_to_rounding_ends_the_start(self):
+        # f is constant and its gradient is not: once the radius is below the
+        # rounding, steps are accepted on the model alone and lower nothing,
+        # which without the flat test cycles until max_iter
+        res = estimate._trust_region_newton(
+            lambda x: 1.0, np.zeros(2), jac=lambda x: np.full(2, 1e-3),
+            hess=lambda x: np.zeros((2, 2)), bounds=[(-1.0, 1.0)] * 2, maxiter=500)
+        assert not res.success
+        assert res.nit == estimate._FLAT_TRIALS < 500
+        assert res.message == (f"no progress: {estimate._FLAT_TRIALS} trials gained less than "
+                               "the rounding of f")
 
     @pytest.mark.parametrize("index, bound", [(2, (-50.0, 1.0)), (4, (-0.2, 25.0))])
     def test_binding_box_converges_on_the_bound(self, w1010, index, bound):
