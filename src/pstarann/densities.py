@@ -115,14 +115,21 @@ class ErrorDensity:
         return out if out.ndim else float(out)
 
     def sample(self, rng_seed, count):
-        """``count`` i.i.d. draws; deterministic for a fixed seed or Generator."""
+        """``count`` i.i.d. draws; deterministic for a fixed seed or Generator.
+
+        Successive calls on one Generator continue one stream: draws taken
+        in pieces equal the same number taken at once (the simulator
+        draws its innovations block by block).
+        """
         if count < 1:
             raise ValueError("count must be >= 1")
         rng = np.random.default_rng(rng_seed)
         if self.family == "normal":
             return rng.standard_normal(count)
         if self.family == "scaled_t":
-            return self.t_scale * rng.standard_t(self.nu, size=count)
+            out = rng.standard_t(self.nu, size=count)
+            out *= self.t_scale
+            return out
         return rng.laplace(0.0, _LAPLACE_B, size=count)
 
     def ppf(self, u):

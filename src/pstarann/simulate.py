@@ -12,6 +12,15 @@ p presample slices plus T sample slices. The A0 solve reuses one sparse LU
 factorization across steps. The default burn-in of 200 steps comfortably
 exceeds the mixing time of any design with max root modulus <= 0.7.
 
+The time loop runs in blocks of ``BLOCK_STEPS`` steps: each block draws
+its innovations, forms its drive eps_t + X_t beta + F(X_t gamma') lambda
+and its two (block, n, h) activation arrays, and is then solved step by
+step. Besides the covariates of every step, a simulation holds one block
+and the retained window of Y and eps, so its memory does not grow with
+the burn-in beyond X. X stays whole because each column is drawn over
+all steps before the next column; drawing it block by block would
+reorder the draws and change every panel of a seed.
+
 Covariates are drawn i.i.d. across locations and time per column
 (``normal`` with a mean/sd, or a ``constant`` intercept column), matching
 the random-design reading of the experiments; a fixed design across
@@ -38,6 +47,12 @@ __all__ = [
 ]
 
 
+# Steps whose drive is formed at once. The panels do not depend on it; it
+# bounds the temporaries of a simulation, and of a covariate column's
+# draw, to a few (BLOCK_STEPS, n, max(h, 1)) arrays.
+BLOCK_STEPS = 32
+
+
 def generate_covariates(columns, n, T, seed):
     """Draw a (T, n, q) covariate array, i.i.d. across s and t per column.
 
@@ -49,6 +64,7 @@ def generate_covariates(columns, n, T, seed):
         raise ValueError("need at least one covariate column spec")
     rng = np.random.default_rng(seed)
     X = np.empty((T, n, len(columns)))
+    buf = np.empty((min(BLOCK_STEPS, T), n))
     for j, col in enumerate(columns):
         kind = col.get("kind", "normal")
         if kind == "constant":
@@ -56,7 +72,12 @@ def generate_covariates(columns, n, T, seed):
         elif kind == "normal":
             mean = float(col.get("mean", 0.0))
             sd = float(col.get("sd", 1.0))
-            X[:, :, j] = mean + sd * rng.standard_normal((T, n))
+            # the column's draws in time order, as one (T, n) draw would give them
+            for t0 in range(0, T, BLOCK_STEPS):
+                z = rng.standard_normal(out=buf[:T - t0])
+                z *= sd
+                z += mean
+                X[t0:t0 + len(z), :, j] = z
         else:
             raise ValueError(f"unknown covariate kind {kind!r}")
     return X
@@ -72,6 +93,10 @@ def simulate(spec: ModelSpec, theta: ParameterVector, X=None, seed=0, burn_in=20
     X : optional (burn_in + p + T, n, q) array
         Explicit covariates for every step. When omitted, ``T`` and
         ``covariate_columns`` must be given and covariates are drawn.
+    T : int >= 1
+        Sample slices to keep after the burn-in and the p presample slices.
+    covariate_columns : sequence of q column specs
+        How to draw X when it is not given; see :func:`generate_covariates`.
     seed : int or SeedSequence
         Drives covariate and error draws through two independent substreams
         spawned from it, so output is bit-identical for identical inputs.
@@ -97,6 +122,11 @@ def simulate(spec: ModelSpec, theta: ParameterVector, X=None, seed=0, burn_in=20
     if X is None:
         if T is None or (covariate_columns is None and spec.q > 0):
             raise ValueError("either X or (T, covariate_columns) must be provided")
+        if T < 1:
+            raise ValueError(f"need T >= 1, got T = {T}")
+        if covariate_columns is not None and len(covariate_columns) != spec.q:
+            raise ValueError(f"{len(covariate_columns)} covariate column specs for a "
+                             f"model with q = {spec.q}")
         steps = burn_in + spec.p + T
         if spec.q == 0:
             X = np.zeros((steps, spec.n, 0))
@@ -114,40 +144,44 @@ def simulate(spec: ModelSpec, theta: ParameterVector, X=None, seed=0, burn_in=20
             raise ValueError("X must cover burn_in + p + T steps with T >= 1")
         if X.shape[1] != spec.n or X.shape[2] != spec.q:
             raise ValueError(f"X has shape {X.shape}, expected ({steps}, {spec.n}, {spec.q})")
-
-    if errors is None:
-        eps = spec.density.sample(rng_e, steps * spec.n).reshape(steps, spec.n)
-    else:
-        eps = np.asarray(errors, dtype=float)
-        if eps.shape != (steps, spec.n):
-            raise ValueError(f"errors have shape {eps.shape}, expected ({steps}, {spec.n})")
-
-    # the exogenous drive eps_t + X_t beta + F(X_t gamma') lambda of every step
-    drive = eps.copy()
-    if spec.n_beta:
-        drive += X @ theta.beta
-    drive += nn_component(X, theta.lam, theta.gamma)
+    if errors is not None:
+        errors = np.asarray(errors, dtype=float)
+        if errors.shape != (steps, spec.n):
+            raise ValueError(f"errors have shape {errors.shape}, expected ({steps}, {spec.n})")
 
     lu = spec.W.a0_factor(theta.phi0)
     W = spec.W.W
     lags = [np.zeros(spec.n) for _ in range(spec.p)]  # W Y_{t-1}, ..., W Y_{t-p}
-    Y = np.empty((steps, spec.n))
-    for t in range(steps):
-        rhs = drive[t].copy()
-        for i in range(spec.p):
-            rhs += theta.phi[i] * lags[i]
-        y = lu.solve(rhs)
-        Y[t] = y
-        if spec.p:
-            lags = [W.dot(y)] + lags[:-1]
+    first = burn_in + spec.p  # the first step of the sample window
+    Y = np.empty((spec.p + T, spec.n))  # steps burn_in .. steps - 1
+    eps = np.empty((T, spec.n))  # steps first .. steps - 1
+    # one buffer for every block's drive, so that the per-step views into a
+    # block do not keep it alive while the next block is formed
+    buf = np.empty((min(BLOCK_STEPS, steps), spec.n))
+    for t0 in range(0, steps, BLOCK_STEPS):
+        t1 = min(t0 + BLOCK_STEPS, steps)
+        drive = buf[:t1 - t0]
+        if errors is None:
+            drive[...] = spec.density.sample(rng_e, drive.size).reshape(drive.shape)
+        else:
+            drive[...] = errors[t0:t1]
+        if t1 > first:
+            eps[max(t0 - first, 0):t1 - first] = drive[max(first - t0, 0):]
 
-    keep = burn_in
-    return PanelData(
-        Y=Y[keep:],
-        X=X[keep + spec.p:],
-        p=spec.p,
-        eps=eps[keep + spec.p:].copy(),
-    )
+        # the exogenous drive eps_t + X_t beta + F(X_t gamma') lambda of the block
+        if spec.n_beta:
+            drive += X[t0:t1] @ theta.beta
+        drive += nn_component(X[t0:t1], theta.lam, theta.gamma)
+        for t, rhs in enumerate(drive, t0):
+            for i in range(spec.p):
+                rhs += theta.phi[i] * lags[i]
+            y = lu.solve(rhs)
+            if t >= burn_in:
+                Y[t - burn_in] = y
+            if spec.p:
+                lags = [W.dot(y)] + lags[:-1]
+
+    return PanelData(Y=Y, X=X[first:], p=spec.p, eps=eps)
 
 
 def _panel_header(q):

@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the library's computational paths:
 log-densities come from scipy.stats, log-determinants from dense LU
 (slogdet), the log-det series' node values from one freshly ordered sparse
-LU per node, residuals from direct formula-level loops, and derivatives
-from central finite differences.
+LU per node, residuals from direct formula-level loops, derivatives
+from central finite differences, and simulated panels from whole-array
+drives over every step.
 """
 
 import csv
@@ -113,6 +114,58 @@ def reference_write_panel_csv(path, data):
                     [t, s, repr(float(data.Y[data.p + t - 1, s]))]
                     + [repr(float(data.X[t - 1, s, j])) for j in range(q)]
                 )
+
+
+def oracle_simulate(spec, theta, X=None, seed=0, burn_in=200, T=None,
+                    covariate_columns=None, errors=None):
+    """The simulator over whole arrays: every step's covariates, innovations,
+    drive and response are built before the retained window is cut out.
+
+    Same seeding as ``pa.simulate`` (one SeedSequence spawns the covariate
+    and the error stream; each covariate column is drawn over all steps,
+    the innovations in one draw), so a streamed simulator must match it
+    bit for bit.
+    """
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    ss_x, ss_e = ss.spawn(2)
+    rng_x, rng_e = np.random.default_rng(ss_x), np.random.default_rng(ss_e)
+    n = spec.n
+    if X is None:
+        steps = burn_in + spec.p + T
+        X = np.empty((steps, n, spec.q))
+        for j, col in enumerate(covariate_columns or []):
+            if col.get("kind", "normal") == "constant":
+                X[:, :, j] = float(col.get("value", 1.0))
+            else:
+                X[:, :, j] = (float(col.get("mean", 0.0))
+                              + float(col.get("sd", 1.0)) * rng_x.standard_normal((steps, n)))
+    steps = X.shape[0]
+    if errors is not None:
+        eps = np.asarray(errors, dtype=float)
+    elif spec.density.family == "normal":
+        eps = rng_e.standard_normal(steps * n).reshape(steps, n)
+    elif spec.density.family == "scaled_t":
+        eps = spec.density.t_scale * rng_e.standard_t(spec.density.nu, size=steps * n)
+        eps = eps.reshape(steps, n)
+    else:
+        eps = rng_e.laplace(0.0, np.sqrt(2.0) / 2.0, size=steps * n).reshape(steps, n)
+
+    drive = eps.copy()
+    if spec.n_beta:
+        drive += X @ theta.beta
+    drive += pa.nn_component(X, theta.lam, theta.gamma)
+    lu = spec.W.a0_factor(theta.phi0)
+    lags = [np.zeros(n) for _ in range(spec.p)]
+    Y = np.empty((steps, n))
+    for t in range(steps):
+        rhs = drive[t].copy()
+        for i in range(spec.p):
+            rhs += theta.phi[i] * lags[i]
+        Y[t] = lu.solve(rhs)
+        if spec.p:
+            lags = [spec.W.W.dot(Y[t])] + lags[:-1]
+    first = burn_in + spec.p
+    return pa.PanelData(Y=Y[burn_in:], X=X[first:], p=spec.p, eps=eps[first:].copy())
 
 
 def random_causal_theta(spec, rng, phi0_range=0.5):

@@ -137,6 +137,14 @@ class TestSampling:
         for d in ALL_FAMILIES:
             assert_allclose(d.sample(42, 1000), d.sample(42, 1000))
 
+    @pytest.mark.parametrize("d", ALL_FAMILIES, ids=lambda d: d.label)
+    def test_draws_in_pieces_equal_one_draw(self, d):
+        # the simulator draws its innovations block by block from one Generator
+        whole = d.sample(np.random.default_rng(5), 1000)
+        rng = np.random.default_rng(5)
+        pieces = np.concatenate([d.sample(rng, k) for k in (1, 31, 32, 400, 536)])
+        assert np.array_equal(pieces, whole)
+
     def test_count_validated(self):
         with pytest.raises(ValueError):
             pa.normal().sample(0, 0)

@@ -1,11 +1,15 @@
 """Simulator determinism, distributional checks, and the panel CSV format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import pstarann as pa
-from conftest import MODEL1_COLUMNS, model1_spec, model1_theta
+from conftest import (MODEL1_COLUMNS, model1_spec, model1_theta, oracle_simulate,
+                      random_causal_theta)
+from pstarann.simulate import BLOCK_STEPS
 
 
 class TestSimulate:
@@ -108,6 +112,19 @@ class TestSimulate:
         data = pa.simulate(spec, theta, T=3, burn_in=0, X=np.zeros((3, 4, 0)),
                            errors=errors)
         assert_allclose(data.Y, 0.0, atol=1e-14)
+
+    def test_drawn_covariates_need_positive_t(self, w33):
+        spec = model1_spec(w33)
+        for T in (0, -1):
+            with pytest.raises(ValueError, match="T >= 1"):
+                pa.simulate(spec, model1_theta(), T=T, covariate_columns=MODEL1_COLUMNS)
+
+    def test_covariate_column_count_checked(self, w33):
+        spec = model1_spec(w33)  # q = 2
+        for columns in (MODEL1_COLUMNS[:1], MODEL1_COLUMNS + MODEL1_COLUMNS[:1]):
+            with pytest.raises(ValueError, match=f"{len(columns)} covariate column specs "
+                                                 "for a model with q = 2"):
+                pa.simulate(spec, model1_theta(), T=3, covariate_columns=columns)
 
     def test_explicit_x_shape_checked(self, w22):
         spec = pa.ModelSpec(W=w22, p=0, q=1, h=0, density=pa.normal())
@@ -257,8 +274,8 @@ class TestPanelCSV:
 
 class TestExogenousDrive:
     def test_matches_per_step_recursion(self, w33):
-        # the drive eps + X beta + F(X gamma') lambda is built for all steps
-        # at once; the panel must equal a loop that forms it step by step
+        # the drive eps + X beta + F(X gamma') lambda is built for a block of
+        # steps at once; the panel must equal a loop that forms it step by step
         spec = pa.ModelSpec(W=w33, p=2, q=3, h=2, density=pa.scaled_t(8))
         theta = pa.ParameterVector(0.3, [0.2, -0.1], [0.5, -0.3, 0.2], [1.2, 0.4],
                                    [[0.7, -0.3, 0.2], [0.4, 0.5, -0.6]])
@@ -280,3 +297,57 @@ class TestExogenousDrive:
             Y[t] = lu.solve(rhs)
             lags = [spec.W.W.dot(Y[t])] + lags[:-1]
         assert np.array_equal(data.Y, Y[burn_in:])
+
+
+B = BLOCK_STEPS
+# an intercept column, so the drive's linear and network parts see a constant
+INTERCEPT_COLUMNS = [{"kind": "constant", "value": 1.0}, {"kind": "normal", "sd": 1.5},
+                     {"kind": "normal", "mean": -0.5, "sd": 0.8}]
+
+
+class TestStreamedSimulation:
+    """The simulator runs its time loop in blocks of BLOCK_STEPS steps and
+    keeps only the retained window; its panels must equal the whole-array
+    oracle's bit for bit, wherever the burn-in ends inside a block."""
+
+    @pytest.mark.parametrize("burn_in", [0, 1, B - 1, B, B + 1, 200])
+    @pytest.mark.parametrize("density", [pa.normal(), pa.scaled_t(8), pa.laplace()],
+                             ids=lambda d: d.label)
+    @pytest.mark.parametrize("p, h", [(0, 0), (0, 2), (1, 0), (1, 2), (2, 0), (2, 2)])
+    def test_matches_whole_array_oracle(self, w33, p, h, density, burn_in):
+        spec = pa.ModelSpec(W=w33, p=p, q=3, h=h, density=density, include_intercept=True)
+        theta = random_causal_theta(spec, np.random.default_rng(100 * p + h))
+        T = B + 3  # the sample window spans a block boundary
+        steps = burn_in + p + T
+        rng = np.random.default_rng(burn_in)
+        X = rng.standard_normal((steps, spec.n, spec.q))
+        X[:, :, 0] = 1.0
+        errors = density.sample(rng, steps * spec.n).reshape(steps, spec.n)
+        for kwargs in ({"T": T, "covariate_columns": INTERCEPT_COLUMNS},
+                       {"T": T, "covariate_columns": INTERCEPT_COLUMNS, "errors": errors},
+                       {"X": X},
+                       {"X": X, "errors": errors}):
+            got = pa.simulate(spec, theta, seed=burn_in + 7, burn_in=burn_in, **kwargs)
+            want = oracle_simulate(spec, theta, seed=burn_in + 7, burn_in=burn_in, **kwargs)
+            assert np.array_equal(got.Y, want.Y)
+            assert np.array_equal(got.X, want.X)
+            assert np.array_equal(got.eps, want.eps)
+
+    def test_peak_memory_bounded_by_covariates(self):
+        # the fit-adj3107 model on a 40x40 lattice: q = 4 with an intercept,
+        # h = 2, t(8) errors, 200 burn-in steps and T = 2, so that X is almost
+        # all of what a simulation must hold. Whole-array drives and
+        # activations peak at about 2.5 bytes(X).
+        spec = pa.ModelSpec(W=pa.build_queen_lattice(40, 40), p=1, q=4, h=2,
+                            density=pa.scaled_t(8), include_intercept=True)
+        theta = pa.ParameterVector(0.4, [0.3], [-1.2, 0.15, -1.2, -0.15], [3.2, 1.8],
+                                   [[0.5, 1.6, -2.5, 2.3], [0.4, -1.8, 1.3, -0.9]])
+        columns = [{"kind": "constant", "value": 1.0}] + [{"kind": "normal", "sd": 1.0}] * 3
+        tracemalloc.start()
+        try:
+            pa.simulate(spec, theta, seed=3, burn_in=200, T=2, covariate_columns=columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        x_bytes = (200 + 1 + 2) * spec.n * spec.q * 8
+        assert peak < 1.3 * x_bytes
