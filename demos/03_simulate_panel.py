@@ -35,7 +35,7 @@ data = pa.simulate(spec, theta, seed=42, T=30, covariate_columns=columns)
 print(f"panel: T={data.T}, n={data.n}, q={data.q}, presample slices={data.p}")
 
 # residuals at the generating parameters reproduce the injected noise
-resid = pa.residual_matrix(spec, theta, data)
+resid = pa.LikelihoodWorkspace(spec, data).residuals(theta)
 print(f"residual round-trip error: {np.max(np.abs(resid - data.eps)):.2e}")
 
 # lag-1 autocorrelation of the pooled series is negative (phi1 < 0)

@@ -32,7 +32,7 @@ print()
 # The sandwich pieces: A (averaged negated Hessian), B (averaged score
 # outer product). The information equality A ~ B holds at the truth for
 # correctly specified Gaussian models.
-cov = pa.sandwich_covariance(spec, res.theta, data)
+cov = pa.sandwich_covariance(pa.LikelihoodWorkspace(spec, data), res.theta)
 print("A diagonal:", np.round(np.diag(cov["A"]), 3))
 print("B diagonal:", np.round(np.diag(cov["B"]), 3))
 print()

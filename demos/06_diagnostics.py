@@ -29,7 +29,7 @@ print(f"raw Y_T     : I = {raw['I']:+.4f}, z = {raw['z']:+.2f}, "
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
     res = pa.fit(spec, data, n_starts=5, seed=0, covariance=False)
-diag = pa.residual_diagnostics(spec, res.theta, data)
+diag = pa.residual_diagnostics(spec, res.residuals)
 pvals = [d["pvalue"] for d in diag["moran_per_t"]]
 print(f"fitted model: median per-slice Moran p-value = {np.median(pvals):.3f}")
 
@@ -39,10 +39,11 @@ spec0 = pa.ModelSpec(W=W, p=1, q=2, h=0, density=pa.normal())
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")
     res0 = pa.fit(spec0, data, n_starts=3, seed=0, covariance=False)
-diag0 = pa.residual_diagnostics(spec0, res0.theta, data)
-r1, r0 = diag["residuals"].ravel(), diag0["residuals"].ravel()
-print(f"residual variance: one-neuron fit {r1.var():.3f}, "
-      f"linear-only fit {r0.var():.3f}")
+diag0 = pa.residual_diagnostics(spec0, res0.residuals)
+pvals0 = [d["pvalue"] for d in diag0["moran_per_t"]]
+print(f"linear fit  : median per-slice Moran p-value = {np.median(pvals0):.3f}")
+print(f"residual variance: one-neuron fit {res.residuals.var():.3f}, "
+      f"linear-only fit {res0.residuals.var():.3f}")
 
 # QQ pairs: theoretical quantile of the fitted density vs sorted residual
 qq = diag["qq"]
@@ -52,5 +53,5 @@ for i in idx:
     print(f"  {qq[i, 0]:+8.4f}  {qq[i, 1]:+8.4f}")
 
 # heatmap grid of the last residual slice, for external plotting
-grid = pa.heatmap_grid(diag["residuals"][-1], W.lattice_dims)
+grid = pa.heatmap_grid(res.residuals[-1], W.lattice_dims)
 print(f"\nresidual heatmap grid shape: {grid.shape}")

@@ -30,15 +30,7 @@ from .estimate import (
     likelihood_ratio_test,
     sandwich_covariance,
 )
-from .likelihood import (
-    LikelihoodWorkspace,
-    NumericalError,
-    gradient,
-    hessian,
-    log_likelihood,
-    residual_matrix,
-    score_outer_product,
-)
+from .likelihood import LikelihoodWorkspace, NumericalError, log_likelihood
 from .model import (
     CausalityCheck,
     ModelSpec,
@@ -60,11 +52,10 @@ __all__ = [
     "WeightMatrix", "build_queen_lattice", "from_adjacency", "read_adjacency_csv",
     "ErrorDensity", "normal", "scaled_t", "laplace", "density_from_config",
     "ModelSpec", "ParameterVector", "PanelData", "CausalityCheck",
-    "sigmoid", "nn_component", "residual_matrix",
+    "sigmoid", "nn_component",
     "check_causal", "psi_expansion", "canonicalize", "param_names",
     "generate_covariates", "simulate", "write_panel_csv", "read_panel_csv",
-    "LikelihoodWorkspace", "NumericalError", "log_likelihood", "gradient", "hessian",
-    "score_outer_product",
+    "LikelihoodWorkspace", "NumericalError", "log_likelihood",
     "FitResult", "FitError", "CovarianceUnavailableError", "default_bounds",
     "fit", "initial_points", "sandwich_covariance", "likelihood_ratio_test",
     "morans_i", "residual_diagnostics", "heatmap_grid",

@@ -233,7 +233,7 @@ def cmd_fit(args):
     table = result.format_table()
     (out / "fit.txt").write_text(table + "\n")
 
-    diag = residual_diagnostics(spec, result.theta, data)
+    diag = residual_diagnostics(spec, result.residuals)
     # json.dumps, unlike json.dump, runs the C encoder
     (out / "diagnostics.json").write_text(
         json.dumps({"moran_per_t": diag["moran_per_t"], "qq": diag["qq"].tolist()}))
@@ -277,6 +277,8 @@ def cmd_replicate(args):
     R = args.replicates
     if R < 2:
         raise ConfigError(f"--replicates must be >= 2, got {R}")
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
 
     check_causal(spec, theta).require()
 

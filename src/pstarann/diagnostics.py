@@ -1,6 +1,8 @@
 """
 Residual and data diagnostics: Moran's I with a standardized statistic,
 per-slice residual tests, QQ-plot data, and lattice heatmap grids as CSV.
+The residual tests take the residual matrix a fit reports, so they form
+no residuals of their own.
 
 Moran's I for a vector v with centered e = v - mean(v) is
 
@@ -26,8 +28,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from ._csv import write_rows
-from .likelihood import residual_matrix
-from .model import ModelSpec, PanelData, ParameterVector
+from .model import ModelSpec
 
 __all__ = ["morans_i", "residual_diagnostics", "heatmap_grid"]
 
@@ -57,26 +58,22 @@ def morans_i(W, v):
     return {"I": I, "z": z, "pvalue": p, "expected": ei, "variance": var}
 
 
-def residual_diagnostics(spec: ModelSpec, theta_hat: ParameterVector, data: PanelData):
+def residual_diagnostics(spec: ModelSpec, residuals):
     """Per-slice Moran tests and pooled QQ data for fitted residuals.
 
-    Returns a dict with the residual panel (T, n), one Moran result per
-    time slice, and pooled QQ pairs (theoretical quantile of the fitted
-    density at plotting position (k - 1/2)/N against the sorted residual).
+    ``residuals`` is the (T, n) matrix of a fit (``FitResult.residuals``).
+    Returns a dict with one Moran result per time slice and pooled QQ pairs
+    (theoretical quantile of the fitted density at plotting position
+    (k - 1/2)/N against the sorted residual).
     """
-    E = residual_matrix(spec, theta_hat, data)
     per_t = []
-    for t in range(data.T):
-        r = morans_i(spec.W, E[t])
-        per_t.append({"t": t + 1, "I": r["I"], "z": r["z"], "pvalue": r["pvalue"]})
-    pooled = np.sort(E.ravel())
+    for t, e in enumerate(residuals, 1):
+        r = morans_i(spec.W, e)
+        per_t.append({"t": t, "I": r["I"], "z": r["z"], "pvalue": r["pvalue"]})
+    pooled = np.sort(residuals, axis=None)
     N = pooled.size
     theo = spec.density.ppf((np.arange(1, N + 1) - 0.5) / N)
-    return {
-        "residuals": E,
-        "moran_per_t": per_t,
-        "qq": np.column_stack((theo, pooled)),
-    }
+    return {"moran_per_t": per_t, "qq": np.column_stack((theo, pooled))}
 
 
 def heatmap_grid(Y_t, lattice_dims, path=None):

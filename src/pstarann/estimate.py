@@ -28,6 +28,11 @@ Asymptotic covariance is the sandwich
 with per-parameter standard errors sqrt(diag(Omega) / nT). For the Laplace
 family A is unavailable (no curvature at 0), so fits report point
 estimates only.
+
+Each fit builds one ``LikelihoodWorkspace``. The starts
+(``initial_points``), the optimizer, the covariance
+(``sandwich_covariance``) and the residuals the fit reports all read it,
+so the panel is checked and its fixed derivative rows are formed once.
 """
 
 from __future__ import annotations
@@ -84,7 +89,11 @@ class CovarianceUnavailableError(RuntimeError):
 
 @dataclass
 class FitResult:
-    """Fitted parameters plus inference and convergence metadata."""
+    """Fitted parameters plus inference and convergence metadata.
+
+    ``residuals`` is the (T, n) residual matrix at ``theta``, which the
+    residual diagnostics read. It is not part of the JSON record.
+    """
 
     theta: ParameterVector
     loglik: float
@@ -104,6 +113,7 @@ class FitResult:
     n_domain_rejections: int = 0
     nT: int = 0
     names: list = field(default_factory=list)
+    residuals: Optional[np.ndarray] = field(default=None, repr=False)
 
     def to_json_dict(self):
         d = {
@@ -191,8 +201,8 @@ def default_bounds(spec: ModelSpec):
     return bounds
 
 
-def initial_points(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, ws=None):
-    """Deterministic multi-start initial values.
+def initial_points(ws: LikelihoodWorkspace, n_starts=5, seed=0):
+    """Deterministic multi-start initial values for the workspace's panel.
 
     Start 1 profiles a linear model: phi0 on a grid with (phi_1..phi_p,
     beta) from least squares at each grid point under a Gaussian
@@ -204,9 +214,8 @@ def initial_points(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, ws=None
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
-    ws = ws or LikelihoodWorkspace(spec, data)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(7,)))
-    T = data.T
+    spec, T = ws.spec, ws.data.T
     lay = spec.layout
 
     # the theta-free rows of the derivative matrix are -W Y_t, -W Y_{t-i}
@@ -373,7 +382,7 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
     vanish at a kink optimum. ``trace`` holds one record per start: the
     log-likelihood at the start and at the optimizer's end (None where it
     is not finite), the optimizer's ``nit``, ``nfev`` and message, and the
-    start's wall seconds.
+    start's wall seconds. ``residuals`` are those at the reported theta.
     """
     ws = LikelihoodWorkspace(spec, data)
     if bounds is None:
@@ -404,7 +413,7 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
                    "maxls": 50}
 
     if starts is None:
-        starts = initial_points(spec, data, n_starts, seed, ws=ws)
+        starts = initial_points(ws, n_starts, seed)
     else:
         starts = [s if isinstance(s, ParameterVector)
                   else ParameterVector.from_array(s, spec) for s in starts]
@@ -479,11 +488,13 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
         n_domain_rejections=ws.n_domain_rejections,
         nT=data.n * data.T,
         names=param_names(spec),
+        # the workspace's cache already holds theta_hat: no new evaluation
+        residuals=ws.residuals(theta_hat),
     )
 
     if covariance:
         try:
-            cov = sandwich_covariance(spec, theta_hat, data, ws=ws)
+            cov = sandwich_covariance(ws, theta_hat)
             result.covariance = cov["omega"]
             result.std_errors = cov["se"]
             result.ci95 = cov["ci95"]
@@ -493,22 +504,20 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
     return result
 
 
-def sandwich_covariance(spec: ModelSpec, theta_hat: ParameterVector, data: PanelData,
-                        ws=None):
-    """Omega = A^{-1} B A^{-1} with SEs and 95% intervals.
+def sandwich_covariance(ws: LikelihoodWorkspace, theta_hat: ParameterVector):
+    """Omega = A^{-1} B A^{-1} with SEs and 95% intervals on the workspace's panel.
 
     A is the averaged negated Hessian, B the averaged per-observation score
     outer product. Raises :class:`CovarianceUnavailableError` for the
     Laplace family and a ValueError (with condition number) when A is
     singular or not positive definite.
     """
-    if not spec.density.differentiable:
+    if not ws.spec.density.differentiable:
         raise CovarianceUnavailableError(
             "sandwich covariance unavailable for the Laplace family: the "
             "log-density has no second derivative at 0; point estimates only"
         )
-    ws = ws or LikelihoodWorkspace(spec, data)
-    nT = data.n * data.T
+    nT = ws.data.n * ws.data.T
     A = -ws.hessian(theta_hat) / nT
     B = ws.score_outer_product(theta_hat)
     eigs = np.linalg.eigvalsh(A)

@@ -53,6 +53,11 @@ The averaged outer product of per-observation scores
 
 estimates the information matrix B; together with the averaged negated
 Hessian A it feeds the sandwich covariance in the estimator module.
+
+``LikelihoodWorkspace`` is the one way to evaluate these quantities on a
+panel. A fit builds one, and its starts, its covariance and the residuals
+it reports all read that workspace. ``log_likelihood(spec, theta, data)``
+is a single evaluation on a workspace of its own.
 """
 
 from __future__ import annotations
@@ -67,11 +72,7 @@ from .model import ModelSpec, PanelData, ParameterVector
 __all__ = [
     "NumericalError",
     "LikelihoodWorkspace",
-    "residual_matrix",
     "log_likelihood",
-    "gradient",
-    "hessian",
-    "score_outer_product",
 ]
 
 logger = logging.getLogger(__name__)
@@ -152,7 +153,11 @@ class LikelihoodWorkspace:
     # ------------------------------------------------------------------
 
     def residuals(self, theta: ParameterVector):
-        """All residuals eps_{s,t}(theta) as a (T, n) matrix."""
+        """All residuals as a (T, n) matrix.
+
+        eps_{s,t} = y_{s,t} - sum_{i=0..p} phi_i (W Y_{t-i})_s - x_{s,t}' beta
+                    - sum_i lambda_i F(x_{s,t}' gamma_i)
+        """
         E = self._eval(theta)["E"]
         return E.reshape(self.data.T, self.data.n).copy()
 
@@ -234,30 +239,6 @@ class LikelihoodWorkspace:
         return ll, self.gradient(theta)
 
 
-# ----------------------------------------------------------------------
-# One-shot module-level entry points
-# ----------------------------------------------------------------------
-
-def residual_matrix(spec, theta, data):
-    """All residuals as a (T, n) matrix.
-
-    eps_{s,t} = y_{s,t} - sum_{i=0..p} phi_i (W Y_{t-i})_s - x_{s,t}' beta
-                - sum_i lambda_i F(x_{s,t}' gamma_i)
-    """
-    return LikelihoodWorkspace(spec, data).residuals(theta)
-
-
 def log_likelihood(spec, theta, data):
+    """L(theta) on a workspace of its own; fits reuse one workspace instead."""
     return LikelihoodWorkspace(spec, data).log_likelihood(theta)
-
-
-def gradient(spec, theta, data):
-    return LikelihoodWorkspace(spec, data).gradient(theta)
-
-
-def hessian(spec, theta, data):
-    return LikelihoodWorkspace(spec, data).hessian(theta)
-
-
-def score_outer_product(spec, theta, data):
-    return LikelihoodWorkspace(spec, data).score_outer_product(theta)

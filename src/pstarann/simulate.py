@@ -181,7 +181,8 @@ def simulate(spec: ModelSpec, theta: ParameterVector, X=None, seed=0, burn_in=20
             if spec.p:
                 lags = [W.dot(y)] + lags[:-1]
 
-    return PanelData(Y=Y, X=X[first:], p=spec.p, eps=eps)
+    # a copy, so that the panel does not keep all steps' covariates alive
+    return PanelData(Y=Y, X=X[first:].copy(), p=spec.p, eps=eps)
 
 
 def _panel_header(q):

@@ -298,6 +298,25 @@ class TestFitCommand:
         diag = json.loads((fit_out / "diagnostics.json").read_text())
         assert len(diag["moran_per_t"]) == 8
 
+    def test_one_workspace_per_fit(self, sim_dir, capsys, monkeypatch):
+        # the starts, the covariance and the diagnostics read the fit's
+        # workspace instead of building their own
+        built = []
+        real_init = pa.LikelihoodWorkspace.__init__
+
+        def counting_init(self, spec, data):
+            built.append(data)
+            real_init(self, spec, data)
+
+        monkeypatch.setattr(pa.LikelihoodWorkspace, "__init__", counting_init)
+        tmp, cfg, out = sim_dir
+        code = main(["fit", "--config", cfg, "--panel", str(out / "panel.csv"),
+                     "--out", str(tmp / "fit_one_ws"), "--seed", "0"])
+        capsys.readouterr()
+        assert code == 0
+        assert len(built) == 1
+        assert (tmp / "fit_one_ws" / "diagnostics.json").exists()
+
     def test_fit_json_records_log_det_build(self, sim_dir, capsys):
         tmp, cfg, out = sim_dir
         runs = []
@@ -430,6 +449,15 @@ class TestReplicateCommand:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):
+        cfg = write_config(tmp_path, MODEL1_CONFIG)
+        code = main(["replicate", "--config", cfg, "--out", str(tmp_path / "r"),
+                     "--replicates", "2", "--threads", threads])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --threads must be >= 1, got {threads}\n"
+        assert not (tmp_path / "r").exists()
+
     def test_replicates_flag_required(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MODEL1_CONFIG)
         with pytest.raises(SystemExit) as exc:
@@ -545,7 +573,7 @@ class TestReplicateCovariance:
         spec, data, rec = self.run_one("normal")
         assert rec["ok"] and rec["covariance_note"] is None
         theta_hat = pa.ParameterVector.from_array(rec["estimate"], spec)
-        se = pa.sandwich_covariance(spec, theta_hat, data)["se"]
+        se = pa.sandwich_covariance(pa.LikelihoodWorkspace(spec, data), theta_hat)["se"]
         assert_allclose(rec["asymptotic_se"], se, rtol=0, atol=1e-12)
 
     def test_laplace_se_null_with_note(self):

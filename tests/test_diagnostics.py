@@ -107,14 +107,14 @@ def fitted(w1010):
 class TestResidualDiagnostics:
     def test_correctly_specified_residuals_pass_moran(self, fitted):
         spec, data, res = fitted
-        diag = pa.residual_diagnostics(spec, res.theta, data)
+        diag = pa.residual_diagnostics(spec, res.residuals)
         pvals = [d["pvalue"] for d in diag["moran_per_t"]]
         assert len(pvals) == data.T
         assert np.median(pvals) > 0.1
 
     def test_qq_pairs_monotone(self, fitted):
         spec, data, res = fitted
-        diag = pa.residual_diagnostics(spec, res.theta, data)
+        diag = pa.residual_diagnostics(spec, res.residuals)
         qq = diag["qq"]
         assert qq.shape == (data.n * data.T, 2)
         assert np.all(np.diff(qq[:, 0]) >= 0)
@@ -122,7 +122,7 @@ class TestResidualDiagnostics:
 
     def test_misspecified_fit_reported(self, w1010):
         # data from a one-neuron model, fitted without the network term;
-        # the diagnostics are reported (no threshold asserted): the pooled
+        # the diagnostics are reported (no threshold asserted): the fit's
         # residuals are simply checked to be finite and the Moran column
         # present for every slice
         spec1 = model1_spec(w1010)
@@ -130,8 +130,9 @@ class TestResidualDiagnostics:
                            covariate_columns=MODEL1_COLUMNS)
         spec0 = pa.ModelSpec(W=w1010, p=1, q=2, h=0, density=pa.normal())
         res0 = pa.fit(spec0, data, n_starts=2, seed=0, covariance=False)
-        diag = pa.residual_diagnostics(spec0, res0.theta, data)
-        assert np.all(np.isfinite(diag["residuals"]))
+        diag = pa.residual_diagnostics(spec0, res0.residuals)
+        assert np.all(np.isfinite(res0.residuals))
+        assert sorted(diag) == ["moran_per_t", "qq"]
         assert len(diag["moran_per_t"]) == 8
 
 

@@ -33,9 +33,8 @@ class TestFit:
         X = pa.generate_covariates(MODEL1_COLUMNS, spec.n, steps, seed=3)
         data = pa.simulate(spec, theta0, X=X, burn_in=200,
                            errors=np.zeros((steps, spec.n)))
-        assert np.max(np.abs(pa.residual_matrix(spec, theta0, data))) < 1e-12
-
         ws = pa.LikelihoodWorkspace(spec, data)
+        assert np.max(np.abs(ws.residuals(theta0))) < 1e-12
         g0 = ws.gradient(theta0)
         assert_allclose(g0[0], -data.T * spec.W.trace_w_a0inv(0.6, 1), atol=1e-8)
         assert np.max(np.abs(g0[1:])) < 1e-8
@@ -186,6 +185,47 @@ class TestFit:
         assert res.converged
 
 
+class TestFitResiduals:
+    """``FitResult.residuals`` is the workspace's cache at the reported theta."""
+
+    def test_residuals_at_the_canonical_theta(self, w1010, monkeypatch):
+        # an intercept design fitted from the mirror image of the truth in
+        # the first neuron (gamma_11 < 0), so canonicalize flips the optimum
+        # before the residuals are taken
+        spec = pa.ModelSpec(W=w1010, p=1, q=3, h=2, density=pa.normal(),
+                            include_intercept=True)
+        truth = pa.ParameterVector(0.5, [-0.2], [0.3, 0.4, -0.5], [1.5, -1.0],
+                                   [[0.5, 0.75, -0.35], [0.4, -0.3, 0.6]])
+        columns = [{"kind": "constant", "value": 1.0}] + MODEL1_COLUMNS
+        data = pa.simulate(spec, truth, seed=12, T=8, covariate_columns=columns)
+        mirror = truth.copy()
+        mirror.beta[0] += mirror.lam[0]
+        mirror.lam[0] = -mirror.lam[0]
+        mirror.gamma[0] = -mirror.gamma[0]
+        flips = []
+
+        def recording(theta, include_intercept):
+            out = pa.canonicalize(theta, include_intercept)
+            flips.append(not np.array_equal(out.x, theta.x))
+            return out
+
+        monkeypatch.setattr(estimate, "canonicalize", recording)
+        res = pa.fit(spec, data, starts=[mirror], covariance=False)
+        assert flips == [True] and res.canonical
+        fresh = pa.LikelihoodWorkspace(spec, data).residuals(res.theta)
+        assert np.array_equal(res.residuals, fresh)
+
+    def test_residuals_of_a_linear_fit(self, w1010):
+        spec = pa.ModelSpec(W=w1010, p=1, q=2, h=0, density=pa.normal())
+        data = pa.simulate(spec, pa.ParameterVector(0.5, [-0.2], [1.0, -0.7], [], []),
+                           seed=23, T=10, covariate_columns=MODEL1_COLUMNS)
+        res = pa.fit(spec, data, n_starts=2, seed=0)
+        assert res.residuals.shape == (data.T, data.n)
+        fresh = pa.LikelihoodWorkspace(spec, data).residuals(res.theta)
+        assert np.array_equal(res.residuals, fresh)
+        assert "residuals" not in res.to_json_dict()
+
+
 class TestTrustRegionNewton:
     # reference optima from an independent optimizer (L-BFGS-B followed by
     # damped Newton steps) on model 1 at 10x10, T = 10, 4 starts
@@ -265,7 +305,7 @@ class TestSandwichCovariance:
     def test_spd_and_positive_ci_widths(self, w1010):
         spec, data = small_model1_data(w1010, seed=3, T=10)
         res = pa.fit(spec, data, n_starts=3, seed=3)
-        cov = pa.sandwich_covariance(spec, res.theta, data)
+        cov = pa.sandwich_covariance(pa.LikelihoodWorkspace(spec, data), res.theta)
         eigs = np.linalg.eigvalsh(cov["omega"])
         assert eigs[0] > 0
         assert_allclose(cov["omega"], cov["omega"].T)
@@ -295,7 +335,7 @@ class TestSandwichCovariance:
         assert res.std_errors is None
         assert "Laplace" in res.cov_note
         with pytest.raises(pa.CovarianceUnavailableError):
-            pa.sandwich_covariance(spec, res.theta, data)
+            pa.sandwich_covariance(pa.LikelihoodWorkspace(spec, data), res.theta)
 
     def test_singular_information_reported(self, w33):
         # duplicated neurons make the score components collinear
@@ -304,7 +344,7 @@ class TestSandwichCovariance:
                                    [[0.5, 0.3], [0.5, 0.3]])
         data = random_panel(spec, 3, np.random.default_rng(3))
         with pytest.raises(ValueError, match="positive definite|condition"):
-            pa.sandwich_covariance(spec, theta, data)
+            pa.sandwich_covariance(pa.LikelihoodWorkspace(spec, data), theta)
 
     def test_full_scale_standard_errors(self):
         # one-neuron design at full scale: the fit lands within 4 reference
@@ -401,8 +441,8 @@ class TestLikelihoodRatio:
 class TestInitialPoints:
     def test_deterministic_and_bounded(self, w33):
         spec, data = small_model1_data(w33, T=4)
-        s1 = pa.initial_points(spec, data, n_starts=4, seed=9)
-        s2 = pa.initial_points(spec, data, n_starts=4, seed=9)
+        s1 = pa.initial_points(pa.LikelihoodWorkspace(spec, data), n_starts=4, seed=9)
+        s2 = pa.initial_points(pa.LikelihoodWorkspace(spec, data), n_starts=4, seed=9)
         bounds = pa.default_bounds(spec)
         for a, b in zip(s1, s2):
             assert np.array_equal(a.to_array(), b.to_array())
@@ -412,7 +452,7 @@ class TestInitialPoints:
 
     def test_single_start(self, w33):
         spec, data = small_model1_data(w33, T=4)
-        starts = pa.initial_points(spec, data, n_starts=1, seed=0)
+        starts = pa.initial_points(pa.LikelihoodWorkspace(spec, data), n_starts=1, seed=0)
         assert len(starts) == 1
 
     def test_linear_profile_start_near_truth(self, w1010):
@@ -421,7 +461,7 @@ class TestInitialPoints:
         theta0 = pa.ParameterVector(0.5, [-0.2], [1.0, -0.7], [], [])
         data = pa.simulate(spec, theta0, seed=23, T=10, covariate_columns=[
             {"kind": "normal", "sd": 1.0}, {"kind": "normal", "sd": 2.0}])
-        start = pa.initial_points(spec, data, n_starts=1, seed=0)[0]
+        start = pa.initial_points(pa.LikelihoodWorkspace(spec, data), n_starts=1, seed=0)[0]
         assert abs(start.phi0 - 0.5) < 0.1
         assert np.max(np.abs(start.beta - theta0.beta)) < 0.15
 
@@ -452,7 +492,7 @@ class TestInitialPoints:
                 best = (ll, phi0, coef)
         _, phi0, coef = best
 
-        start = pa.initial_points(spec, data, n_starts=3, seed=2)[0]
+        start = pa.initial_points(pa.LikelihoodWorkspace(spec, data), n_starts=3, seed=2)[0]
         expected = np.concatenate(([phi0], coef))
         got = np.concatenate(([start.phi0], start.phi, start.beta))
         assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))

@@ -82,8 +82,8 @@ class TestGradient:
         spec = pa.ModelSpec(W=w33, p=0, q=3, h=0, density=pa.normal())
         theta = pa.ParameterVector(0.3, [], rng.standard_normal(3), [], [])
         data = random_panel(spec, 4, rng)
-        E = pa.residual_matrix(spec, theta, data)
-        g = pa.gradient(spec, theta, data)
+        ws = pa.LikelihoodWorkspace(spec, data)
+        E, g = ws.residuals(theta), ws.gradient(theta)
         expected = np.einsum("tnq,tn->q", data.X, E)
         assert_allclose(g[1:], expected, atol=1e-10)
 
@@ -93,7 +93,7 @@ class TestGradient:
         theta0 = model1_theta()
         data = pa.simulate(spec, theta0, seed=13, T=30,
                            covariate_columns=MODEL1_COLUMNS)
-        g = pa.gradient(spec, theta0, data) / (data.n * data.T)
+        g = pa.LikelihoodWorkspace(spec, data).gradient(theta0) / (data.n * data.T)
         assert np.max(np.abs(g)) < 5.0 / math.sqrt(data.n * data.T)
 
     def test_phi0_entry_contains_trace(self, w22):
@@ -101,7 +101,7 @@ class TestGradient:
         spec = pa.ModelSpec(W=w22, p=0, q=0, h=0, density=pa.normal())
         theta = pa.ParameterVector(0.4, [], [], [], [])
         data = pa.PanelData(Y=np.zeros((3, 4)), X=np.zeros((3, 4, 0)), p=0)
-        g = pa.gradient(spec, theta, data)
+        g = pa.LikelihoodWorkspace(spec, data).gradient(theta)
         assert_allclose(g[0], -3 * w22.trace_w_a0inv(0.4, 1), atol=1e-12)
 
 
@@ -128,7 +128,7 @@ class TestHessian:
         spec = pa.ModelSpec(W=w33, p=0, q=2, h=0, density=pa.normal())
         theta = pa.ParameterVector(0.2, [], [0.5, -1.0], [], [])
         data = random_panel(spec, 3, rng)
-        H = pa.hessian(spec, theta, data)
+        H = pa.LikelihoodWorkspace(spec, data).hessian(theta)
         expected = -np.einsum("tnq,tnr->qr", data.X, data.X)
         assert_allclose(H[1:, 1:], expected, atol=1e-10)
 
@@ -136,7 +136,7 @@ class TestHessian:
         spec = pa.ModelSpec(W=w22, p=0, q=0, h=0, density=pa.normal())
         theta = pa.ParameterVector(0.4, [], [], [], [])
         data = pa.PanelData(Y=np.zeros((5, 4)), X=np.zeros((5, 4, 0)), p=0)
-        H = pa.hessian(spec, theta, data)
+        H = pa.LikelihoodWorkspace(spec, data).hessian(theta)
         assert_allclose(H[0, 0], -5 * w22.trace_w_a0inv(0.4, 2), atol=1e-12)
 
     def test_laplace_unavailable(self, w22):
@@ -144,14 +144,14 @@ class TestHessian:
         theta = pa.ParameterVector(0.1, [], [], [], [])
         data = pa.PanelData(Y=np.ones((1, 4)), X=np.zeros((1, 4, 0)), p=0)
         with pytest.raises(ValueError, match="Laplace"):
-            pa.hessian(spec, theta, data)
+            pa.LikelihoodWorkspace(spec, data).hessian(theta)
 
     def test_symmetric(self, w33):
         rng = np.random.default_rng(41)
         spec = pa.ModelSpec(W=w33, p=2, q=2, h=1, density=pa.scaled_t(5))
         theta = random_causal_theta(spec, rng)
         data = random_panel(spec, 4, rng)
-        H = pa.hessian(spec, theta, data)
+        H = pa.LikelihoodWorkspace(spec, data).hessian(theta)
         assert_allclose(H, H.T, atol=0)
 
 
@@ -195,7 +195,7 @@ class TestScoreOuterProduct:
         with pytest.raises(ValueError, match="admissible interval"):
             ws.score_outer_product(theta)
 
-    @pytest.mark.parametrize("entry", [pa.log_likelihood, pa.gradient, pa.score_outer_product])
+    @pytest.mark.parametrize("entry", ["log_likelihood", "gradient", "score_outer_product"])
     def test_one_shot_entries_check_data_against_spec(self, w33, entry):
         # the kernel skips per-evaluation checks, so the workspace must
         # reject data that contradict the spec when it is built
@@ -203,8 +203,9 @@ class TestScoreOuterProduct:
         spec = pa.ModelSpec(W=w33, p=1, q=2, h=1, density=pa.normal(),
                             include_intercept=True)
         data = random_panel(spec, 3, rng)
+        theta = random_causal_theta(spec, rng)
         with pytest.raises(ValueError, match="intercept"):
-            entry(spec, random_causal_theta(spec, rng), data)
+            getattr(pa.LikelihoodWorkspace(spec, data), entry)(theta)
 
     def test_workspace_cache_consistency(self, w33):
         # same theta evaluated twice reuses the cache; a new theta refreshes it
@@ -290,7 +291,7 @@ class TestResiduals:
                 expected[t] = e
             assert_allclose(ws.residuals(theta), expected, rtol=0, atol=1e-13)
             ws.gradient(theta)
-            np.testing.assert_array_equal(pa.residual_matrix(spec, theta, data),
+            np.testing.assert_array_equal(pa.LikelihoodWorkspace(spec, data).residuals(theta),
                                           ws.residuals(theta))
 
 
@@ -344,3 +345,11 @@ class TestInvariances:
 
             theta_c = pa.canonicalize(theta, include_intercept=True)
             assert abs(pa.log_likelihood(spec, theta_c, data) - ll) < 1e-10
+
+
+@pytest.mark.parametrize("module", ["pstarann", "pstarann.likelihood", "pstarann.estimate",
+                                    "pstarann.diagnostics"])
+def test_exported_names_resolve(module):
+    # a name left in __all__ after its definition went breaks star imports
+    mod = sys.modules[module]
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

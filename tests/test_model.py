@@ -79,7 +79,7 @@ class TestResiduals:
         theta = pa.ParameterVector(0.0, [0.0], [0.0, 0.0], [0.0], [[0.0, 0.0]])
         rng = np.random.default_rng(0)
         data = random_panel(spec, 3, rng)
-        E = pa.residual_matrix(spec, theta, data)
+        E = pa.LikelihoodWorkspace(spec, data).residuals(theta)
         assert_allclose(E, data.Y_sample, atol=1e-14)
 
     def test_simulator_round_trip(self, w33):
@@ -87,7 +87,7 @@ class TestResiduals:
         theta = model1_theta()
         data = pa.simulate(spec, theta, seed=4, T=6, covariate_columns=[
             {"kind": "normal", "sd": 1.5}, {"kind": "normal", "sd": 3.0}])
-        E = pa.residual_matrix(spec, theta, data)
+        E = pa.LikelihoodWorkspace(spec, data).residuals(theta)
         assert np.max(np.abs(E - data.eps)) < 1e-9
 
     def test_hand_computed_spatial_lag(self, w22):
@@ -95,7 +95,7 @@ class TestResiduals:
         spec = pa.ModelSpec(W=w22, p=0, q=0, h=0, density=pa.normal())
         theta = pa.ParameterVector(0.5, [], [], [], [])
         data = pa.PanelData(Y=np.ones((1, 4)), X=np.zeros((1, 4, 0)), p=0)
-        E = pa.residual_matrix(spec, theta, data)
+        E = pa.LikelihoodWorkspace(spec, data).residuals(theta)
         assert_allclose(E, 0.5, atol=1e-14)
 
     def test_neuron_permutation_invariance(self, w33):
@@ -103,20 +103,21 @@ class TestResiduals:
         spec = pa.ModelSpec(W=w33, p=1, q=2, h=3, density=pa.normal())
         data = random_panel(spec, 4, rng)
         theta = random_causal_theta(spec, rng)
-        E0 = pa.residual_matrix(spec, theta, data)
+        ws = pa.LikelihoodWorkspace(spec, data)
+        E0 = ws.residuals(theta)
         for _ in range(5):
             perm = rng.permutation(3)
             theta_p = theta.copy()
             theta_p.lam = theta.lam[perm]
             theta_p.gamma = theta.gamma[perm]
-            assert_allclose(pa.residual_matrix(spec, theta_p, data), E0, atol=1e-14)
+            assert_allclose(ws.residuals(theta_p), E0, atol=1e-14)
 
     def test_shape_mismatch_raises(self, w33):
         spec = pa.ModelSpec(W=w33, p=1, q=2, h=0, density=pa.normal())
         data = random_panel(spec, 3, np.random.default_rng(1))
         theta = pa.ParameterVector(0.1, [0.1, 0.2], [0.0, 0.0], [], [])
         with pytest.raises(ValueError, match="phi"):
-            pa.residual_matrix(spec, theta, data)
+            pa.LikelihoodWorkspace(spec, data).residuals(theta)
 
 
 class TestCheckCausal:
@@ -336,8 +337,8 @@ class TestCanonicalize:
             data.X[:, :, 0] = 1.0
             out = pa.canonicalize(theta, include_intercept=True)
             assert out.is_canonical()
-            E0 = pa.residual_matrix(spec, theta, data)
-            E1 = pa.residual_matrix(spec, out, data)
+            ws = pa.LikelihoodWorkspace(spec, data)
+            E0, E1 = ws.residuals(theta), ws.residuals(out)
             assert np.max(np.abs(E0 - E1)) < 1e-12
 
     def test_error_without_intercept(self):

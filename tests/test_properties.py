@@ -18,7 +18,6 @@ from hypothesis.extra.numpy import arrays
 import pstarann as pa
 import test_model
 from conftest import reference_write_panel_csv
-from pstarann.likelihood import residual_matrix
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=100, deadline=None,
                              database=None)
@@ -162,8 +161,9 @@ class TestCanonicalize:
     def test_keeps_residuals_is_canonical_and_idempotent(self, case):
         spec, theta, data = case
         theta_c = pa.canonicalize(theta, include_intercept=True)
-        eps = residual_matrix(spec, theta, data)
-        assert np.max(np.abs(residual_matrix(spec, theta_c, data) - eps)) \
+        ws = pa.LikelihoodWorkspace(spec, data)
+        eps = ws.residuals(theta)
+        assert np.max(np.abs(ws.residuals(theta_c) - eps)) \
             <= 1e-12 * (1.0 + np.max(np.abs(eps)))
         assert theta_c.is_canonical()
         assert same_bits(pa.canonicalize(theta_c, include_intercept=True).x, theta_c.x)

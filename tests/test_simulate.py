@@ -58,7 +58,7 @@ class TestSimulate:
         spec = model1_spec(w33, density=pa.scaled_t(4))
         theta = model1_theta()
         data = pa.simulate(spec, theta, seed=3, T=10, covariate_columns=MODEL1_COLUMNS)
-        E = pa.residual_matrix(spec, theta, data)
+        E = pa.LikelihoodWorkspace(spec, data).residuals(theta)
         assert np.max(np.abs(E - data.eps)) < 1e-9
 
     def test_stationarity_halves(self, w33):
@@ -332,6 +332,22 @@ class TestStreamedSimulation:
             assert np.array_equal(got.Y, want.Y)
             assert np.array_equal(got.X, want.X)
             assert np.array_equal(got.eps, want.eps)
+
+    @pytest.mark.parametrize("drawn", [True, False], ids=["drawn-X", "injected-X"])
+    def test_panel_owns_its_sample_covariates(self, w33, drawn):
+        # the panel holds the T sample slices of X, not a view that keeps
+        # all burn_in + p + T steps alive
+        spec = pa.ModelSpec(W=w33, p=1, q=3, h=1, density=pa.normal(), include_intercept=True)
+        theta = random_causal_theta(spec, np.random.default_rng(5))
+        T, burn_in = 4, 50
+        X = pa.generate_covariates(INTERCEPT_COLUMNS, spec.n, burn_in + spec.p + T, seed=2)
+        kwargs = {"T": T, "covariate_columns": INTERCEPT_COLUMNS} if drawn else {"X": X}
+        data = pa.simulate(spec, theta, seed=1, burn_in=burn_in, **kwargs)
+        assert data.X.flags.owndata and data.X.base is None
+        assert data.X.size == T * spec.n * spec.q
+        if not drawn:
+            assert np.array_equal(data.X, X[burn_in + spec.p:])
+            assert not np.shares_memory(data.X, X)
 
     def test_peak_memory_bounded_by_covariates(self):
         # the fit-adj3107 model on a 40x40 lattice: q = 4 with an intercept,
