@@ -32,6 +32,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -266,7 +267,8 @@ def _replicate_one(payload):
             "covariance_note": res.cov_note,
         }
     except Exception as exc:  # recorded per replicate, summary over successes
-        return {"replicate": r, "ok": False, "error": f"{type(exc).__name__}: {exc}"}
+        kind = type(exc).__name__
+        return {"replicate": r, "ok": False, "error_type": kind, "error": f"{kind}: {exc}"}
 
 
 def cmd_replicate(args):
@@ -309,6 +311,8 @@ def cmd_replicate(args):
         "R": R,
         "n_success": len(good),
         "n_failed": R - len(good),
+        "failures_by_type": dict(sorted(Counter(d["error_type"] for d in records
+                                                if not d["ok"]).items())),
         "names": names,
         "true": theta.x.tolist(),
         "mean": est.mean(axis=0).tolist() if good else None,

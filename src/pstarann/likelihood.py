@@ -101,6 +101,11 @@ class LikelihoodWorkspace:
 
     The data are checked against the spec once, here; theta is checked
     against it on every call.
+
+    ``density`` is the error density the evaluations read: ``spec.density``
+    unless a fit's smoothing stage sets another (see the estimator module).
+    Setting it empties the per-theta cache, so a score cached under one
+    density is never served under another. D does not depend on it.
     """
 
     def __init__(self, spec: ModelSpec, data: PanelData):
@@ -117,8 +122,18 @@ class LikelihoodWorkspace:
             self.D[i] = -wy[p - i: p - i + T].ravel()
         self.D[lay.beta] = -self.X[: spec.n_beta]
         self.n_domain_rejections = 0
+        self._density = spec.density
         self._key = None
         self._c = None
+
+    @property
+    def density(self):
+        return self._density
+
+    @density.setter
+    def density(self, value):
+        if value is not self._density:
+            self._density, self._key, self._c = value, None, None
 
     def _eval(self, theta: ParameterVector):
         """Checked theta: activations, residuals, score ratio and the network
@@ -146,7 +161,7 @@ class LikelihoodWorkspace:
             self.D[lay.lam] = -F
             gam = self.D[lay.gamma].reshape(lay.h, lay.q, -1)
             np.multiply((-theta.lam[:, None] * Fp)[:, None, :], self.X, out=gam)
-        c["V"] = self.spec.density.score(E)
+        c["V"] = self._density.score(E)
         self._key, self._c = key, c
         return c
 
@@ -170,7 +185,7 @@ class LikelihoodWorkspace:
             logger.debug("phi0=%g outside the admissible interval; returning -inf", theta.phi0)
             return -np.inf
         return float(self.data.T * W.log_det_a0(theta.phi0)
-                     + np.sum(self.spec.density.log_pdf(c["E"])))
+                     + np.sum(self._density.log_pdf(c["E"])))
 
     def gradient(self, theta: ParameterVector):
         """Analytic dL/dtheta = D V - T tr(W A0^{-1}) e_phi0."""
@@ -187,14 +202,14 @@ class LikelihoodWorkspace:
         derivative at 0; use the outer-product-only covariance instead.
         """
         spec = self.spec
-        if not spec.density.differentiable:
+        if not self._density.differentiable:
             raise ValueError(
                 "analytic Hessian is unavailable for the Laplace family "
                 "(curvature undefined at 0); use the score outer product"
             )
         tr2 = spec.W.trace_w_a0inv(theta.phi0, 2)
         c, D = self._eval(theta), self.D
-        U = spec.density.curvature(c["E"])
+        U = self._density.curvature(c["E"])
         H = (D * U) @ D.T
         H[0, 0] -= self.data.T * tr2
         if spec.h:

@@ -519,6 +519,32 @@ class TestReplicateCommand:
         assert len(failed) == 1 and "synthetic optimizer failure" in failed[0]["error"]
         assert " 2" in (out / "summary.txt").read_text()  # count column
 
+    def test_failures_counted_by_type(self, tmp_path, capsys, monkeypatch):
+        import pstarann.cli as cli
+
+        real_fit = cli.fit
+        calls = {"n": 0}
+
+        def fit_failing_once(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                raise pa.FitError("all 5 starts failed to produce a finite optimum")
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "fit", fit_failing_once)
+        cfg = write_config(tmp_path, MODEL1_CONFIG)
+        out = tmp_path / "rep"
+        code = main(["replicate", "--config", cfg, "--out", str(out),
+                     "--seed", "5", "--replicates", "2"])
+        assert code == 0
+        capsys.readouterr()
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["failures_by_type"] == {"FitError": 1}
+        failed, ok = summary["records"]
+        assert failed["error_type"] == "FitError" and not failed["ok"]
+        assert failed["error"].startswith("FitError: all 5 starts failed")
+        assert ok["ok"] and "error_type" not in ok
+
     def test_all_failures_exit_3(self, tmp_path, capsys, monkeypatch):
         import pstarann.cli as cli
 

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from scipy import integrate, stats
 
 import pstarann as pa
+from pstarann.densities import SmoothedLaplace
 from conftest import oracle_log_pdf
 
 
@@ -204,3 +205,30 @@ class TestConfigParsing:
             pa.density_from_config(text)
         with pytest.raises(ValueError, match="finite nu"):
             pa.ErrorDensity("scaled_t", float(text[2:]))
+
+
+class TestSmoothedLaplace:
+    """The pseudo-Huber objective of a Laplace fit's smoothing stages."""
+
+    @pytest.mark.parametrize("mu", [1e-1, 1e-3, 1e-6])
+    def test_derivatives_match_finite_differences(self, mu):
+        d = SmoothedLaplace(mu)
+        s = mu * np.array([-30.0, -2.0, -0.3, 0.0, 0.4, 1.0, 25.0])
+        h = 1e-4 * mu
+        fd1 = (d.log_pdf(s + h) - d.log_pdf(s - h)) / (2 * h)
+        fd2 = (d.score(s + h) - d.score(s - h)) / (2 * h)
+        assert_allclose(d.score(s), fd1, rtol=0, atol=1e-5)
+        assert_allclose(d.curvature(s), fd2, rtol=0, atol=1e-5 / mu)
+
+    @pytest.mark.parametrize("mu", [1e-1, 1e-6])
+    def test_lies_within_mu_over_b_below_laplace(self, mu):
+        s = np.concatenate((np.linspace(-3.0, 3.0, 61), mu * np.linspace(-5.0, 5.0, 41)))
+        exact = pa.laplace().log_pdf(s)
+        smooth = SmoothedLaplace(mu).log_pdf(s)
+        assert np.all(smooth <= exact)
+        assert np.all(smooth >= exact - mu * math.sqrt(2.0) - 1e-15)
+
+    def test_no_config_string_names_it(self):
+        for text in ("smoothed_laplace", "pseudo-huber", "laplace:1e-3"):
+            with pytest.raises(ValueError, match="unknown density spec"):
+                pa.density_from_config(text)

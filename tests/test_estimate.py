@@ -130,8 +130,8 @@ class TestFit:
 
     def test_every_start_outside_phi0_domain_raises_fit_error(self, w44):
         # a phi0 box beyond the admissible interval (-1, 1) turns every
-        # objective call into the -inf sentinel, which the optimizer sees as
-        # the penalty, so no start reaches a finite optimum
+        # objective call into the -inf sentinel, so no start reaches a
+        # finite optimum
         spec, data = small_model1_data(w44, T=6)
         bounds = pa.default_bounds(spec)
         bounds[0] = [1.2, 1.5]
@@ -255,13 +255,35 @@ class TestTrustRegionNewton:
         assert res.converged
         assert {t["message"] for t in res.trace} == {"projected gradient below tolerance"}
 
-    def test_iteration_cap_reported_as_not_converged(self, w1010):
-        spec, data = small_model1_data(w1010, seed=3, T=10)
+    @pytest.mark.parametrize("density, stages", [
+        (pa.normal(), 1), (pa.laplace(), len(estimate._LAPLACE_SMOOTHING))],
+        ids=["normal", "laplace"])
+    def test_iteration_cap_reported_as_not_converged(self, w1010, density, stages):
+        # max_iter bounds each smoothing stage, and nit sums over them
+        spec, data = small_model1_data(w1010, seed=3, T=10, density=density)
         res = pa.fit(spec, data, n_starts=2, seed=3, max_iter=1, covariance=False)
         assert not res.converged
         assert res.gradient_norm > 1e-8 * (1 + abs(res.loglik))
-        assert [t["nit"] for t in res.trace] == [1, 1]
+        assert [t["nit"] for t in res.trace] == [stages, stages]
         assert {t["message"] for t in res.trace} == {"maximum number of iterations reached"}
+
+    # Laplace optima from L-BFGS-B, the optimizer Laplace fits ran before the
+    # smoothing homotopy, on the designs of QUASI_NEWTON
+    LBFGSB_LAPLACE = {3: -1383.818634788414, 17: -1405.2923087756355,
+                      31: -1340.9208256680015}
+
+    @pytest.mark.parametrize("seed", list(LBFGSB_LAPLACE))
+    def test_laplace_homotopy_reaches_the_quasi_newton_optimum(self, w1010, seed):
+        spec, data = small_model1_data(w1010, seed=seed, T=10, density=pa.laplace())
+        res = pa.fit(spec, data, n_starts=4, seed=seed, covariance=False)
+        assert res.converged
+        pinned = self.LBFGSB_LAPLACE[seed]
+        assert res.loglik >= pinned - 1e-8 * (1 + abs(pinned))
+        # every start is scored by the exact log-likelihood, and the starts
+        # that reach the winner's optimum agree on it
+        near = [t["loglik"] for t in res.trace if res.loglik - t["loglik"] < 1e-2]
+        assert len(near) >= 2 and max(near) == res.loglik
+        assert res.loglik - min(near) <= 1e-8 * (1 + abs(res.loglik))
 
     def test_objective_flat_to_rounding_ends_the_start(self):
         # f is constant and its gradient is not: once the radius is below the

@@ -1,5 +1,5 @@
 """Property tests: the flat parameter layout, the panel CSV round trip,
-canonicalization and the p <= 2 causality check.
+canonicalization, the p <= 2 causality check and the trust-region step.
 
 Derandomized (the same examples on every run) with capped example counts,
 so the module stays deterministic and fast.
@@ -17,6 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 import pstarann as pa
 import test_model
+from pstarann import estimate
 from conftest import reference_write_panel_csv
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=100, deadline=None,
@@ -189,3 +190,63 @@ class TestCausalityFastPath:
         chk = pa.check_causal(spec, theta)
         assert abs(chk.max_root_modulus - test_model.TestCheckCausal.roots_oracle(spec.W, theta)) \
             <= 1e-12 * (1.0 + chk.max_root_modulus)
+
+
+# 0, or a magnitude in [1e-6, 1] of either sign
+unit = st.one_of(st.just(0.0), st.floats(1e-6, 1.0), st.floats(-1.0, -1e-6))
+
+
+@st.composite
+def trust_region_subproblems(draw):
+    """(g, lam, Q, delta, hard) with B = Q diag(lam) Q' symmetric, often
+    indefinite.
+
+    The eigenvalues span up to 1e7, the curvature a narrow Laplace smoothing
+    stage puts on the residuals it nearly interpolates. In the hard case g
+    has no component along the lowest eigenvector, whose eigenvalue is
+    simple and negative.
+    """
+    n = draw(st.integers(1, 6))
+    scale = 10.0 ** draw(st.integers(-2, 7))
+    lam = np.sort(draw(arrays(np.float64, n, elements=unit))) * scale
+    a = draw(arrays(np.float64, n, elements=unit))
+    a *= 10.0 ** draw(st.integers(-3, 3))
+    hard = n > 1 and draw(st.booleans())
+    if hard:
+        lam[0] = min(lam[1], 0.0) - draw(st.floats(0.01, 1.0)) * scale
+        a[0] = 0.0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    delta = 10.0 ** draw(st.floats(-4.0, 2.0))
+    return Q @ a, lam, Q, delta, hard
+
+
+class TestTrustRegionStep:
+    @settings(PROPERTY_SETTINGS, max_examples=300)
+    @given(trust_region_subproblems())
+    def test_more_sorensen_conditions(self, case):
+        # s is a global minimizer of g's + s'Bs/2 over ||s|| <= delta iff
+        # some sigma >= 0 gives (B + sigma I) s = -g with B + sigma I
+        # positive semidefinite and sigma (delta - ||s||) = 0 (Moré &
+        # Sorensen 1983). sigma is recovered from s by least squares. The
+        # tolerance is 1e-8 relative, widened by the rounding of the shifted
+        # eigenvalues lam_i + sigma that the step divides by: a shift that
+        # cancels a large negative eigenvalue leaves few correct digits.
+        g, lam, Q, delta, hard = case
+        s = estimate._trust_region_step(g, lam, Q, delta)
+        B = (Q * lam) @ Q.T
+        norm = np.linalg.norm(s)
+        r = B @ s + g
+        sigma = -float(s @ r) / norm ** 2 if norm > 0 else 0.0
+        big = max(np.max(np.abs(lam)), abs(sigma))
+        shifted = lam[0] + sigma
+        tol = 1e-8
+        assert np.linalg.norm(r + sigma * s) <= tol * (big * norm + np.linalg.norm(g))
+        assert sigma >= -tol * big
+        assert shifted >= -tol * big
+        wide = tol + 64 * np.finfo(float).eps * big / shifted if shifted > 0 else np.inf
+        assert norm <= delta * (1.0 + min(wide, 1.0))
+        if wide < np.inf:
+            assert sigma * (delta - norm) <= wide * (big * delta + np.linalg.norm(g))
+        if hard:  # lam_1 < 0, so the step lies on the boundary
+            assert abs(norm - delta) <= tol * delta
