@@ -39,7 +39,6 @@ from .model import (
     ParameterVector,
     canonicalize,
     check_causal,
-    nn_component,
     param_names,
     psi_expansion,
     sigmoid,
@@ -53,7 +52,7 @@ __all__ = [
     "WeightMatrix", "build_queen_lattice", "from_adjacency", "read_adjacency_csv",
     "ErrorDensity", "normal", "scaled_t", "laplace", "density_from_config",
     "ModelSpec", "ParameterVector", "PanelData", "CausalityCheck",
-    "sigmoid", "nn_component",
+    "sigmoid",
     "check_causal", "psi_expansion", "canonicalize", "param_names",
     "generate_covariates", "simulate", "write_panel_csv", "read_panel_csv",
     "LikelihoodWorkspace", "NumericalError", "log_likelihood",

@@ -41,7 +41,6 @@ so the panel is checked and its fixed derivative rows are formed once.
 
 from __future__ import annotations
 
-import json
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -154,10 +153,6 @@ class FitResult:
         if self.cov_note:
             d["covariance_note"] = self.cov_note
         return d
-
-    def save_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
 
     def format_table(self):
         """Human-readable table: Parameter | Estimate | Std. | 95% C.I.
@@ -332,18 +327,21 @@ def _trust_region_newton(fun, x0, jac, hess, bounds, gtol=1e-8, maxiter=500, **_
     & Toint 2000, sec. 17.4.2). Stops when ``_first_order`` holds with
     ``gtol``, after ``maxiter`` trials, when the radius falls below the
     rounding of x, or after ``_FLAT_TRIALS`` trials in a row that lowered f
-    by no more than its rounding. ``nit`` counts trials, accepted or not; a
-    start where ``fun`` is not finite returns ``fun = inf``.
+    by no more than its rounding. ``nit`` counts trials, accepted or not;
+    ``pg_norm`` is the projected-gradient norm of the last ``_first_order``
+    test, at the returned x, and ``success`` is that test's outcome. A start
+    where ``fun`` is not finite returns ``fun = inf`` and ``pg_norm = inf``.
     """
     lb, ub = np.asarray(bounds, dtype=float).T
     x = np.clip(x0, lb, ub)
     f, nfev = fun(x), 1
     if not np.isfinite(f):
         return optimize.OptimizeResult(x=x, fun=np.inf, nit=0, nfev=nfev, success=False,
+                                       pg_norm=np.inf,
                                        message="objective not finite at the start")
     g, delta, nit, eig, flat = jac(x), 1.0, 0, None, 0
     while True:
-        _, done, free = _first_order(x, g, f, lb, ub, gtol)
+        pg_norm, done, free = _first_order(x, g, f, lb, ub, gtol)
         if done:
             success, message = True, "projected gradient below tolerance"
             break
@@ -378,7 +376,7 @@ def _trust_region_newton(fun, x0, jac, hess, bounds, gtol=1e-8, maxiter=500, **_
         if rho > 0.15:
             x, f, g, eig = trial, f_new, jac(trial), None
     return optimize.OptimizeResult(x=x, fun=f, nit=nit, nfev=nfev, success=success,
-                                   message=message)
+                                   pg_norm=pg_norm, message=message)
 
 
 def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
@@ -396,17 +394,19 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
     each stage.
 
     Returns the best local optimum by the exact log-likelihood (ties broken
-    by start index) after canonicalization. ``converged`` is the trust
-    region's own stopping test (``_first_order``) at the winner, on the
-    objective its last stage minimized: the projected-gradient infinity norm
-    satisfies ||pg|| <= tol * (1 + |f|), and ``gradient_norm`` is that norm.
-    For the Laplace family f is the smoothing of the narrowest width; the
-    reported log-likelihood, residuals and canonicalization check use the
-    exact density. ``trace`` holds one record per start: the
-    log-likelihood at the start and at the optimizer's end (None where it
-    is not finite), ``nit`` and ``nfev`` summed over the stages, the last
-    stage's message, and the start's wall seconds. ``n_iterations`` is the
-    winner's ``nit``. ``residuals`` are those at the reported theta.
+    by start index) after canonicalization. ``converged`` and
+    ``gradient_norm`` are read off the winner's last stage, not evaluated
+    again: the outcome of the trust region's last stopping test
+    (``_first_order``) on the objective that stage minimized, whether the
+    projected-gradient infinity norm satisfies ||pg|| <= tol * (1 + |f|),
+    and that norm. For the Laplace family f is the smoothing of the
+    narrowest width; the reported log-likelihood, residuals and
+    canonicalization check use the exact density. ``trace`` holds one
+    record per start: the log-likelihood at the start and at the
+    optimizer's end (None where it is not finite), ``nit`` and ``nfev``
+    summed over the stages, the last stage's message, and the start's wall
+    seconds. ``n_iterations`` is the winner's ``nit``. ``residuals`` are
+    those at the reported theta.
     """
     ws = LikelihoodWorkspace(spec, data)
     if bounds is None:
@@ -463,7 +463,7 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
         if ok and density is not exact:  # a smoothing's optimum, scored exactly
             ll = ws.log_likelihood(ParameterVector.from_array(res.x, spec))
         if ok:
-            candidates.append((-ll, idx, res.x, nit))
+            candidates.append((-ll, idx, res, nit))
         trace.append({
             "start_loglik": float(ll0) if np.isfinite(ll0) else None,
             "loglik": ll if ok else None,
@@ -479,14 +479,8 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
             "check data scaling and bounds"
         )
 
-    _, _, x_best, nit_best = min(candidates, key=lambda c: c[:2])
-
-    theta_raw = ParameterVector.from_array(x_best, spec)
-    ws.density = stages[-1][0]
-    f_last, g_last = ws.loglik_and_gradient(theta_raw)
-    grad_norm, converged, _ = _first_order(theta_raw.x, -g_last, -f_last, lb, ub, tol)
-    ws.density = exact
-    ll_hat = ws.log_likelihood(theta_raw)
+    neg_ll, _, best, nit_best = min(candidates, key=lambda c: c[:2])
+    theta_raw, ll_hat = ParameterVector.from_array(best.x, spec), -neg_ll
 
     canonical = True
     theta_hat = theta_raw
@@ -510,8 +504,8 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
     result = FitResult(
         theta=theta_hat,
         loglik=float(ll_hat),
-        gradient_norm=grad_norm,
-        converged=bool(converged),
+        gradient_norm=best.pg_norm,
+        converged=bool(best.success),
         n_starts=n_starts,
         n_iterations=nit_best,
         aic=2.0 * spec.dim - 2.0 * float(ll_hat),
@@ -522,7 +516,8 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
         n_domain_rejections=ws.n_domain_rejections,
         nT=data.n * data.T,
         names=param_names(spec),
-        # the workspace's cache already holds theta_hat: no new evaluation
+        # the canonicalization check left theta_hat in the workspace's
+        # cache; only a non-canonical fit evaluates it here
         residuals=ws.residuals(theta_hat),
     )
 

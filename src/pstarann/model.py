@@ -42,7 +42,6 @@ __all__ = [
     "PanelData",
     "CausalityCheck",
     "sigmoid",
-    "nn_component",
     "check_causal",
     "psi_expansion",
     "canonicalize",
@@ -285,7 +284,8 @@ class PanelData:
     def check_against(self, spec: ModelSpec):
         """Raise ValueError when the panel contradicts the spec.
 
-        Checks n, q and p, the intercept column when the spec declares one,
+        Checks n, q and p, that the intercept column is exactly 1 when the
+        spec declares one (the first other value is named with its t and s),
         and that every X_t has full column rank (one batched rank
         computation over the T slices; the first deficient t is named).
         """
@@ -295,8 +295,12 @@ class PanelData:
             raise ValueError(f"panel has q={self.q}, spec.q={spec.q}")
         if self.p != spec.p:
             raise ValueError(f"panel has p={self.p} presample slices, spec.p={spec.p}")
-        if spec.include_intercept and self.q and not np.allclose(self.X[:, :, 0], 1.0):
-            raise ValueError("spec declares an intercept but X[:, :, 0] is not constant 1")
+        if spec.include_intercept and self.q:
+            off = np.argwhere(self.X[:, :, 0] != 1.0)
+            if off.size:
+                t, s = off[0]
+                raise ValueError(f"spec declares an intercept but X[:, :, 0] is not exactly 1: "
+                                 f"{float(self.X[t, s, 0])!r} at t={t + 1}, s={s}")
         if self.q:
             deficient = np.flatnonzero(np.linalg.matrix_rank(self.X) < self.q)
             if deficient.size:
@@ -307,20 +311,6 @@ class PanelData:
 # ----------------------------------------------------------------------
 # Core operations
 # ----------------------------------------------------------------------
-
-def nn_component(X, lam, gamma):
-    """Network output per location: sum_i lambda_i * F(x_s' gamma_i).
-
-    ``X`` is (n, q), or a stack (..., n, q) of such slices; returns an array
-    of shape ``X.shape[:-1]``. h = 0 yields zeros.
-    """
-    X = np.asarray(X, dtype=float)
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if lam.size == 0:
-        return np.zeros(X.shape[:-1])
-    gamma = np.asarray(gamma, dtype=float).reshape(lam.size, -1)
-    return sigmoid(X @ gamma.T) @ lam
-
 
 # check_causal rejects a leading coefficient 1 - phi0 tau below this.
 LEAD_TOL = 1e-14

@@ -14,12 +14,13 @@ exceeds the mixing time of any design with max root modulus <= 0.7.
 
 The time loop runs in blocks of ``BLOCK_STEPS`` steps: each block draws
 its innovations, forms its drive eps_t + X_t beta + F(X_t gamma') lambda
-and its two (block, n, h) activation arrays, and is then solved step by
-step. Besides the covariates of every step, a simulation holds one block
-and the retained window of Y and eps, so its memory does not grow with
-the burn-in beyond X. X stays whole because each column is drawn over
-all steps before the next column; drawing it block by block would
-reorder the draws and change every panel of a seed.
+with one (h, block n) activation array, in the layout of the likelihood's
+network rows, and is then solved step by step. Besides the covariates of
+every step, a simulation holds one block and the retained window of Y and
+eps, so its memory does not grow with the burn-in beyond X. X stays whole
+because each column is drawn over all steps before the next column;
+drawing it block by block would reorder the draws and change every panel
+of a seed.
 
 Covariates are drawn i.i.d. across locations and time per column
 (``normal`` with a mean/sd, or a ``constant`` intercept column), matching
@@ -37,7 +38,7 @@ from itertools import chain, compress, repeat
 import numpy as np
 
 from ._csv import parse_column, read_columns, write_rows
-from .model import ModelSpec, PanelData, ParameterVector, check_causal, nn_component
+from .model import ModelSpec, PanelData, ParameterVector, check_causal, sigmoid
 
 __all__ = [
     "generate_covariates",
@@ -47,9 +48,11 @@ __all__ = [
 ]
 
 
-# Steps whose drive is formed at once. The panels do not depend on it; it
-# bounds the temporaries of a simulation, and of a covariate column's
-# draw, to a few (BLOCK_STEPS, n, max(h, 1)) arrays.
+# Steps whose drive is formed at once. It bounds the temporaries of a
+# simulation, and of a covariate column's draw, to a few arrays of
+# BLOCK_STEPS n max(h, 1) entries. The panels depend on it only in the last
+# bits, where BLAS rounds the lambda contraction of a row by its place in
+# the block.
 BLOCK_STEPS = 32
 
 
@@ -171,7 +174,11 @@ def simulate(spec: ModelSpec, theta: ParameterVector, X=None, seed=0, burn_in=20
         # the exogenous drive eps_t + X_t beta + F(X_t gamma') lambda of the block
         if spec.n_beta:
             drive += X[t0:t1] @ theta.beta
-        drive += nn_component(X[t0:t1], theta.lam, theta.gamma)
+        if spec.h:
+            # F in the (h, m) layout of the likelihood's network rows, with Xt
+            # the (q, m) transposed view of the block's m = (t1 - t0) n rows
+            Xt = X[t0:t1].reshape(-1, spec.q).T
+            drive += (theta.lam @ sigmoid(theta.gamma @ Xt)).reshape(drive.shape)
         for t, rhs in enumerate(drive, t0):
             for i in range(spec.p):
                 rhs += theta.phi[i] * lags[i]

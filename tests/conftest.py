@@ -153,7 +153,11 @@ def oracle_simulate(spec, theta, X=None, seed=0, burn_in=200, T=None,
     drive = eps.copy()
     if spec.n_beta:
         drive += X @ theta.beta
-    drive += pa.nn_component(X, theta.lam, theta.gamma)
+    if spec.h:
+        # every step's activations as one (h, steps n) array, the layout
+        # of the simulator's blocks
+        F = pa.sigmoid(theta.gamma @ X.reshape(-1, spec.q).T)
+        drive += (theta.lam @ F).reshape(steps, n)
     lu = spec.W.a0_factor(theta.phi0)
     lags = [np.zeros(n) for _ in range(spec.p)]
     Y = np.empty((steps, n))

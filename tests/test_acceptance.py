@@ -223,7 +223,7 @@ def test_criterion_6_causality_and_psi_decay():
     eps = rng.standard_normal((steps, spec.n))
     data = pa.simulate(spec, theta, X=X, burn_in=0, errors=eps)
 
-    u = np.array([X[m] @ theta.beta + pa.nn_component(X[m], theta.lam, theta.gamma)
+    u = np.array([X[m] @ theta.beta + theta.lam @ pa.sigmoid(theta.gamma @ X[m].T)
                   + eps[m] for m in range(steps)])
     target = data.Y[-1]  # absolute step p + T = 41: exactly 41 causal terms
 

@@ -375,6 +375,28 @@ class TestFitCommand:
         assert code == 2
         assert expected in capsys.readouterr().err
 
+    def test_intercept_not_exactly_one_exit_2(self, tmp_path, capsys):
+        # an intercept column only close to 1 is an input error, named by
+        # its value, t and s, not a failed canonicalization check (exit 3)
+        cfg_dict = json.loads(json.dumps(MODEL1_CONFIG))
+        cfg_dict["model"].update(q=2, linear_term=True, intercept=True)
+        cfg_dict["covariates"] = [{"kind": "constant", "value": 1.0},
+                                  {"kind": "normal", "sd": 1.5}]
+        cfg_dict["theta"].update(beta=[0.3, -0.5])
+        cfg = write_config(tmp_path, cfg_dict)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--seed", "3"]) == 0
+        lines = (out / "panel.csv").read_text().splitlines()
+        t, s, y, _, x2 = lines[40].split(",")  # (t, s) = (1, 3)
+        lines[40] = ",".join((t, s, y, "1.000000001", x2))
+        bad = tmp_path / "bad_intercept.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["fit", "--config", cfg, "--panel", str(bad), "--out", str(tmp_path / "fit")])
+        assert code == 2
+        assert ("spec declares an intercept but X[:, :, 0] is not exactly 1: "
+                "1.000000001 at t=1, s=3") in capsys.readouterr().err
+
     def test_panel_of_other_lattice_exit_2(self, sim_dir, capsys):
         tmp, _, out = sim_dir
         cfg_dict = json.loads(json.dumps(MODEL1_CONFIG))

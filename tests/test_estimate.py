@@ -9,6 +9,7 @@ from scipy import stats
 
 import pstarann as pa
 from pstarann import estimate
+from pstarann.densities import SmoothedLaplace
 from conftest import MODEL1_COLUMNS, model1_spec, model1_theta, random_panel
 
 
@@ -266,6 +267,26 @@ class TestTrustRegionNewton:
         assert res.gradient_norm > 1e-8 * (1 + abs(res.loglik))
         assert [t["nit"] for t in res.trace] == [stages, stages]
         assert {t["message"] for t in res.trace} == {"maximum number of iterations reached"}
+
+    @pytest.mark.parametrize("density", [pa.normal(), pa.laplace()], ids=["normal", "laplace"])
+    def test_reported_stopping_test_is_the_winners(self, w1010, density):
+        # fit reads converged, gradient_norm and loglik off the winning
+        # start; with h = 0 nothing is canonicalized, so a fresh workspace
+        # at the reported theta must give them again bit for bit, under the
+        # objective of the last stage
+        spec = pa.ModelSpec(W=w1010, p=1, q=2, h=0, density=density)
+        truth = pa.ParameterVector(0.5, [-0.2], [1.0, -0.7], [], [])
+        data = pa.simulate(spec, truth, seed=23, T=10, covariate_columns=MODEL1_COLUMNS)
+        res = pa.fit(spec, data, n_starts=2, seed=0, covariance=False)
+        ws = pa.LikelihoodWorkspace(spec, data)
+        assert res.loglik == ws.log_likelihood(res.theta)
+        if not density.differentiable:
+            ws.density = SmoothedLaplace(estimate._LAPLACE_SMOOTHING[-1])
+        ll, g = ws.loglik_and_gradient(res.theta)
+        lb, ub = pa.default_bounds(spec).T
+        norm, done, _ = estimate._first_order(res.theta.x, -g, -ll, lb, ub, 1e-8)
+        assert res.gradient_norm == norm
+        assert res.converged is done
 
     # Laplace optima from L-BFGS-B, the optimizer Laplace fits ran before the
     # smoothing homotopy, on the designs of QUASI_NEWTON

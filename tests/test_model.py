@@ -9,22 +9,52 @@ from numpy.testing import assert_allclose
 from scipy.special import expit
 
 import pstarann as pa
+from pstarann.simulate import BLOCK_STEPS
 from conftest import model1_spec, model1_theta, random_causal_theta, random_panel
 
 
 class TestNNComponent:
-    def test_zero_inputs_give_half_sigmoid(self):
-        X = np.zeros((5, 3))
-        out = pa.nn_component(X, [1.5], [[0.2, -0.4, 1.0]])
-        assert_allclose(out, 0.75)
+    @pytest.mark.parametrize("h, q", [(0, 2), (1, 1), (1, 3), (3, 2), (4, 3)])
+    def test_simulated_drive_matches_formula(self, w33, h, q):
+        # p = 0, phi0 = 0, zero innovations and no burn-in: A0 = I, so Y is
+        # the drive X beta + sum_i lambda_i F(x' gamma_i) of every step, over
+        # more than one block of steps
+        spec = pa.ModelSpec(W=w33, p=0, q=q, h=h, density=pa.normal(),
+                            include_intercept=True)
+        rng = np.random.default_rng(10 * h + q)
+        theta = pa.ParameterVector(0.0, [], rng.normal(0.0, 1.0, q), rng.normal(0.0, 2.0, h),
+                                   rng.normal(0.0, 1.5, (h, q)))
+        steps = BLOCK_STEPS + 5
+        X = rng.normal(0.0, 1.5, (steps, spec.n, q))
+        X[:, :, 0] = 1.0
+        X[:, :2, 1:] = 0.0  # two locations see the intercept alone
+        data = pa.simulate(spec, theta, X=X, burn_in=0, errors=np.zeros((steps, spec.n)))
 
-    def test_no_neurons_gives_zero(self):
-        X = np.ones((4, 2))
-        assert_allclose(pa.nn_component(X, [], np.zeros((0, 2))), 0.0)
+        linear = X @ theta.beta
+        terms = [lam / (1.0 + np.exp(-(X @ g))) for lam, g in zip(theta.lam, theta.gamma)]
+        want = linear + sum(terms)
+        # relative to the sum of the terms' magnitudes, which bounds rounding
+        scale = np.abs(linear) + sum(np.abs(u) for u in terms)
+        assert np.all(np.abs(data.Y - want) <= 1e-13 * scale)
 
-    def test_scalar_evaluation(self):
-        out = pa.nn_component(np.array([[1.0, 1.0]]), [1.5], [[0.75, -0.35]])
-        assert_allclose(out, 1.5 / (1.0 + np.exp(-0.4)), atol=1e-12)
+    def test_no_neurons_gives_zero(self, w33):
+        # h = 0: no network term, so with beta = 0 and no innovations the
+        # drive, and with A0 = I the simulated Y, is exactly zero
+        spec = pa.ModelSpec(W=w33, p=0, q=2, h=0, density=pa.normal())
+        theta = pa.ParameterVector(0.0, [], [0.0, 0.0], [], np.zeros((0, 2)))
+        X = np.ones((4, spec.n, 2))
+        data = pa.simulate(spec, theta, X=X, burn_in=0, errors=np.zeros((4, spec.n)))
+        assert not data.Y.any()
+
+    def test_no_neurons_give_zeros_of_slice_shape(self, w33):
+        # the h = 0 drive over more than one block of steps keeps the
+        # (steps, n) shape of the panel and is zero throughout
+        spec = pa.ModelSpec(W=w33, p=0, q=3, h=0, density=pa.normal())
+        theta = pa.ParameterVector(0.0, [], np.zeros(3), [], np.zeros((0, 3)))
+        steps = BLOCK_STEPS + 5
+        X = np.ones((steps, spec.n, 3))
+        data = pa.simulate(spec, theta, X=X, burn_in=0, errors=np.zeros((steps, spec.n)))
+        assert data.Y.shape == (steps, spec.n) and not data.Y.any()
 
     def test_sigmoid_stable_for_extreme_arguments(self):
         z = np.array([-800.0, -30.0, 0.0, 30.0, 800.0])
@@ -51,26 +81,6 @@ class TestNNComponent:
         ref = expit(z)
         assert np.all(np.abs(F - ref) <= 4 * np.spacing(ref))
         assert F[-2] == 0.0 and F[-1] == 1.0
-
-    def test_two_neurons_sum(self):
-        X = np.array([[1.0, 2.0]])
-        lam = [2.0, -1.0]
-        gamma = [[0.5, 0.1], [1.0, -0.3]]
-        expected = 2.0 * pa.sigmoid(0.7) - 1.0 * pa.sigmoid(0.4)
-        assert_allclose(pa.nn_component(X, lam, gamma), expected, atol=1e-12)
-
-    def test_stacked_slices_match_per_slice(self):
-        rng = np.random.default_rng(3)
-        X = rng.standard_normal((4, 5, 3))
-        lam, gamma = [1.2, -0.4], rng.standard_normal((2, 3))
-        out = pa.nn_component(X, lam, gamma)
-        assert out.shape == (4, 5)
-        for t in range(4):
-            np.testing.assert_array_equal(out[t], pa.nn_component(X[t], lam, gamma))
-
-    def test_no_neurons_give_zeros_of_slice_shape(self):
-        out = pa.nn_component(np.ones((4, 5, 3)), [], np.zeros((0, 3)))
-        assert out.shape == (4, 5) and not out.any()
 
 
 class TestResiduals:
@@ -434,6 +444,21 @@ class TestPanelData:
                             include_intercept=True)
         data = random_panel(spec, 2, np.random.default_rng(0))
         with pytest.raises(ValueError, match="intercept"):
+            data.check_against(spec)
+
+    @pytest.mark.parametrize("noise", [1e-6, 1e-8, 2.0 ** -52])
+    def test_intercept_must_be_exactly_one(self, w22, noise):
+        # a column only close to 1 is not an intercept: the sign flips of
+        # canonicalize would change the log-likelihood
+        spec = pa.ModelSpec(W=w22, p=1, q=2, h=1, density=pa.normal(),
+                            include_intercept=True)
+        data = random_panel(spec, 3, np.random.default_rng(0))
+        data.X[:, :, 0] = 1.0
+        data.check_against(spec)
+        data.X[1, 2, 0] += noise
+        data.X[2, 0, 0] -= noise
+        with pytest.raises(ValueError, match=r"^spec declares an intercept but X\[:, :, 0\] is "
+                                             rf"not exactly 1: {1.0 + noise!r} at t=2, s=2$"):
             data.check_against(spec)
 
     def test_rank_deficiency_detected(self, w22):

@@ -275,7 +275,9 @@ class TestPanelCSV:
 class TestExogenousDrive:
     def test_matches_per_step_recursion(self, w33):
         # the drive eps + X beta + F(X gamma') lambda is built for a block of
-        # steps at once; the panel must equal a loop that forms it step by step
+        # steps at once; the panel must equal a loop that adds the linear
+        # term step by step and the network term from one (h, steps n)
+        # activation array, the simulator's layout
         spec = pa.ModelSpec(W=w33, p=2, q=3, h=2, density=pa.scaled_t(8))
         theta = pa.ParameterVector(0.3, [0.2, -0.1], [0.5, -0.3, 0.2], [1.2, 0.4],
                                    [[0.7, -0.3, 0.2], [0.4, 0.5, -0.6]])
@@ -285,13 +287,16 @@ class TestExogenousDrive:
         eps = rng.standard_normal((steps, spec.n))
         data = pa.simulate(spec, theta, X=X, errors=eps, burn_in=burn_in)
 
+        # the network term of every step in one (h, steps n) activation array
+        net = theta.lam @ pa.sigmoid(theta.gamma @ X.reshape(-1, spec.q).T)
+        net = net.reshape(steps, spec.n)
         lu = spec.W.a0_factor(theta.phi0)
         lags = [np.zeros(spec.n) for _ in range(spec.p)]
         Y = np.empty((steps, spec.n))
         for t in range(steps):
             rhs = eps[t].copy()
             rhs += X[t] @ theta.beta
-            rhs += pa.nn_component(X[t], theta.lam, theta.gamma)
+            rhs += net[t]
             for i in range(spec.p):
                 rhs += theta.phi[i] * lags[i]
             Y[t] = lu.solve(rhs)
