@@ -39,8 +39,9 @@ for phi0 in (0.3, 0.6, 0.9):
 print()
 
 # From N_SERIES locations on, the log-det is a Chebyshev series in
-# atanh(phi0), built once from 80 sparse LUs of I - phi0 S with no dense
-# n x n matrix; after that a log-det costs the same whatever n.
+# atanh(phi0), with no dense n x n matrix. Each of its two pieces, phi0 < 0
+# and phi0 >= 0, is built from 40 sparse LUs of I - phi0 S on first use
+# (this grid asks for both); after that a log-det costs the same whatever n.
 big = pa.build_queen_lattice(50, 50)
 t0 = time.time()
 vals = [big.log_det_a0(p) for p in np.linspace(-0.9, 0.9, 200)]

@@ -228,7 +228,8 @@ def cmd_fit(args):
     # the W precomputation the fit paid for, first touched by its starts
     W = spec.W
     record["log_det"] = {"backend": W.log_det_backend,
-                         "build_s": W.log_det_build_s.get(W.log_det_backend)}
+                         "build_s": W.log_det_build_s.get(W.log_det_backend),
+                         "pieces": W.log_det_pieces}
     with open(out / "fit.json", "w") as fh:
         json.dump(record, fh, indent=2)
     table = result.format_table()
@@ -294,9 +295,10 @@ def cmd_replicate(args):
                 for r in range(R)]
     if args.threads > 1:
         # each payload reaches its worker as a fresh copy of spec; build W's
-        # log-det backend here so that the copies carry it instead of
-        # rebuilding it
-        spec.W.log_det_a0(0.0)
+        # log-det backend here, both pieces of a series, so that the copies
+        # carry it instead of each rebuilding it
+        for phi0 in (-0.5, 0.5):
+            spec.W.log_det_a0(phi0)
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
             records = list(pool.map(_replicate_one, payloads))
     else:

@@ -236,11 +236,14 @@ def initial_points(ws: LikelihoodWorkspace, n_starts=5, seed=0):
     coef_y, coef_l = np.linalg.lstsq(Z, np.column_stack((y, L0)), rcond=None)[0].T
     r_y, r_l = y - Z @ coef_y, L0 - Z @ coef_l
 
-    def profile_loglik(phi0):
+    # the Gaussian profile is T ln|A0| - r'r / 2, and ln|A0| <= 0 (see
+    # _grid_argmax), so -r'r / 2 bounds it without a log-det
+    def residual_term(phi0):
         r = r_y - phi0 * r_l
-        return T * spec.W.log_det_a0(phi0) - 0.5 * float(r @ r)
+        return -0.5 * float(r @ r)
 
-    phi0_hat = max(np.linspace(-0.9, 0.9, 37) * (1.0 / spec.W.tau_max), key=profile_loglik)
+    phi0_hat = _grid_argmax(np.linspace(-0.9, 0.9, 37) * (1.0 / spec.W.tau_max),
+                            residual_term, lambda phi0: T * spec.W.log_det_a0(phi0))
 
     def draw_gamma():  # draws nothing when h = 0
         g = rng.standard_normal((spec.h, spec.q))
@@ -260,6 +263,27 @@ def initial_points(ws: LikelihoodWorkspace, n_starts=5, seed=0):
     for theta in starts:
         np.clip(theta.x, bounds[:, 0] + 1e-6, bounds[:, 1] - 1e-6, out=theta.x)
     return starts
+
+
+def _grid_argmax(grid, bound, rest):
+    """``max(grid, key=lambda c: rest(c) + bound(c))``, the first grid point
+    of largest value, for ``rest`` <= 0 at every point below 0.
+
+    ``initial_points`` passes rest = T ln|I - phi0 W|. That is <= 0: it is
+    concave in phi0 (its second derivative is -T tr((W A0^{-1})^2)), and
+    it is 0 with a zero derivative (-T tr W) at phi0 = 0. The points >= 0
+    are evaluated first. A point below 0 then has value <= ``bound`` there,
+    to the last bit, so where that bound is below the best value found it
+    cannot win and ``rest`` is not evaluated: a series log-det never builds
+    its negative piece for it.
+    """
+    values, best = {}, -np.inf
+    for k in sorted(range(len(grid)), key=lambda k: grid[k] < 0.0):
+        b = bound(grid[k])
+        if grid[k] >= 0.0 or b >= best:
+            values[k] = rest(grid[k]) + b
+            best = max(best, values[k])
+    return grid[max(sorted(values), key=values.get)]
 
 
 def _first_order(x, g, f, lb, ub, tol):

@@ -23,7 +23,8 @@ A0 is similar to I - phi0 S, which is symmetric positive definite for
 
 Two backends compute f, f' and f''. Both are built lazily, on the first
 log-determinant or trace (which only a likelihood needs), and cached for
-the life of the WeightMatrix; ``log_det_build_s`` records the build time.
+the life of the WeightMatrix; ``log_det_build_s`` records the build time,
+and ``log_det_pieces`` the series pieces built.
 
 - The spectrum (Ord's device): one dense symmetric eigensolve of S, after
   which every evaluation is O(n). It costs O(n^3) time and n^2 memory, and
@@ -32,13 +33,15 @@ the life of the WeightMatrix; ``log_det_build_s`` records the build time.
   accurate): for n >= N_SERIES and |phi0| <= SERIES_PHI0_MAX. In
   x = atanh(phi0), f is analytic in the strip |Im x| < pi/2 whatever the
   spectrum, so a Chebyshev interpolant converges geometrically at a rate
-  that does not depend on n (Trefethen 2013, ch. 8). The build takes one
+  that does not depend on n (Trefethen 2013, ch. 8). It has two pieces,
+  phi0 < 0 and phi0 >= 0, and each is built on its first evaluation: one
   complex-step sparse LU of I - (phi0 + ih) S per Chebyshev node. Every
-  node shares the pattern of I - S, so only the first LU chooses a
-  symmetric fill-reducing ordering; I - S is renumbered by it once, and
-  every other node is factored in NATURAL order on that pattern. The
-  build never forms a dense n x n matrix; after it an evaluation costs
-  O(1).
+  node shares the pattern of I - S, so one LU, made with the series,
+  chooses a symmetric fill-reducing ordering; I - S is renumbered by it
+  once, and every other node is factored in NATURAL order on that
+  pattern. A fit that never asks for phi0 < 0 builds only the positive
+  piece. No dense n x n matrix is formed; once a piece is built, an
+  evaluation on it costs O(1).
 
 Simulation and the causality check for p <= 2 need only the ends of the
 spectrum. The largest eigenvalue of W is exactly 1 (Perron-Frobenius: W
@@ -63,6 +66,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.polynomial import Chebyshev
+from numpy.polynomial import polyutils as pu
+from numpy.polynomial.chebyshev import chebpts1
 
 from ._csv import parse_column, read_columns
 
@@ -79,9 +84,10 @@ ROW_SUM_TOL = 1e-12
 # The spectrum of W may exceed 1 in modulus by this much.
 SPECTRUM_TOL = 1e-10
 # From this many locations on, the log-det and traces come from the series:
-# the measured crossover of its build (2 x 40 sparse LUs in one ordering)
-# and the dense eigensolve, both about 0.25-0.35 s at n = 1300-1450 on
-# queen lattices and Delaunay designs with one BLAS thread.
+# the measured crossover of its full build (2 x 40 sparse LUs in one
+# ordering) and the dense eigensolve, both about 0.25-0.35 s at
+# n = 1300-1450 on queen lattices and Delaunay designs with one BLAS
+# thread. A fit that stays at phi0 >= 0 builds one piece, about half.
 N_SERIES = 1400
 # The series covers |phi0| <= SERIES_PHI0_MAX, the default phi0 search box.
 SERIES_PHI0_MAX = 0.995
@@ -97,9 +103,9 @@ class LogDetSeries:
     Chebyshev series, for symmetric S with spectrum in [-1, 1].
 
     The series interpolates u = (1 - phi0^2) f'(phi0) = df/dx in
-    x = atanh(phi0) on two pieces, [-a, 0] and [0, a] with
-    a = atanh(SERIES_PHI0_MAX), each at SERIES_NODES Chebyshev points of
-    the first kind. Then, with u_x = du/dx,
+    x = atanh(phi0) on two pieces, "negative" on [-a, 0] and "positive" on
+    [0, a] with a = atanh(SERIES_PHI0_MAX), each at SERIES_NODES Chebyshev
+    points of the first kind. Then, with u_x = du/dx,
 
         f   = the antiderivative of u in x with f(0) = 0,
         f'  = u / (1 - phi0^2),
@@ -116,47 +122,79 @@ class LogDetSeries:
     definite, so a symmetric ordering with diagonal pivots factors it; each
     factorization is checked to be one (equal row and column permutations,
     pivots with positive real part), and then Im sum ln U_ii = h f'(phi0)
-    to rounding. Every node has the pattern of I - S, so the first node's
-    LU takes the minimum-degree ordering of that pattern (MMD on S + S^T),
-    I - S is renumbered by it once, and each other node only fills in the
-    values of the renumbered pattern and is factored in its NATURAL order.
-    The ordering, the pattern and the factors are discarded after the
-    build; the series keeps only its coefficients.
+    to rounding. Every node has the pattern of I - S, so the constructor
+    factors one node, the negative piece's first, in the minimum-degree
+    ordering of that pattern (MMD on S + S^T) and renumbers I - S by it;
+    every other node only fills in the values of the renumbered pattern
+    and is factored in its NATURAL order.
+
+    Each piece is built on its first evaluation and then kept, so a fit
+    that never asks for phi0 < 0 factors 1 + SERIES_NODES nodes. For the
+    other piece the series keeps the renumbered pattern (O(nnz) arrays,
+    which pickle with it) and the ordering node's value, which the negative
+    piece reuses. So every node value, and every coefficient, is the same
+    whichever piece is built first. No factor is kept.
+
+    Attributes
+    ----------
+    pieces : list of str
+        The pieces built so far, in the order "negative", "positive".
+    build_s : float
+        Wall seconds of the build so far: the ordering node and each piece.
     """
 
     def __init__(self, S):
+        t0 = time.perf_counter()
         S = sp.csc_matrix(S)
-        eye = sp.identity(S.shape[0], format="csc")
-        renumbered = None  # z -> I - z S in the first node's ordering
-
-        def derivative(phi0):  # Im ln|I - (phi0 + ih) S| / h
-            nonlocal renumbered
-            z = phi0 + 1j * COMPLEX_STEP
-            if renumbered:
-                return _complex_step_derivative(renumbered(z), "NATURAL")[0]
-            d1, perm = _complex_step_derivative(eye - z * S, "MMD_AT_PLUS_A")
-            renumbered = _renumbered(S, perm)
-            return d1
-
-        def scaled_derivative(xs):  # u at the nodes xs
-            phi0 = np.tanh(xs)
-            return (1.0 - phi0) * (1.0 + phi0) * np.array([derivative(c) for c in phi0])
-
         a = math.atanh(SERIES_PHI0_MAX)
-        self._pieces = []
-        for domain in ((-a, 0.0), (0.0, a)):
-            u = Chebyshev.interpolate(scaled_derivative, SERIES_NODES - 1, domain=domain)
-            self._pieces.append((u.integ(lbnd=0.0), u, u.deriv()))
+        self._domains = ((-a, 0.0), (0.0, a))
+        self._pieces = [None, None]
+        # the ordering node, at the phi0 that the negative piece's build
+        # passes for its first Chebyshev point
+        phi0 = np.tanh(pu.mapdomain(chebpts1(SERIES_NODES), Chebyshev.window,
+                                    self._domains[0]))[0]
+        A = sp.identity(S.shape[0], format="csc") - (phi0 + 1j * COMPLEX_STEP) * S
+        d1, perm = _complex_step_derivative(A, "MMD_AT_PLUS_A")
+        self._ordering_node = (phi0, d1)
+        self._pattern = _renumbered(S, perm)
+        self.build_s = time.perf_counter() - t0
+
+    @property
+    def pieces(self):
+        return [name for name, piece in zip(("negative", "positive"), self._pieces) if piece]
 
     def __call__(self, phi0, order=0):
         """The ``order``-th phi0-derivative of ln|I - phi0 S|, order 0, 1 or 2."""
         x = math.atanh(phi0)
-        f, u, u_x = self._pieces[x >= 0.0]
+        k = int(x >= 0.0)
+        f, u, u_x = self._pieces[k] or self._build(k)
         if order == 0:
             return float(f(x))
         s = (1.0 - phi0) * (1.0 + phi0)
         d1 = float(u(x)) / s
         return d1 if order == 1 else (float(u_x(x)) / s + 2.0 * phi0 * d1) / s
+
+    def _build(self, k):
+        """Build piece k (0 negative, 1 positive) and return it."""
+        t0 = time.perf_counter()
+        eye, s, indices, indptr = self._pattern
+        n = len(indptr) - 1
+
+        def derivative(phi0):  # Im ln|I - (phi0 + ih) S| / h
+            if phi0 == self._ordering_node[0]:
+                return self._ordering_node[1]
+            A = sp.csc_matrix((eye - (phi0 + 1j * COMPLEX_STEP) * s, indices, indptr),
+                              shape=(n, n))
+            return _complex_step_derivative(A, "NATURAL")[0]
+
+        def scaled_derivative(xs):  # u at the nodes xs
+            phi0 = np.tanh(xs)
+            return (1.0 - phi0) * (1.0 + phi0) * np.array([derivative(c) for c in phi0])
+
+        u = Chebyshev.interpolate(scaled_derivative, SERIES_NODES - 1, domain=self._domains[k])
+        self._pieces[k] = (u.integ(lbnd=0.0), u, u.deriv())
+        self.build_s += time.perf_counter() - t0
+        return self._pieces[k]
 
 
 def _complex_step_derivative(A, permc_spec):
@@ -178,8 +216,9 @@ def _complex_step_derivative(A, permc_spec):
 
 
 def _renumbered(S, perm):
-    """z -> I - z S with index i renumbered perm[i], as a canonical CSC matrix
-    on one pattern that is built here, once."""
+    """The pattern of I - S with index i renumbered perm[i], as the canonical
+    CSC arrays (eye, s, indices, indptr): I - z S is the CSC matrix of
+    eye - z s on (indices, indptr)."""
     n = S.shape[0]
     C = S.tocoo()
     k = np.arange(n)
@@ -188,8 +227,7 @@ def _renumbered(S, perm):
     B = sp.csc_matrix((np.concatenate([C.data, np.full(n, 1j)]),
                        (perm[np.concatenate([C.row, k])], perm[np.concatenate([C.col, k])])),
                       shape=(n, n))
-    eye, s = B.data.imag.copy(), B.data.real.copy()
-    return lambda z: sp.csc_matrix((eye - z * s, B.indices, B.indptr), shape=(n, n))
+    return B.data.imag.copy(), B.data.real.copy(), B.indices, B.indptr
 
 
 class WeightMatrix:
@@ -220,15 +258,19 @@ class WeightMatrix:
         reads it below N_SERIES locations or outside |phi0| <=
         SERIES_PHI0_MAX, and the causality check for p >= 3.
     log_det_series : LogDetSeries
-        The series of ln|I - phi0 S| in phi0, built on first access, then
-        cached. The log-det reads it from N_SERIES locations on for
+        The series of ln|I - phi0 S| in phi0, made on first access, then
+        cached; each of its two pieces is built on its first evaluation.
+        The log-det reads it from N_SERIES locations on for
         |phi0| <= SERIES_PHI0_MAX.
     log_det_backend : str
         "series" from N_SERIES locations on, else "spectrum": the backend
         of the log-det and traces inside the default phi0 box.
     log_det_build_s : dict
         Wall seconds of each backend build so far, keyed "spectrum" and
-        "series".
+        "series"; the series' entry grows with each piece it builds.
+    log_det_pieces : list of str
+        The series pieces built so far ("negative" for phi0 < 0,
+        "positive"); empty while no series is made.
     tau_max : float
         max_i |tau_i|, which is the largest eigenvalue: exactly 1, the
         Perron root of a row-stochastic W. The admissible phi0 interval is
@@ -280,7 +322,7 @@ class WeightMatrix:
         self.n = n
         self.W = W
         self.log_det_backend = "series" if n >= N_SERIES else "spectrum"
-        self.log_det_build_s = {}
+        self._spectrum_build_s = None
         self._similarity = sp.csr_matrix(S)
         self.lattice_dims = tuple(lattice_dims) if lattice_dims else None
         self.s0 = float(W.sum())
@@ -300,15 +342,26 @@ class WeightMatrix:
         if np.max(np.abs(tau)) > 1.0 + SPECTRUM_TOL:
             raise ValueError("row-standardized spectrum exceeds 1 in modulus")
         tau.setflags(write=False)
-        self.log_det_build_s["spectrum"] = time.perf_counter() - t0
+        self._spectrum_build_s = time.perf_counter() - t0
         return tau
 
     @cached_property
     def log_det_series(self):
-        t0 = time.perf_counter()
-        series = LogDetSeries(self._similarity)
-        self.log_det_build_s["series"] = time.perf_counter() - t0
-        return series
+        return LogDetSeries(self._similarity)
+
+    @property
+    def log_det_build_s(self):
+        built = {}
+        if "eigenvalues" in self.__dict__:
+            built["spectrum"] = self._spectrum_build_s
+        if "log_det_series" in self.__dict__:
+            built["series"] = self.log_det_series.build_s
+        return built
+
+    @property
+    def log_det_pieces(self):
+        series = self.__dict__.get("log_det_series")
+        return series.pieces if series is not None else []
 
     @cached_property
     def tau_min(self):

@@ -5,7 +5,7 @@ log-densities come from scipy.stats, log-determinants from dense LU
 (slogdet), the log-det series' node values from one freshly ordered sparse
 LU per node, residuals from direct formula-level loops, derivatives
 from central finite differences, and simulated panels from whole-array
-drives over every step.
+covariates, innovations and responses over every step.
 """
 
 import csv
@@ -17,6 +17,7 @@ import scipy.sparse.linalg as spla
 from scipy import stats
 
 import pstarann as pa
+from pstarann.simulate import BLOCK_STEPS
 
 
 # ----------------------------------------------------------------------
@@ -120,6 +121,10 @@ def oracle_simulate(spec, theta, X=None, seed=0, burn_in=200, T=None,
                     covariate_columns=None, errors=None):
     """The simulator over whole arrays: every step's covariates, innovations,
     drive and response are built before the retained window is cut out.
+    The drive is formed per ``simulate.BLOCK_STEPS`` steps, as the
+    simulator forms it, because BLAS may round a row of the lambda
+    contraction by its place in the call (with two OpenBLAS threads, a
+    whole-array drive at n = 3107 and h >= 3 differs in the last bits).
 
     Same seeding as ``pa.simulate`` (one SeedSequence spawns the covariate
     and the error stream; each covariate column is drawn over all steps,
@@ -151,13 +156,14 @@ def oracle_simulate(spec, theta, X=None, seed=0, burn_in=200, T=None,
         eps = rng_e.laplace(0.0, np.sqrt(2.0) / 2.0, size=steps * n).reshape(steps, n)
 
     drive = eps.copy()
-    if spec.n_beta:
-        drive += X @ theta.beta
-    if spec.h:
-        # every step's activations as one (h, steps n) array, the layout
-        # of the simulator's blocks
-        F = pa.sigmoid(theta.gamma @ X.reshape(-1, spec.q).T)
-        drive += (theta.lam @ F).reshape(steps, n)
+    for t0 in range(0, steps, BLOCK_STEPS):
+        block = slice(t0, t0 + BLOCK_STEPS)
+        if spec.n_beta:
+            drive[block] += X[block] @ theta.beta
+        if spec.h:
+            # the block's activations as one (h, block n) array
+            F = pa.sigmoid(theta.gamma @ X[block].reshape(-1, spec.q).T)
+            drive[block] += (theta.lam @ F).reshape(-1, n)
     lu = spec.W.a0_factor(theta.phi0)
     lags = [np.zeros(n) for _ in range(spec.p)]
     Y = np.empty((steps, n))

@@ -11,6 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import pstarann as pa
+from pstarann import weights
 from pstarann.cli import main
 
 
@@ -317,7 +318,7 @@ class TestFitCommand:
         assert len(built) == 1
         assert (tmp / "fit_one_ws" / "diagnostics.json").exists()
 
-    def test_fit_json_records_log_det_build(self, sim_dir, capsys):
+    def test_fit_json_records_log_det_build(self, sim_dir, capsys, monkeypatch):
         tmp, cfg, out = sim_dir
         runs = []
         for name in ("a", "b"):
@@ -327,12 +328,21 @@ class TestFitCommand:
         capsys.readouterr()
         for run in runs:
             assert run["log_det"]["backend"] == "spectrum"  # n = 36
-            assert run["log_det"]["build_s"] > 0.0
+            assert run["log_det"]["build_s"] > 0.0 and run["log_det"]["pieces"] == []
             run["log_det"].pop("build_s")
             for start in run["trace"]:
                 start.pop("seconds")
         assert runs[0] == runs[1]
         assert (tmp / "a" / "fit.txt").read_bytes() == (tmp / "b" / "fit.txt").read_bytes()
+
+        # on the series the panel's phi0 = 0.6 asks only for the positive piece
+        monkeypatch.setattr(weights, "N_SERIES", 20)
+        main(["fit", "--config", cfg, "--panel", str(out / "panel.csv"),
+              "--out", str(tmp / "series"), "--seed", "2"])
+        capsys.readouterr()
+        log_det = json.loads((tmp / "series" / "fit.json").read_text())["log_det"]
+        assert log_det["backend"] == "series" and log_det["pieces"] == ["positive"]
+        assert log_det["build_s"] > 0.0
 
     def test_malformed_csv_row_exit_2(self, sim_dir, capsys):
         tmp, cfg, out = sim_dir
@@ -499,6 +509,47 @@ class TestReplicateCommand:
         ja = json.loads((a / "summary.json").read_text())
         jb = json.loads((b / "summary.json").read_text())
         assert ja["mean"] == jb["mean"] and ja["empirical_sd"] == jb["empirical_sd"]
+
+    def test_thread_count_does_not_change_series_summary(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(weights, "N_SERIES", 20)
+        cfg = write_config(tmp_path, MODEL1_CONFIG)
+        for threads in ("1", "2"):
+            main(["replicate", "--config", cfg, "--out", str(tmp_path / threads), "--seed", "8",
+                  "--replicates", "3", "--threads", threads])
+        capsys.readouterr()
+        assert (tmp_path / "1" / "summary.json").read_bytes() == \
+            (tmp_path / "2" / "summary.json").read_bytes()
+
+    def test_pool_payloads_carry_both_series_pieces(self, tmp_path, capsys, monkeypatch):
+        # each payload is pickled on its own, so a worker that built a piece
+        # itself would build it again for every replicate
+        import pickle
+
+        import pstarann.cli as cli
+
+        carried = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, payloads):
+                copies = [pickle.loads(pickle.dumps(p)) for p in payloads]
+                carried.extend(c[0].W.log_det_pieces for c in copies)
+                return map(fn, copies)
+
+        monkeypatch.setattr(weights, "N_SERIES", 20)
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        main(["replicate", "--config", write_config(tmp_path, MODEL1_CONFIG), "--out",
+              str(tmp_path / "rep"), "--seed", "8", "--replicates", "2", "--threads", "2"])
+        capsys.readouterr()
+        assert carried == [["negative", "positive"]] * 2
 
     def test_rank_deficient_design_rejected_per_replicate(self, tmp_path, capsys):
         # two constant columns: every X_t has rank 1 < q, so each replicate's

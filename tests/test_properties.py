@@ -250,3 +250,42 @@ class TestTrustRegionStep:
             assert sigma * (delta - norm) <= wide * (big * delta + np.linalg.norm(g))
         if hard:  # lam_1 < 0, so the step lies on the boundary
             assert abs(norm - delta) <= tol * delta
+
+
+@st.composite
+def profile_grids(draw):
+    """(W, T, r_y, r_l): the Gaussian profile T ln|I - phi0 W| - r'r / 2,
+    r = r_y - phi0 r_l, of ``initial_points``' phi0 grid, over a path graph
+    with random chords. r_l = 0 gives every point the same bound, and with
+    T = 0 every point the same value."""
+    n = draw(st.integers(2, 12))
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                           .filter(lambda e: e[0] != e[1]), max_size=2 * n))
+    W = pa.from_adjacency([(i, i + 1) for i in range(n - 1)] + chords, n)
+    m = draw(st.integers(1, 20))
+    scale = 10.0 ** draw(st.integers(-2, 2))
+    r_y = scale * draw(arrays(np.float64, m, elements=st.floats(-10.0, 10.0)))
+    r_l = np.zeros(m) if draw(st.booleans()) else \
+        scale * draw(arrays(np.float64, m, elements=st.floats(-10.0, 10.0)))
+    return W, draw(st.sampled_from([0, 1, 5, 50])), r_y, r_l
+
+
+class TestStartGrid:
+    @PROPERTY_SETTINGS
+    @given(profile_grids())
+    def test_pruned_argmax_is_the_full_grids(self, case):
+        W, T, r_y, r_l = case
+        grid = np.linspace(-0.9, 0.9, 37)
+
+        def residual_term(phi0):
+            r = r_y - phi0 * r_l
+            return -0.5 * float(r @ r)
+
+        def profile(phi0):  # as a full scan of the grid evaluates it
+            r = r_y - phi0 * r_l
+            return T * W.log_det_a0(phi0) - 0.5 * float(r @ r)
+
+        pruned = estimate._grid_argmax(grid, residual_term, lambda phi0: T * W.log_det_a0(phi0))
+        assert pruned == max(grid, key=profile)
+        if T == 0 and not r_l.any():  # every value ties: the first point wins
+            assert pruned == grid[0]

@@ -427,8 +427,9 @@ class TestLogDetSeries:
 
     def test_pickled_copy_carries_the_series(self, monkeypatch):
         W = series_lattice()
-        W.log_det_a0(0.0)  # as replicate --threads builds it before the workers start
-        assert list(vars(W.log_det_series)) == ["_pieces"]
+        for phi0 in (-0.5, 0.5):  # as replicate --threads builds it before the workers start
+            W.log_det_a0(phi0)
+        assert W.log_det_pieces == ["negative", "positive"]
         pickled, seen = io.BytesIO(), set()
 
         class Recorder(pickle.Pickler):
@@ -448,6 +449,53 @@ class TestLogDetSeries:
             assert copy.log_det_a0(phi0) == W.log_det_a0(phi0)
             assert copy.trace_w_a0inv(phi0, 2) == W.trace_w_a0inv(phi0, 2)
 
+    def test_copy_builds_the_other_piece_bit_equal(self):
+        W = series_lattice()
+        W.log_det_a0(0.5)
+        copy = pickle.loads(pickle.dumps(W))  # the pattern travels, no factor
+        for phi0 in (-0.9, -0.3, 0.3):
+            assert copy.trace_w_a0inv(phi0, 2) == W.trace_w_a0inv(phi0, 2)
+        assert copy.log_det_pieces == W.log_det_pieces == ["negative", "positive"]
+
+    def test_log_det_nonpositive_on_the_start_grid(self, w2020):
+        # f <= 0 is the bound that lets initial_points skip phi0 < 0
+        series = LogDetSeries(w2020._similarity)
+        for phi0 in np.linspace(-0.9, 0.9, 37):
+            assert w2020.log_det_a0(phi0) <= 0.0 and series(phi0) <= 0.0
+
+    def test_positive_dependence_fit_builds_one_piece(self, monkeypatch):
+        monkeypatch.setattr(weights, "N_SERIES", 20)
+        spec = model1_spec(pa.build_queen_lattice(6, 6))
+        data = pa.simulate(spec, model1_theta(), seed=3, T=8, burn_in=100,
+                           covariate_columns=MODEL1_COLUMNS)
+        real, calls = spla.splu, []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("permc_spec"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counting)
+        res = pa.fit(spec, data, n_starts=3, seed=0)
+        assert res.theta.phi0 > 0.0 and spec.W.log_det_pieces == ["positive"]
+        assert calls == ["MMD_AT_PLUS_A"] + ["NATURAL"] * weights.SERIES_NODES
+
+    def test_negative_dependence_fit_matches_an_eager_build(self, monkeypatch):
+        monkeypatch.setattr(weights, "N_SERIES", 20)
+        spec = model1_spec(pa.build_queen_lattice(6, 6))
+        theta = model1_theta()
+        theta.phi0 = -0.5
+        data = pa.simulate(spec, theta, seed=3, T=8, burn_in=100,
+                           covariate_columns=MODEL1_COLUMNS)
+        res = pa.fit(spec, data, n_starts=3, seed=0)
+        assert res.theta.phi0 < 0.0
+        lazy = spec.W.log_det_series
+        assert lazy.pieces == ["negative", "positive"]
+        eager = LogDetSeries(spec.W._similarity)
+        for phi0 in (-0.5, 0.5):  # in the order of a build of both pieces at once
+            eager(phi0)
+        for got, want in zip(lazy._pieces, eager._pieces):
+            assert all(np.array_equal(a.coef, b.coef) for a, b in zip(got, want))
+
     def test_one_ordering_serves_every_node(self, monkeypatch):
         real, orderings, fills = spla.splu, [], set()
 
@@ -458,16 +506,24 @@ class TestLogDetSeries:
             return lu
 
         monkeypatch.setattr(spla, "splu", counting)
-        LogDetSeries(pa.build_queen_lattice(6, 7)._similarity)
-        assert orderings.count("MMD_AT_PLUS_A") == 1
-        assert orderings.count("NATURAL") == 2 * weights.SERIES_NODES - 1
-        assert len(orderings) == 2 * weights.SERIES_NODES
+        m = weights.SERIES_NODES
+        series = LogDetSeries(pa.build_queen_lattice(6, 7)._similarity)
+        assert orderings == ["MMD_AT_PLUS_A"] and series.pieces == []
+        # each piece on its first evaluation, every node in NATURAL order
+        for phi0, pieces, calls in ((0.3, ["positive"], 1 + m), (0.7, ["positive"], 1 + m),
+                                    (-0.3, ["negative", "positive"], 2 * m)):
+            series(phi0, 2)
+            assert series.pieces == pieces and len(orderings) == calls
+        # the negative piece reuses the ordering node's value
+        assert orderings[1:] == ["NATURAL"] * (2 * m - 1)
         assert len(fills) == 1  # the renumbered pattern fills in as the ordered one
 
     @pytest.mark.parametrize("design", ["delaunay1000", "lattice20x20"])
     def test_node_values_match_fresh_orderings(self, design):
         S = SERIES_DESIGNS[design]()._similarity
         series = LogDetSeries(S)
+        for phi0 in (0.5, -0.5):  # build both pieces
+            series(phi0)
         for _, u, _ in series._pieces:
             xs = np.polynomial.polyutils.mapdomain(chebpts1(weights.SERIES_NODES), u.window, u.domain)
             assert_allclose(u(xs), oracle_series_node_values(S, xs), rtol=1e-12, atol=0.0)
@@ -475,7 +531,8 @@ class TestLogDetSeries:
     @pytest.mark.parametrize("fault", ["row permutation", "pivot sign"])
     def test_lu_guard_raises_numerical_error(self, monkeypatch, fault):
         real = spla.splu
-        # call 1 orders the pattern; call 10 factors a node that reuses it
+        # call 1 orders the pattern as the series is made; call 10 factors a
+        # node of the positive piece, which reuses it
         for bad_call, ordering in ((1, "MMD_AT_PLUS_A"), (10, "NATURAL")):
             calls = []
 
@@ -490,7 +547,7 @@ class TestLogDetSeries:
 
             monkeypatch.setattr(spla, "splu", tampered)
             with pytest.raises(pa.NumericalError, match="symmetric ordering"):
-                LogDetSeries(pa.build_queen_lattice(4, 4)._similarity)
+                LogDetSeries(pa.build_queen_lattice(4, 4)._similarity)(0.4)
             assert (len(calls), calls[-1]) == (bad_call, ordering)
 
 
