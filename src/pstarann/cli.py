@@ -229,7 +229,8 @@ def cmd_fit(args):
     W = spec.W
     record["log_det"] = {"backend": W.log_det_backend,
                          "build_s": W.log_det_build_s.get(W.log_det_backend),
-                         "pieces": W.log_det_pieces}
+                         "pieces": W.log_det_pieces,
+                         "factorizations": W.log_det_factorizations}
     with open(out / "fit.json", "w") as fh:
         json.dump(record, fh, indent=2)
     table = result.format_table()
@@ -295,9 +296,11 @@ def cmd_replicate(args):
                 for r in range(R)]
     if args.threads > 1:
         # each payload reaches its worker as a fresh copy of spec; build W's
-        # log-det backend here, both pieces of a series, so that the copies
-        # carry it instead of each rebuilding it
-        for phi0 in (-0.5, 0.5):
+        # log-det backend here, all four pieces of a series, so that the
+        # copies carry it and no worker factors. That is 96 sparse LUs once
+        # per command, where a fit that stays in 0 <= phi0 < 0.905 needs 24,
+        # but a piece a worker built would be rebuilt for every replicate.
+        for phi0 in (-0.95, -0.5, 0.5, 0.95):
             spec.W.log_det_a0(phi0)
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
             records = list(pool.map(_replicate_one, payloads))

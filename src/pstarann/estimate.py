@@ -275,7 +275,7 @@ def _grid_argmax(grid, bound, rest):
     are evaluated first. A point below 0 then has value <= ``bound`` there,
     to the last bit, so where that bound is below the best value found it
     cannot win and ``rest`` is not evaluated: a series log-det never builds
-    its negative piece for it.
+    its negative pieces for it.
     """
     values, best = {}, -np.inf
     for k in sorted(range(len(grid)), key=lambda k: grid[k] < 0.0):

@@ -24,7 +24,8 @@ A0 is similar to I - phi0 S, which is symmetric positive definite for
 Two backends compute f, f' and f''. Both are built lazily, on the first
 log-determinant or trace (which only a likelihood needs), and cached for
 the life of the WeightMatrix; ``log_det_build_s`` records the build time,
-and ``log_det_pieces`` the series pieces built.
+``log_det_pieces`` the series pieces built and ``log_det_factorizations``
+the sparse LUs they took.
 
 - The spectrum (Ord's device): one dense symmetric eigensolve of S, after
   which every evaluation is O(n). It costs O(n^3) time and n^2 memory, and
@@ -33,15 +34,18 @@ and ``log_det_pieces`` the series pieces built.
   accurate): for n >= N_SERIES and |phi0| <= SERIES_PHI0_MAX. In
   x = atanh(phi0), f is analytic in the strip |Im x| < pi/2 whatever the
   spectrum, so a Chebyshev interpolant converges geometrically at a rate
-  that does not depend on n (Trefethen 2013, ch. 8). It has two pieces,
-  phi0 < 0 and phi0 >= 0, and each is built on its first evaluation: one
+  that does not depend on n (Trefethen 2013, ch. 8); a shorter piece has
+  a larger Bernstein ellipse, so it needs fewer nodes. It has four pieces
+  of SERIES_NODES nodes, phi0 in [-0.995, -0.905), [-0.905, 0), [0, 0.905)
+  and [0.905, 0.995], and each is built on its first evaluation: one
   complex-step sparse LU of I - (phi0 + ih) S per Chebyshev node. Every
   node shares the pattern of I - S, so one LU, made with the series,
   chooses a symmetric fill-reducing ordering; I - S is renumbered by it
   once, and every other node is factored in NATURAL order on that
-  pattern. A fit that never asks for phi0 < 0 builds only the positive
-  piece. No dense n x n matrix is formed; once a piece is built, an
-  evaluation on it costs O(1).
+  pattern. A fit whose phi0 stay in [0, 0.905), as the start grid's do,
+  builds only the inner positive piece: SERIES_NODES LUs in all. No dense
+  n x n matrix is formed; once a piece is built, an evaluation on it
+  costs O(1).
 
 Simulation and the causality check for p <= 2 need only the ends of the
 spectrum. The largest eigenvalue of W is exactly 1 (Perron-Frobenius: W
@@ -57,6 +61,7 @@ never materialized.
 
 from __future__ import annotations
 
+import bisect
 import math
 import time
 from functools import cached_property
@@ -83,16 +88,18 @@ __all__ = [
 ROW_SUM_TOL = 1e-12
 # The spectrum of W may exceed 1 in modulus by this much.
 SPECTRUM_TOL = 1e-10
-# From this many locations on, the log-det and traces come from the series:
-# the measured crossover of its full build (2 x 40 sparse LUs in one
-# ordering) and the dense eigensolve, both about 0.25-0.35 s at
-# n = 1300-1450 on queen lattices and Delaunay designs with one BLAS
-# thread. A fit that stays at phi0 >= 0 builds one piece, about half.
+# From this many locations on, the log-det and traces come from the series.
+# Its full build (all four pieces, 96 sparse LUs in one ordering) and the
+# dense eigensolve cross here: about 0.35 s each on a Delaunay design at
+# n = 1400 with one BLAS thread. One piece, all that a fit in
+# 0 <= phi0 < 0.905 builds, beats the eigensolve from about n = 750; the
+# threshold is not moved there, since that changes the fits of every n it
+# crosses.
 N_SERIES = 1400
 # The series covers |phi0| <= SERIES_PHI0_MAX, the default phi0 search box.
 SERIES_PHI0_MAX = 0.995
 # Chebyshev points of the first kind per piece of the series.
-SERIES_NODES = 40
+SERIES_NODES = 24
 # Imaginary step of the complex-step derivative (Martins, Sturdza & Alonso
 # 2003): no subtraction, so no cancellation, however small.
 COMPLEX_STEP = 1e-30
@@ -103,19 +110,27 @@ class LogDetSeries:
     Chebyshev series, for symmetric S with spectrum in [-1, 1].
 
     The series interpolates u = (1 - phi0^2) f'(phi0) = df/dx in
-    x = atanh(phi0) on two pieces, "negative" on [-a, 0] and "positive" on
-    [0, a] with a = atanh(SERIES_PHI0_MAX), each at SERIES_NODES Chebyshev
-    points of the first kind. Then, with u_x = du/dx,
+    x = atanh(phi0) on four pieces of [-a, a], a = atanh(SERIES_PHI0_MAX):
+    ``PIECES`` in x order, split at x = -a/2, 0 and a/2 (phi0 = -0.905, 0
+    and 0.905), each at SERIES_NODES Chebyshev points of the first kind.
+    Then, with u_x = du/dx,
 
         f   = the antiderivative of u in x with f(0) = 0,
         f'  = u / (1 - phi0^2),
         f'' = (u_x / (1 - phi0^2) + 2 phi0 f') / (1 - phi0^2),
 
-    so f' and f'' are the exact derivatives of the f that is returned.
-    Against the spectrum, relative to 1 + |value|, two pieces of 40 nodes
-    reach 2.5e-13 on f and f' and 3e-10 to 7e-10 on f'' over |phi0| <= 0.995
-    (queen lattices up to 70x70, Delaunay designs up to n = 3107); one
-    piece of 80 nodes reaches only 2e-8 to 3e-8 on f''.
+    so f' and f'' are the exact derivatives of the f that is returned. An
+    inner piece's f starts at f(0) = 0; an outer piece's f starts at its
+    inner neighbour's value at their seam, so f is continuous at every seam.
+    Worst error against the spectrum at 2001 phi0 over |phi0| <= 0.995,
+    relative to 1 + |value|, on queen 20x20 and 42x42 lattices and Delaunay
+    designs of n = 1000 and 3107:
+
+        layout               f        f'       f''
+        4 pieces of 24     3.0e-14  2.8e-13  2.8e-11
+        4 pieces of 22     8.7e-14  3.2e-12  2.6e-10
+        2 pieces of 40     8.4e-14  1.1e-13  5.3e-10
+        1 piece of 80         -        -     2e-8 to 3e-8
 
     Each node costs one sparse LU of I - (phi0 + ih) S with h =
     ``COMPLEX_STEP``. For |phi0| < 1 the real part is symmetric positive
@@ -123,50 +138,59 @@ class LogDetSeries:
     factorization is checked to be one (equal row and column permutations,
     pivots with positive real part), and then Im sum ln U_ii = h f'(phi0)
     to rounding. Every node has the pattern of I - S, so the constructor
-    factors one node, the negative piece's first, in the minimum-degree
-    ordering of that pattern (MMD on S + S^T) and renumbers I - S by it;
-    every other node only fills in the values of the renumbered pattern
-    and is factored in its NATURAL order.
+    factors one node, the inner positive piece's first, in the
+    minimum-degree ordering of that pattern (MMD on S + S^T) and renumbers
+    I - S by it; every other node only fills in the values of the
+    renumbered pattern and is factored in its NATURAL order.
 
-    Each piece is built on its first evaluation and then kept, so a fit
-    that never asks for phi0 < 0 factors 1 + SERIES_NODES nodes. For the
-    other piece the series keeps the renumbered pattern (O(nnz) arrays,
-    which pickle with it) and the ordering node's value, which the negative
-    piece reuses. So every node value, and every coefficient, is the same
-    whichever piece is built first. No factor is kept.
+    Each piece is built on its first evaluation and then kept; an outer
+    piece builds its inner neighbour first. So a fit that stays in
+    0 <= phi0 < 0.905 factors 1 + (SERIES_NODES - 1) = SERIES_NODES nodes,
+    and one that also visits -0.905 < phi0 < 0 twice that. For the other
+    pieces the series keeps the renumbered pattern (O(nnz) arrays, which
+    pickle with it) and the ordering node's value, which the inner
+    positive piece reuses. So every node value, and every coefficient, is
+    the same whichever piece is built first. No factor is kept.
 
     Attributes
     ----------
     pieces : list of str
-        The pieces built so far, in the order "negative", "positive".
+        The pieces built so far, in the order of ``PIECES``.
     build_s : float
         Wall seconds of the build so far: the ordering node and each piece.
+    factorizations : int
+        The sparse LUs factored so far, the ordering node's included.
     """
+
+    PIECES = ("negative-outer", "negative-inner", "positive-inner", "positive-outer")
 
     def __init__(self, S):
         t0 = time.perf_counter()
         S = sp.csc_matrix(S)
         a = math.atanh(SERIES_PHI0_MAX)
-        self._domains = ((-a, 0.0), (0.0, a))
-        self._pieces = [None, None]
-        # the ordering node, at the phi0 that the negative piece's build
-        # passes for its first Chebyshev point
+        self._seams = (-a / 2, 0.0, a / 2)
+        ends = (-a, *self._seams, a)
+        self._domains = tuple(zip(ends[:-1], ends[1:]))
+        self._pieces = [None] * len(self.PIECES)
+        # the ordering node, at the phi0 that the inner positive piece's
+        # build passes for its first Chebyshev point
         phi0 = np.tanh(pu.mapdomain(chebpts1(SERIES_NODES), Chebyshev.window,
-                                    self._domains[0]))[0]
+                                    self._domains[2]))[0]
         A = sp.identity(S.shape[0], format="csc") - (phi0 + 1j * COMPLEX_STEP) * S
         d1, perm = _complex_step_derivative(A, "MMD_AT_PLUS_A")
         self._ordering_node = (phi0, d1)
         self._pattern = _renumbered(S, perm)
+        self.factorizations = 1
         self.build_s = time.perf_counter() - t0
 
     @property
     def pieces(self):
-        return [name for name, piece in zip(("negative", "positive"), self._pieces) if piece]
+        return [name for name, piece in zip(self.PIECES, self._pieces) if piece]
 
     def __call__(self, phi0, order=0):
         """The ``order``-th phi0-derivative of ln|I - phi0 S|, order 0, 1 or 2."""
         x = math.atanh(phi0)
-        k = int(x >= 0.0)
+        k = bisect.bisect_right(self._seams, x)
         f, u, u_x = self._pieces[k] or self._build(k)
         if order == 0:
             return float(f(x))
@@ -175,7 +199,14 @@ class LogDetSeries:
         return d1 if order == 1 else (float(u_x(x)) / s + 2.0 * phi0 * d1) / s
 
     def _build(self, k):
-        """Build piece k (0 negative, 1 positive) and return it."""
+        """Build piece k, the index of its name in ``PIECES``, and return it."""
+        # the seam nearer phi0 = 0, where f starts: 0 for an inner piece, the
+        # inner neighbour's value for an outer one
+        edge = min(self._domains[k], key=abs)
+        f_edge = 0.0
+        if edge != 0.0:
+            inner = k + 1 if k == 0 else k - 1
+            f_edge = float((self._pieces[inner] or self._build(inner))[0](edge))
         t0 = time.perf_counter()
         eye, s, indices, indptr = self._pattern
         n = len(indptr) - 1
@@ -185,6 +216,7 @@ class LogDetSeries:
                 return self._ordering_node[1]
             A = sp.csc_matrix((eye - (phi0 + 1j * COMPLEX_STEP) * s, indices, indptr),
                               shape=(n, n))
+            self.factorizations += 1
             return _complex_step_derivative(A, "NATURAL")[0]
 
         def scaled_derivative(xs):  # u at the nodes xs
@@ -192,7 +224,7 @@ class LogDetSeries:
             return (1.0 - phi0) * (1.0 + phi0) * np.array([derivative(c) for c in phi0])
 
         u = Chebyshev.interpolate(scaled_derivative, SERIES_NODES - 1, domain=self._domains[k])
-        self._pieces[k] = (u.integ(lbnd=0.0), u, u.deriv())
+        self._pieces[k] = (u.integ(lbnd=edge, k=f_edge), u, u.deriv())
         self.build_s += time.perf_counter() - t0
         return self._pieces[k]
 
@@ -259,7 +291,7 @@ class WeightMatrix:
         SERIES_PHI0_MAX, and the causality check for p >= 3.
     log_det_series : LogDetSeries
         The series of ln|I - phi0 S| in phi0, made on first access, then
-        cached; each of its two pieces is built on its first evaluation.
+        cached; each of its four pieces is built on its first evaluation.
         The log-det reads it from N_SERIES locations on for
         |phi0| <= SERIES_PHI0_MAX.
     log_det_backend : str
@@ -269,8 +301,11 @@ class WeightMatrix:
         Wall seconds of each backend build so far, keyed "spectrum" and
         "series"; the series' entry grows with each piece it builds.
     log_det_pieces : list of str
-        The series pieces built so far ("negative" for phi0 < 0,
-        "positive"); empty while no series is made.
+        The series pieces built so far, named as in
+        ``LogDetSeries.PIECES``; empty while no series is made.
+    log_det_factorizations : int
+        The sparse LUs the series has factored so far; 0 while no series
+        is made.
     tau_max : float
         max_i |tau_i|, which is the largest eigenvalue: exactly 1, the
         Perron root of a row-stochastic W. The admissible phi0 interval is
@@ -362,6 +397,11 @@ class WeightMatrix:
     def log_det_pieces(self):
         series = self.__dict__.get("log_det_series")
         return series.pieces if series is not None else []
+
+    @property
+    def log_det_factorizations(self):
+        series = self.__dict__.get("log_det_series")
+        return series.factorizations if series is not None else 0
 
     @cached_property
     def tau_min(self):

@@ -329,20 +329,24 @@ class TestFitCommand:
         for run in runs:
             assert run["log_det"]["backend"] == "spectrum"  # n = 36
             assert run["log_det"]["build_s"] > 0.0 and run["log_det"]["pieces"] == []
+            assert run["log_det"]["factorizations"] == 0
             run["log_det"].pop("build_s")
             for start in run["trace"]:
                 start.pop("seconds")
         assert runs[0] == runs[1]
         assert (tmp / "a" / "fit.txt").read_bytes() == (tmp / "b" / "fit.txt").read_bytes()
 
-        # on the series the panel's phi0 = 0.6 asks only for the positive piece
+        # on the series the fit stays at phi0 >= 0, but on this small panel a
+        # trust-region trial reaches the box's edge, 0.995: both positive
+        # pieces, 24 LUs each (the inner one's first node is the ordering LU)
         monkeypatch.setattr(weights, "N_SERIES", 20)
         main(["fit", "--config", cfg, "--panel", str(out / "panel.csv"),
               "--out", str(tmp / "series"), "--seed", "2"])
         capsys.readouterr()
         log_det = json.loads((tmp / "series" / "fit.json").read_text())["log_det"]
-        assert log_det["backend"] == "series" and log_det["pieces"] == ["positive"]
-        assert log_det["build_s"] > 0.0
+        assert log_det["backend"] == "series"
+        assert log_det["pieces"] == ["positive-inner", "positive-outer"]
+        assert log_det["build_s"] > 0.0 and log_det["factorizations"] == 48
 
     def test_malformed_csv_row_exit_2(self, sim_dir, capsys):
         tmp, cfg, out = sim_dir
@@ -520,7 +524,7 @@ class TestReplicateCommand:
         assert (tmp_path / "1" / "summary.json").read_bytes() == \
             (tmp_path / "2" / "summary.json").read_bytes()
 
-    def test_pool_payloads_carry_both_series_pieces(self, tmp_path, capsys, monkeypatch):
+    def test_pool_payloads_carry_every_series_piece(self, tmp_path, capsys, monkeypatch):
         # each payload is pickled on its own, so a worker that built a piece
         # itself would build it again for every replicate
         import pickle
@@ -549,7 +553,7 @@ class TestReplicateCommand:
         main(["replicate", "--config", write_config(tmp_path, MODEL1_CONFIG), "--out",
               str(tmp_path / "rep"), "--seed", "8", "--replicates", "2", "--threads", "2"])
         capsys.readouterr()
-        assert carried == [["negative", "positive"]] * 2
+        assert carried == [list(weights.LogDetSeries.PIECES)] * 2
 
     def test_rank_deficient_design_rejected_per_replicate(self, tmp_path, capsys):
         # two constant columns: every X_t has rank 1 < q, so each replicate's

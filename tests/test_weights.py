@@ -1,6 +1,7 @@
 """Weight-matrix construction, spectrum, log-det series, and A0 algebra."""
 
 import io
+import math
 import pickle
 from types import SimpleNamespace
 
@@ -380,7 +381,8 @@ class TestLogDetSeries:
             exact = spectrum_log_det(W, phi0)
             got = [series(phi0, order) for order in range(3)]
             worst = np.maximum(worst, [abs(g - e) / (1.0 + abs(e)) for g, e in zip(got, exact)])
-        assert np.all(worst <= 1e-8), worst
+        # f, f' and f'' relative to 1 + |value|, over every piece
+        assert np.all(worst <= [1e-13, 5e-13, 2e-10]), worst
 
     def test_derivatives_match_central_differences(self, w2020):
         series = LogDetSeries(w2020._similarity)
@@ -392,11 +394,21 @@ class TestLogDetSeries:
                 assert abs(fd - exact) <= 1e-6 * (1.0 + abs(exact))
 
     def test_continuous_at_the_seam(self, w2020):
-        series = LogDetSeries(w2020._similarity)
-        left = -5e-324  # the last float on the [-a, 0] piece
-        for order in range(3):
-            right = series(0.0, order)
-            assert abs(series(left, order) - right) <= 1e-10 * (1.0 + abs(right))
+        outer = math.tanh(math.atanh(weights.SERIES_PHI0_MAX) / 2)  # 0.905
+        # -5e-324 is the last float left of phi0 = 0; nine floats around each
+        # outer seam span it, since atanh rounds within a few ulps
+        ulps = np.arange(-4, 5)
+        for phi0s, pieces in (([-5e-324, 0.0], ["negative-inner", "positive-inner"]),
+                              (-outer + np.spacing(outer) * ulps,
+                               ["negative-outer", "negative-inner"]),
+                              (outer + np.spacing(outer) * ulps,
+                               ["positive-inner", "positive-outer"])):
+            series = LogDetSeries(w2020._similarity)
+            for order in range(3):
+                values = np.array([series(phi0, order) for phi0 in phi0s])
+                spread = values.max() - values.min()
+                assert spread <= 1e-10 * (1.0 + np.abs(values).max()), (phi0s[0], order)
+            assert series.pieces == pieces  # the floats tried lie on both sides
 
     def test_backend_chosen_from_n(self, monkeypatch):
         path = lambda n: pa.from_adjacency([(i, i + 1) for i in range(n - 1)], n)  # noqa: E731
@@ -427,9 +439,10 @@ class TestLogDetSeries:
 
     def test_pickled_copy_carries_the_series(self, monkeypatch):
         W = series_lattice()
-        for phi0 in (-0.5, 0.5):  # as replicate --threads builds it before the workers start
+        # as replicate --threads builds it before the workers start
+        for phi0 in (-0.95, -0.5, 0.5, 0.95):
             W.log_det_a0(phi0)
-        assert W.log_det_pieces == ["negative", "positive"]
+        assert W.log_det_pieces == list(LogDetSeries.PIECES)
         pickled, seen = io.BytesIO(), set()
 
         class Recorder(pickle.Pickler):
@@ -445,7 +458,7 @@ class TestLogDetSeries:
 
         monkeypatch.setattr(spla, "splu", forbidden)
         monkeypatch.setattr(scipy.linalg, "eigh", forbidden)
-        for phi0 in (-0.7, 0.0, 0.4, 0.995):
+        for phi0 in (-0.99, -0.7, 0.0, 0.4, 0.91, 0.995):
             assert copy.log_det_a0(phi0) == W.log_det_a0(phi0)
             assert copy.trace_w_a0inv(phi0, 2) == W.trace_w_a0inv(phi0, 2)
 
@@ -453,9 +466,9 @@ class TestLogDetSeries:
         W = series_lattice()
         W.log_det_a0(0.5)
         copy = pickle.loads(pickle.dumps(W))  # the pattern travels, no factor
-        for phi0 in (-0.9, -0.3, 0.3):
+        for phi0 in (-0.95, -0.9, -0.3, 0.3, 0.95):
             assert copy.trace_w_a0inv(phi0, 2) == W.trace_w_a0inv(phi0, 2)
-        assert copy.log_det_pieces == W.log_det_pieces == ["negative", "positive"]
+        assert copy.log_det_pieces == W.log_det_pieces == list(LogDetSeries.PIECES)
 
     def test_log_det_nonpositive_on_the_start_grid(self, w2020):
         # f <= 0 is the bound that lets initial_points skip phi0 < 0
@@ -476,8 +489,10 @@ class TestLogDetSeries:
 
         monkeypatch.setattr(spla, "splu", counting)
         res = pa.fit(spec, data, n_starts=3, seed=0)
-        assert res.theta.phi0 > 0.0 and spec.W.log_det_pieces == ["positive"]
-        assert calls == ["MMD_AT_PLUS_A"] + ["NATURAL"] * weights.SERIES_NODES
+        assert res.theta.phi0 > 0.0 and spec.W.log_det_pieces == ["positive-inner"]
+        # the ordering node is the piece's first node
+        assert calls == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (weights.SERIES_NODES - 1)
+        assert len(calls) == spec.W.log_det_factorizations == 24
 
     def test_negative_dependence_fit_matches_an_eager_build(self, monkeypatch):
         monkeypatch.setattr(weights, "N_SERIES", 20)
@@ -489,9 +504,25 @@ class TestLogDetSeries:
         res = pa.fit(spec, data, n_starts=3, seed=0)
         assert res.theta.phi0 < 0.0
         lazy = spec.W.log_det_series
-        assert lazy.pieces == ["negative", "positive"]
+        assert lazy.pieces == ["negative-inner", "positive-inner"]
+        assert lazy.factorizations == 48
         eager = LogDetSeries(spec.W._similarity)
-        for phi0 in (-0.5, 0.5):  # in the order of a build of both pieces at once
+        for phi0 in (-0.95, -0.5, 0.5, 0.95):  # every piece, in phi0 order
+            eager(phi0)
+        for got, want in zip(lazy._pieces, eager._pieces):
+            if got is not None:
+                assert all(np.array_equal(a.coef, b.coef) for a, b in zip(got, want))
+
+    def test_outer_piece_builds_its_inner_neighbour(self):
+        S = pa.build_queen_lattice(6, 7)._similarity
+        m = weights.SERIES_NODES
+        lazy = LogDetSeries(S)
+        for phi0, pieces in ((0.95, ["positive-inner", "positive-outer"]),
+                             (-0.95, list(LogDetSeries.PIECES))):
+            lazy(phi0)
+            assert lazy.pieces == pieces and lazy.factorizations == m * len(pieces)
+        eager = LogDetSeries(S)
+        for phi0 in (-0.5, 0.5, -0.95, 0.95):  # inner pieces first
             eager(phi0)
         for got, want in zip(lazy._pieces, eager._pieces):
             assert all(np.array_equal(a.coef, b.coef) for a, b in zip(got, want))
@@ -509,21 +540,25 @@ class TestLogDetSeries:
         m = weights.SERIES_NODES
         series = LogDetSeries(pa.build_queen_lattice(6, 7)._similarity)
         assert orderings == ["MMD_AT_PLUS_A"] and series.pieces == []
-        # each piece on its first evaluation, every node in NATURAL order
-        for phi0, pieces, calls in ((0.3, ["positive"], 1 + m), (0.7, ["positive"], 1 + m),
-                                    (-0.3, ["negative", "positive"], 2 * m)):
+        # each piece on its first evaluation, every node in NATURAL order; the
+        # inner positive piece reuses the ordering node's value
+        inner = ["negative-inner", "positive-inner"]
+        for phi0, pieces in ((0.3, ["positive-inner"]), (0.7, ["positive-inner"]),
+                             (-0.3, inner), (0.95, inner + ["positive-outer"]),
+                             (-0.99, list(LogDetSeries.PIECES))):
             series(phi0, 2)
-            assert series.pieces == pieces and len(orderings) == calls
-        # the negative piece reuses the ordering node's value
-        assert orderings[1:] == ["NATURAL"] * (2 * m - 1)
+            assert series.pieces == pieces
+            assert len(orderings) == series.factorizations == m * len(pieces)
+        assert orderings[1:] == ["NATURAL"] * (4 * m - 1)
         assert len(fills) == 1  # the renumbered pattern fills in as the ordered one
 
     @pytest.mark.parametrize("design", ["delaunay1000", "lattice20x20"])
     def test_node_values_match_fresh_orderings(self, design):
         S = SERIES_DESIGNS[design]()._similarity
         series = LogDetSeries(S)
-        for phi0 in (0.5, -0.5):  # build both pieces
+        for phi0 in (0.5, -0.5, 0.95, -0.95):  # build every piece
             series(phi0)
+        assert series.pieces == list(LogDetSeries.PIECES)
         for _, u, _ in series._pieces:
             xs = np.polynomial.polyutils.mapdomain(chebpts1(weights.SERIES_NODES), u.window, u.domain)
             assert_allclose(u(xs), oracle_series_node_values(S, xs), rtol=1e-12, atol=0.0)
@@ -532,7 +567,7 @@ class TestLogDetSeries:
     def test_lu_guard_raises_numerical_error(self, monkeypatch, fault):
         real = spla.splu
         # call 1 orders the pattern as the series is made; call 10 factors a
-        # node of the positive piece, which reuses it
+        # node of the inner positive piece, which reuses it
         for bad_call, ordering in ((1, "MMD_AT_PLUS_A"), (10, "NATURAL")):
             calls = []
 
