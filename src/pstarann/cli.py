@@ -302,6 +302,11 @@ def cmd_replicate(args):
         # but a piece a worker built would be rebuilt for every replicate.
         for phi0 in (-0.95, -0.5, 0.5, 0.95):
             spec.W.log_det_a0(phi0)
+        # check_causal reads tau_min for p <= 2 only when the bound
+        # tau_min >= -1 leaves it open, as a fitted phi0 < 0 can; the true
+        # theta's check above may not have read it
+        if spec.p in (1, 2):
+            spec.W.tau_min
         with ProcessPoolExecutor(max_workers=args.threads) as pool:
             records = list(pool.map(_replicate_one, payloads))
     else:

@@ -330,6 +330,25 @@ class CausalityCheck(NamedTuple):
         return self
 
 
+def _largest_root_moduli(tau, phi0, phi):
+    """Largest root modulus of the factor (1 - phi0 tau) z^p - sum_i phi_i tau z^{p-i}
+    at each tau of the array, from one batched ``eigvals`` of the companion
+    matrices. A lead 1 - phi0 tau below LEAD_TOL raises ValueError."""
+    lead = 1.0 - phi0 * tau
+    if lead.min() < LEAD_TOL:
+        raise ValueError(f"leading coefficient vanishes at eigenvalue tau={tau[lead.argmin()]}")
+    p = phi.size
+    companion = np.zeros((tau.size, p, p))
+    companion[:, 0, :] = np.outer(tau, phi) / lead[:, None]
+    companion[:, np.arange(1, p), np.arange(p - 1)] = 1.0
+    return np.abs(np.linalg.eigvals(companion)).max(axis=1)
+
+
+def _verdict(moduli):
+    max_mod = float(np.max(moduli))
+    return CausalityCheck(max_mod <= 1.0 - CAUSAL_MARGIN, max_mod)
+
+
 def check_causal(spec: ModelSpec, theta: ParameterVector):
     """Verify the stationarity condition of the autoregressive operator.
 
@@ -347,9 +366,9 @@ def check_causal(spec: ModelSpec, theta: ParameterVector):
 
     phi0 is checked first, for every p and before any spectrum access, by
     ``WeightMatrix.check_phi0``. So |phi0| < 1, and as W's spectrum lies in
-    [-1, 1], 1 - phi0 tau >= 1 - |phi0| > 0 on all of [tau_min, tau_max]:
-    g is increasing in tau there (dg/dtau = 1 / (1 - phi0 tau)^2) and
-    ranges between its values at the two ends. For p <= 2 only tau_min and
+    [-1, 1], 1 - phi0 tau >= 1 - |phi0| > 0 on all of [-1, 1]: g is
+    increasing in tau there (dg/dtau = 1 / (1 - phi0 tau)^2) and ranges
+    between its values at the two ends. For p <= 2 only tau_min and
     tau_max are checked, with the same result as checking all eigenvalues:
     the roots of z^p - g (phi_1 z^{p-1} + ... + phi_p) all have modulus
     below rho iff the Jury conditions hold, and for p <= 2 these are affine
@@ -363,26 +382,36 @@ def check_causal(spec: ModelSpec, theta: ParameterVector):
     interval [0, r*). The largest root modulus therefore does not decrease
     as |g| grows, for either sign of g, and over the spectrum it peaks at
     tau_min or tau_max. Both ends are eigenvalues, so the maximum is the
-    same ``max_root_modulus``. For p >= 3 the conditions are not affine in
-    g and the argument fails: with phi = (2.47, -2.93, 1.18) the largest
-    root modulus falls from 1.346 at g = 1.25 to 1.255 at g = 1.4. There
-    every eigenvalue is checked; only p >= 3 reads the dense spectrum. A
-    lead below LEAD_TOL (|phi0| within about 1e-14 of 1) raises ValueError.
+    same ``max_root_modulus``.
+
+    tau_min is often not needed. W's trace is 0, so -1 <= tau_min < 0 and
+    g(-1) <= g(tau_min) < 0; by the same argument the modulus at tau_min
+    is at most the modulus at tau = -1. The factor at -1 is therefore
+    checked first, next to tau_max: when its modulus does not exceed
+    tau_max's, tau_max's is the answer and tau_min (a Lanczos solve) is
+    never read. For p = 1 with phi_1 != 0 that holds exactly when
+    phi0 >= 0. tau = -1 need not be an eigenvalue, so a lead 1 + phi0
+    below LEAD_TOL raises nothing there and leaves the check to the two
+    ends.
+
+    For p >= 3 the Jury conditions are not affine in g and the argument
+    fails: with phi = (2.47, -2.93, 1.18) the largest root modulus falls
+    from 1.346 at g = 1.25 to 1.255 at g = 1.4. There every eigenvalue is
+    checked; only p >= 3 reads the dense spectrum. A lead below LEAD_TOL at
+    an eigenvalue (|phi0| within about 1e-14 of 1) raises ValueError.
     """
     theta.validate(spec)
-    spec.W.check_phi0(theta.phi0)
-    p = spec.p
-    if p == 0:
+    W = spec.W
+    W.check_phi0(theta.phi0)
+    if spec.p == 0:
         return CausalityCheck(True, 0.0)
-    tau = np.array([spec.W.tau_max, spec.W.tau_min]) if p <= 2 else spec.W.eigenvalues
-    lead = 1.0 - theta.phi0 * tau
-    if lead.min() < LEAD_TOL:
-        raise ValueError(f"leading coefficient vanishes at eigenvalue tau={tau[lead.argmin()]}")
-    companion = np.zeros((tau.size, p, p))
-    companion[:, 0, :] = np.outer(tau, theta.phi) / lead[:, None]
-    companion[:, np.arange(1, p), np.arange(p - 1)] = 1.0
-    max_mod = float(np.max(np.abs(np.linalg.eigvals(companion))))
-    return CausalityCheck(max_mod <= 1.0 - CAUSAL_MARGIN, max_mod)
+    if spec.p >= 3:
+        return _verdict(_largest_root_moduli(W.eigenvalues, theta.phi0, theta.phi))
+    if 1.0 + theta.phi0 >= LEAD_TOL:
+        top, bound = _largest_root_moduli(np.array([W.tau_max, -1.0]), theta.phi0, theta.phi)
+        if bound <= top:
+            return _verdict(top)
+    return _verdict(_largest_root_moduli(np.array([W.tau_max, W.tau_min]), theta.phi0, theta.phi))
 
 
 def psi_expansion(spec: ModelSpec, theta: ParameterVector, J):

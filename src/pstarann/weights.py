@@ -51,7 +51,9 @@ Simulation and the causality check for p <= 2 need only the ends of the
 spectrum. The largest eigenvalue of W is exactly 1 (Perron-Frobenius: W
 is nonnegative with unit row sums). The smallest comes from a Lanczos
 iteration (ARPACK) on the sparse S, which costs milliseconds where the
-dense spectrum costs seconds.
+dense spectrum costs seconds. The check reads it only when the bound
+tau_min >= -1 leaves the result open (``model.check_causal``): never for
+p = 1 with phi0 >= 0.
 
 A0 is strictly diagonally dominant, hence invertible, whenever
 |phi0| < 1 / max_i |tau_i| = 1.
@@ -314,6 +316,8 @@ class WeightMatrix:
         The smallest eigenvalue, from Lanczos on first access, then cached.
         ARPACK starts from a fixed vector, so it is the same in every
         process; should ARPACK not converge, it is read off ``eigenvalues``.
+        The causality check for p <= 2 reads it only when the bound
+        tau_min >= -1 leaves the check open.
     s0, s1, s2 : float
         The weight sums S0, S1 and S2 of Moran's I (see ``diagnostics``).
     """

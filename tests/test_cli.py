@@ -545,7 +545,8 @@ class TestReplicateCommand:
 
             def map(self, fn, payloads):
                 copies = [pickle.loads(pickle.dumps(p)) for p in payloads]
-                carried.extend(c[0].W.log_det_pieces for c in copies)
+                carried.extend((c[0].W.log_det_pieces, "tau_min" in c[0].W.__dict__)
+                               for c in copies)
                 return map(fn, copies)
 
         monkeypatch.setattr(weights, "N_SERIES", 20)
@@ -553,7 +554,9 @@ class TestReplicateCommand:
         main(["replicate", "--config", write_config(tmp_path, MODEL1_CONFIG), "--out",
               str(tmp_path / "rep"), "--seed", "8", "--replicates", "2", "--threads", "2"])
         capsys.readouterr()
-        assert carried == [list(weights.LogDetSeries.PIECES)] * 2
+        # the true phi0 = 0.6 settles the command's own causality check
+        # without tau_min; a replicate's fitted phi0 < 0 would need it
+        assert carried == [(list(weights.LogDetSeries.PIECES), True)] * 2
 
     def test_rank_deficient_design_rejected_per_replicate(self, tmp_path, capsys):
         # two constant columns: every X_t has rank 1 < q, so each replicate's

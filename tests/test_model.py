@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from scipy.special import expit
 
 import pstarann as pa
+from pstarann.model import CAUSAL_MARGIN, LEAD_TOL, _largest_root_moduli
 from pstarann.simulate import BLOCK_STEPS
 from conftest import model1_spec, model1_theta, random_causal_theta, random_panel
 
@@ -205,7 +206,8 @@ class TestCheckCausal:
             assert chk.max_root_modulus == 0.0
 
     def test_p_le_2_extremes_match_oracle_on_random_draws(self, w44):
-        # check_causal reads only tau_min and tau_max when p <= 2
+        # for p <= 2 check_causal reads no eigenvalue but tau_max and, when
+        # the bound tau_min >= -1 leaves the check open, tau_min
         rng = np.random.default_rng(2024)
         designs = [w44, pa.build_queen_lattice(2, 1), pa.build_queen_lattice(3, 4)]
         seen = {"complex": 0, "explosive": 0, "phi0<0": 0, "phi0>0": 0}
@@ -227,6 +229,59 @@ class TestCheckCausal:
                     seen["phi0<0" if theta.phi0 < 0 else "phi0>0"] += 1
         assert sum(seen[k] for k in ("phi0<0", "phi0>0")) >= 200
         assert min(seen.values()) >= 10, seen
+
+    def test_bound_is_bit_equal_to_the_two_ends(self, w44):
+        # the factor at tau = -1 bounds the one at tau_min; where it settles
+        # the check, the answer is the [tau_max, tau_min] computation's,
+        # bit for bit, on designs whose tau_min is -1 exactly (bipartite:
+        # the 2-node lattice and the 8-cycle) and above it. Half the draws
+        # have |phi0| < 0.03, where the rows at tau_max and -1 nearly tie
+        rng = np.random.default_rng(2026)
+        cycle8 = pa.from_adjacency([(i, (i + 1) % 8) for i in range(8)], 8)
+        designs = [w44, pa.build_queen_lattice(2, 1), cycle8, pa.build_queen_lattice(3, 4)]
+        seen = dict.fromkeys(("settled", "open", "complex", "explosive", "phi0<0", "phi0>0"), 0)
+        for W in designs:
+            ends = np.array([W.tau_max, W.tau_min])
+            for p in (1, 2):
+                spec = pa.ModelSpec(W=W, p=p, q=0, h=0, density=pa.normal())
+                for _ in range(60):
+                    phi0 = rng.uniform(-0.95, 0.95) * rng.choice([1.0, 1.0, 0.03, 1e-4])
+                    theta = pa.ParameterVector(phi0, rng.uniform(-1.6, 1.6, p), [], [], [])
+                    chk = pa.check_causal(spec, theta)
+                    worst = float(_largest_root_moduli(ends, theta.phi0, theta.phi).max())
+                    assert chk.max_root_modulus == worst
+                    assert chk.causal == (worst <= 1.0 - CAUSAL_MARGIN)
+                    top, bound = _largest_root_moduli(np.array([W.tau_max, -1.0]), theta.phi0,
+                                                      theta.phi)
+                    seen["settled" if bound <= top else "open"] += 1
+                    g = ends / (1.0 - theta.phi0 * ends)
+                    seen["complex"] += p == 2 and bool(np.any(
+                        (theta.phi[0] * g) ** 2 + 4 * theta.phi[1] * g < 0))
+                    seen["explosive"] += worst > 1.0
+                    seen["phi0<0" if theta.phi0 < 0 else "phi0>0"] += 1
+        assert min(seen.values()) >= 40, seen
+
+    def test_bound_settles_a_tie_without_tau_min(self):
+        # phi0 = 0, p = 1: the factors at tau_max and -1 tie at |phi_1|,
+        # the exact answer on the bipartite 2-node lattice (tau_min = -1)
+        W = pa.build_queen_lattice(2, 1)
+        spec = pa.ModelSpec(W=W, p=1, q=0, h=0, density=pa.normal())
+        chk = pa.check_causal(spec, pa.ParameterVector(0.0, [1.2], [], [], []))
+        assert chk == (False, 1.2)
+        assert "tau_min" not in W.__dict__
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_near_pole_bound_row_defers_to_the_ends(self, w44, p):
+        # phi0 = -1 + 1e-15 puts the factor at tau = -1 below LEAD_TOL, but
+        # -1 is no eigenvalue here (tau_min = -0.46): the check is the
+        # [tau_max, tau_min] one and raises nothing
+        spec = pa.ModelSpec(W=w44, p=p, q=0, h=0, density=pa.normal())
+        theta = pa.ParameterVector(-1.0 + 1e-15, [0.3] * p, [], [], [])
+        assert 1.0 + theta.phi0 < LEAD_TOL and w44.tau_min > -0.5
+        chk = pa.check_causal(spec, theta)
+        worst = float(_largest_root_moduli(np.array([w44.tau_max, w44.tau_min]),
+                                           theta.phi0, theta.phi).max())
+        assert chk == (worst <= 1.0 - CAUSAL_MARGIN, worst)
 
     def test_p3_counterexample_checks_every_eigenvalue(self, w1010):
         # for phi = c (2.47, -2.93, 1.18) the largest root modulus falls as g

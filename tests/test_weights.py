@@ -225,6 +225,20 @@ def eigh_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def eigsh_calls(monkeypatch):
+    """A list that grows by one on every scipy.sparse.linalg.eigsh call."""
+    calls = []
+    real = spla.eigsh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", counting)
+    return calls
+
+
 class TestLazySpectrum:
     @pytest.mark.parametrize("design", sorted(SPECTRUM_DESIGNS))
     def test_extremes_match_dense_eigvalsh(self, design):
@@ -290,6 +304,22 @@ class TestLazySpectrum:
         assert "eigenvalues" not in spec.W.__dict__ and not eigh_calls
         pa.fit(spec, data, n_starts=2, seed=1)
         assert len(eigh_calls) == 1
+
+    def test_positive_dependence_never_reads_tau_min(self, eigsh_calls):
+        # phi0 >= 0 with p = 1: the bound tau_min >= -1 settles check_causal,
+        # so neither simulate nor fit runs the Lanczos solve
+        spec = model1_spec(pa.build_queen_lattice(4, 4))
+        data = pa.simulate(spec, model1_theta(), seed=3, T=6, covariate_columns=MODEL1_COLUMNS)
+        res = pa.fit(spec, data, n_starts=2, seed=1)
+        assert res.theta.phi0 >= 0.0 and res.causality is not None
+        assert "tau_min" not in spec.W.__dict__ and not eigsh_calls
+
+    def test_negative_dependence_reads_tau_min_once(self, eigsh_calls):
+        W = pa.build_queen_lattice(4, 4)
+        spec = pa.ModelSpec(W=W, p=1, q=0, h=0, density=pa.normal())
+        theta = pa.ParameterVector(-0.5, [0.3], [], [], [])
+        assert pa.check_causal(spec, theta) == pa.check_causal(spec, theta)
+        assert len(eigsh_calls) == 1 and "tau_min" in W.__dict__
 
 
 class TestLogDetA0:
