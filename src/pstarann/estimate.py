@@ -29,7 +29,12 @@ Asymptotic covariance is the sandwich
     Omega = A^{-1} B A^{-1},   A = -(1/nT) Hessian,   B = (1/nT) sum of
                                    per-observation score outer products,
 
-with per-parameter standard errors sqrt(diag(Omega) / nT). For the Laplace
+with per-parameter standard errors sqrt(diag(Omega) / nT). A and B come
+from one weighted Gram of the residual derivatives (see the likelihood
+module): A's Gauss-Newton part weights them by the log-density's
+curvature, B weights them by the squared score ratio and adds a rank-2
+correction for the log-determinant's share of each observation, so no
+per-observation score array is ever formed. For the Laplace
 family A is unavailable (no curvature at 0), so fits report point
 estimates only.
 
@@ -575,7 +580,8 @@ def sandwich_covariance(ws: LikelihoodWorkspace, theta_hat: ParameterVector):
     B = ws.score_outer_product(theta_hat)
     eigs = np.linalg.eigvalsh(A)
     if eigs[0] <= 0:
-        cond = np.inf if eigs[0] == 0 else eigs[-1] / eigs[0]
+        mags = np.abs(eigs)
+        cond = np.inf if mags.min() == 0 else mags.max() / mags.min()
         raise ValueError(
             f"averaged negated Hessian is not positive definite "
             f"(min eigenvalue {eigs[0]:.3e}, condition number {cond:.3e})"

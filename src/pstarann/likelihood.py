@@ -44,15 +44,26 @@ it evaluates the activations once, caches them with the residuals and
 the score ratio, and writes the network rows of D for lambda (-F) and
 gamma_i (-lambda_i F'_i x). So a fit pays one sigmoid evaluation per
 objective call, and D always describes the cached theta. The gradient is
-D V minus the trace term, the per-observation scores are the columns of
-D diag(V), and the Gauss-Newton part of the Hessian is D diag(U) D'.
+g - T tr(W A0^{-1}) e_phi0 with g = D V, and the Gauss-Newton part of the
+Hessian is the weighted Gram D diag(U) D'.
 
-The averaged outer product of per-observation scores
+The per-observation log-likelihood terms
 
     l_{s,t}(theta) = (1/n) ln|A0| + ln f(eps_{s,t}(theta))
 
-estimates the information matrix B; together with the averaged negated
-Hessian A it feeds the sandwich covariance in the estimator module.
+have scores V_{s,t} d_{s,t} - c e_phi0 with c = tr(W A0^{-1}) / n, and the
+average B of their outer products estimates the information matrix.
+Expanding the square gives B from the same weighted Gram as the Hessian,
+with V^2 in place of U, and a rank-2 correction on the phi0 row and
+column:
+
+    nT B = D diag(V^2) D' - c (e_phi0 g' + g e_phi0') + nT c^2 e_phi0 e_phi0'.
+
+So no (dim, nT) array of scores is ever formed: ``_weighted_gram`` sums
+M diag(w) M' over blocks of ``_GRAM_BLOCK`` columns, and every such
+product (the Hessian's D diag(U) D', its gamma blocks X diag(w) X', and
+B's D diag(V^2) D') goes through it. Together with the averaged negated
+Hessian A, B feeds the sandwich covariance in the estimator module.
 
 ``LikelihoodWorkspace`` is the one way to evaluate these quantities on a
 panel. A fit builds one, and its starts, its covariance and the residuals
@@ -76,6 +87,24 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+# Columns per block of ``_weighted_gram``: one block of a (dim, nT) matrix
+# at dim = 16 is 8 MiB.
+_GRAM_BLOCK = 65536
+
+
+def _weighted_gram(M, w):
+    """M diag(w) M', summed over blocks of ``_GRAM_BLOCK`` columns.
+
+    The first block's product is the result's buffer, not an addition to
+    zeros, so a matrix of at most one block gives (M * w) @ M.T bit for bit.
+    """
+    k = _GRAM_BLOCK
+    G = (M[:, :k] * w[:k]) @ M[:, :k].T
+    for j in range(k, M.shape[1], k):
+        Mj = M[:, j:j + k]
+        G += (Mj * w[j:j + k]) @ Mj.T
+    return G
 
 
 class NumericalError(RuntimeError):
@@ -210,7 +239,7 @@ class LikelihoodWorkspace:
         tr2 = spec.W.trace_w_a0inv(theta.phi0, 2)
         c, D = self._eval(theta), self.D
         U = self._density.curvature(c["E"])
-        H = (D * U) @ D.T
+        H = _weighted_gram(D, U)
         H[0, 0] -= self.data.T * tr2
         if spec.h:
             V, X, F, Fp = c["V"], self.X, c["F"], c["Fp"]
@@ -223,29 +252,32 @@ class LikelihoodWorkspace:
                 gi = slice(g0 + i * q, g0 + (i + 1) * q)
                 H[l0 + i, gi] += cross[i]
                 H[gi, l0 + i] += cross[i]
-                H[gi, gi] -= theta.lam[i] * ((X * wpp[i]) @ X.T)
+                H[gi, gi] -= theta.lam[i] * _weighted_gram(X, wpp[i])
         asym = np.max(np.abs(H - H.T)) if H.size else 0.0
         if asym > 1e-9 * max(1.0, np.max(np.abs(H))):
             raise NumericalError(f"Hessian asymmetry {asym:.3e} exceeds tolerance")
         return 0.5 * (H + H.T)
 
     def score_outer_product(self, theta: ParameterVector):
-        """(1/nT) sum_{s,t} (dl_{s,t}/dtheta)(dl_{s,t}/dtheta)' = G'G / nT."""
-        G = self.per_observation_scores(theta).reshape(-1, self.spec.dim)
-        B = G.T @ G / G.shape[0]
-        return 0.5 * (B + B.T)
+        """B = (1/nT) sum_{s,t} (dl_{s,t}/dtheta)(dl_{s,t}/dtheta)'.
 
-    def per_observation_scores(self, theta: ParameterVector):
-        """(T, n, dim) array of dl_{s,t}/dtheta (sums to the gradient).
+        The per-observation score is V_{s,t} d_{s,t} - c e_phi0 with
+        c = tr(W A0^{-1}) / n, so with g = D V (the data part of the
+        gradient)
 
-        The per-observation phi0 score is the eigenvalue term
-        -(1/n) tr(W A0^{-1}) plus the data term -V_{s,t} (W Y_t)_s.
+            nT B = D diag(V^2) D' - c (e_phi0 g' + g e_phi0')
+                   + nT c^2 e_phi0 e_phi0'.
         """
-        tr = self.spec.W.trace_w_a0inv(theta.phi0, 1)
+        c = self.spec.W.trace_w_a0inv(theta.phi0, 1) / self.data.n
         V = self._eval(theta)["V"]
-        G = (self.D * V).T.reshape(self.data.T, self.data.n, self.spec.dim)
-        G[:, :, 0] -= tr / self.data.n
-        return G
+        nT = V.size
+        B = _weighted_gram(self.D, V * V)
+        g = self.D @ V
+        B[0] -= c * g
+        B[:, 0] -= c * g
+        B[0, 0] += nT * c * c
+        B /= nT
+        return 0.5 * (B + B.T)
 
     def loglik_and_gradient(self, theta: ParameterVector):
         ll = self.log_likelihood(theta)

@@ -5,7 +5,10 @@ log-densities come from scipy.stats, log-determinants from dense LU
 (slogdet), the log-det series' node values from one freshly ordered sparse
 LU per node, residuals from direct formula-level loops, derivatives
 from central finite differences, and simulated panels from whole-array
-covariates, innovations and responses over every step.
+covariates, innovations and responses over every step. The one exception
+is ``oracle_per_observation_scores``, the columns of the workspace's
+derivative matrix scaled by the score ratio; a test checks it against
+finite differences of the per-observation terms.
 """
 
 import csv
@@ -35,13 +38,10 @@ def oracle_log_pdf(density, s):
     return stats.t.logpdf(s / c, density.nu) - np.log(c)
 
 
-def oracle_log_likelihood(spec, theta, data):
-    """Dense formula-level log-likelihood: LU log-det plus summed log pdfs."""
+def oracle_residuals(spec, theta, data):
+    """(T, n) residuals from the model equation, one slice at a time."""
     W = spec.W.W.toarray()
-    A0 = np.eye(spec.n) - theta.phi0 * W
-    sign, logdet = np.linalg.slogdet(A0)
-    assert sign > 0
-    total = data.T * logdet
+    E = np.empty((data.T, spec.n))
     for t in range(1, data.T + 1):
         e = data.Y[data.p + t - 1].copy()
         for i in range(spec.p + 1):
@@ -53,8 +53,46 @@ def oracle_log_likelihood(spec, theta, data):
         with np.errstate(over="ignore"):
             for i in range(spec.h):
                 e -= theta.lam[i] / (1.0 + np.exp(-X_t @ theta.gamma[i]))
+        E[t - 1] = e
+    return E
+
+
+def oracle_log_det_a0(spec, phi0):
+    """ln|I - phi0 W| from a dense LU."""
+    sign, logdet = np.linalg.slogdet(np.eye(spec.n) - phi0 * spec.W.W.toarray())
+    assert sign > 0
+    return logdet
+
+
+def oracle_log_likelihood(spec, theta, data):
+    """Dense formula-level log-likelihood: LU log-det plus summed log pdfs."""
+    total = data.T * oracle_log_det_a0(spec, theta.phi0)
+    for e in oracle_residuals(spec, theta, data):
         total += float(np.sum(oracle_log_pdf(spec.density, e)))
     return total
+
+
+def oracle_per_observation_terms(spec, theta, data):
+    """(T, n) terms l_{s,t} = (1/n) ln|A0| + ln f(eps_{s,t}), which sum to
+    the log-likelihood."""
+    E = oracle_residuals(spec, theta, data)
+    return oracle_log_det_a0(spec, theta.phi0) / spec.n + oracle_log_pdf(spec.density, E)
+
+
+def oracle_per_observation_scores(ws, theta):
+    """(T, n, dim) scores dl_{s,t}/dtheta: the columns of D diag(V), with the
+    eigenvalue term -(1/n) tr(W A0^{-1}) added to the phi0 score.
+
+    It reads the workspace's D and density but forms every score, so the
+    tests check it against finite differences of
+    ``oracle_per_observation_terms`` and then use it to check B."""
+    T, n, dim = ws.data.T, ws.data.n, ws.spec.dim
+    tr = ws.spec.W.trace_w_a0inv(theta.phi0, 1)
+    # the residuals call leaves D's network rows at theta
+    V = ws.density.score(ws.residuals(theta).ravel())
+    G = (ws.D * V).T.reshape(T, n, dim)
+    G[:, :, 0] -= tr / n
+    return G
 
 
 def fd_gradient(f, x0, rel=1e-6):

@@ -1,5 +1,6 @@
 """Fitting, covariance, and model comparison."""
 
+import re
 import warnings
 
 import numpy as np
@@ -388,6 +389,23 @@ class TestSandwichCovariance:
         data = random_panel(spec, 3, np.random.default_rng(3))
         with pytest.raises(ValueError, match="positive definite|condition"):
             pa.sandwich_covariance(pa.LikelihoodWorkspace(spec, data), theta)
+
+    def test_indefinite_information_reports_positive_condition_number(self, w33):
+        # far from the optimum, t(4) residuals of scale 20 sit where the
+        # log-density is convex, so -H has eigenvalues of both signs; the
+        # condition number is max |eig| / min |eig|, not their signed ratio
+        rng = np.random.default_rng(7)
+        spec = pa.ModelSpec(W=w33, p=1, q=2, h=1, density=pa.scaled_t(4))
+        data = random_panel(spec, 4, rng, y_scale=20.0)
+        theta = pa.ParameterVector(0.2, [0.1], [0.3, -0.2], [1.0], [[0.5, 0.4]])
+        ws = pa.LikelihoodWorkspace(spec, data)
+        eigs = np.linalg.eigvalsh(-ws.hessian(theta) / (data.n * data.T))
+        assert eigs[0] < 0 < eigs[-1]
+        with pytest.raises(ValueError, match="not positive definite") as info:
+            pa.sandwich_covariance(ws, theta)
+        cond = float(re.search(r"condition number ([^)]+)\)", str(info.value)).group(1))
+        mags = np.abs(eigs)
+        assert_allclose(cond, mags.max() / mags.min(), rtol=1e-3)
 
     def test_full_scale_standard_errors(self):
         # one-neuron design at full scale: the fit lands within 4 reference

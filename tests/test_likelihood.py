@@ -9,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import pstarann as pa
+from pstarann import likelihood
 from conftest import (
     MODEL1_COLUMNS,
     fd_gradient,
@@ -16,6 +17,8 @@ from conftest import (
     model1_spec,
     model1_theta,
     oracle_log_likelihood,
+    oracle_per_observation_scores,
+    oracle_per_observation_terms,
     random_causal_theta,
     random_panel,
 )
@@ -156,15 +159,48 @@ class TestHessian:
 
 
 class TestScoreOuterProduct:
+    @pytest.mark.parametrize("density", [pa.normal(), pa.scaled_t(4)], ids=lambda d: d.label)
+    def test_oracle_scores_match_finite_differences(self, w33, density):
+        # the score oracle reads D; finite differences of the per-observation
+        # terms (dense log-det, loop residuals, scipy log pdfs) do not
+        rng = np.random.default_rng(89)
+        spec = pa.ModelSpec(W=w33, p=1, q=2, h=2, density=density)
+        theta = random_causal_theta(spec, rng)
+        data = random_panel(spec, 3, rng)
+        G = oracle_per_observation_scores(pa.LikelihoodWorkspace(spec, data), theta)
+
+        def terms(x):
+            return oracle_per_observation_terms(
+                spec, pa.ParameterVector.from_array(x, spec), data).ravel()
+
+        fd = fd_jacobian(terms, theta.to_array()).T.reshape(G.shape)
+        assert np.max(np.abs(G - fd) / (1.0 + np.abs(G))) < 1e-6
+
     def test_per_observation_scores_sum_to_gradient(self, w33):
         rng = np.random.default_rng(43)
         spec = pa.ModelSpec(W=w33, p=1, q=2, h=1, density=pa.scaled_t(4))
         theta = random_causal_theta(spec, rng)
         data = random_panel(spec, 3, rng)
         ws = pa.LikelihoodWorkspace(spec, data)
-        S = ws.per_observation_scores(theta)
+        S = oracle_per_observation_scores(ws, theta)
         g = ws.gradient(theta)
         assert np.max(np.abs(S.sum(axis=(0, 1)) - g)) < 1e-10 * (1 + np.max(np.abs(g)))
+
+    @pytest.mark.parametrize("density", [pa.normal(), pa.scaled_t(4)], ids=lambda d: d.label)
+    @pytest.mark.parametrize("h", [0, 2])
+    def test_matches_oracle_outer_product_near_unit_root(self, w33, density, h):
+        # at phi0 = 0.99 the eigenvalue term c = tr(W A0^{-1}) / n is largest,
+        # and so is the rank-2 correction that B takes from it
+        rng = np.random.default_rng(97)
+        spec = pa.ModelSpec(W=w33, p=1, q=2, h=h, density=density)
+        theta = random_causal_theta(spec, rng)
+        theta.phi0 = 0.99
+        data = random_panel(spec, 4, rng)
+        ws = pa.LikelihoodWorkspace(spec, data)
+        G = oracle_per_observation_scores(ws, theta).reshape(-1, spec.dim)
+        expected = G.T @ G / G.shape[0]
+        B = ws.score_outer_product(theta)
+        assert np.max(np.abs(B - expected)) <= 1e-13 * np.max(np.abs(B))
 
     def test_single_observation_rank_one(self):
         W = pa.from_adjacency([(0, 1)], 2)
@@ -176,14 +212,14 @@ class TestScoreOuterProduct:
         # smallest valid panel has n = 2 locations in one slice; each
         # location contributes a rank-1 outer product
         ws = pa.LikelihoodWorkspace(spec, data)
-        S = ws.per_observation_scores(theta)
+        S = oracle_per_observation_scores(ws, theta)
         one = np.outer(S[0, 0], S[0, 0])
         assert np.linalg.matrix_rank(one) == 1
         B = ws.score_outer_product(theta)
         manual = sum(np.outer(S[0, s], S[0, s]) for s in range(2)) / 2.0
         assert_allclose(B, manual, atol=1e-14)
 
-    def test_per_observation_scores_reject_phi0_outside_domain(self, w33):
+    def test_score_outer_product_rejects_phi0_outside_domain(self, w33):
         rng = np.random.default_rng(61)
         spec = pa.ModelSpec(W=w33, p=1, q=2, h=1, density=pa.normal())
         data = random_panel(spec, 3, rng)
@@ -191,9 +227,21 @@ class TestScoreOuterProduct:
         theta.phi0 = 1.5 / w33.tau_max
         ws = pa.LikelihoodWorkspace(spec, data)
         with pytest.raises(ValueError, match="admissible interval"):
-            ws.per_observation_scores(theta)
-        with pytest.raises(ValueError, match="admissible interval"):
             ws.score_outer_product(theta)
+
+    def test_column_blocks_match_one_block(self, w33, monkeypatch):
+        # the benchmark's panels fit in one block of _weighted_gram; a block
+        # of 97 columns splits these 270 observations into three
+        rng = np.random.default_rng(101)
+        spec = pa.ModelSpec(W=w33, p=1, q=3, h=2, density=pa.scaled_t(6))
+        theta = random_causal_theta(spec, rng)
+        data = random_panel(spec, 30, rng)
+        ws = pa.LikelihoodWorkspace(spec, data)
+        H, B = ws.hessian(theta), ws.score_outer_product(theta)
+        monkeypatch.setattr(likelihood, "_GRAM_BLOCK", 97)
+        for one, blocked in ((H, ws.hessian(theta)), (B, ws.score_outer_product(theta))):
+            assert not np.array_equal(one, blocked)
+            assert np.max(np.abs(blocked - one)) <= 1e-13 * np.max(np.abs(one))
 
     @pytest.mark.parametrize("entry", ["log_likelihood", "gradient", "score_outer_product"])
     def test_one_shot_entries_check_data_against_spec(self, w33, entry):
@@ -232,7 +280,8 @@ class TestDerivativeMatrix:
 
         def derivatives(theta, ws=ws):
             return (ws.hessian(theta), ws.gradient(theta),
-                    ws.per_observation_scores(theta))
+                    ws.score_outer_product(theta),
+                    oracle_per_observation_scores(ws, theta))
 
         first = derivatives(ta)
         kept = [a.copy() for a in first]

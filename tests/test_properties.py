@@ -1,5 +1,6 @@
 """Property tests: the flat parameter layout, the panel CSV round trip,
-canonicalization, the p <= 2 causality check and the trust-region step.
+canonicalization, the p <= 2 causality check, the trust-region step, the
+pruned start grid and the blocked weighted Gram.
 
 Derandomized (the same examples on every run) with capped example counts,
 so the module stays deterministic and fast.
@@ -8,6 +9,7 @@ so the module stays deterministic and fast.
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from hypothesis.extra.numpy import arrays
 
 import pstarann as pa
 import test_model
-from pstarann import estimate
+from pstarann import estimate, likelihood
 from conftest import reference_write_panel_csv
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=100, deadline=None,
@@ -289,3 +291,30 @@ class TestStartGrid:
         assert pruned == max(grid, key=profile)
         if T == 0 and not r_l.any():  # every value ties: the first point wins
             assert pruned == grid[0]
+
+
+@st.composite
+def weighted_grams(draw):
+    """(M, w, block): a (rows, columns) matrix, weights of either sign, and a
+    block width from one column to past the last."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 300))
+    entries = st.floats(-1e3, 1e3, allow_subnormal=False)
+    M = draw(arrays(np.float64, (rows, cols), elements=entries))
+    w = draw(arrays(np.float64, cols, elements=entries))
+    return M, w, draw(st.integers(1, cols + 20))
+
+
+class TestWeightedGram:
+    @PROPERTY_SETTINGS
+    @given(weighted_grams())
+    def test_blocks_match_one_product(self, case):
+        # each entry within 1e-13 of the sum of its terms' magnitudes (its
+        # rounding scale); one block reproduces the one product bit for bit
+        M, w, block = case
+        expected = (M * w) @ M.T
+        with mock.patch.object(likelihood, "_GRAM_BLOCK", block):
+            G = likelihood._weighted_gram(M, w)
+        scale = (np.abs(M) * np.abs(w)) @ np.abs(M).T
+        assert np.all(np.abs(G - expected) <= 1e-13 * scale + 1e-300)
+        if block >= M.shape[1]:
+            assert same_bits(G, expected)
