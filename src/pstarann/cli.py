@@ -23,7 +23,9 @@ The config is one JSON document with sections:
 Exit codes: 0 success, 2 input error (bad config, malformed CSV, non-causal
 parameters), 3 numerical non-convergence or a failed numerical self-check.
 Every command is deterministic under a fixed --seed, including replicate
-summaries across thread counts.
+summaries across thread counts. ``replicate --threads 1`` runs its replicates
+in this process; with K > 1, each of K worker processes receives the study
+once, when it starts, and builds the log-det series pieces its own fits touch.
 """
 
 from __future__ import annotations
@@ -251,14 +253,24 @@ def cmd_fit(args):
 # replicate
 # ----------------------------------------------------------------------
 
-def _replicate_one(payload):
-    """One simulate + fit cycle; runs inside worker processes."""
-    (spec, theta, T, burn_in, columns, X_fixed, base_seed, r, opts) = payload
-    sim_seed = np.random.SeedSequence(base_seed, spawn_key=(r,))
+def _replicate_one(job, r):
+    """Replicate r of the study ``job``: simulate a panel and fit it.
+
+    ``job`` is (spec, theta, T, burn_in, columns, X_fixed, seed, opts), the
+    same for every replicate. The panel draws from the stream
+    SeedSequence(seed, spawn_key=(r,)) and the fit's starts from seed + r, so
+    the record depends on r alone, not on the process that runs it or on the
+    replicates that process ran before. The log-det series pieces and tau_min
+    that a fit builds stay on spec.W for the process's later replicates; they
+    are bit-equal whichever replicate builds them. A failure is recorded, not
+    raised.
+    """
+    spec, theta, T, burn_in, columns, X_fixed, seed, opts = job
+    sim_seed = np.random.SeedSequence(seed, spawn_key=(r,))
     try:
         data = simulate(spec, theta, X=X_fixed, seed=sim_seed, burn_in=burn_in,
                         T=T, covariate_columns=columns)
-        res = fit(spec, data, seed=base_seed + r, covariance=True, **opts)
+        res = fit(spec, data, seed=seed + r, covariance=True, **opts)
         return {
             "replicate": r,
             "ok": True,
@@ -271,6 +283,18 @@ def _replicate_one(payload):
     except Exception as exc:  # recorded per replicate, summary over successes
         kind = type(exc).__name__
         return {"replicate": r, "ok": False, "error_type": kind, "error": f"{kind}: {exc}"}
+
+
+_worker_job = None  # the study of a pool worker process, set once by _init_worker
+
+
+def _init_worker(job):
+    global _worker_job
+    _worker_job = job
+
+
+def _replicate_in_worker(r):
+    return _replicate_one(_worker_job, r)
 
 
 def cmd_replicate(args):
@@ -287,30 +311,18 @@ def cmd_replicate(args):
     check_causal(spec, theta).require()
 
     X_fixed = None
-    if args.fixed_design:
+    if args.fixed_design and spec.q:  # a q = 0 model has no covariates to hold
         steps = burn_in + spec.p + T
         X_fixed = generate_covariates(columns, spec.n, steps,
                                       np.random.SeedSequence(args.seed, spawn_key=(10**6,)))
 
-    payloads = [(spec, theta, T, burn_in, columns, X_fixed, args.seed, r, opts)
-                for r in range(R)]
+    job = (spec, theta, T, burn_in, columns, X_fixed, args.seed, opts)
     if args.threads > 1:
-        # each payload reaches its worker as a fresh copy of spec; build W's
-        # log-det backend here, all four pieces of a series, so that the
-        # copies carry it and no worker factors. That is 96 sparse LUs once
-        # per command, where a fit that stays in 0 <= phi0 < 0.905 needs 24,
-        # but a piece a worker built would be rebuilt for every replicate.
-        for phi0 in (-0.95, -0.5, 0.5, 0.95):
-            spec.W.log_det_a0(phi0)
-        # check_causal reads tau_min for p <= 2 only when the bound
-        # tau_min >= -1 leaves it open, as a fitted phi0 < 0 can; the true
-        # theta's check above may not have read it
-        if spec.p in (1, 2):
-            spec.W.tau_min
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
-            records = list(pool.map(_replicate_one, payloads))
+        with ProcessPoolExecutor(max_workers=args.threads, initializer=_init_worker,
+                                 initargs=(job,)) as pool:
+            records = list(pool.map(_replicate_in_worker, range(R)))
     else:
-        records = [_replicate_one(p) for p in payloads]
+        records = [_replicate_one(job, r) for r in range(R)]
 
     names = param_names(spec)
     good = [d for d in records if d["ok"]]

@@ -514,28 +514,33 @@ class TestReplicateCommand:
         jb = json.loads((b / "summary.json").read_text())
         assert ja["mean"] == jb["mean"] and ja["empirical_sd"] == jb["empirical_sd"]
 
-    def test_thread_count_does_not_change_series_summary(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("design", [[], ["--fixed-design"]],
+                             ids=["random-design", "fixed-design"])
+    def test_thread_count_does_not_change_series_summary(self, tmp_path, capsys, monkeypatch,
+                                                         design):
+        # a real pool: the study, X_fixed included, reaches each worker once
         monkeypatch.setattr(weights, "N_SERIES", 20)
         cfg = write_config(tmp_path, MODEL1_CONFIG)
         for threads in ("1", "2"):
             main(["replicate", "--config", cfg, "--out", str(tmp_path / threads), "--seed", "8",
-                  "--replicates", "3", "--threads", threads])
+                  "--replicates", "3", "--threads", threads, *design])
         capsys.readouterr()
         assert (tmp_path / "1" / "summary.json").read_bytes() == \
             (tmp_path / "2" / "summary.json").read_bytes()
 
-    def test_pool_payloads_carry_every_series_piece(self, tmp_path, capsys, monkeypatch):
-        # each payload is pickled on its own, so a worker that built a piece
-        # itself would build it again for every replicate
+    def test_worker_builds_each_series_piece_at_most_once(self, tmp_path, capsys, monkeypatch):
+        # a worker keeps the study it received, so a piece built for one
+        # replicate serves its later ones; the parent builds none
         import pickle
 
         import pstarann.cli as cli
 
-        carried = []
+        parent = []
 
-        class InlinePool:
-            def __init__(self, max_workers):
-                pass
+        class InlinePool:  # one worker: the study pickled once, the replicates run here
+            def __init__(self, max_workers, initializer, initargs):
+                parent.append(initargs[0][0])
+                initializer(*pickle.loads(pickle.dumps(initargs)))
 
             def __enter__(self):
                 return self
@@ -543,20 +548,30 @@ class TestReplicateCommand:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, payloads):
-                copies = [pickle.loads(pickle.dumps(p)) for p in payloads]
-                carried.extend((c[0].W.log_det_pieces, "tau_min" in c[0].W.__dict__)
-                               for c in copies)
-                return map(fn, copies)
+            def map(self, fn, items):
+                return map(fn, items)
+
+        builds = []
+        real_build = weights.LogDetSeries._build
+
+        def counted_build(series, k):
+            builds.append(weights.LogDetSeries.PIECES[k])
+            return real_build(series, k)
 
         monkeypatch.setattr(weights, "N_SERIES", 20)
+        monkeypatch.setattr(weights.LogDetSeries, "_build", counted_build)
         monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
-        main(["replicate", "--config", write_config(tmp_path, MODEL1_CONFIG), "--out",
-              str(tmp_path / "rep"), "--seed", "8", "--replicates", "2", "--threads", "2"])
+        monkeypatch.setattr(cli, "_worker_job", None)
+        out = tmp_path / "rep"
+        code = main(["replicate", "--config", write_config(tmp_path, MODEL1_CONFIG), "--out",
+                     str(out), "--seed", "8", "--replicates", "3", "--threads", "2"])
         capsys.readouterr()
-        # the true phi0 = 0.6 settles the command's own causality check
-        # without tau_min; a replicate's fitted phi0 < 0 would need it
-        assert carried == [(list(weights.LogDetSeries.PIECES), True)] * 2
+        assert code == 0
+        assert json.loads((out / "summary.json").read_text())["n_success"] == 3
+        assert "positive-inner" in builds
+        assert len(builds) == len(set(builds))
+        [spec] = parent
+        assert "log_det_series" not in spec.W.__dict__
 
     def test_rank_deficient_design_rejected_per_replicate(self, tmp_path, capsys):
         # two constant columns: every X_t has rank 1 < q, so each replicate's
@@ -666,9 +681,9 @@ class TestReplicateCovariance:
         spec = cli.build_spec(cfg, W)
         theta = cli.build_theta(cfg, spec)
         sim = cfg["simulate"]
-        payload = (spec, theta, sim["T"], sim["burn_in"], cfg["covariates"], None, seed, r,
-                   cli._optim_options(cfg))
-        rec = cli._replicate_one(payload)
+        job = (spec, theta, sim["T"], sim["burn_in"], cfg["covariates"], None, seed,
+               cli._optim_options(cfg))
+        rec = cli._replicate_one(job, r)
         # the replicate's own panel, regenerated from the same seed
         data = pa.simulate(spec, theta, seed=np.random.SeedSequence(seed, spawn_key=(r,)),
                            burn_in=sim["burn_in"], T=sim["T"],
@@ -690,22 +705,32 @@ class TestReplicateCovariance:
 
 
 class TestPureSpatialConfig:
+    CONFIG = {
+        "lattice": {"n1": 5, "n2": 5},
+        "model": {"p": 1, "q": 0, "h": 0, "density": "normal"},
+        "theta": {"phi0": 0.5, "phi": [-0.2], "beta": [], "lambda": [],
+                  "gamma": []},
+        "simulate": {"T": 10, "burn_in": 50},
+        "optim": {"n_starts": 2},
+    }
+
     def test_q0_model_flows(self, tmp_path, capsys):
-        cfg_dict = {
-            "lattice": {"n1": 5, "n2": 5},
-            "model": {"p": 1, "q": 0, "h": 0, "density": "normal"},
-            "theta": {"phi0": 0.5, "phi": [-0.2], "beta": [], "lambda": [],
-                      "gamma": []},
-            "simulate": {"T": 10, "burn_in": 50},
-            "optim": {"n_starts": 2},
-        }
-        cfg = write_config(tmp_path, cfg_dict)
+        cfg = write_config(tmp_path, self.CONFIG)
         out = tmp_path / "sim"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
         code = main(["fit", "--config", cfg, "--panel", str(out / "panel.csv"),
                      "--out", str(tmp_path / "fit")])
         assert code == 0
         capsys.readouterr()
+
+    def test_q0_fixed_design_replicates(self, tmp_path, capsys):
+        # no covariates to hold fixed: the design is the same in every replicate
+        out = tmp_path / "rep"
+        code = main(["replicate", "--config", write_config(tmp_path, self.CONFIG), "--out",
+                     str(out), "--seed", "3", "--replicates", "2", "--fixed-design"])
+        capsys.readouterr()
+        assert code == 0
+        assert json.loads((out / "summary.json").read_text())["n_success"] == 2
 
 
 class TestAdjacencyInput:
