@@ -39,16 +39,18 @@ for phi0 in (0.3, 0.6, 0.9):
 print()
 
 # From N_SERIES locations on, the log-det is a Chebyshev series in
-# atanh(phi0), with no dense n x n matrix. Each of its two pieces, phi0 < 0
-# and phi0 >= 0, is built from 40 sparse LUs of I - phi0 S on first use
-# (this grid asks for both); after that a log-det costs the same whatever n.
+# atanh(phi0), with no dense n x n matrix. Each of its four pieces is built
+# from 24 sparse LUs of I - phi0 S on first use; this grid, |phi0| <= 0.9,
+# asks for the two inner ones, 48 LUs. After that a log-det costs the same
+# whatever n.
 big = pa.build_queen_lattice(50, 50)
 t0 = time.time()
 vals = [big.log_det_a0(p) for p in np.linspace(-0.9, 0.9, 200)]
 backend = big.log_det_backend
 print(f"200 log-dets at n=2500 ({backend}, N_SERIES={pa.weights.N_SERIES}): "
       f"{1000 * (time.time() - t0):.1f} ms total, "
-      f"{1000 * big.log_det_build_s[backend]:.1f} ms of it the build")
+      f"{1000 * big.log_det_build_s[backend]:.1f} ms of it the build "
+      f"({big.log_det_factorizations} sparse LUs)")
 
 # User-supplied adjacency works the same way (CSV with header i,j); isolated
 # nodes are rejected because their rows cannot be standardized.

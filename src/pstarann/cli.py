@@ -151,7 +151,7 @@ def build_theta(cfg, spec):
     theta = _typed(cfg, "theta", "config", dict)
     try:
         theta = ParameterVector.from_json_dict(theta).validate(spec)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # TypeError: a list or object for a number
         raise ConfigError(f"theta: {exc}") from exc
     bad = [f"{name} ({v})" for name, v in zip(param_names(spec), theta.x) if not np.isfinite(v)]
     if bad:

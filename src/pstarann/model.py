@@ -145,7 +145,9 @@ class ParameterVector:
 
     ``phi0`` is ``x[0]``; ``phi`` (p,), ``beta`` (n_beta,), ``lam`` (h,) and
     ``gamma`` (h, q) are views of ``x`` at the slices of ``layout``, so writes
-    into them reach ``x``. Assigning a block must keep its size."""
+    into them reach ``x``. The constructor takes the blocks in these shapes,
+    with ``gamma`` empty when h = 0, and raises ``ValueError`` on any other;
+    assigning a block must keep its size."""
 
     phi = _block("phi", "phi")
     beta = _block("beta", "beta")
@@ -156,13 +158,17 @@ class ParameterVector:
     dim = property(lambda self: self.x.size)
 
     def __init__(self, phi0, phi, beta, lam, gamma):
-        phi, beta, lam = (np.ravel(np.asarray(b, dtype=float)) for b in (phi, beta, lam))
+        phi, beta, lam = (np.asarray(b, dtype=float) for b in (phi, beta, lam))
+        for name, block in (("phi", phi), ("beta", beta), ("lambda", lam)):
+            if block.ndim != 1:
+                raise ValueError(f"{name} must be a 1-D array, got shape {block.shape}")
         gamma = np.asarray(gamma, dtype=float)
         h = lam.size
-        if gamma.size % h if h else gamma.size:
-            raise ValueError("gamma must have one row per neuron")
+        if (gamma.ndim != 2 or gamma.shape[0] != h) if h else gamma.size:
+            raise ValueError(f"gamma must be a 2-D array with one row per neuron (h={h}), "
+                             f"got shape {gamma.shape}")
         self.x = np.concatenate(([float(phi0)], phi, beta, lam, gamma.ravel()))
-        self.layout = Layout(phi.size, beta.size, h, gamma.size // h if h else 0)
+        self.layout = Layout(phi.size, beta.size, h, gamma.shape[1] if h else 0)
 
     @classmethod
     def from_array(cls, arr, spec: ModelSpec):
@@ -429,7 +435,7 @@ def psi_expansion(spec: ModelSpec, theta: ParameterVector, J):
     if spec.p == 0 or J == 0:
         return psis + [np.zeros((n, n)) for _ in range(J if spec.p == 0 else 0)]
     # B_k = A0^{-1} A_k = phi_k * A0^{-1} W, built once with a block solve
-    A0inv_W = spec.W.solve_a0(theta.phi0, spec.W.W.toarray())
+    A0inv_W = spec.W.a0_factor(theta.phi0).solve(spec.W.W.toarray())
     B = [theta.phi[k - 1] * A0inv_W for k in range(1, spec.p + 1)]
     for j in range(1, J + 1):
         acc = np.zeros((n, n))

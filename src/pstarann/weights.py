@@ -55,10 +55,13 @@ dense spectrum costs seconds. The check reads it only when the bound
 tau_min >= -1 leaves the result open (``model.check_causal``): never for
 p = 1 with phi0 >= 0.
 
-A0 is strictly diagonally dominant, hence invertible, whenever
-|phi0| < 1 / max_i |tau_i| = 1.
-Linear solves with A0 use a sparse LU factorization; eigenvectors are
-never materialized.
+A0 is strictly row diagonally dominant, hence invertible, whenever
+|phi0| < 1 / max_i |tau_i| = 1. Gaussian elimination keeps that property,
+so every pivot on the diagonal is positive. Linear solves with A0 therefore
+use the series' own sparse LU (``_symmetric_lu``): diagonal pivots in
+SuperLU's symmetric mode, here in the minimum-degree ordering of A0's
+pattern (MMD on A0 + A0^T), with the same check of the factor. Eigenvectors
+are never materialized.
 """
 
 from __future__ import annotations
@@ -231,10 +234,13 @@ class LogDetSeries:
         return self._pieces[k]
 
 
-def _complex_step_derivative(A, permc_spec):
-    """(Im ln|A| / h, the column ordering) for A = I - (phi0 + ih) S, from one
-    symmetric sparse LU: diagonal pivots in SuperLU's symmetric mode, one
-    column per panel."""
+def _symmetric_lu(A, permc_spec):
+    """(the SuperLU factor, its pivots) of A: diagonal pivots in SuperLU's
+    symmetric mode, one column per panel. The package's one ``splu`` call,
+    for the series' nodes and ``WeightMatrix.a0_factor``. A needs a symmetric
+    pattern and pivots of positive real part, as I - z S (|Re z| < 1) and
+    A0 (|phi0| < 1) have; a factor with unequal row and column permutations
+    or a nonpositive pivot raises ``NumericalError``."""
     # options={"Fact": "SamePattern"} would reuse the ordering inside SuperLU,
     # but it crashes the interpreter in scipy 1.17; a prepermuted pattern
     # factored in its NATURAL order does the same.
@@ -244,8 +250,14 @@ def _complex_step_derivative(A, permc_spec):
     if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(pivots.real > 0.0)):
         from .likelihood import NumericalError  # likelihood imports this module
 
-        raise NumericalError("sparse LU of I - phi0 S left its symmetric ordering or "
-                             "met a nonpositive pivot; the log-det series needs both")
+        raise NumericalError("sparse LU left its symmetric ordering or met a nonpositive "
+                             "pivot; diagonal pivoting needs both")
+    return lu, pivots
+
+
+def _complex_step_derivative(A, permc_spec):
+    """(Im ln|A| / h, the column ordering) for A = I - (phi0 + ih) S."""
+    lu, pivots = _symmetric_lu(A, permc_spec)
     return float(np.sum(np.log(pivots)).imag) / COMPLEX_STEP, lu.perm_c
 
 
@@ -466,19 +478,12 @@ class WeightMatrix:
         return float(np.sum(r**power))
 
     def a0_factor(self, phi0):
-        """Sparse LU factorization of A0; returns an object with .solve(b)."""
+        """A0's checked sparse LU (``_symmetric_lu``) in the minimum-degree
+        ordering of its pattern, as a SuperLU object: ``.solve(b)`` takes a
+        vector of length n or an (n, k) block of right-hand sides."""
         self.check_phi0(phi0)
-        return spla.splu(sp.identity(self.n, format="csc") - phi0 * self.W.tocsc())
-
-    def solve_a0(self, phi0, b):
-        """Solve (I - phi0 W) x = b.
-
-        Accepts a vector of length n or an (n, k) block of right-hand sides.
-        """
-        b = np.asarray(b, dtype=float)
-        if b.shape[0] != self.n:
-            raise ValueError(f"right-hand side has length {b.shape[0]}, expected {self.n}")
-        return self.a0_factor(phi0).solve(b)
+        A0 = sp.identity(self.n, format="csc") - phi0 * self.W.tocsc()
+        return _symmetric_lu(A0, "MMD_AT_PLUS_A")[0]
 
 
 def build_queen_lattice(n1, n2):
@@ -507,13 +512,19 @@ def from_adjacency(pairs, n):
     Parameters
     ----------
     pairs : iterable of (i, j)
-        Undirected edges, 0-based. Each pair is symmetrized; duplicates
-        collapse to a single edge.
+        Undirected edges, 0-based, as m pairs that form an (m, 2) array;
+        any other shape raises ValueError. Each pair is symmetrized;
+        duplicates collapse to a single edge.
     n : int
         Number of locations. Every location must gain at least one
         neighbor, otherwise the isolated nodes are reported and rejected.
     """
-    return _edge_weights(np.array(list(pairs), dtype=float).reshape(-1, 2), int(n))
+    edges = np.array(list(pairs), dtype=float)
+    if edges.size == 0:
+        edges = edges.reshape(0, 2)
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        raise ValueError(f"edge pairs must form an (m, 2) array, got shape {edges.shape}")
+    return _edge_weights(edges, int(n))
 
 
 def _edge_weights(edges, n, where=lambda k: ""):

@@ -228,7 +228,7 @@ def test_criterion_6_causality_and_psi_decay():
     target = data.Y[-1]  # absolute step p + T = 41: exactly 41 causal terms
 
     psis = pa.psi_expansion(spec, theta, 40)
-    a0inv_u = np.array([W.solve_a0(theta.phi0, u[m]) for m in range(steps)])
+    a0inv_u = W.a0_factor(theta.phi0).solve(u.T).T
     errs = {}
     for J in (10, 20, 30, 40):
         acc = np.zeros(spec.n)

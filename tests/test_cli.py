@@ -242,6 +242,25 @@ class TestSimulateCommand:
         assert "theta: missing required key 'phi0'" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("block, value, message", [
+        # model 2 (h = 2, q = 2) with its gamma written as one row, and a
+        # nested phi: neither may be flattened into theta
+        ("gamma", [[0.75, 0.7, 0.35, -1.0]],
+         "theta: gamma must be a 2-D array with one row per neuron (h=2), got shape (1, 4)"),
+        ("phi", [[0.1]], "theta: phi must be a 1-D array, got shape (1, 1)"),
+        ("phi0", [0.5], "theta: float() argument must be"),  # a TypeError, not a traceback
+        ("beta", {"x1": 0.5}, "theta: float() argument must be"),
+    ])
+    def test_theta_block_of_wrong_shape_exit_2(self, tmp_path, capsys, block, value, message):
+        cfg_dict = json.loads((Path(__file__).resolve().parent.parent / "demos"
+                               / "model2.json").read_text())
+        cfg_dict["theta"][block] = value
+        cfg = write_config(tmp_path, cfg_dict)
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "x"), "--seed", "1"])
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("block, entry, value, name", [
         ("phi0", None, float("nan"), "phi0"),
         ("lambda", 0, float("inf"), "lambda1"),

@@ -40,7 +40,7 @@ class TestMoransI:
     def test_strong_autocorrelation_flagged(self, w2020):
         # v = A0^{-1} eps with phi0 = 0.8 is strongly positively correlated
         rng = np.random.default_rng(7)
-        v = w2020.solve_a0(0.8, rng.standard_normal(400))
+        v = w2020.a0_factor(0.8).solve(rng.standard_normal(400))
         out = pa.morans_i(w2020, v)
         assert out["z"] > 10.0
         assert out["pvalue"] < 1e-20

@@ -468,6 +468,30 @@ class TestParameterVector:
         with pytest.raises(ValueError, match="one row per neuron"):
             pa.ParameterVector(0.4, [0.3], [], [1.5, 0.5], [[0.75, -0.35, 1.0]])
 
+    @pytest.mark.parametrize("blocks, message", [
+        (([[0.1]], [], [], []), r"phi must be a 1-D array, got shape \(1, 1\)"),
+        ((0.1, [], [], []), r"phi must be a 1-D array, got shape \(\)"),
+        (([], [[0.2, 0.1]], [], []), r"beta must be a 1-D array, got shape \(1, 2\)"),
+        (([], [], [[1.5, 0.5]], [[0.75, 0.7], [0.35, -1.0]]),
+         r"lambda must be a 1-D array, got shape \(1, 2\)"),
+        # model 2's gamma written as one row of h * q entries, and flat
+        (([], [], [1.5, 0.5], [[0.75, 0.7, 0.35, -1.0]]),
+         r"gamma must be a 2-D array with one row per neuron \(h=2\), got shape \(1, 4\)"),
+        (([], [], [1.5, 0.5], [0.75, 0.7, 0.35, -1.0]), r"\(h=2\), got shape \(4,\)"),
+        (([], [], [1.5], [[[0.75, -0.35]]]), r"\(h=1\), got shape \(1, 1, 2\)"),
+        (([], [], [], [[0.75, -0.35]]), r"\(h=0\), got shape \(1, 2\)"),
+    ])
+    def test_block_shapes_enforced(self, blocks, message):
+        # a block of the wrong shape is an error, never flattened into x
+        with pytest.raises(ValueError, match=message):
+            pa.ParameterVector(0.4, *blocks)
+
+    @pytest.mark.parametrize("gamma", [[], [[]], np.zeros((0, 3))])
+    def test_empty_gamma_without_neurons(self, gamma):
+        theta = pa.ParameterVector(0.4, [0.3], [0.1], [], gamma)
+        assert theta.h == 0 and theta.layout.q == 0 and theta.gamma.shape == (0, 0)
+        assert theta.x.tolist() == [0.4, 0.3, 0.1]
+
     def test_param_names(self, w33):
         spec = pa.ModelSpec(W=w33, p=1, q=2, h=2, density=pa.normal())
         assert pa.param_names(spec) == [

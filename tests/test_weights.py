@@ -1,6 +1,7 @@
 """Weight-matrix construction, spectrum, log-det series, and A0 algebra."""
 
 import io
+import json
 import math
 import pickle
 from types import SimpleNamespace
@@ -17,6 +18,7 @@ from scipy.spatial import Delaunay
 import pstarann as pa
 from conftest import MODEL1_COLUMNS, model1_spec, model1_theta, oracle_series_node_values
 from pstarann import weights
+from pstarann.cli import main
 from pstarann.weights import LogDetSeries, read_adjacency_csv
 
 
@@ -136,6 +138,13 @@ class TestFromAdjacency:
         for bad in (float("nan"), float("inf"), None):
             with pytest.raises(ValueError, match="non-integer vertex id"):
                 pa.from_adjacency([(0, 1), (1, bad)], 3)
+
+    @pytest.mark.parametrize("pairs", [[(0, 1, 2, 3), (1, 2, 3, 4)], [(0, 1, 2)], [0, 1, 1, 2],
+                                       [[(0, 1)], [(1, 2)]]])
+    def test_pairs_must_form_m_by_2(self, pairs):
+        # a row of 4 ids is not two edges
+        with pytest.raises(ValueError, match=r"edge pairs must form an \(m, 2\) array"):
+            pa.from_adjacency(pairs, 5)
 
     def test_integer_valued_float_ids_accepted(self):
         W = pa.from_adjacency(np.array([[0.0, 1.0], [1.0, 2.0]]), 3)
@@ -594,8 +603,14 @@ class TestLogDetSeries:
             assert_allclose(u(xs), oracle_series_node_values(S, xs), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("fault", ["row permutation", "pivot sign"])
-    def test_lu_guard_raises_numerical_error(self, monkeypatch, fault):
+    def test_lu_guard_raises_numerical_error(self, monkeypatch, tmp_path, capsys, fault):
         real = spla.splu
+
+        def faulty(lu):
+            if fault == "row permutation":
+                return SimpleNamespace(perm_r=lu.perm_r[::-1], perm_c=lu.perm_c, U=lu.U)
+            return SimpleNamespace(perm_r=lu.perm_r, perm_c=lu.perm_c, U=-lu.U)
+
         # call 1 orders the pattern as the series is made; call 10 factors a
         # node of the inner positive piece, which reuses it
         for bad_call, ordering in ((1, "MMD_AT_PLUS_A"), (10, "NATURAL")):
@@ -604,46 +619,90 @@ class TestLogDetSeries:
             def tampered(*args, **kwargs):
                 lu = real(*args, **kwargs)
                 calls.append(kwargs["permc_spec"])
-                if len(calls) < bad_call:
-                    return lu
-                if fault == "row permutation":
-                    return SimpleNamespace(perm_r=lu.perm_r[::-1], perm_c=lu.perm_c, U=lu.U)
-                return SimpleNamespace(perm_r=lu.perm_r, perm_c=lu.perm_c, U=-lu.U)
+                return lu if len(calls) < bad_call else faulty(lu)
 
             monkeypatch.setattr(spla, "splu", tampered)
             with pytest.raises(pa.NumericalError, match="symmetric ordering"):
                 LogDetSeries(pa.build_queen_lattice(4, 4)._similarity)(0.4)
             assert (len(calls), calls[-1]) == (bad_call, ordering)
+        # the A0 factor of a simulation runs the same check
+        monkeypatch.setattr(spla, "splu", lambda *args, **kwargs: faulty(real(*args, **kwargs)))
+        spec = model1_spec(pa.build_queen_lattice(4, 4))
+        with pytest.raises(pa.NumericalError, match="symmetric ordering"):
+            pa.simulate(spec, model1_theta(), seed=1, T=3, burn_in=5,
+                        covariate_columns=MODEL1_COLUMNS)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "lattice": {"n1": 4, "n2": 4},
+            "model": {"p": 1, "q": 2, "h": 1, "density": "normal", "linear_term": False},
+            "covariates": [{"kind": "normal"}, {"kind": "normal"}],
+            "theta": model1_theta().to_json_dict(), "simulate": {"T": 3, "burn_in": 5}}))
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")])
+        assert code == 3
+        assert "error: sparse LU left its symmetric ordering" in capsys.readouterr().err
 
 
 class TestSolveA0:
     def test_identity_at_phi0_zero(self, w33):
         rng = np.random.default_rng(0)
         b = rng.standard_normal(9)
-        assert_allclose(w33.solve_a0(0.0, b), b, atol=1e-14)
+        assert_allclose(w33.a0_factor(0.0).solve(b), b, atol=1e-14)
 
     def test_zero_rhs(self, w33):
-        assert_allclose(w33.solve_a0(0.5, np.zeros(9)), 0.0)
+        assert_allclose(w33.a0_factor(0.5).solve(np.zeros(9)), 0.0)
 
     def test_2x2_ones_vector(self, w22):
         # A0 row sums are 1 - phi0, so A0 (2*ones) = ones at phi0 = 0.5
-        assert_allclose(w22.solve_a0(0.5, np.ones(4)), 2.0, atol=1e-12)
+        assert_allclose(w22.a0_factor(0.5).solve(np.ones(4)), 2.0, atol=1e-12)
 
     def test_multiply_back(self, w44):
         rng = np.random.default_rng(1)
         b = rng.standard_normal(16)
-        x = w44.solve_a0(0.7, b)
+        x = w44.a0_factor(0.7).solve(b)
         back = x - 0.7 * w44.W.dot(x)
         assert np.max(np.abs(back - b)) <= 1e-10 * (1.0 + np.max(np.abs(b)))
 
     def test_dense_solve_oracle(self, w22):
         b = np.array([1.0, -2.0, 0.5, 3.0])
         dense = np.linalg.solve(np.eye(4) - 0.5 * w22.W.toarray(), b)
-        assert_allclose(w22.solve_a0(0.5, b), dense, atol=1e-12)
+        assert_allclose(w22.a0_factor(0.5).solve(b), dense, atol=1e-12)
 
     def test_wrong_length(self, w22):
-        with pytest.raises(ValueError, match="length"):
-            w22.solve_a0(0.5, np.ones(5))
+        with pytest.raises(ValueError, match="incompatible size"):  # SuperLU's own check
+            w22.a0_factor(0.5).solve(np.ones(5))
+
+    @pytest.mark.parametrize("design", ["lattice4x4", "lattice6x7", "delaunay60"])
+    @pytest.mark.parametrize("phi0", [-0.995, -0.5, 0.0, 0.4, 0.995])
+    def test_solves_match_dense_solve(self, design, phi0):
+        # A0's condition number is at most about 320 on these designs (at
+        # phi0 = 0.995); the worst error seen is 1.2e-14 of max |x|
+        W = {"lattice4x4": lambda: pa.build_queen_lattice(4, 4),
+             "lattice6x7": lambda: pa.build_queen_lattice(6, 7),
+             "delaunay60": lambda: delaunay_weights(60, 4)}[design]()
+        A0 = np.eye(W.n) - phi0 * W.W.toarray()
+        lu = W.a0_factor(phi0)
+        rng = np.random.default_rng(2)
+        for b in (rng.standard_normal(W.n), rng.standard_normal((W.n, 3))):
+            x, dense = lu.solve(b), np.linalg.solve(A0, b)
+            assert x.shape == b.shape
+            assert np.max(np.abs(x - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    def test_one_symmetric_factor(self, monkeypatch):
+        # A0 is factored as the series' nodes are: diagonal pivots in
+        # symmetric mode, here in A0's own minimum-degree ordering
+        real, seen = spla.splu, []
+
+        def recording(*args, **kwargs):
+            lu = real(*args, **kwargs)
+            seen.append((kwargs, lu))
+            return lu
+
+        monkeypatch.setattr(spla, "splu", recording)
+        pa.build_queen_lattice(6, 7).a0_factor(-0.5)
+        [(kwargs, lu)] = seen
+        assert kwargs == {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+                          "panel_size": 1, "options": {"SymmetricMode": True}}
+        assert np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0)
 
 
 class TestValidation:
