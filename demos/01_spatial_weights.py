@@ -27,7 +27,8 @@ print()
 # The spectrum is real because W = D^{-1} A is similar to the symmetric
 # D^{-1/2} A D^{-1/2}. For a connected graph the largest eigenvalue is 1.
 print("largest eigenvalues:", np.round(W.eigenvalues[:4], 4))
-print("admissible phi0 interval: (-%.3f, %.3f)" % (1 / W.tau_max, 1 / W.tau_max))
+print("largest eigenvalue tau_max = %g, so the admissible phi0 interval is (-1, 1)"
+      % W.tau_max)
 print()
 
 # ln|A0| via the cached eigenvalues agrees with a dense LU factorization,
@@ -46,11 +47,11 @@ print()
 big = pa.build_queen_lattice(50, 50)
 t0 = time.time()
 vals = [big.log_det_a0(p) for p in np.linspace(-0.9, 0.9, 200)]
-backend = big.log_det_backend
-print(f"200 log-dets at n=2500 ({backend}, N_SERIES={pa.weights.N_SERIES}): "
+record = big.log_det_record
+print(f"200 log-dets at n=2500 ({record['backend']}, N_SERIES={pa.weights.N_SERIES}): "
       f"{1000 * (time.time() - t0):.1f} ms total, "
-      f"{1000 * big.log_det_build_s[backend]:.1f} ms of it the build "
-      f"({big.log_det_factorizations} sparse LUs)")
+      f"{1000 * record['build_s']:.1f} ms of it the build "
+      f"({record['factorizations']} sparse LUs)")
 
 # User-supplied adjacency works the same way (CSV with header i,j); isolated
 # nodes are rejected because their rows cannot be standardized.

@@ -2,13 +2,18 @@
 Monte-Carlo replication study
 =============================
 
-Scaled-down version of the one-neuron replication experiment: R simulate +
-fit cycles on a 20x20 lattice with T = 20, comparing empirical means and
-standard deviations of the estimates against the sandwich asymptotic
-standard errors. Equivalent to:
+Scaled-down version of the one-neuron replication experiment: R = 20
+simulate + fit cycles on a 20x20 lattice with T = 20, comparing empirical
+means and standard deviations of the estimates against the sandwich
+asymptotic standard errors. The nearest command is
 
     pstarann replicate --config model1.json --out outdir \
-        --replicates 50 --threads 4
+        --replicates 20 --seed 11
+
+which differs in its design and its fit seeds: model1.json has a 30x30
+lattice and T = 30, and the command fits replicate r from seed 11 + r where
+this script uses seed r. Replicate r's panel draws from the same stream in
+both, SeedSequence(11, spawn_key=(r,)).
 """
 
 import warnings

@@ -14,14 +14,20 @@ The config is one JSON document with sections:
     "adjacency":  {"file": "edges.csv", "n": 3107}
     "model":      {"p": 1, "q": 2, "h": 1, "density": "normal",
                    "linear_term": true, "intercept": false}
-    "covariates": [{"kind": "normal", "sd": 1.5}, ...]   (q entries)
+    "covariates": [{"kind": "normal", "mean": 0, "sd": 1.5},
+                   {"kind": "constant", "value": 1}, ...]   (q entries)
     "theta":      {"phi0": .., "phi": [..], "beta": [..],
                    "lambda": [..], "gamma": [[..]]}      (simulate/replicate)
     "simulate":   {"T": 30, "burn_in": 200}
     "optim":      {"n_starts": 5, "tol": 1e-8, "max_iter": 500}
 
-Exit codes: 0 success, 2 input error (bad config, malformed CSV, non-causal
-parameters), 3 numerical non-convergence or a failed numerical self-check.
+The config and its object sections hold no other keys than these, for
+every command; a covariate column holds only its kind's keys (kind, mean
+and sd for normal, kind and value for constant).
+
+Exit codes: 0 success, 2 input error (bad config, unknown config key,
+malformed CSV, non-causal parameters), 3 numerical non-convergence or a
+failed numerical self-check.
 Every command is deterministic under a fixed --seed, including replicate
 summaries across thread counts. ``replicate --threads 1`` runs its replicates
 in this process; with K > 1, each of K worker processes receives the study
@@ -60,6 +66,19 @@ class ConfigError(ValueError):
     pass
 
 
+# the keys of each config section but "covariates", an array of columns
+SECTION_KEYS = {
+    "lattice": ("n1", "n2"),
+    "adjacency": ("file", "n"),
+    "model": ("p", "q", "h", "density", "linear_term", "intercept"),
+    "theta": ("phi0", "phi", "beta", "lambda", "gamma"),
+    "simulate": ("T", "burn_in"),
+    "optim": ("n_starts", "tol", "max_iter"),
+}
+# the keys of a covariate column, by kind
+COVARIATE_KEYS = {"normal": ("kind", "mean", "sd"), "constant": ("kind", "value")}
+
+
 # ----------------------------------------------------------------------
 # Config handling
 # ----------------------------------------------------------------------
@@ -75,7 +94,22 @@ def load_config(path):
                           f"{exc.msg}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: the config must be a JSON object")
+    # every section, also one the command does not read: one config serves
+    # every command
+    _only(cfg, "config", (*SECTION_KEYS, "covariates"))
+    for name, keys in SECTION_KEYS.items():
+        if name in cfg:
+            _only(_typed(cfg, name, "config", dict), name, keys)
     return cfg
+
+
+def _only(section, where, keys):
+    """Raise ``ConfigError`` on the first key of ``section`` outside ``keys``:
+    a misspelt key would otherwise fall back silently to its default."""
+    for key in section:
+        if key not in keys:
+            raise ConfigError(f"{where}: unknown key {key!r}; expected one of "
+                              f"{', '.join(keys)}")
 
 
 def _typed(cfg, key, where, kind, *default, minimum=None):
@@ -132,7 +166,8 @@ def build_spec(cfg, W):
 
 
 def covariate_columns(cfg, q):
-    """The q covariate specs: objects of kind normal or constant, finite mean/sd/value."""
+    """The q covariate specs: objects of kind normal (finite mean, finite sd >= 0)
+    or constant (finite value), each with only its kind's keys."""
     columns = _typed(cfg, "covariates", "config", list)
     if len(columns) != q:
         raise ConfigError(f"covariates: {len(columns)} column specs but model.q={q}")
@@ -140,10 +175,13 @@ def covariate_columns(cfg, q):
         where = f"covariates[{j}]"
         if not isinstance(col, dict):
             raise ConfigError(f"{where} must be a JSON object, got {col!r}")
-        if _typed(col, "kind", where, str, "normal") not in ("normal", "constant"):
-            raise ConfigError(f"{where}.kind must be 'normal' or 'constant', got {col['kind']!r}")
-        for key in ("mean", "sd", "value"):
-            _typed(col, key, where, float, 0.0)
+        kind = _typed(col, "kind", where, str, "normal")
+        if kind not in COVARIATE_KEYS:
+            raise ConfigError(f"{where}.kind must be 'normal' or 'constant', got {kind!r}")
+        keys = COVARIATE_KEYS[kind]
+        _only(col, f"{where} (kind {kind!r})", keys)
+        for key in keys[1:]:
+            _typed(col, key, where, float, 0.0, minimum=0 if key == "sd" else None)
     return columns
 
 
@@ -228,11 +266,7 @@ def cmd_fit(args):
     out.mkdir(parents=True, exist_ok=True)
     record = result.to_json_dict()
     # the W precomputation the fit paid for, first touched by its starts
-    W = spec.W
-    record["log_det"] = {"backend": W.log_det_backend,
-                         "build_s": W.log_det_build_s.get(W.log_det_backend),
-                         "pieces": W.log_det_pieces,
-                         "factorizations": W.log_det_factorizations}
+    record["log_det"] = spec.W.log_det_record
     with open(out / "fit.json", "w") as fh:
         json.dump(record, fh, indent=2)
     table = result.format_table()

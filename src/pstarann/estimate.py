@@ -16,8 +16,11 @@ stage warm-started from the last (Madsen & Nielsen 1993). Its
 objective. Every start leaves a record in ``FitResult.trace``. Default
 boxes keep the search compact and sigmoid arguments sane:
 
-    phi0 in [-0.995, 0.995] / tau_max,  phi_i in [-3, 3],
-    beta, lambda in [-50, 50],          gamma in [-25, 25].
+    |phi0| <= SERIES_PHI0_MAX,  phi_i in [-3, 3],
+    beta, lambda in [-50, 50],  gamma in [-25, 25].
+
+The phi0 box is the log-det series' own (``weights.SERIES_PHI0_MAX``), so
+no trial of a fit at n >= N_SERIES falls through to the dense spectrum.
 
 The identification convention gamma_i1 > 0 is NOT imposed during the
 search (it is a labeling convention, not a statistical constraint); it is
@@ -55,6 +58,7 @@ import numpy as np
 from scipy import optimize
 from scipy.special import chdtrc
 
+from . import weights
 from .densities import SmoothedLaplace
 from .likelihood import LikelihoodWorkspace, NumericalError
 from .model import (
@@ -205,7 +209,7 @@ class FitResult:
 
 def default_bounds(spec: ModelSpec):
     """Box constraints in canonical order, as an (dim, 2) array."""
-    lay, phi0_cap = spec.layout, 0.995 / spec.W.tau_max
+    lay, phi0_cap = spec.layout, weights.SERIES_PHI0_MAX
     bounds = np.empty((lay.dim, 2))
     bounds[0] = (-phi0_cap, phi0_cap)
     bounds[lay.phi] = (-3.0, 3.0)
@@ -247,8 +251,8 @@ def initial_points(ws: LikelihoodWorkspace, n_starts=5, seed=0):
         r = r_y - phi0 * r_l
         return -0.5 * float(r @ r)
 
-    phi0_hat = _grid_argmax(np.linspace(-0.9, 0.9, 37) * (1.0 / spec.W.tau_max),
-                            residual_term, lambda phi0: T * spec.W.log_det_a0(phi0))
+    phi0_hat = _grid_argmax(np.linspace(-0.9, 0.9, 37), residual_term,
+                            lambda phi0: T * spec.W.log_det_a0(phi0))
 
     def draw_gamma():  # draws nothing when h = 0
         g = rng.standard_normal((spec.h, spec.q))

@@ -125,7 +125,9 @@ class ModelSpec:
 
 
 def _block(name, label):
-    """A block of ``ParameterVector.x``: reads as a view, assignment copies into it."""
+    """A block of ``ParameterVector.x``: reads as a view, assignment copies into
+    it. The value must have the view's shape; an empty value fills an empty
+    block of any shape."""
 
     def get(self):
         view = self.x[getattr(self.layout, name)]
@@ -133,8 +135,14 @@ def _block(name, label):
 
     def put(self, value):
         view, value = get(self), np.asarray(value, dtype=float)
-        if value.size != view.size:
-            raise ValueError(f"{label} has {view.size} entries; cannot assign {value.size}")
+        if value.shape != view.shape and (value.size or view.size):
+            if value.ndim != view.ndim or value.shape[:-1] != view.shape[:-1]:
+                shape = (f"a 2-D array with one row per neuron (h={view.shape[0]})"
+                         if view.ndim == 2 else "a 1-D array")
+                raise ValueError(f"{label} must be {shape}, got shape {value.shape}")
+            unit = "columns" if view.ndim == 2 else "entries"
+            raise ValueError(f"{label} has {view.shape[-1]} {unit}; "
+                             f"cannot assign {value.shape[-1]}")
         view[...] = value.reshape(view.shape)
 
     return property(get, put)
@@ -145,9 +153,10 @@ class ParameterVector:
 
     ``phi0`` is ``x[0]``; ``phi`` (p,), ``beta`` (n_beta,), ``lam`` (h,) and
     ``gamma`` (h, q) are views of ``x`` at the slices of ``layout``, so writes
-    into them reach ``x``. The constructor takes the blocks in these shapes,
-    with ``gamma`` empty when h = 0, and raises ``ValueError`` on any other;
-    assigning a block must keep its size."""
+    into them reach ``x``. The constructor sizes the layout from the blocks
+    and assigns them, so one rule serves construction and assignment: a
+    block takes a value of its own shape, or an empty value when it is
+    empty (``gamma`` when h = 0), and raises ``ValueError`` otherwise."""
 
     phi = _block("phi", "phi")
     beta = _block("beta", "beta")
@@ -158,17 +167,13 @@ class ParameterVector:
     dim = property(lambda self: self.x.size)
 
     def __init__(self, phi0, phi, beta, lam, gamma):
-        phi, beta, lam = (np.asarray(b, dtype=float) for b in (phi, beta, lam))
-        for name, block in (("phi", phi), ("beta", beta), ("lambda", lam)):
-            if block.ndim != 1:
-                raise ValueError(f"{name} must be a 1-D array, got shape {block.shape}")
-        gamma = np.asarray(gamma, dtype=float)
-        h = lam.size
-        if (gamma.ndim != 2 or gamma.shape[0] != h) if h else gamma.size:
-            raise ValueError(f"gamma must be a 2-D array with one row per neuron (h={h}), "
-                             f"got shape {gamma.shape}")
-        self.x = np.concatenate(([float(phi0)], phi, beta, lam, gamma.ravel()))
-        self.layout = Layout(phi.size, beta.size, h, gamma.shape[1] if h else 0)
+        blocks = [np.asarray(b, dtype=float) for b in (phi, beta, lam, gamma)]
+        h = blocks[2].size
+        self.layout = Layout(blocks[0].size, blocks[1].size, h,
+                             blocks[3].size // h if h else 0)
+        self.x = np.empty(self.layout.dim)
+        self.x[0] = float(phi0)
+        self.phi, self.beta, self.lam, self.gamma = blocks
 
     @classmethod
     def from_array(cls, arr, spec: ModelSpec):

@@ -23,9 +23,8 @@ A0 is similar to I - phi0 S, which is symmetric positive definite for
 
 Two backends compute f, f' and f''. Both are built lazily, on the first
 log-determinant or trace (which only a likelihood needs), and cached for
-the life of the WeightMatrix; ``log_det_build_s`` records the build time,
-``log_det_pieces`` the series pieces built and ``log_det_factorizations``
-the sparse LUs they took.
+the life of the WeightMatrix; ``log_det_record`` reports the backend, its
+build time, the series pieces built and the sparse LUs they took.
 
 - The spectrum (Ord's device): one dense symmetric eigensolve of S, after
   which every evaluation is O(n). It costs O(n^3) time and n^2 memory, and
@@ -308,22 +307,19 @@ class WeightMatrix:
         cached; each of its four pieces is built on its first evaluation.
         The log-det reads it from N_SERIES locations on for
         |phi0| <= SERIES_PHI0_MAX.
-    log_det_backend : str
-        "series" from N_SERIES locations on, else "spectrum": the backend
-        of the log-det and traces inside the default phi0 box.
-    log_det_build_s : dict
-        Wall seconds of each backend build so far, keyed "spectrum" and
-        "series"; the series' entry grows with each piece it builds.
-    log_det_pieces : list of str
-        The series pieces built so far, named as in
-        ``LogDetSeries.PIECES``; empty while no series is made.
-    log_det_factorizations : int
-        The sparse LUs the series has factored so far; 0 while no series
-        is made.
+    log_det_record : dict
+        What the log-det has built so far, as a fresh dict: ``backend``,
+        "series" when W was made with at least N_SERIES locations, else
+        "spectrum" (the backend inside the series' box); ``build_s``, the
+        wall seconds of that backend's build so far, None before it starts
+        (the series' grows with each piece); ``pieces``, the series pieces
+        built, named as in ``LogDetSeries.PIECES``; ``factorizations``, the
+        sparse LUs the series has factored. Without a series, ``pieces`` is
+        [] and ``factorizations`` 0.
     tau_max : float
         max_i |tau_i|, which is the largest eigenvalue: exactly 1, the
         Perron root of a row-stochastic W. The admissible phi0 interval is
-        (-1/tau_max, 1/tau_max).
+        (-1, 1).
     tau_min : float
         The smallest eigenvalue, from Lanczos on first access, then cached.
         ARPACK starts from a fixed vector, so it is the same in every
@@ -372,7 +368,8 @@ class WeightMatrix:
 
         self.n = n
         self.W = W
-        self.log_det_backend = "series" if n >= N_SERIES else "spectrum"
+        # fixed here: N_SERIES is read once per W, not at each log-det
+        self._backend = "series" if n >= N_SERIES else "spectrum"
         self._spectrum_build_s = None
         self._similarity = sp.csr_matrix(S)
         self.lattice_dims = tuple(lattice_dims) if lattice_dims else None
@@ -401,23 +398,15 @@ class WeightMatrix:
         return LogDetSeries(self._similarity)
 
     @property
-    def log_det_build_s(self):
-        built = {}
-        if "eigenvalues" in self.__dict__:
-            built["spectrum"] = self._spectrum_build_s
-        if "log_det_series" in self.__dict__:
-            built["series"] = self.log_det_series.build_s
-        return built
-
-    @property
-    def log_det_pieces(self):
+    def log_det_record(self):
         series = self.__dict__.get("log_det_series")
-        return series.pieces if series is not None else []
-
-    @property
-    def log_det_factorizations(self):
-        series = self.__dict__.get("log_det_series")
-        return series.factorizations if series is not None else 0
+        if self._backend == "series":
+            build_s = series.build_s if series else None
+        else:
+            build_s = self._spectrum_build_s
+        return {"backend": self._backend, "build_s": build_s,
+                "pieces": series.pieces if series else [],
+                "factorizations": series.factorizations if series else 0}
 
     @cached_property
     def tau_min(self):
@@ -442,40 +431,39 @@ class WeightMatrix:
     # ------------------------------------------------------------------
 
     def admits(self, phi0):
-        """Whether phi0 lies in the admissible interval (-1/tau_max, 1/tau_max)."""
-        return abs(phi0) * self.tau_max < 1.0
+        """Whether phi0 lies in the admissible interval (-1, 1)."""
+        return abs(phi0) < 1.0
 
     def check_phi0(self, phi0):
         """Raise ``ValueError`` unless ``admits(phi0)``: the one phi0 domain check,
         run first by the log-det, the traces, ``a0_factor`` and ``check_causal``."""
         if not self.admits(phi0):
-            bound = 1.0 / self.tau_max
             raise ValueError(
-                f"phi0={phi0} outside the admissible interval "
-                f"(-{bound:.6g}, {bound:.6g}); A0 would be singular or "
-                "sign-indefinite"
+                f"phi0={phi0} outside the admissible interval (-1, 1); A0 would "
+                "be singular or sign-indefinite"
             )
 
-    def _series_covers(self, phi0):
-        return self.log_det_backend == "series" and abs(phi0) <= SERIES_PHI0_MAX
+    def _log_det(self, phi0, order):
+        """The ``order``-th phi0-derivative of ln|I - phi0 W|, order 0, 1 or 2:
+        the series inside its box on a series W, else the eigenvalue sums."""
+        self.check_phi0(phi0)
+        if self._backend == "series" and abs(phi0) <= SERIES_PHI0_MAX:
+            return self.log_det_series(phi0, order)
+        tau = self.eigenvalues
+        if order == 0:
+            return float(np.sum(np.log1p(-phi0 * tau)))
+        return -float(np.sum((tau / (1.0 - phi0 * tau)) ** order))
 
     def log_det_a0(self, phi0):
         """ln|I - phi0 W| via the cached series or eigenvalues."""
-        self.check_phi0(phi0)
-        if self._series_covers(phi0):
-            return self.log_det_series(phi0)
-        return float(np.sum(np.log1p(-phi0 * self.eigenvalues)))
+        return self._log_det(phi0, 0)
 
     def trace_w_a0inv(self, phi0, power=1):
         """tr(W A0^{-1}) for power=1, tr((W A0^{-1})^2) for power=2: both are
         -d^power/dphi0^power ln|A0|."""
-        self.check_phi0(phi0)
         if power not in (1, 2):
             raise ValueError("power must be 1 or 2")
-        if self._series_covers(phi0):
-            return -self.log_det_series(phi0, power)
-        r = self.eigenvalues / (1.0 - phi0 * self.eigenvalues)
-        return float(np.sum(r**power))
+        return -self._log_det(phi0, power)
 
     def a0_factor(self, phi0):
         """A0's checked sparse LU (``_symmetric_lu``) in the minimum-degree

@@ -169,9 +169,12 @@ class TestSimulateCommand:
         assert (a / "panel.csv").read_bytes() == (b / "panel.csv").read_bytes()
 
     @pytest.mark.parametrize("section, value, commands, expected", [
-        ("optim", [1], ["fit", "replicate"], "config.optim must be a JSON object, got [1]"),
-        ("simulate", 8, ["simulate", "replicate"], "config.simulate must be a JSON object, got 8"),
-        ("theta", [0.6], ["simulate"], "config.theta must be a JSON object, got [0.6]"),
+        # every command checks every section, also one it does not read
+        ("optim", [1], ["simulate", "fit", "replicate"],
+         "config.optim must be a JSON object, got [1]"),
+        ("simulate", 8, ["simulate", "fit", "replicate"],
+         "config.simulate must be a JSON object, got 8"),
+        ("theta", [0.6], ["simulate", "fit"], "config.theta must be a JSON object, got [0.6]"),
         ("lattice", "6x6", ["simulate", "fit"], "config.lattice must be a JSON object, got '6x6'"),
         ("model", {**MODEL1_CONFIG["model"], "density": 5}, ["simulate", "fit"],
          "model.density must be a string, got 5"),
@@ -232,6 +235,39 @@ class TestSimulateCommand:
         code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")])
         assert code == 2
         assert "scalar.json: the config must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("simulate", "burnin"), 50, "simulate: unknown key 'burnin'"),
+        (("optim", "nstarts"), 2, "optim: unknown key 'nstarts'"),
+        (("optimizer",), {"n_starts": 2}, "config: unknown key 'optimizer'"),
+        (("model", "intercpt"), True, "model: unknown key 'intercpt'"),
+        (("lattice", "n3"), 2, "lattice: unknown key 'n3'"),
+        (("theta", "lam"), [1.5], "theta: unknown key 'lam'"),
+        # a normal column drawn with sd 1, a constant one drawn N(0, 1), a
+        # value that a normal column ignores, and a negative sd
+        (("covariates", 0), {"kind": "normal", "sigma": 9}, "unknown key 'sigma'"),
+        (("covariates", 0), {"knd": "constant", "value": 1}, "unknown key 'knd'"),
+        (("covariates", 0), {"kind": "normal", "value": 7}, "unknown key 'value'"),
+        (("covariates", 0), {"kind": "normal", "sd": -1.5},
+         "covariates[0].sd must be >= 0, got -1.5"),
+    ], ids=["simulate.burnin", "optim.nstarts", "optimizer", "model.intercpt", "lattice.n3",
+            "theta.lam", "normal-sigma", "knd-constant", "normal-value", "negative-sd"])
+    def test_unknown_config_key_exit_2(self, tmp_path, capsys, path, value, message):
+        # every command checks every section, also one it does not read
+        cfg_dict = json.loads(json.dumps(MODEL1_CONFIG))
+        *parents, last = path
+        section = cfg_dict
+        for key in parents:
+            section = section[key]
+        section[last] = value
+        cfg = write_config(tmp_path, cfg_dict)
+        for command in (["simulate"], ["fit", "--panel", str(tmp_path / "panel.csv")],
+                        ["replicate", "--replicates", "2"]):
+            code = main(command + ["--config", cfg, "--out", str(tmp_path / "x")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err, (command, err)
+            assert not (tmp_path / "x").exists()
 
     def test_theta_without_phi0_exit_2(self, tmp_path, capsys):
         cfg_dict = json.loads(json.dumps(MODEL1_CONFIG))
@@ -346,6 +382,7 @@ class TestFitCommand:
             runs.append(json.loads((tmp / name / "fit.json").read_text()))
         capsys.readouterr()
         for run in runs:
+            assert list(run["log_det"]) == ["backend", "build_s", "pieces", "factorizations"]
             assert run["log_det"]["backend"] == "spectrum"  # n = 36
             assert run["log_det"]["build_s"] > 0.0 and run["log_det"]["pieces"] == []
             assert run["log_det"]["factorizations"] == 0

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 import pstarann as pa
-from pstarann import estimate
+from pstarann import estimate, weights
 from pstarann.densities import SmoothedLaplace
 from conftest import MODEL1_COLUMNS, model1_spec, model1_theta, random_panel
 
@@ -510,6 +510,14 @@ class TestInitialPoints:
             x = a.to_array()
             assert np.all(x >= bounds[:, 0]) and np.all(x <= bounds[:, 1])
             assert np.all(a.gamma[:, 0] > 0)
+
+    def test_phi0_box_is_the_series_box(self, w33, monkeypatch):
+        # read at call time, so a fit never steps past the series' box
+        spec = model1_spec(w33)
+        cap = weights.SERIES_PHI0_MAX
+        assert pa.default_bounds(spec)[0].tolist() == [-cap, cap]
+        monkeypatch.setattr(weights, "SERIES_PHI0_MAX", 0.9)
+        assert pa.default_bounds(spec)[0].tolist() == [-0.9, 0.9]
 
     def test_single_start(self, w33):
         spec, data = small_model1_data(w33, T=4)

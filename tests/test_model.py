@@ -485,6 +485,13 @@ class TestParameterVector:
         # a block of the wrong shape is an error, never flattened into x
         with pytest.raises(ValueError, match=message):
             pa.ParameterVector(0.4, *blocks)
+        # and the same for assignment into a theta of the blocks' sizes
+        p, n_beta, h, size = (np.size(b) for b in blocks)
+        theta = pa.ParameterVector(0.4, np.zeros(p), np.zeros(n_beta), np.zeros(h),
+                                   np.zeros((h, size // h if h else 0)))
+        with pytest.raises(ValueError, match=message):
+            for name, block in zip(("phi", "beta", "lam", "gamma"), blocks):
+                setattr(theta, name, block)
 
     @pytest.mark.parametrize("gamma", [[], [[]], np.zeros((0, 3))])
     def test_empty_gamma_without_neurons(self, gamma):

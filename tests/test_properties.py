@@ -86,8 +86,13 @@ class TestParameterLayout:
             assert same_bits(theta.x[sl], new.ravel())
             view[...] = 0.0  # in-place writes reach x too
             assert not np.any(theta.x[sl])
-            with pytest.raises(ValueError, match="cannot assign"):
+            # a flat value is a shape error for gamma, a size error elsewhere
+            message = "one row per neuron" if block == "gamma" else "cannot assign"
+            with pytest.raises(ValueError, match=message):
                 setattr(theta, block, np.zeros(view.size + 1))
+            if block == "gamma" and view.size:
+                with pytest.raises(ValueError, match="cannot assign"):
+                    setattr(theta, block, np.zeros((view.shape[0], view.shape[1] + 1)))
 
     @PROPERTY_SETTINGS
     @given(spec_and_array())

@@ -451,8 +451,8 @@ class TestLogDetSeries:
 
     def test_backend_chosen_from_n(self, monkeypatch):
         path = lambda n: pa.from_adjacency([(i, i + 1) for i in range(n - 1)], n)  # noqa: E731
-        assert path(weights.N_SERIES - 1).log_det_backend == "spectrum"
-        assert path(weights.N_SERIES).log_det_backend == "series"
+        assert path(weights.N_SERIES - 1).log_det_record["backend"] == "spectrum"
+        assert path(weights.N_SERIES).log_det_record["backend"] == "series"
 
         monkeypatch.setattr(weights, "N_SERIES", 20)
         below, above = pa.build_queen_lattice(4, 4), pa.build_queen_lattice(4, 5)
@@ -461,15 +461,17 @@ class TestLogDetSeries:
             W.trace_w_a0inv(-0.995, 2)
         assert "eigenvalues" in below.__dict__ and "log_det_series" not in below.__dict__
         assert "log_det_series" in above.__dict__ and "eigenvalues" not in above.__dict__
-        assert set(above.log_det_build_s) == {"series"}
+        record = above.log_det_record
+        assert record["backend"] == "series" and record["build_s"] > 0.0
         assert_allclose(above.log_det_a0(0.3), spectrum_log_det(above, 0.3)[0], rtol=1e-12)
         # beyond the series' box the spectrum answers, on either side of N_SERIES
         assert above.log_det_a0(0.999) == spectrum_log_det(above, 0.999)[0]
-        assert set(above.log_det_build_s) == {"series", "spectrum"}
+        assert "log_det_series" in above.__dict__ and "eigenvalues" in above.__dict__
+        assert above.log_det_record == record  # the record names the series only
 
     def test_fit_above_threshold_makes_no_eigh_call(self, eigh_calls):
         spec = model1_spec(series_lattice())
-        assert spec.W.log_det_backend == "series"
+        assert spec.W.log_det_record["backend"] == "series"
         data = pa.simulate(spec, model1_theta(), seed=5, T=2, burn_in=20,
                            covariate_columns=MODEL1_COLUMNS)
         res = pa.fit(spec, data, n_starts=2, seed=1)
@@ -481,7 +483,7 @@ class TestLogDetSeries:
         # as replicate --threads builds it before the workers start
         for phi0 in (-0.95, -0.5, 0.5, 0.95):
             W.log_det_a0(phi0)
-        assert W.log_det_pieces == list(LogDetSeries.PIECES)
+        assert W.log_det_record["pieces"] == list(LogDetSeries.PIECES)
         pickled, seen = io.BytesIO(), set()
 
         class Recorder(pickle.Pickler):
@@ -507,7 +509,8 @@ class TestLogDetSeries:
         copy = pickle.loads(pickle.dumps(W))  # the pattern travels, no factor
         for phi0 in (-0.95, -0.9, -0.3, 0.3, 0.95):
             assert copy.trace_w_a0inv(phi0, 2) == W.trace_w_a0inv(phi0, 2)
-        assert copy.log_det_pieces == W.log_det_pieces == list(LogDetSeries.PIECES)
+        assert copy.log_det_record["pieces"] == W.log_det_record["pieces"] \
+            == list(LogDetSeries.PIECES)
 
     def test_log_det_nonpositive_on_the_start_grid(self, w2020):
         # f <= 0 is the bound that lets initial_points skip phi0 < 0
@@ -528,10 +531,10 @@ class TestLogDetSeries:
 
         monkeypatch.setattr(spla, "splu", counting)
         res = pa.fit(spec, data, n_starts=3, seed=0)
-        assert res.theta.phi0 > 0.0 and spec.W.log_det_pieces == ["positive-inner"]
+        assert res.theta.phi0 > 0.0 and spec.W.log_det_record["pieces"] == ["positive-inner"]
         # the ordering node is the piece's first node
         assert calls == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (weights.SERIES_NODES - 1)
-        assert len(calls) == spec.W.log_det_factorizations == 24
+        assert len(calls) == spec.W.log_det_record["factorizations"] == 24
 
     def test_negative_dependence_fit_matches_an_eager_build(self, monkeypatch):
         monkeypatch.setattr(weights, "N_SERIES", 20)
@@ -640,6 +643,56 @@ class TestLogDetSeries:
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")])
         assert code == 3
         assert "error: sparse LU left its symmetric ordering" in capsys.readouterr().err
+
+
+class TestLogDetRecord:
+    EMPTY = {"build_s": None, "pieces": [], "factorizations": 0}
+
+    @pytest.mark.parametrize("backend, built", [
+        ("spectrum", {"pieces": [], "factorizations": 0}),
+        ("series", {"pieces": ["positive-inner"], "factorizations": weights.SERIES_NODES}),
+    ])
+    def test_empty_before_the_first_log_det_filled_after(self, monkeypatch, backend, built):
+        if backend == "series":
+            monkeypatch.setattr(weights, "N_SERIES", 20)
+        W = pa.build_queen_lattice(4, 5)
+        assert W.log_det_record == {"backend": backend, **self.EMPTY}
+        W.log_det_a0(0.3)
+        record = W.log_det_record
+        assert record.pop("build_s") > 0.0
+        assert record == {"backend": backend, **built}
+
+    def test_returns_a_fresh_dict(self, monkeypatch):
+        monkeypatch.setattr(weights, "N_SERIES", 20)
+        W = pa.build_queen_lattice(4, 5)
+        W.log_det_a0(0.3)
+        before = W.log_det_record
+        record = W.log_det_record
+        record["backend"] = "spectrum"
+        record["pieces"].append("negative-inner")
+        record["factorizations"] = 0
+        assert W.log_det_record == before
+        assert W.log_det_series.pieces == ["positive-inner"]
+
+    def test_backend_fixed_when_w_is_made(self, monkeypatch):
+        # each W's first log-det runs under a threshold that would flip it
+        spectrum = pa.build_queen_lattice(4, 5)
+        monkeypatch.setattr(weights, "N_SERIES", 20)
+        spectrum.log_det_a0(0.3)
+        series = pa.build_queen_lattice(4, 5)
+        monkeypatch.setattr(weights, "N_SERIES", 10**6)
+        series.log_det_a0(0.3)
+        assert spectrum.log_det_record["backend"] == "spectrum"
+        assert "eigenvalues" in spectrum.__dict__ and "log_det_series" not in spectrum.__dict__
+        assert series.log_det_record["backend"] == "series"
+        assert "log_det_series" in series.__dict__ and "eigenvalues" not in series.__dict__
+
+    def test_series_record_ignores_a_beyond_box_spectrum(self, monkeypatch):
+        monkeypatch.setattr(weights, "N_SERIES", 20)
+        W = pa.build_queen_lattice(4, 5)
+        W.trace_w_a0inv(0.999, 2)  # beyond SERIES_PHI0_MAX: the eigenvalues answer
+        assert "eigenvalues" in W.__dict__ and "log_det_series" not in W.__dict__
+        assert W.log_det_record == {"backend": "series", **self.EMPTY}
 
 
 class TestSolveA0:
