@@ -2,19 +2,21 @@
 Maximum-likelihood fitting with box constraints, multi-start, post-hoc
 canonicalization, and sandwich covariance.
 
-Every error family runs one optimizer: a projected trust-region Newton
-method on the analytic gradient and Hessian (Lin & Moré 1999, TRON), with
-each subproblem solved exactly through an eigendecomposition of the Hessian
-block of the free variables (Moré & Sorensen 1983). Its stopping rule is the
-``converged`` that ``fit`` reports: the projected gradient's infinity norm
-is at most tol * (1 + |f|) for the minimized objective f. The Laplace
-log-density has a kink at 0 and no curvature elsewhere, so a Laplace fit
-runs the trust region on a smoothing homotopy: the pseudo-Huber surrogate
--ln(2b) - sqrt(s^2 + mu^2) / b for each mu in ``_LAPLACE_SMOOTHING``, each
-stage warm-started from the last (Madsen & Nielsen 1993). Its
-``converged`` and ``gradient_norm`` are those of the last stage's
-objective. Every start leaves a record in ``FitResult.trace``. Default
-boxes keep the search compact and sigmoid arguments sane:
+Every error family runs one optimizer, ``_trust_region_newton``, which
+``fit`` calls directly: a projected trust-region Newton method on the
+analytic gradient and Hessian (Lin & Moré 1999, TRON), with each
+subproblem solved exactly through an eigendecomposition of the Hessian
+block of the free variables (Moré & Sorensen 1983). Its stopping rule is
+the ``converged`` that ``fit`` reports: the projected gradient's
+infinity norm is at most tol * (1 + |f|) for the minimized objective f.
+The Laplace log-density has a kink at 0 and no curvature elsewhere, so a
+Laplace fit runs the trust region on a smoothing homotopy: the
+pseudo-Huber surrogate -ln(2b) - sqrt(s^2 + mu^2) / b for each mu in
+``_LAPLACE_SMOOTHING``, each stage warm-started from the last (Madsen &
+Nielsen 1993). Its ``converged`` and ``gradient_norm`` are those of the
+last stage's objective. Every start leaves a record in
+``FitResult.trace``. Default boxes keep the search compact and sigmoid
+arguments sane:
 
     |phi0| <= SERIES_PHI0_MAX,  phi_i in [-3, 3],
     beta, lambda in [-50, 50],  gamma in [-25, 25].
@@ -52,10 +54,10 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
+from types import SimpleNamespace
+from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import optimize
 from scipy.special import chdtrc
 
 from . import weights
@@ -83,7 +85,7 @@ __all__ = [
 ]
 
 # Not used by the estimator: bench/tracer.py reads it to count finite
-# optima, and it goes once the tracer stops reading it.
+# optima (see ``optimize`` below).
 _PENALTY = 1e15
 # The widths mu of a Laplace fit's pseudo-Huber stages, each a tenth of the
 # last (``fit`` extrapolates along that ratio). The last stage's optimum
@@ -218,6 +220,24 @@ def default_bounds(spec: ModelSpec):
     return bounds
 
 
+def _checked_bounds(bounds, spec: ModelSpec):
+    """``bounds`` as a (dim, 2) float array of rows (lb, ub).
+
+    Raises ValueError for another shape, and naming the parameter, for a
+    NaN bound or lb > ub.
+    """
+    bounds = np.asarray(bounds, dtype=float)
+    if bounds.shape != (spec.dim, 2):
+        raise ValueError(f"bounds must have shape ({spec.dim}, 2), one (lower, upper) row "
+                         f"per parameter; got shape {bounds.shape}")
+    for name, (lo, hi) in zip(param_names(spec), bounds):
+        if np.isnan(lo) or np.isnan(hi):
+            raise ValueError(f"bounds for {name} are ({lo}, {hi}): a bound is NaN")
+        if lo > hi:
+            raise ValueError(f"bounds for {name} are ({lo}, {hi}): lower exceeds upper")
+    return bounds
+
+
 def initial_points(ws: LikelihoodWorkspace, n_starts=5, seed=0):
     """Deterministic multi-start initial values for the workspace's panel.
 
@@ -346,33 +366,47 @@ def _trust_region_step(g, lam, Q, delta):
     return -Q @ w
 
 
-def _trust_region_newton(fun, x0, jac, hess, bounds, gtol=1e-8, maxiter=500, **_):
-    """Projected trust-region Newton on a box, a method for ``optimize.minimize``.
+class TrustRegionResult(NamedTuple):
+    """The end of one ``_trust_region_newton`` run."""
 
-    Lin & Moré (1999, TRON) with an exact subproblem: each iteration takes
-    the free variables (those not held on a bound by ``_first_order``),
-    solves the trust-region subproblem on their block of the Hessian
-    (``_trust_region_step``), projects the step onto the box and applies
-    the ratio test. A trial point where ``fun`` is not finite is rejected
+    x: np.ndarray
+    fun: float
+    nit: int
+    nfev: int
+    success: bool
+    pg_norm: float
+    message: str
+
+
+def _trust_region_newton(fun, x0, hess, bounds, gtol=1e-8, maxiter=500):
+    """Projected trust-region Newton on the box ``bounds``, (dim, 2) rows (lb, ub).
+
+    ``fun(x)`` returns the objective and its gradient, ``(f, g)``, and
+    ``hess(x)`` its Hessian. Lin & Moré (1999, TRON) with an exact
+    subproblem: each iteration takes the free variables (those not held on
+    a bound by ``_first_order``), solves the trust-region subproblem on
+    their block of the Hessian (``_trust_region_step``), projects the step
+    onto the box and applies the ratio test. A trial point where ``fun`` is not finite is rejected
     and shrinks the radius. Both reductions in the ratio carry
     10 eps max(1, |f|), so that once the predicted gain falls below the
     objective's rounding a step is judged by its model alone (Conn, Gould
     & Toint 2000, sec. 17.4.2). Stops when ``_first_order`` holds with
     ``gtol``, after ``maxiter`` trials, when the radius falls below the
     rounding of x, or after ``_FLAT_TRIALS`` trials in a row that lowered f
-    by no more than its rounding. ``nit`` counts trials, accepted or not;
-    ``pg_norm`` is the projected-gradient norm of the last ``_first_order``
-    test, at the returned x, and ``success`` is that test's outcome. A start
-    where ``fun`` is not finite returns ``fun = inf`` and ``pg_norm = inf``.
+    by no more than its rounding. Each trial evaluates ``fun`` once, and an
+    accepted trial's gradient is the next iterate's. ``nit`` counts trials,
+    accepted or not, and ``nfev`` the calls of ``fun``; ``pg_norm`` is the
+    projected-gradient norm of the last ``_first_order`` test, at the
+    returned x, and ``success`` is that test's outcome. A start where
+    ``fun`` is not finite returns ``fun = inf`` and ``pg_norm = inf``.
     """
     lb, ub = np.asarray(bounds, dtype=float).T
     x = np.clip(x0, lb, ub)
-    f, nfev = fun(x), 1
+    (f, g), nfev = fun(x), 1
     if not np.isfinite(f):
-        return optimize.OptimizeResult(x=x, fun=np.inf, nit=0, nfev=nfev, success=False,
-                                       pg_norm=np.inf,
-                                       message="objective not finite at the start")
-    g, delta, nit, eig, flat = jac(x), 1.0, 0, None, 0
+        return TrustRegionResult(x, np.inf, 0, nfev, False, np.inf,
+                                 "objective not finite at the start")
+    delta, nit, eig, flat = 1.0, 0, None, 0
     while True:
         pg_norm, done, free = _first_order(x, g, f, lb, ub, gtol)
         if done:
@@ -398,7 +432,7 @@ def _trust_region_newton(fun, x0, jac, hess, bounds, gtol=1e-8, maxiter=500, **_
         s = trial - x
         step = np.linalg.norm(s)
         pred = -(g @ s + 0.5 * s @ B @ s)
-        f_new, nfev = fun(trial), nfev + 1
+        (f_new, g_new), nfev = fun(trial), nfev + 1
         noise = 10.0 * np.finfo(float).eps * max(1.0, abs(f))
         rho = (f - f_new + noise) / (pred + noise) if np.isfinite(f_new) and pred > 0 else -np.inf
         if rho < 0.25:  # a projected step can be shorter than the radius
@@ -407,9 +441,14 @@ def _trust_region_newton(fun, x0, jac, hess, bounds, gtol=1e-8, maxiter=500, **_
             delta = min(2.0 * delta, 1e3)
         flat = 0 if rho > 0.15 and f_new < f - noise else flat + 1
         if rho > 0.15:
-            x, f, g, eig = trial, f_new, jac(trial), None
-    return optimize.OptimizeResult(x=x, fun=f, nit=nit, nfev=nfev, success=success,
-                                   pg_norm=pg_norm, message=message)
+            x, f, g, eig = trial, f_new, g_new, None
+    return TrustRegionResult(x, f, nit, nfev, success, pg_norm, message)
+
+
+# What ``fit`` calls each trust-region stage through. bench/tracer.py wraps
+# ``optimize.minimize`` to count the optimizer's work, and reads
+# ``_PENALTY``; both go with ROADMAP item 1's benchmark PR.
+optimize = SimpleNamespace(minimize=_trust_region_newton)
 
 
 def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
@@ -424,7 +463,9 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
     the last ended, or from the third stage on, extrapolated linearly in mu
     from the last two stages. Each stage but the last stops at the looser
     tolerance max(tol, mu / 100). ``max_iter`` bounds the trial steps of
-    each stage.
+    each stage. ``bounds``, (dim, 2) rows (lb, ub) in canonical order,
+    replaces ``default_bounds``; another shape raises ValueError, and so
+    does a NaN bound or lb > ub, naming the parameter.
 
     Returns the best local optimum by the exact log-likelihood (ties broken
     by start index) after canonicalization. ``converged`` and
@@ -441,11 +482,8 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
     seconds. ``n_iterations`` is the winner's ``nit``. ``residuals`` are
     those at the reported theta.
     """
+    bounds = default_bounds(spec) if bounds is None else _checked_bounds(bounds, spec)
     ws = LikelihoodWorkspace(spec, data)
-    if bounds is None:
-        bounds = default_bounds(spec)
-    else:
-        bounds = np.asarray(bounds, dtype=float).reshape(spec.dim, 2)
     lb, ub = bounds[:, 0], bounds[:, 1]
     exact = spec.density
     if exact.differentiable:
@@ -482,11 +520,8 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
             # small, and each mu is a tenth of the last: from the third stage
             # on, start a tenth of the last move further along that line
             x0 = optima[-1] if len(optima) < 3 else optima[-1] + 0.1 * (optima[-1] - optima[-2])
-            res = optimize.minimize(objective, x0, jac=True, hess=neg_hessian,
-                                    method=_trust_region_newton,
-                                    bounds=list(map(tuple, bounds)),
-                                    options={"gtol": gtol, "maxiter": max_iter})
-            nit, nfev = nit + int(res.nit), nfev + int(res.nfev)
+            res = optimize.minimize(objective, x0, neg_hessian, bounds, gtol, max_iter)
+            nit, nfev = nit + res.nit, nfev + res.nfev
             optima.append(res.x)
             if not np.isfinite(res.fun):
                 break

@@ -34,7 +34,7 @@ def test_tracer_finds_and_restores_the_traced_layers(w44, monkeypatch):
     tracer = Tracer()
     tracer.install()
     try:
-        pa.fit(spec, data, n_starts=2, seed=0)
+        res = pa.fit(spec, data, n_starts=2, seed=0)
     finally:
         tracer.uninstall()
     after = _bindings()
@@ -43,7 +43,12 @@ def test_tracer_finds_and_restores_the_traced_layers(w44, monkeypatch):
     # the likelihood workspace; any other missing layer reads 0 silently
     assert set(tracer.missing) <= {"model.residual_matrix"}
     metrics = tracer.metrics()
-    assert metrics["estimate.nfev"][0] > 0
+    # the optimizer's result carries the fun, nit and nfev the tracer reads;
+    # a normal fit runs one trust-region stage per start
+    assert metrics["estimate.nfev"][0] == sum(t["nfev"] for t in res.trace) > 0
+    assert metrics["estimate.nit"][0] == sum(t["nit"] for t in res.trace) > 0
+    finite = [t["loglik"] is not None for t in res.trace]
+    assert metrics["estimate.starts_ok_ratio"][0] == sum(finite) / len(finite)
     assert metrics["likelihood.loglik_and_gradient.calls"][0] > 0
     assert after.keys() == before.keys()
     assert [k for k, v in before.items() if after[k] is not v] == []

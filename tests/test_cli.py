@@ -819,12 +819,24 @@ class TestAdjacencyInput:
 
 
 class TestStartup:
-    def test_cli_import_leaves_out_scipy_stats(self):
-        # scipy.stats takes most of a second to import; the CLI needs none of it
+    @staticmethod
+    def modules_after_cli_import():
+        """sys.modules of a fresh interpreter that has imported pstarann.cli."""
         src = str(Path(pa.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        code = "import sys, pstarann.cli; print('scipy.stats' in sys.modules)"
+        code = "import json, sys, pstarann.cli; print(json.dumps(sorted(sys.modules)))"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, timeout=120, check=True)
-        assert out.stdout.strip() == "False"
+        return json.loads(out.stdout)
+
+    def test_cli_import_leaves_out_scipy_stats(self):
+        # scipy.stats takes most of a second to import; the CLI needs none of it
+        assert "scipy.stats" not in self.modules_after_cli_import()
+
+    def test_cli_import_leaves_out_scipy_optimize(self):
+        # scipy.optimize took about 0.18 s of every command's start-up; fit
+        # calls its own trust region
+        loaded = [m for m in self.modules_after_cli_import()
+                  if m == "scipy.optimize" or m.startswith("scipy.optimize.")]
+        assert loaded == []

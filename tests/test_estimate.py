@@ -147,6 +147,25 @@ class TestFit:
         res25 = pa.fit(spec, data, n_starts=25, seed=0, covariance=False)
         assert res25.loglik - res5.loglik < 0.5
 
+    @pytest.mark.parametrize("case, match", [
+        ("inverted", r"bounds for lambda1 are \(5\.0, -5\.0\): lower exceeds upper"),
+        ("nan", r"bounds for gamma12 are \(-25\.0, nan\): a bound is NaN"),
+        ("shape", r"bounds must have shape \(5, 2\).*got shape \(4, 2\)"),
+    ], ids=["inverted", "nan", "shape"])
+    def test_bad_bounds_rejected(self, w44, case, match):
+        # the box is checked once, before any start: an inverted box used to
+        # fit with lambda1 at -5 and report converged
+        spec, data = small_model1_data(w44, T=6)
+        bounds = pa.default_bounds(spec)
+        if case == "inverted":
+            bounds[2] = (5.0, -5.0)
+        elif case == "nan":
+            bounds[4, 1] = np.nan
+        else:
+            bounds = bounds[:4]
+        with pytest.raises(ValueError, match=match):
+            pa.fit(spec, data, n_starts=2, seed=0, bounds=bounds, covariance=False)
+
     def test_start_override_used(self, w33):
         spec, data = small_model1_data(w33, T=4)
         start = model1_theta()
@@ -312,7 +331,7 @@ class TestTrustRegionNewton:
         # rounding, steps are accepted on the model alone and lower nothing,
         # which without the flat test cycles until max_iter
         res = estimate._trust_region_newton(
-            lambda x: 1.0, np.zeros(2), jac=lambda x: np.full(2, 1e-3),
+            lambda x: (1.0, np.full(2, 1e-3)), np.zeros(2),
             hess=lambda x: np.zeros((2, 2)), bounds=[(-1.0, 1.0)] * 2, maxiter=500)
         assert not res.success
         assert res.nit == estimate._FLAT_TRIALS < 500
@@ -332,6 +351,24 @@ class TestTrustRegionNewton:
         assert res.gradient_norm <= 1e-8 * (1 + abs(res.loglik))
         assert res.theta.x[index] in bound
         assert res.loglik < free.loglik
+
+    def test_each_trial_evaluates_the_objective_once(self, w44, monkeypatch):
+        # an accepted trial's gradient is kept, not asked for again, so the
+        # objective's evaluations are exactly the trace's nfev
+        spec, data = small_model1_data(w44, seed=5, T=8)
+        calls = []
+        original = pa.LikelihoodWorkspace.loglik_and_gradient
+
+        def counted(ws, theta):
+            calls.append(1)
+            return original(ws, theta)
+
+        monkeypatch.setattr(pa.LikelihoodWorkspace, "loglik_and_gradient", counted)
+        truth = model1_theta().to_array()
+        starts = [truth, 1.2 * truth, 0.7 * truth]
+        res = pa.fit(spec, data, starts=starts, covariance=False)
+        assert sum(t["nit"] for t in res.trace) > len(starts)
+        assert len(calls) == sum(t["nfev"] for t in res.trace)
 
     def test_trace_has_one_record_per_start(self, w1010):
         spec, data = small_model1_data(w1010, seed=17, T=10)
