@@ -21,9 +21,16 @@ The config is one JSON document with sections:
     "simulate":   {"T": 30, "burn_in": 200}
     "optim":      {"n_starts": 5, "tol": 1e-8, "max_iter": 500}
 
-The config and its object sections hold no other keys than these, for
-every command; a covariate column holds only its kind's keys (kind, mean
-and sd for normal, kind and value for constant).
+``load_config`` checks and types every key of every section present, for
+every command, whether or not the command reads it: a key outside these
+(a covariate column holds only its kind's keys: kind, mean and sd for
+normal, kind and value for constant), a value of the wrong JSON type and
+a required key left out all exit 2 naming the key path, such as
+``theta.phi[0]`` or ``covariates[1].sd``. Every number in theta is a
+finite JSON number (not a string, boolean or null). An optional key left
+out is not passed on, so ``fit``, ``simulate`` and ``ModelSpec`` apply
+their own defaults. A simulation whose (burn_in + p + T, n, max(q, 1))
+arrays would exceed ``MAX_SIMULATION_ENTRIES`` exits 2 before any draw.
 
 Exit codes: 0 success, 2 input error (bad config, unknown config key,
 malformed CSV, non-causal parameters), 3 numerical non-convergence or a
@@ -38,11 +45,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,7 +59,8 @@ from .diagnostics import heatmap_grid, residual_diagnostics
 from .estimate import FitError, fit
 from .likelihood import NumericalError
 from .model import ModelSpec, ParameterVector, check_causal, param_names
-from .simulate import generate_covariates, read_panel_csv, simulate, write_panel_csv
+from .simulate import (BURN_IN, generate_covariates, read_panel_csv, simulate,
+                       write_panel_csv)
 from .weights import build_queen_lattice, read_adjacency_csv
 
 __all__ = ["main"]
@@ -66,17 +74,35 @@ class ConfigError(ValueError):
     pass
 
 
+class Key(NamedTuple):
+    """How ``load_config`` reads one key: its kind (see ``_typed``), whether
+    it is required, and the least value it may take."""
+    kind: object
+    required: bool = False
+    minimum: float | None = None
+
+
 # the keys of each config section but "covariates", an array of columns
-SECTION_KEYS = {
-    "lattice": ("n1", "n2"),
-    "adjacency": ("file", "n"),
-    "model": ("p", "q", "h", "density", "linear_term", "intercept"),
-    "theta": ("phi0", "phi", "beta", "lambda", "gamma"),
-    "simulate": ("T", "burn_in"),
-    "optim": ("n_starts", "tol", "max_iter"),
+SECTIONS = {
+    "lattice": {"n1": Key(int, True), "n2": Key(int, True)},
+    "adjacency": {"file": Key(str, True), "n": Key(int, True)},
+    "model": {"p": Key(int, True), "q": Key(int, True), "h": Key(int, True),
+              "density": Key(str, True), "linear_term": Key(bool), "intercept": Key(bool)},
+    "theta": {"phi0": Key(float, True), "phi": Key([float]), "beta": Key([float]),
+              "lambda": Key([float]), "gamma": Key([[float]])},
+    "simulate": {"T": Key(int, True, 1), "burn_in": Key(int, minimum=0)},
+    "optim": {"n_starts": Key(int, minimum=1), "tol": Key(float, minimum=0),
+              "max_iter": Key(int, minimum=1)},
 }
-# the keys of a covariate column, by kind
-COVARIATE_KEYS = {"normal": ("kind", "mean", "sd"), "constant": ("kind", "value")}
+# the keys of a covariate column, by kind; a column without "kind" is normal
+COVARIATE_KEYS = {
+    "normal": {"kind": Key(str), "mean": Key(float), "sd": Key(float, minimum=0)},
+    "constant": {"kind": Key(str), "value": Key(float)},
+}
+# The most entries that one (burn_in + p + T, n, max(q, 1)) array of a
+# simulation may hold: 16 GiB of doubles, about 30 times the largest
+# documented workload (n = 10**5, T = 30, q = 3).
+MAX_SIMULATION_ENTRIES = 2**31
 
 
 # ----------------------------------------------------------------------
@@ -84,6 +110,9 @@ COVARIATE_KEYS = {"normal": ("kind", "mean", "sd"), "constant": ("kind", "value"
 # ----------------------------------------------------------------------
 
 def load_config(path):
+    """The config at ``path`` with every section present checked and typed,
+    whichever command reads it: one config serves every command. An absent
+    optional key stays absent, so the library's own default applies."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -94,13 +123,13 @@ def load_config(path):
                           f"{exc.msg}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: the config must be a JSON object")
-    # every section, also one the command does not read: one config serves
-    # every command
-    _only(cfg, "config", (*SECTION_KEYS, "covariates"))
-    for name, keys in SECTION_KEYS.items():
-        if name in cfg:
-            _only(_typed(cfg, name, "config", dict), name, keys)
-    return cfg
+    _only(cfg, "config", (*SECTIONS, "covariates"))
+    typed = {name: _keys(_typed(cfg[name], f"config.{name}", dict), name, keys)
+             for name, keys in SECTIONS.items() if name in cfg}
+    if "covariates" in cfg:
+        typed["covariates"] = [_column(col, f"covariates[{j}]") for j, col in
+                               enumerate(_typed(cfg["covariates"], "config.covariates", list))]
+    return typed
 
 
 def _only(section, where, keys):
@@ -112,89 +141,87 @@ def _only(section, where, keys):
                               f"{', '.join(keys)}")
 
 
-def _typed(cfg, key, where, kind, *default, minimum=None):
-    """``cfg[key]``, required unless a default is given, as a JSON bool, string,
-    object (dict), array (list), int (an integer-valued number: 30.0 passes;
-    1.7, true and "3" do not) or float (a finite number: 0 passes; NaN, true
-    and "1e-8" do not), of at least ``minimum`` when one is given."""
-    if not (default or key in cfg):
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    value = cfg.get(key, *default)
+def _keys(section, where, keys):
+    """The keys of ``section``, each typed by its ``Key`` in ``keys``."""
+    _only(section, where, keys)
+    for key, spec in keys.items():
+        if spec.required and key not in section:
+            raise ConfigError(f"{where}: missing required key {key!r}")
+    return {key: _typed(value, f"{where}.{key}", keys[key].kind, keys[key].minimum)
+            for key, value in section.items()}
+
+
+def _column(col, where):
+    """A covariate column: an object of kind normal (finite mean, finite
+    sd >= 0) or constant (finite value), with only its kind's keys."""
+    col = _typed(col, where, dict)
+    kind = _typed(col.get("kind", "normal"), f"{where}.kind", str)
+    if kind not in COVARIATE_KEYS:
+        raise ConfigError(f"{where}.kind must be 'normal' or 'constant', got {kind!r}")
+    return _keys(col, where, COVARIATE_KEYS[kind])
+
+
+def _typed(value, path, kind, minimum=None):
+    """``value`` as a JSON bool, string, object (dict), array (list), int (an
+    integer-valued number: 30.0 passes; 1.7, true and "3" do not), float (a
+    finite number: 0 passes; NaN, true and "1e-8" do not) or, for a kind
+    ``[k]``, an array of ``k``, of at least ``minimum`` when one is given;
+    else ``ConfigError`` naming ``path`` (``theta.gamma[0][1]``)."""
+    if isinstance(kind, list):
+        return [_typed(v, f"{path}[{i}]", kind[0])
+                for i, v in enumerate(_typed(value, path, list))]
     if isinstance(value, bool) or kind in (bool, str, dict, list):
         ok = type(value) is kind
-    elif isinstance(value, float):
-        ok = value.is_integer() if kind is int else math.isfinite(value)
-    else:
-        ok = isinstance(value, int)
+    elif kind is int:
+        ok = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    else:  # abs(), unlike float(), neither overflows on a long int nor passes NaN
+        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     if not ok:
         name = {bool: "a boolean", str: "a string", dict: "a JSON object",
                 list: "a JSON array", int: "an integer", float: "a finite number"}[kind]
-        raise ConfigError(f"{where}.{key} must be {name}, got {value!r}")
+        raise ConfigError(f"{path} must be {name}, got {value!r}")
     if minimum is not None and value < minimum:
-        raise ConfigError(f"{where}.{key} must be >= {minimum}, got {kind(value)}")
+        raise ConfigError(f"{path} must be >= {minimum}, got {kind(value)}")
     return kind(value)
 
 
+def _section(cfg, name):
+    """``cfg[name]``, a section the command cannot do without."""
+    if name not in cfg:
+        raise ConfigError(f"config: missing required key {name!r}")
+    return cfg[name]
+
+
 def build_weights(cfg, base_dir="."):
-    has_lattice = "lattice" in cfg
-    has_adj = "adjacency" in cfg
-    if has_lattice == has_adj:
+    if ("lattice" in cfg) == ("adjacency" in cfg):
         raise ConfigError("config needs exactly one of 'lattice' or 'adjacency'")
-    if has_lattice:
-        lat = _typed(cfg, "lattice", "config", dict)
-        return build_queen_lattice(_typed(lat, "n1", "lattice", int),
-                                   _typed(lat, "n2", "lattice", int))
-    adj = _typed(cfg, "adjacency", "config", dict)
-    path = Path(base_dir) / _typed(adj, "file", "adjacency", str)
-    return read_adjacency_csv(path, _typed(adj, "n", "adjacency", int))
+    if "lattice" in cfg:
+        return build_queen_lattice(cfg["lattice"]["n1"], cfg["lattice"]["n2"])
+    adj = cfg["adjacency"]
+    return read_adjacency_csv(Path(base_dir) / adj["file"], adj["n"])
 
 
 def build_spec(cfg, W):
-    model = _typed(cfg, "model", "config", dict)
-    p, q, h = (_typed(model, key, "model", int) for key in "pqh")
-    linear_term = _typed(model, "linear_term", "model", bool, True)
-    include_intercept = _typed(model, "intercept", "model", bool, False)
-    density = _typed(model, "density", "model", str)
+    model = dict(_section(cfg, "model"))
+    if "intercept" in model:  # ModelSpec's include_intercept
+        model["include_intercept"] = model.pop("intercept")
     try:
-        spec = ModelSpec(W=W, p=p, q=q, h=h, density=density_from_config(density),
-                         linear_term=linear_term, include_intercept=include_intercept)
+        model["density"] = density_from_config(model["density"])
+        spec = ModelSpec(W=W, **model)
     except ValueError as exc:
         raise ConfigError(f"model: {exc}") from exc
-    if "covariates" in cfg:
-        covariate_columns(cfg, spec.q)
+    if "covariates" in cfg and len(cfg["covariates"]) != spec.q:
+        raise ConfigError(f"covariates: {len(cfg['covariates'])} column specs but "
+                          f"model.q={spec.q}")
     return spec
 
 
-def covariate_columns(cfg, q):
-    """The q covariate specs: objects of kind normal (finite mean, finite sd >= 0)
-    or constant (finite value), each with only its kind's keys."""
-    columns = _typed(cfg, "covariates", "config", list)
-    if len(columns) != q:
-        raise ConfigError(f"covariates: {len(columns)} column specs but model.q={q}")
-    for j, col in enumerate(columns):
-        where = f"covariates[{j}]"
-        if not isinstance(col, dict):
-            raise ConfigError(f"{where} must be a JSON object, got {col!r}")
-        kind = _typed(col, "kind", where, str, "normal")
-        if kind not in COVARIATE_KEYS:
-            raise ConfigError(f"{where}.kind must be 'normal' or 'constant', got {kind!r}")
-        keys = COVARIATE_KEYS[kind]
-        _only(col, f"{where} (kind {kind!r})", keys)
-        for key in keys[1:]:
-            _typed(col, key, where, float, 0.0, minimum=0 if key == "sd" else None)
-    return columns
-
-
 def build_theta(cfg, spec):
-    theta = _typed(cfg, "theta", "config", dict)
+    theta = _section(cfg, "theta")
     try:
-        theta = ParameterVector.from_json_dict(theta).validate(spec)
-    except (TypeError, ValueError) as exc:  # TypeError: a list or object for a number
+        return ParameterVector.from_json_dict(theta).validate(spec)
+    except ValueError as exc:  # a block of the wrong shape
         raise ConfigError(f"theta: {exc}") from exc
-    bad = [f"{name} ({v})" for name, v in zip(param_names(spec), theta.x) if not np.isfinite(v)]
-    if bad:
-        raise ConfigError(f"theta: non-finite value for {', '.join(bad)}")
-    return theta
 
 
 def load_setup(args):
@@ -205,13 +232,18 @@ def load_setup(args):
 
 
 def simulation_inputs(cfg, spec):
-    """theta, T, burn-in and covariate columns of the simulating commands."""
+    """theta, the keyword arguments of ``simulate`` (the simulate section and
+    the covariate columns) and the steps simulated, of the simulating
+    commands; a simulation too large to hold is refused before any draw."""
     theta = build_theta(cfg, spec)
-    sim = _typed(cfg, "simulate", "config", dict, {})
-    T = _typed(sim, "T", "simulate", int, minimum=1)
-    burn_in = _typed(sim, "burn_in", "simulate", int, 200, minimum=0)
-    columns = covariate_columns(cfg, spec.q) if spec.q else []
-    return theta, T, burn_in, columns
+    sim = dict(_section(cfg, "simulate"),
+               covariate_columns=_section(cfg, "covariates") if spec.q else [])
+    steps = sim.get("burn_in", BURN_IN) + spec.p + sim["T"]
+    entries = steps * spec.n * max(spec.q, 1)
+    if entries > MAX_SIMULATION_ENTRIES:
+        raise ConfigError(f"simulate.T = {sim['T']} is too large: (burn_in + p + T) n max(q, 1)"
+                          f" = {entries} entries exceeds {MAX_SIMULATION_ENTRIES}")
+    return theta, sim, steps
 
 
 # ----------------------------------------------------------------------
@@ -220,17 +252,16 @@ def simulation_inputs(cfg, spec):
 
 def cmd_simulate(args):
     cfg, spec = load_setup(args)
-    theta, T, burn_in, columns = simulation_inputs(cfg, spec)
+    theta, sim, _ = simulation_inputs(cfg, spec)
 
     # simulate() raises a ValueError naming the root modulus on non-causal theta
-    data = simulate(spec, theta, seed=args.seed, burn_in=burn_in, T=T,
-                    covariate_columns=columns)
+    data = simulate(spec, theta, seed=args.seed, **sim)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_panel_csv(out / "panel.csv", data)
     theta.save_json(out / "theta.json")
-    grids = []
+    grids, T = [], sim["T"]
     dims = spec.W.lattice_dims
     if dims is not None:
         for t in range(max(1, T - 2), T + 1):
@@ -246,21 +277,11 @@ def cmd_simulate(args):
 # fit
 # ----------------------------------------------------------------------
 
-def _optim_options(cfg):
-    opt = _typed(cfg, "optim", "config", dict, {})
-    return {
-        "n_starts": _typed(opt, "n_starts", "optim", int, 5, minimum=1),
-        "tol": _typed(opt, "tol", "optim", float, 1e-8, minimum=0),
-        "max_iter": _typed(opt, "max_iter", "optim", int, 500, minimum=1),
-    }
-
-
 def cmd_fit(args):
     cfg, spec = load_setup(args)
     data = read_panel_csv(args.panel, spec.p, spec.q)
     # fit() checks the panel against the spec (n, intercept, rank of X_t)
-    opts = _optim_options(cfg)
-    result = fit(spec, data, seed=args.seed, **opts)
+    result = fit(spec, data, seed=args.seed, **cfg.get("optim", {}))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -290,8 +311,9 @@ def cmd_fit(args):
 def _replicate_one(job, r):
     """Replicate r of the study ``job``: simulate a panel and fit it.
 
-    ``job`` is (spec, theta, T, burn_in, columns, X_fixed, seed, opts), the
-    same for every replicate. The panel draws from the stream
+    ``job`` is (spec, theta, sim, X_fixed, seed, opts), the same for every
+    replicate: ``sim`` and ``opts`` are the keyword arguments of ``simulate``
+    and ``fit``. The panel draws from the stream
     SeedSequence(seed, spawn_key=(r,)) and the fit's starts from seed + r, so
     the record depends on r alone, not on the process that runs it or on the
     replicates that process ran before. The log-det series pieces and tau_min
@@ -299,11 +321,10 @@ def _replicate_one(job, r):
     are bit-equal whichever replicate builds them. A failure is recorded, not
     raised.
     """
-    spec, theta, T, burn_in, columns, X_fixed, seed, opts = job
-    sim_seed = np.random.SeedSequence(seed, spawn_key=(r,))
+    spec, theta, sim, X_fixed, seed, opts = job
     try:
-        data = simulate(spec, theta, X=X_fixed, seed=sim_seed, burn_in=burn_in,
-                        T=T, covariate_columns=columns)
+        data = simulate(spec, theta, X=X_fixed,
+                        seed=np.random.SeedSequence(seed, spawn_key=(r,)), **sim)
         res = fit(spec, data, seed=seed + r, covariance=True, **opts)
         return {
             "replicate": r,
@@ -333,8 +354,7 @@ def _replicate_in_worker(r):
 
 def cmd_replicate(args):
     cfg, spec = load_setup(args)
-    theta, T, burn_in, columns = simulation_inputs(cfg, spec)
-    opts = _optim_options(cfg)
+    theta, sim, steps = simulation_inputs(cfg, spec)
 
     R = args.replicates
     if R < 2:
@@ -346,11 +366,10 @@ def cmd_replicate(args):
 
     X_fixed = None
     if args.fixed_design and spec.q:  # a q = 0 model has no covariates to hold
-        steps = burn_in + spec.p + T
-        X_fixed = generate_covariates(columns, spec.n, steps,
+        X_fixed = generate_covariates(sim["covariate_columns"], spec.n, steps,
                                       np.random.SeedSequence(args.seed, spawn_key=(10**6,)))
 
-    job = (spec, theta, T, burn_in, columns, X_fixed, args.seed, opts)
+    job = (spec, theta, sim, X_fixed, args.seed, cfg.get("optim", {}))
     if args.threads > 1:
         with ProcessPoolExecutor(max_workers=args.threads, initializer=_init_worker,
                                  initargs=(job,)) as pool:

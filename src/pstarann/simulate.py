@@ -9,8 +9,9 @@ conditions,
 
 for ``burn_in + p + T`` steps, discards the burn-in, and returns the final
 p presample slices plus T sample slices. The A0 solve reuses one sparse LU
-factorization across steps. The default burn-in of 200 steps comfortably
-exceeds the mixing time of any design with max root modulus <= 0.7.
+factorization across steps. The default burn-in, ``BURN_IN`` = 200 steps,
+comfortably exceeds the mixing time of any design with max root modulus
+<= 0.7.
 
 The time loop runs in blocks of ``BLOCK_STEPS`` steps: each block draws
 its innovations, forms its drive eps_t + X_t beta + F(X_t gamma') lambda
@@ -54,6 +55,8 @@ __all__ = [
 # bits, where BLAS rounds the lambda contraction of a row by its place in
 # the block.
 BLOCK_STEPS = 32
+# Steps discarded before the retained window when the caller names none.
+BURN_IN = 200
 
 
 def generate_covariates(columns, n, T, seed):
@@ -86,7 +89,7 @@ def generate_covariates(columns, n, T, seed):
     return X
 
 
-def simulate(spec: ModelSpec, theta: ParameterVector, X=None, seed=0, burn_in=200,
+def simulate(spec: ModelSpec, theta: ParameterVector, X=None, seed=0, burn_in=BURN_IN,
              T=None, covariate_columns=None, errors=None):
     """Generate a PanelData panel from causal parameters.
 

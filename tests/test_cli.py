@@ -1,18 +1,25 @@
 """End-to-end command-line flows, exit codes, and reproducibility."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import pstarann as pa
 from pstarann import weights
 from pstarann.cli import main
+from pstarann.simulate import BURN_IN
 
 
 MODEL1_CONFIG = {
@@ -106,17 +113,21 @@ class TestSimulateCommand:
         ("optim", "max_iter", float("inf")),
         ("optim", "tol", float("nan")),
         ("optim", "tol", True),
+        # each section is typed while the config is read, also by a command
+        # that does not read it
+        ("optim", "tol", "1e-8"),
+        ("theta", "phi0", "x"),
     ])
     def test_mistyped_config_key_exit_2(self, tmp_path, capsys, section, key, value):
-        # replicate reads every section before its first simulation
         cfg_dict = json.loads(json.dumps(MODEL1_CONFIG))
         cfg_dict[section][key] = value
         cfg = write_config(tmp_path, cfg_dict)
-        code = main(["replicate", "--config", cfg, "--out", str(tmp_path / "x"),
-                     "--replicates", "2"])
-        assert code == 2
-        assert f"error: {section}.{key} must be " in capsys.readouterr().err
-        assert not (tmp_path / "x").exists()
+        for command in (["simulate"], ["fit", "--panel", str(tmp_path / "panel.csv")],
+                        ["replicate", "--replicates", "2"]):
+            code = main(command + ["--config", cfg, "--out", str(tmp_path / "x")])
+            assert code == 2
+            assert f"error: {section}.{key} must be " in capsys.readouterr().err, command
+            assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("section, key, value, commands", [
         ("optim", "n_starts", 0, ["fit", "replicate"]),
@@ -283,9 +294,10 @@ class TestSimulateCommand:
         # nested phi: neither may be flattened into theta
         ("gamma", [[0.75, 0.7, 0.35, -1.0]],
          "theta: gamma must be a 2-D array with one row per neuron (h=2), got shape (1, 4)"),
-        ("phi", [[0.1]], "theta: phi must be a 1-D array, got shape (1, 1)"),
-        ("phi0", [0.5], "theta: float() argument must be"),  # a TypeError, not a traceback
-        ("beta", {"x1": 0.5}, "theta: float() argument must be"),
+        pytest.param("phi", [[0.1]], "theta.phi[0] must be a finite number, got [0.1]",
+                     id="phi-value1-theta: phi must be a 1-D array, got shape (1, 1)"),
+        ("phi0", [0.5], "theta.phi0 must be a finite number, got [0.5]"),
+        ("beta", {"x1": 0.5}, "theta.beta must be a JSON array, got {'x1': 0.5}"),
     ])
     def test_theta_block_of_wrong_shape_exit_2(self, tmp_path, capsys, block, value, message):
         cfg_dict = json.loads((Path(__file__).resolve().parent.parent / "demos"
@@ -297,13 +309,14 @@ class TestSimulateCommand:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("block, entry, value, name", [
-        ("phi0", None, float("nan"), "phi0"),
-        ("lambda", 0, float("inf"), "lambda1"),
-        ("gamma", (0, 1), float("-inf"), "gamma12"),
-    ])
+    # the ids name each entry as param_names does
+    @pytest.mark.parametrize("block, entry, value, path", [
+        ("phi0", None, float("nan"), "theta.phi0"),
+        ("lambda", 0, float("inf"), "theta.lambda[0]"),
+        ("gamma", (0, 1), float("-inf"), "theta.gamma[0][1]"),
+    ], ids=["phi0-None-nan-phi0", "lambda-0-inf-lambda1", "gamma-entry2--inf-gamma12"])
     def test_nonfinite_theta_entry_named_exit_2(self, tmp_path, capsys, block, entry,
-                                                value, name):
+                                                value, path):
         cfg_dict = json.loads(json.dumps(MODEL1_CONFIG))
         if entry is None:
             cfg_dict["theta"][block] = value
@@ -314,8 +327,68 @@ class TestSimulateCommand:
         cfg = write_config(tmp_path, cfg_dict)
         code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "x")])
         assert code == 2
-        err = capsys.readouterr().err
-        assert "theta: non-finite value for" in err and f"{name} (" in err
+        assert capsys.readouterr().err == f"error: {path} must be a finite number, got {value}\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("block, value, message", [
+        # one number rule for theta and every other section: a JSON number,
+        # not a numeric string, a boolean or null
+        ("phi0", "0.5", "theta.phi0 must be a finite number, got '0.5'"),
+        ("phi", ["-0.2"], "theta.phi[0] must be a finite number, got '-0.2'"),
+        ("lambda", [True], "theta.lambda[0] must be a finite number, got True"),
+        ("gamma", [[True, 1.0]], "theta.gamma[0][0] must be a finite number, got True"),
+        ("gamma", [0.75, -0.35], "theta.gamma[0] must be a JSON array, got 0.75"),
+        ("phi0", None, "theta.phi0 must be a finite number, got None"),
+        ("phi0", 10**400, "theta.phi0 must be a finite number, got 1000"),
+    ], ids=["phi0-string", "phi-string", "lambda-true", "gamma-true", "gamma-flat",
+            "phi0-null", "phi0-long-int"])
+    def test_theta_number_rule_exit_2(self, tmp_path, capsys, block, value, message):
+        cfg_dict = json.loads(json.dumps(MODEL1_CONFIG))
+        cfg_dict["theta"][block] = value
+        cfg = write_config(tmp_path, cfg_dict)
+        for command in (["simulate"], ["fit", "--panel", str(tmp_path / "panel.csv")],
+                        ["replicate", "--replicates", "2"]):
+            code = main(command + ["--config", cfg, "--out", str(tmp_path / "x")])
+            assert code == 2
+            assert capsys.readouterr().err.startswith(f"error: {message}"), command
+            assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", [["simulate"], ["replicate", "--replicates", "2"],
+                                         ["replicate", "--replicates", "2", "--fixed-design"]])
+    def test_simulation_too_large_exit_2(self, tmp_path, capsys, monkeypatch, command):
+        # refused from the sizes alone, before anything is drawn
+        import pstarann.cli as cli
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a draw was attempted")
+
+        monkeypatch.setattr(cli, "generate_covariates", no_draw)
+        monkeypatch.setattr(cli, "simulate", no_draw)
+        cfg_dict = json.loads(json.dumps(MODEL1_CONFIG))
+        cfg_dict["simulate"]["T"] = 10**12
+        cfg = write_config(tmp_path, cfg_dict)
+        code = main(command + ["--config", cfg, "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: simulate.T = 1000000000000 is too large: (burn_in + p + T) n max(q, 1) = "
+            f"{(100 + 1 + 10**12) * 36 * 2} entries exceeds 2147483648\n")
+        assert not (tmp_path / "x").exists()
+
+    def test_simulation_size_limit_is_inclusive(self, tmp_path, capsys, monkeypatch):
+        # (burn_in + p + T) n max(q, 1) = (100 + 1 + 8) * 36 * 2 entries; an
+        # absent burn_in counts as simulate()'s default
+        import pstarann.cli as cli
+
+        cfg_dict = json.loads(json.dumps(MODEL1_CONFIG))
+        cfg = write_config(tmp_path, cfg_dict)
+        del cfg_dict["simulate"]["burn_in"]
+        default = write_config(tmp_path, cfg_dict, "default_burn_in.json")
+        for path, entries in ((cfg, 109 * 72), (default, (BURN_IN + 9) * 72)):
+            for limit, expected in ((entries, 0), (entries - 1, 2)):
+                monkeypatch.setattr(cli, "MAX_SIMULATION_ENTRIES", limit)
+                assert main(["simulate", "--config", path, "--out", str(tmp_path / "x")]) \
+                    == expected
+        capsys.readouterr()
 
     def test_missing_key_reported(self, tmp_path, capsys):
         cfg_dict = {"lattice": {"n1": 3, "n2": 3}, "model": {"p": 1, "q": 0,
@@ -728,33 +801,29 @@ class TestReplicateCovariance:
     TINY = dict(MODEL1_CONFIG, lattice={"n1": 4, "n2": 4}, simulate={"T": 6, "burn_in": 50},
                 optim={"n_starts": 2})
 
-    def run_one(self, density, r=1, seed=4):
+    def run_one(self, tmp_path, density, r=1, seed=4):
         import pstarann.cli as cli
 
         cfg = json.loads(json.dumps(self.TINY))
         cfg["model"]["density"] = density
-        W = cli.build_weights(cfg)
-        spec = cli.build_spec(cfg, W)
-        theta = cli.build_theta(cfg, spec)
-        sim = cfg["simulate"]
-        job = (spec, theta, sim["T"], sim["burn_in"], cfg["covariates"], None, seed,
-               cli._optim_options(cfg))
-        rec = cli._replicate_one(job, r)
+        cfg = cli.load_config(write_config(tmp_path, cfg))
+        spec = cli.build_spec(cfg, cli.build_weights(cfg))
+        theta, sim, _ = cli.simulation_inputs(cfg, spec)
+        rec = cli._replicate_one((spec, theta, sim, None, seed, cfg["optim"]), r)
         # the replicate's own panel, regenerated from the same seed
         data = pa.simulate(spec, theta, seed=np.random.SeedSequence(seed, spawn_key=(r,)),
-                           burn_in=sim["burn_in"], T=sim["T"],
-                           covariate_columns=cfg["covariates"])
+                           burn_in=50, T=6, covariate_columns=self.TINY["covariates"])
         return spec, data, rec
 
-    def test_normal_se_matches_sandwich(self):
-        spec, data, rec = self.run_one("normal")
+    def test_normal_se_matches_sandwich(self, tmp_path):
+        spec, data, rec = self.run_one(tmp_path, "normal")
         assert rec["ok"] and rec["covariance_note"] is None
         theta_hat = pa.ParameterVector.from_array(rec["estimate"], spec)
         se = pa.sandwich_covariance(pa.LikelihoodWorkspace(spec, data), theta_hat)["se"]
         assert_allclose(rec["asymptotic_se"], se, rtol=0, atol=1e-12)
 
-    def test_laplace_se_null_with_note(self):
-        spec, data, rec = self.run_one("laplace")
+    def test_laplace_se_null_with_note(self, tmp_path):
+        spec, data, rec = self.run_one(tmp_path, "laplace")
         assert rec["ok"]
         assert rec["asymptotic_se"] is None
         assert "Laplace" in rec["covariance_note"]
@@ -816,6 +885,115 @@ class TestAdjacencyInput:
                      "--out", str(tmp_path / "fit")])
         assert code == 0
         capsys.readouterr()
+
+
+# ----------------------------------------------------------------------
+# Config fuzz gate: one mutation of a valid config per example (property-based
+# testing after MacIver et al., "Hypothesis: a new approach to
+# property-based testing", JOSS 2019)
+# ----------------------------------------------------------------------
+
+FUZZ_CONFIG = {
+    "lattice": {"n1": 4, "n2": 4},
+    "model": {"p": 1, "q": 2, "h": 1, "density": "normal", "linear_term": False},
+    "covariates": [{"kind": "normal", "mean": 0.0, "sd": 1.5},
+                   {"kind": "constant", "value": 1.0}],
+    "theta": {"phi0": 0.6, "phi": [-0.274], "beta": [], "lambda": [1.5],
+              "gamma": [[0.75, -0.35]]},
+    "simulate": {"T": 4, "burn_in": 20},
+    "optim": {"n_starts": 2, "tol": 1e-8, "max_iter": 500},
+}
+# keys that size an array or a loop: no mutation enlarges them
+SIZE_KEYS = {"n1", "n2", "p", "q", "h", "T", "burn_in", "n_starts", "max_iter"}
+
+
+def config_paths(node, path=()):
+    """The path of every value below ``node``, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from config_paths(value, path + (key,))
+
+
+def key_path(path):
+    """A path as the CLI names it: ``theta.gamma[0][1]``, ``covariates[1].sd``."""
+    head, *rest = path
+    return head + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in rest)
+
+
+def json_kind(value):
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+@st.composite
+def config_mutations(draw):
+    """(config, path, what): FUZZ_CONFIG with the value at ``path`` replaced
+    (what = "replace") or its key renamed (what = the new key)."""
+    cfg = json.loads(json.dumps(FUZZ_CONFIG))
+    paths = list(config_paths(cfg))
+    path = draw(st.sampled_from(paths))
+    *parents, last = path
+    parent = cfg
+    for key in parents:
+        parent = parent[key]
+    if isinstance(last, str) and draw(st.booleans()):
+        new = last + "_" + draw(st.text("xyz", min_size=0, max_size=2))
+        renamed = {new if key == last else key: value for key, value in parent.items()}
+        parent.clear()
+        parent.update(renamed)
+        return cfg, path, new
+    numbers = [0, -1, -2.5, -1e308] + ([] if last in SIZE_KEYS else [1e308])
+    parent[last] = draw(st.one_of(
+        st.text(max_size=3), st.sampled_from(["0.5", "1", "nan", "normal"]),
+        st.booleans(), st.none(), st.sampled_from([[[0.5]], [[]], [["x"]]]),
+        st.sampled_from(numbers)))
+    return cfg, path, "replace"
+
+
+@pytest.fixture(scope="module")
+def fuzz_panel(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    assert main(["simulate", "--config", write_config(tmp, FUZZ_CONFIG), "--out",
+                 str(tmp / "sim"), "--seed", "1"]) == 0
+    return tmp / "sim" / "panel.csv"
+
+
+class TestConfigFuzz:
+    @settings(derandomize=True, max_examples=200, deadline=5000, database=None)
+    @given(mutation=config_mutations())
+    def test_one_mutation_exits_cleanly(self, fuzz_panel, mutation):
+        # every outcome is a documented exit code; a value of the wrong JSON
+        # type and an unknown key exit 2 under every command, naming the key
+        cfg, path, what = mutation
+        original = FUZZ_CONFIG
+        for key in path:
+            original = original[key]
+        value = cfg
+        for key in path if what == "replace" else ():
+            value = value[key]
+        if what != "replace":
+            where = "config" if len(path) == 1 else key_path(path[:-1])
+            expected = f"error: {where}: unknown key {what!r}"
+        elif json_kind(value) != json_kind(original):
+            name = f"config.{path[0]}" if len(path) == 1 else key_path(path)
+            expected = f"error: {name} must be "
+        else:
+            expected = None
+        with tempfile.TemporaryDirectory() as tmp:
+            config = write_config(Path(tmp), cfg)
+            for command in (["simulate"], ["fit", "--panel", str(fuzz_panel)],
+                            ["replicate", "--replicates", "2"]):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                        warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)  # an overflowing theta warns
+                    code = main(command + ["--config", config, "--out", f"{tmp}/out",
+                                           "--seed", "1"])
+                assert code in (0, 2, 3), (command, code)
+                if expected is not None:
+                    assert code == 2 and err.getvalue().startswith(expected), \
+                        (command, err.getvalue())
 
 
 class TestStartup:
