@@ -24,8 +24,10 @@ The config is one JSON document with sections:
 ``load_config`` checks and types every key of every section present, for
 every command, whether or not the command reads it: a key outside these
 (a covariate column holds only its kind's keys: kind, mean and sd for
-normal, kind and value for constant), a value of the wrong JSON type and
-a required key left out all exit 2 naming the key path, such as
+normal, kind and value for constant), a value of the wrong JSON type or
+out of its key's range (``optim.n_starts`` <= ``MAX_STARTS``, lattice sides
+and ``adjacency.n`` <= ``MAX_LOCATIONS``), a ragged ``theta.gamma`` and a
+required key left out all exit 2 naming the key path, such as
 ``theta.phi[0]`` or ``covariates[1].sd``. Every number in theta is a
 finite JSON number (not a string, boolean or null). An optional key left
 out is not passed on, so ``fit``, ``simulate`` and ``ModelSpec`` apply
@@ -39,6 +41,11 @@ Every command is deterministic under a fixed --seed, including replicate
 summaries across thread counts. ``replicate --threads 1`` runs its replicates
 in this process; with K > 1, each of K worker processes receives the study
 once, when it starts, and builds the log-det series pieces its own fits touch.
+Below ``weights.N_SPECTRAL`` locations, ``replicate`` simulates its panels in
+W's eigenbasis, built once in this process before any replicate runs and
+sent to the workers with the study. Its panels then equal those of
+``simulate`` with the same draws only to about 1e-14 (1 + |y|), not bit for
+bit; their X and innovations are the same bits.
 """
 
 from __future__ import annotations
@@ -61,7 +68,7 @@ from .likelihood import NumericalError
 from .model import ModelSpec, ParameterVector, check_causal, param_names
 from .simulate import (BURN_IN, generate_covariates, read_panel_csv, simulate,
                        write_panel_csv)
-from .weights import build_queen_lattice, read_adjacency_csv
+from .weights import N_SPECTRAL, build_queen_lattice, read_adjacency_csv
 
 __all__ = ["main"]
 
@@ -76,22 +83,30 @@ class ConfigError(ValueError):
 
 class Key(NamedTuple):
     """How ``load_config`` reads one key: its kind (see ``_typed``), whether
-    it is required, and the least value it may take."""
+    it is required, and the least and the greatest value it may take."""
     kind: object
     required: bool = False
     minimum: float | None = None
+    maximum: float | None = None
 
 
+# The most locations of a design: 100 times the largest documented workload
+# (n = 10**5); W alone then holds up to 8 10**7 weights, about 1 GiB. Also
+# the most on either side of a lattice, so that no side overflows a C long.
+MAX_LOCATIONS = 10**7
+# The most starts of a fit: 200 times the default of 5.
+MAX_STARTS = 1000
 # the keys of each config section but "covariates", an array of columns
 SECTIONS = {
-    "lattice": {"n1": Key(int, True), "n2": Key(int, True)},
-    "adjacency": {"file": Key(str, True), "n": Key(int, True)},
+    "lattice": {"n1": Key(int, True, maximum=MAX_LOCATIONS),
+                "n2": Key(int, True, maximum=MAX_LOCATIONS)},
+    "adjacency": {"file": Key(str, True), "n": Key(int, True, maximum=MAX_LOCATIONS)},
     "model": {"p": Key(int, True), "q": Key(int, True), "h": Key(int, True),
               "density": Key(str, True), "linear_term": Key(bool), "intercept": Key(bool)},
     "theta": {"phi0": Key(float, True), "phi": Key([float]), "beta": Key([float]),
               "lambda": Key([float]), "gamma": Key([[float]])},
     "simulate": {"T": Key(int, True, 1), "burn_in": Key(int, minimum=0)},
-    "optim": {"n_starts": Key(int, minimum=1), "tol": Key(float, minimum=0),
+    "optim": {"n_starts": Key(int, minimum=1, maximum=MAX_STARTS), "tol": Key(float, minimum=0),
               "max_iter": Key(int, minimum=1)},
 }
 # the keys of a covariate column, by kind; a column without "kind" is normal
@@ -147,7 +162,8 @@ def _keys(section, where, keys):
     for key, spec in keys.items():
         if spec.required and key not in section:
             raise ConfigError(f"{where}: missing required key {key!r}")
-    return {key: _typed(value, f"{where}.{key}", keys[key].kind, keys[key].minimum)
+    return {key: _typed(value, f"{where}.{key}", keys[key].kind, keys[key].minimum,
+                        keys[key].maximum)
             for key, value in section.items()}
 
 
@@ -161,15 +177,20 @@ def _column(col, where):
     return _keys(col, where, COVARIATE_KEYS[kind])
 
 
-def _typed(value, path, kind, minimum=None):
+def _typed(value, path, kind, minimum=None, maximum=None):
     """``value`` as a JSON bool, string, object (dict), array (list), int (an
     integer-valued number: 30.0 passes; 1.7, true and "3" do not), float (a
     finite number: 0 passes; NaN, true and "1e-8" do not) or, for a kind
-    ``[k]``, an array of ``k``, of at least ``minimum`` when one is given;
-    else ``ConfigError`` naming ``path`` (``theta.gamma[0][1]``)."""
+    ``[k]``, an array of ``k`` (for ``[[k]]``, rows of equal length), within
+    ``minimum`` and ``maximum`` when they are given; else ``ConfigError``
+    naming ``path`` (``theta.gamma[0][1]``)."""
     if isinstance(kind, list):
-        return [_typed(v, f"{path}[{i}]", kind[0])
+        rows = [_typed(v, f"{path}[{i}]", kind[0])
                 for i, v in enumerate(_typed(value, path, list))]
+        if isinstance(kind[0], list) and len({len(row) for row in rows}) > 1:
+            raise ConfigError(f"{path} must have rows of equal length, got lengths "
+                              f"{[len(row) for row in rows]}")
+        return rows
     if isinstance(value, bool) or kind in (bool, str, dict, list):
         ok = type(value) is kind
     elif kind is int:
@@ -182,6 +203,8 @@ def _typed(value, path, kind, minimum=None):
         raise ConfigError(f"{path} must be {name}, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{path} must be >= {minimum}, got {kind(value)}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{path} must be <= {maximum}, got {value!r}")
     return kind(value)
 
 
@@ -196,7 +219,10 @@ def build_weights(cfg, base_dir="."):
     if ("lattice" in cfg) == ("adjacency" in cfg):
         raise ConfigError("config needs exactly one of 'lattice' or 'adjacency'")
     if "lattice" in cfg:
-        return build_queen_lattice(cfg["lattice"]["n1"], cfg["lattice"]["n2"])
+        n1, n2 = cfg["lattice"]["n1"], cfg["lattice"]["n2"]
+        if n1 * n2 > MAX_LOCATIONS:
+            raise ConfigError(f"lattice: n1 n2 = {n1 * n2} locations exceeds {MAX_LOCATIONS}")
+        return build_queen_lattice(n1, n2)
     adj = cfg["adjacency"]
     return read_adjacency_csv(Path(base_dir) / adj["file"], adj["n"])
 
@@ -316,7 +342,8 @@ def _replicate_one(job, r):
     and ``fit``. The panel draws from the stream
     SeedSequence(seed, spawn_key=(r,)) and the fit's starts from seed + r, so
     the record depends on r alone, not on the process that runs it or on the
-    replicates that process ran before. The log-det series pieces and tau_min
+    replicates that process ran before: a spectral ``sim`` reads the
+    eigenbasis that ``cmd_replicate`` built. The log-det series pieces and tau_min
     that a fit builds stay on spec.W for the process's later replicates; they
     are bit-equal whichever replicate builds them. A failure is recorded, not
     raised.
@@ -369,6 +396,12 @@ def cmd_replicate(args):
         X_fixed = generate_covariates(sim["covariate_columns"], spec.n, steps,
                                       np.random.SeedSequence(args.seed, spawn_key=(10**6,)))
 
+    # below N_SPECTRAL, the panels come from n scalar AR(p) filters in W's
+    # eigenbasis, built (and cached on spec.W) here once, so that every
+    # replicate and worker reads the same bits
+    sim["spectral"] = spec.n < N_SPECTRAL
+    if sim["spectral"]:
+        _ = spec.W.eigenbasis
     job = (spec, theta, sim, X_fixed, args.seed, cfg.get("optim", {}))
     if args.threads > 1:
         with ProcessPoolExecutor(max_workers=args.threads, initializer=_init_worker,

@@ -59,8 +59,14 @@ A0 is strictly row diagonally dominant, hence invertible, whenever
 so every pivot on the diagonal is positive. Linear solves with A0 therefore
 use the series' own sparse LU (``_symmetric_lu``): diagonal pivots in
 SuperLU's symmetric mode, here in the minimum-degree ordering of A0's
-pattern (MMD on A0 + A0^T), with the same check of the factor. Eigenvectors
-are never materialized.
+pattern (MMD on A0 + A0^T), with the same check of the factor.
+
+Only ``eigenbasis`` materializes eigenvectors: S = Q diag(tau) Q^T gives
+W = D^{-1/2} Q diag(tau) Q^T D^{1/2}, so in the coordinates
+z = Q^T D^{1/2} y the recursion of a simulation becomes n scalar AR(p)
+filters (``simulate(..., spectral=True)``). One eigensolve with vectors
+costs more than one panel saves, so only ``replicate`` takes it, below
+N_SPECTRAL locations.
 """
 
 from __future__ import annotations
@@ -100,6 +106,14 @@ SPECTRUM_TOL = 1e-10
 # threshold is not moved there, since that changes the fits of every n it
 # crosses.
 N_SERIES = 1400
+# Below this many locations, ``replicate`` simulates its panels in the
+# eigenbasis of W. Model 1 (p = 1, T = 30, burn-in 200) on queen lattices,
+# one BLAS thread, 2 shared vCPUs, min of 5: the eigensolve with vectors
+# takes 21 ms at n = 400 (10 ms for the values alone) and a panel falls
+# from 27 to 12 ms, draws included; at n = 484, 30 ms and 31 to 15 ms; at
+# n = 625, 62 ms and 32 to 19 ms. The basis pays for itself after 1.4, 1.9
+# and 4.9 panels, and a replicate study runs at least 2.
+N_SPECTRAL = 500
 # The series covers |phi0| <= SERIES_PHI0_MAX, the default phi0 search box.
 SERIES_PHI0_MAX = 0.995
 # Chebyshev points of the first kind per piece of the series.
@@ -302,6 +316,13 @@ class WeightMatrix:
         access by a dense symmetric eigensolve, then cached. The log-det
         reads it below N_SERIES locations or outside |phi0| <=
         SERIES_PHI0_MAX, and the causality check for p >= 3.
+    eigenbasis : (tau, Q, root) of read-only ndarrays
+        S = Q diag(tau) Q^T, tau ascending, and root = D^{1/2}, the square
+        roots of the degrees, so that W = diag(1 / root) Q diag(tau) Q^T
+        diag(root). Built on first access by one dense symmetric eigensolve
+        with vectors (n^2 doubles for Q), then cached; its tau may differ
+        from ``eigenvalues`` in the last bits, and nothing but
+        ``simulate(..., spectral=True)`` reads it.
     log_det_series : LogDetSeries
         The series of ln|I - phi0 S| in phi0, made on first access, then
         cached; each of its four pieces is built on its first evaluation.
@@ -372,6 +393,8 @@ class WeightMatrix:
         self._backend = "series" if n >= N_SERIES else "spectrum"
         self._spectrum_build_s = None
         self._similarity = sp.csr_matrix(S)
+        self._root_degrees = np.sqrt(degrees)
+        self._root_degrees.setflags(write=False)
         self.lattice_dims = tuple(lattice_dims) if lattice_dims else None
         self.s0 = float(W.sum())
         sym = W + W.T
@@ -392,6 +415,17 @@ class WeightMatrix:
         tau.setflags(write=False)
         self._spectrum_build_s = time.perf_counter() - t0
         return tau
+
+    @cached_property
+    def eigenbasis(self):
+        # as in ``eigenvalues``: the Fortran-ordered S.T is overwritten in place
+        tau, Q = sla.eigh(self._similarity.toarray().T, overwrite_a=True, check_finite=False,
+                          driver="evd")
+        if np.max(np.abs(tau)) > 1.0 + SPECTRUM_TOL:
+            raise ValueError("row-standardized spectrum exceeds 1 in modulus")
+        tau.setflags(write=False)
+        Q.setflags(write=False)
+        return tau, Q, self._root_degrees
 
     @cached_property
     def log_det_series(self):

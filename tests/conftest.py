@@ -216,6 +216,21 @@ def oracle_simulate(spec, theta, X=None, seed=0, burn_in=200, T=None,
     return pa.PanelData(Y=Y[burn_in:], X=X[first:], p=spec.p, eps=eps[first:].copy())
 
 
+# simulate(..., spectral=True) against the LU path, relative to 1 + |y|: the
+# worst measured over test_simulate's spectral grid (a 10x10 lattice) and the
+# 20x20 model-1 design is 1.8e-14.
+SPECTRAL_TOL = 5e-14
+
+
+def assert_spectral_agrees(got, want):
+    """``got``, a spectral panel, agrees with ``want`` from the LU path or
+    ``oracle_simulate`` on the same draws: Y to SPECTRAL_TOL, X and eps bit
+    for bit."""
+    assert np.max(np.abs(got.Y - want.Y) / (1.0 + np.abs(want.Y))) < SPECTRAL_TOL
+    assert np.array_equal(got.X, want.X)
+    assert np.array_equal(got.eps, want.eps)
+
+
 def random_causal_theta(spec, rng, phi0_range=0.5):
     """A generic parameter draw that stays well inside the causal region."""
     theta = pa.ParameterVector(

@@ -159,6 +159,64 @@ class TestSimulateCommand:
             assert capsys.readouterr().err == f"error: {section}.{key} must be {expected}\n"
             assert not out.exists()
 
+    @pytest.mark.parametrize("section, key, value, limit", [
+        ("lattice", "n1", 1e20, "MAX_LOCATIONS"),
+        ("lattice", "n2", 1e20, "MAX_LOCATIONS"),
+        ("adjacency", "n", 1e20, "MAX_LOCATIONS"),
+        ("optim", "n_starts", 1e308, "MAX_STARTS"),
+        ("optim", "n_starts", 1001, "MAX_STARTS"),
+    ])
+    def test_too_large_config_key_exit_2(self, tmp_path, capsys, monkeypatch, section, key,
+                                         value, limit):
+        # rejected while the config is read, under every command; a fit that
+        # reached its starts would raise here instead of drawing them
+        import pstarann.cli as cli
+        import pstarann.estimate as estimate
+
+        def no_starts(*args, **kwargs):
+            raise AssertionError("initial_points reached")
+
+        monkeypatch.setattr(estimate, "initial_points", no_starts)
+        cfg_dict = json.loads(json.dumps(MODEL1_CONFIG))
+        if section == "adjacency":
+            cfg_dict["adjacency"] = {"file": "edges.csv", "n": 36}
+            del cfg_dict["lattice"]
+        cfg_dict[section][key] = value
+        cfg = write_config(tmp_path, cfg_dict)
+        for command in (["simulate"], ["fit", "--panel", str(tmp_path / "panel.csv")],
+                        ["replicate", "--replicates", "2"]):
+            out = tmp_path / command[0]
+            code = main(command + ["--config", cfg, "--out", str(out)])
+            assert code == 2
+            assert capsys.readouterr().err == \
+                f"error: {section}.{key} must be <= {getattr(cli, limit)}, got {value!r}\n"
+            assert not out.exists()
+
+    def test_lattice_above_max_locations_exit_2(self, tmp_path, capsys, monkeypatch):
+        # each side of the 6x6 lattice is within the bound, their product is
+        # not: no W is built (the bound is lowered, so that a tree without
+        # the check does not build a W of MAX_LOCATIONS locations)
+        import pstarann.cli as cli
+
+        monkeypatch.setattr(cli, "MAX_LOCATIONS", 30)
+        monkeypatch.setattr(cli, "build_queen_lattice", None)
+        code = main(["simulate", "--config", write_config(tmp_path, MODEL1_CONFIG),
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: lattice: n1 n2 = 36 locations exceeds 30\n"
+
+    def test_ragged_theta_gamma_named(self, tmp_path, capsys):
+        cfg_dict = json.loads(json.dumps(MODEL1_CONFIG))
+        cfg_dict["model"]["h"] = 2
+        cfg_dict["theta"].update({"lambda": [1.5, 0.5], "gamma": [[1.0, 2.0], [3.0]]})
+        cfg = write_config(tmp_path, cfg_dict)
+        for command in (["simulate"], ["fit", "--panel", str(tmp_path / "panel.csv")],
+                        ["replicate", "--replicates", "2"]):
+            code = main(command + ["--config", cfg, "--out", str(tmp_path / "x")])
+            assert code == 2
+            assert capsys.readouterr().err == ("error: theta.gamma must have rows of equal "
+                                               "length, got lengths [2, 1]\n")
+
     def test_missing_density_named_once(self, tmp_path, capsys):
         cfg_dict = json.loads(json.dumps(MODEL1_CONFIG))
         del cfg_dict["model"]["density"]
@@ -794,6 +852,102 @@ class TestReplicateCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["n_success"] == 2
 
+    @pytest.mark.parametrize("design", [[], ["--fixed-design"]],
+                             ids=["random-design", "fixed-design"])
+    def test_spectral_panels_agree_with_oracle(self, tmp_path, capsys, monkeypatch, design):
+        # n = 36 is below N_SPECTRAL: each replicate's panel comes from the
+        # eigenbasis and agrees with the LU oracle on the same draws
+        import pstarann.cli as cli
+        from conftest import MODEL1_COLUMNS, assert_spectral_agrees, oracle_simulate
+
+        panels = []
+        real_fit = cli.fit
+
+        def recording_fit(spec, data, **kwargs):
+            panels.append((spec, data))
+            return real_fit(spec, data, **kwargs)
+
+        monkeypatch.setattr(cli, "fit", recording_fit)
+        code = main(["replicate", "--config", write_config(tmp_path, MODEL1_CONFIG), "--out",
+                     str(tmp_path / "rep"), "--seed", "6", "--replicates", "2", *design])
+        capsys.readouterr()
+        assert code == 0
+        spec = panels[0][0]
+        assert "eigenbasis" in spec.W.__dict__
+        theta = pa.ParameterVector.from_json_dict(MODEL1_CONFIG["theta"])
+        X = None
+        if design:
+            X = pa.generate_covariates(MODEL1_COLUMNS, spec.n, 100 + 1 + 8,
+                                       np.random.SeedSequence(6, spawn_key=(10**6,)))
+        for r, (_, data) in enumerate(panels):
+            want = oracle_simulate(spec, theta, X=X, burn_in=100, T=8,
+                                   covariate_columns=MODEL1_COLUMNS,
+                                   seed=np.random.SeedSequence(6, spawn_key=(r,)))
+            assert_spectral_agrees(data, want)
+
+    def test_spectral_summary_independent_of_thread_count(self, tmp_path, capsys):
+        # a real pool below N_SPECTRAL: the workers filter in the eigenbasis
+        # that the parent built and sent, so the summaries are the same bytes
+        cfg = write_config(tmp_path, MODEL1_CONFIG)
+        for threads in ("1", "2"):
+            main(["replicate", "--config", cfg, "--out", str(tmp_path / threads), "--seed", "3",
+                  "--replicates", "3", "--threads", threads])
+        capsys.readouterr()
+        assert (tmp_path / "1" / "summary.json").read_bytes() == \
+            (tmp_path / "2" / "summary.json").read_bytes()
+
+    def test_eigenbasis_only_for_replicate_below_n_spectral(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # simulate and fit keep A0's sparse LU, and so does replicate from
+        # N_SPECTRAL locations on (lowered here below n = 36)
+        import pstarann.cli as cli
+
+        def no_basis(W):
+            raise AssertionError("eigenbasis built")
+
+        monkeypatch.setattr(weights.WeightMatrix, "eigenbasis", property(no_basis))
+        cfg = write_config(tmp_path, MODEL1_CONFIG)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 0
+        assert main(["fit", "--config", cfg, "--panel", str(tmp_path / "sim" / "panel.csv"),
+                     "--out", str(tmp_path / "fit")]) == 0
+        monkeypatch.setattr(cli, "N_SPECTRAL", 36)
+        assert main(["replicate", "--config", cfg, "--out", str(tmp_path / "rep"),
+                     "--replicates", "2"]) == 0
+        capsys.readouterr()
+
+    def test_parent_builds_eigenbasis_before_workers(self, tmp_path, capsys, monkeypatch):
+        import pickle
+
+        import pstarann.cli as cli
+
+        received = []
+
+        class InlinePool:  # one worker: the study pickled once, the replicates run here
+            def __init__(self, max_workers, initializer, initargs):
+                parent_w = initargs[0][0].W
+                assert "eigenbasis" in parent_w.__dict__
+                initializer(*pickle.loads(pickle.dumps(initargs)))
+                received.append((parent_w.eigenbasis, cli._worker_job[0].W.__dict__))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli, "_worker_job", None)
+        code = main(["replicate", "--config", write_config(tmp_path, MODEL1_CONFIG), "--out",
+                     str(tmp_path / "rep"), "--seed", "8", "--replicates", "2", "--threads", "2"])
+        capsys.readouterr()
+        assert code == 0
+        [(basis, worker)] = received
+        for a, b in zip(basis, worker["eigenbasis"]):
+            assert np.array_equal(a, b)
+
 
 class TestReplicateCovariance:
     """Each replicate record carries the fit's covariance note."""
@@ -809,10 +963,13 @@ class TestReplicateCovariance:
         cfg = cli.load_config(write_config(tmp_path, cfg))
         spec = cli.build_spec(cfg, cli.build_weights(cfg))
         theta, sim, _ = cli.simulation_inputs(cfg, spec)
+        # as cmd_replicate runs it at n = 16, below N_SPECTRAL
+        sim["spectral"] = spec.n < cli.N_SPECTRAL
         rec = cli._replicate_one((spec, theta, sim, None, seed, cfg["optim"]), r)
         # the replicate's own panel, regenerated from the same seed
         data = pa.simulate(spec, theta, seed=np.random.SeedSequence(seed, spawn_key=(r,)),
-                           burn_in=50, T=6, covariate_columns=self.TINY["covariates"])
+                           burn_in=50, T=6, covariate_columns=self.TINY["covariates"],
+                           spectral=sim["spectral"])
         return spec, data, rec
 
     def test_normal_se_matches_sandwich(self, tmp_path):

@@ -7,8 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import pstarann as pa
-from conftest import (MODEL1_COLUMNS, model1_spec, model1_theta, oracle_simulate,
-                      random_causal_theta)
+from conftest import (MODEL1_COLUMNS, assert_spectral_agrees, model1_spec, model1_theta,
+                      oracle_simulate, random_causal_theta)
 from pstarann.simulate import BLOCK_STEPS
 
 
@@ -367,6 +367,66 @@ class TestStreamedSimulation:
         tracemalloc.start()
         try:
             pa.simulate(spec, theta, seed=3, burn_in=200, T=2, covariate_columns=columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        x_bytes = (200 + 1 + 2) * spec.n * spec.q * 8
+        assert peak < 1.3 * x_bytes
+
+
+class TestSpectralSimulation:
+    """simulate(..., spectral=True) runs the recursion as n scalar AR(p)
+    filters in W's eigenbasis. Its panels agree with the whole-array oracle,
+    which solves with A0's sparse LU, to SPECTRAL_TOL; its covariates and
+    innovations are the LU path's bits."""
+
+    @pytest.mark.parametrize("burn_in", [0, 1, B - 1, B, 200])
+    @pytest.mark.parametrize("density", [pa.normal(), pa.scaled_t(8), pa.laplace()],
+                             ids=lambda d: d.label)
+    @pytest.mark.parametrize("h", [0, 2])
+    @pytest.mark.parametrize("p", [0, 1, 2, 3])
+    def test_matches_whole_array_oracle(self, w1010, p, h, density, burn_in):
+        spec = pa.ModelSpec(W=w1010, p=p, q=3, h=h, density=density, include_intercept=True)
+        theta = random_causal_theta(spec, np.random.default_rng(100 * p + h))
+        T = B + 3  # the sample window spans a block boundary
+        steps = burn_in + p + T
+        rng = np.random.default_rng(burn_in)
+        X = rng.standard_normal((steps, spec.n, spec.q))
+        X[:, :, 0] = 1.0
+        errors = density.sample(rng, steps * spec.n).reshape(steps, spec.n)
+        for kwargs in ({"T": T, "covariate_columns": INTERCEPT_COLUMNS},
+                       {"T": T, "covariate_columns": INTERCEPT_COLUMNS, "errors": errors},
+                       {"X": X},
+                       {"X": X, "errors": errors}):
+            got = pa.simulate(spec, theta, seed=burn_in + 7, burn_in=burn_in, spectral=True,
+                              **kwargs)
+            want = oracle_simulate(spec, theta, seed=burn_in + 7, burn_in=burn_in, **kwargs)
+            assert_spectral_agrees(got, want)
+
+    @pytest.mark.parametrize("density", [pa.normal(), pa.scaled_t(8), pa.laplace()],
+                             ids=lambda d: d.label)
+    def test_draws_equal_lu_path(self, w2020, density):
+        # the replicate study's design: model 1 on 20x20, T = 30, burn-in 200
+        spec = model1_spec(w2020, density)
+        lu = pa.simulate(spec, model1_theta(), seed=11, T=30, covariate_columns=MODEL1_COLUMNS)
+        got = pa.simulate(spec, model1_theta(), seed=11, T=30, covariate_columns=MODEL1_COLUMNS,
+                          spectral=True)
+        assert_spectral_agrees(got, lu)
+
+    def test_peak_memory_bounded_by_covariates(self):
+        # as TestStreamedSimulation's bound, on a 20x20 lattice with the
+        # eigenbasis built beforehand: a block is mapped into the basis and
+        # back only for the retained rows, so X is still almost all of it
+        spec = pa.ModelSpec(W=pa.build_queen_lattice(20, 20), p=1, q=4, h=2,
+                            density=pa.scaled_t(8), include_intercept=True)
+        theta = pa.ParameterVector(0.4, [0.3], [-1.2, 0.15, -1.2, -0.15], [3.2, 1.8],
+                                   [[0.5, 1.6, -2.5, 2.3], [0.4, -1.8, 1.3, -0.9]])
+        columns = [{"kind": "constant", "value": 1.0}] + [{"kind": "normal", "sd": 1.0}] * 3
+        _ = spec.W.eigenbasis
+        tracemalloc.start()
+        try:
+            pa.simulate(spec, theta, seed=3, burn_in=200, T=2, covariate_columns=columns,
+                        spectral=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -219,6 +219,15 @@ class TestEigenvalues:
         oracle = np.sort(np.linalg.eigvals(w33.W.toarray()).real)[::-1]
         assert_allclose(w33.eigenvalues, oracle, atol=1e-10)
 
+    def test_eigenbasis_reconstructs_w(self, w1010):
+        # W = diag(1 / root) Q diag(tau) Q^T diag(root)
+        tau, Q, root = w1010.eigenbasis
+        W = (Q * tau) @ Q.T * root / root[:, None]
+        assert_allclose(W, w1010.W.toarray(), rtol=0, atol=1e-14)
+        assert_allclose(Q.T @ Q, np.eye(w1010.n), rtol=0, atol=1e-13)
+        assert_allclose(np.sort(tau)[::-1], w1010.eigenvalues, rtol=0, atol=1e-14)
+        assert not (tau.flags.writeable or Q.flags.writeable or root.flags.writeable)
+
 
 @pytest.fixture
 def eigh_calls(monkeypatch):
