@@ -61,6 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
+from ._csv import row_blocks
 from .densities import density_from_config
 from .diagnostics import heatmap_grid, residual_diagnostics
 from .estimate import FitError, fit
@@ -303,6 +304,20 @@ def cmd_simulate(args):
 # fit
 # ----------------------------------------------------------------------
 
+def write_diagnostics(path, diag):
+    """Write ``{"moran_per_t": [...], "qq": [[theoretical, sample], ...]}`` as
+    one ``json.dumps`` of it would, dumping the n T QQ pairs one block of
+    ``_csv.BLOCK_ROWS`` at a time (``json.dumps``, unlike ``json.dump``, runs
+    the C encoder)."""
+    qq = diag["qq"]
+    with open(path, "w") as fh:
+        # the document up to the QQ list's opening bracket
+        fh.write(json.dumps({"moran_per_t": diag["moran_per_t"], "qq": []})[:-2])
+        for r0, r1 in row_blocks(len(qq)):
+            fh.write((", " if r0 else "") + json.dumps(qq[r0:r1].tolist())[1:-1])
+        fh.write("]}")
+
+
 def cmd_fit(args):
     cfg, spec = load_setup(args)
     data = read_panel_csv(args.panel, spec.p, spec.q)
@@ -319,10 +334,7 @@ def cmd_fit(args):
     table = result.format_table()
     (out / "fit.txt").write_text(table + "\n")
 
-    diag = residual_diagnostics(spec, result.residuals)
-    # json.dumps, unlike json.dump, runs the C encoder
-    (out / "diagnostics.json").write_text(
-        json.dumps({"moran_per_t": diag["moran_per_t"], "qq": diag["qq"].tolist()}))
+    write_diagnostics(out / "diagnostics.json", residual_diagnostics(spec, result.residuals))
     print(table)
     if not result.converged:
         print("fit did not converge; diagnostics written", file=sys.stderr)

@@ -37,16 +37,17 @@ the random-design reading of the experiments; a fixed design across
 replicates is available by generating X once and passing it in.
 
 A panel travels as CSV with header t,s,y,x1..xq and one line per (t, s)
-cell; presample lines have t <= 0 and empty covariate fields.
+cell; presample lines have t <= 0 and empty covariate fields. It is read
+and written one block of ``_csv.BLOCK_ROWS`` lines at a time.
 """
 
 from __future__ import annotations
 
-from itertools import chain, compress, repeat
+from itertools import chain, repeat, starmap
 
 import numpy as np
 
-from ._csv import parse_column, read_columns, write_rows
+from ._csv import read_columns, row_blocks, write_rows
 from .model import ModelSpec, PanelData, ParameterVector, check_causal, sigmoid
 
 __all__ = [
@@ -228,14 +229,23 @@ def _panel_header(q):
 
 
 def write_panel_csv(path, data: PanelData):
-    """Write a panel to CSV with schema ``t,s,y,x1..xq``."""
+    """Write a panel to CSV with schema ``t,s,y,x1..xq``, formatting one block
+    of lines at a time (``_csv.BLOCK_ROWS``)."""
     p, n, q = data.p, data.n, data.q
-    columns = [map(str, np.repeat(np.arange(1 - p, data.T + 1), n).tolist()),
-               map(str, np.tile(np.arange(n), p + data.T).tolist()),
-               map(repr, data.Y.ravel().tolist())]
-    columns += [chain(repeat("", p * n), map(repr, data.X[:, :, j].ravel().tolist()))
-                for j in range(q)]
-    write_rows(path, chain([_panel_header(q)], zip(*columns)))
+    y, x = data.Y.reshape(-1), data.X.reshape(data.T * n, q)
+    pre = p * n  # presample lines, whose covariate fields are empty
+
+    def block(r0, r1):
+        r = np.arange(r0, r1)
+        xa, xb = max(r0 - pre, 0), max(r1 - pre, 0)
+        columns = [map(str, (r // n + 1 - p).tolist()), map(str, (r % n).tolist()),
+                   map(repr, y[r0:r1].tolist())]
+        columns += [chain(repeat("", r1 - r0 - (xb - xa)), map(repr, c))
+                    for c in x[xa:xb].T.tolist()]
+        return zip(*columns)
+
+    blocks = starmap(block, row_blocks(y.size))
+    write_rows(path, chain([_panel_header(q)], chain.from_iterable(blocks)))
 
 
 def read_panel_csv(path, p, q):
@@ -246,15 +256,9 @@ def read_panel_csv(path, p, q):
     not parse, a non-finite value, an empty covariate on a sample row, a
     covariate on a presample row, a (t, s) pair an earlier line gave.
     """
-    lines, columns = read_columns(path, _panel_header(q))
-    t, s = (parse_column(path, lines, c, np.int64) for c in columns[:2])
-    y = parse_column(path, lines, columns[2], float)
-    filled = np.empty((lines.size, q), dtype=bool)  # presample rows leave x empty
-    x = np.zeros((lines.size, q))
-    for j, fields in enumerate(columns[3:]):
-        filled[:, j] = np.fromiter(map(bool, map(str.strip, fields)), bool, lines.size)
-        x[filled[:, j], j] = parse_column(path, lines[filled[:, j]],
-                                          list(compress(fields, filled[:, j].tolist())), float)
+    lines, (t, s, y, *x), filled = read_columns(path, _panel_header(q),
+                                                [np.int64, np.int64, float] + [float] * q, blank=q)
+    x = np.column_stack(x) if q else np.zeros((lines.size, 0))  # presample rows leave x empty
     sample = t >= 1
     again = np.ones(lines.size, dtype=bool)
     again[np.unique(np.column_stack((t, s)), axis=0, return_index=True)[1]] = False

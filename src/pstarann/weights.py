@@ -84,7 +84,7 @@ from numpy.polynomial import Chebyshev
 from numpy.polynomial import polyutils as pu
 from numpy.polynomial.chebyshev import chebpts1
 
-from ._csv import parse_column, read_columns
+from ._csv import read_columns
 
 __all__ = [
     "LogDetSeries",
@@ -573,6 +573,6 @@ def read_adjacency_csv(path, n):
 
     Binary only: other columns (a weight, say) are rejected, and every row
     error names its line."""
-    lines, columns = read_columns(path, ["i", "j"])
-    edges = np.column_stack([parse_column(path, lines, c, np.int64) for c in columns])
+    lines, columns, _ = read_columns(path, ["i", "j"], [np.int64, np.int64])
+    edges = np.column_stack(columns)
     return _edge_weights(edges, int(n), lambda k: f"{path}: malformed edge at line {lines[k]}: ")

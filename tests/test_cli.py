@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,8 +18,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import pstarann as pa
-from pstarann import weights
-from pstarann.cli import main
+from pstarann import _csv, weights
+from pstarann.cli import main, write_diagnostics
+from pstarann.diagnostics import residual_diagnostics
 from pstarann.simulate import BURN_IN
 
 
@@ -650,6 +652,38 @@ class TestFitCommand:
         result = json.loads((fit_out / "fit.json").read_text())
         assert "std_errors" not in result
         assert "covariance_note" in result
+
+
+class TestDiagnosticsJSON:
+    """``fit`` writes diagnostics.json through ``cli.write_diagnostics``, which
+    dumps the QQ pairs one block of ``_csv.BLOCK_ROWS`` at a time."""
+
+    @pytest.mark.parametrize("block_rows", [1, 2, None], ids=["block1", "block2", "default"])
+    @pytest.mark.parametrize("pairs", ["none", "one", "blocks"])
+    def test_bytes_of_one_dumps(self, tmp_path, monkeypatch, block_rows, pairs):
+        if block_rows:
+            monkeypatch.setattr(_csv, "BLOCK_ROWS", block_rows)
+        rows = {"none": 0, "one": 1, "blocks": 2 * _csv.BLOCK_ROWS + 3}[pairs]
+        qq = np.sort(np.random.default_rng(rows).standard_normal((rows, 2)), axis=0)
+        diag = {"moran_per_t": [0.25, -0.125, float("nan")], "qq": qq}
+        write_diagnostics(tmp_path / "diagnostics.json", diag)
+        assert (tmp_path / "diagnostics.json").read_text() == json.dumps(
+            {"moran_per_t": diag["moran_per_t"], "qq": qq.tolist()})
+
+    def test_write_peak(self, w2020, tmp_path):
+        # the 12,000 QQ pairs of the replicate study's model-1 panel (20x20,
+        # T = 30): one json.dumps of qq.tolist() peaked at 4.3 MB under
+        # tracemalloc, blocks of pairs at 0.38 MB
+        spec = pa.ModelSpec(W=w2020, p=1, q=2, h=1, density=pa.normal(), linear_term=False)
+        residuals = np.random.default_rng(0).standard_normal((30, spec.n))
+        diag = residual_diagnostics(spec, residuals)
+        tracemalloc.start()
+        try:
+            write_diagnostics(tmp_path / "diagnostics.json", diag)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.0e6
 
 
 class TestReplicateCommand:

@@ -8,7 +8,8 @@ from numpy.testing import assert_allclose
 
 import pstarann as pa
 from conftest import (MODEL1_COLUMNS, assert_spectral_agrees, model1_spec, model1_theta,
-                      oracle_simulate, random_causal_theta)
+                      oracle_simulate, random_causal_theta, reference_write_panel_csv)
+from pstarann import _csv
 from pstarann.simulate import BLOCK_STEPS
 
 
@@ -270,6 +271,122 @@ class TestPanelCSV:
     def test_presample_only_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no data rows with t >= 1"):
             pa.read_panel_csv(self._write(tmp_path, self.GOOD_ROWS[:2]), p=1, q=1)
+
+    # The file is read _csv.BLOCK_ROWS lines at a time; the cases below place
+    # their faults and blank lines by that size, so that TestPanelCSVInBlocks
+    # puts them in other blocks than the lines they are checked against.
+
+    @staticmethod
+    def _many_rows(count):
+        """At least ``count`` lines of a valid p = 1, q = 1 panel on 10
+        locations: indices 0-9 are the presample, index i is on line i + 2."""
+        rows = [f"0,{s},0.5," for s in range(10)]
+        return rows + [f"{t},{s},1.5,0.25" for t in range(1, -(-count // 10) + 1)
+                       for s in range(10)]
+
+    def _message(self, tmp_path, rows):
+        path = self._write(tmp_path, rows)
+        with pytest.raises(ValueError) as err:
+            pa.read_panel_csv(path, p=1, q=1)
+        prefix = f"{path}: "
+        assert str(err.value).startswith(prefix)
+        return str(err.value)[len(prefix):]
+
+    def test_repeated_cell_names_line_of_earlier_block(self, tmp_path):
+        far = 2 * _csv.BLOCK_ROWS + 13  # more than a block after index 12, cell (1, 2)
+        rows = self._many_rows(far + 10)
+        rows[far] = "1,2,9.0,0.25"
+        assert self._message(tmp_path, rows) == f"line {far + 2} repeats (t, s) = (1, 2) of line 14"
+
+    # a fault at index 3 (a presample line, line 5) and one at index `far`,
+    # two blocks on (a sample line): (index, field, value) edits, a value of
+    # None dropping the field, and the message
+    @pytest.mark.parametrize("edits, message", [
+        ([("near", 2, "nan"), ("far", 3, "oops")], "malformed value at line {far}"),
+        ([("near", 3, "oops"), ("far", 0, "oops")], "malformed value at line {far}"),
+        ([("near", 1, "oops"), ("far", 1, "oops")], "malformed value at line {near}"),
+        ([("near", 2, "oops"), ("far", 3, None)], "line {far} has 3 fields, expected 4"),
+        ([("near", 3, "0.7"), ("far", 3, "")], "empty covariate field at line {far}"),
+        ([("near", 2, "inf"), ("far", 3, "")], "non-finite value at line {near}"),
+    ], ids=["parse-before-non-finite", "columns-in-header-order", "first-line-of-a-column",
+            "field-count-first", "empty-before-presample", "non-finite-before-empty"])
+    def test_faults_in_two_blocks_keep_whole_file_order(self, tmp_path, edits, message):
+        index = {"near": 3, "far": 2 * _csv.BLOCK_ROWS + 14}
+        rows = self._many_rows(index["far"] + 10)
+        for where, field, value in edits:
+            fields = rows[index[where]].split(",")
+            fields[field:field + 1] = [] if value is None else [value]
+            rows[index[where]] = ",".join(fields)
+        lines = {where: k + 2 for where, k in index.items()}
+        assert self._message(tmp_path, rows) == message.format(**lines)
+
+    @pytest.mark.parametrize("blank", ["", "  "], ids=["empty", "spaces"])
+    def test_blank_lines_at_block_edge_skipped(self, tmp_path, blank):
+        B = _csv.BLOCK_ROWS
+        rows = self._many_rows(2 * B + 30)
+        want = pa.read_panel_csv(self._write(tmp_path, rows), p=1, q=1)
+        # the last line of the first block and the first line of the second
+        rows[B - 1:B - 1] = [blank, blank]
+        got = pa.read_panel_csv(self._write(tmp_path, rows), p=1, q=1)
+        assert np.array_equal(got.Y, want.Y) and np.array_equal(got.X, want.X)
+        # the blank lines count: index i is still on line i + 2
+        rows[2 * B + 15] = rows[2 * B + 15].replace(",1.5,", ",oops,")
+        assert self._message(tmp_path, rows) == f"malformed value at line {2 * B + 17}"
+
+    def test_shuffled_multi_block_panel_round_trips(self, w1010, tmp_path):
+        # 100 locations, p = 1 and T = 25: 2,600 lines, three default blocks,
+        # with the presample ending inside one
+        spec = model1_spec(w1010)
+        data = pa.simulate(spec, model1_theta(), seed=8, T=25, covariate_columns=MODEL1_COLUMNS)
+        path, reference = tmp_path / "panel.csv", tmp_path / "reference.csv"
+        pa.write_panel_csv(path, data)
+        reference_write_panel_csv(reference, data)
+        assert path.read_bytes() == reference.read_bytes()
+        header, *rows = path.read_text().splitlines()
+        np.random.default_rng(0).shuffle(rows)
+        path.write_text("\n".join([header] + rows) + "\n")
+        back = pa.read_panel_csv(path, p=1, q=2)
+        assert np.array_equal(back.Y, data.Y) and np.array_equal(back.X, data.X)
+
+
+class TestPanelCSVInBlocks(TestPanelCSV):
+    """Every TestPanelCSV case with 1- and 2-line blocks: each fault, each
+    repeated cell's first line and each blank line falls in another block
+    than the lines it is checked against, and every message is the one a
+    whole-file read gives."""
+
+    @pytest.fixture(autouse=True, params=[1, 2], ids=["block1", "block2"])
+    def block_rows(self, request, monkeypatch):
+        monkeypatch.setattr(_csv, "BLOCK_ROWS", request.param)
+
+
+class TestBlockedIOMemory:
+    """The model-1 panel of the replicate study, 20x20 with T = 30 (12,400
+    lines), is read and written one block of lines at a time. Whole-file
+    reads and writes peaked at 6.5 and 1.6 MB under tracemalloc; blocked,
+    1.66 and 0.16 MB."""
+
+    @pytest.fixture(scope="class")
+    def panel(self, w2020):
+        return pa.simulate(model1_spec(w2020), model1_theta(), seed=3, T=30,
+                           covariate_columns=MODEL1_COLUMNS)
+
+    @staticmethod
+    def _peak_mb(f):
+        tracemalloc.start()
+        try:
+            f()
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    def test_read_peak(self, panel, tmp_path):
+        path = tmp_path / "panel.csv"
+        pa.write_panel_csv(path, panel)
+        assert self._peak_mb(lambda: pa.read_panel_csv(path, p=1, q=2)) < 2.5
+
+    def test_write_peak(self, panel, tmp_path):
+        assert self._peak_mb(lambda: pa.write_panel_csv(tmp_path / "panel.csv", panel)) < 0.5
 
 
 class TestExogenousDrive:

@@ -17,7 +17,7 @@ from scipy.spatial import Delaunay
 
 import pstarann as pa
 from conftest import MODEL1_COLUMNS, model1_spec, model1_theta, oracle_series_node_values
-from pstarann import weights
+from pstarann import _csv, weights
 from pstarann.cli import main
 from pstarann.weights import LogDetSeries, read_adjacency_csv
 
@@ -195,6 +195,33 @@ class TestFromAdjacency:
         path.write_text("i,j\n1,1\n0,1\n")
         with pytest.raises(ValueError, match=r"line 2: .*self-pair"):
             read_adjacency_csv(path, 3)
+
+    # a ring on n nodes, one edge per line, read 1, 2 and the default number
+    # of lines at a time: a fault two blocks on from a fault in the first
+    # block is named by a whole-file read's rule (parse before range before
+    # self-pair)
+    @pytest.mark.parametrize("block_rows", [1, 2, None], ids=["block1", "block2", "default"])
+    @pytest.mark.parametrize("near, far, message", [
+        ("1,oops", "0,x", "malformed value at line {near}"),
+        ("1,1", "0,x", "malformed value at line {far}"),
+        ("1,1", "0,{n}", "malformed edge at line {far}: edge (0, {n}) out of range for n={n}"),
+        ("1,1", "2,2", "malformed edge at line {near}: self-pair (1, 1) not allowed"),
+    ], ids=["first-malformed", "malformed-later", "range-later", "self-pair-first"])
+    def test_csv_fault_in_later_block(self, tmp_path, monkeypatch, block_rows, near, far,
+                                      message):
+        if block_rows:
+            monkeypatch.setattr(_csv, "BLOCK_ROWS", block_rows)
+        B = _csv.BLOCK_ROWS
+        n = 2 * B + 20
+        rows = [f"{i},{(i + 1) % n}" for i in range(n)]
+        index = {"near": 3, "far": 2 * B + 14}  # index k is on line k + 2
+        rows[index["near"]], rows[index["far"]] = near, far.format(n=n)
+        path = tmp_path / "edges.csv"
+        path.write_text("i,j\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError) as err:
+            read_adjacency_csv(path, n)
+        lines = {where: k + 2 for where, k in index.items()}
+        assert str(err.value) == f"{path}: " + message.format(n=n, **lines)
 
 
 class TestEigenvalues:
