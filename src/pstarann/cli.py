@@ -43,9 +43,10 @@ in this process; with K > 1, each of K worker processes receives the study
 once, when it starts, and builds the log-det series pieces its own fits touch.
 Below ``weights.N_SPECTRAL`` locations, ``replicate`` simulates its panels in
 W's eigenbasis, built once in this process before any replicate runs and
-sent to the workers with the study. Its panels then equal those of
-``simulate`` with the same draws only to about 1e-14 (1 + |y|), not bit for
-bit; their X and innovations are the same bits.
+sent to the workers with the study; its tau are also the spectrum that
+the causality check and every fit's log-det read. Its panels then equal
+those of ``simulate`` with the same draws only to about 1e-14 (1 + |y|),
+not bit for bit; their X and innovations are the same bits.
 """
 
 from __future__ import annotations
@@ -357,13 +358,14 @@ def _replicate_one(job, r):
     replicates that process ran before: a spectral ``sim`` reads the
     eigenbasis that ``cmd_replicate`` built. The log-det series pieces and tau_min
     that a fit builds stay on spec.W for the process's later replicates; they
-    are bit-equal whichever replicate builds them. A failure is recorded, not
-    raised.
+    are bit-equal whichever replicate builds them. A failed fit is recorded,
+    not raised; a panel that cannot be drawn (``simulate`` raises) is an
+    input error of the study, and raises.
     """
     spec, theta, sim, X_fixed, seed, opts = job
+    data = simulate(spec, theta, X=X_fixed, seed=np.random.SeedSequence(seed, spawn_key=(r,)),
+                    **sim)
     try:
-        data = simulate(spec, theta, X=X_fixed,
-                        seed=np.random.SeedSequence(seed, spawn_key=(r,)), **sim)
         res = fit(spec, data, seed=seed + r, covariance=True, **opts)
         return {
             "replicate": r,
@@ -401,6 +403,14 @@ def cmd_replicate(args):
     if args.threads < 1:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
 
+    # below N_SPECTRAL, the panels come from n scalar AR(p) filters in W's
+    # eigenbasis, built (and cached on spec.W) here once, before anything
+    # reads the spectrum: then the causality check for p >= 3, every
+    # replicate's log-det and traces, and every worker read its tau, so the
+    # study pays for one spectrum build and every replicate reads the same bits
+    sim["spectral"] = spec.n < N_SPECTRAL
+    if sim["spectral"]:
+        _ = spec.W.eigenbasis
     check_causal(spec, theta).require()
 
     X_fixed = None
@@ -408,12 +418,6 @@ def cmd_replicate(args):
         X_fixed = generate_covariates(sim["covariate_columns"], spec.n, steps,
                                       np.random.SeedSequence(args.seed, spawn_key=(10**6,)))
 
-    # below N_SPECTRAL, the panels come from n scalar AR(p) filters in W's
-    # eigenbasis, built (and cached on spec.W) here once, so that every
-    # replicate and worker reads the same bits
-    sim["spectral"] = spec.n < N_SPECTRAL
-    if sim["spectral"]:
-        _ = spec.W.eigenbasis
     job = (spec, theta, sim, X_fixed, args.seed, cfg.get("optim", {}))
     if args.threads > 1:
         with ProcessPoolExecutor(max_workers=args.threads, initializer=_init_worker,

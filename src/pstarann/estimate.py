@@ -84,6 +84,7 @@ __all__ = [
     "likelihood_ratio_test",
 ]
 
+_EPS = np.finfo(float).eps
 # Not used by the estimator: bench/tracer.py reads it to count finite
 # optima (see ``optimize`` below).
 _PENALTY = 1e15
@@ -344,7 +345,7 @@ def _trust_region_step(g, lam, Q, delta):
     lam_1 + sigma of the same order gives a step of arbitrary length.
     """
     a = Q.T @ g
-    a[np.abs(a) <= 4.0 * a.size * np.finfo(float).eps * np.linalg.norm(g)] = 0.0
+    a[np.abs(a) <= 4.0 * a.size * _EPS * np.linalg.norm(g)] = 0.0
     if lam[0] > 0:
         s = -Q @ (a / lam)
         if np.linalg.norm(s) <= delta:
@@ -382,12 +383,18 @@ def _trust_region_newton(fun, x0, hess, bounds, gtol=1e-8, maxiter=500):
     """Projected trust-region Newton on the box ``bounds``, (dim, 2) rows (lb, ub).
 
     ``fun(x)`` returns the objective and its gradient, ``(f, g)``, and
-    ``hess(x)`` its Hessian. Lin & Moré (1999, TRON) with an exact
-    subproblem: each iteration takes the free variables (those not held on
-    a bound by ``_first_order``), solves the trust-region subproblem on
-    their block of the Hessian (``_trust_region_step``), projects the step
-    onto the box and applies the ratio test. A trial point where ``fun`` is not finite is rejected
-    and shrinks the radius. Both reductions in the ratio carry
+    ``hess(x)`` its Hessian. A trial point is evaluated as
+    ``fun(x, threshold)``: the ratio test rejects, up to rounding, every
+    f(x) >= threshold, so ``fun`` may return a non-finite f for a point that
+    it can show to be rejected without computing f. Lin & Moré (1999, TRON)
+    with an exact subproblem: each iteration takes the free variables
+    (those not held on a bound by ``_first_order``), solves the
+    trust-region subproblem on their block of the Hessian
+    (``_trust_region_step``), projects the step onto the box and applies
+    the ratio test. A trial point where ``fun`` is not finite is rejected
+    and shrinks the radius, as any rejection does. x, f, g, the stopping
+    test and the Hessian change only at an accepted trial. Both
+    reductions in the ratio carry
     10 eps max(1, |f|), so that once the predicted gain falls below the
     objective's rounding a step is judged by its model alone (Conn, Gould
     & Toint 2000, sec. 17.4.2). Stops when ``_first_order`` holds with
@@ -406,34 +413,42 @@ def _trust_region_newton(fun, x0, hess, bounds, gtol=1e-8, maxiter=500):
     if not np.isfinite(f):
         return TrustRegionResult(x, np.inf, 0, nfev, False, np.inf,
                                  "objective not finite at the start")
-    delta, nit, eig, flat = 1.0, 0, None, 0
+    delta, nit, flat, new = 1.0, 0, 0, True
     while True:
-        pg_norm, done, free = _first_order(x, g, f, lb, ub, gtol)
-        if done:
-            success, message = True, "projected gradient below tolerance"
-            break
+        if new:  # x, f and g change only here: a rejected trial keeps them
+            pg_norm, done, free = _first_order(x, g, f, lb, ub, gtol)
+            if done:
+                success, message = True, "projected gradient below tolerance"
+                break
+            x_rounding = _EPS * (1.0 + np.max(np.abs(x)))
+            noise = 10.0 * _EPS * max(1.0, abs(f))
+            free = None if free.all() else free  # None: no variable is held
         if nit >= maxiter:
             success, message = False, "maximum number of iterations reached"
             break
-        if delta <= np.finfo(float).eps * (1.0 + np.max(np.abs(x))):
+        if delta <= x_rounding:
             success, message = False, "trust radius fell below the rounding of x"
             break
         if flat >= _FLAT_TRIALS:
             success = False
             message = f"no progress: {flat} trials gained less than the rounding of f"
             break
-        if eig is None:  # a new iterate
+        if new:
             B = hess(x)
-            eig = np.linalg.eigh(B[np.ix_(free, free)])
+            eig = np.linalg.eigh(B if free is None else B[np.ix_(free, free)])
+            new = False
         nit += 1
-        s = np.zeros_like(x)
-        s[free] = _trust_region_step(g[free], *eig, delta)
+        if free is None:
+            s = _trust_region_step(g, *eig, delta)
+        else:
+            s = np.zeros_like(x)
+            s[free] = _trust_region_step(g[free], *eig, delta)
         trial = np.clip(x + s, lb, ub)
         s = trial - x
         step = np.linalg.norm(s)
         pred = -(g @ s + 0.5 * s @ B @ s)
-        (f_new, g_new), nfev = fun(trial), nfev + 1
-        noise = 10.0 * np.finfo(float).eps * max(1.0, abs(f))
+        # the ratio test below accepts the trial iff f_new < threshold
+        (f_new, g_new), nfev = fun(trial, f + noise - 0.15 * (pred + noise)), nfev + 1
         rho = (f - f_new + noise) / (pred + noise) if np.isfinite(f_new) and pred > 0 else -np.inf
         if rho < 0.25:  # a projected step can be shorter than the radius
             delta = 0.25 * (step if 0 < step < delta else delta)
@@ -441,7 +456,7 @@ def _trust_region_newton(fun, x0, hess, bounds, gtol=1e-8, maxiter=500):
             delta = min(2.0 * delta, 1e3)
         flat = 0 if rho > 0.15 and f_new < f - noise else flat + 1
         if rho > 0.15:
-            x, f, g, eig = trial, f_new, g_new, None
+            x, f, g, new = trial, f_new, g_new, True
     return TrustRegionResult(x, f, nit, nfev, success, pg_norm, message)
 
 
@@ -456,7 +471,10 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
     """Maximize the conditional log-likelihood from multiple starts.
 
     Each start runs ``_trust_region_newton`` on the analytic gradient and
-    Hessian. The normal and scaled-t families run it once, on the
+    Hessian. A trial that the density sum alone shows to fail the ratio
+    test is rejected without its log-det (``log_likelihood``'s ``floor``;
+    ln|A0| <= 0), as the exact value would reject it: a stray trial below
+    phi0 = 0 builds no negative series piece. The normal and scaled-t families run it once, on the
     log-likelihood. The Laplace family runs it once per width in
     ``_LAPLACE_SMOOTHING``, on the pseudo-Huber smoothing of its
     log-likelihood (``densities.SmoothedLaplace``), each stage started where
@@ -494,8 +512,10 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
         stages = [(SmoothedLaplace(mu), max(tol, 1e-2 * mu)) for mu in _LAPLACE_SMOOTHING]
         stages[-1] = (stages[-1][0], tol)
 
-    def objective(x):
-        ll, g = ws.loglik_and_gradient(ParameterVector.from_array(x, spec))
+    def objective(x, threshold=np.inf):
+        # a trial whose -ll is certainly >= threshold, the ratio test's
+        # rejection, comes back as inf without its log-det
+        ll, g = ws.loglik_and_gradient(ParameterVector.from_array(x, spec), -threshold)
         if not np.isfinite(ll):
             return np.inf, np.zeros(spec.dim)
         return -ll, -g

@@ -204,7 +204,7 @@ def simulate(spec: ModelSpec, theta: ParameterVector, X=None, seed=0, burn_in=BU
             # F in the (h, m) layout of the likelihood's network rows, with Xt
             # the (q, m) transposed view of the block's m = (t1 - t0) n rows
             Xt = X[t0:t1].reshape(-1, spec.q).T
-            drive += (theta.lam @ sigmoid(theta.gamma @ Xt)).reshape(drive.shape)
+            drive += (theta.lam @ _activations(theta.gamma, Xt)).reshape(drive.shape)
         if spectral:
             drive = (drive * root) @ Q
             drive *= gain
@@ -222,6 +222,17 @@ def simulate(spec: ModelSpec, theta: ParameterVector, X=None, seed=0, burn_in=BU
         Y = (Y @ Q.T) / root
     # a copy, so that the panel does not keep all steps' covariates alive
     return PanelData(Y=Y, X=X[first:].copy(), p=spec.p, eps=eps)
+
+
+def _activations(gamma, Xt):
+    """sigmoid(gamma Xt). An argument that overflows raises ValueError naming
+    theta.gamma: the sigmoid would saturate and the panel look finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        arg = gamma @ Xt
+    if not np.isfinite(arg).all():
+        raise ValueError("theta.gamma: the network argument gamma x is not finite; "
+                         "gamma is too large for the covariates")
+    return sigmoid(arg)
 
 
 def _panel_header(q):
@@ -260,8 +271,12 @@ def read_panel_csv(path, p, q):
                                                 [np.int64, np.int64, float] + [float] * q, blank=q)
     x = np.column_stack(x) if q else np.zeros((lines.size, 0))  # presample rows leave x empty
     sample = t >= 1
-    again = np.ones(lines.size, dtype=bool)
-    again[np.unique(np.column_stack((t, s)), axis=0, return_index=True)[1]] = False
+    # a stable sort by (t, s) puts a repeated cell's lines together in file
+    # order, so a line repeats an earlier one iff it equals its predecessor
+    order = np.lexsort((s, t))
+    t_sorted, s_sorted = t[order], s[order]
+    again = np.zeros(lines.size, dtype=bool)
+    again[order[1:]] = (t_sorted[1:] == t_sorted[:-1]) & (s_sorted[1:] == s_sorted[:-1])
     for bad, message in (
             (~(np.isfinite(y) & np.isfinite(x).all(axis=1)), "non-finite value at line {}"),
             (sample & ~filled.all(axis=1), "empty covariate field at line {}"),

@@ -26,9 +26,17 @@ log-determinant or trace (which only a likelihood needs), and cached for
 the life of the WeightMatrix; ``log_det_record`` reports the backend, its
 build time, the series pieces built and the sparse LUs they took.
 
-- The spectrum (Ord's device): one dense symmetric eigensolve of S, after
+- The spectrum (Ord's device): a dense symmetric eigensolve of S, after
   which every evaluation is O(n). It costs O(n^3) time and n^2 memory, and
-  serves n < N_SERIES and any |phi0| > SERIES_PHI0_MAX.
+  serves n < N_SERIES and any |phi0| > SERIES_PHI0_MAX. On a lattice, S is
+  unchanged when either axis is reversed (J1 S J1 = J2 S J2 = S for the
+  reversal permutations J1, J2 of row-major order), so it commutes with
+  both and is block diagonal in a basis of their common eigenvectors, the
+  Kronecker products of each axis' even and odd vectors (a symmetry-
+  adapted basis; Fässler & Stiefel 1992). Each of the up to four blocks,
+  of about n/4 rows, is solved on its own, for 1/16 of the flops of one
+  solve of S. A W without that symmetry, every edge-list design among
+  them, takes one solve of S.
 - The series (``LogDetSeries``, Pace & Barry 1997 made spectrally
   accurate): for n >= N_SERIES and |phi0| <= SERIES_PHI0_MAX. In
   x = atanh(phi0), f is analytic in the strip |Im x| < pi/2 whatever the
@@ -66,7 +74,8 @@ W = D^{-1/2} Q diag(tau) Q^T D^{1/2}, so in the coordinates
 z = Q^T D^{1/2} y the recursion of a simulation becomes n scalar AR(p)
 filters (``simulate(..., spectral=True)``). One eigensolve with vectors
 costs more than one panel saves, so only ``replicate`` takes it, below
-N_SPECTRAL locations.
+N_SPECTRAL locations. Once it is built, ``eigenvalues`` is its tau, so
+the log-det reads the same spectrum and no second solve is made.
 """
 
 from __future__ import annotations
@@ -108,11 +117,13 @@ SPECTRUM_TOL = 1e-10
 N_SERIES = 1400
 # Below this many locations, ``replicate`` simulates its panels in the
 # eigenbasis of W. Model 1 (p = 1, T = 30, burn-in 200) on queen lattices,
-# one BLAS thread, 2 shared vCPUs, min of 5: the eigensolve with vectors
-# takes 21 ms at n = 400 (10 ms for the values alone) and a panel falls
-# from 27 to 12 ms, draws included; at n = 484, 30 ms and 31 to 15 ms; at
-# n = 625, 62 ms and 32 to 19 ms. The basis pays for itself after 1.4, 1.9
-# and 4.9 panels, and a replicate study runs at least 2.
+# one BLAS thread, 2 shared vCPUs, min of 5 to 9: the basis, from its
+# reflection blocks, takes 8-9 ms at n = 400 and a panel falls from 25 to
+# 11 ms, draws included; at n = 625, 17 ms and 36 to 19 ms; at n = 900,
+# 24-34 ms and 48 to 32 ms; at n = 1369, 61-83 ms and 72 to 62 ms. The
+# log-det then reads the basis' tau, so no values-only solve is made. The
+# threshold was set when one solve of S took 21 ms at n = 400 (62 ms at
+# n = 625); moving it would change the panels of every n it crosses.
 N_SPECTRAL = 500
 # The series covers |phi0| <= SERIES_PHI0_MAX, the default phi0 search box.
 SERIES_PHI0_MAX = 0.995
@@ -304,6 +315,8 @@ class WeightMatrix:
         binary; weighted symmetric adjacencies are accepted.
     lattice_dims : (n1, n2) or None
         Set when the locations form a regular lattice in row-major order.
+        If n1 n2 = n and reversing either axis leaves S as it is, the
+        spectrum is solved in reflection blocks (``_reflection_blocks``).
 
     Attributes
     ----------
@@ -312,17 +325,21 @@ class WeightMatrix:
     W : scipy.sparse.csr_matrix
         The row-standardized weight matrix D^{-1} A.
     eigenvalues : ndarray
-        Real spectrum of W, sorted descending and read-only. Built on first
-        access by a dense symmetric eigensolve, then cached. The log-det
-        reads it below N_SERIES locations or outside |phi0| <=
-        SERIES_PHI0_MAX, and the causality check for p >= 3.
+        Real spectrum of W, sorted descending and read-only, then cached.
+        If ``eigenbasis`` is built, its tau reversed; else built on first
+        access by a values-only solve (``_spectrum``): of the reflection
+        blocks on a lattice that has them, else of S. The log-det reads it
+        below N_SERIES locations or outside |phi0| <= SERIES_PHI0_MAX, and
+        the causality check for p >= 3.
     eigenbasis : (tau, Q, root) of read-only ndarrays
         S = Q diag(tau) Q^T, tau ascending, and root = D^{1/2}, the square
         roots of the degrees, so that W = diag(1 / root) Q diag(tau) Q^T
-        diag(root). Built on first access by one dense symmetric eigensolve
-        with vectors (n^2 doubles for Q), then cached; its tau may differ
-        from ``eigenvalues`` in the last bits, and nothing but
-        ``simulate(..., spectral=True)`` reads it.
+        diag(root). Built on first access by the same solve with vectors
+        (n^2 doubles for Q), then cached. A lattice's tau keep the blocks'
+        order where they tie, and each column of Q is a block's eigenvector
+        mapped back, B q. An ``eigenvalues`` built before the basis may
+        differ from its tau in the last bits. ``simulate(...,
+        spectral=True)`` reads it.
     log_det_series : LogDetSeries
         The series of ln|I - phi0 S| in phi0, made on first access, then
         cached; each of its four pieces is built on its first evaluation.
@@ -404,28 +421,84 @@ class WeightMatrix:
 
     @cached_property
     def eigenvalues(self):
-        t0 = time.perf_counter()
-        # eigh on S.T, the Fortran-ordered view of the dense S, overwrites it
-        # in place where np.linalg.eigvalsh would copy it (n^2 doubles). The
-        # divide-and-conquer driver is the one eigvalsh uses.
-        tau = sla.eigh(self._similarity.toarray().T, eigvals_only=True, overwrite_a=True,
-                       check_finite=False, driver="evd")[::-1].copy()
-        if np.max(np.abs(tau)) > 1.0 + SPECTRUM_TOL:
-            raise ValueError("row-standardized spectrum exceeds 1 in modulus")
+        basis = self.__dict__.get("eigenbasis")
+        tau = (basis[0] if basis else self._spectrum(vectors=False)[0])[::-1].copy()
         tau.setflags(write=False)
-        self._spectrum_build_s = time.perf_counter() - t0
         return tau
 
     @cached_property
     def eigenbasis(self):
-        # as in ``eigenvalues``: the Fortran-ordered S.T is overwritten in place
-        tau, Q = sla.eigh(self._similarity.toarray().T, overwrite_a=True, check_finite=False,
-                          driver="evd")
-        if np.max(np.abs(tau)) > 1.0 + SPECTRUM_TOL:
-            raise ValueError("row-standardized spectrum exceeds 1 in modulus")
+        tau, Q = self._spectrum(vectors=True)
         tau.setflags(write=False)
         Q.setflags(write=False)
         return tau, Q, self._root_degrees
+
+    def _spectrum(self, vectors):
+        """(tau, Q) of S = Q diag(tau) Q^T, tau ascending, Q None unless
+        ``vectors``: the one spectrum build, which ``eigenvalues`` and
+        ``eigenbasis`` share. On a lattice whose S is unchanged by reversing
+        either axis, S is block diagonal in the axes' even/odd bases, and
+        each block B^T S B (``_reflection_blocks``) is solved on its own,
+        with Q = B q; otherwise one dense solve of S."""
+        t0 = time.perf_counter()
+        S, n = self._similarity, self.n
+        blocks = self._reflection_blocks()
+        if blocks is None:
+            dense = [S.toarray()]
+        else:
+            # B^T S B, summed over S's entries: B has one entry per row
+            C = S.tocoo()
+            dense = [np.bincount(column[C.row] * size + column[C.col],
+                                 weights=weight[C.row] * C.data * weight[C.col],
+                                 minlength=size * size).reshape(size, size)
+                     for size, column, weight in blocks]
+        # eigh on M.T, the Fortran-ordered view of a dense symmetric M,
+        # overwrites it in place where np.linalg.eigvalsh would copy it (n^2
+        # doubles for S). The divide-and-conquer driver is the one eigvalsh uses.
+        parts = [sla.eigh(M.T, eigvals_only=not vectors, overwrite_a=True, check_finite=False,
+                          driver="evd") for M in dense]
+        if not vectors:
+            parts = [(tau, None) for tau in parts]
+        if blocks is None:
+            tau, Q = parts[0]
+        else:
+            tau = np.concatenate([t for t, _ in parts])
+            order = np.argsort(tau, kind="stable")
+            tau, Q = tau[order], None
+            if vectors:
+                rank = np.empty(n, dtype=np.intp)
+                rank[order] = np.arange(n)
+                Q, start = np.zeros((n, n)), 0
+                for (size, column, weight), (_, q) in zip(blocks, parts):
+                    rows = np.flatnonzero(weight)
+                    Q[np.ix_(rows, rank[start:start + size])] = weight[rows, None] * q[column[rows]]
+                    start += size
+        if max(-tau[0], tau[-1]) > 1.0 + SPECTRUM_TOL:
+            raise ValueError("row-standardized spectrum exceeds 1 in modulus")
+        self._spectrum_build_s = (self._spectrum_build_s or 0.0) + time.perf_counter() - t0
+        return tau, Q
+
+    def _reflection_blocks(self):
+        """S's up to four parity blocks, when ``lattice_dims`` multiply to n
+        and S is unchanged by reversing either axis of the row-major lattice;
+        else None. Block (g1, g2) has the orthonormal basis B = U1[:, g1] kron
+        U2[:, g2], with U_k axis k's even/odd basis (``_parity_columns``) and
+        g_k its even or its odd vectors. S commutes with both reversals, so it
+        maps each block's span to itself. Each row of B holds at most one
+        entry, so a block is given as (size, column, weight): row r of B has
+        weight[r] in column column[r], and a weight of 0 marks a row outside
+        the block."""
+        if self.lattice_dims is None or math.prod(self.lattice_dims) != self.n:
+            return None
+        S = self._similarity
+        grid = np.arange(self.n).reshape(self.lattice_dims)
+        for flip in (grid[::-1].ravel(), grid[:, ::-1].ravel()):
+            if (S[flip][:, flip] != S).nnz:
+                return None
+        # row (i, j) of B is row i of U1[:, g1] times row j of U2[:, g2]
+        return [(k1 * k2, (c1[:, None] * k2 + c2).ravel(), np.outer(w1, w2).ravel())
+                for k1, c1, w1 in _parity_columns(self.lattice_dims[0])
+                for k2, c2, w2 in _parity_columns(self.lattice_dims[1]) if k1 * k2]
 
     @cached_property
     def log_det_series(self):
@@ -506,6 +579,21 @@ class WeightMatrix:
         self.check_phi0(phi0)
         A0 = sp.identity(self.n, format="csc") - phi0 * self.W.tocsc()
         return _symmetric_lu(A0, "MMD_AT_PLUS_A")[0]
+
+
+def _parity_columns(m):
+    """The even and the odd orthonormal basis of reversal i -> m - 1 - i on
+    length-m vectors, the vectors it keeps and those it negates: for each, a
+    tuple (size, column, weight) with ``column[i]`` the basis vector that has
+    weight ``weight[i]`` at index i. Vector min(i, m - 1 - i) has weights
+    sqrt(1/2) at i and +-sqrt(1/2) at m - 1 - i; an odd m's middle index is
+    an even vector of its own (weight 1) and has weight 0 in the odd basis."""
+    i = np.arange(m)
+    mirror = m - 1 - i
+    column = np.minimum(i, mirror)
+    even = np.where(i == mirror, 1.0, math.sqrt(0.5))
+    odd = np.sign(mirror - i) * math.sqrt(0.5)
+    return [(m - m // 2, column, even), (m // 2, np.where(i == mirror, 0, column), odd)]
 
 
 def build_queen_lattice(n1, n2):

@@ -92,6 +92,24 @@ class TestSimulateCommand:
         assert "non-causal parameters" in messages[0] and "root modulus" in messages[0]
         assert "exceeds 1 - 1e-06" in messages[0]
 
+    @pytest.mark.parametrize("command", [
+        ["simulate"], ["replicate", "--replicates", "2"],
+        ["replicate", "--replicates", "2", "--threads", "2"]],
+        ids=["simulate-lu", "replicate-spectral", "replicate-pool"])
+    def test_overflowing_network_argument_exit_2(self, tmp_path, capsys, command):
+        # gamma x overflows for every nonzero x; the sigmoid would saturate
+        # and hide it, so it is refused before any panel is written
+        cfg_dict = json.loads(json.dumps(MODEL1_CONFIG))
+        cfg_dict["theta"]["gamma"] = [[1e308, 1.0]]
+        cfg = write_config(tmp_path, cfg_dict)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(command + ["--config", cfg, "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: theta.gamma: the network argument gamma x is not finite")
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("command", [["simulate"], ["replicate", "--replicates", "2"]])
     def test_inadmissible_phi0_exit_2(self, tmp_path, capsys, command):
         cfg_dict = json.loads(json.dumps(MODEL1_CONFIG))
@@ -948,6 +966,26 @@ class TestReplicateCommand:
         assert main(["replicate", "--config", cfg, "--out", str(tmp_path / "rep"),
                      "--replicates", "2"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("phi", [[-0.274], [-0.2, 0.05, 0.02]], ids=["p1", "p3"])
+    def test_replicate_builds_one_spectrum(self, tmp_path, capsys, monkeypatch, phi):
+        # the basis comes first, so the p >= 3 causality check, the fits'
+        # log-dets and traces and the panels all read its tau
+        builds = []
+        real = weights.WeightMatrix._spectrum
+
+        def counting(W, vectors):
+            builds.append(vectors)
+            return real(W, vectors)
+
+        monkeypatch.setattr(weights.WeightMatrix, "_spectrum", counting)
+        cfg = dict(MODEL1_CONFIG, model=dict(MODEL1_CONFIG["model"], p=len(phi)),
+                   theta=dict(MODEL1_CONFIG["theta"], phi=phi))
+        code = main(["replicate", "--config", write_config(tmp_path, cfg), "--out",
+                     str(tmp_path / "rep"), "--seed", "4", "--replicates", "2"])
+        capsys.readouterr()
+        assert code == 0
+        assert builds == [True]
 
     def test_parent_builds_eigenbasis_before_workers(self, tmp_path, capsys, monkeypatch):
         import pickle

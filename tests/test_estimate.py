@@ -1,15 +1,18 @@
 """Fitting, covariance, and model comparison."""
 
+import dataclasses
 import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats
 
 import pstarann as pa
-from pstarann import estimate, weights
+from pstarann import estimate, likelihood, weights
 from pstarann.densities import SmoothedLaplace
 from conftest import MODEL1_COLUMNS, model1_spec, model1_theta, random_panel
 
@@ -247,6 +250,83 @@ class TestFitResiduals:
         assert "residuals" not in res.to_json_dict()
 
 
+# the fit-adj3107 model (q = 4 with an intercept, h = 2, scaled t(8), T = 2)
+ADJ_THETA = pa.ParameterVector(0.4, [0.3], [-1.2, 0.15, -1.2, -0.15], [3.2, 1.8],
+                               [[0.5, 1.6, -2.5, 2.3], [0.4, -1.8, 1.3, -0.9]])
+ADJ_COLUMNS = [{"kind": "constant", "value": 1.0}] + [{"kind": "normal", "sd": 1.0}] * 3
+
+
+def adj_model_data(n1, seed, series=False):
+    """The fit-adj3107 model simulated on an n1 x n1 lattice; with ``series``,
+    W's log-det is the series (N_SERIES lowered for its build)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if series:
+            mp.setattr(weights, "N_SERIES", 20)
+        W = pa.build_queen_lattice(n1, n1)
+    spec = pa.ModelSpec(W=W, p=1, q=4, h=2, density=pa.scaled_t(8), linear_term=True,
+                        include_intercept=True)
+    return spec, pa.simulate(spec, ADJ_THETA, seed=seed, T=2, covariate_columns=ADJ_COLUMNS)
+
+
+@pytest.fixture(scope="module")
+def adj_workspaces():
+    return {backend: pa.LikelihoodWorkspace(*adj_model_data(8, 8, backend == "series"))
+            for backend in ("spectrum", "series")}
+
+
+class TestBoundRejection:
+    """A trial whose density sum alone already fails the ratio test is
+    rejected without its log-det (ln|A0| <= 0 bounds L by that sum)."""
+
+    def test_stray_trial_builds_no_negative_piece(self, monkeypatch):
+        # on this design one trial of the fit steps below phi0 = 0 though
+        # every start and the optimum lie above it; the exact fit builds the
+        # negative series piece for that trial alone
+        results = {}
+        for bound in (True, False):
+            spec, data = adj_model_data(8, 8, series=True)
+            with monkeypatch.context() as mp:
+                if not bound:
+                    mp.setattr(likelihood, "_LOG_DET_SLACK", np.inf)
+                results[bound] = pa.fit(spec, data, seed=8), spec.W.log_det_record
+        (res, record), (exact, exact_record) = results[True], results[False]
+        for f in dataclasses.fields(pa.FitResult):
+            a, b = getattr(res, f.name), getattr(exact, f.name)
+            if f.name == "trace":
+                a, b = ([{k: v for k, v in t.items() if k != "seconds"} for t in tr]
+                        for tr in (a, b))
+            elif f.name == "theta":
+                a, b = a.x, b.x
+            assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
+        assert exact_record["pieces"] == ["negative-inner", "positive-inner"]
+        assert record["pieces"] == ["positive-inner"]
+        assert record["factorizations"] < exact_record["factorizations"]
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(backend=st.sampled_from(["spectrum", "series"]),
+           phi0=st.one_of(st.floats(-1e-4, 1e-4), st.floats(-0.995, 0.995)),
+           delta=st.floats(0.0, 1e3), jitter=st.floats(-1e-9, 1e-9))
+    def test_never_rejects_what_the_ratio_accepts(self, adj_workspaces, backend, phi0, delta,
+                                                  jitter):
+        # f_new is the exact objective of a trial; f, the current one, and
+        # pred are chosen so that the trust region's threshold
+        # f + noise - 0.15 (pred + noise) falls within about jitter of f_new
+        ws = adj_workspaces[backend]
+        theta = ADJ_THETA.copy()
+        theta.phi0 = phi0
+        f_new = -ws.log_likelihood(theta)
+        f = f_new + delta
+        noise = 10.0 * np.finfo(float).eps * max(1.0, abs(f))
+        pred = ((f - f_new + noise) / 0.15 - noise) * (1.0 + jitter)
+        threshold = f + noise - 0.15 * (pred + noise)
+        ll, g = ws.loglik_and_gradient(theta, -threshold)
+        if ll == -np.inf:  # a bound rejection
+            assert g is None
+            assert not (pred > 0 and (f - f_new + noise) / (pred + noise) > 0.15)
+        else:
+            assert ll == -f_new
+
+
 class TestTrustRegionNewton:
     # reference optima from an independent optimizer (L-BFGS-B followed by
     # damped Newton steps) on model 1 at 10x10, T = 10, 4 starts
@@ -331,7 +411,7 @@ class TestTrustRegionNewton:
         # rounding, steps are accepted on the model alone and lower nothing,
         # which without the flat test cycles until max_iter
         res = estimate._trust_region_newton(
-            lambda x: (1.0, np.full(2, 1e-3)), np.zeros(2),
+            lambda x, threshold=np.inf: (1.0, np.full(2, 1e-3)), np.zeros(2),
             hess=lambda x: np.zeros((2, 2)), bounds=[(-1.0, 1.0)] * 2, maxiter=500)
         assert not res.success
         assert res.nit == estimate._FLAT_TRIALS < 500
@@ -359,9 +439,9 @@ class TestTrustRegionNewton:
         calls = []
         original = pa.LikelihoodWorkspace.loglik_and_gradient
 
-        def counted(ws, theta):
+        def counted(ws, theta, *floor):
             calls.append(1)
-            return original(ws, theta)
+            return original(ws, theta, *floor)
 
         monkeypatch.setattr(pa.LikelihoodWorkspace, "loglik_and_gradient", counted)
         truth = model1_theta().to_array()

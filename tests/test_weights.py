@@ -271,6 +271,21 @@ def eigh_calls(monkeypatch):
 
 
 @pytest.fixture
+def spectrum_builds(monkeypatch):
+    """A list that grows by one on every spectrum build (``WeightMatrix._spectrum``),
+    which makes one ``scipy.linalg.eigh`` call per reflection block of a lattice."""
+    calls = []
+    real = weights.WeightMatrix._spectrum
+
+    def counting(W, vectors):
+        calls.append(vectors)
+        return real(W, vectors)
+
+    monkeypatch.setattr(weights.WeightMatrix, "_spectrum", counting)
+    return calls
+
+
+@pytest.fixture
 def eigsh_calls(monkeypatch):
     """A list that grows by one on every scipy.sparse.linalg.eigsh call."""
     calls = []
@@ -282,6 +297,67 @@ def eigsh_calls(monkeypatch):
 
     monkeypatch.setattr(spla, "eigsh", counting)
     return calls
+
+
+def parent_eigenvalues(W):
+    """The values-only dense solve of S as the spectrum was built before the
+    reflection blocks: descending."""
+    return scipy.linalg.eigh(W._similarity.toarray().T, eigvals_only=True, overwrite_a=True,
+                             check_finite=False, driver="evd")[::-1]
+
+
+class TestReflectionBlocks:
+    """A queen lattice's S is unchanged by reversing either axis, so it is
+    solved as up to four parity blocks; any other W takes one dense solve."""
+
+    @pytest.mark.parametrize("dims", [(20, 20), (21, 19), (4, 3), (2, 2), (1, 7)],
+                             ids=lambda d: f"{d[0]}x{d[1]}")
+    def test_block_spectrum_matches_dense_oracle(self, dims, spectrum_builds):
+        W = pa.build_queen_lattice(*dims)
+        blocks = W._reflection_blocks()
+        assert len(blocks) == (1 + (dims[0] > 1)) * (1 + (dims[1] > 1))
+        assert sum(size for size, _, _ in blocks) == W.n
+        oracle = dense_similarity_spectrum(W)
+        assert np.max(np.abs(W.eigenvalues - oracle[::-1])) <= 1e-14
+        tau, Q, _ = W.eigenbasis
+        assert np.all(np.diff(tau) >= 0.0)
+        assert np.max(np.abs(tau - oracle)) <= 1e-14
+        assert np.max(np.abs(Q.T @ Q - np.eye(W.n))) <= 1e-13
+        assert np.max(np.abs((Q * tau) @ Q.T - W._similarity.toarray())) <= 1e-14
+        assert spectrum_builds == [False, True]
+
+    def test_eigenvalues_read_the_basis_once_it_is_built(self, spectrum_builds):
+        W = pa.build_queen_lattice(21, 19)
+        tau = W.eigenbasis[0]
+        assert np.array_equal(W.eigenvalues, tau[::-1]) and not W.eigenvalues.flags.writeable
+        W.log_det_a0(0.3)
+        assert spectrum_builds == [True]
+        assert W.log_det_record["build_s"] > 0.0
+
+    @pytest.mark.parametrize("case", ["one-extra-edge", "weighted", "dims-not-n", "no-dims"])
+    def test_other_matrices_take_the_dense_solve(self, case):
+        A = pa.build_queen_lattice(5, 4).W.copy()
+        A.data[:] = 1.0
+        dims = (5, 4)
+        if case == "one-extra-edge":  # no reversal keeps the edge 0 -- 6
+            A = A.tolil()
+            A[0, 6] = A[6, 0] = 1.0
+        elif case == "weighted":  # the weight breaks the left-right reflection
+            A = A.tolil()
+            A[0, 1] = A[1, 0] = 2.0
+        elif case == "dims-not-n":
+            dims = (4, 4)
+        else:
+            dims = None
+        W = weights.WeightMatrix(A, lattice_dims=dims)
+        assert W._reflection_blocks() is None
+        assert np.array_equal(W.eigenvalues, parent_eigenvalues(W))
+
+    @pytest.mark.parametrize("design", ["delaunay80", "path"])
+    def test_adjacency_eigenvalues_are_the_dense_solve(self, design):
+        W = (delaunay_weights(80, 2) if design == "delaunay80"
+             else pa.from_adjacency([(k, k + 1) for k in range(9)], 10))
+        assert np.array_equal(W.eigenvalues, parent_eigenvalues(W))
 
 
 class TestLazySpectrum:
@@ -312,13 +388,13 @@ class TestLazySpectrum:
             tau[0] = 0.5
         assert_allclose(tau, dense_similarity_spectrum(W)[::-1], rtol=0, atol=1e-13)
 
-    def test_log_det_builds_the_spectrum_once(self, eigh_calls):
+    def test_log_det_builds_the_spectrum_once(self, spectrum_builds):
         W = pa.build_queen_lattice(4, 3)
-        assert not eigh_calls
+        assert not spectrum_builds
         W.log_det_a0(0.3)
         W.trace_w_a0inv(0.3, 2)
         W.log_det_a0(-0.4)
-        assert len(eigh_calls) == 1
+        assert len(spectrum_builds) == 1
 
     def test_arpack_failure_reads_extremes_off_the_spectrum(self, monkeypatch):
         def failing(*args, **kwargs):
@@ -343,12 +419,12 @@ class TestLazySpectrum:
         with pytest.raises(ValueError, match="exceeds 1 in modulus"):
             W.tau_min
 
-    def test_simulate_needs_no_spectrum_fit_builds_it_once(self, eigh_calls):
+    def test_simulate_needs_no_spectrum_fit_builds_it_once(self, spectrum_builds):
         spec = model1_spec(pa.build_queen_lattice(4, 4))
         data = pa.simulate(spec, model1_theta(), seed=3, T=6, covariate_columns=MODEL1_COLUMNS)
-        assert "eigenvalues" not in spec.W.__dict__ and not eigh_calls
+        assert "eigenvalues" not in spec.W.__dict__ and not spectrum_builds
         pa.fit(spec, data, n_starts=2, seed=1)
-        assert len(eigh_calls) == 1
+        assert len(spectrum_builds) == 1
 
     def test_positive_dependence_never_reads_tau_min(self, eigsh_calls):
         # phi0 >= 0 with p = 1: the bound tau_min >= -1 settles check_causal,
