@@ -422,7 +422,11 @@ def cmd_replicate(args):
     if args.threads > 1:
         with ProcessPoolExecutor(max_workers=args.threads, initializer=_init_worker,
                                  initargs=(job,)) as pool:
-            records = list(pool.map(_replicate_in_worker, range(R)))
+            try:
+                records = list(pool.map(_replicate_in_worker, range(R)))
+            except BaseException:  # a panel that cannot be drawn ends the study:
+                pool.shutdown(cancel_futures=True)  # start no further replicate
+                raise
     else:
         records = [_replicate_one(job, r) for r in range(R)]
 

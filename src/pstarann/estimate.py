@@ -422,7 +422,6 @@ def _trust_region_newton(fun, x0, hess, bounds, gtol=1e-8, maxiter=500):
                 break
             x_rounding = _EPS * (1.0 + np.max(np.abs(x)))
             noise = 10.0 * _EPS * max(1.0, abs(f))
-            free = None if free.all() else free  # None: no variable is held
         if nit >= maxiter:
             success, message = False, "maximum number of iterations reached"
             break
@@ -435,14 +434,11 @@ def _trust_region_newton(fun, x0, hess, bounds, gtol=1e-8, maxiter=500):
             break
         if new:
             B = hess(x)
-            eig = np.linalg.eigh(B if free is None else B[np.ix_(free, free)])
+            eig = np.linalg.eigh(B[np.ix_(free, free)])
             new = False
         nit += 1
-        if free is None:
-            s = _trust_region_step(g, *eig, delta)
-        else:
-            s = np.zeros_like(x)
-            s[free] = _trust_region_step(g[free], *eig, delta)
+        s = np.zeros_like(x)
+        s[free] = _trust_region_step(g[free], *eig, delta)
         trial = np.clip(x + s, lb, ub)
         s = trial - x
         step = np.linalg.norm(s)
