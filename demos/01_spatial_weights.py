@@ -27,8 +27,8 @@ print()
 # The spectrum is real because W = D^{-1} A is similar to the symmetric
 # D^{-1/2} A D^{-1/2}. For a connected graph the largest eigenvalue is 1.
 print("largest eigenvalues:", np.round(W.eigenvalues[:4], 4))
-print("largest eigenvalue tau_max = %g, so the admissible phi0 interval is (-1, 1)"
-      % W.tau_max)
+print("largest eigenvalue tau_1 = %g, so the admissible phi0 interval is (-1, 1)"
+      % W.eigenvalues[0])
 print()
 
 # ln|A0| via the cached eigenvalues agrees with a dense LU factorization,

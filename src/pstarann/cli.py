@@ -414,7 +414,7 @@ def cmd_replicate(args):
     check_causal(spec, theta).require()
 
     X_fixed = None
-    if args.fixed_design and spec.q:  # a q = 0 model has no covariates to hold
+    if args.fixed_design:
         X_fixed = generate_covariates(sim["covariate_columns"], spec.n, steps,
                                       np.random.SeedSequence(args.seed, spawn_key=(10**6,)))
 

@@ -79,6 +79,7 @@ import numpy as np
 
 from . import model
 from .model import ModelSpec, PanelData, ParameterVector
+from .weights import NumericalError
 
 __all__ = [
     "NumericalError",
@@ -112,10 +113,6 @@ def _weighted_gram(M, w):
         Mj = M[:, j:j + k]
         G += (Mj * w[j:j + k]) @ Mj.T
     return G
-
-
-class NumericalError(RuntimeError):
-    """Raised when a numerical self-check fails (e.g. an asymmetric Hessian)."""
 
 
 class LikelihoodWorkspace:

@@ -379,8 +379,9 @@ def check_causal(spec: ModelSpec, theta: ParameterVector):
     ``WeightMatrix.check_phi0``. So |phi0| < 1, and as W's spectrum lies in
     [-1, 1], 1 - phi0 tau >= 1 - |phi0| > 0 on all of [-1, 1]: g is
     increasing in tau there (dg/dtau = 1 / (1 - phi0 tau)^2) and ranges
-    between its values at the two ends. For p <= 2 only tau_min and
-    tau_max are checked, with the same result as checking all eigenvalues:
+    between its values at the two ends. For p <= 2 only tau_min and the
+    largest eigenvalue, the Perron root 1 of a row-stochastic W, are
+    checked, with the same result as checking all eigenvalues:
     the roots of z^p - g (phi_1 z^{p-1} + ... + phi_p) all have modulus
     below rho iff the Jury conditions hold, and for p <= 2 these are affine
     in g:
@@ -392,14 +393,14 @@ def check_causal(spec: ModelSpec, theta: ParameterVector):
     r c < rho^2 for a constant c, so the r that satisfy them form an
     interval [0, r*). The largest root modulus therefore does not decrease
     as |g| grows, for either sign of g, and over the spectrum it peaks at
-    tau_min or tau_max. Both ends are eigenvalues, so the maximum is the
+    tau_min or 1. Both ends are eigenvalues, so the maximum is the
     same ``max_root_modulus``.
 
     tau_min is often not needed. W's trace is 0, so -1 <= tau_min < 0 and
     g(-1) <= g(tau_min) < 0; by the same argument the modulus at tau_min
     is at most the modulus at tau = -1. The factor at -1 is therefore
-    checked first, next to tau_max: when its modulus does not exceed
-    tau_max's, tau_max's is the answer and tau_min (a Lanczos solve) is
+    checked first, next to the one at 1: when its modulus does not exceed
+    that at 1, the modulus at 1 is the answer and tau_min (a Lanczos solve) is
     never read. For p = 1 with phi_1 != 0 that holds exactly when
     phi0 >= 0. tau = -1 need not be an eigenvalue, so a lead 1 + phi0
     below LEAD_TOL raises nothing there and leaves the check to the two
@@ -419,10 +420,10 @@ def check_causal(spec: ModelSpec, theta: ParameterVector):
     if spec.p >= 3:
         return _verdict(_largest_root_moduli(W.eigenvalues, theta.phi0, theta.phi))
     if 1.0 + theta.phi0 >= LEAD_TOL:
-        top, bound = _largest_root_moduli(np.array([W.tau_max, -1.0]), theta.phi0, theta.phi)
+        top, bound = _largest_root_moduli(np.array([1.0, -1.0]), theta.phi0, theta.phi)
         if bound <= top:
             return _verdict(top)
-    return _verdict(_largest_root_moduli(np.array([W.tau_max, W.tau_min]), theta.phi0, theta.phi))
+    return _verdict(_largest_root_moduli(np.array([1.0, W.tau_min]), theta.phi0, theta.phi))
 
 
 def psi_expansion(spec: ModelSpec, theta: ParameterVector, J):

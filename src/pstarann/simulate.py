@@ -74,9 +74,8 @@ def generate_covariates(columns, n, T, seed):
     ``columns`` is a sequence of per-column specs:
       {"kind": "constant", "value": 1.0}   -> intercept-style column
       {"kind": "normal", "mean": 0, "sd": 1.5}
+    An empty sequence gives an empty (T, n, 0) array and draws nothing.
     """
-    if not columns:
-        raise ValueError("need at least one covariate column spec")
     rng = np.random.default_rng(seed)
     X = np.empty((T, n, len(columns)))
     buf = np.empty((min(BLOCK_STEPS, T), n))
@@ -148,10 +147,7 @@ def simulate(spec: ModelSpec, theta: ParameterVector, X=None, seed=0, burn_in=BU
             raise ValueError(f"{len(covariate_columns)} covariate column specs for a "
                              f"model with q = {spec.q}")
         steps = burn_in + spec.p + T
-        if spec.q == 0:
-            X = np.zeros((steps, spec.n, 0))
-        else:
-            X = generate_covariates(covariate_columns, spec.n, steps, rng_x)
+        X = generate_covariates(covariate_columns or [], spec.n, steps, rng_x)
     else:
         X = np.asarray(X, dtype=float)
         steps = X.shape[0]

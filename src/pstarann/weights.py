@@ -36,7 +36,8 @@ build time, the series pieces built and the sparse LUs they took.
   adapted basis; Fässler & Stiefel 1992). Each of the up to four blocks,
   of about n/4 rows, is solved on its own, for 1/16 of the flops of one
   solve of S. A W without that symmetry, every edge-list design among
-  them, takes one solve of S.
+  them, is the one-block case: its basis is the identity, and the block
+  is S itself.
 - The series (``LogDetSeries``, Pace & Barry 1997 made spectrally
   accurate): for n >= N_SERIES and |phi0| <= SERIES_PHI0_MAX. In
   x = atanh(phi0), f is analytic in the strip |Im x| < pi/2 whatever the
@@ -72,9 +73,10 @@ pattern (MMD on A0 + A0^T), with the same check of the factor.
 Only ``eigenbasis`` materializes eigenvectors: S = Q diag(tau) Q^T gives
 W = D^{-1/2} Q diag(tau) Q^T D^{1/2}, so in the coordinates
 z = Q^T D^{1/2} y the recursion of a simulation becomes n scalar AR(p)
-filters (``simulate(..., spectral=True)``). One eigensolve with vectors
-costs more than one panel saves, so only ``replicate`` takes it, below
-N_SPECTRAL locations. Once it is built, ``eigenvalues`` is its tau, so
+filters (``simulate(..., spectral=True)``). For one panel the basis
+costs about twice what it saves on an edge-list design and about breaks
+even on a lattice, so only ``replicate`` takes it, below N_SPECTRAL
+locations. Once it is built, ``eigenvalues`` is its tau, so
 the log-det reads the same spectrum and no second solve is made.
 """
 
@@ -97,6 +99,7 @@ from ._csv import read_columns
 
 __all__ = [
     "LogDetSeries",
+    "NumericalError",
     "WeightMatrix",
     "build_queen_lattice",
     "from_adjacency",
@@ -116,14 +119,20 @@ SPECTRUM_TOL = 1e-10
 # crosses.
 N_SERIES = 1400
 # Below this many locations, ``replicate`` simulates its panels in the
-# eigenbasis of W. Model 1 (p = 1, T = 30, burn-in 200) on queen lattices,
-# one BLAS thread, 2 shared vCPUs, min of 5 to 9: the basis, from its
+# eigenbasis of W. Model 1 (p = 1, T = 30, burn-in 200), one BLAS thread,
+# 2 shared vCPUs. On queen lattices, min of 5 to 9: the basis, from its
 # reflection blocks, takes 8-9 ms at n = 400 and a panel falls from 25 to
 # 11 ms, draws included; at n = 625, 17 ms and 36 to 19 ms; at n = 900,
-# 24-34 ms and 48 to 32 ms; at n = 1369, 61-83 ms and 72 to 62 ms. The
-# log-det then reads the basis' tau, so no values-only solve is made. The
-# threshold was set when one solve of S took 21 ms at n = 400 (62 ms at
-# n = 625); moving it would change the panels of every n it crosses.
+# 24-34 ms and 48 to 32 ms; at n = 1369, 61-83 ms and 72 to 62 ms. A whole
+# ``replicate --threads 1``, min / median of 7 alternating runs, basis
+# against LU: a gain on the 20x20 lattice (R = 3: 111 / 118 against
+# 129 / 136 ms; R = 2: 80 / 84 against 94 / 98 ms) and a wash on Delaunay
+# edge lists, whose basis is one solve of S (n = 400, R = 3: 160 / 186
+# against 155 / 200 ms; n = 499, R = 3: 157 / 162 against 156 / 163 ms,
+# R = 2: 119 / 128 against 113 / 122 ms). The log-det then reads the
+# basis' tau, so no values-only solve is made. The threshold was set when
+# one solve of S took 21 ms at n = 400 (62 ms at n = 625); moving it
+# would change the panels of every n it crosses.
 N_SPECTRAL = 500
 # The series covers |phi0| <= SERIES_PHI0_MAX, the default phi0 search box.
 SERIES_PHI0_MAX = 0.995
@@ -132,6 +141,11 @@ SERIES_NODES = 24
 # Imaginary step of the complex-step derivative (Martins, Sturdza & Alonso
 # 2003): no subtraction, so no cancellation, however small.
 COMPLEX_STEP = 1e-30
+
+
+class NumericalError(RuntimeError):
+    """Raised when a numerical self-check fails: here a sparse LU that left
+    its symmetric ordering, in ``likelihood`` an asymmetric Hessian."""
 
 
 class LogDetSeries:
@@ -272,8 +286,6 @@ def _symmetric_lu(A, permc_spec):
                    options={"SymmetricMode": True})
     pivots = lu.U.diagonal()
     if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(pivots.real > 0.0)):
-        from .likelihood import NumericalError  # likelihood imports this module
-
         raise NumericalError("sparse LU left its symmetric ordering or met a nonpositive "
                              "pivot; diagonal pivoting needs both")
     return lu, pivots
@@ -316,7 +328,9 @@ class WeightMatrix:
     lattice_dims : (n1, n2) or None
         Set when the locations form a regular lattice in row-major order.
         If n1 n2 = n and reversing either axis leaves S as it is, the
-        spectrum is solved in reflection blocks (``_reflection_blocks``).
+        spectrum is solved in up to four reflection blocks
+        (``_reflection_blocks``); otherwise, or when it is None, S is one
+        block.
 
     Attributes
     ----------
@@ -327,17 +341,18 @@ class WeightMatrix:
     eigenvalues : ndarray
         Real spectrum of W, sorted descending and read-only, then cached.
         If ``eigenbasis`` is built, its tau reversed; else built on first
-        access by a values-only solve (``_spectrum``): of the reflection
-        blocks on a lattice that has them, else of S. The log-det reads it
-        below N_SERIES locations or outside |phi0| <= SERIES_PHI0_MAX, and
-        the causality check for p >= 3.
+        access by a values-only solve (``_spectrum``) of the reflection
+        blocks: up to four on a lattice that has them, else the one block
+        S. The log-det reads it below N_SERIES locations or outside
+        |phi0| <= SERIES_PHI0_MAX, and the causality check for p >= 3.
     eigenbasis : (tau, Q, root) of read-only ndarrays
         S = Q diag(tau) Q^T, tau ascending, and root = D^{1/2}, the square
         roots of the degrees, so that W = diag(1 / root) Q diag(tau) Q^T
         diag(root). Built on first access by the same solve with vectors
-        (n^2 doubles for Q), then cached. A lattice's tau keep the blocks'
-        order where they tie, and each column of Q is a block's eigenvector
-        mapped back, B q. An ``eigenvalues`` built before the basis may
+        (n^2 doubles for Q), then cached. tau keep the blocks' order where
+        they tie, and each column of Q is a block's eigenvector mapped back,
+        B q: q itself when S is one block. Q is column-major, as LAPACK
+        returns it. An ``eigenvalues`` built before the basis may
         differ from its tau in the last bits. ``simulate(...,
         spectral=True)`` reads it.
     log_det_series : LogDetSeries
@@ -354,10 +369,6 @@ class WeightMatrix:
         built, named as in ``LogDetSeries.PIECES``; ``factorizations``, the
         sparse LUs the series has factored. Without a series, ``pieces`` is
         [] and ``factorizations`` 0.
-    tau_max : float
-        max_i |tau_i|, which is the largest eigenvalue: exactly 1, the
-        Perron root of a row-stochastic W. The admissible phi0 interval is
-        (-1, 1).
     tau_min : float
         The smallest eigenvalue, from Lanczos on first access, then cached.
         ARPACK starts from a fixed vector, so it is the same in every
@@ -367,8 +378,6 @@ class WeightMatrix:
     s0, s1, s2 : float
         The weight sums S0, S1 and S2 of Moran's I (see ``diagnostics``).
     """
-
-    tau_max = 1.0
 
     def __init__(self, adjacency, lattice_dims=None):
         A = sp.csr_matrix(adjacency, dtype=float)
@@ -436,69 +445,58 @@ class WeightMatrix:
     def _spectrum(self, vectors):
         """(tau, Q) of S = Q diag(tau) Q^T, tau ascending, Q None unless
         ``vectors``: the one spectrum build, which ``eigenvalues`` and
-        ``eigenbasis`` share. On a lattice whose S is unchanged by reversing
-        either axis, S is block diagonal in the axes' even/odd bases, and
-        each block B^T S B (``_reflection_blocks``) is solved on its own,
-        with Q = B q; otherwise one dense solve of S."""
+        ``eigenbasis`` share. Each block B^T S B of ``_reflection_blocks`` is
+        solved on its own; tau is their values merged by a stable sort, and
+        Q's columns are the blocks' eigenvectors mapped back, B q, in tau's
+        order. A W without the reflection symmetry is one block, B = I."""
         t0 = time.perf_counter()
-        S, n = self._similarity, self.n
+        S = self._similarity.tocoo()
         blocks = self._reflection_blocks()
-        if blocks is None:
-            dense = [S.toarray()]
-        else:
-            # B^T S B, summed over S's entries: B has one entry per row
-            C = S.tocoo()
-            dense = [np.bincount(column[C.row] * size + column[C.col],
-                                 weights=weight[C.row] * C.data * weight[C.col],
-                                 minlength=size * size).reshape(size, size)
-                     for size, column, weight in blocks]
+        # B^T S B, summed over S's entries: B has one entry per row
+        dense = [np.bincount(column[S.row] * size + column[S.col],
+                             weights=weight[S.row] * S.data * weight[S.col],
+                             minlength=size * size).reshape(size, size)
+                 for size, column, weight in blocks]
         # eigh on M.T, the Fortran-ordered view of a dense symmetric M,
         # overwrites it in place where np.linalg.eigvalsh would copy it (n^2
         # doubles for S). The divide-and-conquer driver is the one eigvalsh uses.
         parts = [sla.eigh(M.T, eigvals_only=not vectors, overwrite_a=True, check_finite=False,
                           driver="evd") for M in dense]
-        if not vectors:
-            parts = [(tau, None) for tau in parts]
-        if blocks is None:
-            tau, Q = parts[0]
-        else:
-            tau = np.concatenate([t for t, _ in parts])
-            order = np.argsort(tau, kind="stable")
-            tau, Q = tau[order], None
-            if vectors:
-                rank = np.empty(n, dtype=np.intp)
-                rank[order] = np.arange(n)
-                Q, start = np.zeros((n, n)), 0
-                for (size, column, weight), (_, q) in zip(blocks, parts):
-                    rows = np.flatnonzero(weight)
-                    Q[np.ix_(rows, rank[start:start + size])] = weight[rows, None] * q[column[rows]]
-                    start += size
+        tau = np.concatenate([part[0] if vectors else part for part in parts])
+        order = np.argsort(tau, kind="stable")
+        tau, Q = tau[order], None
+        if vectors:
+            # B q of every block, its columns in tau's order: the indexing
+            # leaves Q column-major, as eigh returns it. BLAS's small-matrix
+            # kernels round ``simulate``'s products with Q by its layout.
+            Q = np.concatenate([weight[:, None] * q[column]
+                                for (_, column, weight), (_, q) in zip(blocks, parts)],
+                               axis=1)[:, order]
         if max(-tau[0], tau[-1]) > 1.0 + SPECTRUM_TOL:
             raise ValueError("row-standardized spectrum exceeds 1 in modulus")
         self._spectrum_build_s = (self._spectrum_build_s or 0.0) + time.perf_counter() - t0
         return tau, Q
 
     def _reflection_blocks(self):
-        """S's up to four parity blocks, when ``lattice_dims`` multiply to n
-        and S is unchanged by reversing either axis of the row-major lattice;
-        else None. Block (g1, g2) has the orthonormal basis B = U1[:, g1] kron
+        """S's parity blocks, as a list of (size, column, weight): up to four
+        when ``lattice_dims`` multiply to n and S is unchanged by reversing
+        either axis of the row-major lattice, else the identity basis as one
+        block. Block (g1, g2) has the orthonormal basis B = U1[:, g1] kron
         U2[:, g2], with U_k axis k's even/odd basis (``_parity_columns``) and
         g_k its even or its odd vectors. S commutes with both reversals, so it
         maps each block's span to itself. Each row of B holds at most one
-        entry, so a block is given as (size, column, weight): row r of B has
-        weight[r] in column column[r], and a weight of 0 marks a row outside
-        the block."""
-        if self.lattice_dims is None or math.prod(self.lattice_dims) != self.n:
-            return None
-        S = self._similarity
-        grid = np.arange(self.n).reshape(self.lattice_dims)
-        for flip in (grid[::-1].ravel(), grid[:, ::-1].ravel()):
-            if (S[flip][:, flip] != S).nnz:
-                return None
-        # row (i, j) of B is row i of U1[:, g1] times row j of U2[:, g2]
-        return [(k1 * k2, (c1[:, None] * k2 + c2).ravel(), np.outer(w1, w2).ravel())
-                for k1, c1, w1 in _parity_columns(self.lattice_dims[0])
-                for k2, c2, w2 in _parity_columns(self.lattice_dims[1]) if k1 * k2]
+        entry: row r of B has weight[r] in column column[r], and a weight of 0
+        marks a row outside the block."""
+        S, dims = self._similarity, self.lattice_dims
+        if dims and math.prod(dims) == self.n:
+            grid = np.arange(self.n).reshape(dims)
+            if not any((S[flip][:, flip] != S).nnz
+                       for flip in (grid[::-1].ravel(), grid[:, ::-1].ravel())):
+                # row (i, j) of B is row i of U1[:, g1] times row j of U2[:, g2]
+                return [(k1 * k2, (c1[:, None] * k2 + c2).ravel(), np.outer(w1, w2).ravel())
+                        for k1, c1, w1 in _parity_columns(dims[0])
+                        for k2, c2, w2 in _parity_columns(dims[1]) if k1 * k2]
+        return [(self.n, np.arange(self.n), np.ones(self.n))]
 
     @cached_property
     def log_det_series(self):
@@ -531,7 +529,7 @@ class WeightMatrix:
 
     def __repr__(self):
         dims = f", lattice={self.lattice_dims}" if self.lattice_dims else ""
-        return f"WeightMatrix(n={self.n}{dims}, tau_max={self.tau_max:.6g})"
+        return f"WeightMatrix(n={self.n}{dims})"
 
     # ------------------------------------------------------------------
     # A0 = I - phi0 W algebra

@@ -1078,13 +1078,19 @@ class TestPureSpatialConfig:
         capsys.readouterr()
 
     def test_q0_fixed_design_replicates(self, tmp_path, capsys):
-        # no covariates to hold fixed: the design is the same in every replicate
-        out = tmp_path / "rep"
-        code = main(["replicate", "--config", write_config(tmp_path, self.CONFIG), "--out",
-                     str(out), "--seed", "3", "--replicates", "2", "--fixed-design"])
-        capsys.readouterr()
-        assert code == 0
-        assert json.loads((out / "summary.json").read_text())["n_success"] == 2
+        # no covariates to hold fixed: the fixed (T, n, 0) design draws nothing,
+        # so the study is the one without --fixed-design, byte for byte
+        cfg = write_config(tmp_path, self.CONFIG)
+        summaries = []
+        for flags in (["--fixed-design"], []):
+            out = tmp_path / f"rep{len(summaries)}"
+            code = main(["replicate", "--config", cfg, "--out", str(out), "--seed", "3",
+                         "--replicates", "2"] + flags)
+            capsys.readouterr()
+            assert code == 0
+            summaries.append((out / "summary.json").read_bytes())
+        assert json.loads(summaries[0])["n_success"] == 2
+        assert summaries[0] == summaries[1]
 
 
 class TestAdjacencyInput:

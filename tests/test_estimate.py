@@ -669,7 +669,7 @@ class TestInitialPoints:
             cols += [data.X[:, :, j].ravel() for j in range(q)]
         Z = np.column_stack(cols) if cols else np.zeros((y.size, 0))
         best = None
-        for phi0 in np.linspace(-0.9, 0.9, 37) / spec.W.tau_max:
+        for phi0 in np.linspace(-0.9, 0.9, 37):
             target = y - phi0 * L0
             coef = np.linalg.lstsq(Z, target, rcond=None)[0]
             r = target - Z @ coef

@@ -224,7 +224,7 @@ class TestScoreOuterProduct:
         spec = pa.ModelSpec(W=w33, p=1, q=2, h=1, density=pa.normal())
         data = random_panel(spec, 3, rng)
         theta = random_causal_theta(spec, rng)
-        theta.phi0 = 1.5 / w33.tau_max
+        theta.phi0 = 1.5  # W's spectrum reaches 1, so |phi0| < 1 is admissible
         ws = pa.LikelihoodWorkspace(spec, data)
         with pytest.raises(ValueError, match="admissible interval"):
             ws.score_outer_product(theta)

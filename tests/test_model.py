@@ -144,7 +144,7 @@ class TestCheckCausal:
         assert chk.causal and chk.max_root_modulus == 0.0
 
     def test_explosive_lag_not_causal(self):
-        W = pa.from_adjacency([(0, 1)], 2)  # tau_max = 1
+        W = pa.from_adjacency([(0, 1)], 2)  # largest eigenvalue 1
         spec = pa.ModelSpec(W=W, p=1, q=0, h=0, density=pa.normal())
         chk = pa.check_causal(spec, pa.ParameterVector(0.0, [1.2], [], [], []))
         assert not chk.causal
@@ -156,7 +156,7 @@ class TestCheckCausal:
         assert chk == (True, 0.0)
 
     def test_vanishing_leading_coefficient(self):
-        # admissible, yet 1 - phi0 tau_max = 1.1e-15 is below LEAD_TOL
+        # admissible, yet 1 - phi0 tau = 1.1e-15 at tau = 1 is below LEAD_TOL
         W = pa.from_adjacency([(0, 1)], 2)  # spectrum {1, -1}
         spec = pa.ModelSpec(W=W, p=1, q=0, h=0, density=pa.normal())
         with pytest.raises(ValueError, match="leading coefficient"):
@@ -206,8 +206,8 @@ class TestCheckCausal:
             assert chk.max_root_modulus == 0.0
 
     def test_p_le_2_extremes_match_oracle_on_random_draws(self, w44):
-        # for p <= 2 check_causal reads no eigenvalue but tau_max and, when
-        # the bound tau_min >= -1 leaves the check open, tau_min
+        # for p <= 2 check_causal reads no eigenvalue but the Perron root 1
+        # and, when the bound tau_min >= -1 leaves the check open, tau_min
         rng = np.random.default_rng(2024)
         designs = [w44, pa.build_queen_lattice(2, 1), pa.build_queen_lattice(3, 4)]
         seen = {"complex": 0, "explosive": 0, "phi0<0": 0, "phi0>0": 0}
@@ -215,16 +215,16 @@ class TestCheckCausal:
             for p in (1, 2):
                 spec = pa.ModelSpec(W=W, p=p, q=0, h=0, density=pa.normal())
                 for _ in range(40):
-                    theta = pa.ParameterVector(rng.uniform(-0.95, 0.95) / W.tau_max,
+                    theta = pa.ParameterVector(rng.uniform(-0.95, 0.95),
                                                rng.uniform(-1.6, 1.6, p), [], [], [])
                     chk = pa.check_causal(spec, theta)
                     worst = self.roots_oracle(W, theta)
                     assert_allclose(chk.max_root_modulus, worst, rtol=1e-12, atol=1e-12)
                     if abs(worst - (1.0 - 1e-6)) > 1e-9:
                         assert chk.causal == (worst <= 1.0 - 1e-6)
-                    lead = 1.0 - theta.phi0 * W.tau_max
-                    seen["complex"] += p == 2 and (theta.phi[0] * W.tau_max / lead) ** 2 \
-                        + 4 * theta.phi[1] * W.tau_max / lead < 0
+                    lead = 1.0 - theta.phi0  # at the Perron root tau = 1
+                    seen["complex"] += p == 2 and (theta.phi[0] / lead) ** 2 \
+                        + 4 * theta.phi[1] / lead < 0
                     seen["explosive"] += worst > 1.0
                     seen["phi0<0" if theta.phi0 < 0 else "phi0>0"] += 1
         assert sum(seen[k] for k in ("phi0<0", "phi0>0")) >= 200
@@ -232,16 +232,16 @@ class TestCheckCausal:
 
     def test_bound_is_bit_equal_to_the_two_ends(self, w44):
         # the factor at tau = -1 bounds the one at tau_min; where it settles
-        # the check, the answer is the [tau_max, tau_min] computation's,
+        # the check, the answer is the [1, tau_min] computation's,
         # bit for bit, on designs whose tau_min is -1 exactly (bipartite:
         # the 2-node lattice and the 8-cycle) and above it. Half the draws
-        # have |phi0| < 0.03, where the rows at tau_max and -1 nearly tie
+        # have |phi0| < 0.03, where the rows at 1 and -1 nearly tie
         rng = np.random.default_rng(2026)
         cycle8 = pa.from_adjacency([(i, (i + 1) % 8) for i in range(8)], 8)
         designs = [w44, pa.build_queen_lattice(2, 1), cycle8, pa.build_queen_lattice(3, 4)]
         seen = dict.fromkeys(("settled", "open", "complex", "explosive", "phi0<0", "phi0>0"), 0)
         for W in designs:
-            ends = np.array([W.tau_max, W.tau_min])
+            ends = np.array([1.0, W.tau_min])  # the Perron root and tau_min
             for p in (1, 2):
                 spec = pa.ModelSpec(W=W, p=p, q=0, h=0, density=pa.normal())
                 for _ in range(60):
@@ -251,7 +251,7 @@ class TestCheckCausal:
                     worst = float(_largest_root_moduli(ends, theta.phi0, theta.phi).max())
                     assert chk.max_root_modulus == worst
                     assert chk.causal == (worst <= 1.0 - CAUSAL_MARGIN)
-                    top, bound = _largest_root_moduli(np.array([W.tau_max, -1.0]), theta.phi0,
+                    top, bound = _largest_root_moduli(np.array([1.0, -1.0]), theta.phi0,
                                                       theta.phi)
                     seen["settled" if bound <= top else "open"] += 1
                     g = ends / (1.0 - theta.phi0 * ends)
@@ -262,7 +262,7 @@ class TestCheckCausal:
         assert min(seen.values()) >= 40, seen
 
     def test_bound_settles_a_tie_without_tau_min(self):
-        # phi0 = 0, p = 1: the factors at tau_max and -1 tie at |phi_1|,
+        # phi0 = 0, p = 1: the factors at 1 and -1 tie at |phi_1|,
         # the exact answer on the bipartite 2-node lattice (tau_min = -1)
         W = pa.build_queen_lattice(2, 1)
         spec = pa.ModelSpec(W=W, p=1, q=0, h=0, density=pa.normal())
@@ -274,18 +274,18 @@ class TestCheckCausal:
     def test_near_pole_bound_row_defers_to_the_ends(self, w44, p):
         # phi0 = -1 + 1e-15 puts the factor at tau = -1 below LEAD_TOL, but
         # -1 is no eigenvalue here (tau_min = -0.46): the check is the
-        # [tau_max, tau_min] one and raises nothing
+        # [1, tau_min] one and raises nothing
         spec = pa.ModelSpec(W=w44, p=p, q=0, h=0, density=pa.normal())
         theta = pa.ParameterVector(-1.0 + 1e-15, [0.3] * p, [], [], [])
         assert 1.0 + theta.phi0 < LEAD_TOL and w44.tau_min > -0.5
         chk = pa.check_causal(spec, theta)
-        worst = float(_largest_root_moduli(np.array([w44.tau_max, w44.tau_min]),
+        worst = float(_largest_root_moduli(np.array([1.0, w44.tau_min]),
                                            theta.phi0, theta.phi).max())
         assert chk == (worst <= 1.0 - CAUSAL_MARGIN, worst)
 
     def test_p3_counterexample_checks_every_eigenvalue(self, w1010):
         # for phi = c (2.47, -2.93, 1.18) the largest root modulus falls as g
-        # grows from 1.25 to 1.4: with g(tau_max) = 1.4 the worst eigenvalue
+        # grows from 1.25 to 1.4: with g(1) = 1.4 the worst eigenvalue
         # is an interior one (tau = 0.957 on the 10x10 lattice)
         phi0 = 0.6
         phi = 1.4 * (1.0 - phi0) * np.array([2.47, -2.93, 1.18])
@@ -295,11 +295,11 @@ class TestCheckCausal:
         worst = self.roots_oracle(w1010, theta)
         assert_allclose(chk.max_root_modulus, worst, rtol=1e-12)
         ends = max(np.abs(np.roots(np.concatenate(([1.0 - phi0 * tau], -phi * tau)))).max()
-                   for tau in (w1010.tau_min, w1010.tau_max))
+                   for tau in (w1010.tau_min, 1.0))
         assert worst > ends + 0.05
 
     def test_pole_inside_interval_checks_every_eigenvalue(self):
-        # phi0 = 2 puts the pole 1 - phi0 tau = 0 inside [tau_min, tau_max]:
+        # phi0 = 2 puts the pole 1 - phi0 tau = 0 inside [tau_min, 1]:
         # the domain check rejects it first, for every p, before the dense
         # spectrum is built
         for p in (0, 1, 2, 3):

@@ -164,6 +164,10 @@ class TestGenerateCovariates:
         with pytest.raises(ValueError, match="unknown covariate"):
             pa.generate_covariates([{"kind": "poisson"}], n=2, T=2, seed=0)
 
+    def test_no_columns_give_an_empty_array(self):
+        # q = 0 is the general draw with zero columns
+        assert pa.generate_covariates([], 5, 7, 1).shape == (7, 5, 0)
+
 
 class TestPanelCSV:
     def test_round_trip_exact(self, w33, tmp_path):

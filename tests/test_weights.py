@@ -323,6 +323,7 @@ class TestReflectionBlocks:
         assert np.all(np.diff(tau) >= 0.0)
         assert np.max(np.abs(tau - oracle)) <= 1e-14
         assert np.max(np.abs(Q.T @ Q - np.eye(W.n))) <= 1e-13
+        assert Q.flags.f_contiguous
         assert np.max(np.abs((Q * tau) @ Q.T - W._similarity.toarray())) <= 1e-14
         assert spectrum_builds == [False, True]
 
@@ -350,7 +351,9 @@ class TestReflectionBlocks:
         else:
             dims = None
         W = weights.WeightMatrix(A, lattice_dims=dims)
-        assert W._reflection_blocks() is None
+        (size, column, weight), = W._reflection_blocks()  # the identity basis
+        assert size == W.n
+        assert np.array_equal(column, np.arange(W.n)) and np.array_equal(weight, np.ones(W.n))
         assert np.array_equal(W.eigenvalues, parent_eigenvalues(W))
 
     @pytest.mark.parametrize("design", ["delaunay80", "path"])
@@ -359,6 +362,19 @@ class TestReflectionBlocks:
              else pa.from_adjacency([(k, k + 1) for k in range(9)], 10))
         assert np.array_equal(W.eigenvalues, parent_eigenvalues(W))
 
+    @pytest.mark.parametrize("design", ["delaunay80", "path"])
+    def test_adjacency_basis_is_the_dense_solve(self, design):
+        # the one-block eigenbasis is the single solve of S with vectors
+        W = (delaunay_weights(80, 2) if design == "delaunay80"
+             else pa.from_adjacency([(k, k + 1) for k in range(9)], 10))
+        tau, Q, root = W.eigenbasis
+        parent_tau, parent_Q = scipy.linalg.eigh(W._similarity.toarray().T, overwrite_a=True,
+                                                 check_finite=False, driver="evd")
+        assert np.array_equal(tau, parent_tau) and np.array_equal(Q, parent_Q)
+        assert Q.flags.f_contiguous  # as eigh gives it: BLAS rounds products by layout
+        rebuilt = ((Q * tau) @ Q.T) * root[None, :] / root[:, None]
+        assert np.max(np.abs(rebuilt - W.W.toarray())) <= 1e-14
+
 
 class TestLazySpectrum:
     @pytest.mark.parametrize("design", sorted(SPECTRUM_DESIGNS))
@@ -366,8 +382,8 @@ class TestLazySpectrum:
         W = SPECTRUM_DESIGNS[design]()
         oracle = dense_similarity_spectrum(W)
         assert abs(W.tau_min - oracle[0]) <= 1e-12
-        assert abs(W.tau_max - np.max(np.abs(oracle))) <= 1e-12 * max(1.0, W.tau_max)
-        assert W.tau_max == 1.0  # Perron root of a row-stochastic matrix
+        # the largest modulus is the Perron root 1 of a row-stochastic matrix
+        assert abs(np.max(np.abs(oracle)) - 1.0) <= 1e-12
         assert "eigenvalues" not in W.__dict__  # the extremes need no spectrum
 
     def test_tau_min_bit_identical_across_builds(self):
@@ -403,7 +419,7 @@ class TestLazySpectrum:
         monkeypatch.setattr(spla, "eigsh", failing)
         W = pa.build_queen_lattice(4, 5)
         assert W.tau_min == W.eigenvalues[-1]
-        assert W.tau_max == 1.0
+        assert abs(W.eigenvalues[0] - 1.0) <= 1e-12  # the Perron root
 
     def test_spectrum_beyond_unit_modulus_rejected(self, monkeypatch):
         real = scipy.linalg.eigh
