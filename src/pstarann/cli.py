@@ -25,22 +25,26 @@ The config is one JSON document with sections:
 every command, whether or not the command reads it: a key outside these
 (a covariate column holds only its kind's keys: kind, mean and sd for
 normal, kind and value for constant), a value of the wrong JSON type or
-out of its key's range (``optim.n_starts`` <= ``MAX_STARTS``, lattice sides
-and ``adjacency.n`` <= ``MAX_LOCATIONS``), a ragged ``theta.gamma`` and a
-required key left out all exit 2 naming the key path, such as
-``theta.phi[0]`` or ``covariates[1].sd``. Every number in theta is a
-finite JSON number (not a string, boolean or null). An optional key left
-out is not passed on, so ``fit``, ``simulate`` and ``ModelSpec`` apply
-their own defaults. A simulation whose (burn_in + p + T, n, max(q, 1))
-arrays would exceed ``MAX_SIMULATION_ENTRIES`` exits 2 before any draw.
+out of its key's range (``optim.n_starts`` <= ``MAX_STARTS``, ``model.p``
+and ``model.h`` <= ``MAX_ORDER``, lattice sides and ``adjacency.n`` <=
+``MAX_LOCATIONS``), a ragged ``theta.gamma`` and a required key left out
+all exit 2 naming the key path, such as ``theta.phi[0]`` or
+``covariates[1].sd``. A config that is not JSON, or whose arrays and
+objects nest too deeply for the parser, exits 2 naming the file. Every
+number in theta is a finite JSON number (not a string, boolean or null).
+An optional key left out is not passed on, so ``fit``, ``simulate`` and
+``ModelSpec`` apply their own defaults. A simulation whose
+(burn_in + p + T, n, max(q, 1)) arrays would exceed
+``MAX_SIMULATION_ENTRIES`` exits 2 before any draw.
 
 Exit codes: 0 success, 2 input error (bad config, unknown config key,
 malformed CSV, non-causal parameters), 3 numerical non-convergence or a
 failed numerical self-check.
 Every command is deterministic under a fixed --seed, including replicate
 summaries across thread counts. ``replicate --threads 1`` runs its replicates
-in this process; with K > 1, each of K worker processes receives the study
-once, when it starts, and builds the log-det series pieces its own fits touch.
+in this process; with K > 1, each of min(K, R) worker processes receives the
+study once, when it starts, and builds the log-det series pieces its own fits
+touch.
 Below ``weights.N_SPECTRAL`` locations, ``replicate`` simulates its panels in
 W's eigenbasis, built once in this process before any replicate runs and
 sent to the workers with the study; its tau are also the spectrum that
@@ -79,10 +83,6 @@ EXIT_INPUT = 2
 EXIT_NONCONVERGENCE = 3
 
 
-class ConfigError(ValueError):
-    pass
-
-
 class Key(NamedTuple):
     """How ``load_config`` reads one key: its kind (see ``_typed``), whether
     it is required, and the least and the greatest value it may take."""
@@ -98,12 +98,19 @@ class Key(NamedTuple):
 MAX_LOCATIONS = 10**7
 # The most starts of a fit: 200 times the default of 5.
 MAX_STARTS = 1000
+# The most lags (model.p) and neurons (model.h) of a model: 50 times the
+# largest order of any demo or benchmark design (h = 2). A larger order
+# would only reach an allocation sized by it, such as a fit's (dim, 2)
+# bounds or the causality check's (p, p) companion matrices, and end in a
+# MemoryError instead of exit 2.
+MAX_ORDER = 100
 # the keys of each config section but "covariates", an array of columns
 SECTIONS = {
     "lattice": {"n1": Key(int, True, maximum=MAX_LOCATIONS),
                 "n2": Key(int, True, maximum=MAX_LOCATIONS)},
     "adjacency": {"file": Key(str, True), "n": Key(int, True, maximum=MAX_LOCATIONS)},
-    "model": {"p": Key(int, True), "q": Key(int, True), "h": Key(int, True),
+    "model": {"p": Key(int, True, maximum=MAX_ORDER), "q": Key(int, True),
+              "h": Key(int, True, maximum=MAX_ORDER),
               "density": Key(str, True), "linear_term": Key(bool), "intercept": Key(bool)},
     "theta": {"phi0": Key(float, True), "phi": Key([float]), "beta": Key([float]),
               "lambda": Key([float]), "gamma": Key([[float]])},
@@ -134,12 +141,14 @@ def load_config(path):
         with open(path) as fh:
             cfg = json.load(fh)
     except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
+        raise ValueError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
-                          f"{exc.msg}") from exc
+        raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
+                         f"{exc.msg}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{path}: invalid JSON: nested too deeply") from exc
     if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: the config must be a JSON object")
+        raise ValueError(f"{path}: the config must be a JSON object")
     _only(cfg, "config", (*SECTIONS, "covariates"))
     typed = {name: _keys(_typed(cfg[name], f"config.{name}", dict), name, keys)
              for name, keys in SECTIONS.items() if name in cfg}
@@ -150,12 +159,12 @@ def load_config(path):
 
 
 def _only(section, where, keys):
-    """Raise ``ConfigError`` on the first key of ``section`` outside ``keys``:
+    """Raise ``ValueError`` on the first key of ``section`` outside ``keys``:
     a misspelt key would otherwise fall back silently to its default."""
     for key in section:
         if key not in keys:
-            raise ConfigError(f"{where}: unknown key {key!r}; expected one of "
-                              f"{', '.join(keys)}")
+            raise ValueError(f"{where}: unknown key {key!r}; expected one of "
+                             f"{', '.join(keys)}")
 
 
 def _keys(section, where, keys):
@@ -163,7 +172,7 @@ def _keys(section, where, keys):
     _only(section, where, keys)
     for key, spec in keys.items():
         if spec.required and key not in section:
-            raise ConfigError(f"{where}: missing required key {key!r}")
+            raise ValueError(f"{where}: missing required key {key!r}")
     return {key: _typed(value, f"{where}.{key}", keys[key].kind, keys[key].minimum,
                         keys[key].maximum)
             for key, value in section.items()}
@@ -175,7 +184,7 @@ def _column(col, where):
     col = _typed(col, where, dict)
     kind = _typed(col.get("kind", "normal"), f"{where}.kind", str)
     if kind not in COVARIATE_KEYS:
-        raise ConfigError(f"{where}.kind must be 'normal' or 'constant', got {kind!r}")
+        raise ValueError(f"{where}.kind must be 'normal' or 'constant', got {kind!r}")
     return _keys(col, where, COVARIATE_KEYS[kind])
 
 
@@ -184,14 +193,14 @@ def _typed(value, path, kind, minimum=None, maximum=None):
     integer-valued number: 30.0 passes; 1.7, true and "3" do not), float (a
     finite number: 0 passes; NaN, true and "1e-8" do not) or, for a kind
     ``[k]``, an array of ``k`` (for ``[[k]]``, rows of equal length), within
-    ``minimum`` and ``maximum`` when they are given; else ``ConfigError``
+    ``minimum`` and ``maximum`` when they are given; else ``ValueError``
     naming ``path`` (``theta.gamma[0][1]``)."""
     if isinstance(kind, list):
         rows = [_typed(v, f"{path}[{i}]", kind[0])
                 for i, v in enumerate(_typed(value, path, list))]
         if isinstance(kind[0], list) and len({len(row) for row in rows}) > 1:
-            raise ConfigError(f"{path} must have rows of equal length, got lengths "
-                              f"{[len(row) for row in rows]}")
+            raise ValueError(f"{path} must have rows of equal length, got lengths "
+                             f"{[len(row) for row in rows]}")
         return rows
     if isinstance(value, bool) or kind in (bool, str, dict, list):
         ok = type(value) is kind
@@ -202,28 +211,28 @@ def _typed(value, path, kind, minimum=None, maximum=None):
     if not ok:
         name = {bool: "a boolean", str: "a string", dict: "a JSON object",
                 list: "a JSON array", int: "an integer", float: "a finite number"}[kind]
-        raise ConfigError(f"{path} must be {name}, got {value!r}")
+        raise ValueError(f"{path} must be {name}, got {value!r}")
     if minimum is not None and value < minimum:
-        raise ConfigError(f"{path} must be >= {minimum}, got {kind(value)}")
+        raise ValueError(f"{path} must be >= {minimum}, got {kind(value)}")
     if maximum is not None and value > maximum:
-        raise ConfigError(f"{path} must be <= {maximum}, got {value!r}")
+        raise ValueError(f"{path} must be <= {maximum}, got {value!r}")
     return kind(value)
 
 
 def _section(cfg, name):
     """``cfg[name]``, a section the command cannot do without."""
     if name not in cfg:
-        raise ConfigError(f"config: missing required key {name!r}")
+        raise ValueError(f"config: missing required key {name!r}")
     return cfg[name]
 
 
 def build_weights(cfg, base_dir="."):
     if ("lattice" in cfg) == ("adjacency" in cfg):
-        raise ConfigError("config needs exactly one of 'lattice' or 'adjacency'")
+        raise ValueError("config needs exactly one of 'lattice' or 'adjacency'")
     if "lattice" in cfg:
         n1, n2 = cfg["lattice"]["n1"], cfg["lattice"]["n2"]
         if n1 * n2 > MAX_LOCATIONS:
-            raise ConfigError(f"lattice: n1 n2 = {n1 * n2} locations exceeds {MAX_LOCATIONS}")
+            raise ValueError(f"lattice: n1 n2 = {n1 * n2} locations exceeds {MAX_LOCATIONS}")
         return build_queen_lattice(n1, n2)
     adj = cfg["adjacency"]
     return read_adjacency_csv(Path(base_dir) / adj["file"], adj["n"])
@@ -237,10 +246,10 @@ def build_spec(cfg, W):
         model["density"] = density_from_config(model["density"])
         spec = ModelSpec(W=W, **model)
     except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
+        raise ValueError(f"model: {exc}") from exc
     if "covariates" in cfg and len(cfg["covariates"]) != spec.q:
-        raise ConfigError(f"covariates: {len(cfg['covariates'])} column specs but "
-                          f"model.q={spec.q}")
+        raise ValueError(f"covariates: {len(cfg['covariates'])} column specs but "
+                         f"model.q={spec.q}")
     return spec
 
 
@@ -249,7 +258,7 @@ def build_theta(cfg, spec):
     try:
         return ParameterVector.from_json_dict(theta).validate(spec)
     except ValueError as exc:  # a block of the wrong shape
-        raise ConfigError(f"theta: {exc}") from exc
+        raise ValueError(f"theta: {exc}") from exc
 
 
 def load_setup(args):
@@ -269,8 +278,8 @@ def simulation_inputs(cfg, spec):
     steps = sim.get("burn_in", BURN_IN) + spec.p + sim["T"]
     entries = steps * spec.n * max(spec.q, 1)
     if entries > MAX_SIMULATION_ENTRIES:
-        raise ConfigError(f"simulate.T = {sim['T']} is too large: (burn_in + p + T) n max(q, 1)"
-                          f" = {entries} entries exceeds {MAX_SIMULATION_ENTRIES}")
+        raise ValueError(f"simulate.T = {sim['T']} is too large: (burn_in + p + T) n max(q, 1)"
+                         f" = {entries} entries exceeds {MAX_SIMULATION_ENTRIES}")
     return theta, sim, steps
 
 
@@ -399,9 +408,9 @@ def cmd_replicate(args):
 
     R = args.replicates
     if R < 2:
-        raise ConfigError(f"--replicates must be >= 2, got {R}")
+        raise ValueError(f"--replicates must be >= 2, got {R}")
     if args.threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
 
     # below N_SPECTRAL, the panels come from n scalar AR(p) filters in W's
     # eigenbasis, built (and cached on spec.W) here once, before anything
@@ -420,7 +429,8 @@ def cmd_replicate(args):
 
     job = (spec, theta, sim, X_fixed, args.seed, cfg.get("optim", {}))
     if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads, initializer=_init_worker,
+        # a pool forks all its workers at the first submit: one per replicate
+        with ProcessPoolExecutor(max_workers=min(args.threads, R), initializer=_init_worker,
                                  initargs=(job,)) as pool:
             try:
                 records = list(pool.map(_replicate_in_worker, range(R)))
@@ -502,7 +512,9 @@ def build_parser():
     p_rep = sub.add_parser("replicate", help="parallel simulate+fit study")
     common(p_rep)
     p_rep.add_argument("--replicates", type=int, required=True)
-    p_rep.add_argument("--threads", type=int, default=1)
+    p_rep.add_argument("--threads", type=int, default=1,
+                       help="worker processes, at most one per replicate; 1 runs the "
+                            "replicates in this process")
     p_rep.add_argument("--fixed-design", action="store_true",
                        help="hold one covariate draw fixed across replicates")
     p_rep.set_defaults(func=cmd_replicate)
@@ -513,7 +525,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (FitError, NumericalError) as exc:

@@ -172,22 +172,16 @@ class FitResult:
         A trailing * marks coefficients whose interval covers zero; the
         Std./C.I. columns are omitted when the covariance is unavailable.
         """
-        est = self.theta.x
-        lines = []
-        have_se = self.std_errors is not None
-        if have_se:
-            lines.append(f"{'Parameter':<10} {'Estimate':>10} {'Std.':>9}  {'95% C.I.':>22}")
-            for k, name in enumerate(self.names):
+        est, se = self.theta.x, self.std_errors
+        lines = [f"{'Parameter':<10} {'Estimate':>10}"
+                 + ("" if se is None else f" {'Std.':>9}  {'95% C.I.':>22}")]
+        for k, name in enumerate(self.names):
+            row = f"{name:<10} {est[k]:>10.4f}"
+            if se is not None:
                 lo, hi = self.ci95[k]
                 star = "*" if lo <= 0.0 <= hi else ""
-                lines.append(
-                    f"{name:<10} {est[k]:>10.4f} {self.std_errors[k]:>9.4f}  "
-                    f"({lo:>9.4f}, {hi:>9.4f}){star}"
-                )
-        else:
-            lines.append(f"{'Parameter':<10} {'Estimate':>10}")
-            for k, name in enumerate(self.names):
-                lines.append(f"{name:<10} {est[k]:>10.4f}")
+                row += f" {se[k]:>9.4f}  ({lo:>9.4f}, {hi:>9.4f}){star}"
+            lines.append(row)
         lines.append("")
         lines.append(f"log-likelihood  {self.loglik:.4f}")
         lines.append(f"AIC             {self.aic:.4f}")
@@ -297,20 +291,20 @@ def initial_points(ws: LikelihoodWorkspace, n_starts=5, seed=0):
 
 def _grid_argmax(grid, bound, rest):
     """``max(grid, key=lambda c: rest(c) + bound(c))``, the first grid point
-    of largest value, for ``rest`` <= 0 at every point below 0.
+    of largest value, for ``rest`` <= 0 at every point.
 
     ``initial_points`` passes rest = T ln|I - phi0 W|. That is <= 0: it is
     concave in phi0 (its second derivative is -T tr((W A0^{-1})^2)), and
-    it is 0 with a zero derivative (-T tr W) at phi0 = 0. The points >= 0
-    are evaluated first. A point below 0 then has value <= ``bound`` there,
-    to the last bit, so where that bound is below the best value found it
-    cannot win and ``rest`` is not evaluated: a series log-det never builds
-    its negative pieces for it.
+    it is 0 with a zero derivative (-T tr W) at phi0 = 0. So every point
+    has value <= ``bound`` there, to the last bit, and where that bound is
+    below the best value found the point can neither win nor tie: ``rest``
+    is not evaluated for it. The points >= 0 are visited first, so a series
+    log-det seldom builds its negative pieces.
     """
     values, best = {}, -np.inf
     for k in sorted(range(len(grid)), key=lambda k: grid[k] < 0.0):
         b = bound(grid[k])
-        if grid[k] >= 0.0 or b >= best:
+        if b >= best:
             values[k] = rest(grid[k]) + b
             best = max(best, values[k])
     return grid[max(sorted(values), key=values.get)]
@@ -458,7 +452,7 @@ def _trust_region_newton(fun, x0, hess, bounds, gtol=1e-8, maxiter=500):
 
 # What ``fit`` calls each trust-region stage through. bench/tracer.py wraps
 # ``optimize.minimize`` to count the optimizer's work, and reads
-# ``_PENALTY``; both go with ROADMAP item 1's benchmark PR.
+# ``_PENALTY``; both go with ROADMAP item 3's benchmark PR.
 optimize = SimpleNamespace(minimize=_trust_region_newton)
 
 

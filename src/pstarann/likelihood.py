@@ -77,8 +77,7 @@ import logging
 
 import numpy as np
 
-from . import model
-from .model import ModelSpec, PanelData, ParameterVector
+from .model import ModelSpec, PanelData, ParameterVector, sigmoid
 from .weights import NumericalError
 
 __all__ = [
@@ -186,9 +185,7 @@ class LikelihoodWorkspace:
         E = self.y + x[: lay.lam.start] @ self.D[: lay.lam.start]
         c = {"E": E}
         if lay.h:
-            # looked up on the module at call time, so a wrapper installed
-            # on model.sigmoid sees every activation
-            c["F"] = F = model.sigmoid(theta.gamma @ self.X)
+            c["F"] = F = sigmoid(theta.gamma @ self.X)
             c["Fp"] = Fp = F * (1.0 - F)
             E -= theta.lam @ F
             self.D[lay.lam] = -F

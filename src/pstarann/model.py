@@ -230,11 +230,6 @@ class ParameterVector:
         with open(path, "w") as fh:
             json.dump(self.to_json_dict(), fh, indent=2)
 
-    @classmethod
-    def load_json(cls, path):
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
-
 
 def param_names(spec: ModelSpec):
     """Canonical-order parameter names, e.g. phi0, phi1, beta1, lambda1, gamma11."""
@@ -438,10 +433,9 @@ def psi_expansion(spec: ModelSpec, theta: ParameterVector, J):
     check_causal(spec, theta).require()
     n = spec.n
     psis = [np.eye(n)]
-    if spec.p == 0 or J == 0:
-        return psis + [np.zeros((n, n)) for _ in range(J if spec.p == 0 else 0)]
     # B_k = A0^{-1} A_k = phi_k * A0^{-1} W, built once with a block solve
-    A0inv_W = spec.W.a0_factor(theta.phi0).solve(spec.W.W.toarray())
+    # (none for p = 0, whose Psi_j for j >= 1 are empty sums)
+    A0inv_W = spec.W.a0_factor(theta.phi0).solve(spec.W.W.toarray()) if spec.p else None
     B = [theta.phi[k - 1] * A0inv_W for k in range(1, spec.p + 1)]
     for j in range(1, J + 1):
         acc = np.zeros((n, n))

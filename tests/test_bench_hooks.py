@@ -50,5 +50,7 @@ def test_tracer_finds_and_restores_the_traced_layers(w44, monkeypatch):
     finite = [t["loglik"] is not None for t in res.trace]
     assert metrics["estimate.starts_ok_ratio"][0] == sum(finite) / len(finite)
     assert metrics["likelihood.loglik_and_gradient.calls"][0] > 0
+    # every activation goes through a binding the tracer patched
+    assert metrics["model.sigmoid.calls"][0] > 0
     assert after.keys() == before.keys()
     assert [k for k, v in before.items() if after[k] is not v] == []

@@ -185,6 +185,8 @@ class TestSimulateCommand:
         ("adjacency", "n", 1e20, "MAX_LOCATIONS"),
         ("optim", "n_starts", 1e308, "MAX_STARTS"),
         ("optim", "n_starts", 1001, "MAX_STARTS"),
+        ("model", "p", 1e6, "MAX_ORDER"),
+        ("model", "h", 1e8, "MAX_ORDER"),
     ])
     def test_too_large_config_key_exit_2(self, tmp_path, capsys, monkeypatch, section, key,
                                          value, limit):
@@ -316,6 +318,18 @@ class TestSimulateCommand:
         code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "x")])
         assert code == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_deeply_nested_json_exit_2(self, tmp_path, capsys):
+        # the parser's recursion limit, not a traceback
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000)
+        for command in (["simulate"], ["fit", "--panel", str(tmp_path / "panel.csv")],
+                        ["replicate", "--replicates", "2"]):
+            code = main(command + ["--config", str(path), "--out", str(tmp_path / "x")])
+            assert code == 2
+            assert capsys.readouterr().err == \
+                f"error: {path}: invalid JSON: nested too deeply\n"
+            assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("text", ["5", "null", "[1, 2]"])
     def test_config_not_an_object_exit_2(self, tmp_path, capsys, text):
@@ -1019,6 +1033,42 @@ class TestReplicateCommand:
         [(basis, worker)] = received
         for a, b in zip(basis, worker["eigenbasis"]):
             assert np.array_equal(a, b)
+
+
+    def test_pool_starts_at_most_one_worker_per_replicate(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # a pool forks all its workers at once; no real process starts here
+        import pickle
+
+        import pstarann.cli as cli
+
+        workers = []
+
+        class InlinePool:  # one worker: the study pickled once, the replicates run here
+            def __init__(self, max_workers, initializer, initargs):
+                workers.append(max_workers)
+                initializer(*pickle.loads(pickle.dumps(initargs)))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cli, "_worker_job", None)
+        cfg = write_config(tmp_path, MODEL1_CONFIG)
+        for threads in ("1", "64"):
+            code = main(["replicate", "--config", cfg, "--out", str(tmp_path / threads),
+                         "--seed", "8", "--replicates", "2", "--threads", threads])
+            assert code == 0
+        capsys.readouterr()
+        assert workers == [2]
+        assert (tmp_path / "1" / "summary.json").read_bytes() == \
+            (tmp_path / "64" / "summary.json").read_bytes()
 
 
 class TestReplicateCovariance:

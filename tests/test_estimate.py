@@ -209,6 +209,58 @@ class TestFit:
         assert res.converged
 
 
+class TestFormatTable:
+    """fit.txt's bytes, in both layouts, pinned as literal strings."""
+
+    NAMES = ["phi0", "phi1", "lambda1", "gamma11", "gamma12"]
+    THETA = pa.ParameterVector(0.6, [-0.274], [], [1.5], [[0.75, -0.35]])
+
+    def test_with_standard_errors(self):
+        res = pa.FitResult(
+            theta=self.THETA, loglik=-123.456789, gradient_norm=3.2e-9, converged=True,
+            n_starts=3, n_iterations=17, aic=256.9, covariance=np.eye(5),
+            std_errors=np.array([0.05, 0.2, 0.4, 0.1, 0.3]),
+            ci95=np.array([[0.502, 0.698], [-0.666, 0.118], [0.716, 2.284],
+                           [0.554, 0.946], [-0.938, 0.238]]),
+            cov_note="Hessian nearly singular", causality=pa.CausalityCheck(True, 0.4321),
+            names=self.NAMES)
+        assert res.format_table() == (
+            "Parameter    Estimate      Std.                95% C.I.\n"
+            "phi0           0.6000    0.0500  (   0.5020,    0.6980)\n"
+            "phi1          -0.2740    0.2000  (  -0.6660,    0.1180)*\n"
+            "lambda1        1.5000    0.4000  (   0.7160,    2.2840)\n"
+            "gamma11        0.7500    0.1000  (   0.5540,    0.9460)\n"
+            "gamma12       -0.3500    0.3000  (  -0.9380,    0.2380)*\n"
+            "\n"
+            "log-likelihood  -123.4568\n"
+            "AIC             256.9000\n"
+            "converged       True  (grad norm 3.200e-09)\n"
+            "causal          True  (max root modulus 0.4321)\n"
+            "note: Hessian nearly singular")
+
+    def test_without_standard_errors(self):
+        # the Laplace layout: estimates only, and the covariance note
+        res = pa.FitResult(
+            theta=self.THETA, loglik=-98.7654321, gradient_norm=1.5e-4, converged=False,
+            n_starts=3, n_iterations=500, aic=207.5,
+            cov_note="sandwich covariance unavailable for the Laplace family: the "
+                     "log-density has no second derivative at 0; point estimates only",
+            names=self.NAMES)
+        assert res.format_table() == (
+            "Parameter    Estimate\n"
+            "phi0           0.6000\n"
+            "phi1          -0.2740\n"
+            "lambda1        1.5000\n"
+            "gamma11        0.7500\n"
+            "gamma12       -0.3500\n"
+            "\n"
+            "log-likelihood  -98.7654\n"
+            "AIC             207.5000\n"
+            "converged       False  (grad norm 1.500e-04)\n"
+            "note: sandwich covariance unavailable for the Laplace family: the log-density "
+            "has no second derivative at 0; point estimates only")
+
+
 class TestFitResiduals:
     """``FitResult.residuals`` is the workspace's cache at the reported theta."""
 

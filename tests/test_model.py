@@ -1,5 +1,6 @@
 """Parameter vector, network component, residuals, causality, canonical form."""
 
+import json
 import pickle
 import warnings
 
@@ -331,6 +332,22 @@ class TestPsiExpansion:
         for P in psis[1:]:
             assert_allclose(P, 0.0)
 
+    def test_no_lags_give_the_identity_then_zeros(self, w22):
+        spec = pa.ModelSpec(W=w22, p=0, q=0, h=0, density=pa.normal())
+        theta = pa.ParameterVector(0.3, [], [], [], [])
+        psis = pa.psi_expansion(spec, theta, 3)
+        assert len(psis) == 4
+        assert np.array_equal(psis[0], np.eye(4))
+        for P in psis[1:]:
+            assert np.array_equal(P, np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_zero_horizon_gives_the_identity(self, w22, p):
+        spec = pa.ModelSpec(W=w22, p=p, q=0, h=0, density=pa.normal())
+        psis = pa.psi_expansion(spec, pa.ParameterVector(0.3, [-0.2] * p, [], [], []), 0)
+        assert len(psis) == 1
+        assert np.array_equal(psis[0], np.eye(4))
+
     def test_p1_powers(self, w22):
         spec = pa.ModelSpec(W=w22, p=1, q=0, h=0, density=pa.normal())
         theta = pa.ParameterVector(0.4, [-0.3], [], [], [])
@@ -443,7 +460,7 @@ class TestParameterVector:
         theta = pa.ParameterVector(0.6, [-0.274], [], [1.5], [[0.75, -0.35]])
         path = tmp_path / "theta.json"
         theta.save_json(path)
-        back = pa.ParameterVector.load_json(path)
+        back = pa.ParameterVector.from_json_dict(json.loads(path.read_text()))
         assert_allclose(back.to_array(), theta.to_array())
         assert back.gamma.shape == (1, 2)
 
