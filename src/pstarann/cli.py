@@ -25,11 +25,11 @@ The config is one JSON document with sections:
 every command, whether or not the command reads it: a key outside these
 (a covariate column holds only its kind's keys: kind, mean and sd for
 normal, kind and value for constant), a value of the wrong JSON type or
-out of its key's range (``optim.n_starts`` <= ``MAX_STARTS``, ``model.p``
-and ``model.h`` <= ``MAX_ORDER``, lattice sides and ``adjacency.n`` <=
-``MAX_LOCATIONS``), a ragged ``theta.gamma`` and a required key left out
-all exit 2 naming the key path, such as ``theta.phi[0]`` or
-``covariates[1].sd``. A config that is not JSON, or whose arrays and
+out of its key's range (``optim.n_starts`` <= ``MAX_STARTS``, ``model.p``,
+``model.q`` and ``model.h`` <= ``MAX_ORDER``, lattice sides and
+``adjacency.n`` <= ``MAX_LOCATIONS``), a ragged ``theta.gamma`` and a
+required key left out all exit 2 naming the key path, such as
+``theta.phi[0]`` or ``covariates[1].sd``. A config that is not JSON, or whose arrays and
 objects nest too deeply for the parser, exits 2 naming the file. Every
 number in theta is a finite JSON number (not a string, boolean or null).
 An optional key left out is not passed on, so ``fit``, ``simulate`` and
@@ -98,18 +98,19 @@ class Key(NamedTuple):
 MAX_LOCATIONS = 10**7
 # The most starts of a fit: 200 times the default of 5.
 MAX_STARTS = 1000
-# The most lags (model.p) and neurons (model.h) of a model: 50 times the
-# largest order of any demo or benchmark design (h = 2). A larger order
-# would only reach an allocation sized by it, such as a fit's (dim, 2)
-# bounds or the causality check's (p, p) companion matrices, and end in a
-# MemoryError instead of exit 2.
+# The most lags (model.p), covariates (model.q) and neurons (model.h) of a
+# model: 25 times the largest order of any demo or benchmark design (q = 4).
+# A larger order would only reach an allocation sized by it, such as a
+# fit's (dim, 2) bounds, the causality check's (p, p) companion matrices or
+# the q column names of a panel's header, and end in a MemoryError instead
+# of exit 2.
 MAX_ORDER = 100
 # the keys of each config section but "covariates", an array of columns
 SECTIONS = {
     "lattice": {"n1": Key(int, True, maximum=MAX_LOCATIONS),
                 "n2": Key(int, True, maximum=MAX_LOCATIONS)},
     "adjacency": {"file": Key(str, True), "n": Key(int, True, maximum=MAX_LOCATIONS)},
-    "model": {"p": Key(int, True, maximum=MAX_ORDER), "q": Key(int, True),
+    "model": {"p": Key(int, True, maximum=MAX_ORDER), "q": Key(int, True, maximum=MAX_ORDER),
               "h": Key(int, True, maximum=MAX_ORDER),
               "density": Key(str, True), "linear_term": Key(bool), "intercept": Key(bool)},
     "theta": {"phi0": Key(float, True), "phi": Key([float]), "beta": Key([float]),
@@ -125,7 +126,9 @@ COVARIATE_KEYS = {
 }
 # The most entries that one (burn_in + p + T, n, max(q, 1)) array of a
 # simulation may hold: 16 GiB of doubles, about 30 times the largest
-# documented workload (n = 10**5, T = 30, q = 3).
+# documented workload (n = 10**5, T = 30, q = 3). The guard counts every
+# step, although simulate holds only the steps it simulates, because every
+# step is drawn.
 MAX_SIMULATION_ENTRIES = 2**31
 
 

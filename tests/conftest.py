@@ -18,6 +18,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy import stats
+from scipy.spatial import Delaunay
 
 import pstarann as pa
 from pstarann.simulate import BLOCK_STEPS
@@ -229,6 +230,13 @@ def assert_spectral_agrees(got, want):
     assert np.max(np.abs(got.Y - want.Y) / (1.0 + np.abs(want.Y))) < SPECTRAL_TOL
     assert np.array_equal(got.X, want.X)
     assert np.array_equal(got.eps, want.eps)
+
+
+def delaunay_weights(n, seed):
+    """Weights over the Delaunay triangulation of n seeded random points."""
+    tri = Delaunay(np.random.default_rng(seed).random((n, 2)))
+    s = tri.simplices
+    return pa.from_adjacency(np.concatenate([s[:, [0, 1]], s[:, [1, 2]], s[:, [2, 0]]]), n)
 
 
 def random_causal_theta(spec, rng, phi0_range=0.5):

@@ -187,6 +187,7 @@ class TestSimulateCommand:
         ("optim", "n_starts", 1001, "MAX_STARTS"),
         ("model", "p", 1e6, "MAX_ORDER"),
         ("model", "h", 1e8, "MAX_ORDER"),
+        ("model", "q", 1e8, "MAX_ORDER"),
     ])
     def test_too_large_config_key_exit_2(self, tmp_path, capsys, monkeypatch, section, key,
                                          value, limit):

@@ -1,5 +1,8 @@
 """Simulator determinism, distributional checks, and the panel CSV format."""
 
+import importlib
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,10 +10,19 @@ import pytest
 from numpy.testing import assert_allclose
 
 import pstarann as pa
-from conftest import (MODEL1_COLUMNS, assert_spectral_agrees, model1_spec, model1_theta,
-                      oracle_simulate, random_causal_theta, reference_write_panel_csv)
+from conftest import (MODEL1_COLUMNS, assert_spectral_agrees, delaunay_weights, model1_spec,
+                      model1_theta, oracle_simulate, random_causal_theta,
+                      reference_write_panel_csv)
 from pstarann import _csv
-from pstarann.simulate import BLOCK_STEPS
+from pstarann.model import CAUSAL_MARGIN
+from pstarann.simulate import BLOCK_STEPS, SKIP_BOUND, _skipped_steps
+
+# the module, which the package's ``simulate`` function shadows
+simulate_module = importlib.import_module("pstarann.simulate")
+
+# an intercept column, so the drive's linear and network parts see a constant
+INTERCEPT_COLUMNS = [{"kind": "constant", "value": 1.0}, {"kind": "normal", "sd": 1.5},
+                     {"kind": "normal", "mean": -0.5, "sd": 0.8}]
 
 
 class TestSimulate:
@@ -167,6 +179,25 @@ class TestGenerateCovariates:
     def test_no_columns_give_an_empty_array(self):
         # q = 0 is the general draw with zero columns
         assert pa.generate_covariates([], 5, 7, 1).shape == (7, 5, 0)
+
+    @pytest.mark.parametrize("columns", [INTERCEPT_COLUMNS, []], ids=["q3", "q0"])
+    @pytest.mark.parametrize("first", [0, 1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1,
+                                       2 * BLOCK_STEPS + 4, 2 * BLOCK_STEPS + 5])
+    def test_first_keeps_the_tail_of_the_full_draw(self, columns, first):
+        # every step is drawn, so the kept rows are the full draw's bits and
+        # the generator ends where the full draw leaves it
+        T = 2 * BLOCK_STEPS + 5
+        full_rng, part_rng = np.random.default_rng(4), np.random.default_rng(4)
+        full = pa.generate_covariates(columns, 6, T, full_rng)
+        part = pa.generate_covariates(columns, 6, T, part_rng, first=first)
+        assert part.shape == (T - first, 6, len(columns))
+        assert np.array_equal(part, full[first:])
+        assert np.array_equal(part_rng.random(3), full_rng.random(3))
+
+    @pytest.mark.parametrize("first", [-1, 8])
+    def test_first_outside_the_draw_rejected(self, first):
+        with pytest.raises(ValueError, match=f"need 0 <= first <= T, got first = {first}"):
+            pa.generate_covariates(INTERCEPT_COLUMNS, 2, 7, 0, first=first)
 
 
 class TestPanelCSV:
@@ -435,9 +466,6 @@ class TestExogenousDrive:
 
 
 B = BLOCK_STEPS
-# an intercept column, so the drive's linear and network parts see a constant
-INTERCEPT_COLUMNS = [{"kind": "constant", "value": 1.0}, {"kind": "normal", "sd": 1.5},
-                     {"kind": "normal", "mean": -0.5, "sd": 0.8}]
 
 
 class TestStreamedSimulation:
@@ -562,3 +590,134 @@ class TestSpectralSimulation:
             tracemalloc.stop()
         x_bytes = (200 + 1 + 2) * spec.n * spec.q * 8
         assert peak < 1.3 * x_bytes
+
+
+def reference_skip(n, p, rho, burn_in):
+    """simulate's skip by its rule, from a loop over K with exact binomials."""
+    K = 0
+    if p and rho:
+        while K < burn_in and (n + 1) * math.comb(K + p - 1, p - 1) * rho ** K > SKIP_BOUND:
+            K += 1
+    skip = max(burn_in - K, 0)
+    return skip - skip % BLOCK_STEPS
+
+
+# (design, p, h, density, phi0, phi): every family, p = 1..3, h = 0..2 and
+# rho = 0 to 0.66, each with a burn-in cut of 32 to 192 steps
+CUT_DESIGNS = [
+    ("10x10", 1, 0, pa.normal(), 0.4, [0.3]),
+    ("10x10", 1, 2, pa.scaled_t(8), -0.3, [0.25]),
+    ("10x10", 2, 1, pa.laplace(), 0.2, [0.3, -0.2]),
+    ("10x10", 3, 0, pa.normal(), 0.3, [0.2, 0.1, -0.1]),
+    ("10x10", 3, 2, pa.scaled_t(8), -0.2, [0.3, -0.2, 0.1]),
+    ("10x10", 1, 1, pa.normal(), 0.5, [0.0]),
+    ("13x17", 1, 1, pa.normal(), 0.6, [-0.25]),
+    ("13x17", 2, 2, pa.laplace(), 0.3, [0.2, 0.15]),
+    ("13x17", 3, 1, pa.scaled_t(8), 0.1, [-0.2, 0.2, 0.1]),
+    ("delaunay200", 1, 2, pa.laplace(), -0.4, [-0.45]),
+    ("delaunay200", 2, 0, pa.scaled_t(8), 0.5, [0.1, 0.15]),
+    ("delaunay200", 3, 1, pa.normal(), 0.2, [0.15, -0.1, 0.2]),
+]
+
+
+class TestBurnInCut:
+    """simulate draws every burn-in step but simulates only the last K, those
+    whose reach into the retained window exceeds SKIP_BOUND (n + 1); the
+    panels must keep the full burn-in's bits."""
+
+    WEIGHTS = {"10x10": lambda: pa.build_queen_lattice(10, 10),
+               "13x17": lambda: pa.build_queen_lattice(13, 17),
+               "delaunay200": lambda: delaunay_weights(200, 5)}
+
+    @pytest.mark.parametrize("p", [0, 1, 2, 3, 7])
+    def test_skip_follows_the_rule(self, p):
+        for n, rho, burn_in in itertools.product([9, 400, 3107, 10**5],
+                                                 [0.0, 1e-3, 0.25, 0.5, 0.69, 0.8],
+                                                 [0, B - 1, B, 200, 1000]):
+            assert _skipped_steps(n, p, rho, burn_in) == reference_skip(n, p, rho, burn_in)
+
+    @pytest.mark.parametrize("rho, burn_in", [(0.95, 200), (1.0 - CAUSAL_MARGIN, 10**6)])
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_no_skip_near_the_causal_margin(self, p, rho, burn_in):
+        assert _skipped_steps(400, p, rho, burn_in) == 0
+
+    @pytest.mark.parametrize("p, rho", [(0, 0.0), (1, 0.0), (2, 0.3)])
+    def test_no_skip_below_one_block(self, p, rho):
+        assert _skipped_steps(400, p, rho, B - 1) == 0
+
+    @pytest.mark.parametrize("burn_in", [B, B + 1, 200])
+    @pytest.mark.parametrize("p", [0, 1, 3])
+    def test_memoryless_recursion_skips_whole_blocks(self, p, burn_in):
+        # rho = 0 (or p = 0): no step reaches the next, so K = 0
+        assert _skipped_steps(400, p, 0.0, burn_in) == burn_in - burn_in % B
+
+    def test_fit_adj3107_skip(self):
+        # rho = 0.5 at n = 3107: K = 92, so 108 steps, rounded down to 96
+        assert _skipped_steps(3107, 1, 0.5, 200) == 96
+
+    @pytest.mark.parametrize("spectral", [False, True], ids=["lu", "spectral"])
+    @pytest.mark.parametrize("design, p, h, density, phi0, phi", CUT_DESIGNS,
+                             ids=[f"{d[0]}-p{d[1]}-h{d[2]}-{d[3].label}" for d in CUT_DESIGNS])
+    def test_cut_keeps_the_full_burn_in_bits(self, monkeypatch, design, p, h, density, phi0,
+                                             phi, spectral):
+        spec = pa.ModelSpec(W=self.WEIGHTS[design](), p=p, q=3, h=h, density=density,
+                            include_intercept=True)
+        rng = np.random.default_rng(len(design) + 10 * p + h)
+        theta = pa.ParameterVector(phi0, phi, rng.uniform(-1.0, 1.0, spec.n_beta),
+                                   np.sort(rng.uniform(0.3, 1.5, h))[::-1],
+                                   rng.standard_normal((h, 3)))
+        rho = pa.check_causal(spec, theta).max_root_modulus
+        assert 32 <= _skipped_steps(spec.n, p, rho, 200) <= 192
+        kwargs = {"seed": p + h, "T": 5, "covariate_columns": INTERCEPT_COLUMNS}
+        got = pa.simulate(spec, theta, spectral=spectral, **kwargs)
+        if spectral:
+            monkeypatch.setattr(simulate_module, "_skipped_steps", lambda *args: 0)
+            want = pa.simulate(spec, theta, spectral=True, **kwargs)
+        else:
+            want = oracle_simulate(spec, theta, **kwargs)
+        assert np.array_equal(got.Y, want.Y)
+        assert np.array_equal(got.X, want.X)
+        assert np.array_equal(got.eps, want.eps)
+
+    @pytest.mark.parametrize("p, h", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    @pytest.mark.parametrize("name", ["X", "errors"])
+    def test_nonfinite_input_named(self, w33, name, p, h):
+        # a non-finite entry of a skipped burn-in step is still refused, by
+        # array, step and location
+        spec = pa.ModelSpec(W=w33, p=p, q=2, h=h, density=pa.normal())
+        theta = pa.ParameterVector(0.2, [0.1] * p, [0.5, -0.3], [0.8] * h, [[0.6, -0.4]] * h)
+        burn_in, T = 2 * B, 3
+        steps = burn_in + p + T
+        assert _skipped_steps(spec.n, p, pa.check_causal(spec, theta).max_root_modulus,
+                              burn_in) > 4
+        inputs = {"X": np.zeros((steps, spec.n, 2)), "errors": np.zeros((steps, spec.n))}
+        inputs[name][4, 7] = np.nan if p else np.inf
+        column = ", covariate 0" if name == "X" else ""
+        with pytest.raises(ValueError, match=f"^{name} is not finite at step 4, location 7"
+                                             f"{column}$"):
+            pa.simulate(spec, theta, burn_in=burn_in, **inputs)
+
+    def test_peak_memory_falls_by_the_skipped_covariates(self):
+        # the fit-adj3107 model on a 55x55 lattice (n = 3025): phi1 = 0.3
+        # gives rho = 0.5 and a cut of 96 steps, phi1 = 0.45 gives rho = 0.75
+        # and none. The cut's peak is lower by its covariates, 9.3 MB, less
+        # the few KB of interpreter objects by which tracemalloc's peaks of
+        # two equal calls differ (64 KiB allowed)
+        spec = pa.ModelSpec(W=pa.build_queen_lattice(55, 55), p=1, q=4, h=2,
+                            density=pa.scaled_t(8), include_intercept=True)
+        columns = [{"kind": "constant", "value": 1.0}] + [{"kind": "normal", "sd": 1.0}] * 3
+        peaks = {}
+        for phi in (0.3, 0.45):
+            theta = pa.ParameterVector(0.4, [phi], [-1.2, 0.15, -1.2, -0.15], [3.2, 1.8],
+                                       [[0.5, 1.6, -2.5, 2.3], [0.4, -1.8, 1.3, -0.9]])
+            rho = pa.check_causal(spec, theta).max_root_modulus
+            tracemalloc.start()
+            try:
+                pa.simulate(spec, theta, seed=3, burn_in=200, T=2, covariate_columns=columns)
+                peaks[phi] = tracemalloc.get_traced_memory()[1], rho
+            finally:
+                tracemalloc.stop()
+        (cut_peak, cut_rho), (full_peak, full_rho) = peaks[0.3], peaks[0.45]
+        assert _skipped_steps(spec.n, 1, cut_rho, 200) == 96
+        assert _skipped_steps(spec.n, 1, full_rho, 200) == 0
+        assert full_peak - cut_peak >= 96 * spec.n * spec.q * 8 - 2**16

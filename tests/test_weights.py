@@ -13,20 +13,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.polynomial.chebyshev import chebpts1
 from numpy.testing import assert_allclose
-from scipy.spatial import Delaunay
 
 import pstarann as pa
-from conftest import MODEL1_COLUMNS, model1_spec, model1_theta, oracle_series_node_values
+from conftest import (MODEL1_COLUMNS, delaunay_weights, model1_spec, model1_theta,
+                      oracle_series_node_values)
 from pstarann import _csv, weights
 from pstarann.cli import main
 from pstarann.weights import LogDetSeries, read_adjacency_csv
-
-
-def delaunay_weights(n, seed):
-    """Weights over the Delaunay triangulation of n seeded random points."""
-    tri = Delaunay(np.random.default_rng(seed).random((n, 2)))
-    s = tri.simplices
-    return pa.from_adjacency(np.concatenate([s[:, [0, 1]], s[:, [1, 2]], s[:, [2, 0]]]), n)
 
 
 def dense_similarity_spectrum(W):
