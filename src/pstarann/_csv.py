@@ -9,9 +9,30 @@ keeps only each block's parsed numeric columns. The error contract is that
 of a whole-file read: a wrong field count anywhere in the file is reported
 before any value that does not parse, and parse faults are reported column
 by column in header order, each naming its column's first offending line.
+
+``read_columns`` first tries numpy's C tokenizer: each block's lines go to
+one ``np.loadtxt`` call (comma delimiter, no comment or quote character,
+one structured dtype), so no Python string is made per field. With
+``blank`` columns, a line whose last ``blank`` fields are all empty is
+handed over with zeros in their place and marked unfilled; every other line
+is parsed whole. Wherever that path cannot vouch that its arrays are the
+checked reader's, the checked reader (``read_columns_checked``) rereads the
+file from its header, so the arrays and every error message are that
+reader's alone. It defers on any exception or warning (numpy 1.23-1.26 warn
+where they still accept an integer field written as ``1.0``), on a block
+that yields fewer rows than it has lines (``loadtxt`` skips an empty line,
+which would shift every later line number), on a header line that does not
+match when split at its commas (a quoted one among them), on a line longer
+than ``csv.field_size_limit()`` and on the characters U+001C-U+001F, which
+``loadtxt`` strips from a field as whitespace and Python's ``int`` and
+``float`` reject. So only the checked reader accepts a quoted field, a
+blank or whitespace-only line, a whitespace-only blank field, and the
+``int`` and ``float`` spellings that ``loadtxt`` rejects, such as
+``1_000`` and non-ASCII digits.
 """
 
 import csv
+import warnings
 from itertools import compress, islice
 
 import numpy as np
@@ -19,6 +40,9 @@ import numpy as np
 # Lines per block of a read or a write: only one block's fields are held as
 # Python strings at a time.
 BLOCK_ROWS = 1024
+# What numpy's tokenizer strips from a field as whitespace and Python's
+# int() and float() do not
+LOOSE_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 def read_columns(path, header, dtypes, blank=0):
@@ -27,7 +51,58 @@ def read_columns(path, header, dtypes, blank=0):
     marks the non-blank fields of the last ``blank`` columns, where a blank
     field is allowed and reads as 0. A wrong header, a wrong field count or
     a field that Python's ``int`` or ``float`` rejects raises ValueError
-    naming its line."""
+    naming its line. The result is ``read_columns_checked``'s, bit for bit,
+    read through ``np.loadtxt`` where the file allows (module docstring)."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = _read_loadtxt(path, header, dtypes, blank)
+    except Exception:  # the checked reader raises its own error, or accepts more
+        result = None
+    return read_columns_checked(path, header, dtypes, blank) if result is None else result
+
+
+def _read_loadtxt(path, header, dtypes, blank):
+    """``read_columns``' result through ``np.loadtxt``, or None (or any
+    exception or warning) where it might differ from the checked reader's."""
+    dtype = np.dtype([(f"c{k}", d) for k, d in enumerate(dtypes)])
+    tail, zeros, limit = "," * blank, ",0" * blank, csv.field_size_limit()
+    tails = tuple(tail + end for end in ("\r\n", "\n", "\r", ""))
+    columns, unfilled = [[np.empty(0, d)] for d in dtypes], [np.empty(0, bool)]
+    with open(path, newline="") as fh:
+        first = fh.readline()
+        if [c.strip().lower() for c in first.split(",")] != header:
+            return None
+        while lines := list(islice(fh, BLOCK_ROWS)):
+            text = "".join(lines)
+            if len(text) > limit and max(map(len, lines)) > limit \
+                    or any(c in text for c in LOOSE_SPACE):
+                return None
+            empty = np.zeros(len(lines), bool)
+            if blank and (tail + "\n" in text or tail + "\r" in text or text.endswith(tail)):
+                # lines whose last `blank` fields are all empty: parsed as zeros
+                empty = np.fromiter((line.endswith(tails) for line in lines), bool, len(lines))
+                for k in np.flatnonzero(empty):
+                    lines[k] = lines[k].rstrip("\r\n")[:-blank] + zeros
+            values = np.loadtxt(lines, dtype, delimiter=",", comments=None, quotechar=None,
+                                ndmin=1)
+            if values.size != len(lines):  # an empty line was skipped
+                return None
+            for column, name in zip(columns, dtype.names):
+                column.append(values[name].copy())
+            unfilled.append(empty)
+    # join one column at a time, freeing its blocks before the next is joined
+    for k, column in enumerate(columns):
+        columns[k] = np.concatenate(column)
+    unfilled = np.concatenate(unfilled)
+    filled = np.repeat(~unfilled[:, None], blank, axis=1)
+    return np.arange(2, unfilled.size + 2, dtype=np.intp), columns, filled
+
+
+def read_columns_checked(path, header, dtypes, blank=0):
+    """``read_columns``' result through ``csv.reader`` and Python's ``int``
+    and ``float``: the reference reader, and the one that names each fault's
+    line."""
     lines, filled = [np.empty(0, np.intp)], [np.empty((0, blank), bool)]
     columns = [[np.empty(0, dtype)] for dtype in dtypes]
     malformed = [None] * len(header)  # each column's first line that does not parse

@@ -31,13 +31,20 @@ relies on the truncated and the full trajectory coalescing in floating
 point, which is observed, not guaranteed. On a random corpus of 60 causal
 designs (20x20 and 13x17 lattices and a Delaunay graph of 600 points,
 p = 1..3, h = 0..2, every error family, both paths, rho from 0.04 to 0.97)
-every panel kept its bits at 2^-80 and at 2^-70; at 2^-60 one moved. A
-second such corpus kept 59 of 60 at 2^-80: the LU panel of a Delaunay
-design with phi0 = -0.46 and phi_1 = 0.86 (rho = 0.59) moved by 6.1e-16
-(1 + |y|). With phi0 < 0, A0^{-1} has entries of both signs, and rounding
-differences need not die out when sum |phi_i| / (1 - |phi0|) exceeds 1
-(1.61 there), although rho is below 1: of 30 LU designs drawn with
-phi0 < 0, rho <= 0.69 and that sum above 1, two moved, by up to 4.2e-16.
+every panel kept its bits at 2^-80 and at 2^-70; at 2^-60 one moved.
+
+Rounding differences die out only where the recursion contracts them, and
+rho < 1 says so only in the long run. W is row-standardized, so
+||A0^{-1}||_inf <= 1 / (1 - |phi0|), and one step may grow a difference
+in the max norm by up to sum |phi_i| / (1 - |phi0|). When that sum is at
+least 1, no step is skipped, on either path. Without that rule, the LU
+panels of a Delaunay design of 600 points with phi0 = -0.464 and
+phi_1 = 0.863 (rho = 0.59, the sum 1.61) moved in 99 to 351 of 6,600
+entries, by up to 1.8e-15, on each of five seeds with a cut of 64 steps:
+with phi0 < 0, A0^{-1} has entries of both signs, and the differences
+need not die out although rho is below 1. Other designs with sums above
+1 kept their bits; the rule gives up their cut, so that their panels are
+the full burn-in's by construction.
 
 The time loop runs in blocks of ``BLOCK_STEPS`` steps: each block draws
 its innovations, forms its drive eps_t + X_t beta + F(X_t gamma') lambda
@@ -160,9 +167,10 @@ def simulate(spec: ModelSpec, theta: ParameterVector, X=None, seed=0, burn_in=BU
         Steps discarded before the retained window. Every step is drawn, but
         only the last K burn-in steps, rounded up to whole blocks, are
         simulated: K is the least with (n + 1) C(K + p - 1, p - 1) rho^K <=
-        ``SKIP_BOUND`` = 2^-80, rho the largest causal root. The panels
-        then keep the full burn-in's bits in all but a few measured designs
-        (see the module docstring); that is observed, not guaranteed.
+        ``SKIP_BOUND`` = 2^-80, rho the largest causal root; none is
+        skipped when sum |phi_i| >= 1 - |phi0|. The panels then keep the
+        full burn-in's bits in every measured design (see the module
+        docstring); that is observed, not guaranteed.
     errors : optional (burn_in + p + T, n) array
         Injected innovations (testing hook, e.g. the noiseless limit);
         overrides sampling from ``spec.density``. Like ``X``, every row is
@@ -186,7 +194,10 @@ def simulate(spec: ModelSpec, theta: ParameterVector, X=None, seed=0, burn_in=BU
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     ss_x, ss_e = ss.spawn(2)
     rng_x, rng_e = np.random.default_rng(ss_x), np.random.default_rng(ss_e)
-    skip = _skipped_steps(spec.n, spec.p, rho, burn_in)
+    # one step may grow a rounding difference in the max norm by up to
+    # sum |phi_i| / (1 - |phi0|) (W row-standardized): from 1 on, no step is skipped
+    contracts = sum(map(abs, theta.phi)) < 1.0 - abs(theta.phi0)
+    skip = _skipped_steps(spec.n, spec.p, rho, burn_in) if contracts else 0
     if X is None:
         if T is None or (covariate_columns is None and spec.q > 0):
             raise ValueError("either X or (T, covariate_columns) must be provided")
@@ -322,6 +333,11 @@ def _activations(gamma, Xt):
     return sigmoid(arg)
 
 
+def _same_as_previous(a):
+    """Whether each entry of ``a`` after the first equals the one before it."""
+    return a[1:] == a[:-1]
+
+
 def _panel_header(q):
     return ["t", "s", "y"] + [f"x{j}" for j in range(1, q + 1)]
 
@@ -356,16 +372,16 @@ def read_panel_csv(path, p, q):
     """
     lines, (t, s, y, *x), filled = read_columns(path, _panel_header(q),
                                                 [np.int64, np.int64, float] + [float] * q, blank=q)
-    x = np.column_stack(x) if q else np.zeros((lines.size, 0))  # presample rows leave x empty
     sample = t >= 1
     # a stable sort by (t, s) puts a repeated cell's lines together in file
     # order, so a line repeats an earlier one iff it equals its predecessor
+    # (each sorted column is freed before the next is made)
     order = np.lexsort((s, t))
-    t_sorted, s_sorted = t[order], s[order]
     again = np.zeros(lines.size, dtype=bool)
-    again[order[1:]] = (t_sorted[1:] == t_sorted[:-1]) & (s_sorted[1:] == s_sorted[:-1])
+    again[order[1:]] = _same_as_previous(t[order]) & _same_as_previous(s[order])
     for bad, message in (
-            (~(np.isfinite(y) & np.isfinite(x).all(axis=1)), "non-finite value at line {}"),
+            (~np.logical_and.reduce([np.isfinite(c) for c in (y, *x)]),
+             "non-finite value at line {}"),
             (sample & ~filled.all(axis=1), "empty covariate field at line {}"),
             (~sample & filled.any(axis=1), "covariate value on presample line {} (t={t}); "
                                            "presample rows carry y only"),
@@ -388,7 +404,10 @@ def read_panel_csv(path, p, q):
     # the (t, s) pairs are unique and in range, so fewer rows leave a cell empty
     if lines.size != n * (p + T):
         raise ValueError(f"{path}: missing (t, s) cells in the panel")
-    Y, X = np.empty((p + T, n)), np.empty((T, n, q))
-    Y[t + p - 1, s] = y
-    X[t[sample] - 1, s[sample]] = x[sample]
+    del lines, t, s, filled, sample, again  # freed before the panel is filled
+    # each cell is on one line, so the lines in (t, s) order are the panel's
+    # cells in order, the p n presample cells first
+    Y, X = y[order].reshape(p + T, n), np.empty((T, n, q))
+    for j, column in enumerate(x):
+        X[:, :, j] = column[order[p * n:]].reshape(T, n)
     return PanelData(Y=Y, X=X, p=p)

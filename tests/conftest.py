@@ -21,6 +21,7 @@ from scipy import stats
 from scipy.spatial import Delaunay
 
 import pstarann as pa
+from pstarann import _csv
 from pstarann.simulate import BLOCK_STEPS
 
 
@@ -154,6 +155,22 @@ def reference_write_panel_csv(path, data):
                     [t, s, repr(float(data.Y[data.p + t - 1, s]))]
                     + [repr(float(data.X[t - 1, s, j])) for j in range(q)]
                 )
+
+
+def assert_reads_agree(path, header, dtypes, blank=0):
+    """``_csv.read_columns`` returns the checked reader's arrays bit for bit,
+    or raises its error (a ValueError, or the csv.Error of an overlong
+    field)."""
+    try:
+        got = _csv.read_columns(path, header, dtypes, blank)
+    except (ValueError, csv.Error) as exc:
+        with pytest.raises(type(exc)) as err:
+            _csv.read_columns_checked(path, header, dtypes, blank)
+        assert str(err.value) == str(exc)
+        return
+    want = _csv.read_columns_checked(path, header, dtypes, blank)
+    for a, b in zip([got[0], *got[1], got[2]], [want[0], *want[1], want[2]]):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 def oracle_simulate(spec, theta, X=None, seed=0, burn_in=200, T=None,

@@ -4,20 +4,24 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import pstarann as pa
+from conftest import assert_reads_agree
 from pstarann import _csv, weights
 from pstarann.cli import main, write_diagnostics
 from pstarann.diagnostics import residual_diagnostics
@@ -1280,6 +1284,169 @@ class TestConfigFuzz:
                 if expected is not None:
                     assert code == 2 and err.getvalue().startswith(expected), \
                         (command, err.getvalue())
+
+
+# ----------------------------------------------------------------------
+# Reader fuzz gate: one mutation of a valid panel or edge list per example.
+# read_columns must give the checked reader's arrays bit for bit or raise
+# its error, and fit (a panel) or simulate (an edge list) must exit cleanly.
+# ----------------------------------------------------------------------
+
+# (kind, value) of each mutation: a data line dropped, duplicated, swapped
+# with another, a field quoted, a blank line put before it, its line end
+# switched (LF, CRLF), a field or an id field replaced
+MUTATIONS = {"drop": ("drop", None), "duplicate": ("duplicate", None), "swap": ("swap", None),
+             "quote": ("quote", None), "blank-empty": ("blank", ""),
+             "blank-spaces": ("blank", "  "), "line-end": ("line end", None),
+             "field-empty": ("field", ""), "field-space": ("field", " "),
+             "field-nan": ("field", "nan"), "field-inf": ("field", "inf"),
+             "field-1e308": ("field", "1e308"), "field-word": ("field", "oops"),
+             "id-1.0": ("id", "1.0"), "id-negative": ("id", "-1"), "id-fraction": ("id", "0.5")}
+# mutations that leave every value in its cell
+KEEPS_VALUES = {"swap", "quote", "blank", "line end"}
+# faults of a whole panel or graph, which no one line holds
+WHOLE_FILE_FAULTS = ("missing (t, s) cells", "location ids must be 0..n-1",
+                     "presample starts at", "time index has gaps", "isolated location(s)")
+
+
+@st.composite
+def csv_mutations(draw, text, kind, value):
+    """``text``, a CSV file whose first two columns hold ids, with a mutation
+    of ``MUTATIONS`` applied at a drawn data line."""
+    lines = [[line.rstrip("\r\n"), line[len(line.rstrip("\r\n")):]]
+             for line in text.splitlines(keepends=True)]
+    k = draw(st.integers(1, len(lines) - 1))
+    body, end = lines[k]
+    fields = body.split(",")
+    if kind == "drop":
+        del lines[k]
+    elif kind == "duplicate":
+        lines.insert(draw(st.integers(1, len(lines))), lines[k])
+    elif kind == "swap":
+        j = draw(st.integers(1, len(lines) - 1))
+        lines[j], lines[k] = lines[k], lines[j]
+    elif kind == "blank":
+        lines.insert(k, [value, end])
+    elif kind == "line end":
+        lines[k] = [body, "\n" if end == "\r\n" else "\r\n"]
+    else:
+        j = draw(st.integers(0, 1 if kind == "id" else len(fields) - 1))
+        fields[j] = f'"{fields[j]}"' if kind == "quote" else value
+        lines[k] = [",".join(fields), end]
+    return "".join(body + end for body, end in lines)
+
+
+def run_main(argv):
+    """(exit code, stderr) of an in-process command; a traceback fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # a fit of a panel holding 1e308 warns
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def read_or_input_error(code, err, read):
+    """``read()``, or None where it raises ValueError: the command must then
+    have exited 2 with that error, which names a line unless the fault is
+    the whole file's."""
+    try:
+        return read()
+    except ValueError as exc:
+        message = str(exc)
+        assert (code, err) == (2, f"error: {message}\n")
+        assert re.search(r"line \d+", message) or any(w in message for w in WHOLE_FILE_FAULTS), \
+            message
+        return None
+
+
+class TestReaderFuzz:
+    """The 4x4 model-1 panel of FUZZ_CONFIG (81 lines) and the 4x4 queen
+    lattice's 42 edges, each with one mutation per example; each read also
+    runs in blocks of 1 and 7 lines, and a fit makes one start."""
+
+    CONFIG = {**FUZZ_CONFIG, "optim": {**FUZZ_CONFIG["optim"], "n_starts": 1}}
+
+    @pytest.fixture(scope="class")
+    def panel_base(self, fuzz_panel, tmp_path_factory):
+        out = tmp_path_factory.mktemp("panel_base")
+        config = write_config(out, self.CONFIG)
+        code, _ = run_main(["fit", "--config", config, "--panel", str(fuzz_panel), "--out",
+                            str(out / "fit"), "--seed", "1"])
+        data = pa.read_panel_csv(fuzz_panel, p=1, q=2)
+        return fuzz_panel.read_bytes().decode(), config, data, code, (out / "fit" / "fit.txt")
+
+    @pytest.fixture(scope="class")
+    def edges_base(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("edges_base")
+        A = sp.triu(pa.build_queen_lattice(4, 4).W, 1).tocoo()
+        text = "i,j\n" + "".join(f"{i},{j}\n" for i, j in zip(A.row, A.col))
+        cfg = {k: v for k, v in self.CONFIG.items() if k != "lattice"}
+        cfg["adjacency"] = {"file": "edges.csv", "n": 16}
+        (out / "edges.csv").write_text(text)
+        config = write_config(out, cfg)
+        assert run_main(["simulate", "--config", config, "--out", str(out / "sim"),
+                         "--seed", "1"])[0] == 0
+        return text, cfg, pa.read_adjacency_csv(out / "edges.csv", 16).W, out / "sim" / "panel.csv"
+
+    def test_float_id_exits_2_naming_its_line(self, panel_base, tmp_path):
+        # np.loadtxt in numpy 1.23-1.26 accepts an integer field written as
+        # 1.0, with a DeprecationWarning; the checked reader rejects it
+        base_text, config = panel_base[:2]
+        lines = base_text.split("\r\n")
+        lines[19] = "1.0" + lines[19][1:]  # line 20, a sample line (t = 1)
+        (tmp_path / "panel.csv").write_bytes("\r\n".join(lines).encode())
+        code, err = run_main(["fit", "--config", config, "--panel", str(tmp_path / "panel.csv"),
+                              "--out", str(tmp_path / "out"), "--seed", "1"])
+        assert (code, err) == (2, f"error: {tmp_path / 'panel.csv'}: malformed value at line 20\n")
+
+    @pytest.mark.parametrize("mutation", MUTATIONS.values(), ids=MUTATIONS)
+    @settings(derandomize=True, max_examples=4, deadline=5000, database=None)
+    @given(data=st.data())
+    def test_panel_mutation(self, panel_base, mutation, data):
+        # a mutation that keeps every value must give the unmutated fit.txt
+        base_text, config, base, base_code, base_fit = panel_base
+        kind, text = mutation[0], data.draw(csv_mutations(base_text, *mutation))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "panel.csv"
+            path.write_bytes(text.encode())
+            for rows in (1, 7, _csv.BLOCK_ROWS):
+                with mock.patch.object(_csv, "BLOCK_ROWS", rows):
+                    assert_reads_agree(path, ["t", "s", "y", "x1", "x2"],
+                                       [np.int64, np.int64, float, float, float], blank=2)
+            code, err = run_main(["fit", "--config", config, "--panel", str(path), "--out",
+                                  f"{tmp}/out", "--seed", "1"])
+            assert code in (0, 2, 3)
+            data = read_or_input_error(code, err, lambda: pa.read_panel_csv(path, 1, 2))
+            same = data is not None and np.array_equal(data.Y, base.Y) \
+                and np.array_equal(data.X, base.X)
+            assert same or kind not in KEEPS_VALUES
+            if same:
+                assert code == base_code
+                assert (Path(tmp) / "out" / "fit.txt").read_bytes() == base_fit.read_bytes()
+
+    @pytest.mark.parametrize("mutation", MUTATIONS.values(), ids=MUTATIONS)
+    @settings(derandomize=True, max_examples=2, deadline=5000, database=None)
+    @given(data=st.data())
+    def test_edge_list_mutation(self, edges_base, mutation, data):
+        # a mutation that keeps the graph must give the unmutated panel.csv
+        base_text, cfg, base, base_panel = edges_base
+        kind, text = mutation[0], data.draw(csv_mutations(base_text, *mutation))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "edges.csv"
+            path.write_bytes(text.encode())
+            for rows in (1, 7, _csv.BLOCK_ROWS):
+                with mock.patch.object(_csv, "BLOCK_ROWS", rows):
+                    assert_reads_agree(path, ["i", "j"], [np.int64, np.int64])
+            code, err = run_main(["simulate", "--config", write_config(Path(tmp), cfg), "--out",
+                                  f"{tmp}/out", "--seed", "1"])
+            assert code in (0, 2, 3)
+            W = read_or_input_error(code, err, lambda: pa.read_adjacency_csv(path, 16))
+            same = W is not None and (W.W != base).nnz == 0
+            assert same or kind not in KEEPS_VALUES
+            if same:
+                assert code == 0
+                assert (Path(tmp) / "out" / "panel.csv").read_bytes() == base_panel.read_bytes()
 
 
 class TestStartup:
