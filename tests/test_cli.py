@@ -615,6 +615,36 @@ class TestFitCommand:
         assert code == 2
         assert expected in capsys.readouterr().err
 
+    # faults that stop fit before any estimate: a config that cannot be read,
+    # one that builds no weights or a spec with the wrong covariate count,
+    # and a panel with one period (t = 4) missing
+    @pytest.mark.parametrize("fault, expected", [
+        ("no-config", "config file not found: "),
+        ("no-weights", "config needs exactly one of 'lattice' or 'adjacency'"),
+        ("covariates", "covariates: 1 column specs but model.q=2"),
+        ("time-gap", "time index has gaps"),
+    ])
+    def test_input_fault_exit_2(self, sim_dir, capsys, fault, expected):
+        tmp, cfg, out = sim_dir
+        cfg_dict, panel = json.loads(json.dumps(MODEL1_CONFIG)), out / "panel.csv"
+        if fault == "no-config":
+            cfg = str(tmp / "missing.json")
+        elif fault == "no-weights":
+            del cfg_dict["lattice"]
+        elif fault == "covariates":
+            del cfg_dict["covariates"][1]
+        else:
+            lines = panel.read_text().splitlines()
+            panel = tmp / "gap.csv"
+            panel.write_text("".join(f"{line}\n" for line in lines if not line.startswith("4,")))
+        if fault in ("no-weights", "covariates"):
+            cfg = write_config(tmp, cfg_dict, f"{fault}.json")
+        capsys.readouterr()
+        code = main(["fit", "--config", cfg, "--panel", str(panel), "--out",
+                     str(tmp / f"fit_{fault}")])
+        assert code == 2
+        assert expected in capsys.readouterr().err
+
     def test_intercept_not_exactly_one_exit_2(self, tmp_path, capsys):
         # an intercept column only close to 1 is an input error, named by
         # its value, t and s, not a failed canonicalization check (exit 3)
@@ -1176,6 +1206,24 @@ class TestAdjacencyInput:
         assert code == 0
         capsys.readouterr()
 
+    def test_two_component_edge_list_accepted(self, tmp_path, capsys):
+        # an edge list need not be connected: two disjoint 8-node paths are
+        # one design of 16 locations, which simulate and fit both accept
+        edges = [(i, i + 1) for first in (0, 8) for i in range(first, first + 7)]
+        (tmp_path / "edges.csv").write_text("i,j\n" + "".join(f"{i},{j}\n" for i, j in edges))
+        cfg = write_config(tmp_path, {
+            "adjacency": {"file": "edges.csv", "n": 16},
+            "model": {"p": 0, "q": 1, "h": 0, "density": "normal"},
+            "covariates": [{"kind": "normal", "sd": 1.0}],
+            "theta": {"phi0": 0.25, "phi": [], "beta": [0.5], "lambda": [], "gamma": []},
+            "simulate": {"T": 5, "burn_in": 20},
+            "optim": {"n_starts": 2},
+        })
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 0
+        assert main(["fit", "--config", cfg, "--panel", str(tmp_path / "sim" / "panel.csv"),
+                     "--out", str(tmp_path / "fit")]) == 0
+        capsys.readouterr()
+
 
 # ----------------------------------------------------------------------
 # Config fuzz gate: one mutation of a valid config per example (property-based
@@ -1288,22 +1336,28 @@ class TestConfigFuzz:
 
 # ----------------------------------------------------------------------
 # Reader fuzz gate: one mutation of a valid panel or edge list per example.
-# read_columns must give the checked reader's arrays bit for bit or raise
+# read_columns must give the checked parser's arrays bit for bit or raise
 # its error, and fit (a panel) or simulate (an edge list) must exit cleanly.
 # ----------------------------------------------------------------------
 
 # (kind, value) of each mutation: a data line dropped, duplicated, swapped
-# with another, a field quoted, a blank line put before it, its line end
-# switched (LF, CRLF), a field or an id field replaced
+# with another, a field quoted, a field quoted across a line end, a blank
+# line put before it, its line end switched (LF, CRLF), a field or an id
+# field replaced
 MUTATIONS = {"drop": ("drop", None), "duplicate": ("duplicate", None), "swap": ("swap", None),
-             "quote": ("quote", None), "blank-empty": ("blank", ""),
-             "blank-spaces": ("blank", "  "), "line-end": ("line end", None),
+             "quote": ("quote", None), "quote-split": ("split", None),
+             "blank-empty": ("blank", ""), "blank-spaces": ("blank", "  "),
+             "line-end": ("line end", None),
              "field-empty": ("field", ""), "field-space": ("field", " "),
              "field-nan": ("field", "nan"), "field-inf": ("field", "inf"),
              "field-1e308": ("field", "1e308"), "field-word": ("field", "oops"),
+             "field-overlong": ("field", "1." + "0" * 131072),
              "id-1.0": ("id", "1.0"), "id-negative": ("id", "-1"), "id-fraction": ("id", "0.5")}
 # mutations that leave every value in its cell
 KEEPS_VALUES = {"swap", "quote", "blank", "line end"}
+# mutations that must exit 2 naming the mutated line: a record is one line,
+# and a field over csv.field_size_limit() is an input fault
+NAMES_ITS_LINE = {MUTATIONS["quote-split"], MUTATIONS["field-overlong"]}
 # faults of a whole panel or graph, which no one line holds
 WHOLE_FILE_FAULTS = ("missing (t, s) cells", "location ids must be 0..n-1",
                      "presample starts at", "time index has gaps", "isolated location(s)")
@@ -1311,8 +1365,9 @@ WHOLE_FILE_FAULTS = ("missing (t, s) cells", "location ids must be 0..n-1",
 
 @st.composite
 def csv_mutations(draw, text, kind, value):
-    """``text``, a CSV file whose first two columns hold ids, with a mutation
-    of ``MUTATIONS`` applied at a drawn data line."""
+    """``(text, line)``: ``text``, a CSV file whose first two columns hold
+    ids, with a mutation of ``MUTATIONS`` applied at a drawn data line, the
+    line ``line`` of the file."""
     lines = [[line.rstrip("\r\n"), line[len(line.rstrip("\r\n")):]]
              for line in text.splitlines(keepends=True)]
     k = draw(st.integers(1, len(lines) - 1))
@@ -1331,9 +1386,14 @@ def csv_mutations(draw, text, kind, value):
         lines[k] = [body, "\n" if end == "\r\n" else "\r\n"]
     else:
         j = draw(st.integers(0, 1 if kind == "id" else len(fields) - 1))
-        fields[j] = f'"{fields[j]}"' if kind == "quote" else value
+        if kind == "quote":
+            fields[j] = f'"{fields[j]}"'
+        elif kind == "split":  # the quote closes on the next line
+            fields[j] = f'"{fields[j][:1]}{end}{fields[j][1:]}"'
+        else:
+            fields[j] = value
         lines[k] = [",".join(fields), end]
-    return "".join(body + end for body, end in lines)
+    return "".join(body + end for body, end in lines), k + 1
 
 
 def run_main(argv):
@@ -1358,6 +1418,12 @@ def read_or_input_error(code, err, read):
         assert re.search(r"line \d+", message) or any(w in message for w in WHOLE_FILE_FAULTS), \
             message
         return None
+
+
+def assert_names_line(mutation, code, err, line):
+    """A mutation of ``NAMES_ITS_LINE`` exits 2 naming its line."""
+    if mutation in NAMES_ITS_LINE:
+        assert code == 2 and re.search(rf": line {line}\b", err), (code, err)
 
 
 class TestReaderFuzz:
@@ -1406,7 +1472,7 @@ class TestReaderFuzz:
     def test_panel_mutation(self, panel_base, mutation, data):
         # a mutation that keeps every value must give the unmutated fit.txt
         base_text, config, base, base_code, base_fit = panel_base
-        kind, text = mutation[0], data.draw(csv_mutations(base_text, *mutation))
+        kind, (text, line) = mutation[0], data.draw(csv_mutations(base_text, *mutation))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "panel.csv"
             path.write_bytes(text.encode())
@@ -1417,6 +1483,7 @@ class TestReaderFuzz:
             code, err = run_main(["fit", "--config", config, "--panel", str(path), "--out",
                                   f"{tmp}/out", "--seed", "1"])
             assert code in (0, 2, 3)
+            assert_names_line(mutation, code, err, line)
             data = read_or_input_error(code, err, lambda: pa.read_panel_csv(path, 1, 2))
             same = data is not None and np.array_equal(data.Y, base.Y) \
                 and np.array_equal(data.X, base.X)
@@ -1431,7 +1498,7 @@ class TestReaderFuzz:
     def test_edge_list_mutation(self, edges_base, mutation, data):
         # a mutation that keeps the graph must give the unmutated panel.csv
         base_text, cfg, base, base_panel = edges_base
-        kind, text = mutation[0], data.draw(csv_mutations(base_text, *mutation))
+        kind, (text, line) = mutation[0], data.draw(csv_mutations(base_text, *mutation))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "edges.csv"
             path.write_bytes(text.encode())
@@ -1441,6 +1508,7 @@ class TestReaderFuzz:
             code, err = run_main(["simulate", "--config", write_config(Path(tmp), cfg), "--out",
                                   f"{tmp}/out", "--seed", "1"])
             assert code in (0, 2, 3)
+            assert_names_line(mutation, code, err, line)
             W = read_or_input_error(code, err, lambda: pa.read_adjacency_csv(path, 16))
             same = W is not None and (W.W != base).nnz == 0
             assert same or kind not in KEEPS_VALUES

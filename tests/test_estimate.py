@@ -260,6 +260,19 @@ class TestFormatTable:
             "note: sandwich covariance unavailable for the Laplace family: the log-density "
             "has no second derivative at 0; point estimates only")
 
+    def test_warning_lines(self):
+        # phi0 pinned at its bound and an estimate left in non-canonical
+        # form: one warning line each, after the fit summary
+        res = pa.FitResult(
+            theta=self.THETA, loglik=-50.0, gradient_norm=2.0e-9, converged=True,
+            n_starts=1, n_iterations=9, aic=110.0, canonical=False, boundary_warning=True,
+            names=self.NAMES)
+        assert res.format_table().endswith(
+            "converged       True  (grad norm 2.000e-09)\n"
+            "warning: phi0 pinned at its search bound\n"
+            "warning: estimate reported in non-canonical form "
+            "(gamma_i1 < 0 without an intercept column)")
+
 
 class TestFitResiduals:
     """``FitResult.residuals`` is the workspace's cache at the reported theta."""

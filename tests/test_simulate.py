@@ -1,5 +1,6 @@
 """Simulator determinism, distributional checks, and the panel CSV format."""
 
+import csv
 import importlib
 import itertools
 import math
@@ -406,9 +407,9 @@ class TestPanelCSVInBlocks(TestPanelCSV):
 
 
 class TestLoadtxtPath:
-    """read_columns parses through np.loadtxt and defers to the checked
-    reader wherever the two might differ; either way the arrays and the
-    errors are the checked reader's."""
+    """read_columns parses each block through np.loadtxt and defers that
+    block to the checked parser wherever the two might differ; either way
+    the arrays and the errors are the checked parser's."""
 
     HEADER, DTYPES = ["t", "s", "y", "x1"], [np.int64, np.int64, float, float]
     # presample t = 0 and sample t = 1 over two locations
@@ -416,13 +417,13 @@ class TestLoadtxtPath:
 
     @pytest.fixture
     def checked_calls(self, monkeypatch):
-        calls, checked = [], _csv.read_columns_checked
+        calls, checked = [], _csv._checked_block
 
         def spy(*args):
             calls.append(args)
             return checked(*args)
 
-        monkeypatch.setattr(_csv, "read_columns_checked", spy)
+        monkeypatch.setattr(_csv, "_checked_block", spy)
         return calls
 
     @pytest.mark.parametrize("rows", [1, 3, 1024])
@@ -438,8 +439,57 @@ class TestLoadtxtPath:
         assert pa.read_adjacency_csv(tmp_path / "edges.csv", 3).n == 3
         assert checked_calls == []
 
+    def test_only_the_block_holding_an_odd_line_is_checked(self, w1010, tmp_path, monkeypatch,
+                                                           checked_calls):
+        # blocks of 7 lines: lines 2-8, 9-15, 16-22 and so on; a quoted y
+        # field on line 18 sends lines 16-22 alone to the checked parser
+        monkeypatch.setattr(_csv, "BLOCK_ROWS", 7)
+        data = pa.simulate(model1_spec(w1010), model1_theta(), seed=2, T=3,
+                           covariate_columns=MODEL1_COLUMNS)
+        path = tmp_path / "panel.csv"
+        pa.write_panel_csv(path, data)
+        lines = path.read_bytes().decode().split("\r\n")
+        t, s, y, rest = lines[17].split(",", 3)
+        lines[17] = f'{t},{s},"{y}",{rest}'
+        path.write_bytes("\r\n".join(lines).encode())
+        back = pa.read_panel_csv(path, p=1, q=2)
+        assert np.array_equal(back.Y, data.Y) and np.array_equal(back.X, data.X)
+        assert [(call[2], len(call[1])) for call in checked_calls] == [(16, 7)]
+
+    # a record is one line: a quote left open at a line's end names that
+    # line, inside the file and on its last line, and in blocks of 1 and 2
+    # lines, where the line ends its block too
+    @pytest.mark.parametrize("rows", [1, 2, 1024])
+    @pytest.mark.parametrize("index", [1, 3], ids=["inside", "last-line"])
+    def test_quote_open_at_line_end_names_its_line(self, tmp_path, monkeypatch, rows, index):
+        monkeypatch.setattr(_csv, "BLOCK_ROWS", rows)
+        lines = list(self.ROWS)
+        t, s, y, x = lines[index].split(",")
+        lines[index] = f'{t},{s},{y},"{x}'
+        path = tmp_path / "panel.csv"
+        path.write_text(",".join(self.HEADER) + "\n" + "\n".join(lines) + "\n")
+        message = assert_reads_agree(path, self.HEADER, self.DTYPES, 1)
+        assert message == f"{path}: line {index + 2} ends inside a quoted field"
+
+    # line faults in file order, whatever the block size: a wrong field
+    # count on line 3 before a quote left open on line 5, and the reverse
+    @pytest.mark.parametrize("rows", [1, 1024])
+    @pytest.mark.parametrize("first", ["count", "quote"])
+    def test_line_faults_in_file_order(self, tmp_path, monkeypatch, rows, first):
+        monkeypatch.setattr(_csv, "BLOCK_ROWS", rows)
+        lines = list(self.ROWS)
+        count, quote = (1, 3) if first == "count" else (3, 1)
+        lines[count] += ",0.5"
+        lines[quote] = lines[quote].rsplit(",", 1)[0] + ',"0.5'
+        path = tmp_path / "panel.csv"
+        path.write_text(",".join(self.HEADER) + "\n" + "\n".join(lines) + "\n")
+        message = assert_reads_agree(path, self.HEADER, self.DTYPES, 1)
+        assert message == f"{path}: " + (f"line {count + 2} has 5 fields, expected 4"
+                                         if first == "count" else
+                                         f"line {quote + 2} ends inside a quoted field")
+
     # line 4, the first sample line, edited, or a blank line before it; the
-    # last case's csv.Error is the checked reader's
+    # last case's csv.Error is the checked parser's ValueError, naming line 4
     @pytest.mark.parametrize("line", [
         '1,0,"1.0",0.3', "1,0,1_000,0.3", "1,0,\u0661,0.3", " ", "", "1,0,1.0,\x1c0.3",
         "1,0,1.0,0.3\x1f", "1.0,0,1.0,0.3", "1,0,1.0, ", "1,0,0x1p3,0.3",
@@ -454,8 +504,10 @@ class TestLoadtxtPath:
             rows.insert(2, line)
         path = tmp_path / "panel.csv"
         path.write_text(",".join(self.HEADER) + "\n" + "\n".join(rows) + "\n")
-        assert_reads_agree(path, self.HEADER, self.DTYPES, 1)
+        message = assert_reads_agree(path, self.HEADER, self.DTYPES, 1)
         assert len(checked_calls) == 2  # read_columns' fallback, then the reference read
+        if len(line) > csv.field_size_limit():
+            assert message == f"{path}: line 4: field larger than field limit (131072)"
 
     def test_a_warning_defers(self, tmp_path, monkeypatch, checked_calls):
         # numpy 1.23-1.26 accept an integer field written as 1.0 with a
