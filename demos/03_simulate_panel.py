@@ -34,9 +34,13 @@ columns = [{"kind": "normal", "sd": 1.5}, {"kind": "normal", "sd": 3.0}]
 data = pa.simulate(spec, theta, seed=42, T=30, covariate_columns=columns)
 print(f"panel: T={data.T}, n={data.n}, q={data.q}, presample slices={data.p}")
 
-# residuals at the generating parameters reproduce the injected noise
-resid = pa.LikelihoodWorkspace(spec, data).residuals(theta)
-print(f"residual round-trip error: {np.max(np.abs(resid - data.eps)):.2e}")
+# A panel holds Y and X only. Inject the innovations of every step (burn-in
+# 200, p = 1, T = 30): the residuals at the generating parameters reproduce
+# those of the T sample slices
+eps = pa.normal().sample(7, (200 + 1 + 30) * W.n).reshape(-1, W.n)
+injected = pa.simulate(spec, theta, seed=42, T=30, covariate_columns=columns, errors=eps)
+resid = pa.LikelihoodWorkspace(spec, injected).residuals(theta)
+print(f"residual round-trip error: {np.max(np.abs(resid - eps[-30:])):.2e}")
 
 # lag-1 autocorrelation of the pooled series is negative (phi1 < 0)
 y = data.Y_sample - data.Y_sample.mean()

@@ -50,5 +50,9 @@ for k, name in enumerate(names):
     print(f"{name:<10} {truth.to_array()[k]:>8.4f} {est[:, k].mean():>8.4f} "
           f"{est[:, k].std(ddof=1):>8.4f} {asy[k]:>8.4f}")
 print()
-print("empirical and asymptotic SDs agree up to Monte-Carlo error; at the")
-print("full 30x30 / T=30 scale the agreement tightens further")
+# measured at R = 200 (ROADMAP item 1)
+print("phi0's asymptotic SD is too small: it came out about 15% below the")
+print("empirical SD on 20x20 and about 19% below on 30x30. The sandwich omits")
+print("the spatial cross term T (tr(G^2) - sum_s G_ss^2), G = W A0^{-1}, of")
+print("phi0's score, so a larger lattice does not close the gap. The other")
+print("parameters' SDs agree up to Monte-Carlo error.")

@@ -25,9 +25,9 @@ The config is one JSON document with sections:
 every command, whether or not the command reads it: a key outside these
 (a covariate column holds only its kind's keys: kind, mean and sd for
 normal, kind and value for constant), a value of the wrong JSON type or
-out of its key's range (``optim.n_starts`` <= ``MAX_STARTS``, ``model.p``,
-``model.q`` and ``model.h`` <= ``MAX_ORDER``, lattice sides and
-``adjacency.n`` <= ``MAX_LOCATIONS``), a ragged ``theta.gamma`` and a
+out of its key's range (``optim.n_starts`` in 1..``MAX_STARTS``,
+``model.p``, ``model.q`` and ``model.h`` in 0..``MAX_ORDER``, lattice sides
+and ``adjacency.n`` in 1..``MAX_LOCATIONS``), a ragged ``theta.gamma`` and a
 required key left out all exit 2 naming the key path, such as
 ``theta.phi[0]`` or ``covariates[1].sd``. A config that is not JSON, or whose arrays and
 objects nest too deeply for the parser, exits 2 naming the file. Every
@@ -107,11 +107,10 @@ MAX_STARTS = 1000
 MAX_ORDER = 100
 # the keys of each config section but "covariates", an array of columns
 SECTIONS = {
-    "lattice": {"n1": Key(int, True, maximum=MAX_LOCATIONS),
-                "n2": Key(int, True, maximum=MAX_LOCATIONS)},
-    "adjacency": {"file": Key(str, True), "n": Key(int, True, maximum=MAX_LOCATIONS)},
-    "model": {"p": Key(int, True, maximum=MAX_ORDER), "q": Key(int, True, maximum=MAX_ORDER),
-              "h": Key(int, True, maximum=MAX_ORDER),
+    "lattice": {"n1": Key(int, True, 1, MAX_LOCATIONS), "n2": Key(int, True, 1, MAX_LOCATIONS)},
+    "adjacency": {"file": Key(str, True), "n": Key(int, True, 1, MAX_LOCATIONS)},
+    "model": {"p": Key(int, True, 0, MAX_ORDER), "q": Key(int, True, 0, MAX_ORDER),
+              "h": Key(int, True, 0, MAX_ORDER),
               "density": Key(str, True), "linear_term": Key(bool), "intercept": Key(bool)},
     "theta": {"phi0": Key(float, True), "phi": Key([float]), "beta": Key([float]),
               "lambda": Key([float]), "gamma": Key([[float]])},
@@ -300,7 +299,8 @@ def cmd_simulate(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_panel_csv(out / "panel.csv", data)
-    theta.save_json(out / "theta.json")
+    with open(out / "theta.json", "w") as fh:
+        json.dump(theta.to_json_dict(), fh, indent=2)
     grids, T = [], sim["T"]
     dims = spec.W.lattice_dims
     if dims is not None:

@@ -25,11 +25,10 @@ observationally equivalent whenever the design has an intercept column, so
 
 from __future__ import annotations
 
-import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -210,10 +209,6 @@ class ParameterVector:
             raise ValueError(f"gamma has shape {self.gamma.shape}, expected {(spec.h, spec.q)}")
         return self
 
-    def is_canonical(self):
-        return self.h == 0 or bool(np.all(np.diff(self.lam) <= 0)
-                                   and np.all(self.gamma[:, 0] > 0))
-
     # JSON wire format: keys phi0, phi, beta, lambda, gamma ---------------
 
     def to_json_dict(self):
@@ -225,10 +220,6 @@ class ParameterVector:
         if "phi0" not in d:
             raise ValueError("missing required key 'phi0'")
         return cls(d["phi0"], *(d.get(k, []) for k in ("phi", "beta", "lambda", "gamma")))
-
-    def save_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
 
 
 def param_names(spec: ModelSpec):
@@ -246,14 +237,14 @@ class PanelData:
 
     ``Y`` has shape (p + T, n): rows 0..p-1 are the presample, row p + t - 1
     is Y_t for t = 1..T. ``X`` has shape (T, n, q), aligned with the sample
-    window. ``eps`` optionally carries the innovations injected by the
-    simulator (testing hook for exact residual round-trips).
+    window. A simulated panel and one read from CSV hold the same fields;
+    the innovations are not kept (a caller that needs them injects them
+    through ``simulate(..., errors=...)``).
     """
 
     Y: np.ndarray
     X: np.ndarray
     p: int
-    eps: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         self.Y = np.asarray(self.Y, dtype=float)

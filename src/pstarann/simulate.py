@@ -51,7 +51,8 @@ its innovations, forms its drive eps_t + X_t beta + F(X_t gamma') lambda
 with one (h, block n) activation array, in the layout of the likelihood's
 network rows, and is then solved step by step. Besides the covariates of
 the simulated steps, a simulation holds one block and the retained window
-of Y and eps, so its memory does not grow with the burn-in beyond X. X
+of Y, so its memory does not grow with the burn-in beyond X. The
+innovations are not kept: the panel is {Y_t, X_t}, as ``fit`` reads it. X
 stays whole over the simulated steps because each column is drawn over all
 steps before the next column; drawing it block by block would reorder the
 draws and change every panel of a seed.
@@ -62,7 +63,7 @@ matrix product, filtered there by n scalar AR(p) recursions, and only the
 retained rows are mapped back. ``replicate`` takes this path below
 ``weights.N_SPECTRAL`` locations, so its panels equal those of ``simulate``
 with the same draws only to about 1e-14 (1 + |y|); X and the innovations
-are the same bits.
+drawn are the same bits.
 
 Covariates are drawn i.i.d. across locations and time per column
 (``normal`` with a mean/sd, or a ``constant`` intercept column), matching
@@ -172,20 +173,21 @@ def simulate(spec: ModelSpec, theta: ParameterVector, X=None, seed=0, burn_in=BU
         full burn-in's bits in every measured design (see the module
         docstring); that is observed, not guaranteed.
     errors : optional (burn_in + p + T, n) array
-        Injected innovations (testing hook, e.g. the noiseless limit);
-        overrides sampling from ``spec.density``. Like ``X``, every row is
-        checked and the rows before the first simulated step are not read.
+        Injected innovations, which override sampling from ``spec.density``:
+        the one way to know a panel's innovations, which it does not carry
+        (a residual round trip, the noiseless limit). Like ``X``, every row
+        is checked and the rows before the first simulated step are not
+        read.
     spectral : bool
         Run the recursion in ``spec.W.eigenbasis`` (built on first use)
-        instead of solving with A0's sparse LU. The draws, ``X`` and ``eps``
-        are the same bits; ``Y`` agrees with the LU path to about 1e-14
-        (1 + |y|), not bit for bit.
+        instead of solving with A0's sparse LU. The draws of ``X`` and of
+        the innovations are the same bits; ``Y`` agrees with the LU path to
+        about 1e-14 (1 + |y|), not bit for bit.
 
     Returns
     -------
-    PanelData with the retained p + T response slices, the T sample
-    covariate slices, and ``eps`` holding the innovations of the sample
-    window.
+    PanelData with the retained p + T response slices and the T sample
+    covariate slices.
     """
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
@@ -241,9 +243,7 @@ def simulate(spec: ModelSpec, theta: ParameterVector, X=None, seed=0, burn_in=BU
         coef = theta.phi
     # W Y_{t-1}, ..., W Y_{t-p}, or z_{t-1}, ..., z_{t-p} in the eigenbasis
     lags = [np.zeros(spec.n) for _ in range(spec.p)]
-    first = burn_in + spec.p  # the first step of the sample window
     Y = np.empty((spec.p + T, spec.n))  # steps burn_in .. steps - 1
-    eps = np.empty((T, spec.n))  # steps first .. steps - 1
     # one buffer for every block's drive, so that the per-step views into a
     # block do not keep it alive while the next block is formed
     buf = np.empty((min(BLOCK_STEPS, steps), spec.n))
@@ -258,8 +258,6 @@ def simulate(spec: ModelSpec, theta: ParameterVector, X=None, seed=0, burn_in=BU
             drive[...] = spec.density.sample(rng_e, drive.size).reshape(drive.shape)
         else:
             drive[...] = errors[t0:t1]
-        if t1 > first:
-            eps[max(t0 - first, 0):t1 - first] = drive[max(first - t0, 0):]
 
         # the exogenous drive eps_t + X_t beta + F(X_t gamma') lambda of the block
         Xb = X[t0 - skip:t1 - skip]
@@ -286,7 +284,7 @@ def simulate(spec: ModelSpec, theta: ParameterVector, X=None, seed=0, burn_in=BU
     if spectral:
         Y = (Y @ Q.T) / root
     # a copy, so that the panel does not keep the simulated steps' covariates alive
-    return PanelData(Y=Y, X=X[first - skip:].copy(), p=spec.p, eps=eps)
+    return PanelData(Y=Y, X=X[burn_in + spec.p - skip:].copy(), p=spec.p)
 
 
 def _skipped_steps(n, p, rho, burn_in):

@@ -324,7 +324,10 @@ class WeightMatrix:
     ----------
     adjacency : scipy.sparse matrix or ndarray
         Symmetric nonnegative adjacency with zero diagonal. Typically
-        binary; weighted symmetric adjacencies are accepted.
+        binary; weighted symmetric adjacencies are accepted. A weight that
+        is not finite raises ValueError naming its (row, column), before
+        the symmetry test; so does a location whose degree is 0 (isolated),
+        or whose degree or its reciprocal is not finite, naming it.
     lattice_dims : (n1, n2) or None
         Set when the locations form a regular lattice in row-major order.
         If n1 n2 = n and reversing either axis leaves S as it is, the
@@ -384,6 +387,11 @@ class WeightMatrix:
         if A.shape[0] != A.shape[1]:
             raise ValueError(f"adjacency must be square, got {A.shape}")
         n = A.shape[0]
+        if not np.isfinite(A.data).all():  # checked before NaN fails the symmetry test
+            C = A.tocoo()
+            bad = ~np.isfinite(C.data)
+            row, col = min(zip(C.row[bad].tolist(), C.col[bad].tolist()))
+            raise ValueError(f"adjacency weight at ({row}, {col}) is not finite")
         if A.diagonal().any():
             raise ValueError("adjacency has nonzero diagonal entries")
         if (A != A.T).nnz:
@@ -391,17 +399,21 @@ class WeightMatrix:
         if A.nnz and A.data.min() < 0:
             raise ValueError("adjacency weights must be nonnegative")
 
-        degrees = np.asarray(A.sum(axis=1)).ravel()
-        isolated = np.flatnonzero(degrees == 0)
-        if isolated.size:
-            shown = ", ".join(map(str, isolated[:10]))
-            more = "" if isolated.size <= 10 else f" (+{isolated.size - 10} more)"
-            raise ValueError(
-                f"isolated location(s) with no neighbors: {shown}{more}; "
-                "row standardization is undefined for them"
-            )
+        # a degree may overflow to inf, or its reciprocal from a subnormal one
+        with np.errstate(over="ignore", divide="ignore"):
+            degrees = np.asarray(A.sum(axis=1)).ravel()
+            inverse = 1.0 / degrees
+        for where, what in ((degrees == 0, "isolated location(s) with no neighbors"),
+                            (~(np.isfinite(degrees) & np.isfinite(inverse)),
+                             "location(s) whose degree or its reciprocal is not finite")):
+            located = np.flatnonzero(where)
+            if located.size:
+                shown = ", ".join(map(str, located[:10]))
+                more = "" if located.size <= 10 else f" (+{located.size - 10} more)"
+                raise ValueError(f"{what}: {shown}{more}; "
+                                 "row standardization is undefined for them")
 
-        W = sp.csr_matrix(sp.diags(1.0 / degrees) @ A)
+        W = sp.csr_matrix(sp.diags(inverse) @ A)
         # tau(D^{-1} A) = tau(D^{-1/2} A D^{-1/2}); the right side is
         # symmetric, so the spectrum is real by construction.
         d = 1.0 / np.sqrt(degrees)

@@ -11,6 +11,7 @@ derivative matrix scaled by the score ratio; a test checks it against
 finite differences of the per-observation terms.
 """
 
+import copy
 import csv
 from unittest import mock
 
@@ -182,6 +183,30 @@ def checked_read_columns(path, header, dtypes, blank=0):
         return _csv.read_columns(path, header, dtypes, blank)
 
 
+def _streams(seed):
+    """The covariate and the error generator that ``pa.simulate`` spawns from
+    ``seed``. A SeedSequence is copied, so the caller's is not spawned from."""
+    ss = copy.deepcopy(seed) if isinstance(seed, np.random.SeedSequence) \
+        else np.random.SeedSequence(seed)
+    return [np.random.default_rng(child) for child in ss.spawn(2)]
+
+
+def _innovations(density, rng, steps, n):
+    """(steps, n) innovations of ``density`` in one draw from ``rng``."""
+    if density.family == "normal":
+        return rng.standard_normal(steps * n).reshape(steps, n)
+    if density.family == "scaled_t":
+        return (density.t_scale * rng.standard_t(density.nu, size=steps * n)).reshape(steps, n)
+    return rng.laplace(0.0, np.sqrt(2.0) / 2.0, size=steps * n).reshape(steps, n)
+
+
+def oracle_innovations(spec, seed, steps):
+    """Every step's innovations as ``oracle_simulate`` draws them from
+    ``seed``: a panel does not carry them, so a test injects these through
+    ``pa.simulate(..., errors=...)`` to pin a simulator's draws."""
+    return _innovations(spec.density, _streams(seed)[1], steps, spec.n)
+
+
 def oracle_simulate(spec, theta, X=None, seed=0, burn_in=200, T=None,
                     covariate_columns=None, errors=None):
     """The simulator over whole arrays: every step's covariates, innovations,
@@ -194,11 +219,9 @@ def oracle_simulate(spec, theta, X=None, seed=0, burn_in=200, T=None,
     Same seeding as ``pa.simulate`` (one SeedSequence spawns the covariate
     and the error stream; each covariate column is drawn over all steps,
     the innovations in one draw), so a streamed simulator must match it
-    bit for bit.
+    bit for bit: a panel whose Y has the oracle's bits has its draws.
     """
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    ss_x, ss_e = ss.spawn(2)
-    rng_x, rng_e = np.random.default_rng(ss_x), np.random.default_rng(ss_e)
+    rng_x, rng_e = _streams(seed)
     n = spec.n
     if X is None:
         steps = burn_in + spec.p + T
@@ -210,17 +233,10 @@ def oracle_simulate(spec, theta, X=None, seed=0, burn_in=200, T=None,
                 X[:, :, j] = (float(col.get("mean", 0.0))
                               + float(col.get("sd", 1.0)) * rng_x.standard_normal((steps, n)))
     steps = X.shape[0]
-    if errors is not None:
-        eps = np.asarray(errors, dtype=float)
-    elif spec.density.family == "normal":
-        eps = rng_e.standard_normal(steps * n).reshape(steps, n)
-    elif spec.density.family == "scaled_t":
-        eps = spec.density.t_scale * rng_e.standard_t(spec.density.nu, size=steps * n)
-        eps = eps.reshape(steps, n)
+    if errors is None:
+        drive = _innovations(spec.density, rng_e, steps, n)
     else:
-        eps = rng_e.laplace(0.0, np.sqrt(2.0) / 2.0, size=steps * n).reshape(steps, n)
-
-    drive = eps.copy()
+        drive = np.array(errors, dtype=float)
     for t0 in range(0, steps, BLOCK_STEPS):
         block = slice(t0, t0 + BLOCK_STEPS)
         if spec.n_beta:
@@ -239,8 +255,7 @@ def oracle_simulate(spec, theta, X=None, seed=0, burn_in=200, T=None,
         Y[t] = lu.solve(rhs)
         if spec.p:
             lags = [spec.W.W.dot(Y[t])] + lags[:-1]
-    first = burn_in + spec.p
-    return pa.PanelData(Y=Y[burn_in:], X=X[first:], p=spec.p, eps=eps[first:].copy())
+    return pa.PanelData(Y=Y[burn_in:], X=X[burn_in + spec.p:], p=spec.p)
 
 
 # simulate(..., spectral=True) against the LU path, relative to 1 + |y|: the
@@ -251,11 +266,22 @@ SPECTRAL_TOL = 5e-14
 
 def assert_spectral_agrees(got, want):
     """``got``, a spectral panel, agrees with ``want`` from the LU path or
-    ``oracle_simulate`` on the same draws: Y to SPECTRAL_TOL, X and eps bit
-    for bit."""
+    ``oracle_simulate`` on the same draws: Y to SPECTRAL_TOL, X bit for bit.
+    ``assert_spectral_draws`` pins the innovations."""
     assert np.max(np.abs(got.Y - want.Y) / (1.0 + np.abs(want.Y))) < SPECTRAL_TOL
     assert np.array_equal(got.X, want.X)
-    assert np.array_equal(got.eps, want.eps)
+
+
+def assert_spectral_draws(got, spec, theta, seed, steps, **kwargs):
+    """``got``, the panel of ``pa.simulate(spec, theta, seed=seed,
+    spectral=True, **kwargs)`` over ``steps`` steps, drew the oracle's
+    innovations bit for bit: the same call with ``oracle_innovations``
+    injected gives the same bits. A SeedSequence ``seed`` must not have
+    spawned yet, as a fresh one that made ``got``; it is copied for each use."""
+    injected = pa.simulate(spec, theta, seed=copy.deepcopy(seed), spectral=True,
+                           **kwargs, errors=oracle_innovations(spec, seed, steps))
+    assert np.array_equal(injected.Y, got.Y)
+    assert np.array_equal(injected.X, got.X)
 
 
 def delaunay_weights(n, seed):
@@ -263,6 +289,13 @@ def delaunay_weights(n, seed):
     tri = Delaunay(np.random.default_rng(seed).random((n, 2)))
     s = tri.simplices
     return pa.from_adjacency(np.concatenate([s[:, [0, 1]], s[:, [1, 2]], s[:, [2, 0]]]), n)
+
+
+def is_canonical(theta):
+    """Whether theta keeps the identification conventions of ``canonicalize``:
+    lambda non-increasing and every gamma_i1 > 0 (always, when h = 0)."""
+    return theta.h == 0 or bool(np.all(np.diff(theta.lam) <= 0)
+                                and np.all(theta.gamma[:, 0] > 0))
 
 
 def random_causal_theta(spec, rng, phi0_range=0.5):

@@ -39,6 +39,9 @@ MODEL1_CONFIG = {
 }
 
 
+ALL_COMMANDS = ["simulate", "fit", "replicate"]
+
+
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -161,12 +164,19 @@ class TestSimulateCommand:
         ("simulate", "burn_in", -1, ["simulate", "replicate"]),
         ("optim", "tol", -1.0, ["fit", "replicate"]),
         ("optim", "tol", "abc", ["fit", "replicate"]),
+        # model orders and design sizes, before any weights are built
+        ("model", "p", -1, ALL_COMMANDS),
+        ("model", "q", -1, ALL_COMMANDS),
+        ("model", "h", -1, ALL_COMMANDS),
+        ("lattice", "n1", 0, ALL_COMMANDS),
+        ("lattice", "n2", 0, ALL_COMMANDS),
+        ("adjacency", "n", 0, ALL_COMMANDS),
     ])
     def test_out_of_range_config_key_exit_2(self, tmp_path, capsys, section, key, value,
                                             commands):
         # rejected while the config is read: no replicate runs, no panel is written
         cfg_dict = json.loads(json.dumps(MODEL1_CONFIG))
-        cfg_dict[section][key] = value
+        cfg_dict.setdefault(section, {"file": "edges.csv"})[key] = value
         cfg = write_config(tmp_path, cfg_dict)
         main(["simulate", "--config", write_config(tmp_path, MODEL1_CONFIG, "ok.json"),
               "--out", str(tmp_path / "sim")])
@@ -177,10 +187,26 @@ class TestSimulateCommand:
             out = tmp_path / command
             code = main([command, "--config", cfg, "--out", str(out)] + extra[command])
             assert code == 2
-            minimum = 0 if key in ("burn_in", "tol") else 1
+            minimum = 0 if key in ("burn_in", "tol", "p", "q", "h") else 1
             expected = (f"a finite number, got {value!r}" if isinstance(value, str)
                         else f">= {minimum}, got {value}")
             assert capsys.readouterr().err == f"error: {section}.{key} must be {expected}\n"
+            assert not out.exists()
+
+    def test_network_without_covariates_exit_2(self, tmp_path, capsys):
+        # each order is in range, but h = 1 neuron needs q >= 1 covariates:
+        # ModelSpec refuses it, and the message names the model section
+        cfg_dict = json.loads(json.dumps(MODEL1_CONFIG))
+        cfg_dict["model"]["q"] = 0
+        cfg = write_config(tmp_path, cfg_dict)
+        extra = {"fit": ["--panel", str(tmp_path / "panel.csv")],
+                 "replicate": ["--replicates", "2"], "simulate": []}
+        for command in ALL_COMMANDS:
+            out = tmp_path / command
+            code = main([command, "--config", cfg, "--out", str(out)] + extra[command])
+            assert code == 2
+            assert capsys.readouterr().err == \
+                "error: model: network component needs q >= 1 covariates\n"
             assert not out.exists()
 
     @pytest.mark.parametrize("section, key, value, limit", [
@@ -688,6 +714,11 @@ class TestFitCommand:
         assert code == 3
         assert (fit_out / "fit.json").exists()
         assert (fit_out / "diagnostics.json").exists()
+        # with tol = 0 the projected gradient never passes: every start ends
+        # at the trust radius' stop, the only Tier-1 fit that reaches it
+        trace = json.loads((fit_out / "fit.json").read_text())["trace"]
+        assert [record["message"] for record in trace] == \
+            ["trust radius fell below the rounding of x"] * 2
         capsys.readouterr()
 
     def test_numerical_guard_exit_3_with_message(self, sim_dir, capsys, monkeypatch):
@@ -959,7 +990,8 @@ class TestReplicateCommand:
         # n = 36 is below N_SPECTRAL: each replicate's panel comes from the
         # eigenbasis and agrees with the LU oracle on the same draws
         import pstarann.cli as cli
-        from conftest import MODEL1_COLUMNS, assert_spectral_agrees, oracle_simulate
+        from conftest import (MODEL1_COLUMNS, assert_spectral_agrees, assert_spectral_draws,
+                              oracle_simulate)
 
         panels = []
         real_fit = cli.fit
@@ -980,11 +1012,11 @@ class TestReplicateCommand:
         if design:
             X = pa.generate_covariates(MODEL1_COLUMNS, spec.n, 100 + 1 + 8,
                                        np.random.SeedSequence(6, spawn_key=(10**6,)))
+        kwargs = {"X": X, "burn_in": 100, "T": 8, "covariate_columns": MODEL1_COLUMNS}
         for r, (_, data) in enumerate(panels):
-            want = oracle_simulate(spec, theta, X=X, burn_in=100, T=8,
-                                   covariate_columns=MODEL1_COLUMNS,
-                                   seed=np.random.SeedSequence(6, spawn_key=(r,)))
-            assert_spectral_agrees(data, want)
+            seed = np.random.SeedSequence(6, spawn_key=(r,))
+            assert_spectral_agrees(data, oracle_simulate(spec, theta, seed=seed, **kwargs))
+            assert_spectral_draws(data, spec, theta, seed, 100 + 1 + 8, **kwargs)
 
     def test_spectral_summary_independent_of_thread_count(self, tmp_path, capsys):
         # a real pool below N_SPECTRAL: the workers filter in the eigenbasis

@@ -232,3 +232,12 @@ class TestSmoothedLaplace:
         for text in ("smoothed_laplace", "pseudo-huber", "laplace:1e-3"):
             with pytest.raises(ValueError, match="unknown density spec"):
                 pa.density_from_config(text)
+
+
+@pytest.mark.parametrize("family", ["cauchy", "Normal", "t"])
+def test_unknown_family_named(family):
+    # the constructor takes the three names exactly; density_from_config
+    # maps the config's spellings onto them
+    with pytest.raises(ValueError) as err:
+        pa.ErrorDensity(family)
+    assert str(err.value) == f"unknown error family {family!r}"

@@ -14,7 +14,7 @@ from scipy import stats
 import pstarann as pa
 from pstarann import estimate, likelihood, weights
 from pstarann.densities import SmoothedLaplace
-from conftest import MODEL1_COLUMNS, model1_spec, model1_theta, random_panel
+from conftest import MODEL1_COLUMNS, is_canonical, model1_spec, model1_theta, random_panel
 
 
 def small_model1_data(W, seed=11, T=10, density=None):
@@ -108,7 +108,7 @@ class TestFit:
         spec, data = small_model1_data(w1010, seed=2, T=8)
         res = pa.fit(spec, data, n_starts=4, seed=2, covariance=False)
         assert res.canonical
-        assert res.theta.is_canonical()
+        assert is_canonical(res.theta)
 
     def test_canonicalization_guard_raises_numerical_error(self, w33, monkeypatch):
         import pstarann.estimate as est
@@ -701,6 +701,20 @@ class TestInitialPoints:
         monkeypatch.setattr(weights, "SERIES_PHI0_MAX", 0.9)
         assert pa.default_bounds(spec)[0].tolist() == [-0.9, 0.9]
 
+    @pytest.mark.parametrize("p, q, h, linear_term", [(1, 2, 1, False), (3, 3, 2, True)])
+    def test_default_box_is_the_documented_one(self, w33, p, q, h, linear_term):
+        # the box of the estimate module's docstring: |phi0| <= SERIES_PHI0_MAX,
+        # phi_i in [-3, 3], beta and lambda in [-50, 50], gamma in [-25, 25]
+        spec = pa.ModelSpec(W=w33, p=p, q=q, h=h, density=pa.normal(),
+                            linear_term=linear_term)
+        cap = weights.SERIES_PHI0_MAX
+        box = {"phi0": [-cap, cap], "phi": [-3.0, 3.0], "beta": [-50.0, 50.0],
+               "lambda": [-50.0, 50.0], "gamma": [-25.0, 25.0]}
+        bounds = pa.default_bounds(spec)
+        assert bounds.shape == (spec.dim, 2)
+        for name, row in zip(pa.param_names(spec), bounds.tolist()):
+            assert row == box[re.match(r"[a-z]+0?", name).group()], name
+
     def test_single_start(self, w33):
         spec, data = small_model1_data(w33, T=4)
         starts = pa.initial_points(pa.LikelihoodWorkspace(spec, data), n_starts=1, seed=0)
@@ -747,3 +761,18 @@ class TestInitialPoints:
         expected = np.concatenate(([phi0], coef))
         got = np.concatenate(([start.phi0], start.phi, start.beta))
         assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda spec, data: pa.fit(spec, data, n_starts=0), "n_starts must be >= 1"),
+    (lambda spec, data: pa.initial_points(pa.LikelihoodWorkspace(spec, data), n_starts=-1),
+     "n_starts must be >= 1"),
+    (lambda spec, data: pa.likelihood_ratio_test(*[pa.fit(spec, data, n_starts=1,
+                                                          covariance=False)] * 2, 0),
+     "df must be >= 1"),
+], ids=["fit-no-start", "initial-points-negative", "lr-test-df"])
+def test_input_checks_name_the_fault(w33, call, message):
+    spec, data = small_model1_data(w33, T=4)
+    with pytest.raises(ValueError) as err:
+        call(spec, data)
+    assert str(err.value) == message

@@ -12,7 +12,7 @@ from scipy.special import expit
 import pstarann as pa
 from pstarann.model import CAUSAL_MARGIN, LEAD_TOL, _largest_root_moduli
 from pstarann.simulate import BLOCK_STEPS
-from conftest import model1_spec, model1_theta, random_causal_theta, random_panel
+from conftest import is_canonical, model1_spec, model1_theta, random_causal_theta, random_panel
 
 
 class TestNNComponent:
@@ -95,12 +95,14 @@ class TestResiduals:
         assert_allclose(E, data.Y_sample, atol=1e-14)
 
     def test_simulator_round_trip(self, w33):
+        # the residuals at the generating theta are the injected innovations
         spec = model1_spec(w33)
         theta = model1_theta()
-        data = pa.simulate(spec, theta, seed=4, T=6, covariate_columns=[
+        eps = np.random.default_rng(4).standard_normal((200 + 1 + 6, 9))
+        data = pa.simulate(spec, theta, seed=4, T=6, errors=eps, covariate_columns=[
             {"kind": "normal", "sd": 1.5}, {"kind": "normal", "sd": 3.0}])
         E = pa.LikelihoodWorkspace(spec, data).residuals(theta)
-        assert np.max(np.abs(E - data.eps)) < 1e-9
+        assert np.max(np.abs(E - eps[-6:])) < 1e-9
 
     def test_hand_computed_spatial_lag(self, w22):
         # p=0, h=0, q=0: eps_1 = Y_1 - 0.5 W Y_1 = 0.5 * ones for Y_1 = ones
@@ -418,7 +420,7 @@ class TestCanonicalize:
             data = random_panel(spec, 3, rng)
             data.X[:, :, 0] = 1.0
             out = pa.canonicalize(theta, include_intercept=True)
-            assert out.is_canonical()
+            assert not is_canonical(theta) and is_canonical(out)
             ws = pa.LikelihoodWorkspace(spec, data)
             E0, E1 = ws.residuals(theta), ws.residuals(out)
             assert np.max(np.abs(E0 - E1)) < 1e-12
@@ -459,7 +461,7 @@ class TestParameterVector:
     def test_json_round_trip(self, tmp_path):
         theta = pa.ParameterVector(0.6, [-0.274], [], [1.5], [[0.75, -0.35]])
         path = tmp_path / "theta.json"
-        theta.save_json(path)
+        path.write_text(json.dumps(theta.to_json_dict(), indent=2))
         back = pa.ParameterVector.from_json_dict(json.loads(path.read_text()))
         assert_allclose(back.to_array(), theta.to_array())
         assert back.gamma.shape == (1, 2)
@@ -588,3 +590,40 @@ class TestPanelData:
         spec2 = pa.ModelSpec(W=w22, p=1, q=2, h=1, density=pa.normal(),
                              linear_term=False)
         assert spec2.dim == 2 + 0 + 1 + 2
+
+
+def _spec(W, **kwargs):
+    """A p = 1, q = 2, h = 1 spec with a linear term, changed by ``kwargs``."""
+    return pa.ModelSpec(**{"W": W, "p": 1, "q": 2, "h": 1, "density": pa.normal(), **kwargs})
+
+
+def _theta(**kwargs):
+    """A theta that fits ``_spec``, changed by ``kwargs``."""
+    return pa.ParameterVector(**{"phi0": 0.3, "phi": [0.1], "beta": [0.2, -0.1], "lam": [1.0],
+                                 "gamma": [[0.5, -0.2]], **kwargs})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda W: _spec(W, p=-1), "orders p, q, h must be nonnegative"),
+    (lambda W: _theta(beta=[0.2]).validate(_spec(W)), "beta has 1 entries, expected 2"),
+    (lambda W: _theta(lam=[1.0, 0.5], gamma=[[0.5, -0.2]] * 2).validate(_spec(W)),
+     "lambda has 2 entries, spec.h=1"),
+    (lambda W: _theta(gamma=[[0.5, -0.2, 0.1]]).validate(_spec(W)),
+     "gamma has shape (1, 3), expected (1, 2)"),
+    (lambda W: pa.ParameterVector.from_json_dict({"phi": [0.1]}), "missing required key 'phi0'"),
+    (lambda W: pa.PanelData(Y=np.zeros(9), X=np.zeros((1, 9, 2)), p=0),
+     "Y must be a (p + T, n) array"),
+    (lambda W: pa.PanelData(Y=np.zeros((2, 9)), X=np.zeros((1, 9)), p=1),
+     "X must be a (T, n, q) array"),
+    (lambda W: pa.PanelData(Y=np.zeros((2, 9)), X=np.ones((1, 9, 1)), p=1).check_against(
+        _spec(W)), "panel has q=1, spec.q=2"),
+    (lambda W: pa.PanelData(Y=np.zeros((1, 9)), X=np.ones((1, 9, 2)), p=0).check_against(
+        _spec(W)), "panel has p=0 presample slices, spec.p=1"),
+    (lambda W: pa.canonicalize(_theta(beta=[], gamma=[[-0.5, 0.2]]), include_intercept=True),
+     "intercept shift needs a beta block (linear term)"),
+], ids=["negative-order", "beta-count", "lambda-count", "gamma-shape",
+        "json-without-phi0", "Y-1d", "X-2d", "panel-q", "panel-p", "flip-without-beta"])
+def test_input_checks_name_the_fault(w33, call, message):
+    with pytest.raises(ValueError) as err:
+        call(w33)
+    assert str(err.value) == message

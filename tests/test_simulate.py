@@ -14,8 +14,9 @@ from scipy.spatial import Delaunay
 
 import pstarann as pa
 from conftest import (MODEL1_COLUMNS, MODEL1_THETA, assert_reads_agree, assert_spectral_agrees,
-                      delaunay_weights, model1_spec, model1_theta, oracle_simulate,
-                      random_causal_theta, reference_write_panel_csv)
+                      assert_spectral_draws, delaunay_weights, model1_spec, model1_theta,
+                      oracle_innovations, oracle_simulate, random_causal_theta,
+                      reference_write_panel_csv)
 from pstarann import _csv
 from pstarann.model import CAUSAL_MARGIN
 from pstarann.simulate import BLOCK_STEPS, SKIP_BOUND, _skipped_steps
@@ -36,15 +37,17 @@ class TestSimulate:
         b = pa.simulate(spec, theta, seed=9, T=5, covariate_columns=MODEL1_COLUMNS)
         assert np.array_equal(a.Y, b.Y)
         assert np.array_equal(a.X, b.X)
-        assert np.array_equal(a.eps, b.eps)
 
     def test_degenerate_model_reproduces_noise(self, w1010):
-        # all parameters zero: Y_t = eps_t
+        # all parameters zero: Y_t = eps_t. The seeded panel is the one with
+        # the oracle's innovations injected, and those are its Y
         spec = pa.ModelSpec(W=w1010, p=0, q=1, h=0, density=pa.normal())
         theta = pa.ParameterVector(0.0, [], [0.0], [], [])
-        data = pa.simulate(spec, theta, seed=0, T=120,
-                           covariate_columns=[{"kind": "normal", "sd": 1.0}])
-        assert_allclose(data.Y_sample, data.eps, atol=1e-14)
+        kwargs = {"seed": 0, "T": 120, "covariate_columns": [{"kind": "normal", "sd": 1.0}]}
+        data = pa.simulate(spec, theta, **kwargs)
+        eps = oracle_innovations(spec, 0, 200 + 120)
+        assert np.array_equal(pa.simulate(spec, theta, errors=eps, **kwargs).Y, data.Y)
+        assert_allclose(data.Y_sample, eps[200:], atol=1e-14)
         assert abs(data.Y.var() - 1.0) < 0.02  # nT = 12000
 
     def test_pure_spatial_variance_matches_dense_oracle(self, w44):
@@ -71,11 +74,14 @@ class TestSimulate:
         assert lag1 < 0.0  # phi1 < 0 flips consecutive slices
 
     def test_residual_round_trip(self, w33):
+        # the residuals at the generating theta are the injected innovations
         spec = model1_spec(w33, density=pa.scaled_t(4))
         theta = model1_theta()
-        data = pa.simulate(spec, theta, seed=3, T=10, covariate_columns=MODEL1_COLUMNS)
+        eps = spec.density.sample(np.random.default_rng(3), (200 + 1 + 10) * 9).reshape(-1, 9)
+        data = pa.simulate(spec, theta, seed=3, T=10, covariate_columns=MODEL1_COLUMNS,
+                           errors=eps)
         E = pa.LikelihoodWorkspace(spec, data).residuals(theta)
-        assert np.max(np.abs(E - data.eps)) < 1e-9
+        assert np.max(np.abs(E - eps[-10:])) < 1e-9
 
     def test_stationarity_halves(self, w33):
         spec = model1_spec(w33)
@@ -617,7 +623,6 @@ class TestStreamedSimulation:
             want = oracle_simulate(spec, theta, seed=burn_in + 7, burn_in=burn_in, **kwargs)
             assert np.array_equal(got.Y, want.Y)
             assert np.array_equal(got.X, want.X)
-            assert np.array_equal(got.eps, want.eps)
 
     @pytest.mark.parametrize("drawn", [True, False], ids=["drawn-X", "injected-X"])
     def test_panel_owns_its_sample_covariates(self, w33, drawn):
@@ -659,7 +664,8 @@ class TestSpectralSimulation:
     """simulate(..., spectral=True) runs the recursion as n scalar AR(p)
     filters in W's eigenbasis. Its panels agree with the whole-array oracle,
     which solves with A0's sparse LU, to SPECTRAL_TOL; its covariates and
-    innovations are the LU path's bits."""
+    innovations are the oracle's bits, the innovations pinned by injecting
+    the oracle's (``assert_spectral_draws``)."""
 
     @pytest.mark.parametrize("burn_in", [0, 1, B - 1, B, 200])
     @pytest.mark.parametrize("density", [pa.normal(), pa.scaled_t(8), pa.laplace()],
@@ -683,16 +689,20 @@ class TestSpectralSimulation:
                               **kwargs)
             want = oracle_simulate(spec, theta, seed=burn_in + 7, burn_in=burn_in, **kwargs)
             assert_spectral_agrees(got, want)
+            if "errors" not in kwargs:
+                assert_spectral_draws(got, spec, theta, burn_in + 7, steps, burn_in=burn_in,
+                                      **kwargs)
 
     @pytest.mark.parametrize("density", [pa.normal(), pa.scaled_t(8), pa.laplace()],
                              ids=lambda d: d.label)
     def test_draws_equal_lu_path(self, w2020, density):
         # the replicate study's design: model 1 on 20x20, T = 30, burn-in 200
         spec = model1_spec(w2020, density)
-        lu = pa.simulate(spec, model1_theta(), seed=11, T=30, covariate_columns=MODEL1_COLUMNS)
-        got = pa.simulate(spec, model1_theta(), seed=11, T=30, covariate_columns=MODEL1_COLUMNS,
-                          spectral=True)
+        kwargs = {"T": 30, "covariate_columns": MODEL1_COLUMNS}
+        lu = pa.simulate(spec, model1_theta(), seed=11, **kwargs)
+        got = pa.simulate(spec, model1_theta(), seed=11, spectral=True, **kwargs)
         assert_spectral_agrees(got, lu)
+        assert_spectral_draws(got, spec, model1_theta(), 11, 200 + 1 + 30, **kwargs)
 
     def test_peak_memory_bounded_by_covariates(self):
         # as TestStreamedSimulation's bound, on a 20x20 lattice with the
@@ -800,7 +810,6 @@ class TestBurnInCut:
             want = oracle_simulate(spec, theta, **kwargs)
         assert np.array_equal(got.Y, want.Y)
         assert np.array_equal(got.X, want.X)
-        assert np.array_equal(got.eps, want.eps)
 
     def test_no_skip_without_max_norm_contraction(self):
         # model 1's network on the Delaunay graph of 600 seeded points, with
@@ -862,3 +871,17 @@ class TestBurnInCut:
         assert _skipped_steps(spec.n, 1, cut_rho, 200) == 96
         assert _skipped_steps(spec.n, 1, full_rho, 200) == 0
         assert full_peak - cut_peak >= 96 * spec.n * spec.q * 8 - 2**16
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"burn_in": -1, "T": 3, "covariate_columns": MODEL1_COLUMNS}, "burn_in must be >= 0"),
+    ({"covariate_columns": MODEL1_COLUMNS}, "either X or (T, covariate_columns) must be provided"),
+    ({"T": 3}, "either X or (T, covariate_columns) must be provided"),
+    ({"burn_in": 4, "X": np.zeros((5, 9, 2))}, "X must cover burn_in + p + T steps with T >= 1"),
+    ({"burn_in": 4, "T": 3, "covariate_columns": MODEL1_COLUMNS, "errors": np.zeros((7, 9))},
+     "errors have shape (7, 9), expected (8, 9)"),
+], ids=["negative-burn-in", "no-T", "no-columns", "X-without-sample", "errors-shape"])
+def test_input_checks_name_the_fault(w33, kwargs, message):
+    with pytest.raises(ValueError) as err:
+        pa.simulate(model1_spec(w33), model1_theta(), **kwargs)
+    assert str(err.value) == message

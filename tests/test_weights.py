@@ -4,6 +4,7 @@ import io
 import json
 import math
 import pickle
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -892,3 +893,46 @@ class TestValidation:
         with pytest.raises(ValueError, match="nonnegative"):
             pa.WeightMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pa.WeightMatrix(np.ones((2, 3))), "adjacency must be square, got (2, 3)"),
+    (lambda: pa.build_queen_lattice(0, 3), "lattice dimensions must be positive"),
+    (lambda: pa.build_queen_lattice(4, -1), "lattice dimensions must be positive"),
+], ids=["not-square", "lattice-zero", "lattice-negative"])
+def test_input_checks_name_the_fault(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def _path_adjacency(weights):
+    """The adjacency of the path 0-1-2-3 with unit weights, each (i, j) and
+    (j, i) of the dict ``weights`` set to its value."""
+    A = np.zeros((4, 4))
+    A[[0, 1, 2], [1, 2, 3]] = A[[1, 2, 3], [0, 1, 2]] = 1.0
+    for (i, j), value in weights.items():
+        A[i, j] = A[j, i] = value
+    return A
+
+
+@pytest.mark.parametrize("adjacency, message", [
+    (_path_adjacency({(1, 2): np.inf}), "adjacency weight at (1, 2) is not finite"),
+    (_path_adjacency({(2, 3): np.nan}), "adjacency weight at (2, 3) is not finite"),
+    # location 0's degree 1e-320 is subnormal and its reciprocal overflows
+    (_path_adjacency({(0, 1): 1e-320}),
+     "location(s) whose degree or its reciprocal is not finite: 0; "
+     "row standardization is undefined for them"),
+    # location 0's degree 2e308 overflows
+    (_path_adjacency({(0, 1): 1e308, (0, 2): 1e308}),
+     "location(s) whose degree or its reciprocal is not finite: 0; "
+     "row standardization is undefined for them"),
+], ids=["inf", "nan", "subnormal-degree", "overflowing-degree"])
+def test_unscalable_weights_named(adjacency, message):
+    # named before the symmetry test (NaN != NaN) and the row-sum guard
+    # (inf / inf) would mislabel them, and without a floating-point warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            pa.WeightMatrix(adjacency)
+    assert str(err.value) == message
