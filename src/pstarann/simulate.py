@@ -47,15 +47,24 @@ need not die out although rho is below 1. Other designs with sums above
 the full burn-in's by construction.
 
 The time loop runs in blocks of ``BLOCK_STEPS`` steps: each block draws
-its innovations, forms its drive eps_t + X_t beta + F(X_t gamma') lambda
-with one (h, block n) activation array, in the layout of the likelihood's
-network rows, and is then solved step by step. Besides the covariates of
-the simulated steps, a simulation holds one block and the retained window
-of Y, so its memory does not grow with the burn-in beyond X. The
-innovations are not kept: the panel is {Y_t, X_t}, as ``fit`` reads it. X
-stays whole over the simulated steps because each column is drawn over all
-steps before the next column; drawing it block by block would reorder the
-draws and change every panel of a seed.
+its innovations and its covariates, forms its drive eps_t + X_t beta +
+F(X_t gamma') lambda with one (h, block n) activation array, in the layout
+of the likelihood's network rows, and is then solved step by step. A
+simulation holds one block, the retained window of Y and the T sample
+slices of X, which are copied out of the blocks, so its memory grows with
+neither the burn-in nor the simulated steps. The innovations are not kept:
+the panel is {Y_t, X_t}, as ``fit`` reads it.
+
+The covariate columns share one stream, and each normal column is drawn
+over all steps before the next (``generate_covariates``' order), so a
+column's first simulated step is reached only after the columns before it
+are drawn. One pass over the stream therefore draws, and drops, each
+normal column's skipped steps, copies the generator at the column's first
+simulated step, and draws past the column's remaining steps; the blocks
+then draw each column's rows from its copy, and the last normal column's
+from the stream itself, which ends where the whole draw leaves it. Every
+covariate bit is the whole draw's. The price is a second draw of each
+normal column but the last over the simulated steps.
 
 With ``spectral=True`` the recursion runs in W's eigenbasis instead
 (``WeightMatrix.eigenbasis``): each block's drive is mapped into it by one
@@ -77,6 +86,7 @@ and written one block of ``_csv.BLOCK_ROWS`` lines at a time.
 
 from __future__ import annotations
 
+import copy
 import math
 from bisect import bisect_left
 from itertools import chain, repeat, starmap
@@ -108,42 +118,79 @@ BURN_IN = 200
 SKIP_BOUND = 2.0 ** -80
 
 
-def generate_covariates(columns, n, T, seed, first=0):
-    """Draw a (T, n, q) covariate array, i.i.d. across s and t per column,
-    and return its rows ``first`` .. T - 1.
+def generate_covariates(columns, n, T, seed):
+    """Draw a (T, n, q) covariate array, i.i.d. across s and t per column.
 
     ``columns`` is a sequence of per-column specs:
       {"kind": "constant", "value": 1.0}   -> intercept-style column
       {"kind": "normal", "mean": 0, "sd": 1.5}
-    An empty sequence gives an empty (T - first, n, 0) array and draws
-    nothing. Every step is drawn whatever ``first`` is, so the kept rows
-    are the bits of the full draw's and the generator ends where the full
-    draw leaves it.
+    Each normal column is drawn over all T steps, in step order, before the
+    next, from one generator (``np.random.default_rng(seed)``; a Generator
+    is used as it is and ends where the draw leaves it). An empty sequence
+    gives an empty (T, n, 0) array and draws nothing. The array is the
+    concatenation of the blocks that ``simulate`` draws.
+    """
+    X = np.empty((T, n, len(columns)))
+    blocks = _covariate_blocks(columns, n, T, np.random.default_rng(seed))
+    for t0, block in zip(range(0, T, BLOCK_STEPS), blocks):
+        X[t0:t0 + len(block)] = block
+    return X
+
+
+def _covariate_blocks(columns, n, T, rng, first=0):
+    """Rows ``first`` .. T - 1 of ``generate_covariates(columns, n, T, rng)``
+    as an iterator of (BLOCK_STEPS, n, q) blocks, the last one shorter. Each
+    block is a view of one array that the next block overwrites.
+
+    The kinds are checked, and every normal column's rows before ``first``
+    drawn and dropped, before this returns. A normal column other than the
+    last draws its block rows from a copy of ``rng`` taken at its row
+    ``first``, and ``rng`` is then drawn past the column's remaining rows;
+    the last normal column draws from ``rng`` itself. So every kept row has
+    the bits of the whole draw's, and once the blocks are exhausted ``rng``
+    ends where the whole draw leaves it.
     """
     if not 0 <= first <= T:
         raise ValueError(f"need 0 <= first <= T, got first = {first}, T = {T}")
-    rng = np.random.default_rng(seed)
-    X = np.empty((T - first, n, len(columns)))
-    buf = np.empty((min(BLOCK_STEPS, T), n))
-    for j, col in enumerate(columns):
+    fills = []  # per column [generator, mean, sd]; a constant has no generator
+    for col in columns:
         kind = col.get("kind", "normal")
         if kind == "constant":
-            X[:, :, j] = float(col.get("value", 1.0))
+            fills.append([None, float(col.get("value", 1.0)), 0.0])
         elif kind == "normal":
-            mean = float(col.get("mean", 0.0))
-            sd = float(col.get("sd", 1.0))
-            # the column's draws in time order, as one (T, n) draw would give them
-            for t0 in range(0, T, BLOCK_STEPS):
-                t1 = min(t0 + BLOCK_STEPS, T)
-                z = rng.standard_normal(out=buf[:t1 - t0])
-                if t1 > first:
-                    z = z[max(first - t0, 0):]
-                    z *= sd
-                    z += mean
-                    X[max(t0 - first, 0):t1 - first, :, j] = z
+            fills.append([rng, float(col.get("mean", 0.0)), float(col.get("sd", 1.0))])
         else:
             raise ValueError(f"unknown covariate kind {kind!r}")
-    return X
+    normal = [fill for fill in fills if fill[0] is not None]
+    buf = np.empty((min(BLOCK_STEPS, T), n))
+
+    def draw_past(rows):
+        for t0 in range(0, rows, BLOCK_STEPS):
+            rng.standard_normal(out=buf[:min(BLOCK_STEPS, rows - t0)])
+
+    for k, fill in enumerate(normal, 1):
+        draw_past(first)
+        if k < len(normal):
+            fill[0] = copy.deepcopy(rng)
+            draw_past(T - first)
+    return _drawn_blocks(fills, n, T, first, buf)
+
+
+def _drawn_blocks(fills, n, T, first, buf):
+    """The blocks of ``_covariate_blocks``, each column's rows drawn from its
+    own generator into ``buf``."""
+    X = np.empty((min(BLOCK_STEPS, T - first), n, len(fills)))
+    for t0 in range(first, T, BLOCK_STEPS):
+        block = X[:min(BLOCK_STEPS, T - t0)]
+        for j, (gen, mean, sd) in enumerate(fills):
+            if gen is None:
+                block[:, :, j] = mean
+            else:
+                z = gen.standard_normal(out=buf[:len(block)])
+                z *= sd
+                z += mean
+                block[:, :, j] = z
+        yield block
 
 
 def simulate(spec: ModelSpec, theta: ParameterVector, X=None, seed=0, burn_in=BURN_IN,
@@ -160,10 +207,15 @@ def simulate(spec: ModelSpec, theta: ParameterVector, X=None, seed=0, burn_in=BU
     T : int >= 1
         Sample slices to keep after the burn-in and the p presample slices.
     covariate_columns : sequence of q column specs
-        How to draw X when it is not given; see :func:`generate_covariates`.
+        How to draw X when it is not given; see :func:`generate_covariates`,
+        whose array's rows the panel's X has bit for bit. The rows are drawn
+        one block at a time and only the T sample slices are kept (see the
+        module docstring).
     seed : int or SeedSequence
         Drives covariate and error draws through two independent substreams
-        spawned from it, so output is bit-identical for identical inputs.
+        spawned from it, so output is bit-identical for identical inputs. A
+        SeedSequence is copied first, so the caller's spawns no children and
+        two calls with it give the same panel.
     burn_in : int
         Steps discarded before the retained window. Every step is drawn, but
         only the last K burn-in steps, rounded up to whole blocks, are
@@ -193,7 +245,9 @@ def simulate(spec: ModelSpec, theta: ParameterVector, X=None, seed=0, burn_in=BU
         raise ValueError("burn_in must be >= 0")
     rho = check_causal(spec, theta).require().max_root_modulus
 
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    # a caller's SeedSequence is copied, so that it spawns no children here
+    ss = copy.deepcopy(seed) if isinstance(seed, np.random.SeedSequence) \
+        else np.random.SeedSequence(seed)
     ss_x, ss_e = ss.spawn(2)
     rng_x, rng_e = np.random.default_rng(ss_x), np.random.default_rng(ss_e)
     # one step may grow a rounding difference in the max norm by up to
@@ -209,7 +263,7 @@ def simulate(spec: ModelSpec, theta: ParameterVector, X=None, seed=0, burn_in=BU
             raise ValueError(f"{len(covariate_columns)} covariate column specs for a "
                              f"model with q = {spec.q}")
         steps = burn_in + spec.p + T
-        X = generate_covariates(covariate_columns or [], spec.n, steps, rng_x, first=skip)
+        blocks = _covariate_blocks(covariate_columns or [], spec.n, steps, rng_x, skip)
     else:
         X = np.asarray(X, dtype=float)
         steps = X.shape[0]
@@ -223,8 +277,8 @@ def simulate(spec: ModelSpec, theta: ParameterVector, X=None, seed=0, burn_in=BU
         if X.shape[1] != spec.n or X.shape[2] != spec.q:
             raise ValueError(f"X has shape {X.shape}, expected ({steps}, {spec.n}, {spec.q})")
         _require_finite("X", X)
-        X = X[skip:]
-    # X[t - skip] holds the covariates of step t
+        blocks = (X[t0:t0 + BLOCK_STEPS] for t0 in range(skip, steps, BLOCK_STEPS))
+    # the blocks hold the covariates of steps skip .. steps - 1, BLOCK_STEPS at a time
     if errors is not None:
         errors = np.asarray(errors, dtype=float)
         if errors.shape != (steps, spec.n):
@@ -244,23 +298,25 @@ def simulate(spec: ModelSpec, theta: ParameterVector, X=None, seed=0, burn_in=BU
     # W Y_{t-1}, ..., W Y_{t-p}, or z_{t-1}, ..., z_{t-p} in the eigenbasis
     lags = [np.zeros(spec.n) for _ in range(spec.p)]
     Y = np.empty((spec.p + T, spec.n))  # steps burn_in .. steps - 1
+    Xs = np.empty((T, spec.n, spec.q))  # steps lo .. steps - 1, copied out of the blocks
+    lo = burn_in + spec.p
+    if errors is None:  # whole blocks, drawn so that every later draw keeps its bits
+        for _ in range(0, skip, BLOCK_STEPS):
+            spec.density.sample(rng_e, BLOCK_STEPS * spec.n)
     # one buffer for every block's drive, so that the per-step views into a
     # block do not keep it alive while the next block is formed
     buf = np.empty((min(BLOCK_STEPS, steps), spec.n))
-    for t0 in range(0, steps, BLOCK_STEPS):
+    for t0, Xb in zip(range(skip, steps, BLOCK_STEPS), blocks):
         t1 = min(t0 + BLOCK_STEPS, steps)
         drive = buf[:t1 - t0]
-        if t0 < skip:  # a whole block, drawn so that every later draw keeps its bits
-            if errors is None:
-                spec.density.sample(rng_e, drive.size)
-            continue
         if errors is None:
             drive[...] = spec.density.sample(rng_e, drive.size).reshape(drive.shape)
         else:
             drive[...] = errors[t0:t1]
+        if t1 > lo:
+            Xs[max(t0 - lo, 0):t1 - lo] = Xb[max(lo - t0, 0):]
 
         # the exogenous drive eps_t + X_t beta + F(X_t gamma') lambda of the block
-        Xb = X[t0 - skip:t1 - skip]
         if spec.n_beta:
             drive += Xb @ theta.beta
         if spec.h:
@@ -283,8 +339,7 @@ def simulate(spec: ModelSpec, theta: ParameterVector, X=None, seed=0, burn_in=BU
 
     if spectral:
         Y = (Y @ Q.T) / root
-    # a copy, so that the panel does not keep the simulated steps' covariates alive
-    return PanelData(Y=Y, X=X[burn_in + spec.p - skip:].copy(), p=spec.p)
+    return PanelData(Y=Y, X=Xs, p=spec.p)
 
 
 def _skipped_steps(n, p, rho, burn_in):

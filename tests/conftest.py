@@ -207,6 +207,19 @@ def oracle_innovations(spec, seed, steps):
     return _innovations(spec.density, _streams(seed)[1], steps, spec.n)
 
 
+def oracle_covariates(columns, n, steps, rng):
+    """The (steps, n, q) covariates drawn from the Generator ``rng`` one whole
+    column at a time: each normal column's (steps, n) draw in one call."""
+    X = np.empty((steps, n, len(columns)))
+    for j, col in enumerate(columns):
+        if col.get("kind", "normal") == "constant":
+            X[:, :, j] = float(col.get("value", 1.0))
+        else:
+            X[:, :, j] = (float(col.get("mean", 0.0))
+                          + float(col.get("sd", 1.0)) * rng.standard_normal((steps, n)))
+    return X
+
+
 def oracle_simulate(spec, theta, X=None, seed=0, burn_in=200, T=None,
                     covariate_columns=None, errors=None):
     """The simulator over whole arrays: every step's covariates, innovations,
@@ -224,14 +237,7 @@ def oracle_simulate(spec, theta, X=None, seed=0, burn_in=200, T=None,
     rng_x, rng_e = _streams(seed)
     n = spec.n
     if X is None:
-        steps = burn_in + spec.p + T
-        X = np.empty((steps, n, spec.q))
-        for j, col in enumerate(covariate_columns or []):
-            if col.get("kind", "normal") == "constant":
-                X[:, :, j] = float(col.get("value", 1.0))
-            else:
-                X[:, :, j] = (float(col.get("mean", 0.0))
-                              + float(col.get("sd", 1.0)) * rng_x.standard_normal((steps, n)))
+        X = oracle_covariates(covariate_columns or [], n, burn_in + spec.p + T, rng_x)
     steps = X.shape[0]
     if errors is None:
         drive = _innovations(spec.density, rng_e, steps, n)

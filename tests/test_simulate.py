@@ -15,8 +15,8 @@ from scipy.spatial import Delaunay
 import pstarann as pa
 from conftest import (MODEL1_COLUMNS, MODEL1_THETA, assert_reads_agree, assert_spectral_agrees,
                       assert_spectral_draws, delaunay_weights, model1_spec, model1_theta,
-                      oracle_innovations, oracle_simulate, random_causal_theta,
-                      reference_write_panel_csv)
+                      oracle_covariates, oracle_innovations, oracle_simulate,
+                      random_causal_theta, reference_write_panel_csv)
 from pstarann import _csv
 from pstarann.model import CAUSAL_MARGIN
 from pstarann.simulate import BLOCK_STEPS, SKIP_BOUND, _skipped_steps
@@ -28,6 +28,17 @@ simulate_module = importlib.import_module("pstarann.simulate")
 INTERCEPT_COLUMNS = [{"kind": "constant", "value": 1.0}, {"kind": "normal", "sd": 1.5},
                      {"kind": "normal", "mean": -0.5, "sd": 0.8}]
 
+# covariate layouts for the block generator: q3 redraws one normal column,
+# c-n-n-n (fit-adj3107's) two, and n-c-n puts a constant between two
+COVARIATE_LAYOUTS = {
+    "q3": INTERCEPT_COLUMNS,
+    "q0": [],
+    "c-n-n-n": [{"kind": "constant", "value": 1.0}, {"kind": "normal", "sd": 1.0},
+                {"kind": "normal", "mean": 2.0, "sd": 0.5}, {"kind": "normal", "sd": 3.0}],
+    "n-c-n": [{"kind": "normal", "sd": 1.5}, {"kind": "constant", "value": -2.0},
+              {"kind": "normal", "mean": 0.5, "sd": 0.8}],
+}
+
 
 class TestSimulate:
     def test_deterministic(self, w33):
@@ -37,6 +48,19 @@ class TestSimulate:
         b = pa.simulate(spec, theta, seed=9, T=5, covariate_columns=MODEL1_COLUMNS)
         assert np.array_equal(a.Y, b.Y)
         assert np.array_equal(a.X, b.X)
+
+    def test_seed_sequence_is_not_spawned_from(self, w33):
+        # two calls with one SeedSequence give one panel, that of a fresh
+        # SeedSequence with the same entropy, and leave it unspawned
+        spec, theta = model1_spec(w33), model1_theta()
+        ss = np.random.SeedSequence(5)
+        a, b = (pa.simulate(spec, theta, seed=ss, T=3, covariate_columns=MODEL1_COLUMNS)
+                for _ in range(2))
+        fresh = pa.simulate(spec, theta, seed=5, T=3, covariate_columns=MODEL1_COLUMNS)
+        assert ss.n_children_spawned == 0
+        for panel in (b, fresh):
+            assert np.array_equal(a.Y, panel.Y)
+            assert np.array_equal(a.X, panel.X)
 
     def test_degenerate_model_reproduces_noise(self, w1010):
         # all parameters zero: Y_t = eps_t. The seeded panel is the one with
@@ -189,16 +213,32 @@ class TestGenerateCovariates:
         # q = 0 is the general draw with zero columns
         assert pa.generate_covariates([], 5, 7, 1).shape == (7, 5, 0)
 
-    @pytest.mark.parametrize("columns", [INTERCEPT_COLUMNS, []], ids=["q3", "q0"])
+    @pytest.mark.parametrize("columns", COVARIATE_LAYOUTS.values(), ids=COVARIATE_LAYOUTS)
+    def test_whole_column_draws(self, columns):
+        # each normal column is drawn over all steps before the next, and
+        # the generator ends where those draws leave it
+        T = 2 * BLOCK_STEPS + 5
+        rng, want_rng = np.random.default_rng(4), np.random.default_rng(4)
+        got = pa.generate_covariates(columns, 6, T, rng)
+        assert np.array_equal(got, oracle_covariates(columns, 6, T, want_rng))
+        assert np.array_equal(rng.random(3), want_rng.random(3))
+
+    @pytest.mark.parametrize("columns", COVARIATE_LAYOUTS.values(), ids=COVARIATE_LAYOUTS)
     @pytest.mark.parametrize("first", [0, 1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1,
                                        2 * BLOCK_STEPS + 4, 2 * BLOCK_STEPS + 5])
     def test_first_keeps_the_tail_of_the_full_draw(self, columns, first):
-        # every step is drawn, so the kept rows are the full draw's bits and
-        # the generator ends where the full draw leaves it
+        # simulate's block generator: every step is drawn, so the blocks
+        # from row first on are the whole draw's bits, and once they are
+        # exhausted the generator ends where the whole draw leaves it, with
+        # every normal column but the last drawn again from a copy
         T = 2 * BLOCK_STEPS + 5
         full_rng, part_rng = np.random.default_rng(4), np.random.default_rng(4)
-        full = pa.generate_covariates(columns, 6, T, full_rng)
-        part = pa.generate_covariates(columns, 6, T, part_rng, first=first)
+        full = oracle_covariates(columns, 6, T, full_rng)
+        blocks = [block.copy() for block in
+                  simulate_module._covariate_blocks(columns, 6, T, part_rng, first)]
+        assert [len(block) for block in blocks] == [
+            min(BLOCK_STEPS, T - t0) for t0 in range(first, T, BLOCK_STEPS)]
+        part = np.concatenate(blocks) if blocks else np.empty((0, 6, len(columns)))
         assert part.shape == (T - first, 6, len(columns))
         assert np.array_equal(part, full[first:])
         assert np.array_equal(part_rng.random(3), full_rng.random(3))
@@ -206,7 +246,8 @@ class TestGenerateCovariates:
     @pytest.mark.parametrize("first", [-1, 8])
     def test_first_outside_the_draw_rejected(self, first):
         with pytest.raises(ValueError, match=f"need 0 <= first <= T, got first = {first}"):
-            pa.generate_covariates(INTERCEPT_COLUMNS, 2, 7, 0, first=first)
+            simulate_module._covariate_blocks(INTERCEPT_COLUMNS, 2, 7,
+                                              np.random.default_rng(0), first)
 
 
 class TestPanelCSV:
@@ -847,30 +888,42 @@ class TestBurnInCut:
                                              f"{column}$"):
             pa.simulate(spec, theta, burn_in=burn_in, **inputs)
 
-    def test_peak_memory_falls_by_the_skipped_covariates(self):
+    def test_peak_memory_is_block_sized_with_or_without_a_cut(self):
         # the fit-adj3107 model on a 55x55 lattice (n = 3025): phi1 = 0.3
         # gives rho = 0.5 and a cut of 96 steps, phi1 = 0.45 gives rho = 0.75
-        # and none. The cut's peak is lower by its covariates, 9.3 MB, less
-        # the few KB of interpreter objects by which tracemalloc's peaks of
-        # two equal calls differ (64 KiB allowed)
+        # and none. Neither run holds the covariates of its simulated steps,
+        # so beyond the returned panel both peak at the same block-sized
+        # memory: one covariate block (q columns), the covariate draw's and
+        # the drive's buffers, the network argument and its activations (2h),
+        # one more block-sized temporary and slack for the lags, plus the A0
+        # factor, whose traced build peak is measured alone. The two peaks
+        # differ by at most the few KB of interpreter objects by which
+        # tracemalloc's peaks of two equal calls differ (64 KiB allowed)
         spec = pa.ModelSpec(W=pa.build_queen_lattice(55, 55), p=1, q=4, h=2,
                             density=pa.scaled_t(8), include_intercept=True)
         columns = [{"kind": "constant", "value": 1.0}] + [{"kind": "normal", "sd": 1.0}] * 3
-        peaks = {}
+        tracemalloc.start()
+        try:
+            spec.W.a0_factor(0.4)
+            factor_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        beyond = {}
         for phi in (0.3, 0.45):
             theta = pa.ParameterVector(0.4, [phi], [-1.2, 0.15, -1.2, -0.15], [3.2, 1.8],
                                        [[0.5, 1.6, -2.5, 2.3], [0.4, -1.8, 1.3, -0.9]])
             rho = pa.check_causal(spec, theta).max_root_modulus
             tracemalloc.start()
             try:
-                pa.simulate(spec, theta, seed=3, burn_in=200, T=2, covariate_columns=columns)
-                peaks[phi] = tracemalloc.get_traced_memory()[1], rho
+                data = pa.simulate(spec, theta, seed=3, burn_in=200, T=2,
+                                   covariate_columns=columns)
+                beyond[phi] = tracemalloc.get_traced_memory()[1] - data.Y.nbytes - data.X.nbytes
             finally:
                 tracemalloc.stop()
-        (cut_peak, cut_rho), (full_peak, full_rho) = peaks[0.3], peaks[0.45]
-        assert _skipped_steps(spec.n, 1, cut_rho, 200) == 96
-        assert _skipped_steps(spec.n, 1, full_rho, 200) == 0
-        assert full_peak - cut_peak >= 96 * spec.n * spec.q * 8 - 2**16
+            assert _skipped_steps(spec.n, 1, rho, 200) == (96 if phi == 0.3 else 0)
+        assert abs(beyond[0.3] - beyond[0.45]) <= 2**16
+        block_bound = BLOCK_STEPS * spec.n * (spec.q + 2 * spec.h + 4) * 8 + factor_peak
+        assert max(beyond.values()) <= block_bound
 
 
 @pytest.mark.parametrize("kwargs, message", [
