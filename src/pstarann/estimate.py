@@ -489,8 +489,19 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
     summed over the stages, the last stage's message, and the start's wall
     seconds. ``n_iterations`` is the winner's ``nit``. ``residuals`` are
     those at the reported theta.
+
+    Without ``starts``, W's log-det backend is built (``log_det_a0(0.0)``)
+    before the ``LikelihoodWorkspace``, as ``initial_points``' grid would
+    build it first: the transient of that build (the series' ordering node
+    and inner positive piece, or the dense spectrum below ``weights.N_SERIES``)
+    is freed before the workspace's arrays exist, so the two do not add up
+    in the peak. Which piece is built first does not move a series
+    coefficient. A panel that fails the workspace's check pays that build
+    before its ValueError.
     """
     bounds = default_bounds(spec) if bounds is None else _checked_bounds(bounds, spec)
+    if starts is None:  # initial_points' grid reads ln|A0| first anyway
+        spec.W.log_det_a0(0.0)
     ws = LikelihoodWorkspace(spec, data)
     lb, ub = bounds[:, 0], bounds[:, 1]
     exact = spec.density

@@ -22,8 +22,8 @@ burn-in steps are simulated, K the least with
     (n + 1) C(K + p - 1, p - 1) rho^K <= SKIP_BOUND = 2^-80
 
 (K = 0 when p = 0 or rho = 0), and the recursion starts from zero lags at
-step ``skip`` = burn_in - K, rounded down to a whole number of
-``BLOCK_STEPS`` blocks so that every retained block keeps its place. The
+step ``skip`` = burn_in - K, rounded down to a whole number of the path's
+blocks (below) so that every retained block keeps its place. The
 skipped steps still draw their innovations and covariates, in the same
 order, so every later draw keeps its bits; they are neither solved nor
 stored. The bound does not prove that the panel keeps its bits: that
@@ -46,14 +46,31 @@ need not die out although rho is below 1. Other designs with sums above
 1 kept their bits; the rule gives up their cut, so that their panels are
 the full burn-in's by construction.
 
-The time loop runs in blocks of ``BLOCK_STEPS`` steps: each block draws
-its innovations and its covariates, forms its drive eps_t + X_t beta +
-F(X_t gamma') lambda with one (h, block n) activation array, in the layout
-of the likelihood's network rows, and is then solved step by step. A
-simulation holds one block, the retained window of Y and the T sample
-slices of X, which are copied out of the blocks, so its memory grows with
-neither the burn-in nor the simulated steps. The innovations are not kept:
-the panel is {Y_t, X_t}, as ``fit`` reads it.
+The time loop runs in blocks of steps: each block draws its innovations
+and its covariates, forms its drive eps_t + X_t beta + F(X_t gamma')
+lambda with one (h, block n) activation array, in the layout of the
+likelihood's network rows, and is then solved step by step. A simulation
+holds one block, the retained window of Y and the T sample slices of X,
+which are copied out of the blocks, so its memory grows with neither the
+burn-in nor the simulated steps. The innovations are not kept: the panel
+is {Y_t, X_t}, as ``fit`` reads it.
+
+The solved path (A0's sparse LU: every CLI ``simulate``, and ``replicate``
+from ``weights.N_SPECTRAL`` locations on) runs ``SOLVED_BLOCK_STEPS`` = 8
+steps per block; the spectral path below and ``generate_covariates`` run
+``BLOCK_STEPS`` = 32, because the spectral product with Q wants the rows
+(with 8-step blocks a 20x20 panel took about 12.1 ms instead of 9.4). BLAS
+may round a row of the drive's products by its place in the block and by
+how it splits the block among its threads, so a block size keeps the
+panels' bits only where that is observed, not guaranteed. Measured with
+an intercept and three normal columns, t(8) errors and h = 1, 2, 3 and 5
+at n = 400, 3107, 10^4 and 29,929: under one OpenBLAS thread, 8-, 16- and
+32-step blocks on the solved path gave identical panels, and 2-step
+blocks moved 10 entries of one and 1 of another. Under two threads the
+8-step panels were the one-thread panels in every design, while the
+32-step ones at n = 29,929 moved 12 and 8 entries (h = 2 and 5) by up to
+2 ulps. On the spectral path (n = 400) 8-, 16- and 32-step blocks gave
+identical panels, and 4-step blocks moved about 900 of 12,400 entries.
 
 The covariate columns share one stream, and each normal column is drawn
 over all steps before the next (``generate_covariates``' order), so a
@@ -104,12 +121,14 @@ __all__ = [
 ]
 
 
-# Steps whose drive is formed at once. It bounds the temporaries of a
-# simulation, and of a covariate column's draw, to a few arrays of
-# BLOCK_STEPS n max(h, 1) entries. The panels depend on it only in the last
-# bits, where BLAS rounds the lambda contraction of a row by its place in
-# the block.
+# Steps whose drive is formed at once: SOLVED_BLOCK_STEPS on the solved path
+# (A0's sparse LU), BLOCK_STEPS on the spectral path and in
+# ``generate_covariates``. A block bounds the temporaries of a simulation,
+# and of a covariate column's draw, to a few arrays of block n max(h, 1)
+# entries. Which sizes keep a panel's bits is observed, not guaranteed (see
+# the module docstring).
 BLOCK_STEPS = 32
+SOLVED_BLOCK_STEPS = 8
 # Steps discarded before the retained window when the caller names none.
 BURN_IN = 200
 # A burn-in step whose reach into the retained window, (n + 1) times the
@@ -137,10 +156,10 @@ def generate_covariates(columns, n, T, seed):
     return X
 
 
-def _covariate_blocks(columns, n, T, rng, first=0):
+def _covariate_blocks(columns, n, T, rng, first=0, block=BLOCK_STEPS):
     """Rows ``first`` .. T - 1 of ``generate_covariates(columns, n, T, rng)``
-    as an iterator of (BLOCK_STEPS, n, q) blocks, the last one shorter. Each
-    block is a view of one array that the next block overwrites.
+    as an iterator of (block, n, q) blocks, the last one shorter. Each block
+    is a view of one array that the next block overwrites.
 
     The kinds are checked, and every normal column's rows before ``first``
     drawn and dropped, before this returns. A normal column other than the
@@ -162,35 +181,35 @@ def _covariate_blocks(columns, n, T, rng, first=0):
         else:
             raise ValueError(f"unknown covariate kind {kind!r}")
     normal = [fill for fill in fills if fill[0] is not None]
-    buf = np.empty((min(BLOCK_STEPS, T), n))
+    buf = np.empty((min(block, T), n))
 
     def draw_past(rows):
-        for t0 in range(0, rows, BLOCK_STEPS):
-            rng.standard_normal(out=buf[:min(BLOCK_STEPS, rows - t0)])
+        for t0 in range(0, rows, block):
+            rng.standard_normal(out=buf[:min(block, rows - t0)])
 
     for k, fill in enumerate(normal, 1):
         draw_past(first)
         if k < len(normal):
             fill[0] = copy.deepcopy(rng)
             draw_past(T - first)
-    return _drawn_blocks(fills, n, T, first, buf)
+    return _drawn_blocks(fills, n, T, first, block, buf)
 
 
-def _drawn_blocks(fills, n, T, first, buf):
+def _drawn_blocks(fills, n, T, first, block, buf):
     """The blocks of ``_covariate_blocks``, each column's rows drawn from its
     own generator into ``buf``."""
-    X = np.empty((min(BLOCK_STEPS, T - first), n, len(fills)))
-    for t0 in range(first, T, BLOCK_STEPS):
-        block = X[:min(BLOCK_STEPS, T - t0)]
+    X = np.empty((min(block, T - first), n, len(fills)))
+    for t0 in range(first, T, block):
+        Xb = X[:min(block, T - t0)]
         for j, (gen, mean, sd) in enumerate(fills):
             if gen is None:
-                block[:, :, j] = mean
+                Xb[:, :, j] = mean
             else:
-                z = gen.standard_normal(out=buf[:len(block)])
+                z = gen.standard_normal(out=buf[:len(Xb)])
                 z *= sd
                 z += mean
-                block[:, :, j] = z
-        yield block
+                Xb[:, :, j] = z
+        yield Xb
 
 
 def simulate(spec: ModelSpec, theta: ParameterVector, X=None, seed=0, burn_in=BURN_IN,
@@ -218,8 +237,9 @@ def simulate(spec: ModelSpec, theta: ParameterVector, X=None, seed=0, burn_in=BU
         two calls with it give the same panel.
     burn_in : int
         Steps discarded before the retained window. Every step is drawn, but
-        only the last K burn-in steps, rounded up to whole blocks, are
-        simulated: K is the least with (n + 1) C(K + p - 1, p - 1) rho^K <=
+        only the last K burn-in steps, rounded up to whole blocks of the
+        path (``SOLVED_BLOCK_STEPS`` or, with ``spectral``, ``BLOCK_STEPS``),
+        are simulated: K is the least with (n + 1) C(K + p - 1, p - 1) rho^K <=
         ``SKIP_BOUND`` = 2^-80, rho the largest causal root; none is
         skipped when sum |phi_i| >= 1 - |phi0|. The panels then keep the
         full burn-in's bits in every measured design (see the module
@@ -253,7 +273,8 @@ def simulate(spec: ModelSpec, theta: ParameterVector, X=None, seed=0, burn_in=BU
     # one step may grow a rounding difference in the max norm by up to
     # sum |phi_i| / (1 - |phi0|) (W row-standardized): from 1 on, no step is skipped
     contracts = sum(map(abs, theta.phi)) < 1.0 - abs(theta.phi0)
-    skip = _skipped_steps(spec.n, spec.p, rho, burn_in) if contracts else 0
+    block = BLOCK_STEPS if spectral else SOLVED_BLOCK_STEPS
+    skip = _skipped_steps(spec.n, spec.p, rho, burn_in, block) if contracts else 0
     if X is None:
         if T is None or (covariate_columns is None and spec.q > 0):
             raise ValueError("either X or (T, covariate_columns) must be provided")
@@ -263,7 +284,7 @@ def simulate(spec: ModelSpec, theta: ParameterVector, X=None, seed=0, burn_in=BU
             raise ValueError(f"{len(covariate_columns)} covariate column specs for a "
                              f"model with q = {spec.q}")
         steps = burn_in + spec.p + T
-        blocks = _covariate_blocks(covariate_columns or [], spec.n, steps, rng_x, skip)
+        blocks = _covariate_blocks(covariate_columns or [], spec.n, steps, rng_x, skip, block)
     else:
         X = np.asarray(X, dtype=float)
         steps = X.shape[0]
@@ -277,8 +298,8 @@ def simulate(spec: ModelSpec, theta: ParameterVector, X=None, seed=0, burn_in=BU
         if X.shape[1] != spec.n or X.shape[2] != spec.q:
             raise ValueError(f"X has shape {X.shape}, expected ({steps}, {spec.n}, {spec.q})")
         _require_finite("X", X)
-        blocks = (X[t0:t0 + BLOCK_STEPS] for t0 in range(skip, steps, BLOCK_STEPS))
-    # the blocks hold the covariates of steps skip .. steps - 1, BLOCK_STEPS at a time
+        blocks = (X[t0:t0 + block] for t0 in range(skip, steps, block))
+    # the blocks hold the covariates of steps skip .. steps - 1, block steps at a time
     if errors is not None:
         errors = np.asarray(errors, dtype=float)
         if errors.shape != (steps, spec.n):
@@ -301,13 +322,13 @@ def simulate(spec: ModelSpec, theta: ParameterVector, X=None, seed=0, burn_in=BU
     Xs = np.empty((T, spec.n, spec.q))  # steps lo .. steps - 1, copied out of the blocks
     lo = burn_in + spec.p
     if errors is None:  # whole blocks, drawn so that every later draw keeps its bits
-        for _ in range(0, skip, BLOCK_STEPS):
-            spec.density.sample(rng_e, BLOCK_STEPS * spec.n)
+        for _ in range(0, skip, block):
+            spec.density.sample(rng_e, block * spec.n)
     # one buffer for every block's drive, so that the per-step views into a
     # block do not keep it alive while the next block is formed
-    buf = np.empty((min(BLOCK_STEPS, steps), spec.n))
-    for t0, Xb in zip(range(skip, steps, BLOCK_STEPS), blocks):
-        t1 = min(t0 + BLOCK_STEPS, steps)
+    buf = np.empty((min(block, steps), spec.n))
+    for t0, Xb in zip(range(skip, steps, block), blocks):
+        t1 = min(t0 + block, steps)
         drive = buf[:t1 - t0]
         if errors is None:
             drive[...] = spec.density.sample(rng_e, drive.size).reshape(drive.shape)
@@ -342,11 +363,15 @@ def simulate(spec: ModelSpec, theta: ParameterVector, X=None, seed=0, burn_in=BU
     return PanelData(Y=Y, X=Xs, p=spec.p)
 
 
-def _skipped_steps(n, p, rho, burn_in):
+def _skipped_steps(n, p, rho, burn_in, block):
     """The burn-in steps that ``simulate`` draws but does not simulate: burn_in
-    - K rounded down to a multiple of BLOCK_STEPS, or 0, with K the least
+    - K rounded down to a multiple of ``block``, or 0, with K the least
     integer such that (n + 1) C(K + p - 1, p - 1) rho^K <= SKIP_BOUND, and
-    K = 0 when p = 0 or rho = 0.
+    K = 0 when p = 0 or rho = 0. ``block`` is the path's block,
+    SOLVED_BLOCK_STEPS on the solved path and BLOCK_STEPS on the spectral
+    one, so that every retained block keeps its place: at n = 3107 and
+    rho = 0.5, K = 92 leaves 108 steps, a cut of 104 on the solved path and
+    of 96 on the spectral one.
 
     The log of C(K + p - 1, p - 1) rho^K is 0 at K = 0, above the log of
     the bound, and concave in K (its steps log((K + p) / (K + 1)) + log(rho)
@@ -362,7 +387,7 @@ def _skipped_steps(n, p, rho, burn_in):
         reach = bisect_left(range(burn_in), True, key=lambda k: (
             math.lgamma(k + p) - math.lgamma(k + 1) - math.lgamma(p) + k * log_rho <= log_bound))
     skip = burn_in - reach  # reach <= burn_in
-    return skip - skip % BLOCK_STEPS
+    return skip - skip % block
 
 
 def _require_finite(name, a):

@@ -209,6 +209,48 @@ class TestFit:
         assert res.converged
 
 
+class TestLogDetBeforeWorkspace:
+    """A fit that picks its own starts builds W's log-det backend before its
+    LikelihoodWorkspace, so that the build's transient and the workspace do
+    not add up in its peak memory; a fit given its starts builds nothing
+    early."""
+
+    @staticmethod
+    def seen_at_workspace(monkeypatch, W):
+        """W's log-det record and whether it holds its spectrum, read as each
+        LikelihoodWorkspace is made."""
+        seen, init = [], likelihood.LikelihoodWorkspace.__init__
+
+        def spy(ws, spec, data):
+            seen.append((W.log_det_record, "eigenvalues" in W.__dict__))
+            init(ws, spec, data)
+
+        monkeypatch.setattr(likelihood.LikelihoodWorkspace, "__init__", spy)
+        return seen
+
+    @pytest.mark.parametrize("backend", ["series", "spectrum"])
+    @pytest.mark.parametrize("own_starts", [True, False], ids=["own-starts", "given-starts"])
+    def test_backend_built_first(self, monkeypatch, backend, own_starts):
+        if backend == "series":
+            monkeypatch.setattr(weights, "N_SERIES", 20)
+        spec = model1_spec(pa.build_queen_lattice(6, 6))
+        data = pa.simulate(spec, model1_theta(), seed=3, T=8, burn_in=100,
+                           covariate_columns=MODEL1_COLUMNS)
+        seen = self.seen_at_workspace(monkeypatch, spec.W)
+        starts = None if own_starts else [model1_theta()]
+        pa.fit(spec, data, n_starts=2, seed=0, starts=starts, covariance=False)
+        [(record, spectrum)] = seen
+        assert record["backend"] == backend
+        if backend == "series":
+            # the ordering node and the inner positive piece, which the
+            # starts' grid reads first
+            built = (["positive-inner"], weights.SERIES_NODES) if own_starts else ([], 0)
+            assert (record["pieces"], record["factorizations"]) == built
+            assert not spectrum
+        else:
+            assert spectrum == own_starts
+
+
 class TestFormatTable:
     """fit.txt's bytes, in both layouts, pinned as literal strings."""
 

@@ -19,7 +19,7 @@ from conftest import (MODEL1_COLUMNS, MODEL1_THETA, assert_reads_agree, assert_s
                       random_causal_theta, reference_write_panel_csv)
 from pstarann import _csv
 from pstarann.model import CAUSAL_MARGIN
-from pstarann.simulate import BLOCK_STEPS, SKIP_BOUND, _skipped_steps
+from pstarann.simulate import BLOCK_STEPS, SKIP_BOUND, SOLVED_BLOCK_STEPS, _skipped_steps
 
 # the module, which the package's ``simulate`` function shadows
 simulate_module = importlib.import_module("pstarann.simulate")
@@ -38,6 +38,19 @@ COVARIATE_LAYOUTS = {
     "n-c-n": [{"kind": "normal", "sd": 1.5}, {"kind": "constant", "value": -2.0},
               {"kind": "normal", "mean": 0.5, "sd": 0.8}],
 }
+
+# the fit-adj3107 benchmark's model: an intercept and three normal columns,
+# h = 2 with a linear term and t(8) errors; phi1 = 0.3 gives rho = 0.5
+ADJ_COLUMNS = [{"kind": "constant", "value": 1.0}] + [{"kind": "normal", "sd": 1.0}] * 3
+
+
+def adj_spec(W):
+    return pa.ModelSpec(W=W, p=1, q=4, h=2, density=pa.scaled_t(8), include_intercept=True)
+
+
+def adj_theta(phi=0.3):
+    return pa.ParameterVector(0.4, [phi], [-1.2, 0.15, -1.2, -0.15], [3.2, 1.8],
+                              [[0.5, 1.6, -2.5, 2.3], [0.4, -1.8, 1.3, -0.9]])
 
 
 class TestSimulate:
@@ -227,21 +240,23 @@ class TestGenerateCovariates:
     @pytest.mark.parametrize("first", [0, 1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1,
                                        2 * BLOCK_STEPS + 4, 2 * BLOCK_STEPS + 5])
     def test_first_keeps_the_tail_of_the_full_draw(self, columns, first):
-        # simulate's block generator: every step is drawn, so the blocks
-        # from row first on are the whole draw's bits, and once they are
-        # exhausted the generator ends where the whole draw leaves it, with
-        # every normal column but the last drawn again from a copy
+        # simulate's block generator, in the blocks of either path: every
+        # step is drawn, so the blocks from row first on are the whole
+        # draw's bits, and once they are exhausted the generator ends where
+        # the whole draw leaves it, with every normal column but the last
+        # drawn again from a copy
         T = 2 * BLOCK_STEPS + 5
-        full_rng, part_rng = np.random.default_rng(4), np.random.default_rng(4)
-        full = oracle_covariates(columns, 6, T, full_rng)
-        blocks = [block.copy() for block in
-                  simulate_module._covariate_blocks(columns, 6, T, part_rng, first)]
-        assert [len(block) for block in blocks] == [
-            min(BLOCK_STEPS, T - t0) for t0 in range(first, T, BLOCK_STEPS)]
-        part = np.concatenate(blocks) if blocks else np.empty((0, 6, len(columns)))
-        assert part.shape == (T - first, 6, len(columns))
-        assert np.array_equal(part, full[first:])
-        assert np.array_equal(part_rng.random(3), full_rng.random(3))
+        for size in (SOLVED_BLOCK_STEPS, BLOCK_STEPS):
+            full_rng, part_rng = np.random.default_rng(4), np.random.default_rng(4)
+            full = oracle_covariates(columns, 6, T, full_rng)
+            blocks = [block.copy() for block in
+                      simulate_module._covariate_blocks(columns, 6, T, part_rng, first, size)]
+            assert [len(block) for block in blocks] == [
+                min(size, T - t0) for t0 in range(first, T, size)]
+            part = np.concatenate(blocks) if blocks else np.empty((0, 6, len(columns)))
+            assert part.shape == (T - first, 6, len(columns))
+            assert np.array_equal(part, full[first:])
+            assert np.array_equal(part_rng.random(3), full_rng.random(3))
 
     @pytest.mark.parametrize("first", [-1, 8])
     def test_first_outside_the_draw_rejected(self, first):
@@ -635,15 +650,16 @@ class TestExogenousDrive:
         assert np.array_equal(data.Y, Y[burn_in:])
 
 
-B = BLOCK_STEPS
+B, S = BLOCK_STEPS, SOLVED_BLOCK_STEPS
 
 
 class TestStreamedSimulation:
-    """The simulator runs its time loop in blocks of BLOCK_STEPS steps and
-    keeps only the retained window; its panels must equal the whole-array
-    oracle's bit for bit, wherever the burn-in ends inside a block."""
+    """The simulator runs its time loop in blocks of SOLVED_BLOCK_STEPS steps
+    and keeps only the retained window; its panels must equal the bits of
+    the whole-array oracle, which forms its drive in BLOCK_STEPS blocks,
+    wherever the burn-in ends inside a block of either size."""
 
-    @pytest.mark.parametrize("burn_in", [0, 1, B - 1, B, B + 1, 200])
+    @pytest.mark.parametrize("burn_in", [0, 1, S - 1, S, S + 1, B - 1, B, B + 1, 200])
     @pytest.mark.parametrize("density", [pa.normal(), pa.scaled_t(8), pa.laplace()],
                              ids=lambda d: d.label)
     @pytest.mark.parametrize("p, h", [(0, 0), (0, 2), (1, 0), (1, 2), (2, 0), (2, 2)])
@@ -686,14 +702,10 @@ class TestStreamedSimulation:
         # h = 2, t(8) errors, 200 burn-in steps and T = 2, so that X is almost
         # all of what a simulation must hold. Whole-array drives and
         # activations peak at about 2.5 bytes(X).
-        spec = pa.ModelSpec(W=pa.build_queen_lattice(40, 40), p=1, q=4, h=2,
-                            density=pa.scaled_t(8), include_intercept=True)
-        theta = pa.ParameterVector(0.4, [0.3], [-1.2, 0.15, -1.2, -0.15], [3.2, 1.8],
-                                   [[0.5, 1.6, -2.5, 2.3], [0.4, -1.8, 1.3, -0.9]])
-        columns = [{"kind": "constant", "value": 1.0}] + [{"kind": "normal", "sd": 1.0}] * 3
+        spec = adj_spec(pa.build_queen_lattice(40, 40))
         tracemalloc.start()
         try:
-            pa.simulate(spec, theta, seed=3, burn_in=200, T=2, covariate_columns=columns)
+            pa.simulate(spec, adj_theta(), seed=3, burn_in=200, T=2, covariate_columns=ADJ_COLUMNS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -749,15 +761,11 @@ class TestSpectralSimulation:
         # as TestStreamedSimulation's bound, on a 20x20 lattice with the
         # eigenbasis built beforehand: a block is mapped into the basis and
         # back only for the retained rows, so X is still almost all of it
-        spec = pa.ModelSpec(W=pa.build_queen_lattice(20, 20), p=1, q=4, h=2,
-                            density=pa.scaled_t(8), include_intercept=True)
-        theta = pa.ParameterVector(0.4, [0.3], [-1.2, 0.15, -1.2, -0.15], [3.2, 1.8],
-                                   [[0.5, 1.6, -2.5, 2.3], [0.4, -1.8, 1.3, -0.9]])
-        columns = [{"kind": "constant", "value": 1.0}] + [{"kind": "normal", "sd": 1.0}] * 3
+        spec = adj_spec(pa.build_queen_lattice(20, 20))
         _ = spec.W.eigenbasis
         tracemalloc.start()
         try:
-            pa.simulate(spec, theta, seed=3, burn_in=200, T=2, covariate_columns=columns,
+            pa.simulate(spec, adj_theta(), seed=3, burn_in=200, T=2, covariate_columns=ADJ_COLUMNS,
                         spectral=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -766,18 +774,18 @@ class TestSpectralSimulation:
         assert peak < 1.3 * x_bytes
 
 
-def reference_skip(n, p, rho, burn_in):
+def reference_skip(n, p, rho, burn_in, block):
     """simulate's skip by its rule, from a loop over K with exact binomials."""
     K = 0
     if p and rho:
         while K < burn_in and (n + 1) * math.comb(K + p - 1, p - 1) * rho ** K > SKIP_BOUND:
             K += 1
     skip = max(burn_in - K, 0)
-    return skip - skip % BLOCK_STEPS
+    return skip - skip % block
 
 
 # (design, p, h, density, phi0, phi): every family, p = 1..3, h = 0..2 and
-# rho = 0 to 0.66, each with a burn-in cut of 32 to 192 steps
+# rho = 0 to 0.66, each with a burn-in cut of 32 to 200 steps
 CUT_DESIGNS = [
     ("10x10", 1, 0, pa.normal(), 0.4, [0.3]),
     ("10x10", 1, 2, pa.scaled_t(8), -0.3, [0.25]),
@@ -805,29 +813,35 @@ class TestBurnInCut:
 
     @pytest.mark.parametrize("p", [0, 1, 2, 3, 7])
     def test_skip_follows_the_rule(self, p):
-        for n, rho, burn_in in itertools.product([9, 400, 3107, 10**5],
-                                                 [0.0, 1e-3, 0.25, 0.5, 0.69, 0.8],
-                                                 [0, B - 1, B, 200, 1000]):
-            assert _skipped_steps(n, p, rho, burn_in) == reference_skip(n, p, rho, burn_in)
+        for n, rho, burn_in, block in itertools.product(
+                [9, 400, 3107, 10**5], [0.0, 1e-3, 0.25, 0.5, 0.69, 0.8],
+                [0, S - 1, S, S + 1, B - 1, B, 200, 1000], [S, B]):
+            assert _skipped_steps(n, p, rho, burn_in, block) \
+                == reference_skip(n, p, rho, burn_in, block)
 
     @pytest.mark.parametrize("rho, burn_in", [(0.95, 200), (1.0 - CAUSAL_MARGIN, 10**6)])
     @pytest.mark.parametrize("p", [1, 3])
     def test_no_skip_near_the_causal_margin(self, p, rho, burn_in):
-        assert _skipped_steps(400, p, rho, burn_in) == 0
+        assert _skipped_steps(400, p, rho, burn_in, S) == 0
+        assert _skipped_steps(400, p, rho, burn_in, B) == 0
 
     @pytest.mark.parametrize("p, rho", [(0, 0.0), (1, 0.0), (2, 0.3)])
     def test_no_skip_below_one_block(self, p, rho):
-        assert _skipped_steps(400, p, rho, B - 1) == 0
+        assert _skipped_steps(400, p, rho, S - 1, S) == 0
+        assert _skipped_steps(400, p, rho, B - 1, B) == 0
 
     @pytest.mark.parametrize("burn_in", [B, B + 1, 200])
     @pytest.mark.parametrize("p", [0, 1, 3])
     def test_memoryless_recursion_skips_whole_blocks(self, p, burn_in):
         # rho = 0 (or p = 0): no step reaches the next, so K = 0
-        assert _skipped_steps(400, p, 0.0, burn_in) == burn_in - burn_in % B
+        for block in (S, B):
+            assert _skipped_steps(400, p, 0.0, burn_in, block) == burn_in - burn_in % block
 
     def test_fit_adj3107_skip(self):
-        # rho = 0.5 at n = 3107: K = 92, so 108 steps, rounded down to 96
-        assert _skipped_steps(3107, 1, 0.5, 200) == 96
+        # rho = 0.5 at n = 3107: K = 92, so 108 steps, rounded down to 104
+        # in the solved path's 8-step blocks and to 96 in 32-step ones
+        assert _skipped_steps(3107, 1, 0.5, 200, S) == 104
+        assert _skipped_steps(3107, 1, 0.5, 200, B) == 96
 
     @pytest.mark.parametrize("spectral", [False, True], ids=["lu", "spectral"])
     @pytest.mark.parametrize("design, p, h, density, phi0, phi", CUT_DESIGNS,
@@ -841,7 +855,7 @@ class TestBurnInCut:
                                    np.sort(rng.uniform(0.3, 1.5, h))[::-1],
                                    rng.standard_normal((h, 3)))
         rho = pa.check_causal(spec, theta).max_root_modulus
-        assert 32 <= _skipped_steps(spec.n, p, rho, 200) <= 192
+        assert 32 <= _skipped_steps(spec.n, p, rho, 200, B if spectral else S) <= 200
         kwargs = {"seed": p + h, "T": 5, "covariate_columns": INTERCEPT_COLUMNS}
         got = pa.simulate(spec, theta, spectral=spectral, **kwargs)
         if spectral:
@@ -852,18 +866,35 @@ class TestBurnInCut:
         assert np.array_equal(got.Y, want.Y)
         assert np.array_equal(got.X, want.X)
 
+    def test_fit_adj3107_design_keeps_the_full_burn_in_bits(self):
+        # the benchmark's n = 3107 design (the Delaunay graph of seeded
+        # points, fit-adj3107's model, T = 2): the solved path cuts 104 steps
+        # and forms its drive in 8-step blocks, the oracle simulates every
+        # step and forms its drive in 32-step blocks. The spectral path is
+        # left out: its eigenbasis is a dense eigensolve at this n.
+        spec = adj_spec(delaunay_weights(3107, 1))
+        rho = pa.check_causal(spec, adj_theta()).max_root_modulus
+        assert _skipped_steps(spec.n, 1, rho, 200, S) == 104
+        for seed in (1, 2):
+            kwargs = {"seed": seed, "T": 2, "covariate_columns": ADJ_COLUMNS}
+            got = pa.simulate(spec, adj_theta(), **kwargs)
+            want = oracle_simulate(spec, adj_theta(), **kwargs)
+            assert np.array_equal(got.Y, want.Y) and np.array_equal(got.X, want.X)
+
     def test_no_skip_without_max_norm_contraction(self):
         # model 1's network on the Delaunay graph of 600 seeded points, with
-        # phi0 = -0.464 and phi1 = 0.863: rho = 0.59 allows a cut of 64 steps,
-        # but sum |phi_i| / (1 - |phi0|) = 1.61, and with that cut the LU
-        # panels of seeds 0-4 moved in 99 to 351 of 6,600 entries
+        # phi0 = -0.464 and phi1 = 0.863: rho = 0.59 allows a cut of 80 steps
+        # (64 in 32-step blocks), but sum |phi_i| / (1 - |phi0|) = 1.61, and
+        # with the cut of 64 the LU panels of seeds 0-4 moved in 99 to 351 of
+        # 6,600 entries
         rng = np.random.default_rng(np.random.SeedSequence(2, spawn_key=(1,)))
         s = Delaunay(rng.random((600, 2))).simplices
         W = pa.from_adjacency(np.concatenate([s[:, [0, 1]], s[:, [1, 2]], s[:, [2, 0]]]), 600)
         spec = model1_spec(W)
         theta = pa.ParameterVector(**{**MODEL1_THETA, "phi0": -0.464, "phi": [0.863]})
         rho = pa.check_causal(spec, theta).max_root_modulus
-        assert _skipped_steps(spec.n, 1, rho, 200) == 64
+        assert _skipped_steps(spec.n, 1, rho, 200, S) == 80
+        assert _skipped_steps(spec.n, 1, rho, 200, B) == 64
         for seed in range(5):
             kwargs = {"seed": seed, "T": 10, "covariate_columns": MODEL1_COLUMNS}
             got = pa.simulate(spec, theta, **kwargs)
@@ -880,7 +911,7 @@ class TestBurnInCut:
         burn_in, T = 2 * B, 3
         steps = burn_in + p + T
         assert _skipped_steps(spec.n, p, pa.check_causal(spec, theta).max_root_modulus,
-                              burn_in) > 4
+                              burn_in, S) > 4
         inputs = {"X": np.zeros((steps, spec.n, 2)), "errors": np.zeros((steps, spec.n))}
         inputs[name][4, 7] = np.nan if p else np.inf
         column = ", covariate 0" if name == "X" else ""
@@ -890,7 +921,7 @@ class TestBurnInCut:
 
     def test_peak_memory_is_block_sized_with_or_without_a_cut(self):
         # the fit-adj3107 model on a 55x55 lattice (n = 3025): phi1 = 0.3
-        # gives rho = 0.5 and a cut of 96 steps, phi1 = 0.45 gives rho = 0.75
+        # gives rho = 0.5 and a cut of 104 steps, phi1 = 0.45 gives rho = 0.75
         # and none. Neither run holds the covariates of its simulated steps,
         # so beyond the returned panel both peak at the same block-sized
         # memory: one covariate block (q columns), the covariate draw's and
@@ -899,9 +930,7 @@ class TestBurnInCut:
         # factor, whose traced build peak is measured alone. The two peaks
         # differ by at most the few KB of interpreter objects by which
         # tracemalloc's peaks of two equal calls differ (64 KiB allowed)
-        spec = pa.ModelSpec(W=pa.build_queen_lattice(55, 55), p=1, q=4, h=2,
-                            density=pa.scaled_t(8), include_intercept=True)
-        columns = [{"kind": "constant", "value": 1.0}] + [{"kind": "normal", "sd": 1.0}] * 3
+        spec = adj_spec(pa.build_queen_lattice(55, 55))
         tracemalloc.start()
         try:
             spec.W.a0_factor(0.4)
@@ -910,19 +939,20 @@ class TestBurnInCut:
             tracemalloc.stop()
         beyond = {}
         for phi in (0.3, 0.45):
-            theta = pa.ParameterVector(0.4, [phi], [-1.2, 0.15, -1.2, -0.15], [3.2, 1.8],
-                                       [[0.5, 1.6, -2.5, 2.3], [0.4, -1.8, 1.3, -0.9]])
+            theta = adj_theta(phi)
             rho = pa.check_causal(spec, theta).max_root_modulus
             tracemalloc.start()
             try:
                 data = pa.simulate(spec, theta, seed=3, burn_in=200, T=2,
-                                   covariate_columns=columns)
+                                   covariate_columns=ADJ_COLUMNS)
                 beyond[phi] = tracemalloc.get_traced_memory()[1] - data.Y.nbytes - data.X.nbytes
             finally:
                 tracemalloc.stop()
-            assert _skipped_steps(spec.n, 1, rho, 200) == (96 if phi == 0.3 else 0)
+            assert _skipped_steps(spec.n, 1, rho, 200, S) == (104 if phi == 0.3 else 0)
         assert abs(beyond[0.3] - beyond[0.45]) <= 2**16
-        block_bound = BLOCK_STEPS * spec.n * (spec.q + 2 * spec.h + 4) * 8 + factor_peak
+        # the blocks of the solved path, which every simulate without
+        # spectral=True takes
+        block_bound = S * spec.n * (spec.q + 2 * spec.h + 4) * 8 + factor_peak
         assert max(beyond.values()) <= block_bound
 
 
