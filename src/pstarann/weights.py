@@ -70,6 +70,18 @@ use the series' own sparse LU (``_symmetric_lu``): diagonal pivots in
 SuperLU's symmetric mode, here in the minimum-degree ordering of A0's
 pattern (MMD on A0 + A0^T), with the same check of the factor.
 
+A sparse factor lives only inside the call that uses it. The one
+exception is the A0 factor that ``a0_factor`` hands to ``simulate`` and
+``psi_expansion`` for their solves. So the series keeps no factor, while
+it is built or after. What a caller keeps of a SuperLU object must own
+its data: ``perm_c`` and ``perm_r`` are views whose ``.base`` is the
+factor, and one kept alive keeps the whole factor (its native L and U
+and the CSC copies that ``.U`` caches) alive with it. The series'
+ordering is therefore returned as a copy. At n = 3107 the view had kept
+the ordering node's factor alive while the series' pattern was
+allocated above it, and the pattern then pinned the top of the heap
+(ROADMAP item 8).
+
 Only ``eigenbasis`` materializes eigenvectors: S = Q diag(tau) Q^T gives
 W = D^{-1/2} Q diag(tau) Q^T D^{1/2}, so in the coordinates
 z = Q^T D^{1/2} y the recursion of a simulation becomes n scalar AR(p)
@@ -193,7 +205,10 @@ class LogDetSeries:
     pieces the series keeps the renumbered pattern (O(nnz) arrays, which
     pickle with it) and the ordering node's value, which the inner
     positive piece reuses. So every node value, and every coefficient, is
-    the same whichever piece is built first. No factor is kept.
+    the same whichever piece is built first. No factor is kept, the
+    ordering node's included: its ordering is copied out of the factor
+    (``perm_c`` is a view that keeps the factor alive), so the factor is
+    freed before the pattern is renumbered.
 
     Attributes
     ----------
@@ -278,7 +293,9 @@ def _symmetric_lu(A, permc_spec):
     for the series' nodes and ``WeightMatrix.a0_factor``. A needs a symmetric
     pattern and pivots of positive real part, as I - z S (|Re z| < 1) and
     A0 (|phi0| < 1) have; a factor with unequal row and column permutations
-    or a nonpositive pivot raises ``NumericalError``."""
+    or a nonpositive pivot raises ``NumericalError``. The factor's
+    ``perm_r`` and ``perm_c`` are views that keep it alive: a caller copies
+    what it keeps of them."""
     # options={"Fact": "SamePattern"} would reuse the ordering inside SuperLU,
     # but it crashes the interpreter in scipy 1.17; a prepermuted pattern
     # factored in its NATURAL order does the same.
@@ -292,9 +309,11 @@ def _symmetric_lu(A, permc_spec):
 
 
 def _complex_step_derivative(A, permc_spec):
-    """(Im ln|A| / h, the column ordering) for A = I - (phi0 + ih) S."""
+    """(Im ln|A| / h, the column ordering) for A = I - (phi0 + ih) S. The
+    ordering is a copy of ``perm_c``, which is a view that keeps the factor
+    alive, so the factor is freed when this returns."""
     lu, pivots = _symmetric_lu(A, permc_spec)
-    return float(np.sum(np.log(pivots)).imag) / COMPLEX_STEP, lu.perm_c
+    return float(np.sum(np.log(pivots)).imag) / COMPLEX_STEP, lu.perm_c.copy()
 
 
 def _renumbered(S, perm):
