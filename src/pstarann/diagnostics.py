@@ -33,6 +33,12 @@ from .model import ModelSpec
 __all__ = ["morans_i", "residual_diagnostics", "heatmap_grid"]
 
 
+def _centered(v):
+    """(e, e'e) for e = v - mean(v): e'e is 0 for a constant v."""
+    e = v - v.mean()
+    return e, float(e @ e)
+
+
 def morans_i(W, v):
     """Moran's I of an n-vector with normality-null z and two-sided p-value.
 
@@ -43,8 +49,7 @@ def morans_i(W, v):
     n = W.n
     if v.size != n:
         raise ValueError(f"vector has length {v.size}, weights have n={n}")
-    e = v - v.mean()
-    ee = float(e @ e)
+    e, ee = _centered(v)
     if ee <= 0.0:
         raise ValueError("Moran's I is undefined for a constant vector")
 
@@ -64,10 +69,17 @@ def residual_diagnostics(spec: ModelSpec, residuals):
     ``residuals`` is the (T, n) matrix of a fit (``FitResult.residuals``).
     Returns a dict with one Moran result per time slice and pooled QQ pairs
     (theoretical quantile of the fitted density at plotting position
-    (k - 1/2)/N against the sorted residual).
+    (k - 1/2)/N against the sorted residual). A slice whose residuals are
+    constant, as an exact fit of a constant panel leaves them, has no
+    Moran's I: its ``I``, ``z`` and ``pvalue`` are None, and ``reason``
+    says why. ``morans_i`` itself raises on such a vector.
     """
     per_t = []
     for t, e in enumerate(residuals, 1):
+        if _centered(e)[1] <= 0.0:  # where morans_i raises
+            per_t.append({"t": t, "I": None, "z": None, "pvalue": None,
+                          "reason": "residuals constant in this slice: Moran's I is undefined"})
+            continue
         r = morans_i(spec.W, e)
         per_t.append({"t": t, "I": r["I"], "z": r["z"], "pvalue": r["pvalue"]})
     pooled = np.sort(residuals, axis=None)

@@ -62,7 +62,7 @@ from scipy.special import chdtrc
 
 from . import weights
 from .densities import SmoothedLaplace
-from .likelihood import LikelihoodWorkspace, NumericalError
+from .likelihood import LikelihoodWorkspace, NonFiniteHessianError, NumericalError
 from .model import (
     CausalityCheck,
     ModelSpec,
@@ -399,7 +399,9 @@ def _trust_region_newton(fun, x0, hess, bounds, gtol=1e-8, maxiter=500):
     accepted or not, and ``nfev`` the calls of ``fun``; ``pg_norm`` is the
     projected-gradient norm of the last ``_first_order`` test, at the
     returned x, and ``success`` is that test's outcome. A start where
-    ``fun`` is not finite returns ``fun = inf`` and ``pg_norm = inf``.
+    ``fun`` is not finite, or an iterate where ``hess`` raises
+    ``NonFiniteHessianError``, fails the start: it returns ``fun = inf``
+    and ``pg_norm = inf``, and the message names the cause.
     """
     lb, ub = np.asarray(bounds, dtype=float).T
     x = np.clip(x0, lb, ub)
@@ -427,7 +429,11 @@ def _trust_region_newton(fun, x0, hess, bounds, gtol=1e-8, maxiter=500):
             message = f"no progress: {flat} trials gained less than the rounding of f"
             break
         if new:
-            B = hess(x)
+            try:
+                B = hess(x)
+            except NonFiniteHessianError as exc:  # a failed start, as a non-finite f is
+                return TrustRegionResult(x, np.inf, nit, nfev, False, np.inf,
+                                         f"Hessian failed: {exc}")
             eig = np.linalg.eigh(B[np.ix_(free, free)])
             new = False
         nit += 1
@@ -563,9 +569,10 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
         })
 
     if not candidates:
+        last = f" (last start: {trace[-1]['message']})" if trace else ""
         raise FitError(
             f"all {n_starts} starts failed to produce a finite optimum; "
-            "check data scaling and bounds"
+            f"check data scaling and bounds{last}"
         )
 
     neg_ll, _, best, nit_best = min(candidates, key=lambda c: c[:2])
@@ -616,7 +623,7 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
             result.covariance = cov["omega"]
             result.std_errors = cov["se"]
             result.ci95 = cov["ci95"]
-        except (CovarianceUnavailableError, ValueError) as exc:
+        except (CovarianceUnavailableError, ValueError, NumericalError) as exc:
             # point estimates stand; inference degrades with an explanation
             result.cov_note = str(exc)
     return result

@@ -77,16 +77,24 @@ import logging
 
 import numpy as np
 
-from .model import ModelSpec, PanelData, ParameterVector, sigmoid
+from .model import ModelSpec, PanelData, ParameterVector, param_names, sigmoid
 from .weights import NumericalError
 
 __all__ = [
     "NumericalError",
+    "NonFiniteHessianError",
     "LikelihoodWorkspace",
     "log_likelihood",
 ]
 
 logger = logging.getLogger(__name__)
+
+
+class NonFiniteHessianError(NumericalError):
+    """A Hessian entry that is not finite: the panel's scale overflowed at
+    this theta. The trust region fails the start that meets it; other
+    ``NumericalError``s end the fit."""
+
 
 # ``log_likelihood``'s allowance, per observation and relative to the
 # density sum, for the computed log-det's rounding above 0 and for the
@@ -240,6 +248,10 @@ class LikelihoodWorkspace:
 
         Unavailable for the Laplace family, whose log-density has no second
         derivative at 0; use the outer-product-only covariance instead.
+        Raises ``NonFiniteHessianError`` naming the first parameter pair
+        whose entry is not finite (an overflowing panel), checked before
+        the asymmetry test that a NaN would pass, and ``NumericalError``
+        when the matrix is asymmetric beyond rounding.
         """
         spec = self.spec
         if not self._density.differentiable:
@@ -264,6 +276,11 @@ class LikelihoodWorkspace:
                 H[l0 + i, gi] += cross[i]
                 H[gi, l0 + i] += cross[i]
                 H[gi, gi] -= theta.lam[i] * _weighted_gram(X, wpp[i])
+        if not np.isfinite(H).all():  # checked first: NaN passes the asymmetry test
+            i, j = np.argwhere(~np.isfinite(H))[0]
+            names = param_names(spec)
+            raise NonFiniteHessianError(
+                f"Hessian entry ({names[i]}, {names[j]}) is not finite")
         asym = np.max(np.abs(H - H.T)) if H.size else 0.0
         if asym > 1e-9 * max(1.0, np.max(np.abs(H))):
             raise NumericalError(f"Hessian asymmetry {asym:.3e} exceeds tolerance")

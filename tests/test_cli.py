@@ -733,6 +733,67 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert "error: Hessian asymmetry" in err
 
+    # model 1 as demos/model1.json has it, on a 6x6 lattice with T = 8
+    HOSTILE_CONFIG = {**MODEL1_CONFIG, "simulate": {"T": 8, "burn_in": 200},
+                      "optim": {"n_starts": 5, "tol": 1e-8, "max_iter": 500}}
+
+    def hostile_panel(self, tmp_path, cfg_dict, change):
+        """(config path, panel path): a panel simulated with seed 3 under
+        ``cfg_dict``, then ``change(data)`` in place."""
+        cfg = write_config(tmp_path, cfg_dict)
+        code, err = run_main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim"),
+                              "--seed", "3"])
+        assert (code, err) == (0, "")
+        data = pa.read_panel_csv(tmp_path / "sim" / "panel.csv", p=1, q=2)
+        change(data)
+        pa.write_panel_csv(tmp_path / "hostile.csv", data)
+        return cfg, str(tmp_path / "hostile.csv")
+
+    def test_overflowing_covariates_exit_3_or_agree(self, tmp_path):
+        # X times 1e200 overflows the Hessian's beta block to inf: a start
+        # that meets it fails, and a covariance that meets it is a note. A
+        # NaN that reached eigh would raise LinAlgError, a ValueError: exit 2
+        cfg_dict = json.loads(json.dumps(self.HOSTILE_CONFIG))
+        cfg_dict["model"]["linear_term"] = True
+        cfg_dict["theta"]["beta"] = [0.5, -0.3]
+
+        def scale(data):
+            data.X[...] *= 1e200
+
+        cfg, panel = self.hostile_panel(tmp_path, cfg_dict, scale)
+        out = tmp_path / "fit"
+        code, err = run_main(["fit", "--config", cfg, "--panel", panel, "--out", str(out),
+                              "--seed", "1"])
+        assert code in (0, 3), err
+        if (out / "fit.json").exists():
+            assert json.loads((out / "fit.json").read_text())["converged"] == (code == 0)
+        else:
+            assert code == 3 and "Hessian entry (beta1, beta1) is not finite" in err, err
+        assert "Traceback" not in err
+
+    def test_constant_panel_laplace_fit_exit_0_with_diagnostics(self, tmp_path):
+        # y = 1 everywhere: this Laplace fit reaches residuals that are
+        # constant in every slice, where Moran's I is undefined. Its entries
+        # are null with their reason, and the exit code follows converged
+        cfg_dict = json.loads(json.dumps(self.HOSTILE_CONFIG))
+        cfg_dict["model"]["density"] = "laplace"
+
+        def ones(data):
+            data.Y[...] = 1.0
+
+        cfg, panel = self.hostile_panel(tmp_path, cfg_dict, ones)
+        out = tmp_path / "fit"
+        code, err = run_main(["fit", "--config", cfg, "--panel", panel, "--out", str(out),
+                              "--seed", "1"])
+        assert json.loads((out / "fit.json").read_text())["converged"] == (code == 0)
+        assert code == 0, err
+        moran = json.loads((out / "diagnostics.json").read_text())["moran_per_t"]
+        assert len(moran) == 8
+        for entry in moran:
+            if entry["I"] is None:
+                assert entry["z"] is None and entry["pvalue"] is None
+                assert entry["reason"] == "residuals constant in this slice: Moran's I is undefined"
+
     def test_laplace_table_without_se_columns(self, tmp_path, capsys):
         cfg_dict = json.loads(json.dumps(MODEL1_CONFIG))
         cfg_dict["model"]["density"] = "laplace"

@@ -136,6 +136,23 @@ class TestResidualDiagnostics:
         assert len(diag["moran_per_t"]) == 8
 
 
+    def test_constant_slice_recorded_as_null(self, fitted):
+        # an exact fit of a constant panel leaves constant residuals: that
+        # slice's Moran entry is null with its reason, the others as before
+        spec, data, res = fitted
+        residuals = res.residuals.copy()
+        residuals[2] = 0.125
+        diag = pa.residual_diagnostics(spec, residuals)
+        want = pa.residual_diagnostics(spec, res.residuals)["moran_per_t"]
+        got = diag["moran_per_t"]
+        assert got[2] == {"t": 3, "I": None, "z": None, "pvalue": None,
+                          "reason": "residuals constant in this slice: Moran's I is undefined"}
+        assert got[:2] + got[3:] == want[:2] + want[3:]
+        assert diag["qq"].shape == (data.n * data.T, 2)
+        with pytest.raises(ValueError, match="constant vector"):
+            pa.morans_i(spec.W, residuals[2])
+
+
 class TestHeatmapGrid:
     def test_2x2_row_major(self):
         grid = pa.heatmap_grid(np.array([1.0, 2.0, 3.0, 4.0]), (2, 2))

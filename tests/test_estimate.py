@@ -557,6 +557,42 @@ class TestTrustRegionNewton:
         assert sum(t["nit"] for t in res.trace) > len(starts)
         assert len(calls) == sum(t["nfev"] for t in res.trace)
 
+    def test_non_finite_hessian_fails_the_start(self):
+        # as a non-finite objective at the start does: fun = inf, so the
+        # start is no candidate, and the message names the cause
+        def hess(x):
+            raise likelihood.NonFiniteHessianError("Hessian entry (beta1, beta1) is not finite")
+
+        res = estimate._trust_region_newton(
+            lambda x, threshold=np.inf: (float(x @ x), 2.0 * x), np.full(2, 0.5),
+            hess=hess, bounds=[(-1.0, 1.0)] * 2)
+        assert (res.fun, res.pg_norm, res.success, res.nit, res.nfev) == (np.inf, np.inf,
+                                                                          False, 0, 1)
+        assert res.message == "Hessian failed: Hessian entry (beta1, beta1) is not finite"
+
+    def test_every_start_meeting_a_non_finite_hessian_raises_fit_error(self, w33, monkeypatch):
+        def failing(ws, theta):
+            raise likelihood.NonFiniteHessianError("Hessian entry (beta1, beta1) is not finite")
+
+        monkeypatch.setattr(pa.LikelihoodWorkspace, "hessian", failing)
+        spec, data = small_model1_data(w33, T=6)
+        with pytest.raises(pa.FitError, match=r"all 2 starts failed .*\(last start: Hessian "
+                                              r"failed: Hessian entry \(beta1, beta1\)"):
+            pa.fit(spec, data, n_starts=2, seed=0)
+
+    def test_covariance_numerical_error_leaves_the_estimate(self, w33, monkeypatch):
+        spec, data = small_model1_data(w33, T=6)
+        want = pa.fit(spec, data, n_starts=2, seed=0, covariance=False)
+
+        def failing(ws, theta):
+            raise pa.NumericalError("Hessian entry (phi0, phi0) is not finite")
+
+        monkeypatch.setattr(estimate, "sandwich_covariance", failing)
+        res = pa.fit(spec, data, n_starts=2, seed=0)
+        assert res.loglik == want.loglik and np.array_equal(res.theta.x, want.theta.x)
+        assert res.std_errors is None
+        assert res.to_json_dict()["covariance_note"] == "Hessian entry (phi0, phi0) is not finite"
+
     def test_trace_has_one_record_per_start(self, w1010):
         spec, data = small_model1_data(w1010, seed=17, T=10)
         res = pa.fit(spec, data, n_starts=3, seed=1, covariance=False)

@@ -157,6 +157,22 @@ class TestHessian:
         H = pa.LikelihoodWorkspace(spec, data).hessian(theta)
         assert_allclose(H, H.T, atol=0)
 
+    def test_non_finite_entry_named(self, w33):
+        # covariates of 1e200 overflow the beta block's Gram to inf, and
+        # H - H.T to NaN there, which the asymmetry test alone would pass;
+        # the phi0 and phi1 rows stay finite, so beta1's diagonal is named
+        rng = np.random.default_rng(43)
+        spec = pa.ModelSpec(W=w33, p=1, q=2, h=1, density=pa.normal(), linear_term=True)
+        theta = random_causal_theta(spec, rng)
+        data = random_panel(spec, 4, rng)
+        data.X[...] *= 1e200
+        ws = pa.LikelihoodWorkspace(spec, data)
+        with np.errstate(all="ignore"), \
+                pytest.raises(likelihood.NonFiniteHessianError,
+                              match=r"^Hessian entry \(beta1, beta1\) is not finite$"):
+            ws.hessian(theta)
+        assert issubclass(likelihood.NonFiniteHessianError, pa.NumericalError)
+
 
 class TestScoreOuterProduct:
     @pytest.mark.parametrize("density", [pa.normal(), pa.scaled_t(4)], ids=lambda d: d.label)

@@ -906,9 +906,11 @@ class TestSolveA0:
             assert x.shape == b.shape
             assert np.max(np.abs(x - dense)) <= 1e-13 * np.max(np.abs(dense))
 
-    def test_one_symmetric_factor(self, monkeypatch):
+    def test_checked_factor_then_the_held_one(self, monkeypatch):
         # A0 is factored as the series' nodes are: diagonal pivots in
-        # symmetric mode, here in A0's own minimum-degree ordering
+        # symmetric mode, here in A0's own minimum-degree ordering. The
+        # first factor is checked and dropped; the second, made with the
+        # same arguments, is the one returned
         real, seen = spla.splu, []
 
         def recording(*args, **kwargs):
@@ -917,11 +919,45 @@ class TestSolveA0:
             return lu
 
         monkeypatch.setattr(spla, "splu", recording)
-        pa.build_queen_lattice(6, 7).a0_factor(-0.5)
-        [(kwargs, lu)] = seen
-        assert kwargs == {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
-                          "panel_size": 1, "options": {"SymmetricMode": True}}
-        assert np.array_equal(lu.perm_r, lu.perm_c) and np.all(lu.U.diagonal() > 0.0)
+        held = pa.build_queen_lattice(6, 7).a0_factor(-0.5)
+        [(checked_kwargs, checked), (kwargs, lu)] = seen
+        assert checked_kwargs == kwargs == {
+            "permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+            "panel_size": 1, "options": {"SymmetricMode": True}}
+        assert lu is held and checked is not held
+        for factor in (checked, lu):
+            assert np.array_equal(factor.perm_r, factor.perm_c)
+            assert np.all(factor.U.diagonal() > 0.0)
+
+    def test_held_factor_carries_no_copies(self):
+        # reading the pivots through .U makes SuperLU cache CSC copies of L
+        # and U, which tracemalloc sees (the native factor it does not): a
+        # factor whose pivots were read holds about 2.2 MiB on this lattice
+        W = pa.build_queen_lattice(60, 60)
+        W.a0_factor(0.4)  # first-call caches outside the trace
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            lu = W.a0_factor(0.4)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert held < 2**16, held / 2**20
+        assert lu.solve(np.ones(W.n)).shape == (W.n,)
+
+    @pytest.mark.parametrize("design", ["lattice60x60", "delaunay60"])
+    def test_solves_equal_a_direct_splu(self, design):
+        W = {"lattice60x60": lambda: pa.build_queen_lattice(60, 60),
+             "delaunay60": lambda: delaunay_weights(60, 4)}[design]()
+        rng = np.random.default_rng(3)
+        for phi0 in (-0.5, 0.4, 0.95):
+            A0 = sp.identity(W.n, format="csc") - phi0 * W.W.tocsc()
+            direct = spla.splu(A0, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                               panel_size=1, options={"SymmetricMode": True})
+            lu = W.a0_factor(phi0)
+            assert np.array_equal(lu.perm_c, direct.perm_c)
+            for b in (rng.standard_normal(W.n), rng.standard_normal((W.n, 3))):
+                assert np.array_equal(lu.solve(b), direct.solve(b))
 
 
 class TestValidation:
