@@ -331,19 +331,26 @@ def write_diagnostics(path, diag):
         fh.write("]}")
 
 
+def write_fit_record(out, name, record, W):
+    """Write ``record`` to ``out / name`` as JSON, with W's ``log_det_record``
+    under ``log_det``: the W precomputation the fit paid for, first touched
+    by its starts."""
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / name, "w") as fh:
+        json.dump({**record, "log_det": W.log_det_record}, fh, indent=2)
+
+
 def cmd_fit(args):
     cfg, spec = load_setup(args)
     data = read_panel_csv(args.panel, spec.p, spec.q)
-    # fit() checks the panel against the spec (n, intercept, rank of X_t)
-    result = fit(spec, data, seed=args.seed, **cfg.get("optim", {}))
-
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    record = result.to_json_dict()
-    # the W precomputation the fit paid for, first touched by its starts
-    record["log_det"] = spec.W.log_det_record
-    with open(out / "fit.json", "w") as fh:
-        json.dump(record, fh, indent=2)
+    try:
+        # fit() checks the panel against the spec (n, intercept, rank of X_t)
+        result = fit(spec, data, seed=args.seed, **cfg.get("optim", {}))
+    except FitError as exc:  # every start failed: keep why in place of fit.json
+        write_fit_record(out, "fit_error.json", {"error": str(exc), "trace": exc.trace}, spec.W)
+        raise
+    write_fit_record(out, "fit.json", result.to_json_dict(), spec.W)
     table = result.format_table()
     (out / "fit.txt").write_text(table + "\n")
 

@@ -104,7 +104,12 @@ _FLAT_TRIALS = 40
 
 
 class FitError(RuntimeError):
-    """Raised when no start produces a usable optimum."""
+    """Raised when no start produces a usable optimum. ``trace`` holds one
+    record per start, as ``FitResult.trace`` does, saying why each failed."""
+
+    def __init__(self, message, trace=()):
+        super().__init__(message)
+        self.trace = list(trace)
 
 
 class CovarianceUnavailableError(RuntimeError):
@@ -572,7 +577,7 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
         last = f" (last start: {trace[-1]['message']})" if trace else ""
         raise FitError(
             f"all {n_starts} starts failed to produce a finite optimum; "
-            f"check data scaling and bounds{last}"
+            f"check data scaling and bounds{last}", trace
         )
 
     neg_ll, _, best, nit_best = min(candidates, key=lambda c: c[:2])

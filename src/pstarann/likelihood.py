@@ -249,9 +249,10 @@ class LikelihoodWorkspace:
         Unavailable for the Laplace family, whose log-density has no second
         derivative at 0; use the outer-product-only covariance instead.
         Raises ``NonFiniteHessianError`` naming the first parameter pair
-        whose entry is not finite (an overflowing panel), checked before
-        the asymmetry test that a NaN would pass, and ``NumericalError``
-        when the matrix is asymmetric beyond rounding.
+        whose entry is not finite (an overflowing panel, whose overflow
+        warnings it silences), checked before the asymmetry test that a NaN
+        would pass, and ``NumericalError`` when the matrix is asymmetric
+        beyond rounding.
         """
         spec = self.spec
         if not self._density.differentiable:
@@ -262,20 +263,23 @@ class LikelihoodWorkspace:
         tr2 = spec.W.trace_w_a0inv(theta.phi0, 2)
         c, D = self._eval(theta), self.D
         U = self._density.curvature(c["E"])
-        H = _weighted_gram(D, U)
-        H[0, 0] -= self.data.T * tr2
-        if spec.h:
-            V, X, F, Fp = c["V"], self.X, c["F"], c["Fp"]
-            l0, g0, q = self.layout.lam.start, self.layout.gamma.start, spec.q
-            # d2 eps / d lambda_i d gamma_i = -F'_i x
-            cross = -((Fp * V) @ X.T)  # (h, q)
-            # d2 eps / d gamma_i d gamma_i' = -lambda_i F''_i x x'
-            wpp = Fp * (1.0 - 2.0 * F) * V
-            for i in range(spec.h):
-                gi = slice(g0 + i * q, g0 + (i + 1) * q)
-                H[l0 + i, gi] += cross[i]
-                H[gi, l0 + i] += cross[i]
-                H[gi, gi] -= theta.lam[i] * _weighted_gram(X, wpp[i])
+        # an overflowing panel overflows these products; the finiteness test
+        # below names the entry, so numpy's warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            H = _weighted_gram(D, U)
+            H[0, 0] -= self.data.T * tr2
+            if spec.h:
+                V, X, F, Fp = c["V"], self.X, c["F"], c["Fp"]
+                l0, g0, q = self.layout.lam.start, self.layout.gamma.start, spec.q
+                # d2 eps / d lambda_i d gamma_i = -F'_i x
+                cross = -((Fp * V) @ X.T)  # (h, q)
+                # d2 eps / d gamma_i d gamma_i' = -lambda_i F''_i x x'
+                wpp = Fp * (1.0 - 2.0 * F) * V
+                for i in range(spec.h):
+                    gi = slice(g0 + i * q, g0 + (i + 1) * q)
+                    H[l0 + i, gi] += cross[i]
+                    H[gi, l0 + i] += cross[i]
+                    H[gi, gi] -= theta.lam[i] * _weighted_gram(X, wpp[i])
         if not np.isfinite(H).all():  # checked first: NaN passes the asymmetry test
             i, j = np.argwhere(~np.isfinite(H))[0]
             names = param_names(spec)

@@ -64,30 +64,28 @@ tau_min >= -1 leaves the result open (``model.check_causal``): never for
 p = 1 with phi0 >= 0.
 
 A0 is strictly row diagonally dominant, hence invertible, whenever
-|phi0| < 1 / max_i |tau_i| = 1. Gaussian elimination keeps that property,
-so every pivot on the diagonal is positive. Linear solves with A0 therefore
-use the series' own sparse LU (``_splu``): diagonal pivots in SuperLU's
-symmetric mode, here in the minimum-degree ordering of A0's pattern (MMD
-on A0 + A0^T), with the same check of the factor (``_symmetric_lu``).
+|phi0| < 1 / max_i |tau_i| = 1. Linear solves with A0 use the package's one
+sparse LU (``_splu``): diagonal pivots in SuperLU's symmetric mode, here in
+the minimum-degree ordering of A0's pattern (MMD on A0 + A0^T). The A0
+factor is not checked; ``a0_factor`` says why its pivots cannot fail. The
+series' nodes are checked (``_complex_step_derivative``), since the log of
+their pivots needs each to have a positive real part.
 
 A sparse factor lives only inside the call that uses it. The one
 exception is the A0 factor that ``a0_factor`` hands to ``simulate`` and
-``psi_expansion`` for their solves, and that factor carries no copies:
-the pivot check reads ``lu.U``, whose first access builds CSC copies of
-L and U that live as long as the factor (102 MiB for model 1's A0 at
-316x316, half of ``simulate``'s traced peak), so ``a0_factor`` checks
-one factor, drops it with its copies, and returns a second one made with
-the same arguments. SuperLU is deterministic, so the two are equal and
-every solve keeps its bits; the price is one more LU of A0 per call. The
-series keeps no factor, while it is built or after; its nodes read their
-pivots, so each node's copies live only inside its call. What a caller
-keeps of a SuperLU object must own its data: ``perm_c`` and ``perm_r``
-are views whose ``.base`` is the factor, and one kept alive keeps the
-whole factor (its native L and U and any CSC copies that ``.U`` cached)
-alive with it. The series' ordering is therefore returned as a copy. At
-n = 3107 the view had kept the ordering node's factor alive while the
-series' pattern was allocated above it, and the pattern then pinned the
-top of the heap (ROADMAP item 8).
+``psi_expansion`` for their solves. Nothing reads its pivots, so it
+carries only SuperLU's native L and U: reading ``lu.U`` would build CSC
+copies of L and U that live as long as the factor (102 MiB for model 1's
+A0 at 316x316, where ``simulate``'s whole traced peak is 107 MiB without
+them). The series keeps no factor, while it is built or after; its nodes
+read their pivots, so each node's copies live only inside its call. What
+a caller keeps of a SuperLU object must own its data: ``perm_c`` and
+``perm_r`` are views whose ``.base`` is the factor, and one kept alive
+keeps the whole factor (its native L and U and any CSC copies that
+``.U`` cached) alive with it. The series' ordering is therefore returned
+as a copy. At n = 3107 the view had kept the ordering node's factor
+alive while the series' pattern was allocated above it, and the pattern
+then pinned the top of the heap (ROADMAP item 8).
 
 Only ``eigenbasis`` materializes eigenvectors: S = Q diag(tau) Q^T gives
 W = D^{-1/2} Q diag(tau) Q^T D^{1/2}, so in the coordinates
@@ -163,9 +161,9 @@ COMPLEX_STEP = 1e-30
 
 
 class NumericalError(RuntimeError):
-    """Raised when a numerical self-check fails: here a sparse LU that left
-    its symmetric ordering, in ``likelihood`` a non-finite or asymmetric
-    Hessian."""
+    """Raised when a numerical self-check fails: here a series node's sparse
+    LU that left its symmetric ordering or met a pivot whose real part is
+    not positive, in ``likelihood`` a non-finite or asymmetric Hessian."""
 
 
 class LogDetSeries:
@@ -297,8 +295,11 @@ class LogDetSeries:
 
 def _splu(A, permc_spec):
     """A's SuperLU factor with diagonal pivots in symmetric mode, one column
-    per panel: the package's one ``splu`` call, unchecked. The same A and
-    ``permc_spec`` give the same factor, bit for bit."""
+    per panel: the package's one ``splu`` call, unchecked. With
+    ``diag_pivot_thresh=0.0`` SuperLU keeps every nonzero diagonal pivot, so
+    a matrix whose pivots in the ordering are nonzero gets
+    ``perm_r == perm_c``. The same A and ``permc_spec`` give the same
+    factor, bit for bit."""
     # options={"Fact": "SamePattern"} would reuse the ordering inside SuperLU,
     # but it crashes the interpreter in scipy 1.17; a prepermuted pattern
     # factored in its NATURAL order does the same.
@@ -306,29 +307,21 @@ def _splu(A, permc_spec):
                      options={"SymmetricMode": True})
 
 
-def _symmetric_lu(A, permc_spec):
-    """(the SuperLU factor, its pivots) of A by ``_splu``, checked: for the
-    series' nodes and ``WeightMatrix.a0_factor``. A needs a symmetric
-    pattern and pivots of positive real part, as I - z S (|Re z| < 1) and
-    A0 (|phi0| < 1) have; a factor with unequal row and column permutations
-    or a nonpositive pivot raises ``NumericalError``. The pivots are read
-    through ``lu.U``, which makes SuperLU build CSC copies of L and U that
-    live as long as the factor (SuperLU has no pivot accessor). The
-    factor's ``perm_r`` and ``perm_c`` are views that keep it alive: a
-    caller copies what it keeps of them."""
+def _complex_step_derivative(A, permc_spec):
+    """(Im ln|A| / h, the column ordering) for A = I - (phi0 + ih) S, from
+    A's ``_splu`` factor. The factor is checked first: the log of its
+    pivots needs a symmetric ordering (equal row and column permutations)
+    and pivots of positive real part, as I - z S (|Re z| < 1) has, and a
+    factor without both raises ``NumericalError``. The pivots are read
+    through ``lu.U``, which builds CSC copies of L and U (SuperLU has no
+    pivot accessor). The ordering is a copy of ``perm_c``, which is a view
+    that keeps the factor alive, so the factor and its copies are freed
+    when this returns."""
     lu = _splu(A, permc_spec)
     pivots = lu.U.diagonal()
     if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(pivots.real > 0.0)):
         raise NumericalError("sparse LU left its symmetric ordering or met a nonpositive "
                              "pivot; diagonal pivoting needs both")
-    return lu, pivots
-
-
-def _complex_step_derivative(A, permc_spec):
-    """(Im ln|A| / h, the column ordering) for A = I - (phi0 + ih) S. The
-    ordering is a copy of ``perm_c``, which is a view that keeps the factor
-    alive, so the factor is freed when this returns."""
-    lu, pivots = _symmetric_lu(A, permc_spec)
     return float(np.sum(np.log(pivots)).imag) / COMPLEX_STEP, lu.perm_c.copy()
 
 
@@ -618,17 +611,20 @@ class WeightMatrix:
         return -self._log_det(phi0, power)
 
     def a0_factor(self, phi0):
-        """A0's sparse LU in the minimum-degree ordering of its pattern, as a
-        SuperLU object: ``.solve(b)`` takes a vector of length n or an (n, k)
-        block of right-hand sides. A0 is factored twice with the same
-        arguments: the first factor is checked (``_symmetric_lu``) and
-        dropped with the CSC copies of L and U that reading its pivots made;
-        the second, equal to it bit for bit, is returned, and its ``.L`` and
-        ``.U`` are never touched, so the caller holds only the native factor."""
+        """A0's sparse LU (``_splu``) in the minimum-degree ordering of its
+        pattern, as a SuperLU object: ``.solve(b)`` takes a vector of length
+        n or an (n, k) block of right-hand sides.
+
+        The factor is not checked, because its pivots cannot fail. For an
+        admitted phi0, A0 = I - phi0 W has a unit diagonal, and each row's
+        off-diagonal entries sum to |phi0| < 1 in modulus: A0 is strictly
+        row diagonally dominant. A symmetric permutation keeps that
+        property, and so does each step of Gaussian elimination, so every
+        pivot is positive. SuperLU's symmetric mode keeps any nonzero
+        diagonal pivot, so ``perm_r == perm_c``. Nothing reads ``.L`` or
+        ``.U``, so the caller holds only the native factor."""
         self.check_phi0(phi0)
-        A0 = sp.identity(self.n, format="csc") - phi0 * self.W.tocsc()
-        _symmetric_lu(A0, "MMD_AT_PLUS_A")
-        return _splu(A0, "MMD_AT_PLUS_A")
+        return _splu(sp.identity(self.n, format="csc") - phi0 * self.W.tocsc(), "MMD_AT_PLUS_A")
 
 
 def _parity_columns(m):

@@ -749,10 +749,9 @@ class TestFitCommand:
         pa.write_panel_csv(tmp_path / "hostile.csv", data)
         return cfg, str(tmp_path / "hostile.csv")
 
-    def test_overflowing_covariates_exit_3_or_agree(self, tmp_path):
-        # X times 1e200 overflows the Hessian's beta block to inf: a start
-        # that meets it fails, and a covariance that meets it is a note. A
-        # NaN that reached eigh would raise LinAlgError, a ValueError: exit 2
+    def overflowing_panel(self, tmp_path):
+        """(config path, panel path): the hostile panel with a linear term,
+        beta (0.5, -0.3), and its covariates times 1e200."""
         cfg_dict = json.loads(json.dumps(self.HOSTILE_CONFIG))
         cfg_dict["model"]["linear_term"] = True
         cfg_dict["theta"]["beta"] = [0.5, -0.3]
@@ -760,7 +759,13 @@ class TestFitCommand:
         def scale(data):
             data.X[...] *= 1e200
 
-        cfg, panel = self.hostile_panel(tmp_path, cfg_dict, scale)
+        return self.hostile_panel(tmp_path, cfg_dict, scale)
+
+    def test_overflowing_covariates_exit_3_or_agree(self, tmp_path):
+        # X times 1e200 overflows the Hessian's beta block to inf: a start
+        # that meets it fails, and a covariance that meets it is a note. A
+        # NaN that reached eigh would raise LinAlgError, a ValueError: exit 2
+        cfg, panel = self.overflowing_panel(tmp_path)
         out = tmp_path / "fit"
         code, err = run_main(["fit", "--config", cfg, "--panel", panel, "--out", str(out),
                               "--seed", "1"])
@@ -770,6 +775,40 @@ class TestFitCommand:
         else:
             assert code == 3 and "Hessian entry (beta1, beta1) is not finite" in err, err
         assert "Traceback" not in err
+
+    def test_every_start_failed_writes_fit_error(self, tmp_path):
+        # every start of this fit fails on the Hessian: no fit.json, whose
+        # parameters a reader would take for an estimate, but each start's
+        # record, with the log-det's, in fit_error.json
+        cfg, panel = self.overflowing_panel(tmp_path)
+        out = tmp_path / "fit"
+        code, err = run_main(["fit", "--config", cfg, "--panel", panel, "--out", str(out),
+                              "--seed", "1"])
+        assert code == 3, err
+        assert not (out / "fit.json").exists()
+        record = json.loads((out / "fit_error.json").read_text())
+        assert sorted(record) == ["error", "log_det", "trace"]
+        assert err == f"error: {record['error']}\n"
+        assert record["log_det"]["backend"] == "spectrum"
+        assert len(record["trace"]) == 5
+        for start in record["trace"]:
+            assert start["loglik"] is None
+            assert "Hessian entry (beta1, beta1) is not finite" in start["message"]
+
+    def test_overflowing_covariates_raise_no_runtime_warning(self, tmp_path):
+        # the fit names the entry that overflowed; numpy's overflow warnings
+        # from the Hessian's products would only repeat it on stderr
+        cfg, panel = self.overflowing_panel(tmp_path)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()), \
+                warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code = main(["fit", "--config", cfg, "--panel", panel,
+                         "--out", str(tmp_path / "fit"), "--seed", "1"])
+        assert code == 3
+        package = str(Path(pa.__file__).parent)
+        assert not [str(w.message) for w in seen
+                    if issubclass(w.category, RuntimeWarning) and w.filename.startswith(package)]
 
     def test_constant_panel_laplace_fit_exit_0_with_diagnostics(self, tmp_path):
         # y = 1 everywhere: this Laplace fit reaches residuals that are

@@ -577,8 +577,11 @@ class TestTrustRegionNewton:
         monkeypatch.setattr(pa.LikelihoodWorkspace, "hessian", failing)
         spec, data = small_model1_data(w33, T=6)
         with pytest.raises(pa.FitError, match=r"all 2 starts failed .*\(last start: Hessian "
-                                              r"failed: Hessian entry \(beta1, beta1\)"):
+                                              r"failed: Hessian entry \(beta1, beta1\)") as err:
             pa.fit(spec, data, n_starts=2, seed=0)
+        # the error carries each start's record, as a fit's trace would
+        assert [(r["loglik"], r["message"]) for r in err.value.trace] == [
+            (None, "Hessian failed: Hessian entry (beta1, beta1) is not finite")] * 2
 
     def test_covariance_numerical_error_leaves_the_estimate(self, w33, monkeypatch):
         spec, data = small_model1_data(w33, T=6)

@@ -1,7 +1,6 @@
 """Weight-matrix construction, spectrum, log-det series, and A0 algebra."""
 
 import io
-import json
 import math
 import pickle
 import tracemalloc
@@ -20,7 +19,6 @@ import pstarann as pa
 from conftest import (MODEL1_COLUMNS, delaunay_weights, model1_spec, model1_theta,
                       oracle_series_node_values)
 from pstarann import _csv, weights
-from pstarann.cli import main
 from pstarann.weights import LogDetSeries, read_adjacency_csv
 
 
@@ -772,7 +770,7 @@ class TestLogDetSeries:
             assert_allclose(u(xs), oracle_series_node_values(S, xs), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("fault", ["row permutation", "pivot sign"])
-    def test_lu_guard_raises_numerical_error(self, monkeypatch, tmp_path, capsys, fault):
+    def test_lu_guard_raises_numerical_error(self, monkeypatch, fault):
         real = spla.splu
 
         def faulty(lu):
@@ -794,21 +792,6 @@ class TestLogDetSeries:
             with pytest.raises(pa.NumericalError, match="symmetric ordering"):
                 LogDetSeries(pa.build_queen_lattice(4, 4)._similarity)(0.4)
             assert (len(calls), calls[-1]) == (bad_call, ordering)
-        # the A0 factor of a simulation runs the same check
-        monkeypatch.setattr(spla, "splu", lambda *args, **kwargs: faulty(real(*args, **kwargs)))
-        spec = model1_spec(pa.build_queen_lattice(4, 4))
-        with pytest.raises(pa.NumericalError, match="symmetric ordering"):
-            pa.simulate(spec, model1_theta(), seed=1, T=3, burn_in=5,
-                        covariate_columns=MODEL1_COLUMNS)
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({
-            "lattice": {"n1": 4, "n2": 4},
-            "model": {"p": 1, "q": 2, "h": 1, "density": "normal", "linear_term": False},
-            "covariates": [{"kind": "normal"}, {"kind": "normal"}],
-            "theta": model1_theta().to_json_dict(), "simulate": {"T": 3, "burn_in": 5}}))
-        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim")])
-        assert code == 3
-        assert "error: sparse LU left its symmetric ordering" in capsys.readouterr().err
 
 
 class TestLogDetRecord:
@@ -861,6 +844,14 @@ class TestLogDetRecord:
         assert W.log_det_record == {"backend": "series", **self.EMPTY}
 
 
+def _log_uniform_weights(W, seed=7):
+    """A weighted W on W's pattern: symmetric weights log-uniform in [1e-3, 1e3]."""
+    upper = sp.triu(W.W, k=1).tocoo()
+    w = 10.0 ** np.random.default_rng(seed).uniform(-3.0, 3.0, upper.nnz)
+    A = sp.coo_matrix((w, (upper.row, upper.col)), shape=W.W.shape)
+    return pa.WeightMatrix((A + A.T).tocsr())
+
+
 class TestSolveA0:
     def test_identity_at_phi0_zero(self, w33):
         rng = np.random.default_rng(0)
@@ -906,11 +897,10 @@ class TestSolveA0:
             assert x.shape == b.shape
             assert np.max(np.abs(x - dense)) <= 1e-13 * np.max(np.abs(dense))
 
-    def test_checked_factor_then_the_held_one(self, monkeypatch):
-        # A0 is factored as the series' nodes are: diagonal pivots in
+    def test_one_symmetric_factor(self, monkeypatch):
+        # A0 is factored once, as the series' nodes are: diagonal pivots in
         # symmetric mode, here in A0's own minimum-degree ordering. The
-        # first factor is checked and dropped; the second, made with the
-        # same arguments, is the one returned
+        # factor is returned unchecked; its pivots are read here
         real, seen = spla.splu, []
 
         def recording(*args, **kwargs):
@@ -920,14 +910,35 @@ class TestSolveA0:
 
         monkeypatch.setattr(spla, "splu", recording)
         held = pa.build_queen_lattice(6, 7).a0_factor(-0.5)
-        [(checked_kwargs, checked), (kwargs, lu)] = seen
-        assert checked_kwargs == kwargs == {
+        [(kwargs, lu)] = seen
+        assert kwargs == {
             "permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
             "panel_size": 1, "options": {"SymmetricMode": True}}
-        assert lu is held and checked is not held
-        for factor in (checked, lu):
-            assert np.array_equal(factor.perm_r, factor.perm_c)
-            assert np.all(factor.U.diagonal() > 0.0)
+        assert lu is held
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        assert np.all(lu.U.diagonal() > 0.0)
+
+    # A0 = I - phi0 W is strictly row diagonally dominant for |phi0| < 1, so
+    # elimination in any symmetric order meets only positive pivots, and
+    # SuperLU keeps each on the diagonal: the reason ``a0_factor`` does not
+    # check its factor. The weighted design's weights span 1e-3 to 1e3
+    @pytest.mark.parametrize("design", [
+        "lattice4x4", "lattice13x17", "lattice40x40",
+        "delaunay60", "delaunay1000", "delaunay3107", "weighted200"])
+    def test_a0_pivots_positive_in_a_symmetric_order(self, design):
+        W = {"lattice4x4": lambda: pa.build_queen_lattice(4, 4),
+             "lattice13x17": lambda: pa.build_queen_lattice(13, 17),
+             "lattice40x40": lambda: pa.build_queen_lattice(40, 40),
+             "delaunay60": lambda: delaunay_weights(60, 4),
+             "delaunay1000": lambda: delaunay_weights(1000, 5),
+             "delaunay3107": lambda: delaunay_weights(3107, 1),
+             "weighted200": lambda: _log_uniform_weights(delaunay_weights(200, 6))}[design]()
+        eye, Wc = sp.identity(W.n, format="csc"), W.W.tocsc()
+        edge = 1.0 - 1e-12
+        for phi0 in [*np.linspace(-0.999999, 0.999999, 41), 0.0, -edge, edge]:
+            lu = weights._splu(eye - phi0 * Wc, "MMD_AT_PLUS_A")
+            assert np.array_equal(lu.perm_r, lu.perm_c), phi0
+            assert np.all(lu.U.diagonal() > 0.0), phi0
 
     def test_held_factor_carries_no_copies(self):
         # reading the pivots through .U makes SuperLU cache CSC copies of L
