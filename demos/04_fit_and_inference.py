@@ -8,8 +8,6 @@ the Laplace caveat: point estimates work, curvature-based covariance is
 reported unavailable.
 """
 
-import warnings
-
 import numpy as np
 
 import pstarann as pa
@@ -41,9 +39,7 @@ print()
 spec_lap = pa.ModelSpec(W=W, p=1, q=2, h=1, density=pa.laplace(),
                         linear_term=False)
 data_lap = pa.simulate(spec_lap, truth, seed=8, T=20, covariate_columns=columns)
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")
-    res_lap = pa.fit(spec_lap, data_lap, n_starts=5, seed=0)
+res_lap = pa.fit(spec_lap, data_lap, n_starts=5, seed=0)
 print(res_lap.format_table())
 print()
 

@@ -16,8 +16,6 @@ this script uses seed r. Replicate r's panel draws from the same stream in
 both, SeedSequence(11, spawn_key=(r,)).
 """
 
-import warnings
-
 import numpy as np
 
 import pstarann as pa
@@ -30,16 +28,14 @@ truth = pa.ParameterVector(phi0=0.6, phi=[-0.274], beta=[], lam=[1.5],
 columns = [{"kind": "normal", "sd": 1.5}, {"kind": "normal", "sd": 3.0}]
 
 estimates, ses = [], []
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")
-    for r in range(R):
-        data = pa.simulate(spec, truth,
-                           seed=np.random.SeedSequence(11, spawn_key=(r,)),
-                           T=20, covariate_columns=columns)
-        res = pa.fit(spec, data, n_starts=5, seed=r)
-        estimates.append(res.theta.to_array())
-        ses.append(res.std_errors)
-        print(f"  replicate {r + 1:2d}/{R}: loglik {res.loglik:.1f}")
+for r in range(R):
+    data = pa.simulate(spec, truth,
+                       seed=np.random.SeedSequence(11, spawn_key=(r,)),
+                       T=20, covariate_columns=columns)
+    res = pa.fit(spec, data, n_starts=5, seed=r)
+    estimates.append(res.theta.to_array())
+    ses.append(res.std_errors)
+    print(f"  replicate {r + 1:2d}/{R}: loglik {res.loglik:.1f}")
 
 est = np.array(estimates)
 asy = np.array(ses).mean(axis=0)

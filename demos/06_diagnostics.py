@@ -7,8 +7,6 @@ A correctly specified fit leaves residuals with no spatial autocorrelation
 family. A model that omits the network term leaves structure behind.
 """
 
-import warnings
-
 import numpy as np
 
 import pstarann as pa
@@ -26,9 +24,7 @@ print(f"raw Y_T     : I = {raw['I']:+.4f}, z = {raw['z']:+.2f}, "
       f"p = {raw['pvalue']:.2e}")
 
 # after a correctly specified fit the per-slice tests go quiet
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")
-    res = pa.fit(spec, data, n_starts=5, seed=0, covariance=False)
+res = pa.fit(spec, data, n_starts=5, seed=0, covariance=False)
 diag = pa.residual_diagnostics(spec, res.residuals)
 pvals = [d["pvalue"] for d in diag["moran_per_t"]]
 print(f"fitted model: median per-slice Moran p-value = {np.median(pvals):.3f}")
@@ -36,9 +32,7 @@ print(f"fitted model: median per-slice Moran p-value = {np.median(pvals):.3f}")
 # a linear-only fit leaves the network signal in the residuals; the QQ
 # data picks up the distortion even when Moran stays quiet
 spec0 = pa.ModelSpec(W=W, p=1, q=2, h=0, density=pa.normal())
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")
-    res0 = pa.fit(spec0, data, n_starts=3, seed=0, covariance=False)
+res0 = pa.fit(spec0, data, n_starts=3, seed=0, covariance=False)
 diag0 = pa.residual_diagnostics(spec0, res0.residuals)
 pvals0 = [d["pvalue"] for d in diag0["moran_per_t"]]
 print(f"linear fit  : median per-slice Moran p-value = {np.median(pvals0):.3f}")

@@ -341,14 +341,26 @@ def write_fit_record(out, name, record, W):
 
 
 def cmd_fit(args):
+    """Fit the config's model to ``--panel`` and write its records to ``--out``.
+
+    An earlier run's ``fit.json``, ``fit.txt``, ``diagnostics.json`` and
+    ``fit_error.json`` are removed from ``--out`` before any input is read,
+    so every exit leaves this run's files or none. A fit that ends without
+    an estimate (``FitError``: every start failed; ``NumericalError``: a
+    log-det series node or the canonicalization check failed) writes
+    ``fit_error.json`` in place of ``fit.json`` and exits 3.
+    """
+    out = Path(args.out)
+    for name in ("fit.json", "fit.txt", "diagnostics.json", "fit_error.json"):
+        (out / name).unlink(missing_ok=True)
     cfg, spec = load_setup(args)
     data = read_panel_csv(args.panel, spec.p, spec.q)
-    out = Path(args.out)
     try:
         # fit() checks the panel against the spec (n, intercept, rank of X_t)
         result = fit(spec, data, seed=args.seed, **cfg.get("optim", {}))
-    except FitError as exc:  # every start failed: keep why in place of fit.json
-        write_fit_record(out, "fit_error.json", {"error": str(exc), "trace": exc.trace}, spec.W)
+    except (FitError, NumericalError) as exc:  # keep why in place of fit.json
+        write_fit_record(out, "fit_error.json",
+                         {"error": str(exc), "trace": getattr(exc, "trace", [])}, spec.W)
         raise
     write_fit_record(out, "fit.json", result.to_json_dict(), spec.W)
     table = result.format_table()
@@ -390,6 +402,8 @@ def _replicate_one(job, r):
             "replicate": r,
             "ok": True,
             "converged": res.converged,
+            "canonical": res.canonical,
+            "boundary_warning": res.boundary_warning,
             "estimate": res.theta.x.tolist(),
             "loglik": res.loglik,
             "asymptotic_se": None if res.cov_note else res.std_errors.tolist(),

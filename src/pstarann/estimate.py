@@ -62,7 +62,7 @@ from scipy.special import chdtrc
 
 from . import weights
 from .densities import SmoothedLaplace
-from .likelihood import LikelihoodWorkspace, NonFiniteHessianError, NumericalError
+from .likelihood import LikelihoodWorkspace, NumericalError
 from .model import (
     CausalityCheck,
     ModelSpec,
@@ -405,8 +405,12 @@ def _trust_region_newton(fun, x0, hess, bounds, gtol=1e-8, maxiter=500):
     projected-gradient norm of the last ``_first_order`` test, at the
     returned x, and ``success`` is that test's outcome. A start where
     ``fun`` is not finite, or an iterate where ``hess`` raises
-    ``NonFiniteHessianError``, fails the start: it returns ``fun = inf``
-    and ``pg_norm = inf``, and the message names the cause.
+    ``NumericalError`` (an entry that is not finite, or asymmetry), fails
+    the start: it returns ``fun = inf`` and ``pg_norm = inf``, and the
+    message names the cause. Errors from ``fun`` propagate: a log-det series
+    node whose pivot check fails is a fault of W, not of one start, and
+    failing the start instead would rebuild that piece, 24 LUs, at every
+    later evaluation.
     """
     lb, ub = np.asarray(bounds, dtype=float).T
     x = np.clip(x0, lb, ub)
@@ -436,7 +440,7 @@ def _trust_region_newton(fun, x0, hess, bounds, gtol=1e-8, maxiter=500):
         if new:
             try:
                 B = hess(x)
-            except NonFiniteHessianError as exc:  # a failed start, as a non-finite f is
+            except NumericalError as exc:  # a failed start, as a non-finite f is
                 return TrustRegionResult(x, np.inf, nit, nfev, False, np.inf,
                                          f"Hessian failed: {exc}")
             eig = np.linalg.eigh(B[np.ix_(free, free)])
@@ -499,7 +503,15 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
     optimizer's end (None where it is not finite), ``nit`` and ``nfev``
     summed over the stages, the last stage's message, and the start's wall
     seconds. ``n_iterations`` is the winner's ``nit``. ``residuals`` are
-    those at the reported theta.
+    those at the reported theta. An estimate that ``canonicalize`` refuses
+    (gamma_i1 < 0 without an intercept column) is reported as found, with
+    ``canonical`` False, and a phi0 within 1e-8 of its bound sets
+    ``boundary_warning``. These fields are the only record of either:
+    ``fit`` raises no warning for them.
+
+    Raises ``FitError``, carrying each start's record, when no start
+    reaches a finite optimum, and ``NumericalError`` when a log-det series
+    node or the canonicalization check fails.
 
     Without ``starts``, W's log-det backend is built (``log_det_a0(0.0)``)
     before the ``LikelihoodWorkspace``, as ``initial_points``' grid would
@@ -588,8 +600,7 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
     if spec.h:
         try:
             theta_hat = canonicalize(theta_raw, spec.include_intercept)
-        except ValueError as exc:
-            warnings.warn(str(exc), RuntimeWarning, stacklevel=2)
+        except ValueError:
             canonical = False
     if canonical:
         ll_canon = ws.log_likelihood(theta_hat)
@@ -599,8 +610,6 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
             )
 
     boundary = bool(abs(theta_raw.phi0 - lb[0]) < 1e-8 or abs(theta_raw.phi0 - ub[0]) < 1e-8)
-    if boundary:
-        warnings.warn("phi0 pinned at its search bound", RuntimeWarning, stacklevel=2)
 
     result = FitResult(
         theta=theta_hat,

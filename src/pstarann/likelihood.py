@@ -82,18 +82,11 @@ from .weights import NumericalError
 
 __all__ = [
     "NumericalError",
-    "NonFiniteHessianError",
     "LikelihoodWorkspace",
     "log_likelihood",
 ]
 
 logger = logging.getLogger(__name__)
-
-
-class NonFiniteHessianError(NumericalError):
-    """A Hessian entry that is not finite: the panel's scale overflowed at
-    this theta. The trust region fails the start that meets it; other
-    ``NumericalError``s end the fit."""
 
 
 # ``log_likelihood``'s allowance, per observation and relative to the
@@ -248,11 +241,12 @@ class LikelihoodWorkspace:
 
         Unavailable for the Laplace family, whose log-density has no second
         derivative at 0; use the outer-product-only covariance instead.
-        Raises ``NonFiniteHessianError`` naming the first parameter pair
-        whose entry is not finite (an overflowing panel, whose overflow
-        warnings it silences), checked before the asymmetry test that a NaN
-        would pass, and ``NumericalError`` when the matrix is asymmetric
-        beyond rounding.
+        Raises ``NumericalError`` when an entry is not finite (an
+        overflowing panel, whose overflow warnings it silences), naming the
+        first such parameter pair, or when the matrix is asymmetric beyond
+        rounding. Finiteness is tested first, since a NaN passes the
+        asymmetry test. A fit's trust region fails the start that meets
+        either.
         """
         spec = self.spec
         if not self._density.differentiable:
@@ -283,8 +277,7 @@ class LikelihoodWorkspace:
         if not np.isfinite(H).all():  # checked first: NaN passes the asymmetry test
             i, j = np.argwhere(~np.isfinite(H))[0]
             names = param_names(spec)
-            raise NonFiniteHessianError(
-                f"Hessian entry ({names[i]}, {names[j]}) is not finite")
+            raise NumericalError(f"Hessian entry ({names[i]}, {names[j]}) is not finite")
         asym = np.max(np.abs(H - H.T)) if H.size else 0.0
         if asym > 1e-9 * max(1.0, np.max(np.abs(H))):
             raise NumericalError(f"Hessian asymmetry {asym:.3e} exceeds tolerance")

@@ -11,6 +11,7 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -522,6 +523,30 @@ class TestSimulateCommand:
         assert "theta" in capsys.readouterr().err
 
 
+def hostile_config(density="normal", linear=False):
+    """A copy of ``TestFitCommand.HOSTILE_CONFIG`` with ``density``, and with
+    a linear term, beta (0.5, -0.3), when ``linear``."""
+    cfg = json.loads(json.dumps(TestFitCommand.HOSTILE_CONFIG))
+    cfg["model"]["density"] = density
+    if linear:
+        cfg["model"]["linear_term"] = True
+        cfg["theta"]["beta"] = [0.5, -0.3]
+    return cfg
+
+
+# in-place changes of a hostile panel (TestFitCommand.hostile_panel)
+def unchanged(data):
+    pass
+
+
+def overflow_covariates(data):
+    data.X[...] *= 1e200
+
+
+def zero_first_covariate(data):  # X_t rank deficient: exit 2
+    data.X[..., 0] = 0.0
+
+
 @pytest.fixture(scope="module")
 def sim_dir(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("flow")
@@ -722,44 +747,82 @@ class TestFitCommand:
         capsys.readouterr()
 
     def test_numerical_guard_exit_3_with_message(self, sim_dir, capsys, monkeypatch):
+        # an asymmetric Hessian fails the start that meets it, as a non-finite
+        # entry does; with every start failed, fit_error.json says why
         def failing_hessian(self, theta):
             raise pa.NumericalError("Hessian asymmetry 1.000e-03 exceeds tolerance")
 
         monkeypatch.setattr(pa.LikelihoodWorkspace, "hessian", failing_hessian)
         tmp, cfg, out = sim_dir
+        fit_out = tmp / "fit_guard"
         code = main(["fit", "--config", cfg, "--panel", str(out / "panel.csv"),
-                     "--out", str(tmp / "fit_guard"), "--seed", "0"])
+                     "--out", str(fit_out), "--seed", "0"])
         assert code == 3
         err = capsys.readouterr().err
-        assert "error: Hessian asymmetry" in err
+        assert err.startswith("error: all 3 starts failed") and "Hessian asymmetry" in err
+        assert not (fit_out / "fit.json").exists()
+        trace = json.loads((fit_out / "fit_error.json").read_text())["trace"]
+        assert [start["message"] for start in trace] == [
+            "Hessian failed: Hessian asymmetry 1.000e-03 exceeds tolerance"] * 3
+
+    @pytest.mark.parametrize("fault", ["series pivot", "canonicalization"])
+    def test_numerical_error_without_estimate_writes_fit_error(self, sim_dir, monkeypatch,
+                                                                fault):
+        # the two NumericalErrors that end a fit: a log-det series node that
+        # fails its pivot check (a fault of W, not of one start) and the
+        # canonicalization check. Each exits 3 with fit_error.json, no fit.json
+        if fault == "series pivot":
+            real = weights._splu
+
+            def unordered(A, permc_spec):  # every node but the ordering node
+                lu = real(A, permc_spec)
+                if permc_spec == "NATURAL":
+                    return SimpleNamespace(U=lu.U, perm_r=lu.perm_r[::-1], perm_c=lu.perm_c)
+                return lu
+
+            monkeypatch.setattr(weights, "N_SERIES", 20)
+            monkeypatch.setattr(weights, "_splu", unordered)
+            message, backend = "sparse LU left its symmetric ordering", "series"
+        else:
+            def shifted(theta, include_intercept):  # no longer the same residuals
+                theta = theta.copy()
+                theta.lam = theta.lam + 0.5
+                return theta
+
+            monkeypatch.setattr(pa.estimate, "canonicalize", shifted)
+            message, backend = "canonicalization changed the log-likelihood", "spectrum"
+        tmp, cfg, out = sim_dir
+        fit_out = tmp / f"fit_{fault}"
+        code, err = run_main(["fit", "--config", cfg, "--panel", str(out / "panel.csv"),
+                              "--out", str(fit_out), "--seed", "0"])
+        assert code == 3, err
+        assert sorted(p.name for p in fit_out.iterdir()) == ["fit_error.json"]
+        record = json.loads((fit_out / "fit_error.json").read_text())
+        assert err == f"error: {record['error']}\n"
+        assert record["error"].startswith(message)
+        assert record["trace"] == []
+        assert record["log_det"]["backend"] == backend
 
     # model 1 as demos/model1.json has it, on a 6x6 lattice with T = 8
     HOSTILE_CONFIG = {**MODEL1_CONFIG, "simulate": {"T": 8, "burn_in": 200},
                       "optim": {"n_starts": 5, "tol": 1e-8, "max_iter": 500}}
 
-    def hostile_panel(self, tmp_path, cfg_dict, change):
+    def hostile_panel(self, tmp_path, cfg_dict, change, name="hostile"):
         """(config path, panel path): a panel simulated with seed 3 under
-        ``cfg_dict``, then ``change(data)`` in place."""
+        ``cfg_dict``, then ``change(data)`` in place, written to ``name``.csv."""
         cfg = write_config(tmp_path, cfg_dict)
         code, err = run_main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim"),
                               "--seed", "3"])
         assert (code, err) == (0, "")
         data = pa.read_panel_csv(tmp_path / "sim" / "panel.csv", p=1, q=2)
         change(data)
-        pa.write_panel_csv(tmp_path / "hostile.csv", data)
-        return cfg, str(tmp_path / "hostile.csv")
+        pa.write_panel_csv(tmp_path / f"{name}.csv", data)
+        return cfg, str(tmp_path / f"{name}.csv")
 
     def overflowing_panel(self, tmp_path):
         """(config path, panel path): the hostile panel with a linear term,
         beta (0.5, -0.3), and its covariates times 1e200."""
-        cfg_dict = json.loads(json.dumps(self.HOSTILE_CONFIG))
-        cfg_dict["model"]["linear_term"] = True
-        cfg_dict["theta"]["beta"] = [0.5, -0.3]
-
-        def scale(data):
-            data.X[...] *= 1e200
-
-        return self.hostile_panel(tmp_path, cfg_dict, scale)
+        return self.hostile_panel(tmp_path, hostile_config(linear=True), overflow_covariates)
 
     def test_overflowing_covariates_exit_3_or_agree(self, tmp_path):
         # X times 1e200 overflows the Hessian's beta block to inf: a start
@@ -799,28 +862,60 @@ class TestFitCommand:
         # the fit names the entry that overflowed; numpy's overflow warnings
         # from the Hessian's products would only repeat it on stderr
         cfg, panel = self.overflowing_panel(tmp_path)
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()), \
-                warnings.catch_warnings(record=True) as seen:
-            warnings.simplefilter("always")
-            code = main(["fit", "--config", cfg, "--panel", panel,
-                         "--out", str(tmp_path / "fit"), "--seed", "1"])
+        code, _, warned = main_warnings(["fit", "--config", cfg, "--panel", panel,
+                                      "--out", str(tmp_path / "fit"), "--seed", "1"])
         assert code == 3
-        package = str(Path(pa.__file__).parent)
-        assert not [str(w.message) for w in seen
-                    if issubclass(w.category, RuntimeWarning) and w.filename.startswith(package)]
+        assert warned == []
+
+    @pytest.mark.parametrize("first, second, left", [
+        (unchanged, overflow_covariates, ["fit_error.json"]),
+        (overflow_covariates, unchanged, ["diagnostics.json", "fit.json", "fit.txt"]),
+        (unchanged, zero_first_covariate, []),
+    ], ids=["success-then-failed", "failed-then-success", "success-then-exit-2"])
+    def test_reused_out_holds_only_the_last_run(self, tmp_path, first, second, left):
+        # an earlier run's files leave --out before the next fit reads its
+        # input, so a reader that takes fit.json for the estimate never
+        # reads a stale one, whatever the next fit's exit
+        outcomes = {unchanged: ((0, 3), ["diagnostics.json", "fit.json", "fit.txt"]),
+                    overflow_covariates: ((3,), ["fit_error.json"]),
+                    zero_first_covariate: ((2,), [])}
+        out = tmp_path / "fit"
+        for k, change in enumerate((first, second)):
+            cfg, panel = self.hostile_panel(tmp_path, hostile_config(linear=True), change,
+                                            f"p{k}")
+            code, err = run_main(["fit", "--config", cfg, "--panel", panel, "--out", str(out),
+                                  "--seed", "1"])
+            codes, files = outcomes[change]
+            assert code in codes, err
+            assert sorted(p.name for p in out.iterdir()) == files
+        assert files == left
+
+    def ones_laplace_panel(self, tmp_path):
+        """(config path, panel path): the hostile panel with y = 1 everywhere,
+        for a Laplace fit."""
+        def ones(data):
+            data.Y[...] = 1.0
+
+        return self.hostile_panel(tmp_path, hostile_config("laplace"), ones)
+
+    def test_non_canonical_estimate_raises_no_runtime_warning(self, tmp_path):
+        # this fit ends with gamma_11 < 0 and no intercept column to flip it:
+        # fit.json and fit.txt record the non-canonical form, and no warning
+        # repeats it on stderr
+        cfg, panel = self.ones_laplace_panel(tmp_path)
+        out = tmp_path / "fit"
+        code, _, warned = main_warnings(["fit", "--config", cfg, "--panel", panel,
+                                      "--out", str(out), "--seed", "1"])
+        assert code == 0
+        assert warned == []
+        assert json.loads((out / "fit.json").read_text())["canonical"] is False
+        assert "warning: estimate reported in non-canonical form" in (out / "fit.txt").read_text()
 
     def test_constant_panel_laplace_fit_exit_0_with_diagnostics(self, tmp_path):
         # y = 1 everywhere: this Laplace fit reaches residuals that are
         # constant in every slice, where Moran's I is undefined. Its entries
         # are null with their reason, and the exit code follows converged
-        cfg_dict = json.loads(json.dumps(self.HOSTILE_CONFIG))
-        cfg_dict["model"]["density"] = "laplace"
-
-        def ones(data):
-            data.Y[...] = 1.0
-
-        cfg, panel = self.hostile_panel(tmp_path, cfg_dict, ones)
+        cfg, panel = self.ones_laplace_panel(tmp_path)
         out = tmp_path / "fit"
         code, err = run_main(["fit", "--config", cfg, "--panel", panel, "--out", str(out),
                               "--seed", "1"])
@@ -896,6 +991,29 @@ class TestReplicateCommand:
         assert summary["R"] == 2 and summary["n_success"] == 2
         est = np.array([r["estimate"] for r in summary["records"]])
         assert np.allclose(summary["empirical_sd"], est.std(axis=0, ddof=1))
+
+    def test_records_carry_canonical_and_boundary_warning(self, tmp_path, capsys, monkeypatch):
+        # a replicate record keeps the two caveats that fit.json records,
+        # the study's one record of them
+        import pstarann.cli as cli
+
+        real_fit = cli.fit
+
+        def caveated_fit(spec, data, seed, **kwargs):  # fit seeds 5 + r
+            res = real_fit(spec, data, seed=seed, **kwargs)
+            res.canonical, res.boundary_warning = seed % 2 == 0, seed % 2 == 1
+            return res
+
+        monkeypatch.setattr(cli, "fit", caveated_fit)
+        cfg = write_config(tmp_path, MODEL1_CONFIG)
+        out = tmp_path / "rep"
+        code = main(["replicate", "--config", cfg, "--out", str(out),
+                     "--seed", "5", "--replicates", "2"])
+        assert code == 0
+        capsys.readouterr()
+        records = json.loads((out / "summary.json").read_text())["records"]
+        assert [(r["canonical"], r["boundary_warning"]) for r in records] == [
+            (False, True), (True, False)]
 
     def test_r1_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, MODEL1_CONFIG)
@@ -1467,6 +1585,95 @@ class TestConfigFuzz:
 
 
 # ----------------------------------------------------------------------
+# Hostile-panel fuzz gate: TestFitCommand's hostile model (model 1 on a 6x6
+# lattice, T = 8, simulated with seed 3) under each error family, with and
+# without a linear term, its panel changed one way: y or X times 10^k for
+# |k| <= 300, a zero or constant covariate column, y = 1, y = 0, or one y of
+# 1e300. Every fit must end in a documented outcome that leaves its record,
+# and raise no warning for a caveat that fit.json records.
+# ----------------------------------------------------------------------
+
+HOSTILE_FAMILIES = ("normal", "t:5", "laplace")
+
+
+@pytest.fixture(scope="module")
+def hostile_bases(tmp_path_factory):
+    """{(family, linear term): (config path, panel path)} of the unchanged panels."""
+    tmp = tmp_path_factory.mktemp("hostile")
+    bases = {}
+    for family in HOSTILE_FAMILIES:
+        for linear in (False, True):
+            name = f"{family.replace(':', '')}{int(linear)}"
+            cfg = write_config(tmp, hostile_config(family, linear), f"{name}.json")
+            assert main(["simulate", "--config", cfg, "--out", str(tmp / name),
+                         "--seed", "3"]) == 0
+            bases[family, linear] = cfg, tmp / name / "panel.csv"
+    return bases
+
+
+@st.composite
+def hostile_changes(draw):
+    """(family, linear term, kind, value): the fit's model and the change to
+    its panel, as ``change_panel`` applies it."""
+    family = draw(st.sampled_from(HOSTILE_FAMILIES))
+    linear = draw(st.booleans())
+    kind = draw(st.sampled_from(["scale y", "scale X", "zero column", "constant column",
+                                 "constant y", "spike"]))
+    value = {"scale y": st.integers(-300, 300), "scale X": st.integers(-300, 300),
+             "zero column": st.integers(0, 1),
+             "constant column": st.tuples(st.integers(0, 1), st.sampled_from([1.0, -2.5])),
+             "constant y": st.sampled_from([1.0, 0.0]),
+             "spike": st.tuples(st.integers(0, 8), st.integers(0, 35))}[kind]
+    return family, linear, kind, draw(value)
+
+
+def change_panel(data, kind, value):
+    if kind == "scale y":
+        data.Y[...] *= 10.0 ** value
+    elif kind == "scale X":
+        data.X[...] *= 10.0 ** value
+    elif kind == "zero column":
+        data.X[..., value] = 0.0
+    elif kind == "constant column":
+        data.X[..., value[0]] = value[1]
+    elif kind == "constant y":
+        data.Y[...] = value
+    else:  # spike
+        data.Y[value] = 1e300
+
+
+class TestHostilePanelFuzz:
+    @settings(derandomize=True, max_examples=50, deadline=None, database=None)
+    @given(change=hostile_changes())
+    def test_fit_exits_with_its_record(self, hostile_bases, change):
+        # exit 0 or 3 with a fit.json whose converged agrees, exit 3 with
+        # only fit_error.json, or exit 2 naming where the input is at fault;
+        # no RuntimeWarning repeats the canonical form or the phi0 bound
+        family, linear, kind, value = change
+        cfg, base = hostile_bases[family, linear]
+        data = pa.read_panel_csv(base, p=1, q=2)
+        change_panel(data, kind, value)
+        with tempfile.TemporaryDirectory() as tmp:
+            pa.write_panel_csv(Path(tmp) / "panel.csv", data)
+            out = Path(tmp) / "fit"
+            code, err, warned = main_warnings(["fit", "--config", cfg, "--panel",
+                                               f"{tmp}/panel.csv", "--out", str(out),
+                                               "--seed", "1"])
+            files = sorted(p.name for p in out.iterdir()) if out.exists() else []
+            record = json.loads((out / "fit.json").read_text()) if "fit.json" in files else None
+        assert "Traceback" not in err
+        if code == 2:
+            assert re.search(r"\b(?:t|s|line|row|column)[= ]\d+\b|\bkey\b", err), err
+            assert files == [], files
+        elif record is not None:
+            assert code in (0, 3) and record["converged"] == (code == 0), (code, err)
+            assert files == ["diagnostics.json", "fit.json", "fit.txt"]
+        else:
+            assert code == 3 and files == ["fit_error.json"], (code, err, files)
+        assert [m for m in warned if "canonicalized" in m or "pinned" in m] == []
+
+
+# ----------------------------------------------------------------------
 # Reader fuzz gate: one mutation of a valid panel or edge list per example.
 # read_columns must give the checked parser's arrays bit for bit or raise
 # its error, and fit (a panel) or simulate (an edge list) must exit cleanly.
@@ -1526,6 +1733,19 @@ def csv_mutations(draw, text, kind, value):
             fields[j] = value
         lines[k] = [",".join(fields), end]
     return "".join(body + end for body, end in lines), k + 1
+
+
+def main_warnings(argv):
+    """(exit code, stderr, messages of the RuntimeWarnings raised in the
+    package) of an in-process command."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code = main(argv)
+    package = str(Path(pa.__file__).parent)
+    return code, err.getvalue(), [str(w.message) for w in seen if issubclass(
+        w.category, RuntimeWarning) and w.filename.startswith(package)]
 
 
 def run_main(argv):

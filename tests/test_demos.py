@@ -1,4 +1,5 @@
-"""Smoke tests: every demo script runs to completion in a fresh interpreter."""
+"""Smoke tests: every demo script runs to completion in a fresh interpreter,
+with nothing on stderr."""
 
 import os
 import subprocess
@@ -24,3 +25,4 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stderr == ""  # no warning or log line reaches a demo's user

@@ -48,9 +48,11 @@ class TestFit:
         bounds[0] = [0.6, 0.6]
         start = pa.ParameterVector.from_array(1.1 * theta0.to_array(), spec)
         start.phi0 = 0.6
-        with pytest.warns(RuntimeWarning, match="pinned"):
+        with warnings.catch_warnings():  # the pin is recorded, not warned of
+            warnings.simplefilter("error", RuntimeWarning)
             res = pa.fit(spec, data, starts=[start], bounds=bounds,
                          covariance=False)
+        assert res.boundary_warning
         assert np.max(np.abs(res.theta.to_array() - theta0.to_array())) < 1e-4
 
     def test_gaussian_linear_case_matches_profile_oracle(self, w1010):
@@ -127,7 +129,8 @@ class TestFit:
         spec, data = small_model1_data(w33, seed=7, T=8)
         bounds = pa.default_bounds(spec)
         bounds[0] = [-0.3, 0.3]  # true phi0 = 0.6 slams the upper bound
-        with pytest.warns(RuntimeWarning, match="pinned"):
+        with warnings.catch_warnings():  # the pin is recorded, not warned of
+            warnings.simplefilter("error", RuntimeWarning)
             res = pa.fit(spec, data, n_starts=2, seed=0, bounds=bounds,
                          covariance=False)
         assert res.boundary_warning
@@ -561,7 +564,7 @@ class TestTrustRegionNewton:
         # as a non-finite objective at the start does: fun = inf, so the
         # start is no candidate, and the message names the cause
         def hess(x):
-            raise likelihood.NonFiniteHessianError("Hessian entry (beta1, beta1) is not finite")
+            raise pa.NumericalError("Hessian entry (beta1, beta1) is not finite")
 
         res = estimate._trust_region_newton(
             lambda x, threshold=np.inf: (float(x @ x), 2.0 * x), np.full(2, 0.5),
@@ -570,9 +573,20 @@ class TestTrustRegionNewton:
                                                                           False, 0, 1)
         assert res.message == "Hessian failed: Hessian entry (beta1, beta1) is not finite"
 
+    def test_asymmetric_hessian_fails_the_start(self):
+        # every NumericalError of the Hessian fails the start, not the fit
+        def hess(x):
+            raise pa.NumericalError("Hessian asymmetry 1.000e-03 exceeds tolerance")
+
+        res = estimate._trust_region_newton(
+            lambda x, threshold=np.inf: (float(x @ x), 2.0 * x), np.full(2, 0.5),
+            hess=hess, bounds=[(-1.0, 1.0)] * 2)
+        assert (res.fun, res.pg_norm, res.success) == (np.inf, np.inf, False)
+        assert res.message == "Hessian failed: Hessian asymmetry 1.000e-03 exceeds tolerance"
+
     def test_every_start_meeting_a_non_finite_hessian_raises_fit_error(self, w33, monkeypatch):
         def failing(ws, theta):
-            raise likelihood.NonFiniteHessianError("Hessian entry (beta1, beta1) is not finite")
+            raise pa.NumericalError("Hessian entry (beta1, beta1) is not finite")
 
         monkeypatch.setattr(pa.LikelihoodWorkspace, "hessian", failing)
         spec, data = small_model1_data(w33, T=6)

@@ -168,10 +168,9 @@ class TestHessian:
         data.X[...] *= 1e200
         ws = pa.LikelihoodWorkspace(spec, data)
         with np.errstate(all="ignore"), \
-                pytest.raises(likelihood.NonFiniteHessianError,
+                pytest.raises(pa.NumericalError,
                               match=r"^Hessian entry \(beta1, beta1\) is not finite$"):
             ws.hessian(theta)
-        assert issubclass(likelihood.NonFiniteHessianError, pa.NumericalError)
 
 
 class TestScoreOuterProduct:
