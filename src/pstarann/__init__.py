@@ -22,7 +22,6 @@ The pieces compose bottom-up:
 from .densities import ErrorDensity, density_from_config, laplace, normal, scaled_t
 from .diagnostics import heatmap_grid, morans_i, residual_diagnostics
 from .estimate import (
-    CovarianceUnavailableError,
     FitError,
     FitResult,
     default_bounds,
@@ -56,7 +55,7 @@ __all__ = [
     "check_causal", "psi_expansion", "canonicalize", "param_names",
     "generate_covariates", "simulate", "write_panel_csv", "read_panel_csv",
     "LikelihoodWorkspace", "NumericalError", "log_likelihood",
-    "FitResult", "FitError", "CovarianceUnavailableError", "default_bounds",
+    "FitResult", "FitError", "default_bounds",
     "fit", "initial_points", "sandwich_covariance", "likelihood_ratio_test",
     "morans_i", "residual_diagnostics", "heatmap_grid",
 ]

@@ -346,9 +346,10 @@ def cmd_fit(args):
     An earlier run's ``fit.json``, ``fit.txt``, ``diagnostics.json`` and
     ``fit_error.json`` are removed from ``--out`` before any input is read,
     so every exit leaves this run's files or none. A fit that ends without
-    an estimate (``FitError``: every start failed; ``NumericalError``: a
-    log-det series node or the canonicalization check failed) writes
-    ``fit_error.json`` in place of ``fit.json`` and exits 3.
+    an estimate (``FitError``: every start failed, a log-det series node or
+    the canonicalization check failed) writes ``fit_error.json``, its
+    message and the record of every start that ran, in place of
+    ``fit.json`` and exits 3.
     """
     out = Path(args.out)
     for name in ("fit.json", "fit.txt", "diagnostics.json", "fit_error.json"):
@@ -358,9 +359,8 @@ def cmd_fit(args):
     try:
         # fit() checks the panel against the spec (n, intercept, rank of X_t)
         result = fit(spec, data, seed=args.seed, **cfg.get("optim", {}))
-    except (FitError, NumericalError) as exc:  # keep why in place of fit.json
-        write_fit_record(out, "fit_error.json",
-                         {"error": str(exc), "trace": getattr(exc, "trace", [])}, spec.W)
+    except FitError as exc:  # keep why in place of fit.json
+        write_fit_record(out, "fit_error.json", {"error": str(exc), "trace": exc.trace}, spec.W)
         raise
     write_fit_record(out, "fit.json", result.to_json_dict(), spec.W)
     table = result.format_table()
@@ -552,7 +552,7 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (FitError, NumericalError) as exc:
+    except NumericalError as exc:  # FitError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
 

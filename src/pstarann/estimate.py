@@ -43,6 +43,14 @@ per-observation score array is ever formed. For the Laplace
 family A is unavailable (no curvature at 0), so fits report point
 estimates only.
 
+A fit ends in an estimate or in ``FitError``, a ``NumericalError`` that
+carries the record of every start that ran. An estimate whose covariance
+cannot be formed keeps its point estimates, and ``covariance_note`` says
+why. ``fit`` runs under ``np.errstate(over="ignore", invalid="ignore")``:
+every non-finite value it meets ends as a rejected trial, a failed start,
+a ``FitError`` or a note, so numpy's overflow warnings would only repeat
+that record.
+
 Each fit builds one ``LikelihoodWorkspace``. The starts
 (``initial_points``), the optimizer, the covariance
 (``sandwich_covariance``) and the residuals the fit reports all read it,
@@ -52,7 +60,6 @@ so the panel is checked and its fixed derivative rows are formed once.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import NamedTuple, Optional
@@ -76,7 +83,6 @@ from .model import (
 __all__ = [
     "FitResult",
     "FitError",
-    "CovarianceUnavailableError",
     "default_bounds",
     "initial_points",
     "fit",
@@ -103,17 +109,15 @@ _LAPLACE_SMOOTHING = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
 _FLAT_TRIALS = 40
 
 
-class FitError(RuntimeError):
-    """Raised when no start produces a usable optimum. ``trace`` holds one
-    record per start, as ``FitResult.trace`` does, saying why each failed."""
+class FitError(NumericalError):
+    """Raised when a fit ends without an estimate: every start failed, W's
+    log-det failed (a series node's self-check), or the canonicalization
+    check failed. ``trace`` holds the record of every start that ran, as
+    ``FitResult.trace`` does."""
 
     def __init__(self, message, trace=()):
         super().__init__(message)
         self.trace = list(trace)
-
-
-class CovarianceUnavailableError(RuntimeError):
-    """Raised when the sandwich covariance cannot be formed."""
 
 
 @dataclass
@@ -471,6 +475,7 @@ def _trust_region_newton(fun, x0, hess, bounds, gtol=1e-8, maxiter=500):
 optimize = SimpleNamespace(minimize=_trust_region_newton)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
         tol=1e-8, max_iter=500, covariance=True, starts=None):
     """Maximize the conditional log-likelihood from multiple starts.
@@ -506,12 +511,17 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
     those at the reported theta. An estimate that ``canonicalize`` refuses
     (gamma_i1 < 0 without an intercept column) is reported as found, with
     ``canonical`` False, and a phi0 within 1e-8 of its bound sets
-    ``boundary_warning``. These fields are the only record of either:
-    ``fit`` raises no warning for them.
+    ``boundary_warning``. With ``covariance``, the estimate carries the
+    sandwich covariance, or in its place a ``cov_note`` that says why it
+    is unavailable: the Laplace family, or the ``NumericalError`` of
+    ``sandwich_covariance``. These fields are the only record of each
+    caveat: ``fit`` raises no warning, and numpy's overflow and
+    invalid-value warnings are ignored throughout.
 
-    Raises ``FitError``, carrying each start's record, when no start
-    reaches a finite optimum, and ``NumericalError`` when a log-det series
-    node or the canonicalization check fails.
+    Raises ``FitError``, carrying the record of every start that ran, for
+    every end without an estimate: no start reaches a finite optimum, a
+    log-det series node fails its self-check (the message is the node's
+    ``NumericalError``), or the canonicalization check fails.
 
     Without ``starts``, W's log-det backend is built (``log_det_a0(0.0)``)
     before the ``LikelihoodWorkspace``, as ``initial_points``' grid would
@@ -523,9 +533,6 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
     before its ValueError.
     """
     bounds = default_bounds(spec) if bounds is None else _checked_bounds(bounds, spec)
-    if starts is None:  # initial_points' grid reads ln|A0| first anyway
-        spec.W.log_det_a0(0.0)
-    ws = LikelihoodWorkspace(spec, data)
     lb, ub = bounds[:, 0], bounds[:, 1]
     exact = spec.density
     if exact.differentiable:
@@ -535,55 +542,63 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
         # the last stops at a tolerance of that order
         stages = [(SmoothedLaplace(mu), max(tol, 1e-2 * mu)) for mu in _LAPLACE_SMOOTHING]
         stages[-1] = (stages[-1][0], tol)
-
-    def objective(x, threshold=np.inf):
-        # a trial whose -ll is certainly >= threshold, the ratio test's
-        # rejection, comes back as inf without its log-det
-        ll, g = ws.loglik_and_gradient(ParameterVector.from_array(x, spec), -threshold)
-        if not np.isfinite(ll):
-            return np.inf, np.zeros(spec.dim)
-        return -ll, -g
-
-    def neg_hessian(x):
-        return -ws.hessian(ParameterVector.from_array(x, spec))
-
-    if starts is None:
-        starts = initial_points(ws, n_starts, seed)
-    else:
-        starts = [s if isinstance(s, ParameterVector)
-                  else ParameterVector.from_array(s, spec) for s in starts]
-        n_starts = len(starts)
     candidates, trace = [], []
-    for idx, theta0 in enumerate(starts):
-        t0 = time.perf_counter()
-        ll0 = ws.log_likelihood(theta0)
-        nit, nfev, optima = 0, 0, [theta0.x]
-        for density, gtol in stages:
-            ws.density = density
-            # a smoothing's optimum moves about linearly in mu once mu is
-            # small, and each mu is a tenth of the last: from the third stage
-            # on, start a tenth of the last move further along that line
-            x0 = optima[-1] if len(optima) < 3 else optima[-1] + 0.1 * (optima[-1] - optima[-2])
-            res = optimize.minimize(objective, x0, neg_hessian, bounds, gtol, max_iter)
-            nit, nfev = nit + res.nit, nfev + res.nfev
-            optima.append(res.x)
-            if not np.isfinite(res.fun):
-                break
-        ws.density = exact
-        ok = bool(np.isfinite(res.fun))
-        ll = -float(res.fun)
-        if ok and density is not exact:  # a smoothing's optimum, scored exactly
-            ll = ws.log_likelihood(ParameterVector.from_array(res.x, spec))
-        if ok:
-            candidates.append((-ll, idx, res, nit))
-        trace.append({
-            "start_loglik": float(ll0) if np.isfinite(ll0) else None,
-            "loglik": ll if ok else None,
-            "nit": nit,
-            "nfev": nfev,
-            "message": str(res.message),
-            "seconds": time.perf_counter() - t0,
-        })
+    try:  # every NumericalError here is W's log-det: a fault of W, not of one start
+        if starts is None:  # initial_points' grid reads ln|A0| first anyway
+            spec.W.log_det_a0(0.0)
+        ws = LikelihoodWorkspace(spec, data)
+
+        def objective(x, threshold=np.inf):
+            # a trial whose -ll is certainly >= threshold, the ratio test's
+            # rejection, comes back as inf without its log-det
+            ll, g = ws.loglik_and_gradient(ParameterVector.from_array(x, spec), -threshold)
+            if not np.isfinite(ll):
+                return np.inf, np.zeros(spec.dim)
+            return -ll, -g
+
+        def neg_hessian(x):
+            return -ws.hessian(ParameterVector.from_array(x, spec))
+
+        if starts is None:
+            starts = initial_points(ws, n_starts, seed)
+        else:
+            starts = [s if isinstance(s, ParameterVector)
+                      else ParameterVector.from_array(s, spec) for s in starts]
+            n_starts = len(starts)
+        for idx, theta0 in enumerate(starts):
+            t0 = time.perf_counter()
+            ll0 = ws.log_likelihood(theta0)
+            nit, nfev, optima = 0, 0, [theta0.x]
+            for density, gtol in stages:
+                ws.density = density
+                # a smoothing's optimum moves about linearly in mu once mu is
+                # small, and each mu is a tenth of the last: from the third
+                # stage on, start a tenth of the last move further along that line
+                x0 = optima[-1]
+                if len(optima) >= 3:
+                    x0 = x0 + 0.1 * (optima[-1] - optima[-2])
+                res = optimize.minimize(objective, x0, neg_hessian, bounds, gtol, max_iter)
+                nit, nfev = nit + res.nit, nfev + res.nfev
+                optima.append(res.x)
+                if not np.isfinite(res.fun):
+                    break
+            ws.density = exact
+            ok = bool(np.isfinite(res.fun))
+            ll = -float(res.fun)
+            if ok and density is not exact:  # a smoothing's optimum, scored exactly
+                ll = ws.log_likelihood(ParameterVector.from_array(res.x, spec))
+            if ok:
+                candidates.append((-ll, idx, res, nit))
+            trace.append({
+                "start_loglik": float(ll0) if np.isfinite(ll0) else None,
+                "loglik": ll if ok else None,
+                "nit": nit,
+                "nfev": nfev,
+                "message": str(res.message),
+                "seconds": time.perf_counter() - t0,
+            })
+    except NumericalError as exc:
+        raise FitError(str(exc), trace) from exc
 
     if not candidates:
         last = f" (last start: {trace[-1]['message']})" if trace else ""
@@ -605,8 +620,8 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
     if canonical:
         ll_canon = ws.log_likelihood(theta_hat)
         if abs(ll_canon - ll_hat) > 1e-10 * (1.0 + abs(ll_hat)):
-            raise NumericalError(
-                f"canonicalization changed the log-likelihood by {ll_canon - ll_hat:.3e}"
+            raise FitError(
+                f"canonicalization changed the log-likelihood by {ll_canon - ll_hat:.3e}", trace
             )
 
     boundary = bool(abs(theta_raw.phi0 - lb[0]) < 1e-8 or abs(theta_raw.phi0 - ub[0]) < 1e-8)
@@ -631,48 +646,51 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
         residuals=ws.residuals(theta_hat),
     )
 
-    if covariance:
-        try:
+    if covariance and not exact.differentiable:
+        result.cov_note = ("sandwich covariance unavailable for the Laplace family: the "
+                           "log-density has no second derivative at 0; point estimates only")
+    elif covariance:
+        try:  # point estimates stand; the note says why inference does not
             cov = sandwich_covariance(ws, theta_hat)
-            result.covariance = cov["omega"]
-            result.std_errors = cov["se"]
+            result.covariance, result.std_errors = cov["omega"], cov["se"]
             result.ci95 = cov["ci95"]
-        except (CovarianceUnavailableError, ValueError, NumericalError) as exc:
-            # point estimates stand; inference degrades with an explanation
+        except NumericalError as exc:
             result.cov_note = str(exc)
     return result
+
+
+def _require_positive_definite(M, name):
+    """Raise ``NumericalError`` naming ``M`` when an entry is not finite or
+    its least eigenvalue is not positive (with that eigenvalue and the
+    condition number max |eig| / min |eig|). Finiteness is tested first: a
+    NaN would make ``eigvalsh`` raise ``LinAlgError``, a ValueError."""
+    if not np.isfinite(M).all():
+        raise NumericalError(f"{name} is not finite")
+    eigs = np.linalg.eigvalsh(M)
+    if eigs[0] <= 0:
+        mags = np.abs(eigs)
+        cond = np.inf if mags.min() == 0 else mags.max() / mags.min()
+        raise NumericalError(f"{name} is not positive definite "
+                             f"(min eigenvalue {eigs[0]:.3e}, condition number {cond:.3e})")
 
 
 def sandwich_covariance(ws: LikelihoodWorkspace, theta_hat: ParameterVector):
     """Omega = A^{-1} B A^{-1} with SEs and 95% intervals on the workspace's panel.
 
     A is the averaged negated Hessian, B the averaged per-observation score
-    outer product. Raises :class:`CovarianceUnavailableError` for the
-    Laplace family and a ValueError (with condition number) when A is
-    singular or not positive definite.
+    outer product. Raises ``NumericalError``, naming the matrix, when A or
+    Omega is not finite or not positive definite, with its least eigenvalue
+    and condition number; ``fit`` records that error as its ``cov_note``.
+    For the Laplace family ``hessian`` raises its ValueError.
     """
-    if not ws.spec.density.differentiable:
-        raise CovarianceUnavailableError(
-            "sandwich covariance unavailable for the Laplace family: the "
-            "log-density has no second derivative at 0; point estimates only"
-        )
     nT = ws.data.n * ws.data.T
     A = -ws.hessian(theta_hat) / nT
     B = ws.score_outer_product(theta_hat)
-    eigs = np.linalg.eigvalsh(A)
-    if eigs[0] <= 0:
-        mags = np.abs(eigs)
-        cond = np.inf if mags.min() == 0 else mags.max() / mags.min()
-        raise ValueError(
-            f"averaged negated Hessian is not positive definite "
-            f"(min eigenvalue {eigs[0]:.3e}, condition number {cond:.3e})"
-        )
+    _require_positive_definite(A, "averaged negated Hessian")
     Ainv = np.linalg.inv(A)
     omega = Ainv @ B @ Ainv
     omega = 0.5 * (omega + omega.T)
-    if np.linalg.eigvalsh(omega)[0] <= 0:
-        warnings.warn("sandwich covariance is not positive definite", RuntimeWarning,
-                      stacklevel=2)
+    _require_positive_definite(omega, "sandwich covariance")
     se = np.sqrt(np.diag(omega) / nT)
     ci95 = np.column_stack((theta_hat.x - 1.96 * se, theta_hat.x + 1.96 * se))
     return {"omega": omega, "A": A, "B": B, "se": se, "ci95": ci95}

@@ -163,7 +163,10 @@ COMPLEX_STEP = 1e-30
 class NumericalError(RuntimeError):
     """Raised when a numerical self-check fails: here a series node's sparse
     LU that left its symmetric ordering or met a pivot whose real part is
-    not positive, in ``likelihood`` a non-finite or asymmetric Hessian."""
+    not positive, in ``likelihood`` a non-finite or asymmetric Hessian, in
+    ``estimate`` a covariance matrix that is not finite or not positive
+    definite. ``estimate.FitError``, a fit that ends without an estimate,
+    is one."""
 
 
 class LogDetSeries:

@@ -325,6 +325,20 @@ def random_panel(spec, T, rng, y_scale=1.5, x_scale=1.0):
     return pa.PanelData(Y=Y, X=X, p=spec.p)
 
 
+
+def skew_every_gram(monkeypatch):
+    """Patch ``likelihood._weighted_gram`` to move one off-diagonal entry of
+    every Gram by 1e-3 of its largest entry: far past ``hessian``'s 1e-9
+    relative asymmetry tolerance, with every entry finite."""
+    real = pa.likelihood._weighted_gram
+
+    def skewed(M, w):
+        G = real(M, w)
+        G[0, -1] += 1e-3 * (1.0 + np.abs(G).max())
+        return G
+
+    monkeypatch.setattr(pa.likelihood, "_weighted_gram", skewed)
+
 MODEL1_THETA = dict(phi0=0.6, phi=[-0.274], beta=[], lam=[1.5], gamma=[[0.75, -0.35]])
 MODEL1_COLUMNS = [{"kind": "normal", "sd": 1.5}, {"kind": "normal", "sd": 3.0}]
 

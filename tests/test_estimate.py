@@ -655,7 +655,9 @@ class TestSandwichCovariance:
         assert res.covariance is None
         assert res.std_errors is None
         assert "Laplace" in res.cov_note
-        with pytest.raises(pa.CovarianceUnavailableError):
+        # fit writes the note from the family; the sandwich meets the
+        # Hessian's own refusal
+        with pytest.raises(ValueError, match="analytic Hessian is unavailable for the Laplace"):
             pa.sandwich_covariance(pa.LikelihoodWorkspace(spec, data), res.theta)
 
     def test_singular_information_reported(self, w33):
@@ -664,7 +666,7 @@ class TestSandwichCovariance:
         theta = pa.ParameterVector(0.2, [], [0.1, -0.2], [0.7, 0.7],
                                    [[0.5, 0.3], [0.5, 0.3]])
         data = random_panel(spec, 3, np.random.default_rng(3))
-        with pytest.raises(ValueError, match="positive definite|condition"):
+        with pytest.raises(pa.NumericalError, match="positive definite|condition"):
             pa.sandwich_covariance(pa.LikelihoodWorkspace(spec, data), theta)
 
     def test_indefinite_information_reports_positive_condition_number(self, w33):
@@ -678,11 +680,25 @@ class TestSandwichCovariance:
         ws = pa.LikelihoodWorkspace(spec, data)
         eigs = np.linalg.eigvalsh(-ws.hessian(theta) / (data.n * data.T))
         assert eigs[0] < 0 < eigs[-1]
-        with pytest.raises(ValueError, match="not positive definite") as info:
+        with pytest.raises(pa.NumericalError, match="not positive definite") as info:
             pa.sandwich_covariance(ws, theta)
         cond = float(re.search(r"condition number ([^)]+)\)", str(info.value)).group(1))
         mags = np.abs(eigs)
         assert_allclose(cond, mags.max() / mags.min(), rtol=1e-3)
+
+    def test_non_finite_sandwich_named(self, w33):
+        # beta of 1e160 makes every residual about 1e160: the normal score
+        # products V^2 overflow B, while A, which does not depend on the
+        # residuals, stays finite and positive definite. The sandwich is
+        # named before eigvalsh, which would raise LinAlgError (a
+        # ValueError) on its NaN
+        rng = np.random.default_rng(11)
+        spec = pa.ModelSpec(W=w33, p=0, q=2, h=0, density=pa.normal(), linear_term=True)
+        data = random_panel(spec, 3, rng)
+        theta = pa.ParameterVector(0.2, [], [1e160, -1e160], [], [])
+        with np.errstate(all="ignore"), \
+                pytest.raises(pa.NumericalError, match="^sandwich covariance is not finite$"):
+            pa.sandwich_covariance(pa.LikelihoodWorkspace(spec, data), theta)
 
     def test_full_scale_standard_errors(self):
         # one-neuron design at full scale: the fit lands within 4 reference

@@ -21,6 +21,7 @@ from conftest import (
     oracle_per_observation_terms,
     random_causal_theta,
     random_panel,
+    skew_every_gram,
 )
 
 
@@ -170,6 +171,15 @@ class TestHessian:
         with np.errstate(all="ignore"), \
                 pytest.raises(pa.NumericalError,
                               match=r"^Hessian entry \(beta1, beta1\) is not finite$"):
+            ws.hessian(theta)
+
+    def test_asymmetry_named(self, w33, monkeypatch):
+        rng = np.random.default_rng(47)
+        spec = pa.ModelSpec(W=w33, p=1, q=2, h=1, density=pa.normal(), linear_term=True)
+        theta = random_causal_theta(spec, rng)
+        ws = pa.LikelihoodWorkspace(spec, random_panel(spec, 4, rng))
+        skew_every_gram(monkeypatch)
+        with pytest.raises(pa.NumericalError, match=r"^Hessian asymmetry \S+ exceeds tolerance$"):
             ws.hessian(theta)
 
 
