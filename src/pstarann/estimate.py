@@ -302,13 +302,18 @@ def _grid_argmax(grid, bound, rest):
     """``max(grid, key=lambda c: rest(c) + bound(c))``, the first grid point
     of largest value, for ``rest`` <= 0 at every point.
 
-    ``initial_points`` passes rest = T ln|I - phi0 W|. That is <= 0: it is
-    concave in phi0 (its second derivative is -T tr((W A0^{-1})^2)), and
-    it is 0 with a zero derivative (-T tr W) at phi0 = 0. So every point
-    has value <= ``bound`` there, to the last bit, and where that bound is
-    below the best value found the point can neither win nor tie: ``rest``
-    is not evaluated for it. The points >= 0 are visited first, so a series
-    log-det seldom builds its negative pieces.
+    ``initial_points`` passes rest = T ln|I - phi0 W|. That is <= 0 in
+    exact arithmetic: it is concave in phi0 (its second derivative is
+    -T tr((W A0^{-1})^2)), and 0 with a zero derivative (-T tr W) at
+    phi0 = 0. Computed, it carries rounding: on a series W,
+    ``log_det_a0(0.0)`` is 1.42e-14 on a Delaunay design of n = 3107. The
+    pruning is exact all the same. The points >= 0 are visited first, so
+    phi0 = 0, the grid's middle point, is the first one visited, and the
+    first point is never pruned. At every other grid point ln|A0| is below
+    zero by far more than its rounding (by about phi0^2 tr(W^2) / 2), so
+    its value is below ``bound`` there; where that bound is below the best
+    value found the point can neither win nor tie, and ``rest`` is not
+    evaluated for it. A series log-det seldom builds its negative pieces.
     """
     values, best = {}, -np.inf
     for k in sorted(range(len(grid)), key=lambda k: grid[k] < 0.0):
@@ -525,7 +530,7 @@ def fit(spec: ModelSpec, data: PanelData, n_starts=5, seed=0, bounds=None,
 
     Without ``starts``, W's log-det backend is built (``log_det_a0(0.0)``)
     before the ``LikelihoodWorkspace``, as ``initial_points``' grid would
-    build it first: the transient of that build (the series' ordering node
+    build it first: the transient of that build (the series' ordering LU
     and inner positive piece, or the dense spectrum below ``weights.N_SERIES``)
     is freed before the workspace's arrays exist, so the two do not add up
     in the peak. Which piece is built first does not move a series

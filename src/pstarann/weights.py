@@ -24,7 +24,7 @@ A0 is similar to I - phi0 S, which is symmetric positive definite for
 Two backends compute f, f' and f''. Both are built lazily, on the first
 log-determinant or trace (which only a likelihood needs), and cached for
 the life of the WeightMatrix; ``log_det_record`` reports the backend, its
-build time, the series pieces built and the sparse LUs they took.
+build time, the series pieces built and the node LUs they took.
 
 - The spectrum (Ord's device): a dense symmetric eigensolve of S, after
   which every evaluation is O(n). It costs O(n^3) time and n^2 memory, and
@@ -47,11 +47,12 @@ build time, the series pieces built and the sparse LUs they took.
   of SERIES_NODES nodes, phi0 in [-0.995, -0.905), [-0.905, 0), [0, 0.905)
   and [0.905, 0.995], and each is built on its first evaluation: one
   complex-step sparse LU of I - (phi0 + ih) S per Chebyshev node. Every
-  node shares the pattern of I - S, so one LU, made with the series,
-  chooses a symmetric fill-reducing ordering; I - S is renumbered by it
-  once, and every other node is factored in NATURAL order on that
-  pattern. A fit whose phi0 stay in [0, 0.905), as the start grid's do,
-  builds only the inner positive piece: SERIES_NODES LUs in all. No dense
+  node shares the pattern of I - S, and a fill-reducing ordering reads
+  only the pattern, so one real LU of I - S/2, made with the series,
+  chooses a symmetric ordering; I - S is renumbered by it once, and every
+  node is factored in NATURAL order on that pattern by one node routine.
+  A fit whose phi0 stay in [0, 0.905), as the start grid's do, builds
+  only the inner positive piece: SERIES_NODES complex LUs in all. No dense
   n x n matrix is formed; once a piece is built, an evaluation on it
   costs O(1).
 
@@ -67,9 +68,10 @@ A0 is strictly row diagonally dominant, hence invertible, whenever
 |phi0| < 1 / max_i |tau_i| = 1. Linear solves with A0 use the package's one
 sparse LU (``_splu``): diagonal pivots in SuperLU's symmetric mode, here in
 the minimum-degree ordering of A0's pattern (MMD on A0 + A0^T). The A0
-factor is not checked; ``a0_factor`` says why its pivots cannot fail. The
-series' nodes are checked (``_complex_step_derivative``), since the log of
-their pivots needs each to have a positive real part.
+factor is not checked; ``a0_factor`` says why its pivots cannot fail, and
+neither is the series' ordering LU, of which only the ordering is read. The
+series' nodes are checked (``LogDetSeries._node``), since the log of their
+pivots needs each to have a positive real part.
 
 A sparse factor lives only inside the call that uses it. The one
 exception is the A0 factor that ``a0_factor`` hands to ``simulate`` and
@@ -82,10 +84,11 @@ read their pivots, so each node's copies live only inside its call. What
 a caller keeps of a SuperLU object must own its data: ``perm_c`` and
 ``perm_r`` are views whose ``.base`` is the factor, and one kept alive
 keeps the whole factor (its native L and U and any CSC copies that
-``.U`` cached) alive with it. The series' ordering is therefore returned
-as a copy. At n = 3107 the view had kept the ordering node's factor
-alive while the series' pattern was allocated above it, and the pattern
-then pinned the top of the heap (ROADMAP item 8).
+``.U`` cached) alive with it. The series therefore copies the ordering
+out of its ordering LU, and that factor is freed before the pattern is
+renumbered: a kept view would hold it while the pattern was allocated
+above it, and the pattern would then pin the top of the heap (ROADMAP
+item 8).
 
 Only ``eigenbasis`` materializes eigenvectors: S = Q diag(tau) Q^T gives
 W = D^{-1/2} Q diag(tau) Q^T D^{1/2}, so in the coordinates
@@ -109,8 +112,6 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.polynomial import Chebyshev
-from numpy.polynomial import polyutils as pu
-from numpy.polynomial.chebyshev import chebpts1
 
 from ._csv import read_columns
 
@@ -202,20 +203,20 @@ class LogDetSeries:
     factorization is checked to be one (equal row and column permutations,
     pivots with positive real part), and then Im sum ln U_ii = h f'(phi0)
     to rounding. Every node has the pattern of I - S, so the constructor
-    factors one node, the inner positive piece's first, in the
-    minimum-degree ordering of that pattern (MMD on S + S^T) and renumbers
-    I - S by it; every other node only fills in the values of the
-    renumbered pattern and is factored in its NATURAL order.
+    takes the minimum-degree ordering of that pattern (MMD on S + S^T) from
+    one real LU of I - S/2, which is not checked since only its ordering
+    is read, and renumbers I - S by it. Every node, through the one node
+    routine ``_node``, fills in the values of the renumbered pattern and is
+    factored in its NATURAL order.
 
     Each piece is built on its first evaluation and then kept; an outer
     piece builds its inner neighbour first. So a fit that stays in
-    0 <= phi0 < 0.905 factors 1 + (SERIES_NODES - 1) = SERIES_NODES nodes,
-    and one that also visits -0.905 < phi0 < 0 twice that. For the other
-    pieces the series keeps the renumbered pattern (O(nnz) arrays, which
-    pickle with it) and the ordering node's value, which the inner
-    positive piece reuses. So every node value, and every coefficient, is
+    0 <= phi0 < 0.905 factors SERIES_NODES nodes, and one that also visits
+    -0.905 < phi0 < 0 twice that, in either order. For the pieces not yet
+    built the series keeps only the renumbered pattern (O(nnz) arrays,
+    which pickle with it), so every node value, and every coefficient, is
     the same whichever piece is built first. No factor is kept, the
-    ordering node's included: its ordering is copied out of the factor
+    ordering LU's included: its ordering is copied out of the factor
     (``perm_c`` is a view that keeps the factor alive), so the factor is
     freed before the pattern is renumbered.
 
@@ -224,9 +225,10 @@ class LogDetSeries:
     pieces : list of str
         The pieces built so far, in the order of ``PIECES``.
     build_s : float
-        Wall seconds of the build so far: the ordering node and each piece.
+        Wall seconds of the build so far: the ordering LU and each piece.
     factorizations : int
-        The sparse LUs factored so far, the ordering node's included.
+        The complex node LUs factored so far: SERIES_NODES per piece built.
+        The real ordering LU is not one of them.
     """
 
     PIECES = ("negative-outer", "negative-inner", "positive-inner", "positive-outer")
@@ -239,15 +241,14 @@ class LogDetSeries:
         ends = (-a, *self._seams, a)
         self._domains = tuple(zip(ends[:-1], ends[1:]))
         self._pieces = [None] * len(self.PIECES)
-        # the ordering node, at the phi0 that the inner positive piece's
-        # build passes for its first Chebyshev point
-        phi0 = np.tanh(pu.mapdomain(chebpts1(SERIES_NODES), Chebyshev.window,
-                                    self._domains[2]))[0]
-        A = sp.identity(S.shape[0], format="csc") - (phi0 + 1j * COMPLEX_STEP) * S
-        d1, perm = _complex_step_derivative(A, "MMD_AT_PLUS_A")
-        self._ordering_node = (phi0, d1)
+        # The ordering reads only the pattern, which every node shares: one
+        # real LU of I - S/2 (I - S is singular: S's largest eigenvalue is 1)
+        # chooses it, unchecked, since only perm_c is read. The copy lets the
+        # factor go before the pattern is renumbered.
+        half = sp.identity(S.shape[0], format="csc") - 0.5 * S
+        perm = _splu(half, "MMD_AT_PLUS_A").perm_c.copy()
         self._pattern = _renumbered(S, perm)
-        self.factorizations = 1
+        self.factorizations = 0
         self.build_s = time.perf_counter() - t0
 
     @property
@@ -275,25 +276,36 @@ class LogDetSeries:
             inner = k + 1 if k == 0 else k - 1
             f_edge = float((self._pieces[inner] or self._build(inner))[0](edge))
         t0 = time.perf_counter()
-        eye, s, indices, indptr = self._pattern
-        n = len(indptr) - 1
-
-        def derivative(phi0):  # Im ln|I - (phi0 + ih) S| / h
-            if phi0 == self._ordering_node[0]:
-                return self._ordering_node[1]
-            A = sp.csc_matrix((eye - (phi0 + 1j * COMPLEX_STEP) * s, indices, indptr),
-                              shape=(n, n))
-            self.factorizations += 1
-            return _complex_step_derivative(A, "NATURAL")[0]
 
         def scaled_derivative(xs):  # u at the nodes xs
             phi0 = np.tanh(xs)
-            return (1.0 - phi0) * (1.0 + phi0) * np.array([derivative(c) for c in phi0])
+            return (1.0 - phi0) * (1.0 + phi0) * np.array([self._node(c) for c in phi0])
 
         u = Chebyshev.interpolate(scaled_derivative, SERIES_NODES - 1, domain=self._domains[k])
         self._pieces[k] = (u.integ(lbnd=edge, k=f_edge), u, u.deriv())
         self.build_s += time.perf_counter() - t0
         return self._pieces[k]
+
+    def _node(self, phi0):
+        """Im ln|I - (phi0 + ih) S| / h at one Chebyshev node, the series' one
+        node routine: the ``_splu`` factor of the renumbered pattern's values
+        in NATURAL order. The factor is checked first: the log of its pivots
+        needs a symmetric ordering (equal row and column permutations) and
+        pivots of positive real part, as I - z S (|Re z| < 1) has, and a
+        factor without both raises ``NumericalError``. The pivots are read
+        through ``lu.U``, which builds CSC copies of L and U (SuperLU has no
+        pivot accessor); the factor and its copies are freed when this
+        returns."""
+        eye, s, indices, indptr = self._pattern
+        n = len(indptr) - 1
+        A = sp.csc_matrix((eye - (phi0 + 1j * COMPLEX_STEP) * s, indices, indptr), shape=(n, n))
+        self.factorizations += 1
+        lu = _splu(A, "NATURAL")
+        pivots = lu.U.diagonal()
+        if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(pivots.real > 0.0)):
+            raise NumericalError("sparse LU left its symmetric ordering or met a nonpositive "
+                                 "pivot; diagonal pivoting needs both")
+        return float(np.sum(np.log(pivots)).imag) / COMPLEX_STEP
 
 
 def _splu(A, permc_spec):
@@ -308,24 +320,6 @@ def _splu(A, permc_spec):
     # factored in its NATURAL order does the same.
     return spla.splu(A, permc_spec=permc_spec, diag_pivot_thresh=0.0, panel_size=1,
                      options={"SymmetricMode": True})
-
-
-def _complex_step_derivative(A, permc_spec):
-    """(Im ln|A| / h, the column ordering) for A = I - (phi0 + ih) S, from
-    A's ``_splu`` factor. The factor is checked first: the log of its
-    pivots needs a symmetric ordering (equal row and column permutations)
-    and pivots of positive real part, as I - z S (|Re z| < 1) has, and a
-    factor without both raises ``NumericalError``. The pivots are read
-    through ``lu.U``, which builds CSC copies of L and U (SuperLU has no
-    pivot accessor). The ordering is a copy of ``perm_c``, which is a view
-    that keeps the factor alive, so the factor and its copies are freed
-    when this returns."""
-    lu = _splu(A, permc_spec)
-    pivots = lu.U.diagonal()
-    if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(pivots.real > 0.0)):
-        raise NumericalError("sparse LU left its symmetric ordering or met a nonpositive "
-                             "pivot; diagonal pivoting needs both")
-    return float(np.sum(np.log(pivots)).imag) / COMPLEX_STEP, lu.perm_c.copy()
 
 
 def _renumbered(S, perm):
@@ -401,8 +395,8 @@ class WeightMatrix:
         wall seconds of that backend's build so far, None before it starts
         (the series' grows with each piece); ``pieces``, the series pieces
         built, named as in ``LogDetSeries.PIECES``; ``factorizations``, the
-        sparse LUs the series has factored. Without a series, ``pieces`` is
-        [] and ``factorizations`` 0.
+        complex node LUs the series has factored, SERIES_NODES per piece.
+        Without a series, ``pieces`` is [] and ``factorizations`` 0.
     tau_min : float
         The smallest eigenvalue, from Lanczos on first access, then cached.
         ARPACK starts from a fixed vector, so it is the same in every

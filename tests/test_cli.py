@@ -615,7 +615,7 @@ class TestFitCommand:
 
         # on the series the fit stays at phi0 >= 0, but on this small panel a
         # trust-region trial reaches the box's edge, 0.995: both positive
-        # pieces, 24 LUs each (the inner one's first node is the ordering LU)
+        # pieces, 24 node LUs each
         monkeypatch.setattr(weights, "N_SERIES", 20)
         main(["fit", "--config", cfg, "--panel", str(out / "panel.csv"),
               "--out", str(tmp / "series"), "--seed", "2"])
@@ -774,7 +774,7 @@ class TestFitCommand:
         if fault == "series pivot":
             real = weights._splu
 
-            def unordered(A, permc_spec):  # every node but the ordering node
+            def unordered(A, permc_spec):  # every node; the ordering LU reads no pivots
                 lu = real(A, permc_spec)
                 if permc_spec == "NATURAL":
                     return SimpleNamespace(U=lu.U, perm_r=lu.perm_r[::-1], perm_c=lu.perm_c)

@@ -3,6 +3,7 @@
 import io
 import math
 import pickle
+import sys
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -653,9 +654,9 @@ class TestLogDetSeries:
         monkeypatch.setattr(spla, "splu", counting)
         res = pa.fit(spec, data, n_starts=3, seed=0)
         assert res.theta.phi0 > 0.0 and spec.W.log_det_record["pieces"] == ["positive-inner"]
-        # the ordering node is the piece's first node
-        assert calls == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (weights.SERIES_NODES - 1)
-        assert len(calls) == spec.W.log_det_record["factorizations"] == 24
+        # one real LU orders the pattern; the count is the piece's nodes
+        assert calls == ["MMD_AT_PLUS_A"] + ["NATURAL"] * weights.SERIES_NODES
+        assert spec.W.log_det_record["factorizations"] == 24
 
     def test_negative_dependence_fit_matches_an_eager_build(self, monkeypatch):
         monkeypatch.setattr(weights, "N_SERIES", 20)
@@ -680,7 +681,8 @@ class TestLogDetSeries:
         S = pa.build_queen_lattice(6, 7)._similarity
         m = weights.SERIES_NODES
         lazy = LogDetSeries(S)
-        for phi0, pieces in ((0.95, ["positive-inner", "positive-outer"]),
+        for phi0, pieces in ((-0.3, ["negative-inner"]),
+                             (0.95, ["negative-inner", "positive-inner", "positive-outer"]),
                              (-0.95, list(LogDetSeries.PIECES))):
             lazy(phi0)
             assert lazy.pieces == pieces and lazy.factorizations == m * len(pieces)
@@ -703,34 +705,50 @@ class TestLogDetSeries:
         m = weights.SERIES_NODES
         series = LogDetSeries(pa.build_queen_lattice(6, 7)._similarity)
         assert orderings == ["MMD_AT_PLUS_A"] and series.pieces == []
-        # each piece on its first evaluation, every node in NATURAL order; the
-        # inner positive piece reuses the ordering node's value
+        assert series.factorizations == 0
+        # each piece on its first evaluation, every node in NATURAL order
         inner = ["negative-inner", "positive-inner"]
         for phi0, pieces in ((0.3, ["positive-inner"]), (0.7, ["positive-inner"]),
                              (-0.3, inner), (0.95, inner + ["positive-outer"]),
                              (-0.99, list(LogDetSeries.PIECES))):
             series(phi0, 2)
             assert series.pieces == pieces
-            assert len(orderings) == series.factorizations == m * len(pieces)
-        assert orderings[1:] == ["NATURAL"] * (4 * m - 1)
+            assert len(orderings) - 1 == series.factorizations == m * len(pieces)
+        assert orderings[1:] == ["NATURAL"] * (4 * m)
         assert len(fills) == 1  # the renumbered pattern fills in as the ordered one
 
-    def test_ordering_owns_its_data(self):
+    def test_ordering_owns_its_data(self, monkeypatch):
         # perm_c is a view whose base is the SuperLU object: an ordering that
-        # kept it would keep the whole factor alive
-        S = sp.csc_matrix(pa.build_queen_lattice(6, 7)._similarity)
-        A = sp.identity(S.shape[0], format="csc") - (0.3 + 1j * weights.COMPLEX_STEP) * S
-        _, perm = weights._complex_step_derivative(A, "MMD_AT_PLUS_A")
-        assert perm.base is None
+        # kept it would keep the ordering LU's whole factor alive. The factor
+        # is SuperLU's own memory, which tracemalloc does not see, so its
+        # references are counted: when the pattern is renumbered, only the
+        # list below and getrefcount's argument hold it.
+        real_splu, real_renumbered, factors, seen = weights._splu, weights._renumbered, [], []
+
+        def recording(A, permc_spec):
+            factors.append(real_splu(A, permc_spec))
+            return factors[-1]
+
+        def renumbering(S, perm):
+            seen.append((perm, sys.getrefcount(factors[0])))
+            return real_renumbered(S, perm)
+
+        monkeypatch.setattr(weights, "_splu", recording)
+        monkeypatch.setattr(weights, "_renumbered", renumbering)
+        S = pa.build_queen_lattice(6, 7)._similarity
+        LogDetSeries(S)
+        [(perm, references)] = seen
+        assert perm.base is None and references == 2
         assert np.array_equal(np.sort(perm), np.arange(S.shape[0]))
 
     def test_construction_outlives_no_factor(self):
-        # The constructor holds at once the ordering matrix, S's CSC copy, the
-        # ordering node's factor and, after it, the renumbered pattern. With the
-        # factor freed before the pattern is made, its traced peak stays within
-        # one NATURAL node's peak plus those arrays and 128 KiB. At n = 1500:
-        # 1.13 MiB against a bound of 1.45 (one node 0.81); 1.68 MiB when the
-        # ordering held a view of the factor.
+        # The constructor holds at once the ordering matrix I - S/2, S's CSC
+        # copy, the ordering LU's factor and, after it, the renumbered
+        # pattern. Its traced peak stays within one node's peak (the node's
+        # matrix and its CSC copies of L and U) plus those arrays and
+        # 128 KiB. At n = 1500: 0.84 MiB against a bound of 1.54 (one node
+        # 0.97). The factor itself is SuperLU's own memory, which is not
+        # traced; test_ordering_owns_its_data counts its references.
         S = delaunay_weights(1500, 5)._similarity
         n = S.shape[0]
         LogDetSeries(S)  # imports and first-call caches outside the trace
@@ -738,12 +756,9 @@ class TestLogDetSeries:
         try:
             series = LogDetSeries(S)
             peak = tracemalloc.get_traced_memory()[1]
-            eye, s, indices, indptr = series._pattern
-            A = sp.csc_matrix((eye - (0.3 + 1j * weights.COMPLEX_STEP) * s, indices, indptr),
-                              shape=(n, n))
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            weights._complex_step_derivative(A, "NATURAL")
+            series._node(0.3)
             node = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -751,11 +766,11 @@ class TestLogDetSeries:
         def nbytes(*arrays):
             return sum(a.nbytes for a in arrays)
 
-        ordering_matrix = nbytes(A.data, A.indices, A.indptr)
         csc = sp.csc_matrix(S)
+        half = sp.identity(n, format="csc") - 0.5 * csc
         slack = 2**17
-        bound = (node + ordering_matrix + nbytes(csc.data, csc.indices, csc.indptr)
-                 + nbytes(*series._pattern) + slack)
+        bound = (node + nbytes(half.data, half.indices, half.indptr)
+                 + nbytes(csc.data, csc.indices, csc.indptr) + nbytes(*series._pattern) + slack)
         assert peak <= bound, (peak / 2**20, bound / 2**20, node / 2**20)
 
     @pytest.mark.parametrize("design", ["delaunay1000", "lattice20x20"])
@@ -778,20 +793,19 @@ class TestLogDetSeries:
                 return SimpleNamespace(perm_r=lu.perm_r[::-1], perm_c=lu.perm_c, U=lu.U)
             return SimpleNamespace(perm_r=lu.perm_r, perm_c=lu.perm_c, U=-lu.U)
 
-        # call 1 orders the pattern as the series is made; call 10 factors a
-        # node of the inner positive piece, which reuses it
-        for bad_call, ordering in ((1, "MMD_AT_PLUS_A"), (10, "NATURAL")):
-            calls = []
+        # call 1 orders the pattern as the series is made and reads no
+        # pivots; call 10 factors a node of the inner positive piece
+        calls = []
 
-            def tampered(*args, **kwargs):
-                lu = real(*args, **kwargs)
-                calls.append(kwargs["permc_spec"])
-                return lu if len(calls) < bad_call else faulty(lu)
+        def tampered(*args, **kwargs):
+            lu = real(*args, **kwargs)
+            calls.append(kwargs["permc_spec"])
+            return lu if len(calls) < 10 else faulty(lu)
 
-            monkeypatch.setattr(spla, "splu", tampered)
-            with pytest.raises(pa.NumericalError, match="symmetric ordering"):
-                LogDetSeries(pa.build_queen_lattice(4, 4)._similarity)(0.4)
-            assert (len(calls), calls[-1]) == (bad_call, ordering)
+        monkeypatch.setattr(spla, "splu", tampered)
+        with pytest.raises(pa.NumericalError, match="symmetric ordering"):
+            LogDetSeries(pa.build_queen_lattice(4, 4)._similarity)(0.4)
+        assert calls == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 9
 
 
 class TestLogDetRecord:
