@@ -41,9 +41,9 @@ print()
 
 # From N_SERIES locations on, the log-det is a Chebyshev series in
 # atanh(phi0), with no dense n x n matrix. Each of its four pieces is built
-# from 24 sparse LUs of I - phi0 S on first use; this grid, |phi0| <= 0.9,
-# asks for the two inner ones, 48 LUs. After that a log-det costs the same
-# whatever n.
+# on first use from sparse LUs of I - z S at complex z around it, 17 for an
+# inner piece; this grid, |phi0| <= 0.9, asks for the two inner ones, 34
+# LUs. After that a log-det costs the same whatever n.
 big = pa.build_queen_lattice(50, 50)
 t0 = time.time()
 vals = [big.log_det_a0(p) for p in np.linspace(-0.9, 0.9, 200)]

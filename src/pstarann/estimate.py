@@ -306,7 +306,8 @@ def _grid_argmax(grid, bound, rest):
     exact arithmetic: it is concave in phi0 (its second derivative is
     -T tr((W A0^{-1})^2)), and 0 with a zero derivative (-T tr W) at
     phi0 = 0. Computed, it carries rounding: on a series W,
-    ``log_det_a0(0.0)`` is 1.42e-14 on a Delaunay design of n = 3107. The
+    ``log_det_a0(0.0)`` is 1.42e-14 on one Delaunay design of n = 3107
+    and 0.0 on three others (the fit-adj3107 benchmark's seeds 1-3). The
     pruning is exact all the same. The points >= 0 are visited first, so
     phi0 = 0, the grid's middle point, is the first one visited, and the
     first point is never pruned. At every other grid point ln|A0| is below
@@ -418,8 +419,8 @@ def _trust_region_newton(fun, x0, hess, bounds, gtol=1e-8, maxiter=500):
     the start: it returns ``fun = inf`` and ``pg_norm = inf``, and the
     message names the cause. Errors from ``fun`` propagate: a log-det series
     node whose pivot check fails is a fault of W, not of one start, and
-    failing the start instead would rebuild that piece, 24 LUs, at every
-    later evaluation.
+    failing the start instead would rebuild that piece, 17 or 20 LUs, at
+    every later evaluation.
     """
     lb, ub = np.asarray(bounds, dtype=float).T
     x = np.clip(x0, lb, ub)

@@ -38,23 +38,24 @@ build time, the series pieces built and the node LUs they took.
   solve of S. A W without that symmetry, every edge-list design among
   them, is the one-block case: its basis is the identity, and the block
   is S itself.
-- The series (``LogDetSeries``, Pace & Barry 1997 made spectrally
-  accurate): for n >= N_SERIES and |phi0| <= SERIES_PHI0_MAX. In
-  x = atanh(phi0), f is analytic in the strip |Im x| < pi/2 whatever the
-  spectrum, so a Chebyshev interpolant converges geometrically at a rate
-  that does not depend on n (Trefethen 2013, ch. 8); a shorter piece has
-  a larger Bernstein ellipse, so it needs fewer nodes. It has four pieces
-  of SERIES_NODES nodes, phi0 in [-0.995, -0.905), [-0.905, 0), [0, 0.905)
-  and [0.905, 0.995], and each is built on its first evaluation: one
-  complex-step sparse LU of I - (phi0 + ih) S per Chebyshev node. Every
-  node shares the pattern of I - S, and a fill-reducing ordering reads
-  only the pattern, so one real LU of I - S/2, made with the series,
-  chooses a symmetric ordering; I - S is renumbered by it once, and every
-  node is factored in NATURAL order on that pattern by one node routine.
-  A fit whose phi0 stay in [0, 0.905), as the start grid's do, builds
-  only the inner positive piece: SERIES_NODES complex LUs in all. No dense
-  n x n matrix is formed; once a piece is built, an evaluation on it
-  costs O(1).
+- The series (``LogDetSeries``): for n >= N_SERIES and
+  |phi0| <= SERIES_PHI0_MAX. In x = atanh(phi0), f is analytic in the
+  strip |Im x| < pi/2 whatever the spectrum, so a Chebyshev series
+  converges geometrically at a rate that does not depend on n (Trefethen
+  2013, ch. 8). It has four pieces, phi0 in [-0.995, -0.905),
+  [-0.905, 0), [0, 0.905) and [0.905, 0.995], and each is built on its
+  first evaluation from SERIES_NODES[piece] sparse LUs of I - z S, at
+  complex z on the upper half of a Bernstein ellipse about the piece's
+  x interval: 17 for an inner piece, 20 for an outer one. Each LU gives
+  the complex value of ln det(I - z S), so M of them give the 2M
+  Chebyshev coefficients of a series of f (Bornemann 2011). Every node
+  shares the pattern of I - S, and a fill-reducing ordering reads only
+  the pattern, so one real LU of I - S/2, made with the series, chooses a
+  symmetric ordering; I - S is renumbered by it once, and every node is
+  factored in NATURAL order on that pattern by one node routine. A fit
+  whose phi0 stay in [0, 0.905), as the start grid's do, builds only the
+  inner positive piece: 17 complex LUs in all. No dense n x n matrix is
+  formed; once a piece is built, an evaluation on it costs O(1).
 
 Simulation and the causality check for p <= 2 need only the ends of the
 spectrum. The largest eigenvalue of W is exactly 1 (Perron-Frobenius: W
@@ -129,12 +130,12 @@ ROW_SUM_TOL = 1e-12
 # The spectrum of W may exceed 1 in modulus by this much.
 SPECTRUM_TOL = 1e-10
 # From this many locations on, the log-det and traces come from the series.
-# Its full build (all four pieces, 96 sparse LUs in one ordering) and the
-# dense eigensolve cross here: about 0.35 s each on a Delaunay design at
-# n = 1400 with one BLAS thread. One piece, all that a fit in
-# 0 <= phi0 < 0.905 builds, beats the eigensolve from about n = 750; the
-# threshold is not moved there, since that changes the fits of every n it
-# crosses.
+# It was set where the series' full build of that time (all four pieces,
+# 96 sparse LUs in one ordering; 74 now) and the dense eigensolve crossed:
+# about 0.35 s each on a Delaunay design at n = 1400 with one BLAS thread.
+# One piece, all that a fit in 0 <= phi0 < 0.905 builds, then took 24 LUs
+# (17 now) and beat the eigensolve from about n = 750; the threshold is not
+# moved, since that changes the fits of every n it crosses.
 N_SERIES = 1400
 # Below this many locations, ``replicate`` simulates its panels in the
 # eigenbasis of W. Model 1 (p = 1, T = 30, burn-in 200), one BLAS thread,
@@ -154,11 +155,17 @@ N_SERIES = 1400
 N_SPECTRAL = 500
 # The series covers |phi0| <= SERIES_PHI0_MAX, the default phi0 search box.
 SERIES_PHI0_MAX = 0.995
-# Chebyshev points of the first kind per piece of the series.
-SERIES_NODES = 24
-# Imaginary step of the complex-step derivative (Martins, Sturdza & Alonso
-# 2003): no subtraction, so no cancellation, however small.
-COMPLEX_STEP = 1e-30
+# Each piece of the series: M = SERIES_NODES[piece] complex LUs on the
+# upper half of the Bernstein ellipse of parameter rho0 = SERIES_RHO[piece]
+# about the piece's x interval, keyed as in ``LogDetSeries.PIECES``. The
+# outer pieces take the larger ellipse: near |phi0| = 0.995, f'' =
+# f_xx / (1 - phi0^2)^2 + ... magnifies the samples' rounding about 1e4 times.
+# On the inner pieces rho0 = 1.7 leaves a truncation error in f' near
+# phi0 = 0 that rho0 = 1.5 does not (``LogDetSeries``).
+SERIES_NODES = {"negative-outer": 20, "negative-inner": 17, "positive-inner": 17,
+                "positive-outer": 20}
+SERIES_RHO = {"negative-outer": 2.0, "negative-inner": 1.5, "positive-inner": 1.5,
+              "positive-outer": 2.0}
 
 
 class NumericalError(RuntimeError):
@@ -172,46 +179,68 @@ class NumericalError(RuntimeError):
 
 class LogDetSeries:
     """f(phi0) = ln|I - phi0 S| and its first two derivatives from one
-    Chebyshev series, for symmetric S with spectrum in [-1, 1].
+    Chebyshev series per piece, for symmetric S with spectrum in [-1, 1].
 
-    The series interpolates u = (1 - phi0^2) f'(phi0) = df/dx in
-    x = atanh(phi0) on four pieces of [-a, a], a = atanh(SERIES_PHI0_MAX):
-    ``PIECES`` in x order, split at x = -a/2, 0 and a/2 (phi0 = -0.905, 0
-    and 0.905), each at SERIES_NODES Chebyshev points of the first kind.
-    Then, with u_x = du/dx,
+    In x = atanh(phi0), [-a, a] with a = atanh(SERIES_PHI0_MAX) is split
+    into ``PIECES``, in x order, at x = -a/2, 0 and a/2 (phi0 = -0.905, 0
+    and 0.905). On a piece of midpoint m and half-width r, g(t) =
+    ln det(I - z S) with z = tanh(m + r t) is analytic wherever
+    |Im(m + r t)| < pi/2, and real for real t. The piece samples g at
+    M = SERIES_NODES[piece] points on the upper half of the Bernstein
+    ellipse of parameter rho0 = SERIES_RHO[piece]: t_j = (w_j + 1/w_j) / 2,
+    w_j = rho0 e^{i theta_j}, theta_j = pi (j + 1/2) / M. A sample is one
+    complex number, so M samples give the 2M coefficients of a series of
+    degree 2M - 1 (``_ellipse_coefficients``), and the samples' rounding
+    reaches c_k divided by rho0^k, which keeps the series' derivatives
+    accurate (Trefethen 2013, ch. 8; Bornemann 2011). Then, with f_x and
+    f_xx the x-derivatives of the series f,
 
-        f   = the antiderivative of u in x with f(0) = 0,
-        f'  = u / (1 - phi0^2),
-        f'' = (u_x / (1 - phi0^2) + 2 phi0 f') / (1 - phi0^2),
+        f'  = f_x / (1 - phi0^2),
+        f'' = (f_xx / (1 - phi0^2) + 2 phi0 f') / (1 - phi0^2),
 
     so f' and f'' are the exact derivatives of the f that is returned. An
-    inner piece's f starts at f(0) = 0; an outer piece's f starts at its
+    inner piece's f is shifted to f(0) = 0; an outer piece's f to its
     inner neighbour's value at their seam, so f is continuous at every seam.
     Worst error against the spectrum at 2001 phi0 over |phi0| <= 0.995,
     relative to 1 + |value|, on queen 20x20 and 42x42 lattices and Delaunay
     designs of n = 1000 and 3107:
 
-        layout               f        f'       f''
-        4 pieces of 24     3.0e-14  2.8e-13  2.8e-11
-        4 pieces of 22     8.7e-14  3.2e-12  2.6e-10
-        2 pieces of 40     8.4e-14  1.1e-13  5.3e-10
-        1 piece of 80         -        -     2e-8 to 3e-8
+        layout (LUs per inner / outer piece)      f        f'       f''
+        ellipses, rho0 1.5 / 2.0 (17 / 20)      3.0e-14  1.6e-13  5.2e-11
+        ellipses, rho0 1.7 / 2.0 (17 / 20)      4.0e-14  8.9e-13  5.2e-11
+        ellipses, rho0 1.5 / 1.5 (17 / 20)      3.0e-14  2.0e-13  3.5e-10
+        complex-step f' at 24 Chebyshev
+          points of each piece (24 / 24)        3.3e-14  3.7e-13  4.7e-11
 
-    Each node costs one sparse LU of I - (phi0 + ih) S with h =
-    ``COMPLEX_STEP``. For |phi0| < 1 the real part is symmetric positive
-    definite, so a symmetric ordering with diagonal pivots factors it; each
-    factorization is checked to be one (equal row and column permutations,
-    pivots with positive real part), and then Im sum ln U_ii = h f'(phi0)
-    to rounding. Every node has the pattern of I - S, so the constructor
-    takes the minimum-degree ordering of that pattern (MMD on S + S^T) from
-    one real LU of I - S/2, which is not checked since only its ordering
-    is read, and renumbers I - S by it. Every node, through the one node
-    routine ``_node``, fills in the values of the renumbered pattern and is
-    factored in its NATURAL order.
+    f' is least accurate at phi0 = 0, the inner pieces' common end, where
+    the series' derivative magnifies the samples' rounding most. That
+    rounding is absolute, about n eps in each sample's real part (the
+    factor's pivots), so the error there grows with n: on queen 70x70
+    (n = 4900) it reaches 4.4e-13. At rho0 = 1.7 the inner series' truncation
+    adds to it (7.7e-13 at phi0 = 0 on a Delaunay design of n = 3107,
+    exact samples or not); at rho0 = 1.5 the truncation is below the
+    rounding. The outer pieces take the larger ellipse for f'' near
+    |phi0| = 0.995.
+
+    The branch. A sample is sum Log U_ii over the pivots of the sparse LU
+    of I - z S. The Hermitian part of I - z S is I - Re(z) S, positive
+    definite for |Re z| < 1, and each Schur complement keeps that, so
+    every pivot has a positive real part. Along a path from the real axis
+    each Log U_ii then moves continuously, so the sum stays the branch of
+    ln det(I - z S) that is real on the real axis. |Re tanh x| < 1 wherever
+    |Im x| < pi/4, and the ellipses reach |Im x| = r (rho0 - 1/rho0) / 2:
+    0.31 on an inner piece and 0.56 on an outer one. The node checks its
+    factor (equal row and column permutations, pivots of positive real
+    part) and raises ``NumericalError`` without both. Every node has the
+    pattern of I - S, so the constructor takes the minimum-degree ordering
+    of that pattern (MMD on S + S^T) from one real LU of I - S/2, which is
+    not checked since only its ordering is read, and renumbers I - S by
+    it. Every node, through the one node routine ``_node``, fills in the
+    values of the renumbered pattern and is factored in its NATURAL order.
 
     Each piece is built on its first evaluation and then kept; an outer
     piece builds its inner neighbour first. So a fit that stays in
-    0 <= phi0 < 0.905 factors SERIES_NODES nodes, and one that also visits
+    0 <= phi0 < 0.905 factors 17 nodes, and one that also visits
     -0.905 < phi0 < 0 twice that, in either order. For the pieces not yet
     built the series keeps only the renumbered pattern (O(nnz) arrays,
     which pickle with it), so every node value, and every coefficient, is
@@ -227,8 +256,8 @@ class LogDetSeries:
     build_s : float
         Wall seconds of the build so far: the ordering LU and each piece.
     factorizations : int
-        The complex node LUs factored so far: SERIES_NODES per piece built.
-        The real ordering LU is not one of them.
+        The complex node LUs factored so far: SERIES_NODES[piece] per piece
+        built. The real ordering LU is not one of them.
     """
 
     PIECES = ("negative-outer", "negative-inner", "positive-inner", "positive-outer")
@@ -276,36 +305,66 @@ class LogDetSeries:
             inner = k + 1 if k == 0 else k - 1
             f_edge = float((self._pieces[inner] or self._build(inner))[0](edge))
         t0 = time.perf_counter()
-
-        def scaled_derivative(xs):  # u at the nodes xs
-            phi0 = np.tanh(xs)
-            return (1.0 - phi0) * (1.0 + phi0) * np.array([self._node(c) for c in phi0])
-
-        u = Chebyshev.interpolate(scaled_derivative, SERIES_NODES - 1, domain=self._domains[k])
-        self._pieces[k] = (u.integ(lbnd=edge, k=f_edge), u, u.deriv())
+        name, (lo, hi) = self.PIECES[k], self._domains[k]
+        m, rho = SERIES_NODES[name], SERIES_RHO[name]
+        w = rho * np.exp(1j * np.pi * (np.arange(m) + 0.5) / m)
+        xs = (lo + hi) / 2 + (hi - lo) / 4 * (w + 1 / w)
+        g = np.array([self._node(z) for z in np.tanh(xs)])
+        f = Chebyshev(_ellipse_coefficients(g, rho), domain=self._domains[k])
+        f.coef[0] += f_edge - f(edge)
+        self._pieces[k] = (f, f.deriv(), f.deriv(2))
         self.build_s += time.perf_counter() - t0
         return self._pieces[k]
 
-    def _node(self, phi0):
-        """Im ln|I - (phi0 + ih) S| / h at one Chebyshev node, the series' one
-        node routine: the ``_splu`` factor of the renumbered pattern's values
-        in NATURAL order. The factor is checked first: the log of its pivots
-        needs a symmetric ordering (equal row and column permutations) and
-        pivots of positive real part, as I - z S (|Re z| < 1) has, and a
-        factor without both raises ``NumericalError``. The pivots are read
+    def _node(self, z):
+        """ln det(I - z S) at one complex sample z, |Re z| < 1, the series'
+        one node routine: sum Log U_ii of the ``_splu`` factor of the
+        renumbered pattern's values in NATURAL order. The factor is checked
+        first: the sum needs a symmetric ordering (equal row and column
+        permutations) and pivots of positive real part, as I - z S has, and
+        a factor without both raises ``NumericalError``. The pivots are read
         through ``lu.U``, which builds CSC copies of L and U (SuperLU has no
         pivot accessor); the factor and its copies are freed when this
         returns."""
         eye, s, indices, indptr = self._pattern
         n = len(indptr) - 1
-        A = sp.csc_matrix((eye - (phi0 + 1j * COMPLEX_STEP) * s, indices, indptr), shape=(n, n))
+        A = sp.csc_matrix((eye - z * s, indices, indptr), shape=(n, n))
         self.factorizations += 1
         lu = _splu(A, "NATURAL")
         pivots = lu.U.diagonal()
         if not (np.array_equal(lu.perm_r, lu.perm_c) and np.all(pivots.real > 0.0)):
             raise NumericalError("sparse LU left its symmetric ordering or met a nonpositive "
                                  "pivot; diagonal pivoting needs both")
-        return float(np.sum(np.log(pivots)).imag) / COMPLEX_STEP
+        return complex(np.sum(np.log(pivots)))
+
+
+def _ellipse_coefficients(g, rho):
+    """The coefficients c_0, ..., c_{2M-1} of a real Chebyshev series
+    sum_k c_k T_k(t) from its M values g_j at t_j = (w_j + 1/w_j) / 2,
+    w_j = rho e^{i theta_j}, theta_j = pi (j + 1/2) / M, on the upper half
+    of the Bernstein ellipse of parameter rho > 1. There T_k(t_j) =
+    a_k cos k theta_j + i b_k sin k theta_j, with a_k = cosh(k ln rho) and
+    b_k = sinh(k ln rho), so a DCT-II of Re g gives alpha_k = c_k a_k -
+    c_{2M-k} a_{2M-k} and a DST-II of Im g gives beta_k = c_k b_k +
+    c_{2M-k} b_{2M-k}, for 0 < k < M; c_0 = alpha_0 and c_M = beta_M / b_M
+    come alone. Each 2 x 2 system has determinant b_{2M}."""
+    m = len(g)
+    k_log_rho = np.arange(2 * m + 1) * math.log(rho)
+    a, b = np.cosh(k_log_rho), np.sinh(k_log_rho)
+    # alpha_0 .. alpha_M and beta_0 .. beta_M (alpha_M = beta_0 = 0) by FFTs
+    # of length 2M: sum_j x_j e^{-i k theta_j} = e^{-i pi k / 2M} times the
+    # k-th term of the DFT of x
+    shift = np.exp(-0.5j * np.pi * np.arange(m + 1) / m)
+    alpha = 2 / m * (shift * np.fft.rfft(g.real, 2 * m)).real
+    beta = -2 / m * (shift * np.fft.rfft(g.imag, 2 * m)).imag
+    alpha[0] /= 2
+    beta[m] /= 2
+    k = np.arange(1, m)
+    c = np.empty(2 * m)
+    c[0], c[m] = alpha[0], beta[m] / b[m]
+    c[k] = (alpha[k] * b[2 * m - k] + a[2 * m - k] * beta[k]) / b[2 * m]
+    c[2 * m - k] = (a[k] * beta[k] - b[k] * alpha[k]) / b[2 * m]
+    return c
 
 
 def _splu(A, permc_spec):
@@ -395,7 +454,8 @@ class WeightMatrix:
         wall seconds of that backend's build so far, None before it starts
         (the series' grows with each piece); ``pieces``, the series pieces
         built, named as in ``LogDetSeries.PIECES``; ``factorizations``, the
-        complex node LUs the series has factored, SERIES_NODES per piece.
+        complex node LUs the series has factored, SERIES_NODES[piece] per
+        piece.
         Without a series, ``pieces`` is [] and ``factorizations`` 0.
     tau_min : float
         The smallest eigenvalue, from Lanczos on first access, then cached.

@@ -615,7 +615,7 @@ class TestFitCommand:
 
         # on the series the fit stays at phi0 >= 0, but on this small panel a
         # trust-region trial reaches the box's edge, 0.995: both positive
-        # pieces, 24 node LUs each
+        # pieces, each with its own node LUs
         monkeypatch.setattr(weights, "N_SERIES", 20)
         main(["fit", "--config", cfg, "--panel", str(out / "panel.csv"),
               "--out", str(tmp / "series"), "--seed", "2"])
@@ -623,7 +623,8 @@ class TestFitCommand:
         log_det = json.loads((tmp / "series" / "fit.json").read_text())["log_det"]
         assert log_det["backend"] == "series"
         assert log_det["pieces"] == ["positive-inner", "positive-outer"]
-        assert log_det["build_s"] > 0.0 and log_det["factorizations"] == 48
+        nodes = weights.SERIES_NODES["positive-inner"] + weights.SERIES_NODES["positive-outer"]
+        assert log_det["build_s"] > 0.0 and log_det["factorizations"] == nodes
 
     def test_malformed_csv_row_exit_2(self, sim_dir, capsys):
         tmp, cfg, out = sim_dir

@@ -251,7 +251,8 @@ class TestLogDetBeforeWorkspace:
         if backend == "series":
             # the ordering LU and the inner positive piece, which the
             # starts' grid reads first
-            built = (["positive-inner"], weights.SERIES_NODES) if own_starts else ([], 0)
+            nodes = weights.SERIES_NODES["positive-inner"]
+            built = (["positive-inner"], nodes) if own_starts else ([], 0)
             assert (record["pieces"], record["factorizations"]) == built
             assert not spectrum
         else:

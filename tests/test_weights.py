@@ -2,6 +2,7 @@
 
 import io
 import math
+import os
 import pickle
 import sys
 import tracemalloc
@@ -531,19 +532,67 @@ SERIES_DESIGNS = {
 }
 
 
+def assert_series_matches_spectrum(W):
+    """A series built on W's S gives f, f' and f'' within [1e-13, 5e-13,
+    2e-10] of the spectrum's, relative to 1 + |value|, over every piece."""
+    series = LogDetSeries(W._similarity)
+    worst = np.zeros(3)
+    for phi0 in np.linspace(-0.995, 0.995, 399):
+        exact = spectrum_log_det(W, phi0)
+        got = [series(phi0, order) for order in range(3)]
+        worst = np.maximum(worst, [abs(g - e) / (1.0 + abs(e)) for g, e in zip(got, exact)])
+    assert np.all(worst <= [1e-13, 5e-13, 2e-10]), worst
+
+
 class TestLogDetSeries:
     @pytest.mark.parametrize("design", sorted(SERIES_DESIGNS))
     def test_matches_spectrum_oracle(self, design):
         # built directly: these n are below N_SERIES, where the log-det reads the spectrum
-        W = SERIES_DESIGNS[design]()
-        series = LogDetSeries(W._similarity)
-        worst = np.zeros(3)
-        for phi0 in np.linspace(-0.995, 0.995, 399):
-            exact = spectrum_log_det(W, phi0)
-            got = [series(phi0, order) for order in range(3)]
-            worst = np.maximum(worst, [abs(g - e) / (1.0 + abs(e)) for g, e in zip(got, exact)])
-        # f, f' and f'' relative to 1 + |value|, over every piece
-        assert np.all(worst <= [1e-13, 5e-13, 2e-10]), worst
+        assert_series_matches_spectrum(SERIES_DESIGNS[design]())
+
+    @pytest.mark.long
+    @pytest.mark.skipif(os.environ.get("PSTARANN_RUN_LONG") != "1",
+                        reason="set PSTARANN_RUN_LONG=1 to run the dense oracle above N_SERIES")
+    @pytest.mark.parametrize("design", ["lattice42x42", "delaunay3107"])
+    def test_matches_spectrum_oracle_above_the_threshold(self, design):
+        # sizes the series serves: queen 42x42 (n = 1764) and the Delaunay
+        # design of tier1.yml's fit check (n = 3107), against the dense spectrum
+        W = {"lattice42x42": lambda: pa.build_queen_lattice(42, 42),
+             "delaunay3107": lambda: delaunay_weights(3107, 1)}[design]()
+        assert W.n >= weights.N_SERIES
+        assert_series_matches_spectrum(W)
+
+    @pytest.mark.parametrize("piece", LogDetSeries.PIECES)
+    def test_ellipse_coefficients_recover_a_known_series(self, piece):
+        # a real series of degree 2M - 1 whose every term is of size 1 on the
+        # ellipse, sampled there exactly: the coefficients come back to rounding
+        m, rho = weights.SERIES_NODES[piece], weights.SERIES_RHO[piece]
+        k = np.arange(2 * m)
+        c = np.random.default_rng(m).uniform(-1.0, 1.0, 2 * m) * rho ** -k
+        w = rho * np.exp(1j * np.pi * (np.arange(m) + 0.5) / m)
+        g = np.polynomial.chebyshev.chebval((w + 1 / w) / 2, c)
+        got = weights._ellipse_coefficients(g, rho)
+        assert got.shape == c.shape
+        assert np.max(np.abs(got - c) * rho ** k) <= 1e-14 * m
+
+    def test_samples_stay_in_the_branch_strip(self, monkeypatch):
+        # sum Log U_ii is the branch of ln det(I - z S) that is real on the
+        # real axis when I - z S has a positive definite Hermitian part, which
+        # |Re z| < 1 gives; |Im atanh z| < pi/4 is the margin the ellipses keep
+        samples, real = [], LogDetSeries._node
+
+        def recording(self, z):
+            samples.append(z)
+            return real(self, z)
+
+        monkeypatch.setattr(LogDetSeries, "_node", recording)
+        series = LogDetSeries(pa.build_queen_lattice(4, 5)._similarity)
+        for phi0 in (-0.99, 0.99):
+            series(phi0)
+        assert len(samples) == sum(weights.SERIES_NODES.values())
+        z = np.array(samples)
+        assert np.all(np.abs(z.real) < 1.0) and np.all(z.imag > 0.0)
+        assert np.max(np.abs(np.arctanh(z).imag)) < math.pi / 4
 
     def test_derivatives_match_central_differences(self, w2020):
         series = LogDetSeries(w2020._similarity)
@@ -655,8 +704,9 @@ class TestLogDetSeries:
         res = pa.fit(spec, data, n_starts=3, seed=0)
         assert res.theta.phi0 > 0.0 and spec.W.log_det_record["pieces"] == ["positive-inner"]
         # one real LU orders the pattern; the count is the piece's nodes
-        assert calls == ["MMD_AT_PLUS_A"] + ["NATURAL"] * weights.SERIES_NODES
-        assert spec.W.log_det_record["factorizations"] == 24
+        nodes = weights.SERIES_NODES["positive-inner"]
+        assert calls == ["MMD_AT_PLUS_A"] + ["NATURAL"] * nodes
+        assert spec.W.log_det_record["factorizations"] == nodes
 
     def test_negative_dependence_fit_matches_an_eager_build(self, monkeypatch):
         monkeypatch.setattr(weights, "N_SERIES", 20)
@@ -669,7 +719,7 @@ class TestLogDetSeries:
         assert res.theta.phi0 < 0.0
         lazy = spec.W.log_det_series
         assert lazy.pieces == ["negative-inner", "positive-inner"]
-        assert lazy.factorizations == 48
+        assert lazy.factorizations == sum(weights.SERIES_NODES[p] for p in lazy.pieces)
         eager = LogDetSeries(spec.W._similarity)
         for phi0 in (-0.95, -0.5, 0.5, 0.95):  # every piece, in phi0 order
             eager(phi0)
@@ -679,13 +729,13 @@ class TestLogDetSeries:
 
     def test_outer_piece_builds_its_inner_neighbour(self):
         S = pa.build_queen_lattice(6, 7)._similarity
-        m = weights.SERIES_NODES
         lazy = LogDetSeries(S)
         for phi0, pieces in ((-0.3, ["negative-inner"]),
                              (0.95, ["negative-inner", "positive-inner", "positive-outer"]),
                              (-0.95, list(LogDetSeries.PIECES))):
             lazy(phi0)
-            assert lazy.pieces == pieces and lazy.factorizations == m * len(pieces)
+            assert lazy.pieces == pieces
+            assert lazy.factorizations == sum(weights.SERIES_NODES[p] for p in pieces)
         eager = LogDetSeries(S)
         for phi0 in (-0.5, 0.5, -0.95, 0.95):  # inner pieces first
             eager(phi0)
@@ -702,7 +752,6 @@ class TestLogDetSeries:
             return lu
 
         monkeypatch.setattr(spla, "splu", counting)
-        m = weights.SERIES_NODES
         series = LogDetSeries(pa.build_queen_lattice(6, 7)._similarity)
         assert orderings == ["MMD_AT_PLUS_A"] and series.pieces == []
         assert series.factorizations == 0
@@ -713,8 +762,9 @@ class TestLogDetSeries:
                              (-0.99, list(LogDetSeries.PIECES))):
             series(phi0, 2)
             assert series.pieces == pieces
-            assert len(orderings) - 1 == series.factorizations == m * len(pieces)
-        assert orderings[1:] == ["NATURAL"] * (4 * m)
+            nodes = sum(weights.SERIES_NODES[p] for p in pieces)
+            assert len(orderings) - 1 == series.factorizations == nodes
+        assert orderings[1:] == ["NATURAL"] * sum(weights.SERIES_NODES.values())
         assert len(fills) == 1  # the renumbered pattern fills in as the ordered one
 
     def test_ordering_owns_its_data(self, monkeypatch):
@@ -758,7 +808,7 @@ class TestLogDetSeries:
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            series._node(0.3)
+            series._node(0.3 + 0.2j)
             node = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -780,9 +830,11 @@ class TestLogDetSeries:
         for phi0 in (0.5, -0.5, 0.95, -0.95):  # build every piece
             series(phi0)
         assert series.pieces == list(LogDetSeries.PIECES)
-        for _, u, _ in series._pieces:
-            xs = np.polynomial.polyutils.mapdomain(chebpts1(weights.SERIES_NODES), u.window, u.domain)
-            assert_allclose(u(xs), oracle_series_node_values(S, xs), rtol=1e-12, atol=0.0)
+        # f_x = (1 - phi0^2) f' at 24 Chebyshev points of each piece, against
+        # complex-step LUs each ordered afresh
+        for _, f_x, _ in series._pieces:
+            xs = np.polynomial.polyutils.mapdomain(chebpts1(24), f_x.window, f_x.domain)
+            assert_allclose(f_x(xs), oracle_series_node_values(S, xs), rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("fault", ["row permutation", "pivot sign"])
     def test_lu_guard_raises_numerical_error(self, monkeypatch, fault):
@@ -813,7 +865,8 @@ class TestLogDetRecord:
 
     @pytest.mark.parametrize("backend, built", [
         ("spectrum", {"pieces": [], "factorizations": 0}),
-        ("series", {"pieces": ["positive-inner"], "factorizations": weights.SERIES_NODES}),
+        ("series", {"pieces": ["positive-inner"],
+                    "factorizations": weights.SERIES_NODES["positive-inner"]}),
     ])
     def test_empty_before_the_first_log_det_filled_after(self, monkeypatch, backend, built):
         if backend == "series":
