@@ -41,7 +41,11 @@ Exit codes: 0 success, 2 input error (bad config, unknown config key,
 malformed CSV, non-causal parameters), 3 numerical non-convergence or a
 failed numerical self-check.
 Every command is deterministic under a fixed --seed, including replicate
-summaries across thread counts. ``replicate --threads 1`` runs its replicates
+summaries across thread counts. A ``replicate`` record in ``summary.json``
+is the record ``fit.json`` holds, without ``log_det`` and without each
+start's wall seconds, plus the replicate's own keys (``_replicate_one``);
+a replicate whose fit fails keeps the error and, for a ``FitError``, the
+trace of its starts. ``replicate --threads 1`` runs its replicates
 in this process; with K > 1, each of min(K, R) worker processes receives the
 study once, when it starts, and builds the log-det series pieces its own fits
 touch.
@@ -379,7 +383,7 @@ def cmd_fit(args):
 # ----------------------------------------------------------------------
 
 def _replicate_one(job, r):
-    """Replicate r of the study ``job``: simulate a panel and fit it.
+    """The record of replicate r of the study ``job``: simulate a panel and fit it.
 
     ``job`` is (spec, theta, sim, X_fixed, seed, opts), the same for every
     replicate: ``sim`` and ``opts`` are the keyword arguments of ``simulate``
@@ -389,29 +393,37 @@ def _replicate_one(job, r):
     replicates that process ran before: a spectral ``sim`` reads the
     eigenbasis that ``cmd_replicate`` built. The log-det series pieces and tau_min
     that a fit builds stay on spec.W for the process's later replicates; they
-    are bit-equal whichever replicate builds them. A failed fit is recorded,
-    not raised; a panel that cannot be drawn (``simulate`` raises) is an
-    input error of the study, and raises.
+    are bit-equal whichever replicate builds them.
+
+    The record of a fit is ``FitResult.to_json_dict()``, the record that
+    ``fit.json`` holds without ``log_det``, with ``replicate``, ``ok`` and
+    two keys of its own: ``estimate``, theta flat in ``names`` order, and
+    ``asymptotic_se``, ``std_errors`` or None. A fit that fails as a fit
+    documents (``ValueError`` for data it refuses, ``NumericalError``,
+    ``FitError`` among them) leaves ``error_type``, the exception's class
+    name, and ``error`` in place of the fit's keys, and a ``FitError`` its
+    ``trace``. No trace entry keeps its ``seconds``, so the record depends on
+    r alone. Any other exception is a fault of the program and raises, and so
+    does a panel that cannot be drawn (``simulate`` raises), an input error
+    of the study.
     """
     spec, theta, sim, X_fixed, seed, opts = job
     data = simulate(spec, theta, X=X_fixed, seed=np.random.SeedSequence(seed, spawn_key=(r,)),
                     **sim)
     try:
         res = fit(spec, data, seed=seed + r, covariance=True, **opts)
-        return {
-            "replicate": r,
-            "ok": True,
-            "converged": res.converged,
-            "canonical": res.canonical,
-            "boundary_warning": res.boundary_warning,
-            "estimate": res.theta.x.tolist(),
-            "loglik": res.loglik,
-            "asymptotic_se": None if res.cov_note else res.std_errors.tolist(),
-            "covariance_note": res.cov_note,
-        }
-    except Exception as exc:  # recorded per replicate, summary over successes
+    except (ValueError, NumericalError) as exc:  # recorded; the summary is over successes
         kind = type(exc).__name__
-        return {"replicate": r, "ok": False, "error_type": kind, "error": f"{kind}: {exc}"}
+        record = {"ok": False, "error_type": kind, "error": f"{kind}: {exc}"}
+        if isinstance(exc, FitError):
+            record["trace"] = exc.trace
+    else:
+        record = {"ok": True, **res.to_json_dict(), "estimate": res.theta.x.tolist(),
+                  "asymptotic_se": None if res.std_errors is None else res.std_errors.tolist()}
+    if "trace" in record:
+        record["trace"] = [{k: v for k, v in start.items() if k != "seconds"}
+                           for start in record["trace"]]
+    return {"replicate": r, **record}
 
 
 _worker_job = None  # the study of a pool worker process, set once by _init_worker

@@ -928,7 +928,7 @@ class TestFitCommand:
             "sandwich covariance is not positive definite (min eigenvalue -")
         assert records[0]["asymptotic_se"] is None
         for r in records:
-            assert (r["asymptotic_se"] is None) == (r["covariance_note"] is not None)
+            assert (r["asymptotic_se"] is None) == ("covariance_note" in r)
 
     def ones_laplace_panel(self, tmp_path):
         """(config path, panel path): the hostile panel with y = 1 everywhere,
@@ -1175,7 +1175,7 @@ class TestReplicateCommand:
         def flaky_fit(*args, **kwargs):
             calls["n"] += 1
             if calls["n"] == 2:
-                raise RuntimeError("synthetic optimizer failure")
+                raise pa.FitError("synthetic optimizer failure")
             return real_fit(*args, **kwargs)
 
         monkeypatch.setattr(cli, "fit", flaky_fit)
@@ -1221,7 +1221,7 @@ class TestReplicateCommand:
         import pstarann.cli as cli
 
         def broken_fit(*args, **kwargs):
-            raise RuntimeError("synthetic optimizer failure")
+            raise pa.FitError("synthetic optimizer failure")
 
         monkeypatch.setattr(cli, "fit", broken_fit)
         cfg = write_config(tmp_path, MODEL1_CONFIG)
@@ -1230,6 +1230,23 @@ class TestReplicateCommand:
                      "--replicates", "2"])
         assert code == 3
         assert "failed" in (out / "summary.txt").read_text()
+        capsys.readouterr()
+
+    def test_program_error_ends_the_study(self, tmp_path, capsys, monkeypatch):
+        # only a fit's documented failures (ValueError, NumericalError) are
+        # a failed replicate: a TypeError is a fault of the program, and
+        # leaves cli.main with its traceback before any summary is written
+        import pstarann.cli as cli
+
+        def buggy_fit(*args, **kwargs):
+            raise TypeError("synthetic programming error")
+
+        monkeypatch.setattr(cli, "fit", buggy_fit)
+        cfg = write_config(tmp_path, MODEL1_CONFIG)
+        out = tmp_path / "rep"
+        with pytest.raises(TypeError, match="synthetic programming error"):
+            main(["replicate", "--config", cfg, "--out", str(out), "--replicates", "2"])
+        assert not (out / "summary.json").exists()
         capsys.readouterr()
 
     def test_fixed_design_reuses_covariates(self, tmp_path, capsys):
@@ -1397,12 +1414,18 @@ class TestReplicateCommand:
 
 
 class TestReplicateCovariance:
-    """Each replicate record carries the fit's covariance note."""
+    """Each replicate record is fit.json's record of its fit, covariance
+    note included."""
 
     TINY = dict(MODEL1_CONFIG, lattice={"n1": 4, "n2": 4}, simulate={"T": 6, "burn_in": 50},
                 optim={"n_starts": 2})
 
     def run_one(self, tmp_path, density, r=1, seed=4):
+        """(spec, panel, record) of replicate r of the TINY study under
+        ``density``. An ok record must be ``to_json_dict()`` of a fit of the
+        replicate's own panel, regenerated here from the same seed, key by
+        key with each start's ``seconds`` left out, plus the replicate's
+        four keys."""
         import pstarann.cli as cli
 
         cfg = json.loads(json.dumps(self.TINY))
@@ -1417,11 +1440,22 @@ class TestReplicateCovariance:
         data = pa.simulate(spec, theta, seed=np.random.SeedSequence(seed, spawn_key=(r,)),
                            burn_in=50, T=6, covariate_columns=self.TINY["covariates"],
                            spectral=sim["spectral"])
+        if rec["ok"]:
+            res = pa.fit(spec, data, seed=seed + r, covariance=True, **cfg["optim"])
+            expected = res.to_json_dict()
+            for start in expected["trace"]:
+                del start["seconds"]
+            expected.update(replicate=r, ok=True, estimate=res.theta.x.tolist(),
+                            asymptotic_se=None if res.std_errors is None
+                            else res.std_errors.tolist())
+            assert set(rec) == set(expected)
+            for key, value in expected.items():
+                assert rec[key] == value, key
         return spec, data, rec
 
     def test_normal_se_matches_sandwich(self, tmp_path):
         spec, data, rec = self.run_one(tmp_path, "normal")
-        assert rec["ok"] and rec["covariance_note"] is None
+        assert rec["ok"] and "covariance_note" not in rec
         theta_hat = pa.ParameterVector.from_array(rec["estimate"], spec)
         se = pa.sandwich_covariance(pa.LikelihoodWorkspace(spec, data), theta_hat)["se"]
         assert_allclose(rec["asymptotic_se"], se, rtol=0, atol=1e-12)
@@ -1431,6 +1465,28 @@ class TestReplicateCovariance:
         assert rec["ok"]
         assert rec["asymptotic_se"] is None
         assert "Laplace" in rec["covariance_note"]
+
+    def test_fit_error_keeps_the_trace_of_its_starts(self, tmp_path, monkeypatch):
+        # y x 1e300 overflows every start's objective, so the fit raises
+        # FitError: the failed record keeps one trace entry per start that
+        # ran, without its seconds, beside the error that fit_error.json holds
+        import pstarann.cli as cli
+
+        real_simulate = cli.simulate
+
+        def overflowing(*args, **kwargs):
+            data = real_simulate(*args, **kwargs)
+            data.Y[...] *= 1e300
+            return data
+
+        monkeypatch.setattr(cli, "simulate", overflowing)
+        _, _, rec = self.run_one(tmp_path, "normal")
+        assert (rec["ok"], rec["error_type"]) == (False, "FitError")
+        assert rec["error"].startswith("FitError: all 2 starts failed to produce a finite optimum")
+        assert len(rec["trace"]) == self.TINY["optim"]["n_starts"]
+        for start in rec["trace"]:
+            assert set(start) == {"start_loglik", "loglik", "nit", "nfev", "message"}
+            assert start["loglik"] is None
 
 
 class TestPureSpatialConfig:
